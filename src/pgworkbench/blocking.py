@@ -52,14 +52,20 @@ class WeightedPointSet:
                 "weights": list(self.weights)}
 
 
-def _subspace_supports(space: ProjectiveSpace, m: int):
-    return [S.point_indices() for S in space.subspaces(m)]
-
-
 def kspace_weights(B: WeightedPointSet, k: int):
     """Weighted intersection size of B with every k-space, in canonical order."""
     w = B.weights
-    return [sum(w[i] for i in sup) for sup in _subspace_supports(B.space, k)]
+    return [sum(w[i] for i in pts) for pts in B.space.incidence(k)]
+
+
+def _first_kspace_failing(B: WeightedPointSet, k: int, holds):
+    """(True, None) if holds(weight) for every k-space, else (False, the
+    first k-space in canonical order where it does not)."""
+    w = B.weights
+    for i, pts in enumerate(B.space.incidence(k)):
+        if not holds(sum(w[j] for j in pts)):
+            return False, B.space.subspaces(k)[i]
+    return True, None
 
 
 # -- blocking, essentiality, minimality ---------------------------------
@@ -68,12 +74,7 @@ def is_t_fold_blocking(B: WeightedPointSet, t: int, k: int):
     """True iff every k-space meets B in >= t weight; else (False, witness)."""
     if k < 1 or k > B.space.n - 1:
         raise BlockingError(f"k = {k} out of range")
-    subs = B.space.subspaces(k)
-    w = B.weights
-    for S in subs:
-        if sum(w[i] for i in S.point_indices()) < t:
-            return False, S
-    return True, None
+    return _first_kspace_failing(B, k, lambda s: s >= t)
 
 
 def _require_blocking(B, t, k):
@@ -87,10 +88,9 @@ def _require_blocking(B, t, k):
 def essential_points(B: WeightedPointSet, t: int, k: int):
     """Positive-weight points lying on some k-space of weight exactly t."""
     _require_blocking(B, t, k)
-    w = B.weights
     tight = 0
-    for S in B.space.subspaces(k):
-        if sum(w[i] for i in S.point_indices()) == t:
+    for S, s in zip(B.space.subspaces(k), kspace_weights(B, k)):
+        if s == t:
             tight |= S.mask
     return {i for i in B.support if tight >> i & 1}
 
@@ -107,7 +107,7 @@ def minimal_reduction(B: WeightedPointSet, t: int, k: int, order=None) -> Weight
     if order is None:
         order = range(space.num_points)
     order = list(order)
-    supports = _subspace_supports(space, k)
+    supports = space.incidence(k)
     point_spaces = [[] for _ in range(space.num_points)]
     for si, sup in enumerate(supports):
         for i in sup:
@@ -143,12 +143,7 @@ def is_t_mod_p_set(B: WeightedPointSet, t: int, k: int, p: int | None = None):
     char = B.space.field.p
     if p is not None and p != char:
         raise BlockingError(f"p = {p} does not match the field characteristic {char}")
-    p = char
-    w = B.weights
-    for S in B.space.subspaces(k):
-        if sum(w[i] for i in S.point_indices()) % p != t % p:
-            return False, S
-    return True, None
+    return _first_kspace_failing(B, k, lambda s: s % char == t % char)
 
 
 @dataclass
@@ -222,8 +217,7 @@ def classify_lines(B: WeightedPointSet, t: int) -> SecantClassification:
     weights = []
     h1 = h2 = 0
     long_min = None
-    for line in space.subspaces(1):
-        pts = line.point_indices()
+    for pts in space.incidence(1):
         lw = sum(w[i] for i in pts)
         weights.append(lw)
         if lw == t:
@@ -365,7 +359,7 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
         weight_cap = p - 1
     if weight_cap > p - 1:
         raise BlockingError("weight_cap above p - 1 leaves residue representatives")
-    supports = _subspace_supports(space, k)
+    supports = space.incidence(k)
     npts = space.num_points
     rows = []
     for sup in supports:
@@ -380,38 +374,22 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
     kdim = len(kernel)
     total = p**kdim
     found = []
-
-    def consider(w):
-        if max(w) <= weight_cap and sum(w) <= max_size:
-            found.append(WeightedPointSet(space, list(w)))
-
-    if total <= coset_limit:
-        for coeffs in itertools.product(range(p), repeat=kdim):
-            w = list(particular)
-            for c, vec in zip(coeffs, kernel):
-                if c:
-                    for j in range(npts):
-                        if vec[j]:
-                            w[j] = (w[j] + c * vec[j]) % p
-            consider(w)
-        exhaustive = True
-        sampled = 0
+    exhaustive = total <= coset_limit
+    if exhaustive:
+        walk = itertools.product(range(p), repeat=kdim)
     else:
         rng = random.Random(seed)
-        seen = set()
-        for _ in range(sample_count):
-            coeffs = tuple(rng.randrange(p) for _ in range(kdim))
-            if coeffs in seen:
-                continue
-            seen.add(coeffs)
-            w = list(particular)
-            for c, vec in zip(coeffs, kernel):
-                if c:
-                    for j in range(npts):
-                        if vec[j]:
-                            w[j] = (w[j] + c * vec[j]) % p
-            consider(w)
-        exhaustive = False
-        sampled = len(seen)
+        # distinct draws; their order is immaterial, the output is sorted
+        walk = {tuple(rng.randrange(p) for _ in range(kdim)) for _ in range(sample_count)}
+    for coeffs in walk:
+        w = list(particular)
+        for c, vec in zip(coeffs, kernel):
+            if c:
+                for j in range(npts):
+                    if vec[j]:
+                        w[j] = (w[j] + c * vec[j]) % p
+        if max(w) <= weight_cap and sum(w) <= max_size:
+            found.append(WeightedPointSet(space, w))
+    sampled = 0 if exhaustive else len(walk)
     found.sort(key=lambda B: tuple(B.weights))
     return TModPEnumeration(found, kdim, total, exhaustive, sampled)

@@ -8,8 +8,8 @@ import json
 
 from .blocking import WeightedPointSet, is_minimal, is_t_fold_blocking, is_t_mod_p_set
 from .coloring import Coloring, is_proper, is_strict, is_trivial_coloring
-from .geometry import ProjectiveSpace, theta
-from .solvers import bounds_report
+from .geometry import Hypergraph, ProjectiveSpace, theta
+from .solvers import BoundsReport, SolveResult, bounds_report
 
 SCHEMA_VERSION = 1
 
@@ -35,6 +35,30 @@ def make_certificate(kind: str, payload: dict) -> dict:
             "payload": payload, "checksum": checksum(payload)}
 
 
+def transversal_certificate(H: Hypergraph, t: int, res: SolveResult) -> dict:
+    """Certificate of a t-transversal of the geometric hypergraph H."""
+    n, k, q = H.params
+    return make_certificate("transversal", {"n": n, "k": k, "q": q, "t": t,
+                                            "points": list(res.witness),
+                                            "objective": res.objective})
+
+
+def coloring_certificate(H: Hypergraph, coloring: Coloring) -> dict:
+    """Certificate of a proper strict coloring of the geometric hypergraph
+    H, recording whether it is trivial."""
+    n, k, q = H.params
+    trivial, _ = is_trivial_coloring(coloring, H)
+    return make_certificate("coloring", {"n": n, "k": k, "q": q,
+                                         "assignment": list(coloring.assignment),
+                                         "N": coloring.N, "trivial": bool(trivial)})
+
+
+def bounds_certificate(rep: BoundsReport) -> dict:
+    """Certificate of a bounds report; recheck recomputes it."""
+    return make_certificate("bounds", {"n": rep.n, "k": rep.k, "q": rep.q, "t": rep.t,
+                                       "report": rep.to_json()})
+
+
 def write_certificate(cert: dict, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(canonical_json(cert))
@@ -45,24 +69,13 @@ def load_certificate(path: str) -> dict:
         return json.load(fh)
 
 
-_space_cache: dict = {}
-
-
-def _space(n: int, q: int) -> ProjectiveSpace:
-    key = (n, q)
-    if key not in _space_cache:
-        _space_cache[key] = ProjectiveSpace.of_order(n, q)
-    return _space_cache[key]
-
-
 def _verify_transversal(payload):
     n, k, q, t = payload["n"], payload["k"], payload["q"], payload["t"]
     pts = set(payload["points"])
     if "objective" in payload and payload["objective"] != len(pts):
         return False, "objective does not match the witness size"
-    space = _space(n, q)
-    for S in space.subspaces(k):
-        hit = sum(1 for i in S.point_indices() if i in pts)
+    for kspace in ProjectiveSpace.of_order(n, q).incidence(k):
+        hit = sum(1 for i in kspace if i in pts)
         if hit < t:
             return False, f"a {k}-space meets the set in only {hit} < {t} points"
     return True, "t-transversal verified"
@@ -70,7 +83,7 @@ def _verify_transversal(payload):
 
 def _verify_coloring(payload):
     n, k, q = payload["n"], payload["k"], payload["q"]
-    space = _space(n, q)
+    space = ProjectiveSpace.of_order(n, q)
     H = space.hypergraph(k)
     coloring = Coloring(tuple(payload["assignment"]))
     if not is_strict(coloring, H.num_vertices):
@@ -90,7 +103,7 @@ def _verify_coloring(payload):
 
 def _verify_blocking_set(payload):
     n, q = payload["space"]["n"], payload["space"]["q"]
-    space = _space(n, q)
+    space = ProjectiveSpace.of_order(n, q)
     B = WeightedPointSet(space, list(payload["weights"]))
     for claim in payload["claims"]:
         kind = claim["type"]
@@ -116,7 +129,7 @@ def _verify_blocking_set(payload):
 
 def _verify_tmodp_report(payload):
     p, t, k = payload["p"], payload["t"], payload["k"]
-    space = _space(2, p)
+    space = ProjectiveSpace.of_order(2, p)
     expected = payload["expected_size"]
     if expected != t * theta(space.n - k, p):
         return False, "expected_size is wrong for the parameters"
@@ -150,14 +163,16 @@ _VERIFIERS = {
 
 def recheck(cert: dict):
     """Verify a certificate without re-solving.  Returns (ok, detail)."""
+    if not isinstance(cert, dict):
+        return False, "malformed certificate: not a JSON object"
     for key in ("schema_version", "kind", "payload", "checksum"):
         if key not in cert:
             return False, f"malformed certificate: missing {key!r}"
-    if cert["kind"] not in _VERIFIERS:
+    if not isinstance(cert["kind"], str) or cert["kind"] not in _VERIFIERS:
         return False, f"unknown certificate kind {cert['kind']!r}"
     if checksum(cert["payload"]) != cert["checksum"]:
         return False, "checksum mismatch"
     try:
         return _VERIFIERS[cert["kind"]](cert["payload"])
-    except (ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
         return False, f"verification error: {exc}"

@@ -11,8 +11,9 @@ import json
 import sys
 
 from .blocking import WeightedPointSet, is_minimal, is_t_fold_blocking, is_t_mod_p_set
-from .certificates import (canonical_json, load_certificate, make_certificate,
-                           recheck, write_certificate)
+from .certificates import (bounds_certificate, canonical_json, coloring_certificate,
+                           load_certificate, make_certificate, recheck,
+                           transversal_certificate, write_certificate)
 from .coloring import Coloring, is_proper, is_trivial_coloring, trivial_coloring
 from .experiments import ExperimentConfig, default_grid, run_experiments
 from .geometry import (ProjectiveSpace, count_subspaces, hypergraph_from_file,
@@ -84,12 +85,8 @@ def cmd_solve(args):
         out = {"problem": "tau", "t": args.t, "objective": res.objective,
                "status": res.status, "nodes": res.nodes,
                "witness": list(res.witness) if res.witness is not None else None}
-        if H.params is not None and res.status == "optimal":
-            n, k, q = H.params
-            payload = {"n": n, "k": k, "q": q, "t": args.t,
-                       "points": list(res.witness), "objective": res.objective}
-            if args.out:
-                write_certificate(make_certificate("transversal", payload), args.out)
+        if H.params is not None and res.status == "optimal" and args.out:
+            write_certificate(transversal_certificate(H, args.t, res), args.out)
     else:
         res = exact_ucn(H)
         witness = res.witness
@@ -97,12 +94,7 @@ def cmd_solve(args):
                "nodes": res.nodes,
                "witness": list(witness.assignment) if witness is not None else None}
         if H.params is not None and res.status == "optimal" and args.out:
-            n, k, q = H.params
-            triv, _ = is_trivial_coloring(witness, H)
-            payload = {"n": n, "k": k, "q": q,
-                       "assignment": list(witness.assignment), "N": witness.N,
-                       "trivial": bool(triv)}
-            write_certificate(make_certificate("coloring", payload), args.out)
+            write_certificate(coloring_certificate(H, witness), args.out)
     _emit(out)
     return 0
 
@@ -123,9 +115,7 @@ def cmd_verify(args):
 def cmd_bounds(args):
     rep = bounds_report(args.n, args.k, args.q, args.t)
     if args.out:
-        payload = {"n": args.n, "k": args.k, "q": args.q, "t": args.t,
-                   "report": rep.to_json()}
-        write_certificate(make_certificate("bounds", payload), args.out)
+        write_certificate(bounds_certificate(rep), args.out)
     _emit(rep.to_json())
     return 0
 

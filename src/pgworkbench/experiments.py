@@ -7,10 +7,11 @@ import csv
 import os
 from dataclasses import dataclass, field
 
-from .certificates import make_certificate, recheck, write_certificate
-from .fields import FieldError, factor_prime_power
-from .geometry import GeometryError, ProjectiveSpace, theta
-from .solvers import SolverError, bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
+from .certificates import (bounds_certificate, coloring_certificate, make_certificate,
+                           recheck, transversal_certificate, write_certificate)
+from .fields import factor_prime_power
+from .geometry import ProjectiveSpace
+from .solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
 def default_grid():
@@ -53,10 +54,7 @@ def _run_tau(task, config):
         witness = sorted(set().union(*(S.point_indices()
                                        for S in space.disjoint_subspaces(m, t))))
     res = exact_tau(H, t, vertex_limit=config.tau_vertex_limit, initial_witness=witness)
-    payload = {"n": n, "k": k, "q": q, "t": t,
-               "points": list(res.witness), "objective": res.objective}
-    cert = make_certificate("transversal", payload)
-    return cert, f"tau_{t}(H({n},{k},{q}))", res.objective
+    return transversal_certificate(H, t, res), f"tau_{t}(H({n},{k},{q}))", res.objective
 
 
 def _run_ucn(task, config):
@@ -65,15 +63,7 @@ def _run_ucn(task, config):
     space = ProjectiveSpace.of_order(n, q)
     H = space.hypergraph(k)
     res = exact_ucn(H, vertex_limit=config.ucn_vertex_limit)
-    coloring = res.witness
-    payload = {"n": n, "k": k, "q": q,
-               "assignment": list(coloring.assignment), "N": coloring.N,
-               "trivial": None}
-    from .coloring import is_trivial_coloring
-    triv, _ = is_trivial_coloring(coloring, H)
-    payload["trivial"] = bool(triv)
-    cert = make_certificate("coloring", payload)
-    return cert, f"UCN(H({n},{k},{q}))", res.objective
+    return coloring_certificate(H, res.witness), f"UCN(H({n},{k},{q}))", res.objective
 
 
 def _run_tmodp(task, config):
@@ -85,10 +75,7 @@ def _run_tmodp(task, config):
 
 def _run_bounds(task, config):
     rep = bounds_report(task["n"], task["k"], task["q"], task["t"])
-    payload = {"n": task["n"], "k": task["k"], "q": task["q"], "t": task["t"],
-               "report": rep.to_json()}
-    cert = make_certificate("bounds", payload)
-    return cert, (f"trivial_lower({task['n']},{task['k']},{task['q']})"), rep.trivial_lower
+    return bounds_certificate(rep), f"trivial_lower({rep.n},{rep.k},{rep.q})", rep.trivial_lower
 
 
 _RUNNERS = {"tau": _run_tau, "ucn": _run_ucn, "tmodp": _run_tmodp, "bounds": _run_bounds}
@@ -110,8 +97,9 @@ def run_experiments(config: ExperimentConfig):
             continue
         try:
             cert, quantity, value = runner(task, config)
-        except (FieldError, GeometryError, SolverError, ValueError) as exc:
-            rows.append(SummaryRow(name, "error", str(exc), "", "no"))
+        except (KeyError, TypeError, ValueError) as exc:
+            reason = f"missing task field {exc}" if isinstance(exc, KeyError) else str(exc)
+            rows.append(SummaryRow(name, "error", reason, "", "no"))
             all_ok = False
             continue
         path = os.path.join(config.outdir, f"{name}.json")

@@ -9,6 +9,7 @@ indices, which makes incidence tests O(1) on Python big ints.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -41,6 +42,16 @@ def count_subspaces(n: int, m: int, q: int) -> int:
     return num // den
 
 
+def mask_bits(mask: int) -> list:
+    """Indices of the set bits of a point mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class Subspace:
     dim: int
@@ -48,12 +59,7 @@ class Subspace:
     mask: int
 
     def point_indices(self):
-        m, out = self.mask, []
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        return mask_bits(self.mask)
 
 
 EMPTY_SUBSPACE = Subspace(-1, (), 0)
@@ -68,7 +74,7 @@ class Hypergraph:
     params: tuple | None = None  # (n, k, q) when geometric
 
     def edge_index_lists(self):
-        return [Subspace(-1, (), e).point_indices() for e in self.edges]
+        return [mask_bits(e) for e in self.edges]
 
     def to_json(self) -> dict:
         data = {"edges": self.edge_index_lists()}
@@ -93,7 +99,7 @@ class Hypergraph:
 
 
 class ProjectiveSpace:
-    """PG(n,q) with cached point and subspace enumerations."""
+    """PG(n,q) with cached point, subspace and incidence enumerations."""
 
     def __init__(self, n: int, field: GF, max_points: int = DEFAULT_MAX_POINTS,
                  max_subspaces: int = DEFAULT_MAX_SUBSPACES):
@@ -109,6 +115,7 @@ class ProjectiveSpace:
         self.points = self._enumerate_points()
         self.point_index = {pt: i for i, pt in enumerate(self.points)}
         self._subspace_cache: dict[int, tuple] = {}
+        self._incidence_cache: dict[int, tuple] = {}
         self._coeff_cache: dict[int, list] = {}
 
     @property
@@ -120,7 +127,11 @@ class ProjectiveSpace:
         return len(self.points)
 
     @classmethod
+    @functools.cache
     def of_order(cls, n: int, q: int, **kwargs) -> "ProjectiveSpace":
+        """PG(n,q), shared: every call with the same arguments returns the
+        same space, so its point, subspace and incidence caches are built
+        once per process."""
         return cls(n, field_for_order(q), **kwargs)
 
     # -- points ---------------------------------------------------------
@@ -236,6 +247,14 @@ class ProjectiveSpace:
         self._subspace_cache[m] = subs
         return subs
 
+    def incidence(self, m: int):
+        """Point-index tuples of the m-spaces, in the order of subspaces(m)."""
+        cached = self._incidence_cache.get(m)
+        if cached is None:
+            cached = tuple(tuple(mask_bits(S.mask)) for S in self.subspaces(m))
+            self._incidence_cache[m] = cached
+        return cached
+
     def _enumerate_rref_bases(self, nrows: int):
         """All RREF matrices with nrows pivots over n+1 columns."""
         ncols = self.n + 1
@@ -280,7 +299,7 @@ class ProjectiveSpace:
         common = U.mask & V.mask
         if common == 0:
             return EMPTY_SUBSPACE
-        pts = Subspace(-1, (), common).point_indices()
+        pts = mask_bits(common)
         basis = self.rref([self.points[i] for i in pts])
         return Subspace(len(basis) - 1, basis, common)
 
@@ -293,8 +312,6 @@ class ProjectiveSpace:
     def subspaces_through(self, U: Subspace, m: int):
         if m <= U.dim:
             raise GeometryError(f"m = {m} must exceed dim U = {U.dim}")
-        if m == U.dim:
-            return [U]
         umask = U.mask
         return [S for S in self.subspaces(m) if S.mask & umask == umask]
 
@@ -395,10 +412,6 @@ class ProjectiveSpace:
 
     def __repr__(self):
         return f"PG({self.n},{self.q})"
-
-
-def mask_popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 def hypergraph_to_file(h: Hypergraph, path: str) -> None:

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .blocking import construct_union, enumerate_t_mod_p_sets
+from .blocking import enumerate_t_mod_p_sets
 from .coloring import Coloring, is_proper, make_coloring, trivial_coloring
 from .fields import factor_prime_power
 from .geometry import Hypergraph, ProjectiveSpace, theta
@@ -37,16 +37,12 @@ class SolveResult:
 
 # -- minimum t-transversal ----------------------------------------------
 
-def _greedy_transversal(edge_pts, num_vertices, t):
-    deficits = [t] * len(edge_pts)
+def _greedy_transversal(vertex_edges, num_edges, t):
+    deficits = [t] * num_edges
     chosen = set()
-    vertex_edges = [[] for _ in range(num_vertices)]
-    for ei, pts in enumerate(edge_pts):
-        for v in pts:
-            vertex_edges[v].append(ei)
     while any(d > 0 for d in deficits):
         best_v, best_gain = None, -1
-        for v in range(num_vertices):
+        for v in range(len(vertex_edges)):
             if v in chosen:
                 continue
             gain = sum(1 for ei in vertex_edges[v] if deficits[ei] > 0)
@@ -82,13 +78,19 @@ def exact_tau(H: Hypergraph, t: int, *, vertex_limit: int = DEFAULT_TAU_VERTEX_L
         if t <= q:
             geometric_lb = t * theta(n - m, q)
 
+    vertex_edges = [[] for _ in range(V)]
+    for ei, pts in enumerate(edge_pts):
+        for v in pts:
+            vertex_edges[v].append(ei)
+
     if initial_witness is not None:
-        inc = sorted(set(initial_witness))
+        given = set(initial_witness)
+        inc = sorted(given)
         for pts in edge_pts:
-            if sum(1 for v in pts if v in set(inc)) < t:
+            if sum(1 for v in pts if v in given) < t:
                 raise SolverError("initial witness is not a t-transversal")
     else:
-        greedy = _greedy_transversal(edge_pts, V, t)
+        greedy = _greedy_transversal(vertex_edges, len(edge_pts), t)
         inc = sorted(greedy) if greedy is not None else None
 
     if V > vertex_limit:
@@ -100,11 +102,6 @@ def exact_tau(H: Hypergraph, t: int, *, vertex_limit: int = DEFAULT_TAU_VERTEX_L
         return SolveResult(objective=len(inc), witness=tuple(inc), nodes=0,
                            status=OPTIMAL, lower_bound=geometric_lb,
                            upper_bound=len(inc))
-
-    vertex_edges = [[] for _ in range(V)]
-    for ei, pts in enumerate(edge_pts):
-        for v in pts:
-            vertex_edges[v].append(ei)
 
     best = [set(inc) if inc is not None else set(range(V))]
     best_size = [len(best[0])]
@@ -337,15 +334,14 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None,
                                   weight_cap=p - 1, seed=seed, **kwargs)
     expected_size = t * theta(space.n - k, p)
 
-    lines = space.subspaces(1)
     union_weights = set()
-    for combo in itertools.combinations_with_replacement(range(len(lines)), t):
-        mult = {}
-        for li in combo:
-            mult[li] = mult.get(li, 0) + 1
-        B = construct_union(space, [(lines[li], m) for li, m in mult.items()])
-        if B.size <= max_size and max(B.weights) <= p - 1:
-            union_weights.add(tuple(B.weights))
+    for combo in itertools.combinations_with_replacement(space.incidence(k), t):
+        w = [0] * space.num_points
+        for pts in combo:
+            for i in pts:
+                w[i] += 1
+        if sum(w) <= max_size and max(w) <= p - 1:
+            union_weights.add(tuple(w))
 
     violations = []
     found_weights = set()

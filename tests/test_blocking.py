@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -230,6 +232,11 @@ def test_enumerate_t_mod_p_sets_sampling_mode():
     again = enumerate_t_mod_p_sets(space, k=1, t=2, max_size=8,
                                    coset_limit=10, sample_count=2000, seed=1)
     assert [b.weights for b in again.sets] == [b.weights for b in enum.sets]
+    # the draws, their deduplication and the sorted output are pinned
+    assert enum.sampled == 678 and len(enum.sets) == 85
+    digest = hashlib.sha256(json.dumps([B.weights for B in enum.sets],
+                                       separators=(",", ":")).encode()).hexdigest()
+    assert digest == "2f11204b5b4984c1ffae7574e0dfdf29a51c17da1bb604867a620e2d3d6441cd"
 
 
 def test_enumerate_t_mod_p_sets_parameter_errors():

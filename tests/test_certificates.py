@@ -120,3 +120,23 @@ def test_recheck_malformed():
     ok, detail = recheck({"schema_version": 1, "kind": "mystery",
                           "payload": {}, "checksum": checksum({})})
     assert not ok and "unknown" in detail
+
+
+TYPE_MUTATED_TRANSVERSALS = [
+    {"n": "2", "k": 1, "q": 2, "t": 2, "points": [0, 1, 2, 3, 4, 5], "objective": 6},
+    {"n": 2, "k": 1, "q": 2, "t": 2, "points": None, "objective": 6},
+    {"n": 2, "k": 1, "q": 2, "t": None, "points": [0, 1, 2, 3, 4, 5], "objective": 6},
+]
+
+
+@pytest.mark.parametrize("payload", TYPE_MUTATED_TRANSVERSALS)
+def test_recheck_type_mutated_payload(payload):
+    ok, detail = recheck(make_certificate("transversal", payload))
+    assert not ok and detail.startswith("verification error:")
+
+
+def test_recheck_rejects_non_object_and_unhashable_kind():
+    assert recheck([1, 2]) == (False, "malformed certificate: not a JSON object")
+    ok, detail = recheck({"schema_version": 1, "kind": ["transversal"],
+                          "payload": {}, "checksum": checksum({})})
+    assert not ok and "unknown" in detail

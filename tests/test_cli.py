@@ -1,5 +1,10 @@
 import json
 
+import pytest
+
+from test_certificates import TYPE_MUTATED_TRANSVERSALS
+
+from pgworkbench.certificates import make_certificate, write_certificate
 from pgworkbench.cli import main
 from pgworkbench.geometry import ProjectiveSpace
 
@@ -164,3 +169,11 @@ def test_recheck_malformed_file(tmp_path, capsys):
     path.write_text("{not json")
     code, out = run_cli(capsys, "recheck", str(path))
     assert code == 1 and out.startswith("VERDICT false")
+
+
+@pytest.mark.parametrize("payload", TYPE_MUTATED_TRANSVERSALS)
+def test_recheck_type_mutated_file(tmp_path, capsys, payload):
+    path = tmp_path / "mutated.json"
+    write_certificate(make_certificate("transversal", payload), str(path))
+    code, out = run_cli(capsys, "recheck", str(path))
+    assert code == 1 and out.startswith("VERDICT false verification error:")

@@ -7,7 +7,7 @@ import pytest
 from pgworkbench.geometry import (EMPTY_SUBSPACE, GeometryError, Hypergraph,
                                   ProjectiveSpace, count_subspaces,
                                   hypergraph_from_file, hypergraph_to_file,
-                                  theta)
+                                  mask_bits, theta)
 
 
 def test_theta_values():
@@ -96,6 +96,17 @@ def test_line_through_and_incidence():
     pts = line.point_indices()
     for i, j in itertools.combinations(pts, 2):
         assert space.line_through(i, j).mask == line.mask
+
+
+def test_incidence_matches_subspace_masks():
+    space = ProjectiveSpace.of_order(3, 2)
+    assert ProjectiveSpace.of_order(3, 2) is space
+    for m in range(space.n + 1):
+        inc = space.incidence(m)
+        assert inc is space.incidence(m)
+        assert inc == tuple(tuple(i for i in range(space.num_points) if S.mask >> i & 1)
+                            for S in space.subspaces(m))
+    assert mask_bits(0) == [] and mask_bits(0b101001) == [0, 3, 5]
 
 
 def test_span_points_matches_span():
