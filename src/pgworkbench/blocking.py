@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .fields import GF
 from .geometry import ProjectiveSpace, Subspace, theta
 
 
@@ -104,16 +105,10 @@ def minimal_reduction(B: WeightedPointSet, t: int, k: int, order=None) -> Weight
     """Decrement non-essential weights in the given point order until minimal."""
     _require_blocking(B, t, k)
     space = B.space
-    if order is None:
-        order = range(space.num_points)
-    order = list(order)
-    supports = space.incidence(k)
-    point_spaces = [[] for _ in range(space.num_points)]
-    for si, sup in enumerate(supports):
-        for i in sup:
-            point_spaces[i].append(si)
+    order = list(range(space.num_points) if order is None else order)
+    point_spaces = space.point_subspaces(k)
     w = list(B.weights)
-    sums = [sum(w[i] for i in sup) for sup in supports]
+    sums = kspace_weights(B, k)
     changed = True
     while changed:
         changed = False
@@ -287,43 +282,18 @@ def solve_mod_p(rows, rhs, p):
     """
     ncols = len(rows[0]) if rows else 0
     aug = [[c % p for c in row] + [b % p] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(aug)):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        if inv != 1:
-            aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                coef = aug[i][c]
-                aug[i] = [(x - coef * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][ncols]:
-            return None
-    pivset = set(pivots)
+    red, pivots = GF(p).row_reduce(aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
     particular = [0] * ncols
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i][ncols]
+    for row, c in zip(red, pivots):
+        particular[c] = row[ncols]
     kernel = []
-    for f_col in range(ncols):
-        if f_col in pivset:
-            continue
+    for f_col in sorted(set(range(ncols)) - set(pivots)):
         vec = [0] * ncols
         vec[f_col] = 1
-        for i, c in enumerate(pivots):
-            vec[c] = (-aug[i][f_col]) % p
+        for row, c in zip(red, pivots):
+            vec[c] = (-row[f_col]) % p
         kernel.append(vec)
     return particular, kernel
 
@@ -359,14 +329,8 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
         weight_cap = p - 1
     if weight_cap > p - 1:
         raise BlockingError("weight_cap above p - 1 leaves residue representatives")
-    supports = space.incidence(k)
     npts = space.num_points
-    rows = []
-    for sup in supports:
-        row = [0] * npts
-        for i in sup:
-            row[i] = 1
-        rows.append(row)
+    rows = [[S.mask >> i & 1 for i in range(npts)] for S in space.subspaces(k)]
     solved = solve_mod_p(rows, [t] * len(rows), p)
     if solved is None:
         return TModPEnumeration([], 0, 0, True)

@@ -17,7 +17,7 @@ from .certificates import (bounds_certificate, canonical_json, coloring_certific
 from .coloring import Coloring, is_proper, is_trivial_coloring, trivial_coloring
 from .experiments import ExperimentConfig, default_grid, run_experiments
 from .geometry import (ProjectiveSpace, count_subspaces, hypergraph_from_file,
-                       hypergraph_to_file, theta)
+                       hypergraph_to_file)
 from .solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Hypergraph, ProjectiveSpace, Subspace, theta
+from .geometry import Hypergraph, ProjectiveSpace, theta
 
 
 class ColoringError(ValueError):

@@ -81,43 +81,47 @@ def _run_bounds(task, config):
 _RUNNERS = {"tau": _run_tau, "ucn": _run_ucn, "tmodp": _run_tmodp, "bounds": _run_bounds}
 
 
+def _run_task(name, task, config) -> SummaryRow:
+    """Run, certify and recheck one grid task; a malformed task raises
+    KeyError, TypeError or ValueError."""
+    if not isinstance(task, dict):
+        raise TypeError(f"task is not an object: {task!r}")
+    runner = _RUNNERS.get(task.get("kind"))
+    if runner is None:
+        raise ValueError(f"unknown task kind {task.get('kind')!r}")
+    at_least = task.get("expected_at_least")
+    if "expected_at_least" in task and type(at_least) not in (int, float):
+        raise TypeError(f"expected_at_least {at_least!r} is not a number")
+    cert, quantity, value = runner(task, config)
+    write_certificate(cert, os.path.join(config.outdir, f"{name}.json"))
+    ok, _ = recheck(cert)
+    expected = task.get("expected")
+    if expected is not None:
+        match = ok and value == expected
+    elif "expected_at_least" in task:
+        expected = f">={at_least}"
+        match = ok and value is not None and value >= at_least
+    else:
+        expected = ""
+        match = ok
+    return SummaryRow(name, quantity, str(value), str(expected), "yes" if match else "no")
+
+
 def run_experiments(config: ExperimentConfig):
     """Run every grid task; one certificate per task, plus a CSV and a
-    human-readable summary.  Returns (rows, ok)."""
+    human-readable summary.  A malformed task gives an error row.
+    Returns (rows, ok)."""
     os.makedirs(config.outdir, exist_ok=True)
     rows = []
-    all_ok = True
     for idx, task in enumerate(config.grid):
-        kind = task.get("kind")
+        kind = task.get("kind") if isinstance(task, dict) else None
         name = f"task{idx:03d}_{kind}"
-        runner = _RUNNERS.get(kind)
-        if runner is None:
-            rows.append(SummaryRow(name, "error", f"unknown task kind {kind!r}", "", "no"))
-            all_ok = False
-            continue
         try:
-            cert, quantity, value = runner(task, config)
+            rows.append(_run_task(name, task, config))
         except (KeyError, TypeError, ValueError) as exc:
             reason = f"missing task field {exc}" if isinstance(exc, KeyError) else str(exc)
             rows.append(SummaryRow(name, "error", reason, "", "no"))
-            all_ok = False
-            continue
-        path = os.path.join(config.outdir, f"{name}.json")
-        write_certificate(cert, path)
-        ok, detail = recheck(cert)
-        expected = task.get("expected")
-        if expected is not None:
-            match = ok and value == expected
-        elif "expected_at_least" in task:
-            expected = f">={task['expected_at_least']}"
-            match = ok and value is not None and value >= task["expected_at_least"]
-        else:
-            expected = ""
-            match = ok
-        if not match:
-            all_ok = False
-        rows.append(SummaryRow(name, quantity, str(value), str(expected),
-                               "yes" if match else "no"))
+    all_ok = all(row.match == "yes" for row in rows)
 
     csv_path = os.path.join(config.outdir, "summary.csv")
     with open(csv_path, "w", newline="") as fh:

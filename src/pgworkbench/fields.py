@@ -10,11 +10,9 @@ by element.
 from __future__ import annotations
 
 import itertools
+import math
 
 MAX_Q = 1 << 16
-# full add/mul tables are built below this size; larger fields fall back
-# to per-operation polynomial arithmetic
-_TABLE_LIMIT = 512
 
 
 class FieldError(ValueError):
@@ -96,8 +94,29 @@ def smallest_irreducible(p: int, h: int) -> tuple[int, ...]:
     raise FieldError(f"no irreducible polynomial of degree {h} over GF({p})")
 
 
+def _poly_pow(a, e, m, p):
+    """a^e modulo the monic m over GF(p), by square and multiply."""
+    result = [1]
+    while e:
+        if e & 1:
+            result = _poly_mod(_poly_mul(result, a, p), m, p)
+        a = _poly_mod(_poly_mul(a, a, p), m, p)
+        e >>= 1
+    return result
+
+
 class GF:
-    """The field GF(p^h) with integer-encoded elements."""
+    """The field GF(p^h) with integer-encoded elements.
+
+    Arithmetic runs on O(q) tables over the primitive element g that
+    comes first in encoding order: exp (k -> g^k, twice over so
+    that exponent sums need no reduction), log (its inverse) and the
+    Zech logarithms Z(k) = log(1 + g^k), so that g^i + g^j = g^(i + Z(j - i))
+    (Lidl-Niederreiter, Finite Fields, ch. 10).  log(0) is a sentinel
+    past every exponent sum, and exp is zero from there on, so a
+    product or a Zech sum that involves zero reads 0 from the table.
+    A fourth table holds the negatives.
+    """
 
     def __init__(self, p: int, h: int = 1, max_q: int = MAX_Q):
         if not is_prime(p):
@@ -110,13 +129,28 @@ class GF:
         self.p = p
         self.h = h
         self.q = q
-        self.modulus = smallest_irreducible(p, h) if h >= 2 else None
-        self._add_table = None
-        self._mul_table = None
-        self._inv_table = None
-        self._neg_table = None
-        if q <= _TABLE_LIMIT:
-            self._build_tables()
+        m = smallest_irreducible(p, h)
+        self.modulus = m if h >= 2 else None
+        # the first element in encoding order whose order is q - 1
+        order = q - 1
+        cofactors = [order // r for r in range(2, q) if order % r == 0 and is_prime(r)]
+        g = next(list(self.decode(a)) for a in range(1, q)
+                 if all(_poly_pow(list(self.decode(a)), c, m, p) != [1] for c in cofactors))
+        powers = [1]
+        x = [1]
+        for _ in range(order - 1):
+            x = _poly_mod(_poly_mul(x, g, p), m, p)
+            powers.append(self.encode(x))
+        zero_log = 2 * order
+        self._exp = powers + powers + [0] * (2 * order + 1)
+        log = [zero_log] * q
+        for k, a in enumerate(powers):
+            log[a] = k
+        self._log = log
+        # 1 + a adds one to the constant coefficient, the lowest digit
+        self._zech = [log[a - a % p + (a + 1) % p] for a in powers]
+        minus_one = log[p - 1]
+        self._neg = [self._exp[log[a] + minus_one] for a in range(q)]
 
     # -- encoding -------------------------------------------------------
 
@@ -136,85 +170,69 @@ class GF:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _raw_add(self, a, b):
-        if self.h == 1:
-            return (a + b) % self.p
-        ca, cb = self.decode(a), self.decode(b)
-        return self.encode([(x + y) % self.p for x, y in zip(ca, cb)])
-
-    def _raw_mul(self, a, b):
-        if self.h == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(self.decode(a), self.decode(b), self.p)
-        return self.encode(_poly_mod(prod, self.modulus, self.p))
-
-    def _raw_neg(self, a):
-        if self.h == 1:
-            return (-a) % self.p
-        return self.encode([(-c) % self.p for c in self.decode(a)])
-
-    def _build_tables(self):
-        q = self.q
-        self._add_table = [[self._raw_add(a, b) for b in range(q)] for a in range(q)]
-        self._mul_table = [[self._raw_mul(a, b) for b in range(q)] for a in range(q)]
-        self._neg_table = [self._raw_neg(a) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul_table[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_table = inv
-
     def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._raw_add(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        # |log b - log a| < q - 1, so a negative index wraps mod q - 1
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def neg(self, a: int) -> int:
-        if self._neg_table is not None:
-            return self._neg_table[a]
-        return self._raw_neg(a)
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.add(a, self._neg[b])
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._raw_mul(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        # a^(q-2) by square and multiply
-        result, base, e = 1, a, self.q - 2
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return result
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
-        result = 1
-        for _ in range(e):
-            result = self.mul(result, a)
-        return result
+        if a == 0:
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def element_order(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
-        x, k = a, 1
-        while x != 1:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        return (self.q - 1) // math.gcd(self._log[a], self.q - 1)
+
+    # -- linear algebra -------------------------------------------------
+
+    def row_reduce(self, rows, ncols: int):
+        """Reduced row echelon form over the first ncols columns of rows.
+
+        Returns (the nonzero rows as tuples, their pivot columns).  Rows
+        may be longer than ncols; the extra columns are carried along.
+        """
+        mat = [list(r) for r in rows]
+        pivots = []
+        for c in range(ncols):
+            r = len(pivots)
+            if r == len(mat):
+                break
+            piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+            if piv is None:
+                continue
+            mat[r], mat[piv] = mat[piv], mat[r]
+            s = self.inv(mat[r][c])
+            if s != 1:
+                mat[r] = [self.mul(s, x) for x in mat[r]]
+            for i, row in enumerate(mat):
+                if i != r and row[c]:
+                    coef = self.neg(row[c])
+                    mat[i] = [self.add(x, self.mul(coef, y)) for x, y in zip(row, mat[r])]
+            pivots.append(c)
+        return tuple(tuple(row) for row in mat[:len(pivots)]), pivots
 
     # -- misc -----------------------------------------------------------
 

@@ -94,7 +94,10 @@ class Hypergraph:
         else:
             num = data["num_vertices"]
             params = None
-        edges = tuple(sum(1 << i for i in e) for e in data["edges"])
+        for i in itertools.chain.from_iterable(data["edges"]):
+            if type(i) is not int or not 0 <= i < num:
+                raise GeometryError(f"edge index {i!r} is not a vertex in [0, {num})")
+        edges = tuple(sum(1 << i for i in set(e)) for e in data["edges"])
         return cls(num, edges, params)
 
 
@@ -116,6 +119,7 @@ class ProjectiveSpace:
         self.point_index = {pt: i for i, pt in enumerate(self.points)}
         self._subspace_cache: dict[int, tuple] = {}
         self._incidence_cache: dict[int, tuple] = {}
+        self._point_subspace_cache: dict[int, tuple] = {}
         self._coeff_cache: dict[int, list] = {}
 
     @property
@@ -160,30 +164,7 @@ class ProjectiveSpace:
 
     def rref(self, rows):
         """Reduced row echelon form of a list of coordinate vectors."""
-        f = self.field
-        mat = [list(r) for r in rows]
-        ncols = self.n + 1
-        r = 0
-        for c in range(ncols):
-            piv = None
-            for i in range(r, len(mat)):
-                if mat[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            mat[r], mat[piv] = mat[piv], mat[r]
-            s = f.inv(mat[r][c])
-            if s != 1:
-                mat[r] = [f.mul(s, x) for x in mat[r]]
-            for i in range(len(mat)):
-                if i != r and mat[i][c]:
-                    coef = mat[i][c]
-                    mat[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(mat[i], mat[r])]
-            r += 1
-            if r == len(mat):
-                break
-        return tuple(tuple(row) for row in mat[:r])
+        return self.field.row_reduce(rows, self.n + 1)[0]
 
     def _proj_coeffs(self, r: int):
         """Normalized coefficient vectors of length r (first nonzero = 1)."""
@@ -253,6 +234,18 @@ class ProjectiveSpace:
         if cached is None:
             cached = tuple(tuple(mask_bits(S.mask)) for S in self.subspaces(m))
             self._incidence_cache[m] = cached
+        return cached
+
+    def point_subspaces(self, m: int):
+        """Per point, the indices into subspaces(m) of the m-spaces through it."""
+        cached = self._point_subspace_cache.get(m)
+        if cached is None:
+            lists = [[] for _ in range(self.num_points)]
+            for si, S in enumerate(self.subspaces(m)):
+                for i in mask_bits(S.mask):
+                    lists[i].append(si)
+            cached = tuple(map(tuple, lists))
+            self._point_subspace_cache[m] = cached
         return cached
 
     def _enumerate_rref_bases(self, nrows: int):
@@ -373,42 +366,21 @@ class ProjectiveSpace:
 
     # -- exhaustive consistency checks ----------------------------------
 
-    def _internal_hyperplane_bases(self, W: Subspace):
-        """Canonical bases of the (dim-1)-subspaces of W."""
-        rows = W.basis
-        r = len(rows)
-        f = self.field
-        out = []
-        for u in self._proj_coeffs(r):
-            # internal solution space of u . c = 0 has basis e_i - u_i * e_j
-            # where j is the first nonzero position of u
-            j = next(i for i, c in enumerate(u) if c)
-            amb = []
-            for i in range(r):
-                if i == j:
-                    continue
-                coef = f.neg(f.div(u[i], u[j])) if u[i] else 0
-                if coef:
-                    vec = tuple(f.add(a, f.mul(coef, b)) for a, b in zip(rows[i], rows[j]))
-                else:
-                    vec = rows[i]
-                amb.append(vec)
-            out.append(self.rref(amb))
-        return out
-
     def verify_pencil_identity(self, k: int) -> bool:
         """Every k-space lies in exactly theta(n-k-1) many (k+1)-spaces.
 
-        Verified exhaustively by double counting over all (k+1)-spaces.
+        Verified exhaustively: for each k-space, the (k+1)-spaces through
+        its first point are tested for containment by mask.
         """
-        counts: dict = {}
-        for W in self.subspaces(k + 1):
-            for basis in self._internal_hyperplane_bases(W):
-                counts[basis] = counts.get(basis, 0) + 1
         target = theta(self.n - k - 1, self.q)
-        if len(counts) != count_subspaces(self.n, k, self.q):
-            return False
-        return all(v == target for v in counts.values())
+        uppers = [U.mask for U in self.subspaces(k + 1)]
+        through = self.point_subspaces(k + 1)
+        for S in self.subspaces(k):
+            m = S.mask
+            first = (m & -m).bit_length() - 1
+            if sum(1 for j in through[first] if uppers[j] & m == m) != target:
+                return False
+        return True
 
     def __repr__(self):
         return f"PG({self.n},{self.q})"

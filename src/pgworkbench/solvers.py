@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .blocking import enumerate_t_mod_p_sets
-from .coloring import Coloring, is_proper, make_coloring, trivial_coloring
+from .coloring import is_proper, make_coloring, trivial_coloring
 from .fields import factor_prime_power
 from .geometry import Hypergraph, ProjectiveSpace, theta
 

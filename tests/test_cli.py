@@ -177,3 +177,12 @@ def test_recheck_type_mutated_file(tmp_path, capsys, payload):
     write_certificate(make_certificate("transversal", payload), str(path))
     code, out = run_cli(capsys, "recheck", str(path))
     assert code == 1 and out.startswith("VERDICT false verification error:")
+
+
+def test_solve_rejects_out_of_range_edge_index(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "k": 1, "q": 2, "edges": [[0, 1, 99]]}))
+    code = main(["solve", "tau", "--t", "2", "--hypergraph", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: edge index 99 ")

@@ -28,6 +28,8 @@ def test_malformed_grid_tasks_become_error_rows(tmp_path):
         {"kind": "ucn", "n": 2, "k": 1, "q": "3"},
         {"kind": "tmodp", "p": 3},
         {"kind": "bounds", "n": 3, "k": 1, "q": 17, "t": 2, "expected": 5185},
+        "tau",
+        {"kind": "bounds", "n": 3, "k": 1, "q": 17, "t": 2, "expected_at_least": "10"},
     ]
     rows, ok = run_experiments(ExperimentConfig(grid=grid, outdir=str(tmp_path)))
     assert not ok
@@ -35,3 +37,7 @@ def test_malformed_grid_tasks_become_error_rows(tmp_path):
     assert rows[0].value == "missing task field 'k'"
     assert rows[2].value == "missing task field 't'"
     assert rows[3].match == "yes"
+    assert [(row.quantity, row.match) for row in rows[4:]] == [("error", "no")] * 2
+    assert rows[4].value == "task is not an object: 'tau'"
+    assert rows[5].value == "expected_at_least '10' is not a number"
+

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from pgworkbench.fields import (GF, FieldError, factor_prime_power,
+from pgworkbench.fields import (GF, FieldError, _poly_mod, _poly_mul, factor_prime_power,
                                 field_for_order, is_prime, smallest_irreducible)
 
 
@@ -103,12 +103,31 @@ def test_field_axioms_exhaustive(p, h):
 def test_large_field_randomized_axioms():
     import random
     rng = random.Random(7)
-    f = GF(2, 10)  # q = 1024, above the table limit
+    f = GF(2, 10)  # q = 1024, too many triples for the exhaustive test
     for _ in range(200):
         a, b, c = (rng.randrange(f.q) for _ in range(3))
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
         if a:
             assert f.mul(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p,h", [(3, 3), (2, 5), (2, 7), (3, 5), (2, 10), (3, 7)])
+def test_tables_match_polynomial_arithmetic(p, h):
+    # the log/Zech tables against schoolbook arithmetic on residue polynomials
+    import random
+    rng = random.Random(p * 100 + h)
+    f = GF(p, h)
+
+    def poly_mul(a, b):
+        return f.encode(_poly_mod(_poly_mul(f.decode(a), f.decode(b), p), f.modulus, p))
+
+    for _ in range(300):
+        a, b, c = (rng.randrange(f.q) for _ in range(3))
+        assert f.add(a, b) == f.encode([(x + y) % p for x, y in zip(f.decode(a), f.decode(b))])
+        assert f.mul(a, b) == poly_mul(a, b)
+        assert f.mul(f.add(a, b), c) == poly_mul(f.add(a, b), c)
+        if a:
+            assert poly_mul(a, f.inv(a)) == 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64, 128])

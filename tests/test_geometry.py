@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import json
 import random
 
 import pytest
 
+from pgworkbench.fields import field_for_order
 from pgworkbench.geometry import (EMPTY_SUBSPACE, GeometryError, Hypergraph,
                                   ProjectiveSpace, count_subspaces,
                                   hypergraph_from_file, hypergraph_to_file,
@@ -174,6 +176,33 @@ def test_pencil_identity_small(n, q):
         assert space.verify_pencil_identity(k)
 
 
+@pytest.mark.parametrize("n,q,k", [(2, 3, 0), (3, 2, 0), (3, 2, 1)])
+def test_pencil_identity_detects_tampered_caches(n, q, k):
+    # a fresh space each time: the tampering must not reach the shared ones
+    space = ProjectiveSpace(n, field_for_order(q))
+    space._subspace_cache[k + 1] = space.subspaces(k + 1)[:-1]
+    assert not space.verify_pencil_identity(k)
+
+    space = ProjectiveSpace(n, field_for_order(q))
+    subs = list(space.subspaces(k))
+    S = subs[3]
+    outside = (~S.mask & ((1 << space.num_points) - 1)).bit_length() - 1
+    subs[3] = dataclasses.replace(S, mask=S.mask | 1 << outside)
+    space._subspace_cache[k] = tuple(subs)
+    assert not space.verify_pencil_identity(k)
+
+    assert ProjectiveSpace(n, field_for_order(q)).verify_pencil_identity(k)
+
+
+def test_point_subspaces_match_incidence():
+    space = ProjectiveSpace.of_order(3, 2)
+    for m in range(4):
+        through = space.point_subspaces(m)
+        for i in range(space.num_points):
+            assert through[i] == tuple(si for si, pts in enumerate(space.incidence(m))
+                                       if i in pts)
+
+
 def test_hypergraph_construction_and_roundtrip(tmp_path):
     space = ProjectiveSpace.of_order(2, 2)
     H = space.hypergraph(1)
@@ -191,6 +220,14 @@ def test_hypergraph_json_without_params():
     data = H.to_json()
     assert data["num_vertices"] == 4
     assert Hypergraph.from_json(json.loads(json.dumps(data))) == H
+
+
+@pytest.mark.parametrize("index", [99, 7, -1, "0", 1.0, None, True])
+def test_hypergraph_from_json_rejects_bad_edge_index(index):
+    with pytest.raises(GeometryError, match="edge index"):
+        Hypergraph.from_json({"n": 2, "k": 1, "q": 2, "edges": [[0, 1, index]]})
+    with pytest.raises(GeometryError, match="edge index"):
+        Hypergraph.from_json({"num_vertices": 7, "edges": [[index]]})
 
 
 def test_hypergraph_k_range_errors():

@@ -1,0 +1,39 @@
+"""Static checks on the library source, stdlib only."""
+
+import ast
+from pathlib import Path
+
+import pgworkbench
+
+PACKAGE_DIR = Path(pgworkbench.__file__).parent
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # quoted annotations such as -> "Hypergraph" name a type too
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            used.add(node.value)
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export; its names are the public API
+    found = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+        if unused:
+            found[path.name] = unused
+    assert found == {}
