@@ -10,7 +10,9 @@ points, counted with weights.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -299,6 +301,8 @@ def solve_mod_p(rows, rhs, p):
 
 
 DEFAULT_COSET_LIMIT = 3**13
+# (bytes, memoryview format) of the lane widths of the packed coset walk
+_LANE_FORMATS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 
 
 @dataclass
@@ -337,6 +341,19 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
     particular, kernel = solved
     kdim = len(kernel)
     total = p**kdim
+    # Packed walk, one lane of `width` bytes per point: a coset element is
+    # the packed particular solution plus, per kernel vector v, the packed
+    # c*v mod p for its coefficient c.  Each of the kdim + 1 terms is below
+    # p in every lane, so no lane carries into the next before the sum is
+    # unpacked and reduced mod p lane by lane.
+    width, fmt = next((b, f) for b, f in _LANE_FORMATS if (p - 1) * (kdim + 1) < 1 << 8 * b)
+    nbytes = width * npts
+
+    def pack(vec):
+        return sum(x << 8 * width * j for j, x in enumerate(vec))
+
+    base = pack(particular)
+    tables = [[pack([c * x % p for x in vec]) for c in range(p)] for vec in kernel]
     found = []
     exhaustive = total <= coset_limit
     if exhaustive:
@@ -346,12 +363,9 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
         # distinct draws; their order is immaterial, the output is sorted
         walk = {tuple(rng.randrange(p) for _ in range(kdim)) for _ in range(sample_count)}
     for coeffs in walk:
-        w = list(particular)
-        for c, vec in zip(coeffs, kernel):
-            if c:
-                for j in range(npts):
-                    if vec[j]:
-                        w[j] = (w[j] + c * vec[j]) % p
+        packed = sum(map(operator.getitem, tables, coeffs), base)
+        lanes = memoryview(packed.to_bytes(nbytes, sys.byteorder))
+        w = [x % p for x in lanes.cast(fmt)]
         if max(w) <= weight_cap and sum(w) <= max_size:
             found.append(WeightedPointSet(space, w))
     sampled = 0 if exhaustive else len(walk)

@@ -87,9 +87,15 @@ class Hypergraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "Hypergraph":
+        """A hypergraph from its JSON form.  Claimed parameters (n, k, q)
+        are checked: the edges, in any order, must be the k-spaces of
+        PG(n,q), since solvers apply the geometric bounds of H(n,k,q)."""
         if "n" in data:
             n, k, q = data["n"], data["k"], data["q"]
-            num = theta(n, q)
+            if not all(type(x) is int for x in (n, k, q)):
+                raise GeometryError(f"(n, k, q) = {(n, k, q)!r} are not all integers")
+            space = ProjectiveSpace.of_order(n, q)
+            num = space.num_points
             params = (n, k, q)
         else:
             num = data["num_vertices"]
@@ -98,6 +104,8 @@ class Hypergraph:
             if type(i) is not int or not 0 <= i < num:
                 raise GeometryError(f"edge index {i!r} is not a vertex in [0, {num})")
         edges = tuple(sum(1 << i for i in set(e)) for e in data["edges"])
+        if params is not None and sorted(edges) != sorted(space.hypergraph(k).edges):
+            raise GeometryError(f"the edges are not the {k}-spaces of PG({n},{q})")
         return cls(num, edges, params)
 
 
@@ -224,7 +232,9 @@ class ProjectiveSpace:
         else:
             bases = sorted(self._enumerate_rref_bases(m + 1))
             subs = tuple(Subspace(m, b, self.mask_for_basis(b)) for b in bases)
-        assert len(subs) == total
+        if len(subs) != total:
+            raise GeometryError(f"enumerated {len(subs)} {m}-spaces of PG({self.n},{self.q}), "
+                                f"expected {total}")
         self._subspace_cache[m] = subs
         return subs
 

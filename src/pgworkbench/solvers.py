@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -206,42 +207,33 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT,
         return SolveResult(objective=None, witness=seed_coloring, nodes=0,
                            status=BOUND_ONLY, lower_bound=trivial_lb)
 
-    edge_pts = H.edge_index_lists()
+    # per edge, the getter of its points' roots and its size
+    edge_roots = [(operator.itemgetter(*pts), len(pts)) for pts in H.edge_index_lists()]
     best_merges = [len(tau2_witness) - 1]
     best_assignment = [list(seed_coloring.assignment)]
     nodes = [0]
 
-    parent = list(range(V))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    # root[v] is the least vertex of v's class: a merge relabels the class
+    # of the larger root with the smaller one, and undoing it relabels back
+    root = list(range(V))
+    members = [[v] for v in range(V)]
 
     def rainbow_edges():
-        out = []
-        for ei, pts in enumerate(edge_pts):
-            roots = [find(v) for v in pts]
-            if len(set(roots)) == len(roots):
-                out.append((ei, roots))
-        return out
+        return [roots for g, size in edge_roots if len(set(roots := g(root))) == size]
 
     def pack_bound(rainbows):
         used = set()
         cnt = 0
-        for ei, roots in rainbows:
-            rs = set(roots)
-            if rs & used:
-                continue
-            used |= rs
-            cnt += 1
+        for roots in rainbows:
+            if used.isdisjoint(roots):
+                used.update(roots)
+                cnt += 1
         return cnt
 
     def record(merges):
         if merges < best_merges[0]:
             best_merges[0] = merges
-            best_assignment[0] = [find(v) for v in range(V)]
+            best_assignment[0] = list(root)
 
     def dfs(merges):
         nodes[0] += 1
@@ -251,27 +243,28 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT,
             return
         if merges + pack_bound(rainbows) >= best_merges[0]:
             return
-        ei, roots = rainbows[0]
-        pts = edge_pts[ei]
-        tried = set()
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                ra, rb = find(pts[a]), find(pts[b])
-                key = (min(ra, rb), max(ra, rb))
-                if key in tried:
-                    continue
-                tried.add(key)
-                saved = list(parent)
-                parent[max(ra, rb)] = min(ra, rb)
-                dfs(merges + 1)
-                parent[:] = saved
+        # the roots of a rainbow edge are distinct, so every pair is a new merge
+        for ra, rb in itertools.combinations(rainbows[0], 2):
+            lo, hi = min(ra, rb), max(ra, rb)
+            moved = members[hi]
+            for v in moved:
+                root[v] = lo
+            members[lo] += moved
+            dfs(merges + 1)
+            del members[lo][-len(moved):]
+            for v in moved:
+                root[v] = hi
 
     dfs(0)
     witness = make_coloring(best_assignment[0])
     objective = V - best_merges[0]
     ok, _ = is_proper(witness, H)
-    assert ok and witness.N == objective
-    assert objective >= trivial_lb
+    if not (ok and witness.N == objective):
+        raise SolverError(f"internal error: the UCN witness is not a proper "
+                          f"{objective}-coloring")
+    if objective < trivial_lb:
+        raise SolverError(f"internal error: UCN {objective} is below the trivial "
+                          f"lower bound {trivial_lb}")
     return SolveResult(objective=objective, witness=witness, nodes=nodes[0],
                        status=OPTIMAL, lower_bound=trivial_lb, upper_bound=objective)
 

@@ -239,6 +239,62 @@ def test_enumerate_t_mod_p_sets_sampling_mode():
     assert digest == "2f11204b5b4984c1ffae7574e0dfdf29a51c17da1bb604867a620e2d3d6441cd"
 
 
+def reference_t_mod_p_walk(space, k, t, max_size, weight_cap, coset_limit,
+                           sample_count, seed):
+    """The coset walk written coordinate by coordinate, as a reference for
+    the packed-lane walk of enumerate_t_mod_p_sets: the same solve, draws,
+    deduplication, filter and sort."""
+    p = space.field.p
+    npts = space.num_points
+    rows = [[S.mask >> i & 1 for i in range(npts)] for S in space.subspaces(k)]
+    particular, kernel = solve_mod_p(rows, [t] * len(rows), p)
+    kdim = len(kernel)
+    exhaustive = p**kdim <= coset_limit
+    if exhaustive:
+        walk = itertools.product(range(p), repeat=kdim)
+    else:
+        rng = random.Random(seed)
+        walk = {tuple(rng.randrange(p) for _ in range(kdim)) for _ in range(sample_count)}
+    found = []
+    for coeffs in walk:
+        w = list(particular)
+        for c, vec in zip(coeffs, kernel):
+            if c:
+                for j in range(npts):
+                    if vec[j]:
+                        w[j] = (w[j] + c * vec[j]) % p
+        if max(w) <= weight_cap and sum(w) <= max_size:
+            found.append(w)
+    return (sorted(found), kdim, p**kdim, exhaustive,
+            0 if exhaustive else len(walk))
+
+
+@pytest.mark.parametrize("n, q, k, t, weight_cap, lane_bits", [
+    (2, 2, 1, 1, 1, 8),   # exhaustive
+    (2, 3, 1, 2, 2, 8),
+    (2, 3, 1, 1, 1, 8),   # a weight cap below p - 1 keeps 14 of 482 sets
+    (3, 2, 2, 1, 1, 8),
+    (2, 5, 1, 2, 4, 8),   # sampled
+    (3, 3, 2, 1, 2, 8),
+    (2, 11, 1, 3, 10, 16),
+])
+def test_enumerate_t_mod_p_sets_matches_coordinate_walk(n, q, k, t, weight_cap, lane_bits):
+    space = ProjectiveSpace.of_order(n, q)
+    max_size = space.num_points * (q - 1) // 2
+    args = dict(coset_limit=3**13, sample_count=300, seed=7)
+    enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size,
+                                  weight_cap=weight_cap, **args)
+    ref_sets, kdim, total, exhaustive, sampled = reference_t_mod_p_walk(
+        space, k, t, max_size, weight_cap, **args)
+    assert [B.weights for B in enum.sets] == ref_sets and ref_sets
+    assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive, enum.sampled) == \
+        (kdim, total, exhaustive, sampled)
+    assert exhaustive == ((n, q) in {(2, 2), (2, 3), (3, 2)})
+    # a lane holds the unreduced sum of kdim + 1 residues below p: up to 255
+    # fits 8-bit lanes, and PG(2,11) needs 16-bit ones
+    assert ((q - 1) * (kdim + 1) > 255) == (lane_bits == 16)
+
+
 def test_enumerate_t_mod_p_sets_parameter_errors():
     space9 = ProjectiveSpace.of_order(2, 4)
     with pytest.raises(BlockingError):

@@ -186,3 +186,16 @@ def test_solve_rejects_out_of_range_edge_index(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: edge index 99 ")
+
+
+def test_solve_rejects_hypergraph_not_matching_its_params(tmp_path, capsys):
+    # these edges are not the planes of PG(3,2); solved as H(3,2,2), tau_2
+    # came out as 6 with a certificate that recheck refused (the optimum is 5)
+    path = tmp_path / "mislabelled.json"
+    path.write_text(json.dumps({"n": 3, "k": 2, "q": 2, "edges": [
+        [1, 4, 8, 11], [2, 4, 5, 10], [2, 10], [0, 2, 7, 11], [8, 9]]}))
+    cert = tmp_path / "cert.json"
+    code = main(["solve", "tau", "--t", "2", "--hypergraph", str(path), "--out", str(cert)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not cert.exists()
+    assert captured.err.startswith("error: the edges are not the 2-spaces of PG(3,2)")

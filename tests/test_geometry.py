@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from pgworkbench import geometry
 from pgworkbench.fields import field_for_order
 from pgworkbench.geometry import (EMPTY_SUBSPACE, GeometryError, Hypergraph,
                                   ProjectiveSpace, count_subspaces,
@@ -228,6 +229,39 @@ def test_hypergraph_from_json_rejects_bad_edge_index(index):
         Hypergraph.from_json({"n": 2, "k": 1, "q": 2, "edges": [[0, 1, index]]})
     with pytest.raises(GeometryError, match="edge index"):
         Hypergraph.from_json({"num_vertices": 7, "edges": [[index]]})
+
+
+# edges that claim (3, 2, 2) but are not the planes of PG(3,2): exact_tau
+# applied the bound t*theta(1) = 6 to them, while their optimum is 5
+MISLABELLED = {"n": 3, "k": 2, "q": 2,
+               "edges": [[1, 4, 8, 11], [2, 4, 5, 10], [2, 10], [0, 2, 7, 11], [8, 9]]}
+
+
+def test_hypergraph_from_json_checks_claimed_params():
+    with pytest.raises(GeometryError, match="not the 2-spaces of PG"):
+        Hypergraph.from_json(MISLABELLED)
+    H = ProjectiveSpace.of_order(2, 3).hypergraph(1)
+    edges = H.to_json()["edges"]
+    # the edges in any order, each listed in any order, are accepted
+    shuffled = [list(reversed(e)) for e in reversed(edges)]
+    H2 = Hypergraph.from_json({"n": 2, "k": 1, "q": 3, "edges": shuffled})
+    assert sorted(H2.edges) == sorted(H.edges) and H2.params == (2, 1, 3)
+    # the edges are compared as a multiset, not as a set
+    for bad in (edges[1:], edges + edges[:1], [edges[0]] + edges[2:] + edges[:1]):
+        with pytest.raises(GeometryError, match="not the 1-spaces"):
+            Hypergraph.from_json({"n": 2, "k": 1, "q": 3, "edges": bad})
+    with pytest.raises(GeometryError):
+        Hypergraph.from_json({"n": 2, "k": 2, "q": 3, "edges": edges})  # k out of range
+    with pytest.raises(GeometryError, match="integers"):
+        Hypergraph.from_json({"n": 2.0, "k": 1, "q": 3, "edges": edges})
+
+
+def test_subspace_count_mismatch_raises(monkeypatch):
+    # a plain raise, not an assert, so the check also runs under python -O
+    monkeypatch.setattr(geometry, "count_subspaces", lambda n, m, q: 8)
+    space = ProjectiveSpace(2, field_for_order(2))
+    with pytest.raises(GeometryError, match="enumerated 7 1-spaces"):
+        space.subspaces(1)
 
 
 def test_hypergraph_k_range_errors():

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from pgworkbench import solvers
 from pgworkbench.coloring import is_proper, make_coloring
 from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
 from pgworkbench.solvers import (BOUND_ONLY, OPTIMAL, SolverError,
@@ -173,6 +176,36 @@ def test_exact_ucn_relabeling_invariance():
         edges = tuple(sum(1 << perm[v] for v in Hypergraph(6, (e,)).edge_index_lists()[0])
                       for e in H.edges)
         assert exact_ucn(Hypergraph(6, edges)).objective == base
+
+
+def _digest(values):
+    return hashlib.sha256(json.dumps(list(values), separators=(",", ":")).encode()).hexdigest()
+
+
+# Search effort and witnesses of the benchmark's solve tasks: a faster inner
+# loop must visit the same nodes and return the same witness.
+def test_exact_tau_search_effort_pinned():
+    res = exact_tau(ProjectiveSpace.of_order(2, 4).hypergraph(1), 2)
+    assert (res.nodes, res.objective) == (9011, 12)
+    assert _digest(res.witness) == \
+        "25de17e2fea885085c7a167e7323c1d190f620478904b783ef487693fb114900"
+
+
+@pytest.mark.parametrize("n, k, q, nodes, objective, digest", [
+    (2, 1, 3, 56713, 6, "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"),
+    (3, 2, 2, 9871, 11, "293457e67e07e2c24c6063f0a22f750faf3b7bdb059d05895370f300e0b7909b"),
+])
+def test_exact_ucn_search_effort_pinned(n, k, q, nodes, objective, digest):
+    res = exact_ucn(ProjectiveSpace.of_order(n, q).hypergraph(k))
+    assert (res.nodes, res.objective) == (nodes, objective)
+    assert _digest(res.witness.assignment) == digest
+
+
+def test_exact_ucn_self_check_raises(monkeypatch):
+    # a plain raise, not an assert, so the check also runs under python -O
+    monkeypatch.setattr(solvers, "is_proper", lambda coloring, H: (False, 0))
+    with pytest.raises(SolverError, match="not a proper"):
+        exact_ucn(FANO)
 
 
 def test_verify_tmodp_theorem_p2():

@@ -1,6 +1,7 @@
 """Static checks on the library source, stdlib only."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pgworkbench
@@ -36,4 +37,22 @@ def test_no_unused_imports():
         unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
         if unused:
             found[path.name] = unused
+    assert found == {}
+
+
+def test_only_standard_library_imports():
+    # the runtime depends on the standard library only; relative imports
+    # (level > 0) are the package's own modules
+    found = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module)
+        outside = sorted(n for n in names if n.split(".")[0] not in sys.stdlib_module_names)
+        if outside:
+            found[path.name] = outside
     assert found == {}
