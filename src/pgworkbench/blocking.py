@@ -57,16 +57,16 @@ class WeightedPointSet:
 
 def kspace_weights(B: WeightedPointSet, k: int):
     """Weighted intersection size of B with every k-space, in canonical order."""
-    w = B.weights
-    return [sum(w[i] for i in pts) for pts in B.space.incidence(k)]
+    w = B.weights.__getitem__
+    return [sum(map(w, pts)) for pts in B.space.incidence(k)]
 
 
 def _first_kspace_failing(B: WeightedPointSet, k: int, holds):
     """(True, None) if holds(weight) for every k-space, else (False, the
     first k-space in canonical order where it does not)."""
-    w = B.weights
+    w = B.weights.__getitem__
     for i, pts in enumerate(B.space.incidence(k)):
-        if not holds(sum(w[j] for j in pts)):
+        if not holds(sum(map(w, pts))):
             return False, B.space.subspaces(k)[i]
     return True, None
 

@@ -8,7 +8,7 @@ import json
 
 from .blocking import WeightedPointSet, is_minimal, is_t_fold_blocking, is_t_mod_p_set
 from .coloring import Coloring, is_proper, is_strict, is_trivial_coloring
-from .geometry import Hypergraph, ProjectiveSpace, theta
+from .geometry import Hypergraph, ProjectiveSpace, mask_bits, theta
 from .solvers import BoundsReport, SolveResult, bounds_report
 
 SCHEMA_VERSION = 1
@@ -71,11 +71,17 @@ def load_certificate(path: str) -> dict:
 
 def _verify_transversal(payload):
     n, k, q, t = payload["n"], payload["k"], payload["q"], payload["t"]
-    pts = set(payload["points"])
+    space = ProjectiveSpace.of_order(n, q)
+    points = payload["points"]
+    if not all(type(i) is int and 0 <= i < space.num_points for i in points):
+        return False, f"a listed point is not a point index in [0, {space.num_points})"
+    pts = set(points)
+    if len(pts) != len(points):
+        return False, "a point is listed twice"
     if "objective" in payload and payload["objective"] != len(pts):
         return False, "objective does not match the witness size"
-    for kspace in ProjectiveSpace.of_order(n, q).incidence(k):
-        hit = sum(1 for i in kspace if i in pts)
+    for kspace in space.incidence(k):
+        hit = len(pts.intersection(kspace))
         if hit < t:
             return False, f"a {k}-space meets the set in only {hit} < {t} points"
     return True, "t-transversal verified"
@@ -92,8 +98,7 @@ def _verify_coloring(payload):
         return False, "N does not match the assignment"
     ok, edge = is_proper(coloring, H)
     if not ok:
-        idx = [i for i in range(H.num_vertices) if edge >> i & 1]
-        return False, f"rainbow hyperedge on points {idx}"
+        return False, f"rainbow hyperedge on points {mask_bits(edge)}"
     if payload.get("trivial"):
         triv, _ = is_trivial_coloring(coloring, H)
         if not triv:
@@ -128,19 +133,30 @@ def _verify_blocking_set(payload):
 
 
 def _verify_tmodp_report(payload):
-    p, t, k = payload["p"], payload["t"], payload["k"]
+    p, t, k, sets = payload["p"], payload["t"], payload["k"], payload["sets"]
+    cap, max_size, verified = payload["weight_cap"], payload["max_size"], payload["verified"]
     space = ProjectiveSpace.of_order(2, p)
     expected = payload["expected_size"]
     if expected != t * theta(space.n - k, p):
         return False, "expected_size is wrong for the parameters"
-    if len(payload["sets"]) != payload["num_found"]:
+    if len(sets) != payload["num_found"]:
         return False, "num_found does not match the listed sets"
-    for wt in payload["sets"]:
+    if len(set(map(tuple, sets))) != len(sets):
+        return False, "a set is listed twice"
+    if verified and payload["violations"]:
+        return False, "claimed verified but violations are listed"
+    if cap > p - 1:
+        return False, f"weight_cap {cap} is above p - 1"
+    for wt in sets:
         B = WeightedPointSet(space, list(wt))
+        if max(wt) > cap:
+            return False, f"listed set has a point of weight {max(wt)} > weight_cap {cap}"
+        if B.size > max_size:
+            return False, f"listed set has size {B.size} > max_size {max_size}"
         ok, _ = is_t_mod_p_set(B, t, k)
         if not ok:
             return False, f"listed set of size {B.size} is not a {t} (mod {p}) set"
-        if payload.get("verified") and B.size != expected:
+        if verified and B.size != expected:
             return False, f"listed set has size {B.size} != {expected}"
     return True, "report sets verified"
 

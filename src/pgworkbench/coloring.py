@@ -3,9 +3,10 @@ construction and triviality analysis."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .geometry import Hypergraph, ProjectiveSpace, theta
+from .geometry import Hypergraph, ProjectiveSpace, mask_bits, theta
 
 
 class ColoringError(ValueError):
@@ -55,27 +56,30 @@ def is_strict(coloring: Coloring, num_vertices: int) -> bool:
     return used == set(range(1, len(used) + 1))
 
 
-def is_rainbow(edge_mask: int, coloring: Coloring) -> bool:
-    """True iff all colors on the edge are pairwise distinct."""
+def _rainbow(points, assignment) -> bool:
+    """True iff the points carry pairwise distinct colors; stops at the
+    first repeated color."""
     seen = set()
-    m = edge_mask
-    assignment = coloring.assignment
-    while m:
-        low = m & -m
-        c = assignment[low.bit_length() - 1]
+    for i in points:
+        c = assignment[i]
         if c in seen:
             return False
         seen.add(c)
-        m ^= low
     return True
+
+
+def is_rainbow(edge_mask: int, coloring: Coloring) -> bool:
+    """True iff all colors on the edge are pairwise distinct."""
+    return _rainbow(mask_bits(edge_mask), coloring.assignment)
 
 
 def is_proper(coloring: Coloring, H: Hypergraph):
     """True iff no edge is rainbow; on failure returns a rainbow edge."""
     if not is_strict(coloring, H.num_vertices):
         raise ColoringError("coloring is not a strict coloring of the vertex set")
-    for e in H.edges:
-        if is_rainbow(e, coloring):
+    assignment = coloring.assignment
+    for e, pts in zip(H.edges, H.edge_points):
+        if _rainbow(pts, assignment):
             return False, e
     return True, None
 
@@ -86,30 +90,19 @@ def is_2_transversal(mask: int, H: Hypergraph) -> bool:
 
 def trivial_coloring(transversal, H: Hypergraph) -> Coloring:
     """One color on a 2-transversal, mutually distinct colors elsewhere."""
-    tmask = 0
-    for i in transversal:
-        tmask |= 1 << i
-    if not is_2_transversal(tmask, H):
+    chosen = set(transversal)
+    if not is_2_transversal(sum(1 << i for i in chosen), H):
         raise ColoringError("the given set is not a 2-transversal")
-    assignment = [0] * H.num_vertices
-    nxt = 2
-    for i in range(H.num_vertices):
-        if tmask >> i & 1:
-            assignment[i] = 1
-        else:
-            assignment[i] = nxt
-            nxt += 1
-    return Coloring(tuple(assignment))
+    others = itertools.count(2)
+    return Coloring(tuple(1 if i in chosen else next(others) for i in range(H.num_vertices)))
 
 
 def _tau2_size_cutoff(H: Hypergraph) -> int:
     """Cheap lower bound on the size of any 2-transversal of H."""
-    cutoff = 2
-    if H.params is not None:
-        n, k, q = H.params
-        if 2 <= q:
-            cutoff = max(cutoff, 2 * theta(n - k, q))
-    return cutoff
+    if H.params is None:
+        return 2
+    n, k, q = H.params
+    return max(2, 2 * theta(n - k, q))
 
 
 def is_trivial_coloring(coloring: Coloring, H: Hypergraph):

@@ -30,8 +30,6 @@ class ExperimentConfig:
     grid: list = field(default_factory=default_grid)
     outdir: str = "certificates"
     seed: int = 0
-    tau_vertex_limit: int = 40
-    ucn_vertex_limit: int = 20
 
 
 @dataclass
@@ -53,7 +51,7 @@ def _run_tau(task, config):
     if 2 * m < space.n:
         witness = sorted(set().union(*(S.point_indices()
                                        for S in space.disjoint_subspaces(m, t))))
-    res = exact_tau(H, t, vertex_limit=config.tau_vertex_limit, initial_witness=witness)
+    res = exact_tau(H, t, initial_witness=witness)
     return transversal_certificate(H, t, res), f"tau_{t}(H({n},{k},{q}))", res.objective
 
 
@@ -62,7 +60,7 @@ def _run_ucn(task, config):
     factor_prime_power(q)
     space = ProjectiveSpace.of_order(n, q)
     H = space.hypergraph(k)
-    res = exact_ucn(H, vertex_limit=config.ucn_vertex_limit)
+    res = exact_ucn(H)
     return coloring_certificate(H, res.witness), f"UCN(H({n},{k},{q}))", res.objective
 
 

@@ -118,14 +118,14 @@ class GF:
     A fourth table holds the negatives.
     """
 
-    def __init__(self, p: int, h: int = 1, max_q: int = MAX_Q):
+    def __init__(self, p: int, h: int = 1):
         if not is_prime(p):
             raise FieldError(f"p = {p} is not prime")
         if h < 1:
             raise FieldError(f"h = {h} must be positive")
         q = p**h
-        if q > max_q:
-            raise FieldError(f"q = {q} exceeds the configured limit {max_q}")
+        if q > MAX_Q:
+            raise FieldError(f"q = {q} exceeds the limit {MAX_Q}")
         self.p = p
         self.h = h
         self.q = q

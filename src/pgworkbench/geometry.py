@@ -42,6 +42,12 @@ def count_subspaces(n: int, m: int, q: int) -> int:
     return num // den
 
 
+def _normalized_vectors(r: int, q: int) -> list:
+    """Vectors of length r over range(q) whose first nonzero entry is 1."""
+    return [(0,) * lead + (1,) + tail for lead in range(r)
+            for tail in itertools.product(range(q), repeat=r - 1 - lead)]
+
+
 def mask_bits(mask: int) -> list:
     """Indices of the set bits of a point mask, in increasing order."""
     out = []
@@ -73,11 +79,23 @@ class Hypergraph:
     edges: tuple
     params: tuple | None = None  # (n, k, q) when geometric
 
-    def edge_index_lists(self):
-        return [mask_bits(e) for e in self.edges]
+    @functools.cached_property
+    def edge_points(self) -> tuple:
+        """Per edge, in edge order, the tuple of its vertices."""
+        return tuple(tuple(mask_bits(e)) for e in self.edges)
+
+    @functools.cached_property
+    def vertex_edges(self) -> tuple:
+        """Per vertex, the increasing indices of the edges through it.
+        Built from the masks, so it does not need edge_points."""
+        lists = [[] for _ in range(self.num_vertices)]
+        for ei, e in enumerate(self.edges):
+            for v in mask_bits(e):
+                lists[v].append(ei)
+        return tuple(map(tuple, lists))
 
     def to_json(self) -> dict:
-        data = {"edges": self.edge_index_lists()}
+        data = {"edges": list(self.edge_points)}
         if self.params is not None:
             n, k, q = self.params
             data.update({"n": n, "k": k, "q": q})
@@ -86,24 +104,31 @@ class Hypergraph:
         return data
 
     @classmethod
-    def from_json(cls, data: dict) -> "Hypergraph":
-        """A hypergraph from its JSON form.  Claimed parameters (n, k, q)
-        are checked: the edges, in any order, must be the k-spaces of
-        PG(n,q), since solvers apply the geometric bounds of H(n,k,q)."""
+    def from_json(cls, data) -> "Hypergraph":
+        """A hypergraph from its JSON form, with its edges in file order.
+        Claimed parameters (n, k, q) are checked: the edges, in any order,
+        must be the k-spaces of PG(n,q), since solvers apply the geometric
+        bounds of H(n,k,q)."""
+        edge_lists = data.get("edges") if isinstance(data, dict) else None
+        if not isinstance(edge_lists, (list, tuple)) or not all(
+                isinstance(e, (list, tuple)) for e in edge_lists):
+            raise GeometryError("a hypergraph is a JSON object whose 'edges' "
+                                "is a list of vertex index lists")
         if "n" in data:
-            n, k, q = data["n"], data["k"], data["q"]
-            if not all(type(x) is int for x in (n, k, q)):
-                raise GeometryError(f"(n, k, q) = {(n, k, q)!r} are not all integers")
+            n, k, q = params = tuple(data.get(key) for key in ("n", "k", "q"))
+            if not all(type(x) is int for x in params):
+                raise GeometryError(f"(n, k, q) = {params!r} are not all integers")
             space = ProjectiveSpace.of_order(n, q)
             num = space.num_points
-            params = (n, k, q)
         else:
-            num = data["num_vertices"]
-            params = None
-        for i in itertools.chain.from_iterable(data["edges"]):
+            num, params = data.get("num_vertices"), None
+            if type(num) is not int or not 0 <= num <= DEFAULT_MAX_POINTS:
+                raise GeometryError(f"num_vertices {num!r} is not an integer "
+                                    f"in [0, {DEFAULT_MAX_POINTS}]")
+        for i in itertools.chain.from_iterable(edge_lists):
             if type(i) is not int or not 0 <= i < num:
                 raise GeometryError(f"edge index {i!r} is not a vertex in [0, {num})")
-        edges = tuple(sum(1 << i for i in set(e)) for e in data["edges"])
+        edges = tuple(sum(1 << i for i in set(e)) for e in edge_lists)
         if params is not None and sorted(edges) != sorted(space.hypergraph(k).edges):
             raise GeometryError(f"the edges are not the {k}-spaces of PG({n},{q})")
         return cls(num, edges, params)
@@ -123,11 +148,10 @@ class ProjectiveSpace:
             raise GeometryError(
                 f"PG({n},{field.q}) has {theta(n, field.q)} points, "
                 f"exceeding the limit {max_points}")
-        self.points = self._enumerate_points()
+        self.points = tuple(sorted(_normalized_vectors(n + 1, field.q)))
         self.point_index = {pt: i for i, pt in enumerate(self.points)}
         self._subspace_cache: dict[int, tuple] = {}
-        self._incidence_cache: dict[int, tuple] = {}
-        self._point_subspace_cache: dict[int, tuple] = {}
+        self._levels: dict[int, Hypergraph] = {}
         self._coeff_cache: dict[int, list] = {}
 
     @property
@@ -147,15 +171,6 @@ class ProjectiveSpace:
         return cls(n, field_for_order(q), **kwargs)
 
     # -- points ---------------------------------------------------------
-
-    def _enumerate_points(self):
-        n, q = self.n, self.q
-        pts = []
-        for lead in range(n + 1):
-            for tail in itertools.product(range(q), repeat=n - lead):
-                pts.append((0,) * lead + (1,) + tail)
-        pts.sort()
-        return tuple(pts)
 
     def normalize(self, vec):
         """Scale a nonzero vector so its first nonzero coordinate is 1."""
@@ -178,12 +193,7 @@ class ProjectiveSpace:
         """Normalized coefficient vectors of length r (first nonzero = 1)."""
         cached = self._coeff_cache.get(r)
         if cached is None:
-            q = self.q
-            cached = []
-            for lead in range(r):
-                for tail in itertools.product(range(q), repeat=r - 1 - lead):
-                    cached.append((0,) * lead + (1,) + tail)
-            self._coeff_cache[r] = cached
+            cached = self._coeff_cache[r] = _normalized_vectors(r, self.q)
         return cached
 
     def mask_for_basis(self, basis) -> int:
@@ -192,7 +202,6 @@ class ProjectiveSpace:
         q = self.q
         idx = self.point_index
         add = f.add
-        ncols = self.n + 1
         scaled = [[tuple(f.mul(c, x) for x in row) for c in range(q)] for row in basis]
         mask = 0
         for coeffs in self._proj_coeffs(len(basis)):
@@ -238,25 +247,22 @@ class ProjectiveSpace:
         self._subspace_cache[m] = subs
         return subs
 
+    def _level(self, m: int) -> Hypergraph:
+        """The points and the m-spaces, in the order of subspaces(m), as one
+        cached hypergraph: every incidence view of level m is read from it."""
+        H = self._levels.get(m)
+        if H is None:
+            edges = tuple(S.mask for S in self.subspaces(m))
+            H = self._levels[m] = Hypergraph(self.num_points, edges, (self.n, m, self.q))
+        return H
+
     def incidence(self, m: int):
         """Point-index tuples of the m-spaces, in the order of subspaces(m)."""
-        cached = self._incidence_cache.get(m)
-        if cached is None:
-            cached = tuple(tuple(mask_bits(S.mask)) for S in self.subspaces(m))
-            self._incidence_cache[m] = cached
-        return cached
+        return self._level(m).edge_points
 
     def point_subspaces(self, m: int):
         """Per point, the indices into subspaces(m) of the m-spaces through it."""
-        cached = self._point_subspace_cache.get(m)
-        if cached is None:
-            lists = [[] for _ in range(self.num_points)]
-            for si, S in enumerate(self.subspaces(m)):
-                for i in mask_bits(S.mask):
-                    lists[i].append(si)
-            cached = tuple(map(tuple, lists))
-            self._point_subspace_cache[m] = cached
-        return cached
+        return self._level(m).vertex_edges
 
     def _enumerate_rref_bases(self, nrows: int):
         """All RREF matrices with nrows pivots over n+1 columns."""
@@ -368,11 +374,10 @@ class ProjectiveSpace:
     # -- hypergraph -----------------------------------------------------
 
     def hypergraph(self, k: int) -> Hypergraph:
-        """H(n,k,q): points as vertices, k-spaces as hyperedges."""
+        """H(n,k,q): points as vertices, k-spaces as hyperedges; cached."""
         if k < 1 or k > self.n - 1:
             raise GeometryError(f"k = {k} out of range for hyperedges of PG({self.n},{self.q})")
-        edges = tuple(S.mask for S in self.subspaces(k))
-        return Hypergraph(self.num_points, edges, (self.n, k, self.q))
+        return self._level(k)
 
     # -- exhaustive consistency checks ----------------------------------
 
@@ -383,10 +388,9 @@ class ProjectiveSpace:
         its first point are tested for containment by mask.
         """
         target = theta(self.n - k - 1, self.q)
-        uppers = [U.mask for U in self.subspaces(k + 1)]
-        through = self.point_subspaces(k + 1)
-        for S in self.subspaces(k):
-            m = S.mask
+        upper = self._level(k + 1)
+        uppers, through = upper.edges, upper.vertex_edges
+        for m in self._level(k).edges:
             first = (m & -m).bit_length() - 1
             if sum(1 for j in through[first] if uppers[j] & m == m) != target:
                 return False

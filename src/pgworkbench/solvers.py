@@ -58,32 +58,27 @@ def _greedy_transversal(vertex_edges, num_edges, t):
 
 
 def exact_tau(H: Hypergraph, t: int, *, vertex_limit: int = DEFAULT_TAU_VERTEX_LIMIT,
-              lower_bound: int | None = None, initial_witness=None) -> SolveResult:
+              initial_witness=None) -> SolveResult:
     """Minimum size of a t-transversal, by branch and bound.
 
-    lower_bound, when supplied (for H(n,m,q) this is t*theta(n-m) from
-    the folklore bound when t <= q), lets the search stop as soon as an
-    incumbent meets it.  initial_witness seeds the incumbent, e.g. a
-    disjoint-subspace construction.
+    For H(n,m,q) with t <= q, the folklore bound t*theta(n-m) lets the
+    search stop as soon as an incumbent meets it.  initial_witness seeds
+    the incumbent, e.g. a disjoint-subspace construction.
     """
     if t < 1:
         raise SolverError("t must be >= 1")
     V = H.num_vertices
-    edge_pts = H.edge_index_lists()
+    edge_pts = H.edge_points
     if any(len(pts) < t for pts in edge_pts):
         raise SolverError("infeasible: some hyperedge has fewer than t vertices")
 
-    geometric_lb = lower_bound
-    if geometric_lb is None and H.params is not None:
+    geometric_lb = None
+    if H.params is not None:
         n, m, q = H.params
         if t <= q:
             geometric_lb = t * theta(n - m, q)
 
-    vertex_edges = [[] for _ in range(V)]
-    for ei, pts in enumerate(edge_pts):
-        for v in pts:
-            vertex_edges[v].append(ei)
-
+    vertex_edges = H.vertex_edges
     if initial_witness is not None:
         given = set(initial_witness)
         inc = sorted(given)
@@ -181,8 +176,7 @@ def exact_tau(H: Hypergraph, t: int, *, vertex_limit: int = DEFAULT_TAU_VERTEX_L
 
 # -- exact upper chromatic number ---------------------------------------
 
-def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT,
-              tau2_witness=None) -> SolveResult:
+def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) -> SolveResult:
     """Largest N admitting a proper strict N-coloring.
 
     Searches over class merges starting from the all-distinct coloring:
@@ -194,12 +188,8 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT,
     if any(e.bit_count() < 2 for e in H.edges):
         raise SolverError("infeasible: an edge with fewer than 2 vertices is always rainbow")
 
-    if tau2_witness is None:
-        tau_res = exact_tau(H, 2, vertex_limit=max(DEFAULT_TAU_VERTEX_LIMIT, V))
-        tau2_witness = tau_res.witness
-        tau2 = tau_res.objective
-    else:
-        tau2 = len(tau2_witness)
+    tau_res = exact_tau(H, 2, vertex_limit=max(DEFAULT_TAU_VERTEX_LIMIT, V))
+    tau2_witness, tau2 = tau_res.witness, tau_res.objective
     seed_coloring = trivial_coloring(tau2_witness, H)
     trivial_lb = V - tau2 + 1
 
@@ -208,8 +198,8 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT,
                            status=BOUND_ONLY, lower_bound=trivial_lb)
 
     # per edge, the getter of its points' roots and its size
-    edge_roots = [(operator.itemgetter(*pts), len(pts)) for pts in H.edge_index_lists()]
-    best_merges = [len(tau2_witness) - 1]
+    edge_roots = [(operator.itemgetter(*pts), len(pts)) for pts in H.edge_points]
+    best_merges = [tau2 - 1]
     best_assignment = [list(seed_coloring.assignment)]
     nodes = [0]
 
@@ -301,7 +291,7 @@ class TModPVerification:
 
 
 def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None,
-                         coset_limit: int | None = None, seed: int = 0) -> TModPVerification:
+                         seed: int = 0) -> TModPVerification:
     """Exhaustively verify, in the plane PG(2,p), that every residue-capped
     t (mod p) set of bounded total weight is a weighted union of t lines.
 
@@ -320,11 +310,8 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None,
     k = 1
     if max_size is None:
         max_size = (t + 1) * theta(space.n - k, p) + p - 2
-    kwargs = {}
-    if coset_limit is not None:
-        kwargs["coset_limit"] = coset_limit
     enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size,
-                                  weight_cap=p - 1, seed=seed, **kwargs)
+                                  weight_cap=p - 1, seed=seed)
     expected_size = t * theta(space.n - k, p)
 
     union_weights = set()

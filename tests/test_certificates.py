@@ -103,6 +103,61 @@ def test_recheck_tmodp_report():
     assert not ok
 
 
+@pytest.mark.parametrize("extra", [999, 7, -3, "x", 1.0, True, 0])
+def test_recheck_transversal_rejects_bad_point(extra):
+    # the tau_2 witness of PG(2,2) with one more listed entry: not a point
+    # index, or (0) a point listed twice
+    res = exact_tau(ProjectiveSpace.of_order(2, 2).hypergraph(1), 2)
+    points = list(res.witness) + [extra]
+    payload = {"n": 2, "k": 1, "q": 2, "t": 2, "points": points,
+               "objective": len(set(points))}
+    ok, detail = recheck(make_certificate("transversal", payload))
+    assert not ok
+    assert ("listed twice" if extra == 0 else "not a point index") in detail
+
+
+def _raise_by_p(data, points):
+    """Raise the weight of the given points of the first listed set by p:
+    every line weight changes by a multiple of p."""
+    for i in points:
+        data["sets"][0][i] += data["p"]
+
+
+def _list_first_twice(data):
+    data["sets"].append(list(data["sets"][0]))
+    data["num_found"] += 1
+
+
+# (p, t), a tampering of the report, and the expected rejection; the first
+# set of the (3,2) report has size 8 and weight 2 at point 3
+TAMPERED_TMODP_REPORTS = [
+    # size 47 and weight 5, against max_size 13 and weight_cap 2
+    pytest.param((3, 2), lambda d: _raise_by_p(d, range(13)), "weight 5 > weight_cap 2",
+                 id="raised-everywhere"),
+    # size 11, within max_size, but weight 5 above weight_cap 2
+    pytest.param((3, 2), lambda d: _raise_by_p(d, [3]), "weight 5 > weight_cap 2",
+                 id="above-weight-cap"),
+    # the 234 sets of size 11 lie above a lowered max_size
+    pytest.param((3, 2), lambda d: d.update(max_size=10), "size 11 > max_size 10",
+                 id="above-max-size"),
+    pytest.param((3, 2), lambda d: d.update(weight_cap=3), "above p - 1",
+                 id="weight-cap-above-p-1"),
+    pytest.param((3, 2), _list_first_twice, "listed twice", id="repeated-set"),
+    pytest.param((2, 1), lambda d: d.update(violations=[{"weights": d["sets"][0],
+                                                         "reason": "made up"}]),
+                 "violations are listed", id="verified-with-violations"),
+]
+
+
+@pytest.mark.parametrize("pt, tamper, needle", TAMPERED_TMODP_REPORTS)
+def test_recheck_tmodp_report_rejects_inconsistent_lists(pt, tamper, needle):
+    data = verify_tmodp_theorem(*pt).to_json()
+    assert recheck(make_certificate("tmodp_report", data))[0]
+    tamper(data)
+    ok, detail = recheck(make_certificate("tmodp_report", data))
+    assert not ok and needle in detail
+
+
 def test_recheck_bounds():
     rep = bounds_report(3, 1, 17, 2)
     payload = {"n": 3, "k": 1, "q": 17, "t": 2, "report": rep.to_json()}

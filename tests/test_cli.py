@@ -199,3 +199,16 @@ def test_solve_rejects_hypergraph_not_matching_its_params(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and not cert.exists()
     assert captured.err.startswith("error: the edges are not the 2-spaces of PG(3,2)")
+
+
+@pytest.mark.parametrize("data", [{"num_vertices": "7", "edges": [[0, 1]]},
+                                  {"num_vertices": 7, "edges": 5},
+                                  {"edges": [[0, 1]]},
+                                  [[0, 1]]])
+def test_solve_rejects_malformed_hypergraph(tmp_path, capsys, data):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    code = main(["solve", "ucn", "--hypergraph", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")

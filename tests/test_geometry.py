@@ -11,6 +11,7 @@ from pgworkbench.geometry import (EMPTY_SUBSPACE, GeometryError, Hypergraph,
                                   ProjectiveSpace, count_subspaces,
                                   hypergraph_from_file, hypergraph_to_file,
                                   mask_bits, theta)
+from pgworkbench.solvers import exact_tau, exact_ucn
 
 
 def test_theta_values():
@@ -229,6 +230,62 @@ def test_hypergraph_from_json_rejects_bad_edge_index(index):
         Hypergraph.from_json({"n": 2, "k": 1, "q": 2, "edges": [[0, 1, index]]})
     with pytest.raises(GeometryError, match="edge index"):
         Hypergraph.from_json({"num_vertices": 7, "edges": [[index]]})
+
+
+MALFORMED_HYPERGRAPHS = [
+    {"num_vertices": "7", "edges": [[0, 1]]},
+    {"num_vertices": -1, "edges": []},
+    {"num_vertices": 10**7, "edges": []},  # above the point limit of a space
+    {"num_vertices": 7, "edges": 5},
+    {"num_vertices": 7, "edges": [[0, 1], 5]},
+    {"edges": [[0, 1]]},
+    {"num_vertices": 7},
+    {"n": 2, "q": 2, "edges": [[0, 1]]},
+    [[0, 1]],
+    None,
+]
+
+
+@pytest.mark.parametrize("data", MALFORMED_HYPERGRAPHS)
+def test_hypergraph_from_json_rejects_malformed_input(data):
+    with pytest.raises(GeometryError):
+        Hypergraph.from_json(data)
+
+
+def test_levels_are_one_shared_structure():
+    space = ProjectiveSpace.of_order(3, 2)
+    for k in (1, 2):
+        H = space.hypergraph(k)
+        assert space.hypergraph(k) is H
+        assert space.incidence(k) is H.edge_points
+        assert space.point_subspaces(k) is H.vertex_edges
+        assert H.edges == tuple(S.mask for S in space.subspaces(k))
+    for m in (0, space.n):
+        assert space.point_subspaces(m) is space._level(m).vertex_edges
+        assert space.incidence(m) is space._level(m).edge_points
+
+
+def test_vertex_edges_match_edge_points():
+    H = Hypergraph(5, (0b00111, 0b11100, 0b10001, 0))
+    assert H.edge_points == ((0, 1, 2), (2, 3, 4), (0, 4), ())
+    assert H.vertex_edges == ((0, 2), (0,), (0, 1), (1,), (1, 2))
+
+
+@pytest.mark.parametrize("n, k, q", [(2, 1, 2), (2, 1, 3), (3, 2, 2)])
+def test_shuffled_geometric_file_solves_like_canonical(tmp_path, n, k, q):
+    H = ProjectiveSpace.of_order(n, q).hypergraph(k)
+    edges = [list(e) for e in H.edge_points]
+    rng = random.Random(5)
+    rng.shuffle(edges)
+    for e in edges:
+        rng.shuffle(e)
+    path = tmp_path / "shuffled.json"
+    path.write_text(json.dumps({"n": n, "k": k, "q": q, "edges": edges}))
+    H2 = hypergraph_from_file(str(path))
+    # the loaded hypergraph keeps the file's edge order
+    assert H2.edges != H.edges and sorted(H2.edges) == sorted(H.edges)
+    assert exact_tau(H2, 2).objective == exact_tau(H, 2).objective
+    assert exact_ucn(H2).objective == exact_ucn(H).objective
 
 
 # edges that claim (3, 2, 2) but are not the planes of PG(3,2): exact_tau

@@ -42,7 +42,7 @@ def set_partitions(n):
 
 
 def brute_force_ucn(H):
-    edge_pts = H.edge_index_lists()
+    edge_pts = H.edge_points
     best = 0
     for labels in set_partitions(H.num_vertices):
         if any(len({labels[v] for v in pts}) == len(pts) for pts in edge_pts):
@@ -134,7 +134,7 @@ def test_no_proper_twelve_class_coloring_of_pg32_planes():
     # preserved under class merges, so UCN < 12 iff no 12-class partition
     # of the 15 points is proper
     H = ProjectiveSpace.of_order(3, 2).hypergraph(2)
-    edge_pts = H.edge_index_lists()
+    edge_pts = H.edge_points
     n = H.num_vertices
     labels = [0] * n
     found = []
@@ -173,8 +173,7 @@ def test_exact_ucn_relabeling_invariance():
     for _ in range(5):
         perm = list(range(6))
         rng.shuffle(perm)
-        edges = tuple(sum(1 << perm[v] for v in Hypergraph(6, (e,)).edge_index_lists()[0])
-                      for e in H.edges)
+        edges = tuple(sum(1 << perm[v] for v in pts) for pts in H.edge_points)
         assert exact_ucn(Hypergraph(6, edges)).objective == base
 
 
