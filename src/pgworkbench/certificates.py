@@ -8,7 +8,7 @@ import json
 
 from .blocking import WeightedPointSet, is_minimal, is_t_fold_blocking, is_t_mod_p_set
 from .coloring import Coloring, is_proper, is_strict, is_trivial_coloring
-from .geometry import Hypergraph, ProjectiveSpace, mask_bits, theta
+from .geometry import Hypergraph, ProjectiveSpace, mask_bits, point_set, theta
 from .solvers import BoundsReport, SolveResult, bounds_report
 
 SCHEMA_VERSION = 1
@@ -72,12 +72,7 @@ def load_certificate(path: str) -> dict:
 def _verify_transversal(payload):
     n, k, q, t = payload["n"], payload["k"], payload["q"], payload["t"]
     space = ProjectiveSpace.of_order(n, q)
-    points = payload["points"]
-    if not all(type(i) is int and 0 <= i < space.num_points for i in points):
-        return False, f"a listed point is not a point index in [0, {space.num_points})"
-    pts = set(points)
-    if len(pts) != len(points):
-        return False, "a point is listed twice"
+    pts = point_set(payload["points"], space.num_points)
     if "objective" in payload and payload["objective"] != len(pts):
         return False, "objective does not match the witness size"
     for kspace in space.incidence(k):

@@ -68,7 +68,7 @@ def cmd_color(args):
         return 0
     with open(args.coloring) as fh:
         data = json.load(fh)
-    coloring = Coloring(tuple(data["assignment"]))
+    coloring = Coloring.from_json(data)
     proper, edge = is_proper(coloring, H)
     out = {"N": coloring.N, "proper": proper}
     if args.mode == "analyze":

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .geometry import Hypergraph, ProjectiveSpace, mask_bits, theta
+from .geometry import Hypergraph, ProjectiveSpace, mask_bits, point_set, theta
 
 
 class ColoringError(ValueError):
@@ -32,6 +32,16 @@ class Coloring:
 
     def to_json(self) -> dict:
         return {"assignment": list(self.assignment), "N": self.N}
+
+    @classmethod
+    def from_json(cls, data) -> "Coloring":
+        """A coloring from a JSON object whose 'assignment' is a list of
+        ints; ColoringError otherwise."""
+        assignment = data.get("assignment") if isinstance(data, dict) else None
+        if not isinstance(assignment, list) or not all(type(c) is int for c in assignment):
+            raise ColoringError("a coloring is a JSON object whose 'assignment' "
+                                "is a list of integers")
+        return cls(tuple(assignment))
 
 
 def make_coloring(assignment) -> Coloring:
@@ -89,8 +99,10 @@ def is_2_transversal(mask: int, H: Hypergraph) -> bool:
 
 
 def trivial_coloring(transversal, H: Hypergraph) -> Coloring:
-    """One color on a 2-transversal, mutually distinct colors elsewhere."""
-    chosen = set(transversal)
+    """One color on a 2-transversal, mutually distinct colors elsewhere.
+    The transversal is checked like a certificate's: distinct int vertex
+    indices."""
+    chosen = point_set(transversal, H.num_vertices)
     if not is_2_transversal(sum(1 << i for i in chosen), H):
         raise ColoringError("the given set is not a 2-transversal")
     others = itertools.count(2)

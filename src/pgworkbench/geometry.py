@@ -5,6 +5,10 @@ coordinate equals 1) in lexicographic order of their integer-encoded
 coordinates; the position in that order is the point index.  Subspaces
 carry a canonical reduced-row-echelon basis and a bitmask over point
 indices, which makes incidence tests O(1) on Python big ints.
+
+Lines are built by a vector walk over their two basis rows, and every
+level m >= 2 as a join of the cached level m-1 with the lines; a single
+span walks the vectors of its own basis and builds no level.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 from .fields import GF, field_for_order
@@ -56,6 +61,19 @@ def mask_bits(mask: int) -> list:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def point_set(points, num_points: int) -> set:
+    """The set of a listed point set, which must be a list of distinct int
+    point indices in [0, num_points); GeometryError otherwise."""
+    if not isinstance(points, (list, tuple)):
+        raise GeometryError(f"a point set is a list of point indices, not {points!r}")
+    if not all(type(i) is int and 0 <= i < num_points for i in points):
+        raise GeometryError(f"a listed point is not a point index in [0, {num_points})")
+    pts = set(points)
+    if len(pts) != len(points):
+        raise GeometryError("a point is listed twice")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -150,9 +168,9 @@ class ProjectiveSpace:
                 f"exceeding the limit {max_points}")
         self.points = tuple(sorted(_normalized_vectors(n + 1, field.q)))
         self.point_index = {pt: i for i, pt in enumerate(self.points)}
+        self._place = [field.q ** (n - j) for j in range(n + 1)]
         self._subspace_cache: dict[int, tuple] = {}
         self._levels: dict[int, Hypergraph] = {}
-        self._coeff_cache: dict[int, list] = {}
 
     @property
     def q(self) -> int:
@@ -189,33 +207,68 @@ class ProjectiveSpace:
         """Reduced row echelon form of a list of coordinate vectors."""
         return self.field.row_reduce(rows, self.n + 1)[0]
 
-    def _proj_coeffs(self, r: int):
-        """Normalized coefficient vectors of length r (first nonzero = 1)."""
-        cached = self._coeff_cache.get(r)
-        if cached is None:
-            cached = self._coeff_cache[r] = _normalized_vectors(r, self.q)
-        return cached
+    def _translates(self, row, vectors) -> int:
+        """Mask of the points row + w, for w in vectors, each given by its
+        nonzero coordinates as (column, value) pairs; every row + w must be
+        normalized.  A point with its leading 1 in column l has the index
+        theta(n-l-1) plus its coordinates after column l read in base q,
+        so the index of row + w is that of row moved by the coordinates
+        that w changes: only those are added, with no tuple built."""
+        add, place = self.field.add, self._place
+        base = self.point_index[row]
+        mask = 0
+        for w in vectors:
+            k = base
+            for j, x in w:
+                a = row[j]
+                k += (add(a, x) - a if a else x) * place[j]
+            mask |= 1 << k
+        return mask
+
+    def _extend(self, vectors, row) -> list:
+        """The vectors c*row + w, for c in GF(q) and w in vectors, in the
+        sparse form of _translates; c*row is taken on the nonzero
+        coordinates of row alone."""
+        add, mul = self.field.add, self.field.mul
+        nonzero = [j for j, x in enumerate(row) if x]
+        out = list(vectors)
+        for c in range(1, self.q):
+            scaled = [(j, mul(c, row[j])) for j in nonzero]
+            for w in vectors:
+                v = dict(w)
+                for j, x in scaled:
+                    v[j] = add(v[j], x) if j in v else x
+                out.append([(j, x) for j, x in v.items() if x])
+        return out
 
     def mask_for_basis(self, basis) -> int:
-        """Bitmask of the points spanned by an RREF basis."""
-        f = self.field
-        q = self.q
-        idx = self.point_index
-        add = f.add
-        scaled = [[tuple(f.mul(c, x) for x in row) for c in range(q)] for row in basis]
-        mask = 0
-        for coeffs in self._proj_coeffs(len(basis)):
-            vec = None
-            for i, c in enumerate(coeffs):
-                if not c:
-                    continue
-                row = scaled[i][c]
-                if vec is None:
-                    vec = row
-                else:
-                    vec = tuple(add(a, b) for a, b in zip(vec, row))
-            mask |= 1 << idx[vec]
+        """Bitmask of the points spanned by an RREF basis, by one vector
+        walk from the last row up: the points are each row b plus every
+        vector of the span of the rows below b, 0 included, and the RREF
+        form keeps all these sums normalized.  For a line (b0, b1) they
+        are b1, b0 and b0 + c*b1 for c != 0.  Lines and single spans are
+        built this way; the levels m >= 2 of subspaces are joins.  Any
+        other basis raises GeometryError: its sums would not be normalized."""
+        leads = [next((j for j, x in enumerate(row) if x), None) for row in basis]
+        if None in leads or leads != sorted(set(leads)) or any(
+                row[j] != (i == r) for i, row in enumerate(basis) for r, j in enumerate(leads)):
+            raise GeometryError(f"{basis!r} is not a reduced row echelon basis")
+        mask, vectors = 0, [()]
+        for i in range(len(basis) - 1, -1, -1):
+            mask |= self._translates(basis[i], vectors)
+            if i:
+                vectors = self._extend(vectors, basis[i])
         return mask
+
+    def _line_masks(self, bases):
+        """mask_for_basis of every line basis (b0, b1), with the multiples
+        of each b1 taken once for all the lines that share it."""
+        multiples = {}
+        for b0, b1 in bases:
+            vectors = multiples.get(b1)
+            if vectors is None:
+                vectors = multiples[b1] = self._extend([()], b1)
+            yield 1 << self.point_index[b1] | self._translates(b0, vectors)
 
     def subspace_from_basis(self, basis) -> Subspace:
         if not basis:
@@ -225,7 +278,10 @@ class ProjectiveSpace:
     # -- subspace enumeration -------------------------------------------
 
     def subspaces(self, m: int):
-        """All m-spaces in canonical order (sorted by basis)."""
+        """All m-spaces in canonical order (sorted by basis), cached: the
+        lines by _line_masks, the levels m >= 2 by _join_masks.  Raises
+        GeometryError unless the count is right and every mask has
+        theta(m) points."""
         if m < 0 or m > self.n:
             raise GeometryError(f"m = {m} out of range for PG({self.n},{self.q})")
         cached = self._subspace_cache.get(m)
@@ -240,12 +296,43 @@ class ProjectiveSpace:
             subs = tuple(Subspace(0, (pt,), 1 << i) for i, pt in enumerate(self.points))
         else:
             bases = sorted(self._enumerate_rref_bases(m + 1))
-            subs = tuple(Subspace(m, b, self.mask_for_basis(b)) for b in bases)
+            masks = self._line_masks(bases) if m == 1 else self._join_masks(bases)
+            subs = tuple(Subspace(m, b, mask) for b, mask in zip(bases, masks))
         if len(subs) != total:
             raise GeometryError(f"enumerated {len(subs)} {m}-spaces of PG({self.n},{self.q}), "
                                 f"expected {total}")
+        size = theta(m, self.q)
+        if any(S.mask.bit_count() != size for S in subs):
+            raise GeometryError(f"an enumerated {m}-space of PG({self.n},{self.q}) "
+                                f"does not have {size} points")
         self._subspace_cache[m] = subs
         return subs
+
+    def _join_masks(self, bases):
+        """Masks of the m-spaces (m >= 2) with the given RREF bases: for a
+        basis B with last row y, the union of line(x, y) over the points x
+        of the (m-1)-space spanned by B[:-1].  Per y, line(x, y) is read
+        from one array of theta_n masks filled from the lines through y,
+        which cover every other point once, and dropped after the bases
+        ending in y."""
+        lower = {S.basis: S.mask for S in self.subspaces(len(bases[0]) - 2)}
+        lines = self._level(1)
+        line_masks, through = lines.edges, lines.vertex_edges
+        groups = {}
+        for pos, B in enumerate(bases):
+            groups.setdefault(B[-1], []).append(pos)
+        masks = [0] * len(bases)
+        for y, positions in groups.items():
+            line_of = [0] * self.num_points
+            get = line_of.__getitem__
+            for j in through[self.point_index[y]]:
+                L = line_masks[j]
+                for x in mask_bits(L):
+                    line_of[x] = L
+            for pos in positions:
+                masks[pos] = functools.reduce(operator.or_,
+                                              map(get, mask_bits(lower[bases[pos][:-1]])))
+        return masks
 
     def _level(self, m: int) -> Hypergraph:
         """The points and the m-spaces, in the order of subspaces(m), as one
@@ -265,9 +352,12 @@ class ProjectiveSpace:
         return self._level(m).vertex_edges
 
     def _enumerate_rref_bases(self, nrows: int):
-        """All RREF matrices with nrows pivots over n+1 columns."""
+        """All RREF matrices with nrows pivots over n+1 columns.  Each row
+        is a point, and is given as that point's tuple in self.points, so
+        the bases of all levels share their rows."""
         ncols = self.n + 1
         q = self.q
+        points, index = self.points, self.point_index
         out = []
         for pivots in itertools.combinations(range(ncols), nrows):
             pivset = set(pivots)
@@ -282,7 +372,7 @@ class ProjectiveSpace:
                 rows = [list(r) for r in template]
                 for (i, j), v in zip(free, vals):
                     rows[i][j] = v
-                out.append(tuple(tuple(r) for r in rows))
+                out.append(tuple(points[index[tuple(r)]] for r in rows))
         return out
 
     # -- lattice operations ---------------------------------------------
@@ -382,15 +472,22 @@ class ProjectiveSpace:
     # -- exhaustive consistency checks ----------------------------------
 
     def verify_pencil_identity(self, k: int) -> bool:
-        """Every k-space lies in exactly theta(n-k-1) many (k+1)-spaces.
+        """Every k-space has theta(k) points and lies in exactly
+        theta(n-k-1) many (k+1)-spaces.
 
-        Verified exhaustively: for each k-space, the (k+1)-spaces through
-        its first point are tested for containment by mask.
+        Verified exhaustively: the sizes first, since the (k+1)-spaces are
+        joined from the k-spaces and the lines, and then, for each k-space,
+        the (k+1)-spaces through its first point are tested for
+        containment by mask.
         """
         target = theta(self.n - k - 1, self.q)
+        lower = self._level(k).edges
+        size = theta(k, self.q)
+        if any(m.bit_count() != size for m in lower):
+            return False
         upper = self._level(k + 1)
         uppers, through = upper.edges, upper.vertex_edges
-        for m in self._level(k).edges:
+        for m in lower:
             first = (m & -m).bit_length() - 1
             if sum(1 for j in through[first] if uppers[j] & m == m) != target:
                 return False

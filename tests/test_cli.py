@@ -106,6 +106,37 @@ def test_color_verbs(tmp_path, capsys):
     assert data["proper"] and data["trivial"] and data["witness_class"] == 1
 
 
+@pytest.mark.parametrize("transversal", [["a"], [[0]], {"x": 1}, None,
+                                         [0, 1, 2, 3, 4, 6, 999], [0, 1, 2, 3, 4, 6, 1.0],
+                                         [0, 1, 2, 3, 4, 6, 6]])
+def test_color_trivialize_rejects_bad_transversal(tmp_path, capsys, transversal):
+    # [0, 1, 2, 3, 4, 6] is a 2-transversal of the Fano plane; an entry
+    # that is not a distinct point index is refused, as recheck refuses it
+    hpath = tmp_path / "fano.json"
+    run_cli(capsys, "space", "--n", "2", "--q", "2", "--export-hypergraph", str(hpath))
+    tpath = tmp_path / "transversal.json"
+    tpath.write_text(json.dumps(transversal))
+    code = main(["color", "--mode", "trivialize", "--hypergraph", str(hpath),
+                 "--transversal", str(tpath)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("mode", ["verify", "analyze"])
+@pytest.mark.parametrize("coloring", [[1], {"assignment": [[1], 1, 1, 1, 1, 1, 1]},
+                                      {"assignment": "1111111"}, {"N": 1}])
+def test_color_rejects_malformed_coloring(tmp_path, capsys, mode, coloring):
+    hpath = tmp_path / "fano.json"
+    run_cli(capsys, "space", "--n", "2", "--q", "2", "--export-hypergraph", str(hpath))
+    cpath = tmp_path / "coloring.json"
+    cpath.write_text(json.dumps(coloring))
+    code = main(["color", "--mode", mode, "--hypergraph", str(hpath), "--coloring", str(cpath)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: a coloring is a JSON object")
+
+
 def test_verify_verb(tmp_path, capsys):
     code, out = run_cli(capsys, "verify", "tmodp", "--p", "2", "--t", "1",
                         "--out", str(tmp_path / "rep.json"))

@@ -64,6 +64,81 @@ def test_subspace_enumeration_counts_and_masks():
             assert S.dim == m
 
 
+def _reference_mask(space, basis):
+    """The scaled-row walk that the lattice replaced: per row a table of
+    its q multiples, and per normalized coefficient vector the sum of the
+    chosen multiples."""
+    f = space.field
+    scaled = [[tuple(f.mul(c, x) for x in row) for c in range(space.q)] for row in basis]
+    mask = 0
+    for coeffs in geometry._normalized_vectors(len(basis), space.q):
+        vec = None
+        for i, c in enumerate(coeffs):
+            if not c:
+                continue
+            row = scaled[i][c]
+            vec = row if vec is None else tuple(f.add(a, b) for a, b in zip(vec, row))
+        mask |= 1 << space.point_index[vec]
+    return mask
+
+
+@pytest.mark.parametrize("n,q", [(1, 16), (2, 8), (2, 9), (3, 4), (4, 3), (5, 2)])
+def test_lattice_matches_reference_walk(n, q):
+    # a fresh space, so every level is built by this test: the lines by the
+    # vector walk, every level m >= 2 by the join
+    space = ProjectiveSpace(n, field_for_order(q))
+    for m in range(1, n + 1):
+        subs = space.subspaces(m)
+        bases = [S.basis for S in subs]
+        # distinct RREF bases, as many as there are m-spaces, in sorted
+        # order: every m-space once, in canonical order
+        assert bases == sorted(set(bases))
+        assert len(bases) == count_subspaces(n, m, q)
+        assert all(space.rref(B) == B for B in bases)
+        assert [S.mask for S in subs] == [_reference_mask(space, B) for B in bases]
+    rng = random.Random(n * 100 + q)
+    ranks = set()
+    for size in range(1, n + 3):
+        for _ in range(3):
+            pts = rng.sample(range(space.num_points), min(size, space.num_points))
+            basis = space.rref([space.points[i] for i in pts])
+            ranks.add(len(basis))
+            want = _reference_mask(space, basis)
+            S = space.span_points(pts)
+            assert (S.basis, S.mask, S.dim) == (basis, want, len(basis) - 1)
+            assert space.span(*pts).mask == want
+            U = space.span_points(pts[1:]) if len(pts) > 1 else space.subspaces(0)[pts[0]]
+            assert space.span(U, pts[0]).mask == want
+    assert ranks == set(range(1, n + 2))
+
+
+@pytest.mark.parametrize("basis", [((1, 0, 0), (1, 1, 0)), ((0, 1, 0), (1, 0, 0)),
+                                   ((1, 2, 0), (0, 1, 0)), ((1, 0, 0), (0, 2, 1)),
+                                   ((1, 0, 0), (0, 0, 0))])
+def test_mask_for_basis_rejects_non_rref_basis(basis):
+    # the walk adds only the coordinates a row below changes, which gives
+    # a wrong point unless every sum is normalized
+    space = ProjectiveSpace.of_order(2, 3)
+    with pytest.raises(GeometryError, match="not a reduced row echelon basis"):
+        space.subspace_from_basis(basis)
+
+
+@pytest.mark.parametrize("how", ["extra point", "dropped point"])
+def test_join_rejects_a_tampered_line_level(how):
+    # a fresh space: the tampered lines feed the join of the planes
+    space = ProjectiveSpace(3, field_for_order(2))
+    lines = list(space.subspaces(1))
+    L = lines[3]
+    if how == "extra point":
+        mask = L.mask | 1 << (~L.mask & ((1 << space.num_points) - 1)).bit_length() - 1
+    else:
+        mask = L.mask & (L.mask - 1)
+    lines[3] = dataclasses.replace(L, mask=mask)
+    space._subspace_cache[1] = tuple(lines)
+    with pytest.raises(GeometryError, match="2-space of PG.3,2. does not have 7 points"):
+        space.subspaces(2)
+
+
 def test_subspace_bases_are_rref_fixed_points():
     space = ProjectiveSpace.of_order(2, 3)
     for S in space.subspaces(1):

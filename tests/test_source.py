@@ -56,3 +56,14 @@ def test_only_standard_library_imports():
         if outside:
             found[path.name] = outside
     assert found == {}
+
+
+def test_no_assert_statements():
+    # self-checks raise, so they also run under python -O
+    found = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        if lines:
+            found[path.name] = lines
+    assert found == {}
