@@ -6,9 +6,10 @@ coordinates; the position in that order is the point index.  Subspaces
 carry a canonical reduced-row-echelon basis and a bitmask over point
 indices, which makes incidence tests O(1) on Python big ints.
 
-Lines are built by a vector walk over their two basis rows, and every
-level m >= 2 as a join of the cached level m-1 with the lines; a single
-span walks the vectors of its own basis and builds no level.
+Every mask is built by one vector walk over the rows of its basis, which
+adds to each row only the coordinates that the rows below it change; the
+bases of one level that share all rows but the first share that part of
+the walk.  No level is built from another, and a single span builds none.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
 from dataclasses import dataclass
 
 from .fields import GF, field_for_order
@@ -242,33 +242,34 @@ class ProjectiveSpace:
         return out
 
     def mask_for_basis(self, basis) -> int:
-        """Bitmask of the points spanned by an RREF basis, by one vector
-        walk from the last row up: the points are each row b plus every
-        vector of the span of the rows below b, 0 included, and the RREF
-        form keeps all these sums normalized.  For a line (b0, b1) they
-        are b1, b0 and b0 + c*b1 for c != 0.  Lines and single spans are
-        built this way; the levels m >= 2 of subspaces are joins.  Any
+        """Bitmask of the points spanned by an RREF basis, by _masks.  Any
         other basis raises GeometryError: its sums would not be normalized."""
         leads = [next((j for j, x in enumerate(row) if x), None) for row in basis]
         if None in leads or leads != sorted(set(leads)) or any(
                 row[j] != (i == r) for i, row in enumerate(basis) for r, j in enumerate(leads)):
             raise GeometryError(f"{basis!r} is not a reduced row echelon basis")
-        mask, vectors = 0, [()]
-        for i in range(len(basis) - 1, -1, -1):
-            mask |= self._translates(basis[i], vectors)
-            if i:
-                vectors = self._extend(vectors, basis[i])
-        return mask
+        return self._masks([basis])[0] if basis else 0
 
-    def _line_masks(self, bases):
-        """mask_for_basis of every line basis (b0, b1), with the multiples
-        of each b1 taken once for all the lines that share it."""
-        multiples = {}
-        for b0, b1 in bases:
-            vectors = multiples.get(b1)
-            if vectors is None:
-                vectors = multiples[b1] = self._extend([()], b1)
-            yield 1 << self.point_index[b1] | self._translates(b0, vectors)
+    def _masks(self, bases):
+        """Masks of nonempty RREF bases, each by one vector walk from its
+        last row up: the points are each row b plus every vector of the
+        span of the rows below b, 0 included, and the RREF form keeps all
+        these sums normalized.  For a line (b0, b1) they are b1, b0 and
+        b0 + c*b1 for c != 0.  The walk of the rows below the first is
+        taken once for all the bases that share them, and dropped after
+        them."""
+        groups = {}
+        for pos, B in enumerate(bases):
+            groups.setdefault(B[1:], []).append(pos)
+        masks = [0] * len(bases)
+        for rows, positions in groups.items():
+            lower, vectors = 0, [()]
+            for row in reversed(rows):
+                lower |= self._translates(row, vectors)
+                vectors = self._extend(vectors, row)
+            for pos in positions:
+                masks[pos] = lower | self._translates(bases[pos][0], vectors)
+        return masks
 
     def subspace_from_basis(self, basis) -> Subspace:
         if not basis:
@@ -278,10 +279,10 @@ class ProjectiveSpace:
     # -- subspace enumeration -------------------------------------------
 
     def subspaces(self, m: int):
-        """All m-spaces in canonical order (sorted by basis), cached: the
-        lines by _line_masks, the levels m >= 2 by _join_masks.  Raises
-        GeometryError unless the count is right and every mask has
-        theta(m) points."""
+        """All m-spaces in canonical order (sorted by basis), cached, their
+        masks built by _masks from the bases alone: no other level is
+        built.  Raises GeometryError unless the count is right and every
+        mask has theta(m) points."""
         if m < 0 or m > self.n:
             raise GeometryError(f"m = {m} out of range for PG({self.n},{self.q})")
         cached = self._subspace_cache.get(m)
@@ -296,7 +297,7 @@ class ProjectiveSpace:
             subs = tuple(Subspace(0, (pt,), 1 << i) for i, pt in enumerate(self.points))
         else:
             bases = sorted(self._enumerate_rref_bases(m + 1))
-            masks = self._line_masks(bases) if m == 1 else self._join_masks(bases)
+            masks = self._masks(bases)
             subs = tuple(Subspace(m, b, mask) for b, mask in zip(bases, masks))
         if len(subs) != total:
             raise GeometryError(f"enumerated {len(subs)} {m}-spaces of PG({self.n},{self.q}), "
@@ -307,32 +308,6 @@ class ProjectiveSpace:
                                 f"does not have {size} points")
         self._subspace_cache[m] = subs
         return subs
-
-    def _join_masks(self, bases):
-        """Masks of the m-spaces (m >= 2) with the given RREF bases: for a
-        basis B with last row y, the union of line(x, y) over the points x
-        of the (m-1)-space spanned by B[:-1].  Per y, line(x, y) is read
-        from one array of theta_n masks filled from the lines through y,
-        which cover every other point once, and dropped after the bases
-        ending in y."""
-        lower = {S.basis: S.mask for S in self.subspaces(len(bases[0]) - 2)}
-        lines = self._level(1)
-        line_masks, through = lines.edges, lines.vertex_edges
-        groups = {}
-        for pos, B in enumerate(bases):
-            groups.setdefault(B[-1], []).append(pos)
-        masks = [0] * len(bases)
-        for y, positions in groups.items():
-            line_of = [0] * self.num_points
-            get = line_of.__getitem__
-            for j in through[self.point_index[y]]:
-                L = line_masks[j]
-                for x in mask_bits(L):
-                    line_of[x] = L
-            for pos in positions:
-                masks[pos] = functools.reduce(operator.or_,
-                                              map(get, mask_bits(lower[bases[pos][:-1]])))
-        return masks
 
     def _level(self, m: int) -> Hypergraph:
         """The points and the m-spaces, in the order of subspaces(m), as one
@@ -472,22 +447,15 @@ class ProjectiveSpace:
     # -- exhaustive consistency checks ----------------------------------
 
     def verify_pencil_identity(self, k: int) -> bool:
-        """Every k-space has theta(k) points and lies in exactly
-        theta(n-k-1) many (k+1)-spaces.
+        """Every k-space lies in exactly theta(n-k-1) many (k+1)-spaces.
 
-        Verified exhaustively: the sizes first, since the (k+1)-spaces are
-        joined from the k-spaces and the lines, and then, for each k-space,
-        the (k+1)-spaces through its first point are tested for
-        containment by mask.
+        Verified exhaustively: for each k-space, the (k+1)-spaces through
+        its first point are tested for containment by mask.
         """
         target = theta(self.n - k - 1, self.q)
-        lower = self._level(k).edges
-        size = theta(k, self.q)
-        if any(m.bit_count() != size for m in lower):
-            return False
         upper = self._level(k + 1)
         uppers, through = upper.edges, upper.vertex_edges
-        for m in lower:
+        for m in self._level(k).edges:
             first = (m & -m).bit_length() - 1
             if sum(1 for j in through[first] if uppers[j] & m == m) != target:
                 return False

@@ -84,8 +84,7 @@ def _reference_mask(space, basis):
 
 @pytest.mark.parametrize("n,q", [(1, 16), (2, 8), (2, 9), (3, 4), (4, 3), (5, 2)])
 def test_lattice_matches_reference_walk(n, q):
-    # a fresh space, so every level is built by this test: the lines by the
-    # vector walk, every level m >= 2 by the join
+    # a fresh space, so every level is built by this test
     space = ProjectiveSpace(n, field_for_order(q))
     for m in range(1, n + 1):
         subs = space.subspaces(m)
@@ -124,19 +123,34 @@ def test_mask_for_basis_rejects_non_rref_basis(basis):
 
 
 @pytest.mark.parametrize("how", ["extra point", "dropped point"])
-def test_join_rejects_a_tampered_line_level(how):
-    # a fresh space: the tampered lines feed the join of the planes
+def test_subspaces_rejects_a_mask_of_the_wrong_size(monkeypatch, how):
+    # a fresh space, whose mask builder is made to return one bad plane
     space = ProjectiveSpace(3, field_for_order(2))
-    lines = list(space.subspaces(1))
-    L = lines[3]
-    if how == "extra point":
-        mask = L.mask | 1 << (~L.mask & ((1 << space.num_points) - 1)).bit_length() - 1
-    else:
-        mask = L.mask & (L.mask - 1)
-    lines[3] = dataclasses.replace(L, mask=mask)
-    space._subspace_cache[1] = tuple(lines)
+    build = space._masks
+
+    def tampered(bases):
+        masks = build(bases)
+        M = masks[3]
+        if how == "extra point":
+            masks[3] = M | 1 << (~M & ((1 << space.num_points) - 1)).bit_length() - 1
+        else:
+            masks[3] = M & (M - 1)
+        return masks
+
+    monkeypatch.setattr(space, "_masks", tampered)
     with pytest.raises(GeometryError, match="2-space of PG.3,2. does not have 7 points"):
         space.subspaces(2)
+
+
+def test_hyperplanes_build_no_lower_level():
+    # PG(3,3) has 40 planes and 130 lines: the planes alone fit the limit
+    space = ProjectiveSpace(3, field_for_order(3), max_subspaces=40)
+    assert len(space.subspaces(2)) == 40
+    assert len(space.hypergraph(2).edges) == 40
+    assert space.hyperplane_avoiding(0).mask >> 0 & 1 == 0
+    assert set(space._subspace_cache) == {2}
+    with pytest.raises(GeometryError, match="130 1-spaces"):
+        space.subspaces(1)
 
 
 def test_subspace_bases_are_rref_fixed_points():
@@ -267,6 +281,15 @@ def test_pencil_identity_detects_tampered_caches(n, q, k):
     subs[3] = dataclasses.replace(S, mask=S.mask | 1 << outside)
     space._subspace_cache[k] = tuple(subs)
     assert not space.verify_pencil_identity(k)
+
+    if k >= 1:
+        # as many points as a k-space, one of them swapped for a point
+        # outside: only span(S, outside) contains the set
+        space = ProjectiveSpace(n, field_for_order(q))
+        subs = list(space.subspaces(k))
+        subs[3] = dataclasses.replace(S, mask=(S.mask & (S.mask - 1)) | 1 << outside)
+        space._subspace_cache[k] = tuple(subs)
+        assert not space.verify_pencil_identity(k)
 
     assert ProjectiveSpace(n, field_for_order(q)).verify_pencil_identity(k)
 
