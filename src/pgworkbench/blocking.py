@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -303,6 +302,33 @@ def solve_mod_p(rows, rhs, p):
 DEFAULT_COSET_LIMIT = 3**13
 # (bytes, memoryview format) of the lane widths of the packed coset walk
 _LANE_FORMATS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+# 32-bit words per getrandbits call of _randrange_draws: bounds the
+# temporary integer and bytes of one read to 64 KiB
+_DRAW_CHUNK_WORDS = 1 << 14
+
+
+def _randrange_draws(rng: random.Random, p: int, count: int) -> bytes:
+    """The results of `count` calls to rng.randrange(p), for 1 < p < 256,
+    as bytes, leaving rng in the state those calls would.
+
+    randrange(p) draws getrandbits(b), b = p.bit_length(): the top b bits
+    of one 32-bit Mersenne Twister word, drawn again while >= p.
+    getrandbits(32*m) returns the next m words, the first one least
+    significant, so byte 3 of every little-endian word holds those bits.
+    Each word gives at most one draw, so asking for as many words as draws
+    are missing never reads past the last word the calls would use.
+    """
+    shift = 8 - p.bit_length()
+    keep = bytes(x >> shift for x in range(256))
+    reject = bytes(x for x in range(256) if x >> shift >= p)
+    chunks = []
+    have = 0
+    while have < count:
+        m = min(_DRAW_CHUNK_WORDS, count - have)
+        words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        chunks.append(words[3::4].translate(keep, reject))
+        have += len(chunks[-1])
+    return b"".join(chunks)
 
 
 @dataclass
@@ -323,8 +349,12 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
 
     The solutions form a coset of the kernel of the k-space/point
     incidence matrix over GF(p); the coset is walked exhaustively unless
-    it exceeds coset_limit, in which case uniform kernel samples are
-    drawn instead (exhaustive=False in the result).
+    it exceeds coset_limit, in which case sample_count uniform kernel
+    coefficient vectors are drawn from random.Random(seed), one
+    randrange(p) per coordinate, and the distinct ones are walked
+    (exhaustive=False in the result).  Sampling needs p < 256 and raises
+    BlockingError otherwise; at such p the dense incidence matrix is small
+    enough to get there only for k = n, e.g. PG(1,257) with k = 1.
     """
     if space.field.h != 1:
         raise BlockingError("mod-p enumeration requires a prime field (h = 1)")
@@ -341,6 +371,9 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
     particular, kernel = solved
     kdim = len(kernel)
     total = p**kdim
+    exhaustive = total <= coset_limit
+    if not exhaustive and p >= 256:
+        raise BlockingError("sampling needs p < 256")
     # Packed walk, one lane of `width` bytes per point: a coset element is
     # the packed particular solution plus, per kernel vector v, the packed
     # c*v mod p for its coefficient c.  Each of the kdim + 1 terms is below
@@ -355,19 +388,21 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
     base = pack(particular)
     tables = [[pack([c * x % p for x in vec]) for c in range(p)] for vec in kernel]
     found = []
-    exhaustive = total <= coset_limit
     if exhaustive:
         walk = itertools.product(range(p), repeat=kdim)
     else:
-        rng = random.Random(seed)
+        draws = _randrange_draws(random.Random(seed), p, sample_count * kdim)
         # distinct draws; their order is immaterial, the output is sorted
-        walk = {tuple(rng.randrange(p) for _ in range(kdim)) for _ in range(sample_count)}
+        walk = {draws[i * kdim:(i + 1) * kdim] for i in range(sample_count)}
+    residues = bytes(x % p for x in range(256))
     for coeffs in walk:
         packed = sum(map(operator.getitem, tables, coeffs), base)
-        lanes = memoryview(packed.to_bytes(nbytes, sys.byteorder))
-        w = [x % p for x in lanes.cast(fmt)]
-        if max(w) <= weight_cap and sum(w) <= max_size:
-            found.append(WeightedPointSet(space, w))
+        lanes = packed.to_bytes(nbytes, "little")
+        w = (lanes.translate(residues) if width == 1
+             else [x % p for x in memoryview(lanes).cast(fmt)])
+        # the size test first: it rejects most cosets
+        if sum(w) <= max_size and max(w) <= weight_cap:
+            found.append(WeightedPointSet(space, list(w)))
     sampled = 0 if exhaustive else len(walk)
     found.sort(key=lambda B: tuple(B.weights))
     return TModPEnumeration(found, kdim, total, exhaustive, sampled)

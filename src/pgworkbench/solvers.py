@@ -197,8 +197,9 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
         return SolveResult(objective=None, witness=seed_coloring, nodes=0,
                            status=BOUND_ONLY, lower_bound=trivial_lb)
 
-    # per edge, the getter of its points' roots and its size
-    edge_roots = [(operator.itemgetter(*pts), len(pts)) for pts in H.edge_points]
+    # per edge: the getter of its points' roots, its size, and its roots at
+    # the node the entry was made at; at the all-distinct start, its points
+    edges = [(operator.itemgetter(*pts), len(pts), pts) for pts in H.edge_points]
     best_merges = [tau2 - 1]
     best_assignment = [list(seed_coloring.assignment)]
     nodes = [0]
@@ -208,13 +209,10 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
     root = list(range(V))
     members = [[v] for v in range(V)]
 
-    def rainbow_edges():
-        return [roots for g, size in edge_roots if len(set(roots := g(root))) == size]
-
     def pack_bound(rainbows):
         used = set()
         cnt = 0
-        for roots in rainbows:
+        for _, _, roots in rainbows:
             if used.isdisjoint(roots):
                 used.update(roots)
                 cnt += 1
@@ -225,27 +223,30 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
             best_merges[0] = merges
             best_assignment[0] = list(root)
 
-    def dfs(merges):
+    def dfs(merges, parent_rainbows):
         nodes[0] += 1
-        rainbows = rainbow_edges()
+        # a merge only joins classes, so an edge that is not rainbow at the
+        # parent is not rainbow here: rescan the parent's, in their order
+        rainbows = [(g, size, roots) for g, size, _ in parent_rainbows
+                    if len(set(roots := g(root))) == size]
         if not rainbows:
             record(merges)
             return
         if merges + pack_bound(rainbows) >= best_merges[0]:
             return
         # the roots of a rainbow edge are distinct, so every pair is a new merge
-        for ra, rb in itertools.combinations(rainbows[0], 2):
+        for ra, rb in itertools.combinations(rainbows[0][2], 2):
             lo, hi = min(ra, rb), max(ra, rb)
             moved = members[hi]
             for v in moved:
                 root[v] = lo
             members[lo] += moved
-            dfs(merges + 1)
+            dfs(merges + 1, rainbows)
             del members[lo][-len(moved):]
             for v in moved:
                 root[v] = hi
 
-    dfs(0)
+    dfs(0, edges)
     witness = make_coloring(best_assignment[0])
     objective = V - best_merges[0]
     ok, _ = is_proper(witness, H)
@@ -303,7 +304,12 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None,
     (p, t) = (3, 2) is 7, below the size 8 of the line unions, while the
     default is 13.  Within that 13 lie 234 sets of size 11 that are not line
     unions; each is reported as a violation and `verified` is False.
+    Raises SolverError for t < 1 and for a max_size that is not an int >= 0.
     """
+    if t < 1:
+        raise SolverError(f"t must be >= 1, not {t}")
+    if max_size is not None and (type(max_size) is not int or max_size < 0):
+        raise SolverError(f"max_size must be an integer >= 0, not {max_size!r}")
     if Fraction(t) > Fraction(3 * p, 8) + 1:
         raise SolverError(f"hypothesis violated: t = {t} > 3p/8 + 1 = {Fraction(3 * p, 8) + 1}")
     space = ProjectiveSpace.of_order(2, p)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from pgworkbench.blocking import (FULL, LONG, T_SECANT, BlockingError,
-                                  WeightedPointSet, classify_lines,
+                                  WeightedPointSet, _randrange_draws, classify_lines,
                                   construct_qplus1_fold, construct_union,
                                   enumerate_t_mod_p_sets, essential_points,
                                   folklore_bound_margin,
@@ -302,3 +302,21 @@ def test_enumerate_t_mod_p_sets_parameter_errors():
     space = ProjectiveSpace.of_order(2, 3)
     with pytest.raises(BlockingError):
         enumerate_t_mod_p_sets(space, k=1, t=1, max_size=5, weight_cap=3)
+    # k = n leaves a kernel of dimension 257 on the line PG(1,257): sampled,
+    # and its draws do not fit in bytes
+    with pytest.raises(BlockingError, match="sampling needs p < 256"):
+        enumerate_t_mod_p_sets(ProjectiveSpace.of_order(1, 257), k=1, t=1, max_size=5)
+
+
+def test_randrange_draws_match_randrange():
+    # the sampled walk reads randrange(p) in bulk from the Mersenne Twister
+    # words; this pins that read to the calls it stands for, rng state included
+    primes = [p for p in range(2, 256) if all(p % d for d in range(2, p))]
+    assert len(primes) == 54
+    for p in primes:
+        for seed in (0, 1, 7):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for count in (0, 1, 15, 40000):
+                got = _randrange_draws(rng, p, count)
+                assert got == bytes(ref.randrange(p) for _ in range(count)), (p, seed, count)
+                assert rng.getstate() == ref.getstate(), (p, seed, count)

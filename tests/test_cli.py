@@ -155,6 +155,18 @@ def test_verify_verb_reports_failure_honestly(capsys):
     assert data["num_found"] == 325 and len(data["violations"]) == 234
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--t", "-1"), "error: t must be >= 1"),
+    (("--t", "0"), "error: t must be >= 1"),
+    (("--t", "1", "--max-size", "-5"), "error: max_size must be an integer >= 0"),
+])
+def test_verify_verb_rejects_bad_parameters(capsys, argv, message):
+    code = main(["verify", "tmodp", "--p", "5", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(message)
+
+
 def test_bounds_verb(tmp_path, capsys):
     code, out = run_cli(capsys, "bounds", "--n", "3", "--k", "1", "--q", "17",
                         "--t", "2", "--out", str(tmp_path / "bounds.json"))

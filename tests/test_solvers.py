@@ -241,6 +241,12 @@ def test_verify_tmodp_theorem_hypothesis_guard():
         verify_tmodp_theorem(2, 2)  # t > 3p/8 + 1
 
 
+@pytest.mark.parametrize("t, max_size", [(0, None), (-1, None), (1, -5), (1, 6.0), (1, True)])
+def test_verify_tmodp_theorem_rejects_bad_parameters(t, max_size):
+    with pytest.raises(SolverError):
+        verify_tmodp_theorem(2, t, max_size=max_size)
+
+
 def test_sqrt2_combo_sign():
     F = Fraction
     assert _sqrt2_combo_nonneg(F(1), F(-1))       # sqrt(2) - 1 >= 0
