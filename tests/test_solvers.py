@@ -94,6 +94,26 @@ def test_exact_tau_deterministic():
     assert a.witness == b.witness and a.nodes == b.nodes
 
 
+def test_exact_tau_matches_brute_force_random_corpus():
+    rng = random.Random(20261018)
+    for t in (1, 2, 3):
+        for _ in range(40):
+            V = rng.randrange(5, 11)
+            num_edges = rng.randrange(2, 12)
+            edges = []
+            while len(edges) < num_edges:
+                size = rng.randrange(t, min(6, V) + 1)
+                e = sum(1 << v for v in rng.sample(range(V), size))
+                if e not in edges:
+                    edges.append(e)
+            H = Hypergraph(V, tuple(edges))
+            res = exact_tau(H, t)
+            assert res.status == OPTIMAL
+            assert res.objective == len(res.witness) == brute_force_tau(H, t)
+            mask = sum(1 << v for v in res.witness)
+            assert all((e & mask).bit_count() >= t for e in H.edges)
+
+
 def test_exact_ucn_fano():
     res = exact_ucn(FANO)
     assert res.status == OPTIMAL
@@ -190,9 +210,37 @@ def test_exact_tau_search_effort_pinned():
         "25de17e2fea885085c7a167e7323c1d190f620478904b783ef487693fb114900"
 
 
+# edges of sizes 3 to 9 on 30 points: the packing bound takes open edges by
+# size, ties in edge order, which the uniform H(n,k,q) never tell apart
+MIXED_SIZES = Hypergraph(30, (
+    0x12d00900, 0x5104083, 0x8008808, 0x61008, 0x802041, 0x29001020,
+    0x3000014, 0xa084051, 0x38220660, 0x20401a61, 0x734, 0x206c0605,
+    0x4408600, 0x408022, 0x8801801, 0x2022000, 0x4045001, 0x480020,
+    0x21000088, 0x38054908, 0x3002a46, 0x20090810, 0x20420104, 0x2200620,
+    0x900010, 0x8a8226, 0x880982, 0x24102012, 0x6948450, 0x24002a3a,
+    0x28084000, 0x41c000, 0x10009718, 0x4128420, 0x18104, 0xd470804,
+    0x1620b02, 0x5508720, 0x9028501, 0x4314b00, 0x4900900, 0x24404820,
+    0x4010070, 0x28408200, 0xa02000, 0x210c0000, 0x13a2200, 0x840061,
+    0x13800a0, 0x508002, 0x10000032, 0x8420, 0x26002, 0x2c1004,
+    0x10400880, 0x1900, 0xa4a280a, 0x30608, 0x6042a10, 0xe5830,
+    0x280854, 0x1408, 0x201e0410, 0x2400a280, 0x2a081320, 0xa701,
+    0x208019, 0x2005292, 0x28100, 0x22008002))
+
+
+@pytest.mark.parametrize("t, nodes, objective, digest", [
+    (2, 726, 14, "355f4ce158c58ffe2ceac585249b944f1455bf217ee51e5d7e2c26c15974d515"),
+    (3, 143, 22, "9e0ffcb710ffa63338dc0a41f3ccd225ffda0465caa9455f91956c71b042aff7"),
+])
+def test_exact_tau_search_effort_pinned_mixed_sizes(t, nodes, objective, digest):
+    res = exact_tau(MIXED_SIZES, t)
+    assert (res.nodes, res.objective) == (nodes, objective)
+    assert _digest(res.witness) == digest
+
+
 @pytest.mark.parametrize("n, k, q, nodes, objective, digest", [
     (2, 1, 3, 56713, 6, "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"),
     (3, 2, 2, 9871, 11, "293457e67e07e2c24c6063f0a22f750faf3b7bdb059d05895370f300e0b7909b"),
+    (3, 1, 2, 96754, 4, "da83a276cc2807790005fec7bb6fde011b53a5c8f22668a4d371bfcf6c915be6"),
 ])
 def test_exact_ucn_search_effort_pinned(n, k, q, nodes, objective, digest):
     res = exact_ucn(ProjectiveSpace.of_order(n, q).hypergraph(k))
