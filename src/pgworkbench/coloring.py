@@ -99,13 +99,13 @@ def is_2_transversal(mask: int, H: Hypergraph) -> bool:
 
 
 def trivial_coloring(transversal, H: Hypergraph) -> Coloring:
-    """One color on a 2-transversal, mutually distinct colors elsewhere.
-    The transversal is checked like a certificate's: distinct int vertex
-    indices."""
+    """Color 1 on a 2-transversal, mutually distinct colors elsewhere, with
+    no color skipped.  The transversal is checked like a certificate's:
+    distinct int vertex indices."""
     chosen = point_set(transversal, H.num_vertices)
     if not is_2_transversal(sum(1 << i for i in chosen), H):
         raise ColoringError("the given set is not a 2-transversal")
-    others = itertools.count(2)
+    others = itertools.count(2 if chosen else 1)
     return Coloring(tuple(1 if i in chosen else next(others) for i in range(H.num_vertices)))
 
 

@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .blocking import enumerate_t_mod_p_sets
 from .coloring import is_proper, make_coloring, trivial_coloring
 from .fields import factor_prime_power
-from .geometry import Hypergraph, ProjectiveSpace, theta
+from .geometry import (GeometryError, Hypergraph, ProjectiveSpace, mask_bits,
+                       point_set, theta)
 
 OPTIMAL = "optimal"
 BOUND_ONLY = "bound_only"
@@ -39,20 +39,18 @@ class SolveResult:
 # -- minimum t-transversal ----------------------------------------------
 
 def _greedy_transversal(vertex_edges, num_edges, t):
+    """Add the first vertex on the most open edges until none is open."""
     deficits = [t] * num_edges
     chosen = set()
     while any(d > 0 for d in deficits):
-        best_v, best_gain = None, -1
-        for v in range(len(vertex_edges)):
-            if v in chosen:
-                continue
-            gain = sum(1 for ei in vertex_edges[v] if deficits[ei] > 0)
-            if gain > best_gain:
-                best_v, best_gain = v, gain
+        gains = [-1 if v in chosen else sum(deficits[ei] > 0 for ei in eis)
+                 for v, eis in enumerate(vertex_edges)]
+        best_gain = max(gains)
         if best_gain <= 0:
             return None
-        chosen.add(best_v)
-        for ei in vertex_edges[best_v]:
+        v = gains.index(best_gain)
+        chosen.add(v)
+        for ei in vertex_edges[v]:
             deficits[ei] -= 1
     return chosen
 
@@ -63,30 +61,32 @@ def exact_tau(H: Hypergraph, t: int, *, vertex_limit: int = DEFAULT_TAU_VERTEX_L
 
     For H(n,m,q) with t <= q, the folklore bound t*theta(n-m) lets the
     search stop as soon as an incumbent meets it.  initial_witness seeds
-    the incumbent, e.g. a disjoint-subspace construction.
+    the incumbent, e.g. a disjoint-subspace construction; it must be a
+    list of distinct vertex indices.
     """
     if t < 1:
         raise SolverError("t must be >= 1")
     V = H.num_vertices
-    edge_pts = H.edge_points
-    if any(len(pts) < t for pts in edge_pts):
+    edges = H.edges
+    if any(e.bit_count() < t for e in edges):
         raise SolverError("infeasible: some hyperedge has fewer than t vertices")
 
     geometric_lb = None
-    if H.params is not None:
+    if H.params is not None and t <= H.params[2]:
         n, m, q = H.params
-        if t <= q:
-            geometric_lb = t * theta(n - m, q)
+        geometric_lb = t * theta(n - m, q)
 
     vertex_edges = H.vertex_edges
     if initial_witness is not None:
-        given = set(initial_witness)
-        inc = sorted(given)
-        for pts in edge_pts:
-            if sum(1 for v in pts if v in given) < t:
-                raise SolverError("initial witness is not a t-transversal")
+        try:
+            inc = sorted(point_set(initial_witness, V))
+        except GeometryError as exc:
+            raise SolverError(f"initial witness: {exc}") from None
+        given = sum(1 << v for v in inc)
+        if any((e & given).bit_count() < t for e in edges):
+            raise SolverError("initial witness is not a t-transversal")
     else:
-        greedy = _greedy_transversal(vertex_edges, len(edge_pts), t)
+        greedy = _greedy_transversal(vertex_edges, len(edges), t)
         inc = sorted(greedy) if greedy is not None else None
 
     if V > vertex_limit:
@@ -99,79 +99,81 @@ def exact_tau(H: Hypergraph, t: int, *, vertex_limit: int = DEFAULT_TAU_VERTEX_L
                            status=OPTIMAL, lower_bound=geometric_lb,
                            upper_bound=len(inc))
 
-    best = [set(inc) if inc is not None else set(range(V))]
-    best_size = [len(best[0])]
-    nodes = [0]
-    done = [False]
+    # the search state: each edge's deficit, and per vertex the number of
+    # open edges through it, updated when an edge's deficit crosses 0; a
+    # vertex out of the search is held len(edges) + 1 lower, so that the
+    # largest count is the largest over the available vertices
+    edge_pts = H.edge_points
+    deficits = [t] * len(edges)
+    cover = [len(eis) for eis in vertex_edges]
+    out = len(edges) + 1
+    by_size = sorted(enumerate(edges), key=lambda item: item[1].bit_count())
+    best = (1 << V) - 1 if inc is None else sum(1 << v for v in inc)
+    best_size = best.bit_count()
+    nodes = 0
+    done = False
 
-    def bound(chosen_count, deficits, available):
-        lb1 = max(deficits) if deficits else 0
-        total = sum(d for d in deficits if d > 0)
-        if total == 0:
-            return chosen_count
-        maxcover = 1
-        for v in available:
-            cover = sum(1 for ei in vertex_edges[v] if deficits[ei] > 0)
-            if cover > maxcover:
-                maxcover = cover
-        lb2 = -(-total // maxcover)
-        # packing over edges with pairwise disjoint open candidate sets
-        lb3 = 0
-        used = set()
-        order = sorted((ei for ei, d in enumerate(deficits) if d > 0),
-                       key=lambda ei: len(edge_pts[ei]))
-        for ei in order:
-            cands = [v for v in edge_pts[ei] if v in available]
-            if any(v in used for v in cands):
-                continue
-            used.update(cands)
-            lb3 += deficits[ei]
-        return chosen_count + max(lb1, lb2, lb3)
-
-    def dfs(chosen, excluded, deficits):
-        if done[0]:
+    def dfs(chosen, count, avail, total, num_open):
+        # total and num_open: the sum of the open deficits, the open edges
+        nonlocal best, best_size, nodes, done
+        nodes += 1
+        if not num_open:
+            if count < best_size:
+                best, best_size = chosen, count
+                done = best_size == geometric_lb
             return
-        nodes[0] += 1
-        open_edges = [ei for ei, d in enumerate(deficits) if d > 0]
-        if not open_edges:
-            if len(chosen) < best_size[0]:
-                best[0] = set(chosen)
-                best_size[0] = len(chosen)
-                if geometric_lb is not None and best_size[0] == geometric_lb:
-                    done[0] = True
+        room = best_size - count
+        if max(deficits) >= room or -(-total // max(max(cover), 1)) >= room:
             return
-        available = set(range(V)) - chosen - excluded
-        if bound(len(chosen), deficits, available) >= best_size[0]:
+        # branch on the first open edge with the fewest candidates; an open
+        # edge with fewer candidates than its deficit cannot be covered
+        pick, fewest = 0, V + 1
+        for e, d in zip(edges, deficits):
+            if d > 0:
+                k = (e & avail).bit_count()
+                if k < d:
+                    return
+                if k < fewest:
+                    pick, fewest = e & avail, k
+        # packing over open edges, smallest first, whose candidates are disjoint
+        used = lb3 = 0
+        for ei, e in by_size:
+            d = deficits[ei]
+            if d > 0 and not e & avail & used:
+                used |= e & avail
+                lb3 += d
+        if lb3 >= room:
             return
-        # branch on the open edge with the fewest remaining candidates
-        pick, pick_cands = None, None
-        for ei in open_edges:
-            cands = [v for v in edge_pts[ei] if v in available]
-            if len(cands) < deficits[ei]:
-                return  # infeasible branch
-            if pick is None or len(cands) < len(pick_cands):
-                pick, pick_cands = ei, cands
-        newly_excluded = []
-        for v in pick_cands:
-            chosen.add(v)
+        for v in mask_bits(pick):
+            low = 1 << v
+            avail ^= low
+            cover[v] -= out
+            child_total, child_open = total, num_open
             for ei in vertex_edges[v]:
-                deficits[ei] -= 1
-            dfs(chosen, excluded, deficits)
-            chosen.discard(v)
+                d = deficits[ei]
+                deficits[ei] = d - 1
+                if d > 0:
+                    child_total -= 1
+                    if d == 1:
+                        child_open -= 1
+                        for u in edge_pts[ei]:
+                            cover[u] -= 1
+            dfs(chosen | low, count + 1, avail, child_total, child_open)
             for ei in vertex_edges[v]:
-                deficits[ei] += 1
-            excluded.add(v)
-            newly_excluded.append(v)
-            if done[0]:
+                d = deficits[ei] + 1
+                deficits[ei] = d
+                if d == 1:
+                    for u in edge_pts[ei]:
+                        cover[u] += 1
+            if done:
                 break
-        for v in newly_excluded:
-            excluded.discard(v)
+        for v in mask_bits(pick & ~avail):
+            cover[v] += out
 
-    dfs(set(), set(), [t] * len(edge_pts))
-    witness = tuple(sorted(best[0]))
-    return SolveResult(objective=best_size[0], witness=witness, nodes=nodes[0],
+    dfs(0, 0, (1 << V) - 1, t * len(edges), len(edges))
+    return SolveResult(objective=best_size, witness=tuple(mask_bits(best)), nodes=nodes,
                        status=OPTIMAL, lower_bound=geometric_lb,
-                       upper_bound=best_size[0])
+                       upper_bound=best_size)
 
 
 # -- exact upper chromatic number ---------------------------------------
@@ -189,66 +191,63 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
         raise SolverError("infeasible: an edge with fewer than 2 vertices is always rainbow")
 
     tau_res = exact_tau(H, 2, vertex_limit=max(DEFAULT_TAU_VERTEX_LIMIT, V))
-    tau2_witness, tau2 = tau_res.witness, tau_res.objective
-    seed_coloring = trivial_coloring(tau2_witness, H)
-    trivial_lb = V - tau2 + 1
+    seed_coloring = trivial_coloring(tau_res.witness, H)
+    # the seed merges the tau_2 points into one class; with no edges,
+    # tau_2 = 0 and the seed is the all-distinct coloring
+    seed_merges = max(tau_res.objective - 1, 0)
+    trivial_lb = V - seed_merges
 
     if V > vertex_limit:
         return SolveResult(objective=None, witness=seed_coloring, nodes=0,
                            status=BOUND_ONLY, lower_bound=trivial_lb)
 
-    # per edge: the getter of its points' roots, its size, and its roots at
-    # the node the entry was made at; at the all-distinct start, its points
-    edges = [(operator.itemgetter(*pts), len(pts), pts) for pts in H.edge_points]
-    best_merges = [tau2 - 1]
-    best_assignment = [list(seed_coloring.assignment)]
-    nodes = [0]
+    edge_pts = dict(zip(H.edges, H.edge_points))
+    best_merges = seed_merges
+    best_assignment = list(seed_coloring.assignment)
+    nodes = 0
 
-    # root[v] is the least vertex of v's class: a merge relabels the class
-    # of the larger root with the smaller one, and undoing it relabels back
+    # root[v] is the least vertex of v's class and cls[r] the point mask of
+    # the class of root r: a merge relabels the class of the larger root
+    # with the smaller one, and undoing it relabels back
     root = list(range(V))
     members = [[v] for v in range(V)]
+    cls = [1 << v for v in range(V)]
 
-    def pack_bound(rainbows):
-        used = set()
-        cnt = 0
-        for _, _, roots in rainbows:
-            if used.isdisjoint(roots):
-                used.update(roots)
-                cnt += 1
-        return cnt
-
-    def record(merges):
-        if merges < best_merges[0]:
-            best_merges[0] = merges
-            best_assignment[0] = list(root)
-
-    def dfs(merges, parent_rainbows):
-        nodes[0] += 1
-        # a merge only joins classes, so an edge that is not rainbow at the
-        # parent is not rainbow here: rescan the parent's, in their order
-        rainbows = [(g, size, roots) for g, size, _ in parent_rainbows
-                    if len(set(roots := g(root))) == size]
+    def dfs(merges, rainbows):
+        nonlocal best_merges, best_assignment, nodes
+        nodes += 1
         if not rainbows:
-            record(merges)
+            if merges < best_merges:
+                best_merges, best_assignment = merges, list(root)
             return
-        if merges + pack_bound(rainbows) >= best_merges[0]:
-            return
-        # the roots of a rainbow edge are distinct, so every pair is a new merge
-        for ra, rb in itertools.combinations(rainbows[0][2], 2):
+        # packing: rainbow edges that meet pairwise disjoint sets of classes
+        used, room = 0, best_merges - merges
+        for e in rainbows:
+            if not e & used:
+                room -= 1
+                if room <= 0:
+                    return
+                for v in edge_pts[e]:
+                    used |= cls[root[v]]
+        # the roots of a rainbow edge are distinct, so every pair is a new
+        # merge; it keeps a rainbow edge rainbow unless the edge meets both
+        for ra, rb in itertools.combinations([root[v] for v in edge_pts[rainbows[0]]], 2):
             lo, hi = min(ra, rb), max(ra, rb)
+            a, b = cls[lo], cls[hi]
             moved = members[hi]
             for v in moved:
                 root[v] = lo
             members[lo] += moved
-            dfs(merges + 1, rainbows)
+            cls[lo] = a | b
+            dfs(merges + 1, [e for e in rainbows if not (e & a and e & b)])
+            cls[lo] = a
             del members[lo][-len(moved):]
             for v in moved:
                 root[v] = hi
 
-    dfs(0, edges)
-    witness = make_coloring(best_assignment[0])
-    objective = V - best_merges[0]
+    dfs(0, list(H.edges))
+    witness = make_coloring(best_assignment)
+    objective = V - best_merges
     ok, _ = is_proper(witness, H)
     if not (ok and witness.N == objective):
         raise SolverError(f"internal error: the UCN witness is not a proper "
@@ -256,7 +255,7 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
     if objective < trivial_lb:
         raise SolverError(f"internal error: UCN {objective} is below the trivial "
                           f"lower bound {trivial_lb}")
-    return SolveResult(objective=objective, witness=witness, nodes=nodes[0],
+    return SolveResult(objective=objective, witness=witness, nodes=nodes,
                        status=OPTIMAL, lower_bound=trivial_lb, upper_bound=objective)
 
 

@@ -65,6 +65,17 @@ def test_solve_ucn_verb(tmp_path, capsys):
     assert code == 0
 
 
+def test_solve_ucn_of_hypergraph_without_edges(tmp_path, capsys):
+    # no edge is rainbow, so all three points get distinct colors; tau_2 = 0
+    # made the trivial bound 4 and the witness the non-strict (2, 3, 4)
+    hpath = tmp_path / "empty.json"
+    hpath.write_text(json.dumps({"num_vertices": 3, "edges": []}))
+    code, out = run_cli(capsys, "solve", "ucn", "--hypergraph", str(hpath))
+    assert code == 0
+    data = json.loads(out)
+    assert (data["objective"], data["status"], data["witness"]) == (3, "optimal", [1, 2, 3])
+
+
 def test_blocking_verb(tmp_path, capsys):
     space = ProjectiveSpace.of_order(2, 3)
     from pgworkbench.blocking import construct_union

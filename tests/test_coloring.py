@@ -63,6 +63,11 @@ def test_trivial_coloring_rejects_non_transversal():
         trivial_coloring([0, 1], H)
 
 
+def test_trivial_coloring_of_empty_transversal_starts_at_color_one():
+    H = Hypergraph(3, ())
+    assert trivial_coloring([], H).assignment == (1, 2, 3)
+
+
 def test_is_2_transversal():
     H = fano()
     assert is_2_transversal((1 << 7) - 1, H)

@@ -88,6 +88,13 @@ def test_exact_tau_infeasible_and_limits():
         exact_tau(FANO, 2, initial_witness=[0, 1])
 
 
+@pytest.mark.parametrize("witness", [[1, 2, 9], [1, 2, -3], [1, 1, 2], [1, "2"], [True, 2], 3])
+def test_exact_tau_rejects_malformed_initial_witness(witness):
+    H = Hypergraph(4, (0b0011, 0b0110, 0b1100))
+    with pytest.raises(SolverError, match="initial witness"):
+        exact_tau(H, 1, initial_witness=witness)
+
+
 def test_exact_tau_deterministic():
     a = exact_tau(FANO, 2)
     b = exact_tau(FANO, 2)
@@ -184,6 +191,17 @@ def test_exact_ucn_limits_and_errors():
     res = exact_ucn(FANO, vertex_limit=3)
     assert res.status == BOUND_ONLY and res.objective is None
     assert res.lower_bound == 2
+
+
+def test_exact_ucn_without_edges():
+    # tau_2 = 0: the seed is the all-distinct coloring, and the bound is V
+    H = Hypergraph(3, ())
+    res = exact_ucn(H)
+    assert (res.objective, res.status, res.lower_bound) == (3, OPTIMAL, 3)
+    assert res.witness.assignment == (1, 2, 3)
+    res = exact_ucn(H, vertex_limit=2)
+    assert (res.status, res.lower_bound) == (BOUND_ONLY, 3)
+    assert res.witness.assignment == (1, 2, 3)
 
 
 def test_exact_ucn_relabeling_invariance():
