@@ -67,7 +67,7 @@ def test_solve_ucn_verb(tmp_path, capsys):
 
 def test_solve_ucn_of_hypergraph_without_edges(tmp_path, capsys):
     # no edge is rainbow, so all three points get distinct colors; tau_2 = 0
-    # made the trivial bound 4 and the witness the non-strict (2, 3, 4)
+    # must give neither the bound V + 1 nor the non-strict witness (2, 3, 4)
     hpath = tmp_path / "empty.json"
     hpath.write_text(json.dumps({"num_vertices": 3, "edges": []}))
     code, out = run_cli(capsys, "solve", "ucn", "--hypergraph", str(hpath))
