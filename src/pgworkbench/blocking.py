@@ -10,7 +10,6 @@ points, counted with weights.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -262,14 +261,7 @@ def construct_qplus1_fold(space: ProjectiveSpace, k: int) -> WeightedPointSet:
     respect to k-spaces, of size theta(n-k+1) < (q+1)*theta(n-k)."""
     if k < 1 or k > space.n - 1:
         raise BlockingError(f"k = {k} out of range")
-    m = space.n - k + 1
-    rows = []
-    for i in range(m + 1):
-        row = [0] * (space.n + 1)
-        row[i] = 1
-        rows.append(tuple(row))
-    S = space.subspace_from_basis(tuple(rows))
-    return construct_union(space, [(S, 1)])
+    return construct_union(space, [(space.coordinate_subspace(range(space.n - k + 2)), 1)])
 
 
 # -- mod-p solution enumeration -----------------------------------------
@@ -300,11 +292,12 @@ def solve_mod_p(rows, rhs, p):
 
 
 DEFAULT_COSET_LIMIT = 3**13
-# (bytes, memoryview format) of the lane widths of the packed coset walk
-_LANE_FORMATS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 # 32-bit words per getrandbits call of _randrange_draws: bounds the
 # temporary integer and bytes of one read to 64 KiB
 _DRAW_CHUNK_WORDS = 1 << 14
+# cosets per chunk of the coset walk: bounds a lane integer to 4 KiB
+# (8 KiB for p > 128) and a chunk's residues to 4 KiB per point
+_COSET_CHUNK = 1 << 12
 
 
 def _randrange_draws(rng: random.Random, p: int, count: int) -> bytes:
@@ -340,6 +333,15 @@ class TModPEnumeration:
     sampled: int = 0
 
 
+def _lanes(data: bytes, width: int) -> int:
+    """data as an int with one little-endian lane of `width` bytes per byte."""
+    if width > 1:
+        wide = bytearray(width * len(data))
+        wide[::width] = data
+        data = wide
+    return int.from_bytes(data, "little")
+
+
 def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int,
                            weight_cap: int | None = None,
                            coset_limit: int = DEFAULT_COSET_LIMIT,
@@ -351,18 +353,21 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
     incidence matrix over GF(p); the coset is walked exhaustively unless
     it exceeds coset_limit, in which case sample_count uniform kernel
     coefficient vectors are drawn from random.Random(seed), one
-    randrange(p) per coordinate, and the distinct ones are walked
-    (exhaustive=False in the result).  Sampling needs p < 256 and raises
-    BlockingError otherwise; at such p the dense incidence matrix is small
-    enough to get there only for k = n, e.g. PG(1,257) with k = 1.
+    randrange(p) per coordinate (exhaustive=False; `sampled` counts the
+    distinct draws).  The walk holds residues in byte lanes: BlockingError
+    unless the field is prime with p < 256, max_size and sample_count are
+    ints >= 0, coset_limit is an int >= 1 and weight_cap one in [0, p - 1].
     """
-    if space.field.h != 1:
-        raise BlockingError("mod-p enumeration requires a prime field (h = 1)")
     p = space.field.p
-    if weight_cap is None:
-        weight_cap = p - 1
-    if weight_cap > p - 1:
-        raise BlockingError("weight_cap above p - 1 leaves residue representatives")
+    if space.field.h != 1 or p >= 256:
+        raise BlockingError(f"mod-p enumeration needs p < 256 and a prime field, not GF({space.q})")
+    weight_cap = p - 1 if weight_cap is None else weight_cap
+    for name, value, low in (("max_size", max_size, 0), ("sample_count", sample_count, 0),
+                             ("coset_limit", coset_limit, 1)):
+        if type(value) is not int or value < low:
+            raise BlockingError(f"{name} must be an int >= {low}, not {value!r}")
+    if type(weight_cap) is not int or not 0 <= weight_cap <= p - 1:
+        raise BlockingError(f"weight_cap must be an int in [0, {p - 1}], not {weight_cap!r}")
     npts = space.num_points
     rows = [[S.mask >> i & 1 for i in range(npts)] for S in space.subspaces(k)]
     solved = solve_mod_p(rows, [t] * len(rows), p)
@@ -372,37 +377,70 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
     kdim = len(kernel)
     total = p**kdim
     exhaustive = total <= coset_limit
-    if not exhaustive and p >= 256:
-        raise BlockingError("sampling needs p < 256")
-    # Packed walk, one lane of `width` bytes per point: a coset element is
-    # the packed particular solution plus, per kernel vector v, the packed
-    # c*v mod p for its coefficient c.  Each of the kdim + 1 terms is below
-    # p in every lane, so no lane carries into the next before the sum is
-    # unpacked and reduced mod p lane by lane.
-    width, fmt = next((b, f) for b, f in _LANE_FORMATS if (p - 1) * (kdim + 1) < 1 << 8 * b)
-    nbytes = width * npts
-
-    def pack(vec):
-        return sum(x << 8 * width * j for j, x in enumerate(vec))
-
-    base = pack(particular)
-    tables = [[pack([c * x % p for x in vec]) for c in range(p)] for vec in kernel]
-    found = []
+    # Column-major walk: a chunk of L cosets is one column of L coefficient
+    # bytes per kernel vector, and an int holds one lane per coset.  Point i
+    # of every coset is particular[i] plus, per kernel vector v with
+    # v[i] != 0, v's column put through a c*v[i] mod p table.
     if exhaustive:
-        walk = itertools.product(range(p), repeat=kdim)
+        # chunks of p^m cosets in product order: the last m columns run
+        # through GF(p)^m, the others are constant
+        m = 0
+        while m < kdim and p ** (m + 1) <= _COSET_CHUNK:
+            m += 1
+        inner = bytes(itertools.chain.from_iterable(itertools.product(range(p), repeat=m)))
+        chunks = ((p**m, [bytes([c]) * p**m for c in head] + [inner[j::m] for j in range(m)])
+                  for head in itertools.product(range(p), repeat=kdim - m))
+        sampled = 0
     else:
         draws = _randrange_draws(random.Random(seed), p, sample_count * kdim)
-        # distinct draws; their order is immaterial, the output is sorted
-        walk = {draws[i * kdim:(i + 1) * kdim] for i in range(sample_count)}
-    residues = bytes(x % p for x in range(256))
-    for coeffs in walk:
-        packed = sum(map(operator.getitem, tables, coeffs), base)
-        lanes = packed.to_bytes(nbytes, "little")
-        w = (lanes.translate(residues) if width == 1
-             else [x % p for x in memoryview(lanes).cast(fmt)])
-        # the size test first: it rejects most cosets
-        if sum(w) <= max_size and max(w) <= weight_cap:
-            found.append(WeightedPointSet(space, list(w)))
-    sampled = 0 if exhaustive else len(walk)
-    found.sort(key=lambda B: tuple(B.weights))
-    return TModPEnumeration(found, kdim, total, exhaustive, sampled)
+        sampled = len({draws[i:i + kdim] for i in range(0, len(draws), kdim)})
+        step = _COSET_CHUNK * kdim
+        blocks = (draws[c:c + step] for c in range(0, len(draws), step))
+        chunks = ((len(b) // kdim, [b[j::kdim] for j in range(kdim)]) for b in blocks)
+    # Every term is below p in each lane.  A byte holds two residues only
+    # for p <= 128, so larger p take 2-byte lanes; bytes.translate reduces
+    # the lanes mod p, to at most width*(p-1), before `budget` more terms
+    # could carry, and `width` reductions in a row leave residues.
+    width = 1 if p <= 128 else 2
+    budget = (256**width - 1) // (p - 1) - width
+    shifts = [bytes((x << 8 * b) % p for x in range(256)) for b in range(width)]
+    times = [bytes(c * x % p for c in range(256)) for x in range(p)]
+    terms = [[(j, v[i]) for j, v in enumerate(kernel) if v[i]] for i in range(npts)]
+    # sizes go in lanes whose top bit is clear; adding `bias` sets it iff
+    # the size exceeds max_size
+    size_width = (npts * (p - 1)).bit_length() // 8 + 1
+    bias = (1 << 8 * size_width - 1) - 1 - min(max_size, npts * (p - 1))
+
+    def reduce(acc, L):
+        lanes = acc.to_bytes(width * L, "little")
+        return sum(_lanes(lanes[b::width].translate(shifts[b]), width) for b in range(width))
+
+    found = set()
+    for L, columns in chunks:
+        table = [{x: _lanes(col.translate(times[x]), width) for x in set(v) - {0}}
+                 for col, v in zip(columns, kernel)]
+        ones = _lanes(b"\x01" * L, width)
+        residues = []
+        for base, point_terms in zip(particular, terms):
+            acc = base * ones
+            for n, (j, x) in enumerate(point_terms, 1):
+                acc += table[j][x]
+                if n % budget == 0:
+                    acc = reduce(acc, L)
+            for _ in range(width):
+                acc = reduce(acc, L)
+            residues.append(acc.to_bytes(width * L, "little")[::width])
+        size_ones = _lanes(b"\x01" * L, size_width)
+        high = size_ones << 8 * size_width - 1
+        sizes = sum((_lanes(r, size_width) for r in residues), bias * size_ones)
+        keep = ((sizes & high) ^ high).to_bytes(size_width * L, "little")
+        # only cosets within max_size are read back, point by point
+        stack = b"".join(residues)
+        for c in itertools.compress(range(L), keep[size_width - 1::size_width]):
+            w = stack[c::L]
+            if max(w) <= weight_cap:
+                found.add(w)
+    # distinct coefficients give distinct weights, so the set drops just
+    # the repeated draws; bytes sort as the weight tuples do
+    sets = [WeightedPointSet(space, list(w)) for w in sorted(found)]
+    return TModPEnumeration(sets, kdim, total, exhaustive, sampled)

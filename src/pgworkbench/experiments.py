@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 from .certificates import (bounds_certificate, coloring_certificate, make_certificate,
                            recheck, transversal_certificate, write_certificate)
-from .fields import factor_prime_power
 from .geometry import ProjectiveSpace
 from .solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
@@ -43,7 +42,6 @@ class SummaryRow:
 
 def _run_tau(task, config):
     n, k, q, t = task["n"], task["k"], task["q"], task["t"]
-    factor_prime_power(q)
     space = ProjectiveSpace.of_order(n, q)
     H = space.hypergraph(k)
     witness = None
@@ -57,7 +55,6 @@ def _run_tau(task, config):
 
 def _run_ucn(task, config):
     n, k, q = task["n"], task["k"], task["q"]
-    factor_prime_power(q)
     space = ProjectiveSpace.of_order(n, q)
     H = space.hypergraph(k)
     res = exact_ucn(H)

@@ -20,18 +20,7 @@ class FieldError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 # -- polynomial helpers over GF(p); coefficient lists, lowest degree first --
@@ -156,11 +145,7 @@ class GF:
 
     def decode(self, x: int) -> tuple[int, ...]:
         """Integer -> residue polynomial coefficients (low degree first)."""
-        out = []
-        for _ in range(self.h):
-            out.append(x % self.p)
-            x //= self.p
-        return tuple(out)
+        return tuple(x // self.p**i % self.p for i in range(self.h))
 
     def encode(self, coeffs) -> int:
         x = 0
@@ -259,20 +244,11 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """q -> (p, h) with q = p^h, or raise if q is not a prime power."""
     if q < 2:
         raise FieldError(f"q = {q} is not a prime power")
-    p = q
-    for d in range(2, q + 1):
-        if d * d > q:
-            break
-        if q % d == 0:
-            p = d
-            break
-    if p == q:
-        return q, 1
-    h = 0
-    while q % p == 0:
-        q //= p
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    h = 1
+    while p**h < q:
         h += 1
-    if q != 1:
+    if p**h != q:
         raise FieldError("not a prime power")
     return p, h
 

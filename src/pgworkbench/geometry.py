@@ -389,21 +389,18 @@ class ProjectiveSpace:
         umask = U.mask
         return [S for S in self.subspaces(m) if S.mask & umask == umask]
 
+    def coordinate_subspace(self, columns) -> Subspace:
+        """The span of the unit vectors e_c for c in columns, increasing."""
+        return self.subspace_from_basis(tuple(tuple(int(j == c) for j in range(self.n + 1))
+                                              for c in columns))
+
     def disjoint_subspaces(self, m: int, t: int):
         """t pairwise disjoint m-spaces from disjoint coordinate blocks."""
         if t * (m + 1) > self.n + 1:
             raise GeometryError(
                 f"no {t} pairwise disjoint {m}-spaces fit in PG({self.n},{self.q}): "
                 f"{t}*({m}+1) > {self.n}+1")
-        out = []
-        for b in range(t):
-            rows = []
-            for i in range(m + 1):
-                row = [0] * (self.n + 1)
-                row[b * (m + 1) + i] = 1
-                rows.append(tuple(row))
-            out.append(self.subspace_from_basis(tuple(rows)))
-        return out
+        return [self.coordinate_subspace(range(b * (m + 1), (b + 1) * (m + 1))) for b in range(t)]
 
     # -- projection -----------------------------------------------------
 

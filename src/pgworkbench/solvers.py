@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .blocking import enumerate_t_mod_p_sets
@@ -184,9 +184,12 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
     Searches over class merges starting from the all-distinct coloring:
     UCN = |V| - (minimum number of merges killing every rainbow edge).
     The incumbent is seeded by the trivial coloring built on a minimum
-    2-transversal.
+    2-transversal.  A hypergraph with no vertex has no coloring to
+    witness, and raises SolverError.
     """
     V = H.num_vertices
+    if V == 0:
+        raise SolverError("UCN needs at least one vertex; the hypergraph has 0 vertices")
     if any(e.bit_count() < 2 for e in H.edges):
         raise SolverError("infeasible: an edge with fewer than 2 vertices is always rainbow")
 
@@ -279,15 +282,8 @@ class TModPVerification:
     sets: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p, "t": self.t, "k": self.k, "max_size": self.max_size,
-            "weight_cap": self.weight_cap, "kernel_dim": self.kernel_dim,
-            "num_solution_classes": self.num_solution_classes,
-            "exhaustive": self.exhaustive, "num_found": self.num_found,
-            "num_unions": self.num_unions, "expected_size": self.expected_size,
-            "violations": self.violations, "verified": self.verified,
-            "sets": [list(B.weights) for B in self.sets],
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**data, "sets": [list(B.weights) for B in self.sets]}
 
 
 def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None,
@@ -322,9 +318,8 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None,
     union_weights = set()
     for combo in itertools.combinations_with_replacement(space.incidence(k), t):
         w = [0] * space.num_points
-        for pts in combo:
-            for i in pts:
-                w[i] += 1
+        for i in itertools.chain.from_iterable(combo):
+            w[i] += 1
         if sum(w) <= max_size and max(w) <= p - 1:
             union_weights.add(tuple(w))
 
@@ -354,15 +349,12 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None,
 
 def _sqrt2_combo_nonneg(a: Fraction, b: Fraction) -> bool:
     """Exact sign test of a*sqrt(2) + b >= 0."""
-    if a == 0:
-        return b >= 0
-    if a > 0 and b >= 0:
+    if a >= 0 and b >= 0:
         return True
-    if a < 0 and b <= 0:
+    if a <= 0 and b <= 0:
         return False
-    if a > 0:
-        return 2 * a * a >= b * b
-    return 2 * a * a <= b * b
+    # opposite signs: the term of larger magnitude decides
+    return 2 * a * a >= b * b if a > 0 else 2 * a * a <= b * b
 
 
 @dataclass

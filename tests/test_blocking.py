@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from pgworkbench import blocking
 from pgworkbench.blocking import (FULL, LONG, T_SECANT, BlockingError,
                                   WeightedPointSet, _randrange_draws, classify_lines,
                                   construct_qplus1_fold, construct_union,
@@ -304,8 +305,85 @@ def test_enumerate_t_mod_p_sets_parameter_errors():
         enumerate_t_mod_p_sets(space, k=1, t=1, max_size=5, weight_cap=3)
     # k = n leaves a kernel of dimension 257 on the line PG(1,257): sampled,
     # and its draws do not fit in bytes
-    with pytest.raises(BlockingError, match="sampling needs p < 256"):
+    with pytest.raises(BlockingError, match="mod-p enumeration needs p < 256"):
         enumerate_t_mod_p_sets(ProjectiveSpace.of_order(1, 257), k=1, t=1, max_size=5)
+
+
+def assert_matches_reference(space, k, t, max_size, weight_cap, **args):
+    enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size,
+                                  weight_cap=weight_cap, **args)
+    ref_sets, kdim, total, exhaustive, sampled = reference_t_mod_p_walk(
+        space, k, t, max_size, weight_cap, **args)
+    assert [B.weights for B in enum.sets] == ref_sets
+    assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive, enum.sampled) == \
+        (kdim, total, exhaustive, sampled)
+    return enum
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 7, 64])
+@pytest.mark.parametrize("n, q, k, t, coset_limit", [
+    (2, 3, 1, 2, 3**13),   # exhaustive, 729 cosets
+    (3, 2, 2, 1, 3**13),   # exhaustive, 2048 cosets
+    (2, 5, 1, 2, 10),      # sampled, 300 draws
+    (2, 3, 1, 1, 10),      # sampled, with repeated draws
+])
+def test_enumerate_t_mod_p_sets_chunk_boundaries(monkeypatch, chunk, n, q, k, t, coset_limit):
+    # a coset's lane must not depend on where the chunks of the walk end:
+    # exhaustive chunks of p^m cosets (p^0 = 1 when chunk < p) and sampled
+    # chunks that do not divide the draws
+    monkeypatch.setattr(blocking, "_COSET_CHUNK", chunk)
+    space = ProjectiveSpace.of_order(n, q)
+    enum = assert_matches_reference(space, k, t, max_size=space.num_points * (q - 1) // 2,
+                                    weight_cap=q - 1, coset_limit=coset_limit,
+                                    sample_count=300, seed=5)
+    assert enum.sets
+
+
+def test_enumerate_t_mod_p_sets_duplicate_draws_across_chunks():
+    # 40000 draws from the 3^6 = 729 cosets of PG(2,3) span ten chunks and
+    # repeat every coset; each is kept once and counted once
+    space = ProjectiveSpace.of_order(2, 3)
+    enum = assert_matches_reference(space, 1, 2, max_size=13, weight_cap=2,
+                                    coset_limit=10, sample_count=40000, seed=0)
+    assert enum.sampled == 729 and not enum.exhaustive
+    exhaustive = enumerate_t_mod_p_sets(space, k=1, t=2, max_size=13)
+    assert [B.weights for B in enum.sets] == [B.weights for B in exhaustive.sets]
+
+
+@pytest.mark.parametrize("q, k, t, sample_count", [
+    (127, 1, 5, 40),   # 1-byte lanes reduced after every term
+    (131, 1, 3, 40),   # 2-byte lanes: two residues overflow a byte
+    (131, 0, 3, 40),
+    (251, 1, 0, 20),
+])
+def test_enumerate_t_mod_p_sets_large_primes(q, k, t, sample_count):
+    space = ProjectiveSpace.of_order(1, q)
+    for max_size in (q * (q + 1) // 2, 10**6):
+        assert_matches_reference(space, k, t, max_size, q - 1, coset_limit=3**13,
+                                 sample_count=sample_count, seed=3)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(max_size=None), "max_size must be an int >= 0, not None"),
+    (dict(max_size=-1), "max_size must be an int >= 0, not -1"),
+    (dict(max_size=5.0), "max_size must be an int >= 0, not 5.0"),
+    (dict(max_size=5, weight_cap=-1), r"weight_cap must be an int in \[0, 2\], not -1"),
+    (dict(max_size=5, weight_cap=3), r"weight_cap must be an int in \[0, 2\], not 3"),
+    (dict(max_size=5, sample_count=-5), "sample_count must be an int >= 0, not -5"),
+    (dict(max_size=5, coset_limit=0), "coset_limit must be an int >= 1, not 0"),
+])
+def test_enumerate_t_mod_p_sets_rejects_bad_arguments(kwargs, message):
+    with pytest.raises(BlockingError, match=message):
+        enumerate_t_mod_p_sets(ProjectiveSpace.of_order(2, 3), k=1, t=1, **kwargs)
+
+
+def test_enumerate_t_mod_p_sets_rejects_p_from_256_in_both_modes():
+    # k = 0 leaves one coset, walked exhaustively: it answered before the
+    # residues moved to byte lanes, and now raises like the sampled k = 1
+    space = ProjectiveSpace.of_order(1, 257)
+    for k in (0, 1):
+        with pytest.raises(BlockingError, match="mod-p enumeration needs p < 256"):
+            enumerate_t_mod_p_sets(space, k=k, t=1, max_size=5)
 
 
 def test_randrange_draws_match_randrange():

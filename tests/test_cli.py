@@ -76,6 +76,18 @@ def test_solve_ucn_of_hypergraph_without_edges(tmp_path, capsys):
     assert (data["objective"], data["status"], data["witness"]) == (3, "optimal", [1, 2, 3])
 
 
+def test_solve_ucn_of_hypergraph_without_vertices(tmp_path, capsys):
+    hpath = tmp_path / "none.json"
+    hpath.write_text(json.dumps({"num_vertices": 0, "edges": []}))
+    code, out = run_cli(capsys, "solve", "tau", "--hypergraph", str(hpath))
+    assert code == 0 and json.loads(out)["objective"] == 0
+    code = main(["solve", "ucn", "--hypergraph", str(hpath)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: UCN needs at least one vertex; "
+                                   "the hypergraph has 0 vertices")
+
+
 def test_blocking_verb(tmp_path, capsys):
     space = ProjectiveSpace.of_order(2, 3)
     from pgworkbench.blocking import construct_union

@@ -204,6 +204,14 @@ def test_exact_ucn_without_edges():
     assert res.witness.assignment == (1, 2, 3)
 
 
+def test_exact_ucn_rejects_zero_vertices():
+    # no vertex leaves no coloring to witness; exact_tau still answers 0
+    H = Hypergraph(0, ())
+    assert exact_tau(H, 2).objective == 0
+    with pytest.raises(SolverError, match="the hypergraph has 0 vertices"):
+        exact_ucn(H)
+
+
 def test_exact_ucn_relabeling_invariance():
     rng = random.Random(99)
     H = Hypergraph(6, (0b000111, 0b011100, 0b110001))
