@@ -10,12 +10,11 @@ points, counted with weights.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fields import GF
-from .geometry import ProjectiveSpace, Subspace, theta
+from .geometry import ProjectiveSpace, Subspace, count_subspaces, theta
 
 
 class BlockingError(ValueError):
@@ -291,37 +290,12 @@ def solve_mod_p(rows, rhs, p):
     return particular, kernel
 
 
-DEFAULT_COSET_LIMIT = 3**13
-# 32-bit words per getrandbits call of _randrange_draws: bounds the
-# temporary integer and bytes of one read to 64 KiB
-_DRAW_CHUNK_WORDS = 1 << 14
+COSET_LIMIT = 3**13
+# entries of the dense k-space/point incidence matrix that the elimination
+# may take on: PG(2,17) with k = 1 has 94249 and takes seconds
+MATRIX_ENTRY_LIMIT = 10**5
 # cosets per chunk of the coset walk: bounds a lane integer to 4 KiB
-# (8 KiB for p > 128) and a chunk's residues to 4 KiB per point
 _COSET_CHUNK = 1 << 12
-
-
-def _randrange_draws(rng: random.Random, p: int, count: int) -> bytes:
-    """The results of `count` calls to rng.randrange(p), for 1 < p < 256,
-    as bytes, leaving rng in the state those calls would.
-
-    randrange(p) draws getrandbits(b), b = p.bit_length(): the top b bits
-    of one 32-bit Mersenne Twister word, drawn again while >= p.
-    getrandbits(32*m) returns the next m words, the first one least
-    significant, so byte 3 of every little-endian word holds those bits.
-    Each word gives at most one draw, so asking for as many words as draws
-    are missing never reads past the last word the calls would use.
-    """
-    shift = 8 - p.bit_length()
-    keep = bytes(x >> shift for x in range(256))
-    reject = bytes(x for x in range(256) if x >> shift >= p)
-    chunks = []
-    have = 0
-    while have < count:
-        m = min(_DRAW_CHUNK_WORDS, count - have)
-        words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
-        chunks.append(words[3::4].translate(keep, reject))
-        have += len(chunks[-1])
-    return b"".join(chunks)
 
 
 @dataclass
@@ -330,45 +304,44 @@ class TModPEnumeration:
     kernel_dim: int
     num_solution_classes: int
     exhaustive: bool
+    # always 0: nothing in the library reads it; kept only because the
+    # benchmark's tracing does
     sampled: int = 0
 
 
 def _lanes(data: bytes, width: int) -> int:
     """data as an int with one little-endian lane of `width` bytes per byte."""
-    if width > 1:
-        wide = bytearray(width * len(data))
-        wide[::width] = data
-        data = wide
-    return int.from_bytes(data, "little")
+    wide = bytearray(width * len(data))
+    wide[::width] = data
+    return int.from_bytes(wide, "little")
 
 
 def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int,
-                           weight_cap: int | None = None,
-                           coset_limit: int = DEFAULT_COSET_LIMIT,
-                           sample_count: int = 100000, seed: int = 0) -> TModPEnumeration:
+                           weight_cap: int | None = None) -> TModPEnumeration:
     """All weight functions w with 0 <= w <= weight_cap pointwise,
     sum(w) <= max_size, and every k-space weight congruent to t mod p.
 
     The solutions form a coset of the kernel of the k-space/point
-    incidence matrix over GF(p); the coset is walked exhaustively unless
-    it exceeds coset_limit, in which case sample_count uniform kernel
-    coefficient vectors are drawn from random.Random(seed), one
-    randrange(p) per coordinate (exhaustive=False; `sampled` counts the
-    distinct draws).  The walk holds residues in byte lanes: BlockingError
-    unless the field is prime with p < 256, max_size and sample_count are
-    ints >= 0, coset_limit is an int >= 1 and weight_cap one in [0, p - 1].
+    incidence matrix over GF(p).  Every coset of that kernel is walked when
+    there are at most COSET_LIMIT of them; past it none is, and the result
+    lists no sets with exhaustive=False.  The walk holds residues in byte
+    lanes: BlockingError unless the field is prime with p < 256, max_size
+    is an int >= 0 and weight_cap one in [0, p - 1], and unless the
+    incidence matrix has at most MATRIX_ENTRY_LIMIT entries.
     """
     p = space.field.p
     if space.field.h != 1 or p >= 256:
         raise BlockingError(f"mod-p enumeration needs p < 256 and a prime field, not GF({space.q})")
     weight_cap = p - 1 if weight_cap is None else weight_cap
-    for name, value, low in (("max_size", max_size, 0), ("sample_count", sample_count, 0),
-                             ("coset_limit", coset_limit, 1)):
-        if type(value) is not int or value < low:
-            raise BlockingError(f"{name} must be an int >= {low}, not {value!r}")
+    if type(max_size) is not int or max_size < 0:
+        raise BlockingError(f"max_size must be an int >= 0, not {max_size!r}")
     if type(weight_cap) is not int or not 0 <= weight_cap <= p - 1:
         raise BlockingError(f"weight_cap must be an int in [0, {p - 1}], not {weight_cap!r}")
     npts = space.num_points
+    entries = count_subspaces(space.n, k, p) * npts
+    if entries > MATRIX_ENTRY_LIMIT:
+        raise BlockingError(f"the {k}-space/point incidence matrix of PG({space.n},{p}) has "
+                            f"{entries} entries, above the limit {MATRIX_ENTRY_LIMIT}")
     rows = [[S.mask >> i & 1 for i in range(npts)] for S in space.subspaces(k)]
     solved = solve_mod_p(rows, [t] * len(rows), p)
     if solved is None:
@@ -376,62 +349,43 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
     particular, kernel = solved
     kdim = len(kernel)
     total = p**kdim
-    exhaustive = total <= coset_limit
+    if total > COSET_LIMIT:
+        return TModPEnumeration([], kdim, total, False)
     # Column-major walk: a chunk of L cosets is one column of L coefficient
-    # bytes per kernel vector, and an int holds one lane per coset.  Point i
-    # of every coset is particular[i] plus, per kernel vector v with
-    # v[i] != 0, v's column put through a c*v[i] mod p table.
-    if exhaustive:
-        # chunks of p^m cosets in product order: the last m columns run
-        # through GF(p)^m, the others are constant
-        m = 0
-        while m < kdim and p ** (m + 1) <= _COSET_CHUNK:
-            m += 1
-        inner = bytes(itertools.chain.from_iterable(itertools.product(range(p), repeat=m)))
-        chunks = ((p**m, [bytes([c]) * p**m for c in head] + [inner[j::m] for j in range(m)])
-                  for head in itertools.product(range(p), repeat=kdim - m))
-        sampled = 0
-    else:
-        draws = _randrange_draws(random.Random(seed), p, sample_count * kdim)
-        sampled = len({draws[i:i + kdim] for i in range(0, len(draws), kdim)})
-        step = _COSET_CHUNK * kdim
-        blocks = (draws[c:c + step] for c in range(0, len(draws), step))
-        chunks = ((len(b) // kdim, [b[j::kdim] for j in range(kdim)]) for b in blocks)
-    # Every term is below p in each lane.  A byte holds two residues only
-    # for p <= 128, so larger p take 2-byte lanes; bytes.translate reduces
-    # the lanes mod p, to at most width*(p-1), before `budget` more terms
-    # could carry, and `width` reductions in a row leave residues.
-    width = 1 if p <= 128 else 2
-    budget = (256**width - 1) // (p - 1) - width
-    shifts = [bytes((x << 8 * b) % p for x in range(256)) for b in range(width)]
+    # bytes per kernel vector, and an int holds one byte lane per coset.
+    # Chunks hold p^m cosets in product order: the last m columns run
+    # through GF(p)^m, the others are constant.  Point i of every coset is
+    # particular[i] plus, per kernel vector v with v[i] != 0, v's column put
+    # through a c*v[i] mod p table, reduced by one translate at the end.
+    # That sum of kdim + 1 residues fits a byte: COSET_LIMIT bounds it by 96
+    # for p <= 17, and MATRIX_ENTRY_LIMIT leaves only kdim = 0 above 17.
+    if (kdim + 1) * (p - 1) > 255:
+        raise BlockingError(f"{kdim + 1} residues mod {p} overflow a byte lane")
+    m = 0
+    while m < kdim and p ** (m + 1) <= _COSET_CHUNK:
+        m += 1
+    L = p**m
+    inner = bytes(itertools.chain.from_iterable(itertools.product(range(p), repeat=m)))
+    inner_columns = [inner[j::m] for j in range(m)]
+    modp = bytes(x % p for x in range(256))
     times = [bytes(c * x % p for c in range(256)) for x in range(p)]
     terms = [[(j, v[i]) for j, v in enumerate(kernel) if v[i]] for i in range(npts)]
+    ones = int.from_bytes(b"\x01" * L, "little")
     # sizes go in lanes whose top bit is clear; adding `bias` sets it iff
     # the size exceeds max_size
     size_width = (npts * (p - 1)).bit_length() // 8 + 1
     bias = (1 << 8 * size_width - 1) - 1 - min(max_size, npts * (p - 1))
+    size_ones = _lanes(b"\x01" * L, size_width)
+    high = size_ones << 8 * size_width - 1
 
-    def reduce(acc, L):
-        lanes = acc.to_bytes(width * L, "little")
-        return sum(_lanes(lanes[b::width].translate(shifts[b]), width) for b in range(width))
-
-    found = set()
-    for L, columns in chunks:
-        table = [{x: _lanes(col.translate(times[x]), width) for x in set(v) - {0}}
+    found = []
+    for head in itertools.product(range(p), repeat=kdim - m):
+        columns = [bytes([c]) * L for c in head] + inner_columns
+        table = [{x: int.from_bytes(col.translate(times[x]), "little") for x in set(v) - {0}}
                  for col, v in zip(columns, kernel)]
-        ones = _lanes(b"\x01" * L, width)
-        residues = []
-        for base, point_terms in zip(particular, terms):
-            acc = base * ones
-            for n, (j, x) in enumerate(point_terms, 1):
-                acc += table[j][x]
-                if n % budget == 0:
-                    acc = reduce(acc, L)
-            for _ in range(width):
-                acc = reduce(acc, L)
-            residues.append(acc.to_bytes(width * L, "little")[::width])
-        size_ones = _lanes(b"\x01" * L, size_width)
-        high = size_ones << 8 * size_width - 1
+        residues = [sum((table[j][x] for j, x in point_terms), base * ones)
+                    .to_bytes(L, "little").translate(modp)
+                    for base, point_terms in zip(particular, terms)]
         sizes = sum((_lanes(r, size_width) for r in residues), bias * size_ones)
         keep = ((sizes & high) ^ high).to_bytes(size_width * L, "little")
         # only cosets within max_size are read back, point by point
@@ -439,8 +393,7 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
         for c in itertools.compress(range(L), keep[size_width - 1::size_width]):
             w = stack[c::L]
             if max(w) <= weight_cap:
-                found.add(w)
-    # distinct coefficients give distinct weights, so the set drops just
-    # the repeated draws; bytes sort as the weight tuples do
+                found.append(w)
+    # bytes sort as the weight tuples do
     sets = [WeightedPointSet(space, list(w)) for w in sorted(found)]
-    return TModPEnumeration(sets, kdim, total, exhaustive, sampled)
+    return TModPEnumeration(sets, kdim, total, True)

@@ -6,10 +6,12 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .blocking import WeightedPointSet, is_minimal, is_t_fold_blocking, is_t_mod_p_set
+from .blocking import (COSET_LIMIT, MATRIX_ENTRY_LIMIT, WeightedPointSet, is_minimal,
+                       is_t_fold_blocking, is_t_mod_p_set)
 from .coloring import Coloring, is_proper, is_strict, is_trivial_coloring
-from .geometry import Hypergraph, ProjectiveSpace, mask_bits, point_set, theta
-from .solvers import BoundsReport, SolveResult, bounds_report
+from .geometry import Hypergraph, ProjectiveSpace, count_subspaces, mask_bits, point_set, theta
+from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
+                      line_union_weights, require_line_multiset_limit)
 
 SCHEMA_VERSION = 1
 
@@ -57,6 +59,11 @@ def bounds_certificate(rep: BoundsReport) -> dict:
     """Certificate of a bounds report; recheck recomputes it."""
     return make_certificate("bounds", {"n": rep.n, "k": rep.k, "q": rep.q, "t": rep.t,
                                        "report": rep.to_json()})
+
+
+def tmodp_certificate(rep: TModPVerification) -> dict:
+    """Certificate of a t (mod p) structure report."""
+    return make_certificate("tmodp_report", rep.to_json())
 
 
 def write_certificate(cert: dict, path: str) -> None:
@@ -130,18 +137,34 @@ def _verify_blocking_set(payload):
 def _verify_tmodp_report(payload):
     p, t, k, sets = payload["p"], payload["t"], payload["k"], payload["sets"]
     cap, max_size, verified = payload["weight_cap"], payload["max_size"], payload["verified"]
+    kdim, exhaustive = payload["kernel_dim"], payload["exhaustive"]
     space = ProjectiveSpace.of_order(2, p)
     expected = payload["expected_size"]
     if expected != t * theta(space.n - k, p):
         return False, "expected_size is wrong for the parameters"
+    if count_subspaces(2, k, p) * space.num_points > MATRIX_ENTRY_LIMIT:
+        return False, "the enumeration refuses this plane, so it has no report"
+    if type(kdim) is not int or not 0 <= kdim <= space.num_points:
+        return False, f"kernel_dim {kdim!r} is not an int in [0, {space.num_points}]"
+    # the constant weight t is a t (mod p) set, so the system is consistent
+    # and its solutions form p^kernel_dim classes
+    if payload["num_solution_classes"] != p**kdim:
+        return False, "num_solution_classes is not p^kernel_dim"
+    if exhaustive != (p**kdim <= COSET_LIMIT):
+        return False, f"exhaustive does not match {p}^{kdim} cosets against the limit"
     if len(sets) != payload["num_found"]:
         return False, "num_found does not match the listed sets"
     if len(set(map(tuple, sets))) != len(sets):
         return False, "a set is listed twice"
     if verified and payload["violations"]:
         return False, "claimed verified but violations are listed"
+    if verified and not (exhaustive and payload["num_found"] == payload["num_unions"]):
+        return False, "claimed verified without an exhaustive search finding every union"
     if cap > p - 1:
         return False, f"weight_cap {cap} is above p - 1"
+    require_line_multiset_limit(p, t)
+    if payload["num_unions"] != len(line_union_weights(space, k, t, max_size, cap)):
+        return False, "num_unions does not match a recount of the unions"
     for wt in sets:
         B = WeightedPointSet(space, list(wt))
         if max(wt) > cap:

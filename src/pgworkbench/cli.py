@@ -13,7 +13,7 @@ import sys
 from .blocking import WeightedPointSet, is_minimal, is_t_fold_blocking, is_t_mod_p_set
 from .certificates import (bounds_certificate, canonical_json, coloring_certificate,
                            load_certificate, make_certificate, recheck,
-                           transversal_certificate, write_certificate)
+                           tmodp_certificate, transversal_certificate, write_certificate)
 from .coloring import Coloring, is_proper, is_trivial_coloring, trivial_coloring
 from .experiments import ExperimentConfig, default_grid, run_experiments
 from .geometry import (ProjectiveSpace, count_subspaces, hypergraph_from_file,
@@ -100,9 +100,9 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    rep = verify_tmodp_theorem(args.p, args.t, max_size=args.max_size, seed=args.seed)
+    rep = verify_tmodp_theorem(args.p, args.t, max_size=args.max_size)
     if args.out:
-        write_certificate(make_certificate("tmodp_report", rep.to_json()), args.out)
+        write_certificate(tmodp_certificate(rep), args.out)
     _emit({"p": rep.p, "t": rep.t, "max_size": rep.max_size,
            "kernel_dim": rep.kernel_dim,
            "num_solution_classes": rep.num_solution_classes,
@@ -125,7 +125,7 @@ def cmd_run(args):
     if args.config:
         with open(args.config) as fh:
             grid = json.load(fh)["grid"]
-    config = ExperimentConfig(grid=grid, outdir=args.out, seed=args.seed)
+    config = ExperimentConfig(grid=grid, outdir=args.out)
     rows, ok = run_experiments(config)
     for row in rows:
         print(f"RESULT {row.instance} {row.quantity} value={row.value} "
@@ -184,7 +184,6 @@ def build_parser():
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--max-size", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="certificate output file")
     p.set_defaults(func=cmd_verify)
 
@@ -199,7 +198,6 @@ def build_parser():
     p = sub.add_parser("run", help="run an experiment grid")
     p.add_argument("--config", help="JSON file with a 'grid' list")
     p.add_argument("--out", default="certificates")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("recheck", help="re-verify a certificate without solving")

@@ -1,13 +1,11 @@
-import hashlib
 import itertools
-import json
-import random
+import time
 
 import pytest
 
 from pgworkbench import blocking
 from pgworkbench.blocking import (FULL, LONG, T_SECANT, BlockingError,
-                                  WeightedPointSet, _randrange_draws, classify_lines,
+                                  WeightedPointSet, classify_lines,
                                   construct_qplus1_fold, construct_union,
                                   enumerate_t_mod_p_sets, essential_points,
                                   folklore_bound_margin,
@@ -220,42 +218,28 @@ def test_enumerate_t_mod_p_sets_empty_below_minimum():
     assert enum.num_solution_classes == 3**6
 
 
-def test_enumerate_t_mod_p_sets_sampling_mode():
-    space = ProjectiveSpace.of_order(2, 3)
-    enum = enumerate_t_mod_p_sets(space, k=1, t=2, max_size=8,
-                                  coset_limit=10, sample_count=2000, seed=1)
-    assert not enum.exhaustive
-    assert enum.sampled <= 2000
-    for B in enum.sets:
-        ok, _ = is_t_mod_p_set(B, 2, 1)
-        assert ok and B.size <= 8
-    # determinism for a fixed seed
-    again = enumerate_t_mod_p_sets(space, k=1, t=2, max_size=8,
-                                   coset_limit=10, sample_count=2000, seed=1)
-    assert [b.weights for b in again.sets] == [b.weights for b in enum.sets]
-    # the draws, their deduplication and the sorted output are pinned
-    assert enum.sampled == 678 and len(enum.sets) == 85
-    digest = hashlib.sha256(json.dumps([B.weights for B in enum.sets],
-                                       separators=(",", ":")).encode()).hexdigest()
-    assert digest == "2f11204b5b4984c1ffae7574e0dfdf29a51c17da1bb604867a620e2d3d6441cd"
+def test_enumerate_t_mod_p_sets_past_the_coset_limit(monkeypatch):
+    # past COSET_LIMIT no coset is walked: the kernel is reported, no sets
+    monkeypatch.setattr(blocking, "COSET_LIMIT", 10)
+    enum = enumerate_t_mod_p_sets(ProjectiveSpace.of_order(2, 3), k=1, t=2, max_size=13)
+    assert (enum.exhaustive, enum.sets, enum.kernel_dim, enum.num_solution_classes,
+            enum.sampled) == (False, [], 6, 729, 0)
 
 
-def reference_t_mod_p_walk(space, k, t, max_size, weight_cap, coset_limit,
-                           sample_count, seed):
+def reference_t_mod_p_walk(space, k, t, max_size, weight_cap):
     """The coset walk written coordinate by coordinate, as a reference for
-    the packed-lane walk of enumerate_t_mod_p_sets: the same solve, draws,
-    deduplication, filter and sort."""
+    the packed-lane walk of enumerate_t_mod_p_sets: the same solve, coset
+    limit, filter and sort; past the limit it walks no coset."""
     p = space.field.p
     npts = space.num_points
     rows = [[S.mask >> i & 1 for i in range(npts)] for S in space.subspaces(k)]
     particular, kernel = solve_mod_p(rows, [t] * len(rows), p)
     kdim = len(kernel)
-    exhaustive = p**kdim <= coset_limit
+    exhaustive = p**kdim <= blocking.COSET_LIMIT
     if exhaustive:
         walk = itertools.product(range(p), repeat=kdim)
     else:
-        rng = random.Random(seed)
-        walk = {tuple(rng.randrange(p) for _ in range(kdim)) for _ in range(sample_count)}
+        walk = set()
     found = []
     for coeffs in walk:
         w = list(particular)
@@ -275,24 +259,22 @@ def reference_t_mod_p_walk(space, k, t, max_size, weight_cap, coset_limit,
     (2, 3, 1, 2, 2, 8),
     (2, 3, 1, 1, 1, 8),   # a weight cap below p - 1 keeps 14 of 482 sets
     (3, 2, 2, 1, 1, 8),
-    (2, 5, 1, 2, 4, 8),   # sampled
+    (2, 5, 1, 2, 4, 8),   # past the coset limit
     (3, 3, 2, 1, 2, 8),
     (2, 11, 1, 3, 10, 16),
 ])
 def test_enumerate_t_mod_p_sets_matches_coordinate_walk(n, q, k, t, weight_cap, lane_bits):
     space = ProjectiveSpace.of_order(n, q)
     max_size = space.num_points * (q - 1) // 2
-    args = dict(coset_limit=3**13, sample_count=300, seed=7)
-    enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size,
-                                  weight_cap=weight_cap, **args)
+    enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size, weight_cap=weight_cap)
     ref_sets, kdim, total, exhaustive, sampled = reference_t_mod_p_walk(
-        space, k, t, max_size, weight_cap, **args)
-    assert [B.weights for B in enum.sets] == ref_sets and ref_sets
+        space, k, t, max_size, weight_cap)
+    assert [B.weights for B in enum.sets] == ref_sets and (ref_sets or not exhaustive)
     assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive, enum.sampled) == \
         (kdim, total, exhaustive, sampled)
     assert exhaustive == ((n, q) in {(2, 2), (2, 3), (3, 2)})
-    # a lane holds the unreduced sum of kdim + 1 residues below p: up to 255
-    # fits 8-bit lanes, and PG(2,11) needs 16-bit ones
+    # a byte lane holds the unreduced sum of kdim + 1 residues below p up to
+    # 255; PG(2,11) would need 16-bit lanes, but has too many cosets to walk
     assert ((q - 1) * (kdim + 1) > 255) == (lane_bits == 16)
 
 
@@ -303,17 +285,41 @@ def test_enumerate_t_mod_p_sets_parameter_errors():
     space = ProjectiveSpace.of_order(2, 3)
     with pytest.raises(BlockingError):
         enumerate_t_mod_p_sets(space, k=1, t=1, max_size=5, weight_cap=3)
-    # k = n leaves a kernel of dimension 257 on the line PG(1,257): sampled,
-    # and its draws do not fit in bytes
+    # k = n leaves a kernel of dimension 257 on the line PG(1,257), too
+    # many cosets to walk; the field is refused before that is found
     with pytest.raises(BlockingError, match="mod-p enumeration needs p < 256"):
         enumerate_t_mod_p_sets(ProjectiveSpace.of_order(1, 257), k=1, t=1, max_size=5)
 
 
-def assert_matches_reference(space, k, t, max_size, weight_cap, **args):
-    enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size,
-                                  weight_cap=weight_cap, **args)
+@pytest.mark.parametrize("q", [19, 127])
+def test_enumerate_t_mod_p_sets_refuses_large_incidence_matrices(q):
+    # PG(2,19) has 381^2 = 145161 line/point entries, above 10^5; the
+    # refusal comes before the matrix is built
+    space = ProjectiveSpace.of_order(2, q)
+    start = time.perf_counter()
+    with pytest.raises(BlockingError, match="entries, above the limit 100000"):
+        enumerate_t_mod_p_sets(space, k=1, t=1, max_size=5)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_enumerate_t_mod_p_sets_answers_below_the_matrix_limit():
+    # PG(2,17) has 307^2 = 94249 entries: eliminated, then past the coset limit
+    enum = enumerate_t_mod_p_sets(ProjectiveSpace.of_order(2, 17), k=1, t=1, max_size=5)
+    assert (enum.kernel_dim, enum.exhaustive, enum.sets) == (153, False, [])
+
+
+def test_enumerate_t_mod_p_sets_refuses_a_lane_overflow(monkeypatch):
+    # within COSET_LIMIT no walk sums more than 255 in a byte lane; a raised
+    # limit that lets PG(1,131)'s 131 kernel vectors through is refused
+    monkeypatch.setattr(blocking, "COSET_LIMIT", 131**131)
+    with pytest.raises(BlockingError, match="132 residues mod 131 overflow a byte lane"):
+        enumerate_t_mod_p_sets(ProjectiveSpace.of_order(1, 131), k=1, t=1, max_size=5)
+
+
+def assert_matches_reference(space, k, t, max_size, weight_cap):
+    enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size, weight_cap=weight_cap)
     ref_sets, kdim, total, exhaustive, sampled = reference_t_mod_p_walk(
-        space, k, t, max_size, weight_cap, **args)
+        space, k, t, max_size, weight_cap)
     assert [B.weights for B in enum.sets] == ref_sets
     assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive, enum.sampled) == \
         (kdim, total, exhaustive, sampled)
@@ -324,43 +330,33 @@ def assert_matches_reference(space, k, t, max_size, weight_cap, **args):
 @pytest.mark.parametrize("n, q, k, t, coset_limit", [
     (2, 3, 1, 2, 3**13),   # exhaustive, 729 cosets
     (3, 2, 2, 1, 3**13),   # exhaustive, 2048 cosets
-    (2, 5, 1, 2, 10),      # sampled, 300 draws
-    (2, 3, 1, 1, 10),      # sampled, with repeated draws
+    (2, 5, 1, 2, 10),      # past the limit
+    (2, 3, 1, 1, 10),
 ])
 def test_enumerate_t_mod_p_sets_chunk_boundaries(monkeypatch, chunk, n, q, k, t, coset_limit):
     # a coset's lane must not depend on where the chunks of the walk end:
-    # exhaustive chunks of p^m cosets (p^0 = 1 when chunk < p) and sampled
-    # chunks that do not divide the draws
+    # exhaustive chunks of p^m cosets (p^0 = 1 when chunk < p)
     monkeypatch.setattr(blocking, "_COSET_CHUNK", chunk)
+    monkeypatch.setattr(blocking, "COSET_LIMIT", coset_limit)
     space = ProjectiveSpace.of_order(n, q)
     enum = assert_matches_reference(space, k, t, max_size=space.num_points * (q - 1) // 2,
-                                    weight_cap=q - 1, coset_limit=coset_limit,
-                                    sample_count=300, seed=5)
-    assert enum.sets
+                                    weight_cap=q - 1)
+    assert bool(enum.sets) == enum.exhaustive
 
 
-def test_enumerate_t_mod_p_sets_duplicate_draws_across_chunks():
-    # 40000 draws from the 3^6 = 729 cosets of PG(2,3) span ten chunks and
-    # repeat every coset; each is kept once and counted once
-    space = ProjectiveSpace.of_order(2, 3)
-    enum = assert_matches_reference(space, 1, 2, max_size=13, weight_cap=2,
-                                    coset_limit=10, sample_count=40000, seed=0)
-    assert enum.sampled == 729 and not enum.exhaustive
-    exhaustive = enumerate_t_mod_p_sets(space, k=1, t=2, max_size=13)
-    assert [B.weights for B in enum.sets] == [B.weights for B in exhaustive.sets]
-
-
-@pytest.mark.parametrize("q, k, t, sample_count", [
-    (127, 1, 5, 40),   # 1-byte lanes reduced after every term
-    (131, 1, 3, 40),   # 2-byte lanes: two residues overflow a byte
-    (131, 0, 3, 40),
+@pytest.mark.parametrize("q, k, t, coset_limit", [
+    (127, 1, 5, 40),
+    (131, 1, 3, 40),
+    (131, 0, 3, 40),   # one coset, walked: a byte lane holds a residue below 131
     (251, 1, 0, 20),
 ])
-def test_enumerate_t_mod_p_sets_large_primes(q, k, t, sample_count):
+def test_enumerate_t_mod_p_sets_large_primes(monkeypatch, q, k, t, coset_limit):
+    # k = 1 leaves a kernel of dimension q, past any small coset limit
+    monkeypatch.setattr(blocking, "COSET_LIMIT", coset_limit)
     space = ProjectiveSpace.of_order(1, q)
     for max_size in (q * (q + 1) // 2, 10**6):
-        assert_matches_reference(space, k, t, max_size, q - 1, coset_limit=3**13,
-                                 sample_count=sample_count, seed=3)
+        enum = assert_matches_reference(space, k, t, max_size, q - 1)
+        assert enum.exhaustive == (k == 0)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -369,8 +365,6 @@ def test_enumerate_t_mod_p_sets_large_primes(q, k, t, sample_count):
     (dict(max_size=5.0), "max_size must be an int >= 0, not 5.0"),
     (dict(max_size=5, weight_cap=-1), r"weight_cap must be an int in \[0, 2\], not -1"),
     (dict(max_size=5, weight_cap=3), r"weight_cap must be an int in \[0, 2\], not 3"),
-    (dict(max_size=5, sample_count=-5), "sample_count must be an int >= 0, not -5"),
-    (dict(max_size=5, coset_limit=0), "coset_limit must be an int >= 1, not 0"),
 ])
 def test_enumerate_t_mod_p_sets_rejects_bad_arguments(kwargs, message):
     with pytest.raises(BlockingError, match=message):
@@ -378,23 +372,9 @@ def test_enumerate_t_mod_p_sets_rejects_bad_arguments(kwargs, message):
 
 
 def test_enumerate_t_mod_p_sets_rejects_p_from_256_in_both_modes():
-    # k = 0 leaves one coset, walked exhaustively: it answered before the
-    # residues moved to byte lanes, and now raises like the sampled k = 1
+    # k = 0 leaves one coset and k = 1 a kernel of dimension 257: neither
+    # is walked in byte lanes
     space = ProjectiveSpace.of_order(1, 257)
     for k in (0, 1):
         with pytest.raises(BlockingError, match="mod-p enumeration needs p < 256"):
             enumerate_t_mod_p_sets(space, k=k, t=1, max_size=5)
-
-
-def test_randrange_draws_match_randrange():
-    # the sampled walk reads randrange(p) in bulk from the Mersenne Twister
-    # words; this pins that read to the calls it stands for, rng state included
-    primes = [p for p in range(2, 256) if all(p % d for d in range(2, p))]
-    assert len(primes) == 54
-    for p in primes:
-        for seed in (0, 1, 7):
-            rng, ref = random.Random(seed), random.Random(seed)
-            for count in (0, 1, 15, 40000):
-                got = _randrange_draws(rng, p, count)
-                assert got == bytes(ref.randrange(p) for _ in range(count)), (p, seed, count)
-                assert rng.getstate() == ref.getstate(), (p, seed, count)

@@ -1,11 +1,12 @@
 import json
+import time
 
 import pytest
 
 from pgworkbench.certificates import (CertificateError, canonical_json,
                                       checksum, load_certificate,
                                       make_certificate, recheck,
-                                      write_certificate)
+                                      tmodp_certificate, write_certificate)
 from pgworkbench.geometry import ProjectiveSpace
 from pgworkbench.solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
@@ -95,7 +96,7 @@ def test_recheck_blocking_set():
 
 def test_recheck_tmodp_report():
     rep = verify_tmodp_theorem(2, 1)
-    ok, detail = recheck(make_certificate("tmodp_report", rep.to_json()))
+    ok, detail = recheck(tmodp_certificate(rep))
     assert ok, detail
     bad = rep.to_json()
     bad["sets"][0][0] = (bad["sets"][0][0] + 1) % 2
@@ -114,6 +115,23 @@ def test_recheck_transversal_rejects_bad_point(extra):
     ok, detail = recheck(make_certificate("transversal", payload))
     assert not ok
     assert ("listed twice" if extra == 0 else "not a point index") in detail
+
+
+@pytest.mark.parametrize("p, t", [(2, 1), (3, 1), (3, 2), (5, 1), (5, 2), (7, 2)])
+def test_recheck_accepts_every_tmodp_report(p, t):
+    # exhaustive ones at p <= 3, past the coset limit from p = 5
+    ok, detail = recheck(tmodp_certificate(verify_tmodp_theorem(p, t)))
+    assert ok, detail
+
+
+def test_recheck_refuses_a_tmodp_report_past_the_matrix_limit():
+    # no report of PG(2,127) can exist; its lines are never enumerated
+    data = dict(verify_tmodp_theorem(2, 1).to_json(), p=127, expected_size=128, sets=[],
+                num_found=0, verified=False)
+    start = time.perf_counter()
+    ok, detail = recheck(make_certificate("tmodp_report", data))
+    assert not ok and "refuses this plane" in detail
+    assert time.perf_counter() - start < 0.1
 
 
 def _raise_by_p(data, points):
@@ -146,6 +164,21 @@ TAMPERED_TMODP_REPORTS = [
     pytest.param((2, 1), lambda d: d.update(violations=[{"weights": d["sets"][0],
                                                          "reason": "made up"}]),
                  "violations are listed", id="verified-with-violations"),
+    # (5, 2) has 5^15 cosets, none searched
+    pytest.param((5, 2), lambda d: d.update(verified=True), "without an exhaustive search",
+                 id="verified-not-exhaustive"),
+    pytest.param((2, 1), lambda d: d.update(sets=d["sets"][1:], num_found=6),
+                 "without an exhaustive search finding every union", id="verified-set-dropped"),
+    pytest.param((2, 1), lambda d: d.update(kernel_dim=99, num_solution_classes=5),
+                 "kernel_dim 99 is not an int in [0, 7]", id="kernel-dim-out-of-range"),
+    pytest.param((2, 1), lambda d: d.update(kernel_dim=10**100),
+                 "is not an int in [0, 7]", id="kernel-dim-huge"),
+    pytest.param((2, 1), lambda d: d.update(num_solution_classes=7),
+                 "not p^kernel_dim", id="classes-not-a-power"),
+    pytest.param((3, 2), lambda d: d.update(exhaustive=False), "exhaustive does not match",
+                 id="exhaustive-flipped"),
+    pytest.param((3, 2), lambda d: d.update(num_unions=90), "recount of the unions",
+                 id="num-unions-off"),
 ]
 
 

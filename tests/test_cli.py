@@ -190,6 +190,14 @@ def test_verify_verb_rejects_bad_parameters(capsys, argv, message):
     assert captured.err.startswith(message)
 
 
+def test_verify_verb_refuses_a_large_plane(capsys):
+    # PG(2,127): the line/point incidence matrix is above its entry limit
+    code = main(["verify", "tmodp", "--p", "127", "--t", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: the 1-space/point incidence matrix of PG(2,127)")
+
+
 def test_bounds_verb(tmp_path, capsys):
     code, out = run_cli(capsys, "bounds", "--n", "3", "--k", "1", "--q", "17",
                         "--t", "2", "--out", str(tmp_path / "bounds.json"))

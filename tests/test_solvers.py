@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from pgworkbench.coloring import is_proper, make_coloring
 from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
 from pgworkbench.solvers import (BOUND_ONLY, OPTIMAL, SolverError,
                                  _sqrt2_combo_nonneg, bounds_report, exact_tau,
-                                 exact_ucn, verify_tmodp_theorem)
+                                 exact_ucn, require_line_multiset_limit,
+                                 verify_tmodp_theorem)
 
 FANO = ProjectiveSpace.of_order(2, 2).hypergraph(1)
 
@@ -319,6 +321,20 @@ def test_verify_tmodp_theorem_hypothesis_guard():
 def test_verify_tmodp_theorem_rejects_bad_parameters(t, max_size):
     with pytest.raises(SolverError):
         verify_tmodp_theorem(2, t, max_size=max_size)
+
+
+@pytest.mark.parametrize("p, t, count", [(11, 4, 13633830), (13, 3, 1038220)])
+def test_verify_tmodp_theorem_refuses_too_many_line_multisets(p, t, count):
+    # refused before the space is built
+    start = time.perf_counter()
+    with pytest.raises(SolverError, match=f"PG\\(2,{p}\\) has {count} multisets of {t} lines"):
+        verify_tmodp_theorem(p, t)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_line_multiset_limit_admits_p11_t3():
+    # 400995 multisets, below 5 * 10^5: the full verification takes seconds
+    require_line_multiset_limit(11, 3)
 
 
 def test_sqrt2_combo_sign():

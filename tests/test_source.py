@@ -67,3 +67,14 @@ def test_no_assert_statements():
         if lines:
             found[path.name] = lines
     assert found == {}
+
+
+def test_library_imports_no_random():
+    # every result and certificate depends on its inputs alone
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import) and any(a.name == "random" for a in node.names) \
+                    or isinstance(node, ast.ImportFrom) and node.module == "random":
+                found.append(f"{path.name} (line {node.lineno})")
+    assert found == []
