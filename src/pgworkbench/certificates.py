@@ -11,7 +11,7 @@ from .blocking import (COSET_LIMIT, MATRIX_ENTRY_LIMIT, WeightedPointSet, is_min
 from .coloring import Coloring, is_proper, is_strict, is_trivial_coloring
 from .geometry import Hypergraph, ProjectiveSpace, count_subspaces, mask_bits, point_set, theta
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
-                      line_union_weights, require_line_multiset_limit)
+                      line_union_weights, require_line_multiset_limit, tmodp_violations)
 
 SCHEMA_VERSION = 1
 
@@ -154,7 +154,8 @@ def _verify_tmodp_report(payload):
         return False, f"exhaustive does not match {p}^{kdim} cosets against the limit"
     if len(sets) != payload["num_found"]:
         return False, "num_found does not match the listed sets"
-    if len(set(map(tuple, sets))) != len(sets):
+    found = list(map(tuple, sets))
+    if len(set(found)) != len(found):
         return False, "a set is listed twice"
     if verified and payload["violations"]:
         return False, "claimed verified but violations are listed"
@@ -163,9 +164,17 @@ def _verify_tmodp_report(payload):
     if cap > p - 1:
         return False, f"weight_cap {cap} is above p - 1"
     require_line_multiset_limit(p, t)
-    if payload["num_unions"] != len(line_union_weights(space, k, t, max_size, cap)):
+    unions = line_union_weights(space, k, t, max_size, cap)
+    if payload["num_unions"] != len(unions):
         return False, "num_unions does not match a recount of the unions"
-    for wt in sets:
+    # with 2k = n, every two k-spaces meet in theta(j) = 1 (mod p) points,
+    # so a union of t k-spaces is a t (mod p) set of size t*theta(n-k); the
+    # recount keeps only those within max_size and weight_cap, so a listed
+    # set among them needs no incidence scan
+    known = unions if 2 * k == space.n else set()
+    for wt in found:
+        if wt in known:
+            continue
         B = WeightedPointSet(space, list(wt))
         if max(wt) > cap:
             return False, f"listed set has a point of weight {max(wt)} > weight_cap {cap}"
@@ -176,6 +185,14 @@ def _verify_tmodp_report(payload):
             return False, f"listed set of size {B.size} is not a {t} (mod {p}) set"
         if verified and B.size != expected:
             return False, f"listed set has size {B.size} != {expected}"
+    # the violations follow from the listed sets and, when the search was
+    # exhaustive, from the unions it missed; in any order
+    def key(v):
+        return v["weights"], v["reason"]
+    violations = tmodp_violations(found, unions, expected, exhaustive)
+    if violations != payload["violations"] and \
+            sorted(map(key, violations)) != sorted(map(key, payload["violations"])):
+        return False, "violations do not match those of the listed sets and the recount"
     return True, "report sets verified"
 
 

@@ -111,9 +111,9 @@ def trivial_coloring(transversal, H: Hypergraph) -> Coloring:
 
 def _tau2_size_cutoff(H: Hypergraph) -> int:
     """Cheap lower bound on the size of any 2-transversal of H."""
-    if H.params is None:
+    if H.geometry is None:
         return 2
-    n, k, q = H.params
+    n, k, q = H.geometry
     return max(2, 2 * theta(n - k, q))
 
 

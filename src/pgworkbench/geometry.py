@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .fields import GF, field_for_order
+from .fields import GF, FieldError, field_for_order
 
 DEFAULT_MAX_POINTS = 10**6
 DEFAULT_MAX_SUBSPACES = 5 * 10**6
@@ -112,6 +112,29 @@ class Hypergraph:
                 lists[v].append(ei)
         return tuple(map(tuple, lists))
 
+    @functools.cached_property
+    def geometry(self) -> tuple | None:
+        """(n, k, q) when the edges are exactly the k-spaces of PG(n,q), for
+        1 <= k <= n-1, as `params` claims; None otherwise.  This is the one
+        check behind every geometric shortcut: claimed parameters that do
+        not match the edges get none.  The vertex count is tested first, so
+        a false claim of a large space builds nothing; the space's own
+        cached hypergraph matches at once, and any other is compared with
+        it edge by edge, in any edge order."""
+        if self.params is None:
+            return None
+        n, k, q = self.params
+        if not all(type(x) is int for x in self.params) or n < 1 or q < 2 \
+                or self.num_vertices != theta(n, q):
+            return None
+        try:
+            H = ProjectiveSpace.of_order(n, q).hypergraph(k)
+        except (FieldError, GeometryError):
+            return None
+        if H is self or len(H.edges) == len(self.edges) and set(H.edges) == set(self.edges):
+            return self.params
+        return None
+
     def to_json(self) -> dict:
         data = {"edges": list(self.edge_points)}
         if self.params is not None:
@@ -124,9 +147,8 @@ class Hypergraph:
     @classmethod
     def from_json(cls, data) -> "Hypergraph":
         """A hypergraph from its JSON form, with its edges in file order.
-        Claimed parameters (n, k, q) are checked: the edges, in any order,
-        must be the k-spaces of PG(n,q), since solvers apply the geometric
-        bounds of H(n,k,q)."""
+        Claimed parameters (n, k, q) are checked by `geometry`: the edges,
+        in any order, must be the k-spaces of PG(n,q)."""
         edge_lists = data.get("edges") if isinstance(data, dict) else None
         if not isinstance(edge_lists, (list, tuple)) or not all(
                 isinstance(e, (list, tuple)) for e in edge_lists):
@@ -136,8 +158,7 @@ class Hypergraph:
             n, k, q = params = tuple(data.get(key) for key in ("n", "k", "q"))
             if not all(type(x) is int for x in params):
                 raise GeometryError(f"(n, k, q) = {params!r} are not all integers")
-            space = ProjectiveSpace.of_order(n, q)
-            num = space.num_points
+            num = ProjectiveSpace.of_order(n, q).num_points
         else:
             num, params = data.get("num_vertices"), None
             if type(num) is not int or not 0 <= num <= DEFAULT_MAX_POINTS:
@@ -146,10 +167,10 @@ class Hypergraph:
         for i in itertools.chain.from_iterable(edge_lists):
             if type(i) is not int or not 0 <= i < num:
                 raise GeometryError(f"edge index {i!r} is not a vertex in [0, {num})")
-        edges = tuple(sum(1 << i for i in set(e)) for e in edge_lists)
-        if params is not None and sorted(edges) != sorted(space.hypergraph(k).edges):
+        H = cls(num, tuple(sum(1 << i for i in set(e)) for e in edge_lists), params)
+        if params is not None and H.geometry is None:
             raise GeometryError(f"the edges are not the {k}-spaces of PG({n},{q})")
-        return cls(num, edges, params)
+        return H
 
 
 class ProjectiveSpace:

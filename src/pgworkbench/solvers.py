@@ -59,10 +59,14 @@ def exact_tau(H: Hypergraph, t: int, *, vertex_limit: int = DEFAULT_TAU_VERTEX_L
               initial_witness=None) -> SolveResult:
     """Minimum size of a t-transversal, by branch and bound.
 
-    For H(n,m,q) with t <= q, the folklore bound t*theta(n-m) lets the
-    search stop as soon as an incumbent meets it.  initial_witness seeds
-    the incumbent, e.g. a disjoint-subspace construction; it must be a
-    list of distinct vertex indices.
+    On a hypergraph that `Hypergraph.geometry` validates as H(n,m,q), with
+    t <= q, the folklore bound t*theta(n-m) lets the search stop as soon
+    as an incumbent meets it.  On any validated H(n,m,q) the search also
+    starts with points 0 and 1 chosen: tau_t >= 2 for 1 <= m <= n-1, and
+    PGL(n+1,q) is 2-transitive on points, so some minimum t-transversal
+    holds both.  Claimed params that do not match the edges get neither.
+    initial_witness seeds the incumbent, e.g. a disjoint-subspace
+    construction; it must be a list of distinct vertex indices.
     """
     if t < 1:
         raise SolverError("t must be >= 1")
@@ -72,8 +76,8 @@ def exact_tau(H: Hypergraph, t: int, *, vertex_limit: int = DEFAULT_TAU_VERTEX_L
         raise SolverError("infeasible: some hyperedge has fewer than t vertices")
 
     geometric_lb = None
-    if H.params is not None and t <= H.params[2]:
-        n, m, q = H.params
+    if H.geometry is not None and t <= H.geometry[2]:
+        n, m, q = H.geometry
         geometric_lb = t * theta(n - m, q)
 
     vertex_edges = H.vertex_edges
@@ -113,6 +117,20 @@ def exact_tau(H: Hypergraph, t: int, *, vertex_limit: int = DEFAULT_TAU_VERTEX_L
     nodes = 0
     done = False
 
+    def take(v, total, num_open):
+        """Choose the available vertex v; the new total and num_open."""
+        cover[v] -= out
+        for ei in vertex_edges[v]:
+            d = deficits[ei]
+            deficits[ei] = d - 1
+            if d > 0:
+                total -= 1
+                if d == 1:
+                    num_open -= 1
+                    for u in edge_pts[ei]:
+                        cover[u] -= 1
+        return total, num_open
+
     def dfs(chosen, count, avail, total, num_open):
         # total and num_open: the sum of the open deficits, the open edges
         nonlocal best, best_size, nodes, done
@@ -147,18 +165,7 @@ def exact_tau(H: Hypergraph, t: int, *, vertex_limit: int = DEFAULT_TAU_VERTEX_L
         for v in mask_bits(pick):
             low = 1 << v
             avail ^= low
-            cover[v] -= out
-            child_total, child_open = total, num_open
-            for ei in vertex_edges[v]:
-                d = deficits[ei]
-                deficits[ei] = d - 1
-                if d > 0:
-                    child_total -= 1
-                    if d == 1:
-                        child_open -= 1
-                        for u in edge_pts[ei]:
-                            cover[u] -= 1
-            dfs(chosen | low, count + 1, avail, child_total, child_open)
+            dfs(chosen | low, count + 1, avail, *take(v, total, num_open))
             for ei in vertex_edges[v]:
                 d = deficits[ei] + 1
                 deficits[ei] = d
@@ -170,7 +177,14 @@ def exact_tau(H: Hypergraph, t: int, *, vertex_limit: int = DEFAULT_TAU_VERTEX_L
         for v in mask_bits(pick & ~avail):
             cover[v] += out
 
-    dfs(0, 0, (1 << V) - 1, t * len(edges), len(edges))
+    total, num_open = t * len(edges), len(edges)
+    if H.geometry is None:
+        dfs(0, 0, (1 << V) - 1, total, num_open)
+    else:
+        # tau_t >= 2 for 1 <= m <= n-1, and PGL(n+1,q) is 2-transitive on
+        # points, so some minimum t-transversal holds points 0 and 1
+        total, num_open = take(0, total, num_open)
+        dfs(0b11, 2, (1 << V) - 4, *take(1, total, num_open))
     return SolveResult(objective=best_size, witness=tuple(mask_bits(best)), nodes=nodes,
                        status=OPTIMAL, lower_bound=geometric_lb,
                        upper_bound=best_size)
@@ -183,6 +197,13 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
 
     Searches over class merges starting from the all-distinct coloring:
     UCN = |V| - (minimum number of merges killing every rainbow edge).
+    Each node branches on the merges of its first rainbow edge by Zykov's
+    same-or-different rule: the later siblings of a merge keep its two
+    classes apart, so a partition is not searched again for each merge
+    order.  On a hypergraph that `Hypergraph.geometry` validates as
+    H(n,k,q), the search starts from the merge of points 0 and 1: every
+    proper coloring has a monochromatic pair, and PGL(n+1,q) is
+    2-transitive on points.
     The incumbent is seeded by the trivial coloring built on a minimum
     2-transversal.  A hypergraph with no vertex has no coloring to
     witness, and raises SolverError.
@@ -209,12 +230,15 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
     best_assignment = list(seed_coloring.assignment)
     nodes = 0
 
-    # root[v] is the least vertex of v's class and cls[r] the point mask of
-    # the class of root r: a merge relabels the class of the larger root
-    # with the smaller one, and undoing it relabels back
+    # root[v] is the least vertex of v's class, cls[r] the point mask of the
+    # class of root r and apart[r] the point mask of the classes it must
+    # stay apart from: a merge relabels the class of the larger root with
+    # the smaller one and joins their apart masks, and undoing it restores
+    # both
     root = list(range(V))
     members = [[v] for v in range(V)]
     cls = [1 << v for v in range(V)]
+    apart = [0] * V
 
     def dfs(merges, rainbows):
         nonlocal best_merges, best_assignment, nodes
@@ -233,22 +257,44 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
                 for v in edge_pts[e]:
                     used |= cls[root[v]]
         # the roots of a rainbow edge are distinct, so every pair is a new
-        # merge; it keeps a rainbow edge rainbow unless the edge meets both
-        for ra, rb in itertools.combinations([root[v] for v in edge_pts[rainbows[0]]], 2):
+        # merge; it keeps a rainbow edge rainbow unless the edge meets both.
+        # Zykov's same-or-different branching: once the subtree that merges
+        # a pair is done, the later siblings keep that pair apart, so no
+        # partition is searched twice; an edge with no pair left to merge
+        # yields no child
+        roots = [root[v] for v in edge_pts[rainbows[0]]]
+        saved = [apart[r] for r in roots]
+        for ra, rb in itertools.combinations(roots, 2):
             lo, hi = min(ra, rb), max(ra, rb)
             a, b = cls[lo], cls[hi]
+            if a & apart[hi]:
+                continue
             moved = members[hi]
             for v in moved:
                 root[v] = lo
             members[lo] += moved
             cls[lo] = a | b
+            apart_lo = apart[lo]
+            apart[lo] = apart_lo | apart[hi]
             dfs(merges + 1, [e for e in rainbows if not (e & a and e & b)])
             cls[lo] = a
             del members[lo][-len(moved):]
             for v in moved:
                 root[v] = hi
+            apart[lo], apart[hi] = apart_lo | b, apart[hi] | a
+        for r, mask in zip(roots, saved):
+            apart[r] = mask
 
-    dfs(0, list(H.edges))
+    if H.geometry is None:
+        dfs(0, list(H.edges))
+    else:
+        # every proper coloring has a monochromatic pair, and PGL(n+1,q) is
+        # 2-transitive on points, so some optimal coloring puts points 0
+        # and 1 in one class
+        root[1] = 0
+        members[0].append(1)
+        cls[0] = 0b11
+        dfs(1, [e for e in H.edges if e & 0b11 != 0b11])
     witness = make_coloring(best_assignment)
     objective = V - best_merges
     ok, _ = is_proper(witness, H)
@@ -312,6 +358,24 @@ def line_union_weights(space: ProjectiveSpace, k: int, t: int, max_size: int,
     return weights
 
 
+def tmodp_violations(found: list, union_weights: set, expected_size: int,
+                     exhaustive: bool) -> list:
+    """The violations of a t (mod p) report, in report order: each found
+    weight tuple of the wrong size or outside the unions and, when the
+    search was exhaustive, each union it did not find."""
+    violations = []
+    for wt in found:
+        size = sum(wt)
+        if size != expected_size:
+            violations.append({"weights": list(wt), "reason": f"size {size} != {expected_size}"})
+        elif wt not in union_weights:
+            violations.append({"weights": list(wt), "reason": "not a weighted union of t lines"})
+    if exhaustive:
+        for wt in union_weights - set(found):
+            violations.append({"weights": list(wt), "reason": "line union missed by enumeration"})
+    return violations
+
+
 def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVerification:
     """Verify, in the plane PG(2,p), that every residue-capped t (mod p)
     set of bounded total weight is a weighted union of t lines.
@@ -347,19 +411,8 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVe
     expected_size = t * theta(space.n - k, p)
     union_weights = line_union_weights(space, k, t, max_size, p - 1)
 
-    violations = []
-    found_weights = set()
-    for B in enum.sets:
-        wt = tuple(B.weights)
-        found_weights.add(wt)
-        if B.size != expected_size:
-            violations.append({"weights": list(wt), "reason": f"size {B.size} != {expected_size}"})
-        elif wt not in union_weights:
-            violations.append({"weights": list(wt), "reason": "not a weighted union of t lines"})
-    if enum.exhaustive:
-        for wt in union_weights - found_weights:
-            violations.append({"weights": list(wt), "reason": "line union missed by enumeration"})
-
+    violations = tmodp_violations([tuple(B.weights) for B in enum.sets], union_weights,
+                                  expected_size, enum.exhaustive)
     return TModPVerification(
         p=p, t=t, k=k, max_size=max_size, weight_cap=p - 1,
         kernel_dim=enum.kernel_dim, num_solution_classes=enum.num_solution_classes,

@@ -146,6 +146,17 @@ def _list_first_twice(data):
     data["num_found"] += 1
 
 
+def _as_point_report(data):
+    """Recast the (2, 1) report as one about points (k = 0), listing a
+    single point: a union of one point, but not a 1 (mod 2) set for the
+    points, since the others have weight 0."""
+    points = [[int(i == j) for i in range(7)] for j in range(7)]
+    data.update(k=0, expected_size=7, sets=points[:1], num_found=1, verified=False,
+                violations=[{"weights": points[0], "reason": "size 1 != 7"}]
+                + [{"weights": w, "reason": "line union missed by enumeration"}
+                   for w in points[1:]])
+
+
 # (p, t), a tampering of the report, and the expected rejection; the first
 # set of the (3,2) report has size 8 and weight 2 at point 3
 TAMPERED_TMODP_REPORTS = [
@@ -179,6 +190,16 @@ TAMPERED_TMODP_REPORTS = [
                  id="exhaustive-flipped"),
     pytest.param((3, 2), lambda d: d.update(num_unions=90), "recount of the unions",
                  id="num-unions-off"),
+    # the (3,2) report lists 234 violations, each a set of size 11
+    pytest.param((3, 2), lambda d: d.update(violations=d["violations"][:1]),
+                 "violations do not match", id="violations-dropped"),
+    pytest.param((3, 2), lambda d: d.update(violations=[]), "violations do not match",
+                 id="violations-emptied"),
+    pytest.param((3, 2), lambda d: d["violations"][0].update(weights=[0] * 13),
+                 "violations do not match", id="violation-zeroed"),
+    # a recounted union skips the incidence scan only where it is a
+    # t (mod p) set by construction, which needs 2k = n
+    pytest.param((2, 1), _as_point_report, "is not a 1 (mod 2) set", id="point-unions"),
 ]
 
 

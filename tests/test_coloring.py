@@ -86,6 +86,13 @@ def test_nontrivial_proper_coloring():
     assert not triv and cls is None
 
 
+def test_is_trivial_coloring_ignores_lying_params():
+    # edges that claim (2, 1, 2): the size cutoff 2*theta(1) = 6 of the
+    # lines of PG(2,2) would skip the 2-point class that is a 2-transversal
+    H = Hypergraph(7, (0b11,), (2, 1, 2))
+    assert is_trivial_coloring(Coloring((1, 1, 2, 3, 4, 5, 6)), H) == (True, 1)
+
+
 def test_monochromatic_disjoint_pair():
     space = ProjectiveSpace.of_order(3, 2)
     A, B = space.disjoint_subspaces(1, 2)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -409,6 +410,28 @@ def test_hypergraph_from_json_checks_claimed_params():
         Hypergraph.from_json({"n": 2, "k": 2, "q": 3, "edges": edges})  # k out of range
     with pytest.raises(GeometryError, match="integers"):
         Hypergraph.from_json({"n": 2.0, "k": 1, "q": 3, "edges": edges})
+
+
+def test_hypergraph_geometry_trusts_only_matching_params():
+    H = ProjectiveSpace.of_order(2, 3).hypergraph(1)
+    assert H.geometry == (2, 1, 3)
+    shuffled = Hypergraph(H.num_vertices, tuple(reversed(H.edges)), (2, 1, 3))
+    assert shuffled.geometry == (2, 1, 3)
+    assert Hypergraph(H.num_vertices, H.edges).geometry is None
+    for bad in (H.edges[1:], H.edges + H.edges[:1], (H.edges[0],) + H.edges[2:] + H.edges[:1]):
+        assert Hypergraph(H.num_vertices, bad, (2, 1, 3)).geometry is None
+    for params in [(2, 2, 3), (2, 0, 3), (2, 1, 2), (1, 1, 12), (2, 1, 1), (2, 1, 3.0),
+                   (0, 1, 3)]:
+        assert Hypergraph(H.num_vertices, H.edges, params).geometry is None
+    # 43 = theta(2, 6), but 6 is no prime power
+    assert Hypergraph(43, (0b11,), (2, 1, 6)).geometry is None
+
+
+def test_hypergraph_geometry_tests_the_vertex_count_first():
+    # a claim of PG(2,127) on 7 vertices builds no space of 16257 points
+    start = time.perf_counter()
+    assert Hypergraph(7, (0b11,), (2, 1, 127)).geometry is None
+    assert time.perf_counter() - start < 0.1
 
 
 def test_subspace_count_mismatch_raises(monkeypatch):

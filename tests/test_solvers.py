@@ -133,13 +133,14 @@ def test_exact_ucn_fano():
 
 
 def test_exact_ucn_matches_brute_force_random_corpus():
+    # no params, so this checks the apart masks of the Zykov branching
     rng = random.Random(20240817)
-    for _ in range(50):
-        V = rng.randrange(4, 9)
-        num_edges = rng.randrange(3, 9)
+    for _ in range(300):
+        V = rng.randrange(2, 9)
+        num_edges = rng.randrange(1, min(8, 2**V - V - 1) + 1)
         edges = set()
         while len(edges) < num_edges:
-            size = rng.randrange(2, min(4, V) + 1)
+            size = rng.randrange(2, V + 1)
             pts = rng.sample(range(V), size)
             edges.add(sum(1 << v for v in pts))
         H = Hypergraph(V, tuple(sorted(edges)))
@@ -229,11 +230,13 @@ def _digest(values):
     return hashlib.sha256(json.dumps(list(values), separators=(",", ":")).encode()).hexdigest()
 
 
-# Search effort and witnesses of the benchmark's solve tasks: a faster inner
-# loop must visit the same nodes and return the same witness.
+# Search effort and witnesses of the benchmark's solve tasks.  The nodes are
+# pinned from the search with the root fixes and the Zykov apart masks, so a
+# faster inner loop must visit the same nodes; the witnesses are those the
+# searches without either gave, and stay.
 def test_exact_tau_search_effort_pinned():
     res = exact_tau(ProjectiveSpace.of_order(2, 4).hypergraph(1), 2)
-    assert (res.nodes, res.objective) == (9011, 12)
+    assert (res.nodes, res.objective) == (2434, 12)
     assert _digest(res.witness) == \
         "25de17e2fea885085c7a167e7323c1d190f620478904b783ef487693fb114900"
 
@@ -266,14 +269,65 @@ def test_exact_tau_search_effort_pinned_mixed_sizes(t, nodes, objective, digest)
 
 
 @pytest.mark.parametrize("n, k, q, nodes, objective, digest", [
-    (2, 1, 3, 56713, 6, "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"),
-    (3, 2, 2, 9871, 11, "293457e67e07e2c24c6063f0a22f750faf3b7bdb059d05895370f300e0b7909b"),
-    (3, 1, 2, 96754, 4, "da83a276cc2807790005fec7bb6fde011b53a5c8f22668a4d371bfcf6c915be6"),
-])
+    (2, 1, 3, 6646, 6, "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"),
+    (3, 2, 2, 519, 11, "293457e67e07e2c24c6063f0a22f750faf3b7bdb059d05895370f300e0b7909b"),
+    (3, 1, 2, 6000, 4, "da83a276cc2807790005fec7bb6fde011b53a5c8f22668a4d371bfcf6c915be6"),
+], ids=["2-1-3", "3-2-2", "3-1-2"])
 def test_exact_ucn_search_effort_pinned(n, k, q, nodes, objective, digest):
     res = exact_ucn(ProjectiveSpace.of_order(n, q).hypergraph(k))
     assert (res.nodes, res.objective) == (nodes, objective)
     assert _digest(res.witness.assignment) == digest
+
+
+def test_exact_ucn_search_effort_pinned_without_params():
+    # the same edges as H(2,1,3) with no params: the Zykov apart masks
+    # alone, with no fixed first merge
+    H = ProjectiveSpace.of_order(2, 3).hypergraph(1)
+    res = exact_ucn(Hypergraph(H.num_vertices, H.edges))
+    assert (res.nodes, res.objective) == (35320, 6)
+    assert _digest(res.witness.assignment) == \
+        "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"
+
+
+@pytest.mark.parametrize("n, k, q", [(2, 1, 2), (2, 1, 3), (3, 2, 2), (3, 1, 2)])
+def test_exact_ucn_fixed_first_merge_keeps_the_objective(n, k, q):
+    H = ProjectiveSpace.of_order(n, q).hypergraph(k)
+    plain = Hypergraph(H.num_vertices, H.edges)
+    assert H.geometry == (n, k, q) and plain.geometry is None
+    assert exact_ucn(H).objective == exact_ucn(plain).objective
+
+
+@pytest.mark.parametrize("n, k, q", [(2, 1, 4), (3, 2, 3)])
+def test_exact_tau_fixed_root_pair_keeps_the_objective(n, k, q):
+    H = ProjectiveSpace.of_order(n, q).hypergraph(k)
+    plain = Hypergraph(H.num_vertices, H.edges)
+    assert exact_tau(H, 2).objective == exact_tau(plain, 2).objective
+
+
+# edges on 7 points that claim (2, 1, 2) but are not the lines of PG(2,2):
+# the greedy incumbent has 6 points, which met the claimed bound 2*theta(1)
+# and stopped the search, while the optimum is 5
+LYING_FANO_EDGES = (50, 104, 14, 25, 84, 37, 70)
+
+
+def test_lying_params_get_no_geometric_bound():
+    H = Hypergraph(7, LYING_FANO_EDGES, (2, 1, 2))
+    assert H.geometry is None
+    res = exact_tau(H, 2)
+    assert (res.objective, res.status, res.lower_bound) == (5, OPTIMAL, None)
+    assert res.objective == brute_force_tau(H, 2)
+    res = exact_tau(Hypergraph(7, (0b11,), (2, 1, 2)), 2)
+    assert (res.objective, res.lower_bound) == (2, None)
+
+
+def test_lying_params_get_no_root_fix():
+    # a fixed root pair would add points 0 and 1 to the optimum {2, 3}
+    res = exact_tau(Hypergraph(7, (0b1100,), (2, 1, 2)), 2)
+    assert res.objective == 2 and res.witness == (2, 3)
+    # the 2-point edges force 0 ~ 2 and 1 ~ 3; a fixed first merge of 0 and
+    # 1 would join all four and leave 4 classes, not 5
+    H = Hypergraph(7, (0b101, 0b1010), (2, 1, 2))
+    assert exact_ucn(H).objective == brute_force_ucn(H) == 5
 
 
 def test_exact_ucn_self_check_raises(monkeypatch):

@@ -78,3 +78,15 @@ def test_library_imports_no_random():
                     or isinstance(node, ast.ImportFrom) and node.module == "random":
                 found.append(f"{path.name} (line {node.lineno})")
     assert found == []
+
+
+def test_solvers_read_params_through_the_check():
+    # the geometric shortcuts (bounds, fixed roots, size cutoffs) read
+    # Hypergraph.geometry, which trusts params only when the edges match
+    found = []
+    for name in ("solvers.py", "coloring.py"):
+        path = PACKAGE_DIR / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "params":
+                found.append(f"{name} (line {node.lineno})")
+    assert found == []
