@@ -9,7 +9,6 @@ points, counted with weights.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -294,8 +293,6 @@ COSET_LIMIT = 3**13
 # entries of the dense k-space/point incidence matrix that the elimination
 # may take on: PG(2,17) with k = 1 has 94249 and takes seconds
 MATRIX_ENTRY_LIMIT = 10**5
-# cosets per chunk of the coset walk: bounds a lane integer to 4 KiB
-_COSET_CHUNK = 1 << 12
 
 
 @dataclass
@@ -309,13 +306,6 @@ class TModPEnumeration:
     sampled: int = 0
 
 
-def _lanes(data: bytes, width: int) -> int:
-    """data as an int with one little-endian lane of `width` bytes per byte."""
-    wide = bytearray(width * len(data))
-    wide[::width] = data
-    return int.from_bytes(wide, "little")
-
-
 def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int,
                            weight_cap: int | None = None) -> TModPEnumeration:
     """All weight functions w with 0 <= w <= weight_cap pointwise,
@@ -324,14 +314,13 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
     The solutions form a coset of the kernel of the k-space/point
     incidence matrix over GF(p).  Every coset of that kernel is walked when
     there are at most COSET_LIMIT of them; past it none is, and the result
-    lists no sets with exhaustive=False.  The walk holds residues in byte
-    lanes: BlockingError unless the field is prime with p < 256, max_size
-    is an int >= 0 and weight_cap one in [0, p - 1], and unless the
-    incidence matrix has at most MATRIX_ENTRY_LIMIT entries.
+    lists no sets with exhaustive=False.  BlockingError unless the field is
+    prime, max_size is an int >= 0 and weight_cap one in [0, p - 1], and
+    unless the incidence matrix has at most MATRIX_ENTRY_LIMIT entries.
     """
     p = space.field.p
-    if space.field.h != 1 or p >= 256:
-        raise BlockingError(f"mod-p enumeration needs p < 256 and a prime field, not GF({space.q})")
+    if space.field.h != 1:
+        raise BlockingError(f"mod-p enumeration needs a prime field, not GF({space.q})")
     weight_cap = p - 1 if weight_cap is None else weight_cap
     if type(max_size) is not int or max_size < 0:
         raise BlockingError(f"max_size must be an int >= 0, not {max_size!r}")
@@ -351,49 +340,18 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
     total = p**kdim
     if total > COSET_LIMIT:
         return TModPEnumeration([], kdim, total, False)
-    # Column-major walk: a chunk of L cosets is one column of L coefficient
-    # bytes per kernel vector, and an int holds one byte lane per coset.
-    # Chunks hold p^m cosets in product order: the last m columns run
-    # through GF(p)^m, the others are constant.  Point i of every coset is
-    # particular[i] plus, per kernel vector v with v[i] != 0, v's column put
-    # through a c*v[i] mod p table, reduced by one translate at the end.
-    # That sum of kdim + 1 residues fits a byte: COSET_LIMIT bounds it by 96
-    # for p <= 17, and MATRIX_ENTRY_LIMIT leaves only kdim = 0 above 17.
-    if (kdim + 1) * (p - 1) > 255:
-        raise BlockingError(f"{kdim + 1} residues mod {p} overflow a byte lane")
-    m = 0
-    while m < kdim and p ** (m + 1) <= _COSET_CHUNK:
-        m += 1
-    L = p**m
-    inner = bytes(itertools.chain.from_iterable(itertools.product(range(p), repeat=m)))
-    inner_columns = [inner[j::m] for j in range(m)]
-    modp = bytes(x % p for x in range(256))
-    times = [bytes(c * x % p for c in range(256)) for x in range(p)]
-    terms = [[(j, v[i]) for j, v in enumerate(kernel) if v[i]] for i in range(npts)]
-    ones = int.from_bytes(b"\x01" * L, "little")
-    # sizes go in lanes whose top bit is clear; adding `bias` sets it iff
-    # the size exceeds max_size
-    size_width = (npts * (p - 1)).bit_length() // 8 + 1
-    bias = (1 << 8 * size_width - 1) - 1 - min(max_size, npts * (p - 1))
-    size_ones = _lanes(b"\x01" * L, size_width)
-    high = size_ones << 8 * size_width - 1
-
     found = []
-    for head in itertools.product(range(p), repeat=kdim - m):
-        columns = [bytes([c]) * L for c in head] + inner_columns
-        table = [{x: int.from_bytes(col.translate(times[x]), "little") for x in set(v) - {0}}
-                 for col, v in zip(columns, kernel)]
-        residues = [sum((table[j][x] for j, x in point_terms), base * ones)
-                    .to_bytes(L, "little").translate(modp)
-                    for base, point_terms in zip(particular, terms)]
-        sizes = sum((_lanes(r, size_width) for r in residues), bias * size_ones)
-        keep = ((sizes & high) ^ high).to_bytes(size_width * L, "little")
-        # only cosets within max_size are read back, point by point
-        stack = b"".join(residues)
-        for c in itertools.compress(range(L), keep[size_width - 1::size_width]):
-            w = stack[c::L]
-            if max(w) <= weight_cap:
+
+    def walk(j, w):
+        if j == kdim:
+            if sum(w) <= max_size and max(w) <= weight_cap:
                 found.append(w)
-    # bytes sort as the weight tuples do
-    sets = [WeightedPointSet(space, list(w)) for w in sorted(found)]
+            return
+        for c in range(p):
+            if c:
+                w = [(a + b) % p for a, b in zip(w, kernel[j])]
+            walk(j + 1, w)
+
+    walk(0, particular)
+    sets = [WeightedPointSet(space, w) for w in sorted(found)]
     return TModPEnumeration(sets, kdim, total, True)

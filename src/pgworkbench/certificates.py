@@ -37,18 +37,24 @@ def make_certificate(kind: str, payload: dict) -> dict:
             "payload": payload, "checksum": checksum(payload)}
 
 
+def _geometry(H: Hypergraph) -> tuple:
+    if H.geometry is None:
+        raise CertificateError("the hypergraph's edges are not the k-spaces its params name")
+    return H.geometry
+
+
 def transversal_certificate(H: Hypergraph, t: int, res: SolveResult) -> dict:
-    """Certificate of a t-transversal of the geometric hypergraph H."""
-    n, k, q = H.params
+    """Certificate of a t-transversal of H; CertificateError unless H.geometry is set."""
+    n, k, q = _geometry(H)
     return make_certificate("transversal", {"n": n, "k": k, "q": q, "t": t,
                                             "points": list(res.witness),
                                             "objective": res.objective})
 
 
 def coloring_certificate(H: Hypergraph, coloring: Coloring) -> dict:
-    """Certificate of a proper strict coloring of the geometric hypergraph
-    H, recording whether it is trivial."""
-    n, k, q = H.params
+    """Certificate of a proper strict coloring of H, recording whether it
+    is trivial; CertificateError unless H.geometry is set."""
+    n, k, q = _geometry(H)
     trivial, _ = is_trivial_coloring(coloring, H)
     return make_certificate("coloring", {"n": n, "k": k, "q": q,
                                          "assignment": list(coloring.assignment),

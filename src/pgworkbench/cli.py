@@ -85,7 +85,7 @@ def cmd_solve(args):
         out = {"problem": "tau", "t": args.t, "objective": res.objective,
                "status": res.status, "nodes": res.nodes,
                "witness": list(res.witness) if res.witness is not None else None}
-        if H.params is not None and res.status == "optimal" and args.out:
+        if H.geometry is not None and res.status == "optimal" and args.out:
             write_certificate(transversal_certificate(H, args.t, res), args.out)
     else:
         res = exact_ucn(H)
@@ -93,7 +93,7 @@ def cmd_solve(args):
         out = {"problem": "ucn", "objective": res.objective, "status": res.status,
                "nodes": res.nodes,
                "witness": list(witness.assignment) if witness is not None else None}
-        if H.params is not None and res.status == "optimal" and args.out:
+        if H.geometry is not None and res.status == "optimal" and args.out:
             write_certificate(coloring_certificate(H, witness), args.out)
     _emit(out)
     return 0

@@ -42,7 +42,7 @@ class SummaryRow:
     match: str
 
 
-def _run_tau(task, config):
+def _run_tau(task):
     n, k, q, t = task["n"], task["k"], task["q"], task["t"]
     space = ProjectiveSpace.of_order(n, q)
     H = space.hypergraph(k)
@@ -55,7 +55,7 @@ def _run_tau(task, config):
     return transversal_certificate(H, t, res), f"tau_{t}(H({n},{k},{q}))", res.objective
 
 
-def _run_ucn(task, config):
+def _run_ucn(task):
     n, k, q = task["n"], task["k"], task["q"]
     space = ProjectiveSpace.of_order(n, q)
     H = space.hypergraph(k)
@@ -63,13 +63,13 @@ def _run_ucn(task, config):
     return coloring_certificate(H, res.witness), f"UCN(H({n},{k},{q}))", res.objective
 
 
-def _run_tmodp(task, config):
+def _run_tmodp(task):
     rep = verify_tmodp_theorem(task["p"], task["t"], max_size=task.get("max_size"))
     cert = tmodp_certificate(rep)
     value = rep.num_found if rep.verified else f"{rep.num_found} (violations!)"
     return cert, f"tmodp(p={task['p']},t={task['t']})", value
 
-def _run_bounds(task, config):
+def _run_bounds(task):
     rep = bounds_report(task["n"], task["k"], task["q"], task["t"])
     return bounds_certificate(rep), f"trivial_lower({rep.n},{rep.k},{rep.q})", rep.trivial_lower
 
@@ -88,7 +88,7 @@ def _run_task(name, task, config) -> SummaryRow:
     at_least = task.get("expected_at_least")
     if "expected_at_least" in task and type(at_least) not in (int, float):
         raise TypeError(f"expected_at_least {at_least!r} is not a number")
-    cert, quantity, value = runner(task, config)
+    cert, quantity, value = runner(task)
     write_certificate(cert, os.path.join(config.outdir, f"{name}.json"))
     ok, _ = recheck(cert)
     expected = task.get("expected")

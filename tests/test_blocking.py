@@ -227,9 +227,10 @@ def test_enumerate_t_mod_p_sets_past_the_coset_limit(monkeypatch):
 
 
 def reference_t_mod_p_walk(space, k, t, max_size, weight_cap):
-    """The coset walk written coordinate by coordinate, as a reference for
-    the packed-lane walk of enumerate_t_mod_p_sets: the same solve, coset
-    limit, filter and sort; past the limit it walks no coset."""
+    """The coset walk written coordinate by coordinate over
+    itertools.product, as a reference for the walk of
+    enumerate_t_mod_p_sets: the same solve, coset limit, filter and sort;
+    past the limit it walks no coset."""
     p = space.field.p
     npts = space.num_points
     rows = [[S.mask >> i & 1 for i in range(npts)] for S in space.subspaces(k)]
@@ -254,16 +255,20 @@ def reference_t_mod_p_walk(space, k, t, max_size, weight_cap):
             0 if exhaustive else len(walk))
 
 
-@pytest.mark.parametrize("n, q, k, t, weight_cap, lane_bits", [
-    (2, 2, 1, 1, 1, 8),   # exhaustive
-    (2, 3, 1, 2, 2, 8),
-    (2, 3, 1, 1, 1, 8),   # a weight cap below p - 1 keeps 14 of 482 sets
-    (3, 2, 2, 1, 1, 8),
-    (2, 5, 1, 2, 4, 8),   # past the coset limit
-    (3, 3, 2, 1, 2, 8),
-    (2, 11, 1, 3, 10, 16),
+@pytest.mark.parametrize("n, q, k, t, weight_cap, coset_limit", [
+    (2, 2, 1, 1, 1, 3**13),   # exhaustive
+    (2, 3, 1, 2, 2, 3**13),   # 729 cosets
+    (2, 3, 1, 1, 1, 3**13),   # a weight cap below p - 1 keeps 14 of 482 sets
+    (3, 2, 2, 1, 1, 3**13),   # 2048 cosets
+    (2, 5, 1, 2, 4, 3**13),   # past the coset limit
+    (3, 3, 2, 1, 2, 3**13),
+    (2, 11, 1, 3, 10, 3**13),
+    (2, 3, 1, 1, 2, 10),      # past a lowered limit
+    (2, 5, 1, 2, 4, 10),
 ])
-def test_enumerate_t_mod_p_sets_matches_coordinate_walk(n, q, k, t, weight_cap, lane_bits):
+def test_enumerate_t_mod_p_sets_matches_coordinate_walk(monkeypatch, n, q, k, t, weight_cap,
+                                                        coset_limit):
+    monkeypatch.setattr(blocking, "COSET_LIMIT", coset_limit)
     space = ProjectiveSpace.of_order(n, q)
     max_size = space.num_points * (q - 1) // 2
     enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size, weight_cap=weight_cap)
@@ -272,23 +277,16 @@ def test_enumerate_t_mod_p_sets_matches_coordinate_walk(n, q, k, t, weight_cap, 
     assert [B.weights for B in enum.sets] == ref_sets and (ref_sets or not exhaustive)
     assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive, enum.sampled) == \
         (kdim, total, exhaustive, sampled)
-    assert exhaustive == ((n, q) in {(2, 2), (2, 3), (3, 2)})
-    # a byte lane holds the unreduced sum of kdim + 1 residues below p up to
-    # 255; PG(2,11) would need 16-bit lanes, but has too many cosets to walk
-    assert ((q - 1) * (kdim + 1) > 255) == (lane_bits == 16)
+    assert exhaustive == ((n, q) in {(2, 2), (2, 3), (3, 2)} and coset_limit > 10)
 
 
 def test_enumerate_t_mod_p_sets_parameter_errors():
     space9 = ProjectiveSpace.of_order(2, 4)
-    with pytest.raises(BlockingError):
+    with pytest.raises(BlockingError, match=r"needs a prime field, not GF\(4\)"):
         enumerate_t_mod_p_sets(space9, k=1, t=1, max_size=5)  # h = 2
     space = ProjectiveSpace.of_order(2, 3)
     with pytest.raises(BlockingError):
         enumerate_t_mod_p_sets(space, k=1, t=1, max_size=5, weight_cap=3)
-    # k = n leaves a kernel of dimension 257 on the line PG(1,257), too
-    # many cosets to walk; the field is refused before that is found
-    with pytest.raises(BlockingError, match="mod-p enumeration needs p < 256"):
-        enumerate_t_mod_p_sets(ProjectiveSpace.of_order(1, 257), k=1, t=1, max_size=5)
 
 
 @pytest.mark.parametrize("q", [19, 127])
@@ -308,14 +306,6 @@ def test_enumerate_t_mod_p_sets_answers_below_the_matrix_limit():
     assert (enum.kernel_dim, enum.exhaustive, enum.sets) == (153, False, [])
 
 
-def test_enumerate_t_mod_p_sets_refuses_a_lane_overflow(monkeypatch):
-    # within COSET_LIMIT no walk sums more than 255 in a byte lane; a raised
-    # limit that lets PG(1,131)'s 131 kernel vectors through is refused
-    monkeypatch.setattr(blocking, "COSET_LIMIT", 131**131)
-    with pytest.raises(BlockingError, match="132 residues mod 131 overflow a byte lane"):
-        enumerate_t_mod_p_sets(ProjectiveSpace.of_order(1, 131), k=1, t=1, max_size=5)
-
-
 def assert_matches_reference(space, k, t, max_size, weight_cap):
     enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size, weight_cap=weight_cap)
     ref_sets, kdim, total, exhaustive, sampled = reference_t_mod_p_walk(
@@ -326,29 +316,13 @@ def assert_matches_reference(space, k, t, max_size, weight_cap):
     return enum
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 5, 7, 64])
-@pytest.mark.parametrize("n, q, k, t, coset_limit", [
-    (2, 3, 1, 2, 3**13),   # exhaustive, 729 cosets
-    (3, 2, 2, 1, 3**13),   # exhaustive, 2048 cosets
-    (2, 5, 1, 2, 10),      # past the limit
-    (2, 3, 1, 1, 10),
-])
-def test_enumerate_t_mod_p_sets_chunk_boundaries(monkeypatch, chunk, n, q, k, t, coset_limit):
-    # a coset's lane must not depend on where the chunks of the walk end:
-    # exhaustive chunks of p^m cosets (p^0 = 1 when chunk < p)
-    monkeypatch.setattr(blocking, "_COSET_CHUNK", chunk)
-    monkeypatch.setattr(blocking, "COSET_LIMIT", coset_limit)
-    space = ProjectiveSpace.of_order(n, q)
-    enum = assert_matches_reference(space, k, t, max_size=space.num_points * (q - 1) // 2,
-                                    weight_cap=q - 1)
-    assert bool(enum.sets) == enum.exhaustive
-
-
 @pytest.mark.parametrize("q, k, t, coset_limit", [
     (127, 1, 5, 40),
     (131, 1, 3, 40),
-    (131, 0, 3, 40),   # one coset, walked: a byte lane holds a residue below 131
+    (131, 0, 3, 40),   # one coset, walked
     (251, 1, 0, 20),
+    (257, 0, 1, 40),
+    (257, 1, 1, 40),
 ])
 def test_enumerate_t_mod_p_sets_large_primes(monkeypatch, q, k, t, coset_limit):
     # k = 1 leaves a kernel of dimension q, past any small coset limit
@@ -369,12 +343,3 @@ def test_enumerate_t_mod_p_sets_large_primes(monkeypatch, q, k, t, coset_limit):
 def test_enumerate_t_mod_p_sets_rejects_bad_arguments(kwargs, message):
     with pytest.raises(BlockingError, match=message):
         enumerate_t_mod_p_sets(ProjectiveSpace.of_order(2, 3), k=1, t=1, **kwargs)
-
-
-def test_enumerate_t_mod_p_sets_rejects_p_from_256_in_both_modes():
-    # k = 0 leaves one coset and k = 1 a kernel of dimension 257: neither
-    # is walked in byte lanes
-    space = ProjectiveSpace.of_order(1, 257)
-    for k in (0, 1):
-        with pytest.raises(BlockingError, match="mod-p enumeration needs p < 256"):
-            enumerate_t_mod_p_sets(space, k=k, t=1, max_size=5)

@@ -4,10 +4,11 @@ import time
 import pytest
 
 from pgworkbench.certificates import (CertificateError, canonical_json,
-                                      checksum, load_certificate,
+                                      checksum, coloring_certificate, load_certificate,
                                       make_certificate, recheck,
-                                      tmodp_certificate, write_certificate)
-from pgworkbench.geometry import ProjectiveSpace
+                                      tmodp_certificate, transversal_certificate,
+                                      write_certificate)
+from pgworkbench.geometry import Hypergraph, ProjectiveSpace
 from pgworkbench.solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -36,6 +37,16 @@ def test_make_certificate_and_roundtrip(tmp_path):
 def test_make_certificate_rejects_unknown_kind():
     with pytest.raises(CertificateError):
         make_certificate("mystery", {})
+
+
+def test_certificates_refuse_a_hypergraph_not_matching_its_params():
+    # one edge on points 2 and 3 is not the lines of PG(2,2): a certificate
+    # naming PG(2,2) with the witness [2] or [3] would fail its recheck
+    H = Hypergraph(7, (0b1100,), (2, 1, 2))
+    with pytest.raises(CertificateError, match="edges are not the k-spaces"):
+        transversal_certificate(H, 1, exact_tau(H, 1))
+    with pytest.raises(CertificateError, match="edges are not the k-spaces"):
+        coloring_certificate(H, exact_ucn(H).witness)
 
 
 def test_recheck_transversal():

@@ -81,10 +81,11 @@ def test_library_imports_no_random():
 
 
 def test_solvers_read_params_through_the_check():
-    # the geometric shortcuts (bounds, fixed roots, size cutoffs) read
-    # Hypergraph.geometry, which trusts params only when the edges match
+    # the geometric shortcuts (bounds, fixed roots, size cutoffs) and the
+    # certificates that name a space read Hypergraph.geometry, which
+    # trusts params only when the edges match
     found = []
-    for name in ("solvers.py", "coloring.py"):
+    for name in ("solvers.py", "coloring.py", "certificates.py", "cli.py"):
         path = PACKAGE_DIR / name
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute) and node.attr == "params":

@@ -1,5 +1,5 @@
-"""Property test of the column-major coset walk of enumerate_t_mod_p_sets
-against the coordinate-by-coordinate reference walk."""
+"""Property test of the coset walk of enumerate_t_mod_p_sets against the
+coordinate-by-coordinate reference walk."""
 
 from unittest import mock
 
@@ -28,16 +28,13 @@ def walks(draw):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(walks(), st.sampled_from([1, 3, 8, blocking._COSET_CHUNK]),
-       st.sampled_from([1, 30, 3000]))
-def test_walk_matches_reference(case, chunk, coset_limit):
-    # small chunks put chunk boundaries inside the walk; small limits leave
-    # most kernels unwalked
+@given(walks(), st.sampled_from([1, 30, 3000]))
+def test_walk_matches_reference(case, coset_limit):
+    # small limits leave most kernels unwalked
     space, k, t = case["space"], case["k"], case["t"]
     p = space.field.p
     rows = [[S.mask >> i & 1 for i in range(space.num_points)] for S in space.subspaces(k)]
-    with mock.patch.object(blocking, "_COSET_CHUNK", chunk), \
-            mock.patch.object(blocking, "COSET_LIMIT", coset_limit):
+    with mock.patch.object(blocking, "COSET_LIMIT", coset_limit):
         enum = enumerate_t_mod_p_sets(**case)
         if solve_mod_p(rows, [t] * len(rows), p) is None:
             assert (enum.sets, enum.kernel_dim, enum.num_solution_classes, enum.exhaustive) == \
