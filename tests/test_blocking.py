@@ -316,6 +316,28 @@ def assert_matches_reference(space, k, t, max_size, weight_cap):
     return enum
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 5, 7, 64])
+@pytest.mark.parametrize("n, q, k, t, coset_limit", [
+    (2, 3, 1, 2, 3**13),   # exhaustive, 729 cosets
+    (3, 2, 2, 1, 3**13),   # exhaustive, 2048 cosets
+    (2, 5, 1, 2, 10),      # past the limit
+    (2, 3, 1, 1, 10),
+])
+def test_enumerate_t_mod_p_sets_chunk_boundaries(monkeypatch, chunk, n, q, k, t, coset_limit):
+    # max_size cut every `chunk` points from 0 to the top: each cut keeps
+    # exactly the sets of the uncut walk up to that size, in the same order
+    monkeypatch.setattr(blocking, "COSET_LIMIT", coset_limit)
+    space = ProjectiveSpace.of_order(n, q)
+    top = space.num_points * (q - 1) // 2
+    full = assert_matches_reference(space, k, t, max_size=top, weight_cap=q - 1)
+    assert bool(full.sets) == full.exhaustive
+    for cut in sorted(set(range(0, top, chunk)) | {top}):
+        enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=cut, weight_cap=q - 1)
+        assert [B.weights for B in enum.sets] == \
+            [B.weights for B in full.sets if sum(B.weights) <= cut]
+        assert (enum.kernel_dim, enum.exhaustive) == (full.kernel_dim, full.exhaustive)
+
+
 @pytest.mark.parametrize("q, k, t, coset_limit", [
     (127, 1, 5, 40),
     (131, 1, 3, 40),
