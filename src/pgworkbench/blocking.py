@@ -28,7 +28,7 @@ class WeightedPointSet:
     def __post_init__(self):
         if len(self.weights) != self.space.num_points:
             raise BlockingError("weight array length does not match the point count")
-        if any(w < 0 for w in self.weights):
+        if min(self.weights) < 0:
             raise BlockingError("weights must be nonnegative")
 
     @property
@@ -57,56 +57,76 @@ def kspace_weights(B: WeightedPointSet, k: int):
     return [sum(map(w, pts)) for pts in B.space.incidence(k)]
 
 
-def _first_kspace_failing(B: WeightedPointSet, k: int, holds):
-    """(True, None) if holds(weight) for every k-space, else (False, the
-    first k-space in canonical order where it does not)."""
-    w = B.weights.__getitem__
-    for i, pts in enumerate(B.space.incidence(k)):
-        if not holds(sum(map(w, pts))):
-            return False, B.space.subspaces(k)[i]
-    return True, None
+def _kspace_failure(B: WeightedPointSet, t: int, k: int, char, sums: dict):
+    """Index of the first k-space, in canonical order, whose weight in B is
+    below t (char None, with k in 1..n-1) or not congruent to t mod char;
+    None when there is none.  The k-space weights are read from the dict
+    sums, keyed by k, and put there on first use, so every predicate of
+    one set takes a single pass over the k-spaces of each k."""
+    if char is None and (k < 1 or k > B.space.n - 1):
+        raise BlockingError(f"k = {k} out of range")
+    if k not in sums:
+        sums[k] = kspace_weights(B, k)
+    if char is None:
+        return next((i for i, s in enumerate(sums[k]) if not s >= t), None)
+    r = t % char
+    return next((i for i, s in enumerate(sums[k]) if not s % char == r), None)
+
+
+def _verdict(B: WeightedPointSet, k: int, failure):
+    return (True, None) if failure is None else (False, B.space.subspaces(k)[failure])
 
 
 # -- blocking, essentiality, minimality ---------------------------------
 
 def is_t_fold_blocking(B: WeightedPointSet, t: int, k: int):
     """True iff every k-space meets B in >= t weight; else (False, witness)."""
-    if k < 1 or k > B.space.n - 1:
-        raise BlockingError(f"k = {k} out of range")
-    return _first_kspace_failing(B, k, lambda s: s >= t)
+    return _verdict(B, k, _kspace_failure(B, t, k, None, {}))
 
 
-def _require_blocking(B, t, k):
-    ok, witness = is_t_fold_blocking(B, t, k)
-    if not ok:
+def _require_blocking(B, t, k, sums: dict) -> list:
+    """The k-space weights of B; BlockingError unless B is t-fold blocking."""
+    i = _kspace_failure(B, t, k, None, sums)
+    if i is not None:
         raise BlockingError(
             f"not a {t}-fold blocking set with respect to {k}-spaces "
-            f"(violated by a k-space of weight {B.subspace_weight(witness)})")
+            f"(violated by a k-space of weight {sums[k][i]})")
+    return sums[k]
+
+
+def _essential_mask(B: WeightedPointSet, t: int, k: int, sums: dict) -> int:
+    """Mask of the points on some k-space of weight exactly t; BlockingError
+    unless B is t-fold blocking."""
+    weights = _require_blocking(B, t, k, sums)
+    tight = 0
+    for S, s in zip(B.space.subspaces(k), weights):
+        if s == t:
+            tight |= S.mask
+    return tight
+
+
+def _is_minimal(B: WeightedPointSet, t: int, k: int, sums: dict) -> bool:
+    tight = _essential_mask(B, t, k, sums)
+    return all(tight >> i & 1 for i in B.support)
 
 
 def essential_points(B: WeightedPointSet, t: int, k: int):
     """Positive-weight points lying on some k-space of weight exactly t."""
-    _require_blocking(B, t, k)
-    tight = 0
-    for S, s in zip(B.space.subspaces(k), kspace_weights(B, k)):
-        if s == t:
-            tight |= S.mask
+    tight = _essential_mask(B, t, k, {})
     return {i for i in B.support if tight >> i & 1}
 
 
 def is_minimal(B: WeightedPointSet, t: int, k: int) -> bool:
-    ess = essential_points(B, t, k)
-    return all(i in ess for i in B.support)
+    return _is_minimal(B, t, k, {})
 
 
 def minimal_reduction(B: WeightedPointSet, t: int, k: int, order=None) -> WeightedPointSet:
     """Decrement non-essential weights in the given point order until minimal."""
-    _require_blocking(B, t, k)
+    sums = _require_blocking(B, t, k, {})
     space = B.space
     order = list(range(space.num_points) if order is None else order)
     point_spaces = space.point_subspaces(k)
     w = list(B.weights)
-    sums = kspace_weights(B, k)
     changed = True
     while changed:
         changed = False
@@ -136,7 +156,7 @@ def is_t_mod_p_set(B: WeightedPointSet, t: int, k: int, p: int | None = None):
     char = B.space.field.p
     if p is not None and p != char:
         raise BlockingError(f"p = {p} does not match the field characteristic {char}")
-    return _first_kspace_failing(B, k, lambda s: s % char == t % char)
+    return _verdict(B, k, _kspace_failure(B, t, k, char, {}))
 
 
 @dataclass
@@ -150,11 +170,11 @@ class ModExponentReport:
 
 def largest_mod_exponent(B: WeightedPointSet, t: int, k: int) -> ModExponentReport:
     """Largest e with every k-space weight congruent to t mod p^e."""
-    ok, witness = is_t_mod_p_set(B, t, k)
-    if not ok:
-        raise BlockingError("not a t (mod p) set")
     p = B.space.field.p
-    sums = kspace_weights(B, k)
+    sums = {}
+    if _kspace_failure(B, t, k, p, sums) is not None:
+        raise BlockingError("not a t (mod p) set")
+    sums = sums[k]
     max_sum = max(sums) if sums else 0
     e = 1
     capped = False
@@ -237,7 +257,7 @@ def folklore_bound_margin(B: WeightedPointSet, t: int, k: int) -> int:
     """Margin |B| - t*theta(n-k) of the folklore lower bound; requires t <= q."""
     if t > B.space.q:
         raise BlockingError(f"t = {t} > q = {B.space.q}: the folklore bound may fail")
-    _require_blocking(B, t, k)
+    _require_blocking(B, t, k, {})
     margin = B.size - t * theta(B.space.n - k, B.space.q)
     return margin
 

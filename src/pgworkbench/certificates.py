@@ -3,11 +3,14 @@ never re-solves anything."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
+import operator
 
-from .blocking import (COSET_LIMIT, MATRIX_ENTRY_LIMIT, WeightedPointSet, is_minimal,
-                       is_t_fold_blocking, is_t_mod_p_set)
+from .blocking import (COSET_LIMIT, MATRIX_ENTRY_LIMIT, WeightedPointSet, _is_minimal,
+                       _kspace_failure, _verdict)
 from .coloring import Coloring, is_proper, is_strict, is_trivial_coloring
 from .geometry import Hypergraph, ProjectiveSpace, count_subspaces, mask_bits, point_set, theta
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
@@ -82,14 +85,20 @@ def load_certificate(path: str) -> dict:
         return json.load(fh)
 
 
+def _all_ints(values) -> bool:
+    """True iff every value is an int and not a bool."""
+    return set(map(type, values)) <= {int}
+
+
 def _verify_transversal(payload):
     n, k, q, t = payload["n"], payload["k"], payload["q"], payload["t"]
     space = ProjectiveSpace.of_order(n, q)
     pts = point_set(payload["points"], space.num_points)
     if "objective" in payload and payload["objective"] != len(pts):
         return False, "objective does not match the witness size"
-    for kspace in space.incidence(k):
-        hit = len(pts.intersection(kspace))
+    mask = sum(1 << i for i in pts)
+    for S in space.subspaces(k):
+        hit = (S.mask & mask).bit_count()
         if hit < t:
             return False, f"a {k}-space meets the set in only {hit} < {t} points"
     return True, "t-transversal verified"
@@ -100,6 +109,8 @@ def _verify_coloring(payload):
     space = ProjectiveSpace.of_order(n, q)
     H = space.hypergraph(k)
     coloring = Coloring(tuple(payload["assignment"]))
+    if not _all_ints(coloring.assignment):
+        return False, "a color is not an int"
     if not is_strict(coloring, H.num_vertices):
         return False, "coloring is not strict"
     if payload.get("N") is not None and coloring.N != payload["N"]:
@@ -117,27 +128,69 @@ def _verify_coloring(payload):
 def _verify_blocking_set(payload):
     n, q = payload["space"]["n"], payload["space"]["q"]
     space = ProjectiveSpace.of_order(n, q)
-    B = WeightedPointSet(space, list(payload["weights"]))
+    weights = list(payload["weights"])
+    if not _all_ints(weights):
+        return False, "a weight is not an int"
+    B = WeightedPointSet(space, weights)
+    # the k-space weights of B, computed once for each k that a claim names
+    sums = {}
     for claim in payload["claims"]:
         kind = claim["type"]
         t, k = claim["t"], claim["k"]
         if kind == "t_fold_blocking":
-            ok, witness = is_t_fold_blocking(B, t, k)
+            ok, witness = _verdict(B, k, _kspace_failure(B, t, k, None, sums))
             if ok != claim.get("verified", True):
                 detail = "claim mismatch"
                 if witness is not None:
                     detail = f"violating {k}-space with basis {witness.basis}"
                 return False, detail
         elif kind == "t_mod_p":
-            ok, witness = is_t_mod_p_set(B, t, k)
-            if ok != claim.get("verified", True):
+            failure = _kspace_failure(B, t, k, space.field.p, sums)
+            if (failure is None) != claim.get("verified", True):
                 return False, f"t (mod p) claim fails on a {k}-space"
         elif kind == "minimal":
-            if is_minimal(B, t, k) != claim.get("verified", True):
+            if _is_minimal(B, t, k, sums) != claim.get("verified", True):
                 return False, "minimality claim mismatch"
         else:
             return False, f"unknown claim type {kind!r}"
     return True, "all claims verified"
+
+
+_add_elementwise = functools.partial(map, operator.add)
+
+
+def _listed_set_fault(space, sets, t, k, cap, max_size, expected):
+    """Why one of the listed weight tuples is not a t (mod p) set of
+    `space` with respect to k-spaces within weight_cap and max_size, or,
+    when expected is not None, not of size expected; None when all are.
+    Each test runs over every set before the next starts, in the order
+    that a single faulty set meets them, so such a set gets the detail
+    that a set-by-set scan gives it; the k-spaces are read once for all
+    the sets together."""
+    if not sets:
+        return None
+    npts = space.num_points
+    if set(map(len, sets)) != {npts} or min(map(min, sets)) < 0:
+        for wt in sets:
+            # raises the BlockingError that names the fault
+            WeightedPointSet(space, list(wt))
+    peak = max(map(max, sets))
+    if peak > cap:
+        return f"listed set has a point of weight {peak} > weight_cap {cap}"
+    sizes = list(map(sum, sets))
+    if max(sizes) > max_size:
+        return f"listed set has size {max(sizes)} > max_size {max_size}"
+    char = space.field.p
+    residue = t % char
+    columns = list(zip(*sets))  # per point, its weight in every set
+    for pts in space.incidence(k):
+        weights = list(functools.reduce(_add_elementwise, map(columns.__getitem__, pts)))
+        if not all(w % char == residue for w in set(weights)):
+            j = next(j for j, w in enumerate(weights) if not w % char == residue)
+            return f"listed set of size {sizes[j]} is not a {t} (mod {space.q}) set"
+    if expected is not None and set(sizes) != {expected}:
+        return f"listed set has size {(set(sizes) - {expected}).pop()} != {expected}"
+    return None
 
 
 def _verify_tmodp_report(payload):
@@ -161,6 +214,8 @@ def _verify_tmodp_report(payload):
     if len(sets) != payload["num_found"]:
         return False, "num_found does not match the listed sets"
     found = list(map(tuple, sets))
+    if not _all_ints(itertools.chain.from_iterable(found)):
+        return False, "a listed set has a weight that is not an int"
     if len(set(found)) != len(found):
         return False, "a set is listed twice"
     if verified and payload["violations"]:
@@ -178,23 +233,16 @@ def _verify_tmodp_report(payload):
     # recount keeps only those within max_size and weight_cap, so a listed
     # set among them needs no incidence scan
     known = unions if 2 * k == space.n else set()
-    for wt in found:
-        if wt in known:
-            continue
-        B = WeightedPointSet(space, list(wt))
-        if max(wt) > cap:
-            return False, f"listed set has a point of weight {max(wt)} > weight_cap {cap}"
-        if B.size > max_size:
-            return False, f"listed set has size {B.size} > max_size {max_size}"
-        ok, _ = is_t_mod_p_set(B, t, k)
-        if not ok:
-            return False, f"listed set of size {B.size} is not a {t} (mod {p}) set"
-        if verified and B.size != expected:
-            return False, f"listed set has size {B.size} != {expected}"
+    fault = _listed_set_fault(space, [wt for wt in found if wt not in known], t, k, cap,
+                              max_size, expected if verified else None)
+    if fault is not None:
+        return False, fault
     # the violations follow from the listed sets and, when the search was
     # exhaustive, from the unions it missed; in any order
     def key(v):
         return v["weights"], v["reason"]
+    if not _all_ints(itertools.chain.from_iterable(v["weights"] for v in payload["violations"])):
+        return False, "a violation has a weight that is not an int"
     violations = tmodp_violations(found, unions, expected, exhaustive)
     if violations != payload["violations"] and \
             sorted(map(key, violations)) != sorted(map(key, payload["violations"])):

@@ -467,15 +467,25 @@ class ProjectiveSpace:
     def verify_pencil_identity(self, k: int) -> bool:
         """Every k-space lies in exactly theta(n-k-1) many (k+1)-spaces.
 
-        Verified exhaustively: for each k-space, the (k+1)-spaces through
-        its first point are tested for containment by mask.
+        Verified exhaustively, reading every bit of every mask of both
+        levels: each point gets a mask over the indices of the (k+1)-spaces
+        through it, and the AND of these masks over the points of a k-space
+        marks the (k+1)-spaces that contain it.  The point masks are built
+        here and dropped on return; no level caches them.
         """
         target = theta(self.n - k - 1, self.q)
-        upper = self._level(k + 1)
-        uppers, through = upper.edges, upper.vertex_edges
-        for m in self._level(k).edges:
-            first = (m & -m).bit_length() - 1
-            if sum(1 for j in through[first] if uppers[j] & m == m) != target:
+        uppers = self.subspaces(k + 1)
+        rows = [bytearray((len(uppers) + 7) // 8) for _ in range(self.num_points)]
+        for j, U in enumerate(uppers):
+            byte, bit = j >> 3, 1 << (j & 7)
+            for i in mask_bits(U.mask):
+                rows[i][byte] |= bit
+        through = [int.from_bytes(row, "little") for row in rows]
+        for S in self.subspaces(k):
+            common = -1
+            for i in mask_bits(S.mask):
+                common &= through[i]
+            if common.bit_count() != target:
                 return False
         return True
 

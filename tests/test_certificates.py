@@ -168,6 +168,30 @@ def _as_point_report(data):
                    for w in points[1:]])
 
 
+def _non_union(data):
+    """The first listed set of the (3,2) report that is not a line union:
+    the 91 unions have size 8, the other 234 sets size 11."""
+    return next(wt for wt in data["sets"] if sum(wt) == 11)
+
+
+def _negate_a_zero(wt):
+    wt[wt.index(0)] = -1
+
+
+def _fails_on_the_last_point(data):
+    """Recast the (2,1) report as one about points (k = 0), whose 1 (mod 2)
+    sets below size 8 are the single points, and list one set that is
+    1 (mod 2) on every point but the last: the last k-space of the walk
+    is the only one that it fails on."""
+    data.update(k=0, expected_size=7, max_size=7, num_unions=7, verified=False,
+                sets=[[1] * 6 + [0]], num_found=1, violations=[])
+
+
+def _bump_last_set(data):
+    wt = data["sets"][-1]
+    wt[0] = (wt[0] + 1) % data["p"]
+
+
 # (p, t), a tampering of the report, and the expected rejection; the first
 # set of the (3,2) report has size 8 and weight 2 at point 3
 TAMPERED_TMODP_REPORTS = [
@@ -211,6 +235,13 @@ TAMPERED_TMODP_REPORTS = [
     # a recounted union skips the incidence scan only where it is a
     # t (mod p) set by construction, which needs 2k = n
     pytest.param((2, 1), _as_point_report, "is not a 1 (mod 2) set", id="point-unions"),
+    pytest.param((2, 1), _fails_on_the_last_point, "listed set of size 6 is not a 1 (mod 2) set",
+                 id="fails-on-the-last-k-space"),
+    pytest.param((3, 2), _bump_last_set, "is not a 2 (mod 3) set", id="last-set-off-by-one"),
+    pytest.param((3, 2), lambda d: _non_union(d).pop(),
+                 "weight array length does not match the point count", id="set-one-weight-short"),
+    pytest.param((3, 2), lambda d: _negate_a_zero(_non_union(d)), "weights must be nonnegative",
+                 id="negative-weight"),
 ]
 
 
@@ -221,6 +252,71 @@ def test_recheck_tmodp_report_rejects_inconsistent_lists(pt, tamper, needle):
     tamper(data)
     ok, detail = recheck(make_certificate("tmodp_report", data))
     assert not ok and needle in detail
+
+
+def _retype_entry(entries, to):
+    """Replace the first 0 or 1 of a weight list by the same value as `to`."""
+    i = next(i for i, w in enumerate(entries) if w in (0, 1))
+    entries[i] = to(entries[i])
+
+
+# a float or bool equals the int it stands for, so these rechecked true
+# until the verifiers tested the type of every entry
+NON_INT_ENTRIES = [
+    pytest.param(kind, to, edit, needle, id=f"{name}-{to.__name__}")
+    for name, kind, edit, needle in [
+        ("report-set", "tmodp_report", lambda d, to: _retype_entry(d["sets"][0], to),
+         "a listed set has a weight that is not an int"),
+        ("report-violation", "tmodp_report",
+         lambda d, to: _retype_entry(d["violations"][0]["weights"], to),
+         "a violation has a weight that is not an int"),
+        ("blocking-weight", "blocking_set", lambda d, to: _retype_entry(d["weights"], to),
+         "a weight is not an int"),
+        ("color", "coloring", lambda d, to: _retype_entry(d["assignment"], to),
+         "a color is not an int"),
+    ]
+    for to in (float, bool)]
+
+
+def _valid_payload(kind):
+    if kind == "tmodp_report":
+        return verify_tmodp_theorem(3, 2).to_json()
+    space = ProjectiveSpace.of_order(2, 3)
+    if kind == "coloring":
+        res = exact_ucn(space.hypergraph(1))
+        return {"n": 2, "k": 1, "q": 3, "assignment": list(res.witness.assignment),
+                "N": res.witness.N}
+    from pgworkbench.blocking import construct_union
+    lines = space.subspaces(1)
+    B = construct_union(space, [(lines[0], 1), (lines[1], 1)])
+    return {"space": {"n": 2, "q": 3}, "weights": list(B.weights),
+            "claims": [{"type": "t_mod_p", "t": 2, "k": 1, "verified": True}]}
+
+
+@pytest.mark.parametrize("kind, to, edit, needle", NON_INT_ENTRIES)
+def test_recheck_refuses_non_int_entries(kind, to, edit, needle):
+    payload = _valid_payload(kind)
+    assert recheck(make_certificate(kind, payload)) == (True, {
+        "tmodp_report": "report sets verified", "coloring": "proper strict coloring verified",
+        "blocking_set": "all claims verified"}[kind])
+    edit(payload, to)
+    assert recheck(make_certificate(kind, payload)) == (False, needle)
+
+
+@pytest.mark.parametrize("n, k, q, t, points, detail", [
+    (2, 0, 2, 1, list(range(7)), None),
+    (2, 0, 2, 1, list(range(6)), "a 0-space meets the set in only 0 < 1 points"),
+    (2, 2, 2, 3, [0, 1, 5], None),
+    (2, 2, 2, 4, [0, 1, 5], "a 2-space meets the set in only 3 < 4 points"),
+    (3, 3, 2, 2, [0, 14], None),
+    (2, 3, 2, 1, [0], "verification error: m = 3 out of range for PG(2,2)"),
+])
+def test_recheck_transversal_for_points_and_the_whole_space(n, k, q, t, points, detail):
+    # k = 0 and k = n: the levels that incidence accepts beyond the hyperedges
+    ok, got = recheck(make_certificate("transversal", {"n": n, "k": k, "q": q, "t": t,
+                                                       "points": points,
+                                                       "objective": len(points)}))
+    assert (ok, got) == ((True, "t-transversal verified") if detail is None else (False, detail))
 
 
 def test_recheck_bounds():

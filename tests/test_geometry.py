@@ -292,6 +292,15 @@ def test_pencil_identity_detects_tampered_caches(n, q, k):
         space._subspace_cache[k] = tuple(subs)
         assert not space.verify_pencil_identity(k)
 
+    # a (k+1)-space with one point dropped from its mask: the k-spaces in
+    # it through that point lose it from their pencils
+    space = ProjectiveSpace(n, field_for_order(q))
+    uppers = list(space.subspaces(k + 1))
+    U = uppers[2]
+    uppers[2] = dataclasses.replace(U, mask=U.mask & (U.mask - 1))
+    space._subspace_cache[k + 1] = tuple(uppers)
+    assert not space.verify_pencil_identity(k)
+
     assert ProjectiveSpace(n, field_for_order(q)).verify_pencil_identity(k)
 
 

@@ -1,0 +1,223 @@
+"""Seeded differential test of the one-pass certificate verifiers.
+
+The reference below decides transversal, blocking_set and tmodp_report
+certificates the plain way, from the public predicates: one
+WeightedPointSet and one scan of the k-spaces per listed set or per
+claim.  `recheck` must give the same verdict and the same detail on
+valid certificates and on copies with one entry edited.
+"""
+
+import functools
+import json
+import random
+
+import pytest
+
+from pgworkbench.blocking import (COSET_LIMIT, MATRIX_ENTRY_LIMIT, BlockingError,
+                                  WeightedPointSet, construct_union, is_minimal,
+                                  is_t_fold_blocking, is_t_mod_p_set)
+from pgworkbench.certificates import make_certificate, recheck
+from pgworkbench.geometry import ProjectiveSpace, count_subspaces, point_set, theta
+from pgworkbench.solvers import (line_union_weights, require_line_multiset_limit,
+                                 tmodp_violations, verify_tmodp_theorem)
+
+
+def reference_transversal(payload):
+    n, k, q, t = payload["n"], payload["k"], payload["q"], payload["t"]
+    space = ProjectiveSpace.of_order(n, q)
+    pts = point_set(payload["points"], space.num_points)
+    if "objective" in payload and payload["objective"] != len(pts):
+        return False, "objective does not match the witness size"
+    for kspace in space.incidence(k):
+        hit = len(pts.intersection(kspace))
+        if hit < t:
+            return False, f"a {k}-space meets the set in only {hit} < {t} points"
+    return True, "t-transversal verified"
+
+
+def reference_blocking_set(payload):
+    n, q = payload["space"]["n"], payload["space"]["q"]
+    B = WeightedPointSet(ProjectiveSpace.of_order(n, q), list(payload["weights"]))
+    for claim in payload["claims"]:
+        kind, t, k = claim["type"], claim["t"], claim["k"]
+        want = claim.get("verified", True)
+        if kind == "t_fold_blocking":
+            ok, witness = is_t_fold_blocking(B, t, k)
+            if ok != want:
+                if witness is None:
+                    return False, "claim mismatch"
+                return False, f"violating {k}-space with basis {witness.basis}"
+        elif kind == "t_mod_p":
+            ok, _ = is_t_mod_p_set(B, t, k)
+            if ok != want:
+                return False, f"t (mod p) claim fails on a {k}-space"
+        elif kind == "minimal":
+            if is_minimal(B, t, k) != want:
+                return False, "minimality claim mismatch"
+        else:
+            return False, f"unknown claim type {kind!r}"
+    return True, "all claims verified"
+
+
+def reference_tmodp_report(payload):
+    p, t, k, sets = payload["p"], payload["t"], payload["k"], payload["sets"]
+    cap, max_size, verified = payload["weight_cap"], payload["max_size"], payload["verified"]
+    kdim, exhaustive = payload["kernel_dim"], payload["exhaustive"]
+    space = ProjectiveSpace.of_order(2, p)
+    expected = payload["expected_size"]
+    if expected != t * theta(space.n - k, p):
+        return False, "expected_size is wrong for the parameters"
+    if count_subspaces(2, k, p) * space.num_points > MATRIX_ENTRY_LIMIT:
+        return False, "the enumeration refuses this plane, so it has no report"
+    if type(kdim) is not int or not 0 <= kdim <= space.num_points:
+        return False, f"kernel_dim {kdim!r} is not an int in [0, {space.num_points}]"
+    if payload["num_solution_classes"] != p**kdim:
+        return False, "num_solution_classes is not p^kernel_dim"
+    if exhaustive != (p**kdim <= COSET_LIMIT):
+        return False, f"exhaustive does not match {p}^{kdim} cosets against the limit"
+    if len(sets) != payload["num_found"]:
+        return False, "num_found does not match the listed sets"
+    found = list(map(tuple, sets))
+    if len(set(found)) != len(found):
+        return False, "a set is listed twice"
+    if verified and payload["violations"]:
+        return False, "claimed verified but violations are listed"
+    if verified and not (exhaustive and payload["num_found"] == payload["num_unions"]):
+        return False, "claimed verified without an exhaustive search finding every union"
+    if cap > p - 1:
+        return False, f"weight_cap {cap} is above p - 1"
+    require_line_multiset_limit(p, t)
+    unions = line_union_weights(space, k, t, max_size, cap)
+    if payload["num_unions"] != len(unions):
+        return False, "num_unions does not match a recount of the unions"
+    known = unions if 2 * k == space.n else set()
+    for wt in found:
+        if wt in known:
+            continue
+        B = WeightedPointSet(space, list(wt))
+        if max(wt) > cap:
+            return False, f"listed set has a point of weight {max(wt)} > weight_cap {cap}"
+        if B.size > max_size:
+            return False, f"listed set has size {B.size} > max_size {max_size}"
+        ok, _ = is_t_mod_p_set(B, t, k)
+        if not ok:
+            return False, f"listed set of size {B.size} is not a {t} (mod {p}) set"
+        if verified and B.size != expected:
+            return False, f"listed set has size {B.size} != {expected}"
+
+    def key(v):
+        return v["weights"], v["reason"]
+    violations = tmodp_violations(found, unions, expected, exhaustive)
+    if violations != payload["violations"] and \
+            sorted(map(key, violations)) != sorted(map(key, payload["violations"])):
+        return False, "violations do not match those of the listed sets and the recount"
+    return True, "report sets verified"
+
+
+REFERENCES = {"transversal": reference_transversal, "blocking_set": reference_blocking_set,
+              "tmodp_report": reference_tmodp_report}
+
+
+def reference_recheck(cert):
+    try:
+        return REFERENCES[cert["kind"]](cert["payload"])
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        return False, f"verification error: {exc}"
+
+
+# -- the corpus: valid certificates and one-entry edits of them -----------
+
+@functools.cache
+def report(p, t):
+    return json.dumps(verify_tmodp_theorem(p, t).to_json())
+
+
+def tmodp_cases(rng):
+    data = json.loads(report(*rng.choice([(2, 1), (3, 1), (3, 2)])))
+    p = data["p"]
+    where = rng.choice(["none", "sets", "sets", "violations"])
+    if where == "sets":
+        wt = rng.choice(data["sets"])
+    elif where == "violations" and data["violations"]:
+        wt = rng.choice(data["violations"])["weights"]
+    else:
+        return data
+    i = rng.randrange(len(wt))
+    wt[i] = rng.choice([wt[i] - 1, wt[i] + 1, wt[i] + p, wt[i] - p, rng.randrange(-1, p + 1)])
+    return data
+
+
+def blocking_cases(rng):
+    n, q = rng.choice([(2, 3), (2, 4), (3, 2)])
+    space = ProjectiveSpace.of_order(n, q)
+    dim = rng.randrange(n)
+    members = [(rng.choice(space.subspaces(dim)), 1) for _ in range(rng.randint(1, 3))]
+    B = construct_union(space, members)
+    # claims for k = 0..n, each with the verified flag that the public
+    # predicates give; most of those they refuse are left out
+    claims = []
+    for _ in range(rng.randint(1, 3)):
+        claim = {"type": rng.choice(["t_fold_blocking", "t_mod_p", "minimal"]),
+                 "t": rng.randrange(4), "k": rng.randrange(n + 1)}
+        kind, t, k = claim["type"], claim["t"], claim["k"]
+        try:
+            if kind == "t_fold_blocking":
+                claim["verified"] = is_t_fold_blocking(B, t, k)[0]
+            elif kind == "t_mod_p":
+                claim["verified"] = is_t_mod_p_set(B, t, k)[0]
+            else:
+                claim["verified"] = is_minimal(B, t, k)
+        except BlockingError:
+            if rng.random() < 0.8:
+                continue
+            claim["verified"] = rng.choice([True, False])
+        claims.append(claim)
+    if not claims:
+        claims.append({"type": "t_mod_p", "t": 0, "k": n, "verified": B.size % space.field.p == 0})
+    payload = {"space": {"n": n, "q": q}, "weights": list(B.weights), "claims": claims}
+    how = rng.choice(["none", "weight", "weight", "verified", "t"])
+    if how == "weight":
+        i = rng.randrange(space.num_points)
+        payload["weights"][i] += rng.choice([-1, 1])
+    elif how == "verified":
+        claim = rng.choice(claims)
+        claim["verified"] = not claim["verified"]
+    elif how == "t":
+        rng.choice(claims)["t"] += rng.choice([-1, 1])
+    return payload
+
+
+def transversal_cases(rng):
+    n, q = rng.choice([(2, 2), (2, 3), (3, 2)])
+    num = theta(n, q)
+    k = rng.randrange(n + 1)
+    points = sorted(rng.sample(range(num), rng.randint(num // 2, num)))
+    payload = {"n": n, "k": k, "q": q, "t": rng.randrange(4), "points": points,
+               "objective": len(points)}
+    how = rng.choice(["none", "drop", "add", "t"])
+    if how == "drop" and points:
+        points.pop(rng.randrange(len(points)))
+        payload["objective"] -= 1
+    elif how == "add" and len(points) < num:
+        points.append(rng.choice(sorted(set(range(num)) - set(points))))
+        payload["objective"] += 1
+    elif how == "t":
+        payload["t"] += rng.choice([-1, 1])
+    return payload
+
+
+CASES = {"tmodp_report": tmodp_cases, "blocking_set": blocking_cases,
+         "transversal": transversal_cases}
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+@pytest.mark.parametrize("seed", range(3))
+def test_recheck_matches_the_public_predicates(kind, seed):
+    rng = random.Random(f"{kind}/{seed}")
+    verdicts = set()
+    for _ in range(40):
+        cert = make_certificate(kind, CASES[kind](rng))
+        got = recheck(cert)
+        assert got == reference_recheck(cert), cert["payload"]
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
