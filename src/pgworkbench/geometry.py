@@ -176,17 +176,15 @@ class Hypergraph:
 class ProjectiveSpace:
     """PG(n,q) with cached point, subspace and incidence enumerations."""
 
-    def __init__(self, n: int, field: GF, max_points: int = DEFAULT_MAX_POINTS,
-                 max_subspaces: int = DEFAULT_MAX_SUBSPACES):
+    def __init__(self, n: int, field: GF):
         if n < 1:
             raise GeometryError(f"projective dimension n = {n} must be >= 1")
         self.n = n
         self.field = field
-        self.max_subspaces = max_subspaces
-        if theta(n, field.q) > max_points:
+        if theta(n, field.q) > DEFAULT_MAX_POINTS:
             raise GeometryError(
                 f"PG({n},{field.q}) has {theta(n, field.q)} points, "
-                f"exceeding the limit {max_points}")
+                f"exceeding the limit {DEFAULT_MAX_POINTS}")
         self.points = tuple(sorted(_normalized_vectors(n + 1, field.q)))
         self.point_index = {pt: i for i, pt in enumerate(self.points)}
         self._place = [field.q ** (n - j) for j in range(n + 1)]
@@ -203,11 +201,11 @@ class ProjectiveSpace:
 
     @classmethod
     @functools.cache
-    def of_order(cls, n: int, q: int, **kwargs) -> "ProjectiveSpace":
-        """PG(n,q), shared: every call with the same arguments returns the
+    def of_order(cls, n: int, q: int) -> "ProjectiveSpace":
+        """PG(n,q), shared: every call with the same (n, q) returns the
         same space, so its point, subspace and incidence caches are built
         once per process."""
-        return cls(n, field_for_order(q), **kwargs)
+        return cls(n, field_for_order(q))
 
     # -- points ---------------------------------------------------------
 
@@ -310,10 +308,10 @@ class ProjectiveSpace:
         if cached is not None:
             return cached
         total = count_subspaces(self.n, m, self.q)
-        if total > self.max_subspaces:
+        if total > DEFAULT_MAX_SUBSPACES:
             raise GeometryError(
                 f"PG({self.n},{self.q}) has {total} {m}-spaces, "
-                f"exceeding the limit {self.max_subspaces}")
+                f"exceeding the limit {DEFAULT_MAX_SUBSPACES}")
         if m == 0:
             subs = tuple(Subspace(0, (pt,), 1 << i) for i, pt in enumerate(self.points))
         else:

@@ -55,8 +55,7 @@ def _greedy_transversal(vertex_edges, num_edges, t):
     return chosen
 
 
-def exact_tau(H: Hypergraph, t: int, *, vertex_limit: int = DEFAULT_TAU_VERTEX_LIMIT,
-              initial_witness=None) -> SolveResult:
+def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
     """Minimum size of a t-transversal, by branch and bound.
 
     On a hypergraph that `Hypergraph.geometry` validates as H(n,m,q), with
@@ -66,7 +65,8 @@ def exact_tau(H: Hypergraph, t: int, *, vertex_limit: int = DEFAULT_TAU_VERTEX_L
     PGL(n+1,q) is 2-transitive on points, so some minimum t-transversal
     holds both.  Claimed params that do not match the edges get neither.
     initial_witness seeds the incumbent, e.g. a disjoint-subspace
-    construction; it must be a list of distinct vertex indices.
+    construction; it must be a list of distinct vertex indices.  Past
+    DEFAULT_TAU_VERTEX_LIMIT vertices that or the greedy one is `bound_only`.
     """
     if t < 1:
         raise SolverError("t must be >= 1")
@@ -93,7 +93,7 @@ def exact_tau(H: Hypergraph, t: int, *, vertex_limit: int = DEFAULT_TAU_VERTEX_L
         greedy = _greedy_transversal(vertex_edges, len(edges), t)
         inc = sorted(greedy) if greedy is not None else None
 
-    if V > vertex_limit:
+    if V > DEFAULT_TAU_VERTEX_LIMIT:
         return SolveResult(objective=None, witness=inc, nodes=0, status=BOUND_ONLY,
                            lower_bound=geometric_lb,
                            upper_bound=len(inc) if inc is not None else None)
@@ -204,9 +204,9 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
     H(n,k,q), the search starts from the merge of points 0 and 1: every
     proper coloring has a monochromatic pair, and PGL(n+1,q) is
     2-transitive on points.
-    The incumbent is seeded by the trivial coloring built on a minimum
-    2-transversal.  A hypergraph with no vertex has no coloring to
-    witness, and raises SolverError.
+    The incumbent is seeded by the trivial coloring on the witness of
+    exact_tau(H, 2), minimum or, past its limit, greedy.  A hypergraph
+    with no vertex has no coloring to witness, and raises SolverError.
     """
     V = H.num_vertices
     if V == 0:
@@ -214,11 +214,11 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
     if any(e.bit_count() < 2 for e in H.edges):
         raise SolverError("infeasible: an edge with fewer than 2 vertices is always rainbow")
 
-    tau_res = exact_tau(H, 2, vertex_limit=max(DEFAULT_TAU_VERTEX_LIMIT, V))
-    seed_coloring = trivial_coloring(tau_res.witness, H)
-    # the seed merges the tau_2 points into one class; with no edges,
-    # tau_2 = 0 and the seed is the all-distinct coloring
-    seed_merges = max(tau_res.objective - 1, 0)
+    transversal = exact_tau(H, 2).witness
+    seed_coloring = trivial_coloring(transversal, H)
+    # the seed merges the 2-transversal into one class; with no edges it
+    # is empty and the seed is the all-distinct coloring
+    seed_merges = max(len(transversal) - 1, 0)
     trivial_lb = V - seed_merges
 
     if V > vertex_limit:

@@ -143,9 +143,10 @@ def test_subspaces_rejects_a_mask_of_the_wrong_size(monkeypatch, how):
         space.subspaces(2)
 
 
-def test_hyperplanes_build_no_lower_level():
+def test_hyperplanes_build_no_lower_level(monkeypatch):
     # PG(3,3) has 40 planes and 130 lines: the planes alone fit the limit
-    space = ProjectiveSpace(3, field_for_order(3), max_subspaces=40)
+    monkeypatch.setattr(geometry, "DEFAULT_MAX_SUBSPACES", 40)
+    space = ProjectiveSpace(3, field_for_order(3))
     assert len(space.subspaces(2)) == 40
     assert len(space.hypergraph(2).edges) == 40
     assert space.hyperplane_avoiding(0).mask >> 0 & 1 == 0
@@ -459,9 +460,14 @@ def test_hypergraph_k_range_errors():
         space.hypergraph(2)
 
 
-def test_size_limits():
-    with pytest.raises(GeometryError):
-        ProjectiveSpace.of_order(3, 3, max_points=10)
-    space = ProjectiveSpace.of_order(3, 3, max_subspaces=10)
+def test_size_limits(monkeypatch):
+    # the limits are read at call time, on a fresh space: of_order's cache
+    # holds one space per (n, q)
+    assert ProjectiveSpace.of_order(3, 3) is ProjectiveSpace.of_order(3, 3)
+    monkeypatch.setattr(geometry, "DEFAULT_MAX_SUBSPACES", 10)
+    space = ProjectiveSpace(3, field_for_order(3))
     with pytest.raises(GeometryError):
         space.subspaces(1)
+    monkeypatch.setattr(geometry, "DEFAULT_MAX_POINTS", 10)
+    with pytest.raises(GeometryError):
+        ProjectiveSpace(3, field_for_order(3))

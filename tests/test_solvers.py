@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pgworkbench import solvers
-from pgworkbench.coloring import is_proper, make_coloring
+from pgworkbench.coloring import is_proper, is_trivial_coloring, make_coloring
 from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
 from pgworkbench.solvers import (BOUND_ONLY, OPTIMAL, SolverError,
                                  _sqrt2_combo_nonneg, bounds_report, exact_tau,
@@ -77,13 +77,14 @@ def test_exact_tau_plane_hypergraphs():
     assert res.lower_bound == 8
 
 
-def test_exact_tau_infeasible_and_limits():
+def test_exact_tau_infeasible_and_limits(monkeypatch):
     H = Hypergraph(3, (0b001,))
     with pytest.raises(SolverError):
         exact_tau(H, 2)
     with pytest.raises(SolverError):
         exact_tau(FANO, 0)
-    res = exact_tau(FANO, 2, vertex_limit=3)
+    monkeypatch.setattr(solvers, "DEFAULT_TAU_VERTEX_LIMIT", 3)
+    res = exact_tau(FANO, 2)
     assert res.status == BOUND_ONLY and res.objective is None
     assert res.lower_bound == 6 and res.upper_bound >= 6
     with pytest.raises(SolverError):
@@ -194,6 +195,20 @@ def test_exact_ucn_limits_and_errors():
     res = exact_ucn(FANO, vertex_limit=3)
     assert res.status == BOUND_ONLY and res.objective is None
     assert res.lower_bound == 2
+
+
+def test_exact_ucn_past_the_tau_limit_is_bound_only_at_once():
+    # 57 points: above both vertex limits, so neither search runs, and the
+    # bound comes from the greedy 2-transversal that exact_tau returns
+    H = ProjectiveSpace.of_order(2, 7).hypergraph(1)
+    start = time.perf_counter()
+    res = exact_ucn(H)
+    assert time.perf_counter() - start < 1
+    tau = exact_tau(H, 2)
+    assert (res.status, res.nodes, tau.status) == (BOUND_ONLY, 0, BOUND_ONLY)
+    assert res.lower_bound == 58 - len(tau.witness)
+    assert is_proper(res.witness, H)[0] and is_trivial_coloring(res.witness, H)[0]
+    assert res.witness.N == res.lower_bound
 
 
 def test_exact_ucn_without_edges():
