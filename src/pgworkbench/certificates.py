@@ -18,9 +18,6 @@ from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_repor
 
 SCHEMA_VERSION = 1
 
-KINDS = ("transversal", "coloring", "blocking_set", "tmodp_report", "bounds")
-
-
 class CertificateError(ValueError):
     pass
 
@@ -34,7 +31,7 @@ def checksum(payload) -> str:
 
 
 def make_certificate(kind: str, payload: dict) -> dict:
-    if kind not in KINDS:
+    if kind not in _VERIFIERS:
         raise CertificateError(f"unknown certificate kind {kind!r}")
     return {"schema_version": SCHEMA_VERSION, "kind": kind,
             "payload": payload, "checksum": checksum(payload)}
@@ -193,11 +190,22 @@ def _listed_set_fault(space, sets, t, k, cap, max_size, expected):
     return None
 
 
+def _plane_kernel_dim(p: int, k: int) -> int:
+    """Dimension of the kernel over GF(p), p prime, of the k-space/point
+    incidence matrix of PG(2,p): 0 for the identity of the points;
+    p(p+1)/2 for the lines, whose incidence has p-rank C(p+1, 2) + 1
+    (Graham and MacWilliams 1966); theta(2) - 1 for the one all-ones row
+    of the plane."""
+    return {0: 0, 1: p * (p + 1) // 2, 2: theta(2, p) - 1}[k]
+
+
 def _verify_tmodp_report(payload):
     p, t, k, sets = payload["p"], payload["t"], payload["k"], payload["sets"]
     cap, max_size, verified = payload["weight_cap"], payload["max_size"], payload["verified"]
     kdim, exhaustive = payload["kernel_dim"], payload["exhaustive"]
     space = ProjectiveSpace.of_order(2, p)
+    if space.field.h != 1:
+        return False, f"p = {p} is not prime, so the enumeration has no report"
     expected = payload["expected_size"]
     if expected != t * theta(space.n - k, p):
         return False, "expected_size is wrong for the parameters"
@@ -205,6 +213,10 @@ def _verify_tmodp_report(payload):
         return False, "the enumeration refuses this plane, so it has no report"
     if type(kdim) is not int or not 0 <= kdim <= space.num_points:
         return False, f"kernel_dim {kdim!r} is not an int in [0, {space.num_points}]"
+    plane_dim = _plane_kernel_dim(p, k)
+    if kdim != plane_dim:
+        return False, f"kernel_dim {kdim} is not {plane_dim}, the kernel dimension mod {p} " \
+                      f"of the {k}-space incidence"
     # the constant weight t is a t (mod p) set, so the system is consistent
     # and its solutions form p^kernel_dim classes
     if payload["num_solution_classes"] != p**kdim:

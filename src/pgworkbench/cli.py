@@ -10,9 +10,10 @@ import argparse
 import json
 import sys
 
-from .blocking import WeightedPointSet, is_minimal, is_t_fold_blocking, is_t_mod_p_set
-from .certificates import (bounds_certificate, canonical_json, coloring_certificate,
-                           load_certificate, make_certificate, recheck,
+from .blocking import (BlockingError, WeightedPointSet, is_minimal, is_t_fold_blocking,
+                       is_t_mod_p_set)
+from .certificates import (_all_ints, bounds_certificate, canonical_json,
+                           coloring_certificate, load_certificate, make_certificate, recheck,
                            tmodp_certificate, transversal_certificate, write_certificate)
 from .coloring import Coloring, is_proper, is_trivial_coloring, trivial_coloring
 from .experiments import ExperimentConfig, default_grid, run_experiments
@@ -42,6 +43,9 @@ def cmd_blocking(args):
     space = ProjectiveSpace.of_order(args.n, args.q)
     with open(args.weights) as fh:
         weights = json.load(fh)
+    # the rule recheck applies to a blocking_set certificate's weights
+    if not isinstance(weights, list) or not _all_ints(weights):
+        raise BlockingError("the weights file must hold a JSON list of integers")
     B = WeightedPointSet(space, weights)
     blocking, witness = is_t_fold_blocking(B, args.t, args.k)
     modp, _ = is_t_mod_p_set(B, args.t, args.k)
@@ -124,7 +128,10 @@ def cmd_run(args):
     grid = default_grid()
     if args.config:
         with open(args.config) as fh:
-            grid = json.load(fh)["grid"]
+            data = json.load(fh)
+        grid = data.get("grid") if isinstance(data, dict) else None
+        if not isinstance(grid, list):
+            raise ValueError("the config file must hold a JSON object whose 'grid' is a list")
     config = ExperimentConfig(grid=grid, outdir=args.out)
     rows, ok = run_experiments(config)
     for row in rows:
@@ -211,7 +218,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -121,22 +121,15 @@ def is_trivial_coloring(coloring: Coloring, H: Hypergraph):
     """True iff some color class contains a 2-transversal of H.
 
     A superset of a 2-transversal is one, so it suffices to test each
-    class itself.  Classes are scanned in decreasing size order with a
-    size cutoff; the reported witness is the lowest-index qualifying
-    class, independent of scan order.
+    class itself, skipping those below a size cutoff; the reported
+    witness is the lowest-index qualifying class.
     """
     if not is_strict(coloring, H.num_vertices):
         raise ColoringError("coloring is not strict")
     cutoff = _tau2_size_cutoff(H)
-    masks = coloring.class_masks()
-    hits = []
-    for ci in sorted(range(len(masks)), key=lambda i: -masks[i].bit_count()):
-        if masks[ci].bit_count() < cutoff:
-            continue
-        if is_2_transversal(masks[ci], H):
-            hits.append(ci + 1)
-    if hits:
-        return True, min(hits)
+    for ci, mask in enumerate(coloring.class_masks()):
+        if mask.bit_count() >= cutoff and is_2_transversal(mask, H):
+            return True, ci + 1
     return False, None
 
 

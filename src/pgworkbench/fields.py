@@ -241,7 +241,10 @@ class GF:
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """q -> (p, h) with q = p^h, or raise if q is not a prime power."""
+    """q -> (p, h) with q = p^h, or raise if q is not a prime power or is
+    above MAX_Q: that is refused before any trial division."""
+    if q > MAX_Q:
+        raise FieldError(f"q = {q} exceeds the limit {MAX_Q}")
     if q < 2:
         raise FieldError(f"q = {q} is not a prime power")
     p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)

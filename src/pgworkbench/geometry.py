@@ -117,15 +117,16 @@ class Hypergraph:
         """(n, k, q) when the edges are exactly the k-spaces of PG(n,q), for
         1 <= k <= n-1, as `params` claims; None otherwise.  This is the one
         check behind every geometric shortcut: claimed parameters that do
-        not match the edges get none.  The vertex count is tested first, so
-        a false claim of a large space builds nothing; the space's own
-        cached hypergraph matches at once, and any other is compared with
-        it edge by edge, in any edge order."""
+        not match the edges get none.  The vertex and edge counts are
+        tested first, so a false claim of a large space builds nothing; the
+        space's own cached hypergraph matches at once, and any other is
+        compared with it edge by edge, in any edge order."""
         if self.params is None:
             return None
         n, k, q = self.params
-        if not all(type(x) is int for x in self.params) or n < 1 or q < 2 \
-                or self.num_vertices != theta(n, q):
+        if not all(type(x) is int for x in self.params) or not 1 <= k <= n - 1 or q < 2 \
+                or self.num_vertices != theta(n, q) \
+                or len(self.edges) != count_subspaces(n, k, q):
             return None
         try:
             H = ProjectiveSpace.of_order(n, q).hypergraph(k)
@@ -147,8 +148,9 @@ class Hypergraph:
     @classmethod
     def from_json(cls, data) -> "Hypergraph":
         """A hypergraph from its JSON form, with its edges in file order.
-        Claimed parameters (n, k, q) are checked by `geometry`: the edges,
-        in any order, must be the k-spaces of PG(n,q)."""
+        Claimed parameters (n, k, q) are checked by `geometry`, which
+        compares the counts before it builds PG(n,q): the edges, in any
+        order, must be the k-spaces of PG(n,q)."""
         edge_lists = data.get("edges") if isinstance(data, dict) else None
         if not isinstance(edge_lists, (list, tuple)) or not all(
                 isinstance(e, (list, tuple)) for e in edge_lists):
@@ -156,9 +158,10 @@ class Hypergraph:
                                 "is a list of vertex index lists")
         if "n" in data:
             n, k, q = params = tuple(data.get(key) for key in ("n", "k", "q"))
-            if not all(type(x) is int for x in params):
-                raise GeometryError(f"(n, k, q) = {params!r} are not all integers")
-            num = ProjectiveSpace.of_order(n, q).num_points
+            if not all(type(x) is int for x in params) or n < 1 or q < 2:
+                raise GeometryError(f"(n, k, q) = {params!r} are not integers "
+                                    f"with n >= 1 and q >= 2")
+            num = theta(n, q)
         else:
             num, params = data.get("num_vertices"), None
             if type(num) is not int or not 0 <= num <= DEFAULT_MAX_POINTS:

@@ -66,7 +66,8 @@ def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
     holds both.  Claimed params that do not match the edges get neither.
     initial_witness seeds the incumbent, e.g. a disjoint-subspace
     construction; it must be a list of distinct vertex indices.  Past
-    DEFAULT_TAU_VERTEX_LIMIT vertices that or the greedy one is `bound_only`.
+    DEFAULT_TAU_VERTEX_LIMIT vertices it, or else the greedy one, is
+    returned unsearched as `bound_only`.
     """
     if t < 1:
         raise SolverError("t must be >= 1")
@@ -482,7 +483,11 @@ class BoundsReport:
 
 
 def bounds_report(n: int, k: int, q: int, t: int) -> BoundsReport:
-    """All bound formulas and theorem-applicability flags, exact."""
+    """All bound formulas and theorem-applicability flags, exact, for
+    1 <= k <= n-1 and a prime power q <= MAX_Q; SolverError or FieldError
+    otherwise."""
+    if type(k) is not int or type(n) is not int or not 1 <= k <= n - 1:
+        raise SolverError(f"k = {k!r} is not an integer in [1, n - 1] for n = {n!r}")
     p, h = factor_prime_power(q)
     qk = q**k
     theta_n = theta(n, q)

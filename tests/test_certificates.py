@@ -3,12 +3,14 @@ import time
 
 import pytest
 
-from pgworkbench.certificates import (CertificateError, canonical_json,
+from pgworkbench.blocking import MATRIX_ENTRY_LIMIT, solve_mod_p
+from pgworkbench.certificates import (CertificateError, _plane_kernel_dim, canonical_json,
                                       checksum, coloring_certificate, load_certificate,
                                       make_certificate, recheck,
                                       tmodp_certificate, transversal_certificate,
                                       write_certificate)
-from pgworkbench.geometry import Hypergraph, ProjectiveSpace
+from pgworkbench.fields import GF, is_prime
+from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
 from pgworkbench.solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -162,7 +164,8 @@ def _as_point_report(data):
     single point: a union of one point, but not a 1 (mod 2) set for the
     points, since the others have weight 0."""
     points = [[int(i == j) for i in range(7)] for j in range(7)]
-    data.update(k=0, expected_size=7, sets=points[:1], num_found=1, verified=False,
+    data.update(k=0, kernel_dim=0, num_solution_classes=1, expected_size=7,
+                sets=points[:1], num_found=1, verified=False,
                 violations=[{"weights": points[0], "reason": "size 1 != 7"}]
                 + [{"weights": w, "reason": "line union missed by enumeration"}
                    for w in points[1:]])
@@ -183,8 +186,8 @@ def _fails_on_the_last_point(data):
     sets below size 8 are the single points, and list one set that is
     1 (mod 2) on every point but the last: the last k-space of the walk
     is the only one that it fails on."""
-    data.update(k=0, expected_size=7, max_size=7, num_unions=7, verified=False,
-                sets=[[1] * 6 + [0]], num_found=1, violations=[])
+    data.update(k=0, kernel_dim=0, num_solution_classes=1, expected_size=7, max_size=7,
+                num_unions=7, verified=False, sets=[[1] * 6 + [0]], num_found=1, violations=[])
 
 
 def _bump_last_set(data):
@@ -221,6 +224,14 @@ TAMPERED_TMODP_REPORTS = [
                  "is not an int in [0, 7]", id="kernel-dim-huge"),
     pytest.param((2, 1), lambda d: d.update(num_solution_classes=7),
                  "not p^kernel_dim", id="classes-not-a-power"),
+    # a kernel_dim in range, with num_solution_classes and exhaustive to
+    # match, but not the kernel dimension p(p+1)/2 of the lines of PG(2,p)
+    *[pytest.param(pt, lambda d, kdim=kdim: d.update(kernel_dim=kdim,
+                                                     num_solution_classes=d["p"]**kdim),
+                   f"kernel_dim {kdim} is not {pt[0] * (pt[0] + 1) // 2}, the kernel dimension",
+                   id=f"kernel-dim-{kdim}-at-{pt[0]}")
+      for pt, kdim in [((2, 1), 2), ((2, 1), 0), ((3, 2), 5), ((3, 2), 1)]],
+    pytest.param((2, 1), lambda d: d.update(p=4), "p = 4 is not prime", id="p-not-prime"),
     pytest.param((3, 2), lambda d: d.update(exhaustive=False), "exhaustive does not match",
                  id="exhaustive-flipped"),
     pytest.param((3, 2), lambda d: d.update(num_unions=90), "recount of the unions",
@@ -319,6 +330,31 @@ def test_recheck_transversal_for_points_and_the_whole_space(n, k, q, t, points, 
     assert (ok, got) == ((True, "t-transversal verified") if detail is None else (False, detail))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+def test_plane_kernel_dim_matches_elimination(p):
+    space = ProjectiveSpace.of_order(2, p)
+    # the 307 lines of PG(2,17) take about 2.7 s to eliminate, and
+    # test_enumerate_t_mod_p_sets_answers_below_the_matrix_limit pins the
+    # kernel dimension 153 that their elimination gives
+    levels = (0, 2) if p == 17 else (0, 1, 2)
+    assert _plane_kernel_dim(17, 1) == 153
+    for k in levels:
+        rows = [[S.mask >> i & 1 for i in range(space.num_points)] for S in space.subspaces(k)]
+        assert _plane_kernel_dim(p, k) == len(solve_mod_p(rows, [1] * len(rows), p)[1])
+
+
+def test_plane_kernel_dim_of_every_admitted_plane():
+    # the one 2-space of PG(2,p) is the all-ones row over its theta(2)
+    # points; past p = 17 its kernel basis is too large to list, so the rank
+    # comes from the elimination that solve_mod_p runs, for every prime
+    # whose matrix the enumeration's limit admits
+    primes = [p for p in range(2, 400) if is_prime(p) and theta(2, p) <= MATRIX_ENTRY_LIMIT]
+    assert primes[-1] == 313
+    for p in primes:
+        npts = theta(2, p)
+        assert _plane_kernel_dim(p, 2) == npts - len(GF(p).row_reduce([[1] * npts], npts)[1])
+
+
 def test_recheck_bounds():
     rep = bounds_report(3, 1, 17, 2)
     payload = {"n": 3, "k": 1, "q": 17, "t": 2, "report": rep.to_json()}
@@ -328,6 +364,20 @@ def test_recheck_bounds():
     bad["report"]["trivial_lower"] += 1
     ok, detail = recheck(make_certificate("bounds", bad))
     assert not ok
+
+
+@pytest.mark.parametrize("n, k, q, needle", [
+    # 192 bytes that cost 0.81 s of trial division
+    (2, 1, 100000000000031, "exceeds the limit 65536"),
+    # its report had trivial_lower -714, and rechecked true
+    (2, 5, 3, "k = 5 is not an integer in [1, n - 1]"),
+])
+def test_recheck_bounds_refuses_parameters_out_of_range(n, k, q, needle):
+    payload = {"n": n, "k": k, "q": q, "t": 2, "report": {}}
+    start = time.perf_counter()
+    ok, detail = recheck(make_certificate("bounds", payload))
+    assert time.perf_counter() - start < 0.05
+    assert not ok and needle in detail
 
 
 def test_recheck_malformed():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -286,3 +287,74 @@ def test_solve_rejects_malformed_hypergraph(tmp_path, capsys, data):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+# 10^14 + 31 is prime: trial division up to its root took about 1.8 s
+HUGE_Q = 100000000000031
+
+
+def _timed_main(capsys, argv, limit):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert elapsed < limit
+    return code, captured
+
+
+def test_space_refuses_a_huge_order_before_factoring(capsys):
+    code, captured = _timed_main(capsys, ["space", "--n", "2", "--q", str(HUGE_Q)], 0.05)
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: q = {HUGE_Q} exceeds the limit 65536")
+
+
+@pytest.mark.parametrize("q", [251, HUGE_Q])
+def test_solve_refuses_a_small_file_claiming_a_large_space(tmp_path, capsys, q):
+    # PG(2,251) has 63253 lines: they were all built, in 22 s and 550 MiB,
+    # before the empty edge list was compared with them
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps({"n": 2, "k": 1, "q": q, "edges": []}))
+    code, captured = _timed_main(capsys, ["solve", "tau", "--hypergraph", str(path)], 0.1)
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: the edges are not the 1-spaces of PG(2,{q})")
+
+
+@pytest.mark.parametrize("weights, needle", [
+    ("abc", "error: the weights file must hold a JSON list of integers"),
+    # recheck refuses a float weight, so no certificate may carry one
+    ([1.0, 1, 1, 0, 0, 0, 0], "error: the weights file must hold a JSON list of integers"),
+])
+def test_blocking_rejects_weights_that_are_not_ints(tmp_path, capsys, weights, needle):
+    wpath = tmp_path / "weights.json"
+    wpath.write_text(json.dumps(weights))
+    cert = tmp_path / "blocking.json"
+    code = main(["blocking", "--n", "2", "--q", "2", "--t", "1", "--k", "1",
+                 "--weights", str(wpath), "--out", str(cert)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not cert.exists()
+    assert captured.err.startswith(needle)
+
+
+@pytest.mark.parametrize("config", [[1], {"grid": 5}, {"tasks": []}, "grid"])
+def test_run_rejects_a_config_without_a_grid_list(tmp_path, capsys, config):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "certs")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: the config file must hold a JSON object "
+                                   "whose 'grid' is a list")
+
+
+@pytest.mark.parametrize("argv", [
+    ["blocking", "--n", "2", "--q", "2", "--t", "1", "--k", "1", "--weights", "{missing}"],
+    ["color", "--hypergraph", "{missing}", "--coloring", "{missing}"],
+    ["solve", "tau", "--hypergraph", "{missing}"],
+    ["run", "--config", "{missing}", "--out", "{out}"],
+], ids=["blocking", "color", "solve", "run"])
+def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.json")
+    code = main([a.format(missing=missing, out=tmp_path / "certs") for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "missing.json" in captured.err

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -156,6 +157,17 @@ def test_factor_prime_power():
     for bad in (0, 1, 6, 12, 15, 100):
         with pytest.raises(FieldError):
             factor_prime_power(bad)
+
+
+def test_order_above_the_limit_is_refused_before_factoring():
+    # 10^14 + 31 is prime: trial division up to its root took about 1.8 s
+    start = time.perf_counter()
+    for q in (100000000000031, 10**100):
+        with pytest.raises(FieldError, match="exceeds the limit 65536"):
+            field_for_order(q)
+        with pytest.raises(FieldError, match="exceeds the limit 65536"):
+            factor_prime_power(q)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_constructor_rejects_bad_parameters():

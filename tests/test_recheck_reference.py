@@ -15,7 +15,7 @@ import pytest
 
 from pgworkbench.blocking import (COSET_LIMIT, MATRIX_ENTRY_LIMIT, BlockingError,
                                   WeightedPointSet, construct_union, is_minimal,
-                                  is_t_fold_blocking, is_t_mod_p_set)
+                                  is_t_fold_blocking, is_t_mod_p_set, solve_mod_p)
 from pgworkbench.certificates import make_certificate, recheck
 from pgworkbench.geometry import ProjectiveSpace, count_subspaces, point_set, theta
 from pgworkbench.solvers import (line_union_weights, require_line_multiset_limit,
@@ -64,6 +64,8 @@ def reference_tmodp_report(payload):
     cap, max_size, verified = payload["weight_cap"], payload["max_size"], payload["verified"]
     kdim, exhaustive = payload["kernel_dim"], payload["exhaustive"]
     space = ProjectiveSpace.of_order(2, p)
+    if space.field.h != 1:
+        return False, f"p = {p} is not prime, so the enumeration has no report"
     expected = payload["expected_size"]
     if expected != t * theta(space.n - k, p):
         return False, "expected_size is wrong for the parameters"
@@ -71,6 +73,11 @@ def reference_tmodp_report(payload):
         return False, "the enumeration refuses this plane, so it has no report"
     if type(kdim) is not int or not 0 <= kdim <= space.num_points:
         return False, f"kernel_dim {kdim!r} is not an int in [0, {space.num_points}]"
+    rows = [[S.mask >> i & 1 for i in range(space.num_points)] for S in space.subspaces(k)]
+    kernel_dim = len(solve_mod_p(rows, [t] * len(rows), p)[1])
+    if kdim != kernel_dim:
+        return False, f"kernel_dim {kdim} is not {kernel_dim}, the kernel dimension " \
+                      f"mod {p} of the {k}-space incidence"
     if payload["num_solution_classes"] != p**kdim:
         return False, "num_solution_classes is not p^kernel_dim"
     if exhaustive != (p**kdim <= COSET_LIMIT):
@@ -204,6 +211,21 @@ def transversal_cases(rng):
     elif how == "t":
         payload["t"] += rng.choice([-1, 1])
     return payload
+
+
+@pytest.mark.parametrize("pt", [(2, 1), (3, 1), (3, 2)])
+def test_recheck_matches_the_reference_on_every_kernel_dim(pt):
+    # each kernel_dim in range, with the class count and exhaustive flag
+    # that match it: only the dimension found by elimination rechecks
+    data = json.loads(report(*pt))
+    p = data["p"]
+    for kdim in range(theta(2, p) + 1):
+        data.update(kernel_dim=kdim, num_solution_classes=p**kdim,
+                    exhaustive=p**kdim <= COSET_LIMIT)
+        cert = make_certificate("tmodp_report", data)
+        got = recheck(cert)
+        assert got == reference_recheck(cert)
+        assert got[0] == (kdim == p * (p + 1) // 2)
 
 
 CASES = {"tmodp_report": tmodp_cases, "blocking_set": blocking_cases,

@@ -9,6 +9,7 @@ import pytest
 
 from pgworkbench import solvers
 from pgworkbench.coloring import is_proper, is_trivial_coloring, make_coloring
+from pgworkbench.fields import FieldError
 from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
 from pgworkbench.solvers import (BOUND_ONLY, OPTIMAL, SolverError,
                                  _sqrt2_combo_nonneg, bounds_report, exact_tau,
@@ -435,6 +436,17 @@ def test_bounds_report_values():
     rep = bounds_report(3, 1, 4, 2)
     assert rep.tau2_known == 2 * theta(1, 4)
     assert not rep.flags["ucnthm"]  # q = 4 below the q >= 17 regime
+
+
+def test_bounds_report_refuses_a_huge_q_and_k_out_of_range():
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match="exceeds the limit 65536"):
+        bounds_report(3, 1, 100000000000031, 2)
+    assert time.perf_counter() - start < 0.05
+    # (2, 5, 3, 2) gave trivial_lower -714, and its certificate rechecked
+    for n, k in [(2, 5), (2, 0), (2, 2), (3, -1), (1, 1)]:
+        with pytest.raises(SolverError, match=f"k = {k} is not an integer in"):
+            bounds_report(n, k, 3, 2)
 
 
 def test_bounds_report_json_exact_fractions():
