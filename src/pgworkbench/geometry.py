@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .fields import GF, FieldError, field_for_order
+from .fields import MAX_Q, GF, FieldError, field_for_order
 
 DEFAULT_MAX_POINTS = 10**6
 DEFAULT_MAX_SUBSPACES = 5 * 10**6
@@ -34,6 +34,17 @@ def theta(k: int, q: int) -> int:
     if k < 0:
         return 0
     return (q ** (k + 1) - 1) // (q - 1)
+
+
+def _bounded_theta(n: int, q: int) -> int | None:
+    """theta(n, q) when q <= MAX_Q and PG(n,q) has at most
+    DEFAULT_MAX_POINTS points; None otherwise.  As theta(n, q) >=
+    2^(n+1) - 1, n is bounded before any power is taken, so a claim of a
+    huge space costs nothing."""
+    if q > MAX_Q or n >= DEFAULT_MAX_POINTS.bit_length():
+        return None
+    num = theta(n, q)
+    return num if num <= DEFAULT_MAX_POINTS else None
 
 
 def count_subspaces(n: int, m: int, q: int) -> int:
@@ -125,7 +136,7 @@ class Hypergraph:
             return None
         n, k, q = self.params
         if not all(type(x) is int for x in self.params) or not 1 <= k <= n - 1 or q < 2 \
-                or self.num_vertices != theta(n, q) \
+                or self.num_vertices != _bounded_theta(n, q) \
                 or len(self.edges) != count_subspaces(n, k, q):
             return None
         try:
@@ -161,7 +172,10 @@ class Hypergraph:
             if not all(type(x) is int for x in params) or n < 1 or q < 2:
                 raise GeometryError(f"(n, k, q) = {params!r} are not integers "
                                     f"with n >= 1 and q >= 2")
-            num = theta(n, q)
+            num = _bounded_theta(n, q)
+            if num is None:
+                raise GeometryError(f"PG({n},{q}) exceeds the limits q <= {MAX_Q} "
+                                    f"and {DEFAULT_MAX_POINTS} points")
         else:
             num, params = data.get("num_vertices"), None
             if type(num) is not int or not 0 <= num <= DEFAULT_MAX_POINTS:
@@ -184,10 +198,9 @@ class ProjectiveSpace:
             raise GeometryError(f"projective dimension n = {n} must be >= 1")
         self.n = n
         self.field = field
-        if theta(n, field.q) > DEFAULT_MAX_POINTS:
+        if _bounded_theta(n, field.q) is None:
             raise GeometryError(
-                f"PG({n},{field.q}) has {theta(n, field.q)} points, "
-                f"exceeding the limit {DEFAULT_MAX_POINTS}")
+                f"PG({n},{field.q}) has more points than the limit {DEFAULT_MAX_POINTS}")
         self.points = tuple(sorted(_normalized_vectors(n + 1, field.q)))
         self.point_index = {pt: i for i, pt in enumerate(self.points)}
         self._place = [field.q ** (n - j) for j in range(n + 1)]

@@ -224,13 +224,6 @@ TAMPERED_TMODP_REPORTS = [
                  "is not an int in [0, 7]", id="kernel-dim-huge"),
     pytest.param((2, 1), lambda d: d.update(num_solution_classes=7),
                  "not p^kernel_dim", id="classes-not-a-power"),
-    # a kernel_dim in range, with num_solution_classes and exhaustive to
-    # match, but not the kernel dimension p(p+1)/2 of the lines of PG(2,p)
-    *[pytest.param(pt, lambda d, kdim=kdim: d.update(kernel_dim=kdim,
-                                                     num_solution_classes=d["p"]**kdim),
-                   f"kernel_dim {kdim} is not {pt[0] * (pt[0] + 1) // 2}, the kernel dimension",
-                   id=f"kernel-dim-{kdim}-at-{pt[0]}")
-      for pt, kdim in [((2, 1), 2), ((2, 1), 0), ((3, 2), 5), ((3, 2), 1)]],
     pytest.param((2, 1), lambda d: d.update(p=4), "p = 4 is not prime", id="p-not-prime"),
     pytest.param((3, 2), lambda d: d.update(exhaustive=False), "exhaustive does not match",
                  id="exhaustive-flipped"),
@@ -337,10 +330,14 @@ def test_plane_kernel_dim_matches_elimination(p):
     # test_enumerate_t_mod_p_sets_answers_below_the_matrix_limit pins the
     # kernel dimension 153 that their elimination gives
     levels = (0, 2) if p == 17 else (0, 1, 2)
-    assert _plane_kernel_dim(17, 1) == 153
     for k in levels:
         rows = [[S.mask >> i & 1 for i in range(space.num_points)] for S in space.subspaces(k)]
         assert _plane_kernel_dim(p, k) == len(solve_mod_p(rows, [1] * len(rows), p)[1])
+
+
+def test_plane_kernel_dim_of_the_lines_of_pg2_17():
+    # the elimination that test_blocking pins, which is too slow to rerun here
+    assert _plane_kernel_dim(17, 1) == 153
 
 
 def test_plane_kernel_dim_of_every_admitted_plane():

@@ -308,15 +308,29 @@ def test_space_refuses_a_huge_order_before_factoring(capsys):
     assert captured.err.startswith(f"error: q = {HUGE_Q} exceeds the limit 65536")
 
 
-@pytest.mark.parametrize("q", [251, HUGE_Q])
-def test_solve_refuses_a_small_file_claiming_a_large_space(tmp_path, capsys, q):
+@pytest.mark.parametrize("claim, needle", [
     # PG(2,251) has 63253 lines: they were all built, in 22 s and 550 MiB,
     # before the empty edge list was compared with them
+    ({"n": 2, "k": 1, "q": 251, "edges": []},
+     "error: the edges are not the 1-spaces of PG(2,251)"),
+    ({"n": 2, "k": 1, "q": HUGE_Q, "edges": []},
+     f"error: PG(2,{HUGE_Q}) exceeds the limits"),
+    # an index just below theta(2, 65521) was a 537 MB edge mask
+    ({"n": 2, "k": 1, "q": 65521, "edges": [[65521 ** 2 + 65521]]},
+     "error: PG(2,65521) exceeds the limits"),
+    # an index near theta(2, HUGE_Q) overflowed the shift with a traceback
+    ({"n": 2, "k": 1, "q": HUGE_Q, "edges": [[10 ** 28]]},
+     f"error: PG(2,{HUGE_Q}) exceeds the limits"),
+    # counting the 50000-spaces of PG(100000,2) does not finish
+    ({"n": 100000, "k": 50000, "q": 2, "edges": []},
+     "error: PG(100000,2) exceeds the limits"),
+])
+def test_solve_refuses_a_small_file_claiming_a_large_space(tmp_path, capsys, claim, needle):
     path = tmp_path / "claim.json"
-    path.write_text(json.dumps({"n": 2, "k": 1, "q": q, "edges": []}))
+    path.write_text(json.dumps(claim))
     code, captured = _timed_main(capsys, ["solve", "tau", "--hypergraph", str(path)], 0.1)
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith(f"error: the edges are not the 1-spaces of PG(2,{q})")
+    assert captured.err.startswith(needle)
 
 
 @pytest.mark.parametrize("weights, needle", [

@@ -216,16 +216,23 @@ def transversal_cases(rng):
 @pytest.mark.parametrize("pt", [(2, 1), (3, 1), (3, 2)])
 def test_recheck_matches_the_reference_on_every_kernel_dim(pt):
     # each kernel_dim in range, with the class count and exhaustive flag
-    # that match it: only the dimension found by elimination rechecks
+    # that match it: only the dimension found by elimination rechecks.  The
+    # forged ones include 2 and 0 for (2, 1) and 5 and 1 for (3, 2), which
+    # rechecked true when kernel_dim was trusted
     data = json.loads(report(*pt))
     p = data["p"]
+    true_dim = p * (p + 1) // 2
     for kdim in range(theta(2, p) + 1):
         data.update(kernel_dim=kdim, num_solution_classes=p**kdim,
                     exhaustive=p**kdim <= COSET_LIMIT)
         cert = make_certificate("tmodp_report", data)
         got = recheck(cert)
         assert got == reference_recheck(cert)
-        assert got[0] == (kdim == p * (p + 1) // 2)
+        if kdim == true_dim:
+            assert got[0]
+        else:
+            assert got == (False, f"kernel_dim {kdim} is not {true_dim}, the kernel "
+                                  f"dimension mod {p} of the 1-space incidence")
 
 
 CASES = {"tmodp_report": tmodp_cases, "blocking_set": blocking_cases,
