@@ -11,7 +11,9 @@ import operator
 
 from .blocking import (COSET_LIMIT, MATRIX_ENTRY_LIMIT, WeightedPointSet, _is_minimal,
                        _kspace_failure, _verdict)
-from .coloring import Coloring, is_proper, is_strict, is_trivial_coloring
+from .coloring import (Coloring, _rainbow_edge, _trivial_class, is_strict,
+                       is_trivial_coloring)
+from .fields import factor_prime_power
 from .geometry import Hypergraph, ProjectiveSpace, count_subspaces, mask_bits, point_set, theta
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
                       line_union_weights, require_line_multiset_limit, tmodp_violations)
@@ -112,13 +114,14 @@ def _verify_coloring(payload):
         return False, "coloring is not strict"
     if payload.get("N") is not None and coloring.N != payload["N"]:
         return False, "N does not match the assignment"
-    ok, edge = is_proper(coloring, H)
-    if not ok:
+    # the coloring is strict from here on: one set of class masks serves
+    # both tests, with no second strictness test
+    masks = coloring.class_masks()
+    edge = _rainbow_edge(masks, H)
+    if edge is not None:
         return False, f"rainbow hyperedge on points {mask_bits(edge)}"
-    if payload.get("trivial"):
-        triv, _ = is_trivial_coloring(coloring, H)
-        if not triv:
-            return False, "claimed trivial but no class contains a 2-transversal"
+    if payload.get("trivial") and _trivial_class(masks, H) is None:
+        return False, "claimed trivial but no class contains a 2-transversal"
     return True, "proper strict coloring verified"
 
 
@@ -203,14 +206,15 @@ def _verify_tmodp_report(payload):
     p, t, k, sets = payload["p"], payload["t"], payload["k"], payload["sets"]
     cap, max_size, verified = payload["weight_cap"], payload["max_size"], payload["verified"]
     kdim, exhaustive = payload["kernel_dim"], payload["exhaustive"]
-    space = ProjectiveSpace.of_order(2, p)
-    if space.field.h != 1:
+    # counts only until the plane is known to be within the matrix limit
+    if factor_prime_power(p)[1] != 1:
         return False, f"p = {p} is not prime, so the enumeration has no report"
     expected = payload["expected_size"]
-    if expected != t * theta(space.n - k, p):
+    if expected != t * theta(2 - k, p):
         return False, "expected_size is wrong for the parameters"
-    if count_subspaces(2, k, p) * space.num_points > MATRIX_ENTRY_LIMIT:
+    if count_subspaces(2, k, p) * theta(2, p) > MATRIX_ENTRY_LIMIT:
         return False, "the enumeration refuses this plane, so it has no report"
+    space = ProjectiveSpace.of_order(2, p)
     if type(kdim) is not int or not 0 <= kdim <= space.num_points:
         return False, f"kernel_dim {kdim!r} is not an int in [0, {space.num_points}]"
     plane_dim = _plane_kernel_dim(p, k)

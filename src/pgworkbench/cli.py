@@ -63,15 +63,16 @@ def cmd_blocking(args):
 
 
 def cmd_color(args):
+    flag = "transversal" if args.mode == "trivialize" else "coloring"
+    if getattr(args, flag) is None:
+        raise ValueError(f"--mode {args.mode} needs --{flag}")
     H = hypergraph_from_file(args.hypergraph)
+    with open(getattr(args, flag)) as fh:
+        data = json.load(fh)
     if args.mode == "trivialize":
-        with open(args.transversal) as fh:
-            T = json.load(fh)
-        coloring = trivial_coloring(T, H)
+        coloring = trivial_coloring(data, H)
         _emit({"assignment": list(coloring.assignment), "N": coloring.N})
         return 0
-    with open(args.coloring) as fh:
-        data = json.load(fh)
     coloring = Coloring.from_json(data)
     proper, edge = is_proper(coloring, H)
     out = {"N": coloring.N, "proper": proper}

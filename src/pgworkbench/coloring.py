@@ -66,32 +66,33 @@ def is_strict(coloring: Coloring, num_vertices: int) -> bool:
     return used == set(range(1, len(used) + 1))
 
 
-def _rainbow(points, assignment) -> bool:
-    """True iff the points carry pairwise distinct colors; stops at the
-    first repeated color."""
-    seen = set()
-    for i in points:
-        c = assignment[i]
-        if c in seen:
-            return False
-        seen.add(c)
-    return True
-
-
 def is_rainbow(edge_mask: int, coloring: Coloring) -> bool:
     """True iff all colors on the edge are pairwise distinct."""
-    return _rainbow(mask_bits(edge_mask), coloring.assignment)
+    colors = [coloring.assignment[i] for i in mask_bits(edge_mask)]
+    return len(set(colors)) == len(colors)
+
+
+def _rainbow_edge(class_masks, H: Hypergraph):
+    """The first edge of H, in edge order, that no class meets twice; None
+    when there is none.  Only the classes of two or more points can meet
+    an edge twice, so only their masks are tested."""
+    multi = [m for m in class_masks if m & (m - 1)]
+    for e in H.edges:
+        for m in multi:
+            if (e & m).bit_count() > 1:
+                break
+        else:
+            return e
+    return None
 
 
 def is_proper(coloring: Coloring, H: Hypergraph):
-    """True iff no edge is rainbow; on failure returns a rainbow edge."""
+    """True iff no edge is rainbow; on failure returns the first rainbow
+    edge in edge order."""
     if not is_strict(coloring, H.num_vertices):
         raise ColoringError("coloring is not a strict coloring of the vertex set")
-    assignment = coloring.assignment
-    for e, pts in zip(H.edges, H.edge_points):
-        if _rainbow(pts, assignment):
-            return False, e
-    return True, None
+    edge = _rainbow_edge(coloring.class_masks(), H)
+    return edge is None, edge
 
 
 def is_2_transversal(mask: int, H: Hypergraph) -> bool:
@@ -117,20 +118,24 @@ def _tau2_size_cutoff(H: Hypergraph) -> int:
     return max(2, 2 * theta(n - k, q))
 
 
-def is_trivial_coloring(coloring: Coloring, H: Hypergraph):
-    """True iff some color class contains a 2-transversal of H.
+def _trivial_class(class_masks, H: Hypergraph):
+    """The least color whose class is a 2-transversal of H, or None.  A
+    superset of a 2-transversal is one, so it suffices to test each class
+    itself, skipping those below a size cutoff."""
+    cutoff = _tau2_size_cutoff(H)
+    for ci, mask in enumerate(class_masks):
+        if mask.bit_count() >= cutoff and is_2_transversal(mask, H):
+            return ci + 1
+    return None
 
-    A superset of a 2-transversal is one, so it suffices to test each
-    class itself, skipping those below a size cutoff; the reported
-    witness is the lowest-index qualifying class.
-    """
+
+def is_trivial_coloring(coloring: Coloring, H: Hypergraph):
+    """True iff some color class contains a 2-transversal of H; the
+    reported witness is the lowest-index qualifying class."""
     if not is_strict(coloring, H.num_vertices):
         raise ColoringError("coloring is not strict")
-    cutoff = _tau2_size_cutoff(H)
-    for ci, mask in enumerate(coloring.class_masks()):
-        if mask.bit_count() >= cutoff and is_2_transversal(mask, H):
-            return True, ci + 1
-    return False, None
+    color = _trivial_class(coloring.class_masks(), H)
+    return color is not None, color
 
 
 def monochromatic_disjoint_pair(coloring: Coloring, space: ProjectiveSpace, k: int):

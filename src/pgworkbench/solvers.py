@@ -55,15 +55,44 @@ def _greedy_transversal(vertex_edges, num_edges, t):
     return chosen
 
 
+def _root_points(n: int, m: int, q: int, t: int) -> list:
+    """Points of PG(n,q) that some minimum t-transversal of the m-spaces,
+    1 <= m <= n-1, holds all together: the j = min(n+1, n-m+1+[t >= 2])
+    unit points e_n, e_(n-1), ..., whose indices are 0, 1, theta(1),
+    theta(2), ...; and in the plane with t >= 2 also the unit point
+    (1,1,1), whose index is 2q+2.
+
+    (L1) Independent points.  Let W be the span of a t-transversal T.  If
+    dim W <= n-m-1, some m-space misses W.  If dim W = n-m, some m-space
+    meets W in exactly one point, so it holds at most one point of T, too
+    few when t >= 2.  So T holds j independent points, and PGL(n+1,q) is
+    transitive on ordered independent j-tuples.  For t = 1 and m = n-1 a
+    line is a minimum blocking set, so no more than these 2 points may be
+    fixed.
+
+    (L2) The frame in the plane.  A planar point set with no frame (four
+    points, no three collinear) lies in a line plus one point.  Such a set
+    is no 2-transversal of the lines: a line that misses the extra point
+    meets the set only once.  So for t >= 2 T holds a frame, and PGL(3,q)
+    is transitive on ordered frames.
+    """
+    index = ProjectiveSpace.of_order(n, q).point_index
+    j = min(n + 1, n - m + 1 + (t >= 2))
+    units = [tuple(int(c == n - i) for c in range(n + 1)) for i in range(j)]
+    if n == 2 and t >= 2:
+        units.append((1, 1, 1))
+    return [index[u] for u in units]
+
+
 def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
     """Minimum size of a t-transversal, by branch and bound.
 
     On a hypergraph that `Hypergraph.geometry` validates as H(n,m,q), with
     t <= q, the folklore bound t*theta(n-m) lets the search stop as soon
     as an incumbent meets it.  On any validated H(n,m,q) the search also
-    starts with points 0 and 1 chosen: tau_t >= 2 for 1 <= m <= n-1, and
-    PGL(n+1,q) is 2-transitive on points, so some minimum t-transversal
-    holds both.  Claimed params that do not match the edges get neither.
+    starts with the points of `_root_points` chosen: some minimum
+    t-transversal holds them all, by the lemmas (L1) and (L2) stated
+    there.  Claimed params that do not match the edges get neither.
     initial_witness seeds the incumbent, e.g. a disjoint-subspace
     construction; it must be a list of distinct vertex indices.  Past
     DEFAULT_TAU_VERTEX_LIMIT vertices it, or else the greedy one, is
@@ -179,13 +208,12 @@ def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
             cover[v] += out
 
     total, num_open = t * len(edges), len(edges)
-    if H.geometry is None:
-        dfs(0, 0, (1 << V) - 1, total, num_open)
-    else:
-        # tau_t >= 2 for 1 <= m <= n-1, and PGL(n+1,q) is 2-transitive on
-        # points, so some minimum t-transversal holds points 0 and 1
-        total, num_open = take(0, total, num_open)
-        dfs(0b11, 2, (1 << V) - 4, *take(1, total, num_open))
+    chosen = 0
+    if H.geometry is not None:
+        for v in _root_points(*H.geometry, t):
+            total, num_open = take(v, total, num_open)
+            chosen |= 1 << v
+    dfs(chosen, chosen.bit_count(), ((1 << V) - 1) ^ chosen, total, num_open)
     return SolveResult(objective=best_size, witness=tuple(mask_bits(best)), nodes=nodes,
                        status=OPTIMAL, lower_bound=geometric_lb,
                        upper_bound=best_size)
@@ -204,7 +232,15 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
     order.  On a hypergraph that `Hypergraph.geometry` validates as
     H(n,k,q), the search starts from the merge of points 0 and 1: every
     proper coloring has a monochromatic pair, and PGL(n+1,q) is
-    2-transitive on points.
+    2-transitive on points.  It then searches two cases one after the
+    other, which share the incumbent and add their nodes:
+    Case A: the class of 0 and 1 also holds d, the first point off line 01
+    (index theta(1), the point e_(n-2)).  The pointwise stabilizer of two
+    points is transitive on the points off their line, so this covers
+    every class of 0 and 1 with a point off that line.
+    Case B: the class of 0 and 1 stays inside line 01.  The apart mask of
+    class 0 holds the points off the line, and each of them holds point 0
+    in its own, so that the masks stay symmetric.
     The incumbent is seeded by the trivial coloring on the witness of
     exact_tau(H, 2), minimum or, past its limit, greedy.  A hypergraph
     with no vertex has no coloring to witness, and raises SolverError.
@@ -291,11 +327,20 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
     else:
         # every proper coloring has a monochromatic pair, and PGL(n+1,q) is
         # 2-transitive on points, so some optimal coloring puts points 0
-        # and 1 in one class
-        root[1] = 0
-        members[0].append(1)
+        # and 1 in one class; line 01 is the points 0..d-1
+        d = theta(1, H.geometry[2])
+        for v in (1, d):
+            root[v] = 0
+            members[0].append(v)
+        cls[0] = 0b11 | 1 << d
+        dfs(2, [e for e in H.edges if (e & cls[0]).bit_count() < 2])  # case A
+        root[d] = d
+        members[0].pop()
         cls[0] = 0b11
-        dfs(1, [e for e in H.edges if e & 0b11 != 0b11])
+        apart[0] = (1 << V) - (1 << d)
+        for v in range(d, V):
+            apart[v] = 1
+        dfs(1, [e for e in H.edges if e & 0b11 != 0b11])  # case B
     witness = make_coloring(best_assignment)
     objective = V - best_merges
     ok, _ = is_proper(witness, H)

@@ -147,6 +147,16 @@ def test_recheck_refuses_a_tmodp_report_past_the_matrix_limit():
     assert time.perf_counter() - start < 0.1
 
 
+def test_recheck_refuses_a_tmodp_report_of_a_huge_plane_before_building_it():
+    # PG(2,997) has about 10^6 points and lines: only their counts are read
+    data = dict(verify_tmodp_theorem(2, 1).to_json(), p=997, expected_size=998, sets=[],
+                num_found=0, verified=False)
+    start = time.perf_counter()
+    ok, detail = recheck(make_certificate("tmodp_report", data))
+    assert not ok and "refuses this plane" in detail
+    assert time.perf_counter() - start < 0.1
+
+
 def _raise_by_p(data, points):
     """Raise the weight of the given points of the first listed set by p:
     every line weight changes by a multiple of p."""

@@ -161,6 +161,18 @@ def test_color_rejects_malformed_coloring(tmp_path, capsys, mode, coloring):
     assert captured.err.startswith("error: a coloring is a JSON object")
 
 
+@pytest.mark.parametrize("mode, flag", [("verify", "--coloring"),
+                                        ("trivialize", "--transversal")])
+def test_color_reports_a_missing_input_flag(tmp_path, capsys, mode, flag):
+    # each mode reads one file; without its flag it gave a TypeError
+    hpath = tmp_path / "fano.json"
+    run_cli(capsys, "space", "--n", "2", "--q", "2", "--export-hypergraph", str(hpath))
+    code = main(["color", "--mode", mode, "--hypergraph", str(hpath)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: --mode {mode} needs {flag}\n"
+
+
 def test_verify_verb(tmp_path, capsys):
     code, out = run_cli(capsys, "verify", "tmodp", "--p", "2", "--t", "1",
                         "--out", str(tmp_path / "rep.json"))

@@ -252,9 +252,17 @@ def _digest(values):
 # searches without either gave, and stay.
 def test_exact_tau_search_effort_pinned():
     res = exact_tau(ProjectiveSpace.of_order(2, 4).hypergraph(1), 2)
-    assert (res.nodes, res.objective) == (2434, 12)
+    assert (res.nodes, res.objective) == (522, 12)
     assert _digest(res.witness) == \
         "25de17e2fea885085c7a167e7323c1d190f620478904b783ef487693fb114900"
+
+
+def test_exact_tau_plane_of_order_5_pinned():
+    # the root holds the frame 0, 1, 6, 12 of PG(2,5)
+    res = exact_tau(ProjectiveSpace.of_order(2, 5).hypergraph(1), 2)
+    assert (res.nodes, res.objective, res.status) == (18558, 15, OPTIMAL)
+    assert _digest(res.witness) == \
+        "c19bba64109514d733407a49468d81278f3fee6c2527c13791bae4071bc63b0d"
 
 
 # edges of sizes 3 to 9 on 30 points: the packing bound takes open edges by
@@ -285,9 +293,9 @@ def test_exact_tau_search_effort_pinned_mixed_sizes(t, nodes, objective, digest)
 
 
 @pytest.mark.parametrize("n, k, q, nodes, objective, digest", [
-    (2, 1, 3, 6646, 6, "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"),
-    (3, 2, 2, 519, 11, "293457e67e07e2c24c6063f0a22f750faf3b7bdb059d05895370f300e0b7909b"),
-    (3, 1, 2, 6000, 4, "da83a276cc2807790005fec7bb6fde011b53a5c8f22668a4d371bfcf6c915be6"),
+    (2, 1, 3, 2898, 6, "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"),
+    (3, 2, 2, 373, 11, "293457e67e07e2c24c6063f0a22f750faf3b7bdb059d05895370f300e0b7909b"),
+    (3, 1, 2, 3909, 4, "da83a276cc2807790005fec7bb6fde011b53a5c8f22668a4d371bfcf6c915be6"),
 ], ids=["2-1-3", "3-2-2", "3-1-2"])
 def test_exact_ucn_search_effort_pinned(n, k, q, nodes, objective, digest):
     res = exact_ucn(ProjectiveSpace.of_order(n, q).hypergraph(k))
@@ -318,6 +326,27 @@ def test_exact_tau_fixed_root_pair_keeps_the_objective(n, k, q):
     H = ProjectiveSpace.of_order(n, q).hypergraph(k)
     plain = Hypergraph(H.num_vertices, H.edges)
     assert exact_tau(H, 2).objective == exact_tau(plain, 2).objective
+
+
+ROOTED_TAU_CASES = [(n, k, q, t) for n, k, q in [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2),
+                                                 (3, 2, 2), (3, 2, 3), (4, 3, 2), (4, 1, 2)]
+                    for t in (1, 2, 3) if (n, k, q, t) != (3, 2, 3, 3)]
+
+
+@pytest.mark.parametrize("n, k, q, t", ROOTED_TAU_CASES,
+                         ids=["-".join(map(str, c)) for c in ROOTED_TAU_CASES])
+def test_exact_tau_fixed_root_points_keep_the_objective(n, k, q, t):
+    # the root of (L1) and (L2) against the same edges with no params,
+    # also seeded with every point so that the search runs below the root
+    # even where the greedy incumbent meets the folklore bound; the cases
+    # hold t = 1 with k = n - 1, where only two points may be fixed, and
+    # t > q, where the folklore bound does not apply
+    H = ProjectiveSpace.of_order(n, q).hypergraph(k)
+    plain = Hypergraph(H.num_vertices, H.edges)
+    everything = list(range(H.num_vertices))
+    for seed in (None, everything):
+        rooted = exact_tau(H, t, initial_witness=seed)
+        assert rooted.objective == exact_tau(plain, t, initial_witness=seed).objective
 
 
 # edges on 7 points that claim (2, 1, 2) but are not the lines of PG(2,2):
