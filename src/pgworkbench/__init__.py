@@ -5,15 +5,12 @@ upper-chromatic-number solvers with re-checkable certificates."""
 from .fields import GF, FieldError, field_for_order
 from .geometry import (EMPTY_SUBSPACE, GeometryError, Hypergraph, ProjectiveSpace,
                        Subspace, count_subspaces, theta)
-from .blocking import (BlockingError, SecantClassification, WeightedPointSet,
-                       classify_lines, construct_qplus1_fold, construct_union,
+from .blocking import (BlockingError, WeightedPointSet, construct_union,
                        enumerate_t_mod_p_sets, essential_points,
-                       folklore_bound_margin, harrach_uniqueness_limit,
-                       is_minimal, is_t_fold_blocking, is_t_mod_p_set,
-                       largest_mod_exponent, minimal_reduction)
-from .coloring import (Coloring, ColoringError, is_proper, is_rainbow,
-                       is_trivial_coloring, make_coloring,
-                       monochromatic_disjoint_pair, trivial_coloring)
+                       harrach_uniqueness_limit, is_minimal, is_t_fold_blocking,
+                       is_t_mod_p_set, minimal_reduction)
+from .coloring import (Coloring, ColoringError, is_proper, is_trivial_coloring,
+                       make_coloring, trivial_coloring)
 from .solvers import (BoundsReport, SolveResult, SolverError, bounds_report,
                       exact_tau, exact_ucn, verify_tmodp_theorem)
 from .certificates import make_certificate, recheck

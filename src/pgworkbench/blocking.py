@@ -1,6 +1,6 @@
 """Weighted point sets of PG(n,q): multiple blocking sets, minimality,
-secant-line classification, modular intersection conditions, and the
-standard constructions.
+modular intersection conditions, weighted unions, and the enumeration of
+t (mod p) sets.
 
 Throughout, k names the dimension of the subspaces being met: a t-fold
 blocking set with respect to k-spaces meets every k-space in at least t
@@ -9,8 +9,7 @@ points, counted with weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .fields import GF
 from .geometry import ProjectiveSpace, Subspace, count_subspaces, theta
@@ -159,108 +158,7 @@ def is_t_mod_p_set(B: WeightedPointSet, t: int, k: int, p: int | None = None):
     return _verdict(B, k, _kspace_failure(B, t, k, char, {}))
 
 
-@dataclass
-class ModExponentReport:
-    t: int
-    p: int
-    e: int
-    capped: bool
-    size_lower_bound: Fraction
-
-
-def largest_mod_exponent(B: WeightedPointSet, t: int, k: int) -> ModExponentReport:
-    """Largest e with every k-space weight congruent to t mod p^e."""
-    p = B.space.field.p
-    sums = {}
-    if _kspace_failure(B, t, k, p, sums) is not None:
-        raise BlockingError("not a t (mod p) set")
-    sums = sums[k]
-    max_sum = max(sums) if sums else 0
-    e = 1
-    capped = False
-    while True:
-        mod = p ** (e + 1)
-        if mod > max_sum + abs(t):
-            # all intersections would have to equal t exactly from here on
-            if all(s == t for s in sums):
-                capped = True
-            else:
-                break
-        if any((s - t) % mod for s in sums):
-            break
-        e += 1
-        if capped:
-            break
-    n, q = B.space.n, B.space.q
-    bound = Fraction(t * q ** (n - k)) + Fraction(q ** (n - k), p**e + 1) - 1
-    return ModExponentReport(t=t, p=p, e=e, capped=capped, size_lower_bound=bound)
-
-
-# -- secant-line classification -----------------------------------------
-
-T_SECANT = "t_secant"
-LONG = "long"
-FULL = "full"
-
-
-@dataclass
-class SecantClassification:
-    t: int
-    p: int
-    classes: list  # per line, in canonical line order
-    h1: int  # full lines
-    h2: int  # long lines
-    s_min: int | None
-    outer_points: list = field(default_factory=list)
-    line_weights: list = field(default_factory=list)
-
-
-def classify_lines(B: WeightedPointSet, t: int) -> SecantClassification:
-    """Classify every line as a t-secant, long, or full line.
-
-    A full line has every point at positive weight; a t-secant has weight
-    exactly t; everything else is long.  s_min (minimal s with a long
-    line of weight s*p + t) is reported only when B is a t (mod p) set
-    with respect to lines, since s is meaningful only there.
-    """
-    space = B.space
-    p = space.field.p
-    w = B.weights
-    classes = []
-    weights = []
-    h1 = h2 = 0
-    long_min = None
-    for pts in space.incidence(1):
-        lw = sum(w[i] for i in pts)
-        weights.append(lw)
-        if lw == t:
-            classes.append(T_SECANT)
-        elif all(w[i] > 0 for i in pts):
-            classes.append(FULL)
-            h1 += 1
-        else:
-            classes.append(LONG)
-            h2 += 1
-            if long_min is None or lw < long_min:
-                long_min = lw
-    s_min = None
-    if long_min is not None and all((lw - t) % p == 0 for lw in weights):
-        s_min = (long_min - t) // p
-    outer = [i for i, wi in enumerate(w) if wi == 0]
-    return SecantClassification(t=t, p=p, classes=classes, h1=h1, h2=h2,
-                                s_min=s_min, outer_points=outer, line_weights=weights)
-
-
-# -- bounds and constructions -------------------------------------------
-
-def folklore_bound_margin(B: WeightedPointSet, t: int, k: int) -> int:
-    """Margin |B| - t*theta(n-k) of the folklore lower bound; requires t <= q."""
-    if t > B.space.q:
-        raise BlockingError(f"t = {t} > q = {B.space.q}: the folklore bound may fail")
-    _require_blocking(B, t, k, {})
-    margin = B.size - t * theta(B.space.n - k, B.space.q)
-    return margin
-
+# -- weighted unions -----------------------------------------------------
 
 def construct_union(space: ProjectiveSpace, subspaces_with_mult):
     """Weighted union: each point gets the multiplicity sum of the
@@ -272,14 +170,6 @@ def construct_union(space: ProjectiveSpace, subspaces_with_mult):
         for i in S.point_indices():
             w[i] += mult
     return WeightedPointSet(space, w)
-
-
-def construct_qplus1_fold(space: ProjectiveSpace, k: int) -> WeightedPointSet:
-    """An (n-k+1)-space with weight one: a (q+1)-fold blocking set with
-    respect to k-spaces, of size theta(n-k+1) < (q+1)*theta(n-k)."""
-    if k < 1 or k > space.n - 1:
-        raise BlockingError(f"k = {k} out of range")
-    return construct_union(space, [(space.coordinate_subspace(range(space.n - k + 2)), 1)])
 
 
 # -- mod-p solution enumeration -----------------------------------------

@@ -16,7 +16,7 @@ from .coloring import (Coloring, _rainbow_edge, _trivial_class, is_strict,
 from .fields import factor_prime_power
 from .geometry import Hypergraph, ProjectiveSpace, count_subspaces, mask_bits, point_set, theta
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
-                      line_union_weights, require_line_multiset_limit, tmodp_violations)
+                      num_line_unions, tmodp_violations)
 
 SCHEMA_VERSION = 1
 
@@ -120,8 +120,11 @@ def _verify_coloring(payload):
     edge = _rainbow_edge(masks, H)
     if edge is not None:
         return False, f"rainbow hyperedge on points {mask_bits(edge)}"
-    if payload.get("trivial") and _trivial_class(masks, H) is None:
-        return False, "claimed trivial but no class contains a 2-transversal"
+    trivial = payload.get("trivial")
+    if trivial is not None and bool(trivial) != (_trivial_class(masks, H) is not None):
+        if trivial:
+            return False, "claimed trivial but no class contains a 2-transversal"
+        return False, "claimed not trivial but a class contains a 2-transversal"
     return True, "proper strict coloring verified"
 
 
@@ -159,14 +162,14 @@ def _verify_blocking_set(payload):
 _add_elementwise = functools.partial(map, operator.add)
 
 
-def _listed_set_fault(space, sets, t, k, cap, max_size, expected):
+def _listed_set_fault(space, sets, t, cap, max_size, expected):
     """Why one of the listed weight tuples is not a t (mod p) set of
-    `space` with respect to k-spaces within weight_cap and max_size, or,
+    `space` with respect to lines within weight_cap and max_size, or,
     when expected is not None, not of size expected; None when all are.
     Each test runs over every set before the next starts, in the order
     that a single faulty set meets them, so such a set gets the detail
-    that a set-by-set scan gives it; the k-spaces are read once for all
-    the sets together."""
+    that a set-by-set scan gives it; the lines are read once for all the
+    sets together."""
     if not sets:
         return None
     npts = space.num_points
@@ -183,7 +186,7 @@ def _listed_set_fault(space, sets, t, k, cap, max_size, expected):
     char = space.field.p
     residue = t % char
     columns = list(zip(*sets))  # per point, its weight in every set
-    for pts in space.incidence(k):
+    for pts in space.incidence(1):
         weights = list(functools.reduce(_add_elementwise, map(columns.__getitem__, pts)))
         if not all(w % char == residue for w in set(weights)):
             j = next(j for j, w in enumerate(weights) if not w % char == residue)
@@ -193,13 +196,11 @@ def _listed_set_fault(space, sets, t, k, cap, max_size, expected):
     return None
 
 
-def _plane_kernel_dim(p: int, k: int) -> int:
-    """Dimension of the kernel over GF(p), p prime, of the k-space/point
-    incidence matrix of PG(2,p): 0 for the identity of the points;
-    p(p+1)/2 for the lines, whose incidence has p-rank C(p+1, 2) + 1
-    (Graham and MacWilliams 1966); theta(2) - 1 for the one all-ones row
-    of the plane."""
-    return {0: 0, 1: p * (p + 1) // 2, 2: theta(2, p) - 1}[k]
+def _plane_kernel_dim(p: int) -> int:
+    """Dimension of the kernel over GF(p), p prime, of the line/point
+    incidence matrix of PG(2,p): p(p+1)/2, since that matrix has p-rank
+    C(p+1, 2) + 1 (Graham and MacWilliams 1966)."""
+    return p * (p + 1) // 2
 
 
 def _verify_tmodp_report(payload):
@@ -209,15 +210,17 @@ def _verify_tmodp_report(payload):
     # counts only until the plane is known to be within the matrix limit
     if factor_prime_power(p)[1] != 1:
         return False, f"p = {p} is not prime, so the enumeration has no report"
+    if k != 1:
+        return False, f"k = {k}: a report is about the lines of the plane, k = 1"
     expected = payload["expected_size"]
-    if expected != t * theta(2 - k, p):
+    if expected != t * theta(1, p):
         return False, "expected_size is wrong for the parameters"
-    if count_subspaces(2, k, p) * theta(2, p) > MATRIX_ENTRY_LIMIT:
+    if count_subspaces(2, 1, p) * theta(2, p) > MATRIX_ENTRY_LIMIT:
         return False, "the enumeration refuses this plane, so it has no report"
     space = ProjectiveSpace.of_order(2, p)
     if type(kdim) is not int or not 0 <= kdim <= space.num_points:
         return False, f"kernel_dim {kdim!r} is not an int in [0, {space.num_points}]"
-    plane_dim = _plane_kernel_dim(p, k)
+    plane_dim = _plane_kernel_dim(p)
     if kdim != plane_dim:
         return False, f"kernel_dim {kdim} is not {plane_dim}, the kernel dimension mod {p} " \
                       f"of the {k}-space incidence"
@@ -240,17 +243,12 @@ def _verify_tmodp_report(payload):
         return False, "claimed verified without an exhaustive search finding every union"
     if cap > p - 1:
         return False, f"weight_cap {cap} is above p - 1"
-    require_line_multiset_limit(p, t)
-    unions = line_union_weights(space, k, t, max_size, cap)
-    if payload["num_unions"] != len(unions):
-        return False, "num_unions does not match a recount of the unions"
-    # with 2k = n, every two k-spaces meet in theta(j) = 1 (mod p) points,
-    # so a union of t k-spaces is a t (mod p) set of size t*theta(n-k); the
-    # recount keeps only those within max_size and weight_cap, so a listed
-    # set among them needs no incidence scan
-    known = unions if 2 * k == space.n else set()
-    fault = _listed_set_fault(space, [wt for wt in found if wt not in known], t, k, cap,
-                              max_size, expected if verified else None)
+    # the union count, and the sizes that tell a union, need t <= weight_cap
+    if t > cap:
+        return False, f"t = {t} is above weight_cap {cap}"
+    if payload["num_unions"] != num_line_unions(p, t, max_size):
+        return False, "num_unions does not match the count of the unions"
+    fault = _listed_set_fault(space, found, t, cap, max_size, expected if verified else None)
     if fault is not None:
         return False, fault
     # the violations follow from the listed sets and, when the search was
@@ -259,10 +257,10 @@ def _verify_tmodp_report(payload):
         return v["weights"], v["reason"]
     if not _all_ints(itertools.chain.from_iterable(v["weights"] for v in payload["violations"])):
         return False, "a violation has a weight that is not an int"
-    violations = tmodp_violations(found, unions, expected, exhaustive)
+    violations = tmodp_violations(space, t, found, expected, payload["num_unions"], exhaustive)
     if violations != payload["violations"] and \
             sorted(map(key, violations)) != sorted(map(key, payload["violations"])):
-        return False, "violations do not match those of the listed sets and the recount"
+        return False, "violations do not match those of the listed sets and the union count"
     return True, "report sets verified"
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .geometry import Hypergraph, ProjectiveSpace, mask_bits, point_set, theta
+from .geometry import Hypergraph, point_set, theta
 
 
 class ColoringError(ValueError):
@@ -64,12 +64,6 @@ def is_strict(coloring: Coloring, num_vertices: int) -> bool:
         return False
     used = set(coloring.assignment)
     return used == set(range(1, len(used) + 1))
-
-
-def is_rainbow(edge_mask: int, coloring: Coloring) -> bool:
-    """True iff all colors on the edge are pairwise distinct."""
-    colors = [coloring.assignment[i] for i in mask_bits(edge_mask)]
-    return len(set(colors)) == len(colors)
 
 
 def _rainbow_edge(class_masks, H: Hypergraph):
@@ -136,20 +130,3 @@ def is_trivial_coloring(coloring: Coloring, H: Hypergraph):
         raise ColoringError("coloring is not strict")
     color = _trivial_class(coloring.class_masks(), H)
     return color is not None, color
-
-
-def monochromatic_disjoint_pair(coloring: Coloring, space: ProjectiveSpace, k: int):
-    """A color class containing two disjoint k-spaces entirely, if any.
-
-    Returns (color, U, V) for the lowest such color id, else None.  Any
-    returned pair certifies triviality of the coloring for the
-    (n-k)-space hypergraph, since every (n-k)-space meets both."""
-    masks = coloring.class_masks()
-    subs = space.subspaces(k)
-    for ci, cmask in enumerate(masks):
-        inside = [S for S in subs if S.mask & cmask == S.mask]
-        for a in range(len(inside)):
-            for b in range(a + 1, len(inside)):
-                if inside[a].mask & inside[b].mask == 0:
-                    return ci + 1, inside[a], inside[b]
-    return None

@@ -186,11 +186,6 @@ class GF:
             return 0 if e else 1
         return self._exp[self._log[a] * e % (self.q - 1)]
 
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        return (self.q - 1) // math.gcd(self._log[a], self.q - 1)
-
     # -- linear algebra -------------------------------------------------
 
     def row_reduce(self, rows, ncols: int):

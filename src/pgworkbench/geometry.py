@@ -412,17 +412,8 @@ class ProjectiveSpace:
         basis = self.rref([self.points[i] for i in pts])
         return Subspace(len(basis) - 1, basis, common)
 
-    def incident(self, point: int, U: Subspace) -> bool:
-        return bool(U.mask >> point & 1)
-
     def line_through(self, i: int, j: int) -> Subspace:
         return self.span_points([i, j])
-
-    def subspaces_through(self, U: Subspace, m: int):
-        if m <= U.dim:
-            raise GeometryError(f"m = {m} must exceed dim U = {U.dim}")
-        umask = U.mask
-        return [S for S in self.subspaces(m) if S.mask & umask == umask]
 
     def coordinate_subspace(self, columns) -> Subspace:
         """The span of the unit vectors e_c for c in columns, increasing."""

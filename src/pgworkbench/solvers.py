@@ -378,53 +378,56 @@ class TModPVerification:
         return {**data, "sets": [list(B.weights) for B in self.sets]}
 
 
-# multisets of t lines whose unions verify_tmodp_theorem and recheck
-# count, at about 10 us each: (11, 3) has 400995 and takes seconds
-LINE_MULTISET_LIMIT = 5 * 10**5
+def num_line_unions(p: int, t: int, max_size: int) -> int:
+    """The number of unions of t lines of PG(2,p), with multiplicity, of
+    size at most max_size, for 0 <= t <= p - 1: distinct multisets give
+    distinct unions (see verify_tmodp_theorem), each of size t*(p+1) and
+    with no point above weight t."""
+    return math.comb(theta(2, p) + t - 1, t) if t * (p + 1) <= max_size else 0
 
 
-def require_line_multiset_limit(p: int, t: int) -> None:
-    """SolverError past LINE_MULTISET_LIMIT multisets of t lines of PG(2,p)."""
-    count = math.comb(theta(2, p) + t - 1, t)
-    if count > LINE_MULTISET_LIMIT:
-        raise SolverError(f"PG(2,{p}) has {count} multisets of {t} lines, above the limit")
+def tmodp_violations(space: ProjectiveSpace, t: int, found: list, expected_size: int,
+                     num_unions: int, exhaustive: bool) -> list:
+    """The violations of a t (mod p) report on the lines of the plane
+    `space`, whose found weight tuples are t (mod p) sets with t <= p - 1,
+    in report order: each found set whose size is not expected_size and,
+    when the search was exhaustive and found fewer than num_unions sets of
+    that size, each union of t lines that it did not find.
 
-
-def line_union_weights(space: ProjectiveSpace, k: int, t: int, max_size: int,
-                       weight_cap: int) -> set:
-    """The weight tuples, of size at most max_size and no point above
-    weight_cap, of the unions of t k-spaces of `space` with multiplicity."""
-    weights = set()
-    for combo in itertools.combinations_with_replacement(space.incidence(k), t):
-        w = [0] * space.num_points
-        for i in itertools.chain.from_iterable(combo):
-            w[i] += 1
-        if sum(w) <= max_size and max(w) <= weight_cap:
-            weights.add(tuple(w))
-    return weights
-
-
-def tmodp_violations(found: list, union_weights: set, expected_size: int,
-                     exhaustive: bool) -> list:
-    """The violations of a t (mod p) report, in report order: each found
-    weight tuple of the wrong size or outside the unions and, when the
-    search was exhaustive, each union it did not find."""
-    violations = []
-    for wt in found:
-        size = sum(wt)
-        if size != expected_size:
-            violations.append({"weights": list(wt), "reason": f"size {size} != {expected_size}"})
-        elif wt not in union_weights:
-            violations.append({"weights": list(wt), "reason": "not a weighted union of t lines"})
-    if exhaustive:
-        for wt in union_weights - set(found):
-            violations.append({"weights": list(wt), "reason": "line union missed by enumeration"})
+    A found set of size expected_size is a union of t lines (see
+    verify_tmodp_theorem), so only sizes are compared.  The unions are
+    listed only to name the missed ones; an exhaustive search needs
+    p <= 3, so there are at most comb(14, 2) = 91 multisets of lines."""
+    violations = [{"weights": list(wt), "reason": f"size {sum(wt)} != {expected_size}"}
+                  for wt in found if sum(wt) != expected_size]
+    if exhaustive and len(found) - len(violations) < num_unions:
+        listed = set(found)
+        for combo in itertools.combinations_with_replacement(space.incidence(1), t):
+            w = [0] * space.num_points
+            for i in itertools.chain.from_iterable(combo):
+                w[i] += 1
+            if tuple(w) not in listed:
+                violations.append({"weights": w, "reason": "line union missed by enumeration"})
     return violations
 
 
 def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVerification:
     """Verify, in the plane PG(2,p), that every residue-capped t (mod p)
     set of bounded total weight is a weighted union of t lines.
+
+    In the plane that claim is one about sizes only.  The line/point
+    incidence matrix A of PG(2,p) has A*A^T = p*I + J, so A is invertible
+    over Q: distinct multisets of lines give distinct weight functions.  A
+    union of t lines has size t*(p+1) and no point above weight
+    t <= 3p/8 + 1 < p, so `num_unions` is the number comb(theta(2) + t - 1, t)
+    of multisets of t lines when t*(p+1) <= max_size, and 0 otherwise.
+    Conversely, every line weight w(l) of a t (mod p) set w is a
+    nonnegative number congruent to t mod p, so at least t; the lines
+    through a point P have weights summing to p*w(P) + |w|, so when
+    |w| = t*(p+1), w is the union of the lines l taken (w(l) - t)/p times
+    each.  A listed set is therefore a union of t lines iff its size is
+    `expected_size` = t*(p+1), and a violation is a listed set of another
+    size or, after an exhaustive search, a union that it missed.
 
     `enumerate_t_mod_p_sets` searches every coset of the mod-p kernel or,
     past `COSET_LIMIT` cosets, none: then the report lists no sets and is
@@ -439,8 +442,9 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVe
     default is 13.  Within that 13 lie 234 sets of size 11 that are not line
     unions; each is reported as a violation and `verified` is False.
     Raises SolverError for t < 1, for a max_size that is not an int >= 0
-    and past LINE_MULTISET_LIMIT multisets of t lines, and BlockingError
-    past the enumeration's incidence-matrix limit.
+    and for t > 3p/8 + 1; FieldError when p is not a prime power; and
+    BlockingError when p is not prime or the plane's line/point incidence
+    matrix is past the enumeration's limit.
     """
     if t < 1:
         raise SolverError(f"t must be >= 1, not {t}")
@@ -448,22 +452,20 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVe
         raise SolverError(f"max_size must be an integer >= 0, not {max_size!r}")
     if Fraction(t) > Fraction(3 * p, 8) + 1:
         raise SolverError(f"hypothesis violated: t = {t} > 3p/8 + 1 = {Fraction(3 * p, 8) + 1}")
-    require_line_multiset_limit(p, t)
     space = ProjectiveSpace.of_order(2, p)
     k = 1
     if max_size is None:
         max_size = (t + 1) * theta(space.n - k, p) + p - 2
     enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size, weight_cap=p - 1)
     expected_size = t * theta(space.n - k, p)
-    union_weights = line_union_weights(space, k, t, max_size, p - 1)
-
-    violations = tmodp_violations([tuple(B.weights) for B in enum.sets], union_weights,
-                                  expected_size, enum.exhaustive)
+    num_unions = num_line_unions(p, t, max_size)
+    violations = tmodp_violations(space, t, [tuple(B.weights) for B in enum.sets],
+                                  expected_size, num_unions, enum.exhaustive)
     return TModPVerification(
         p=p, t=t, k=k, max_size=max_size, weight_cap=p - 1,
         kernel_dim=enum.kernel_dim, num_solution_classes=enum.num_solution_classes,
         exhaustive=enum.exhaustive, num_found=len(enum.sets),
-        num_unions=len(union_weights), expected_size=expected_size,
+        num_unions=num_unions, expected_size=expected_size,
         violations=violations, verified=not violations and enum.exhaustive,
         sets=enum.sets)
 

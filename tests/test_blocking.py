@@ -4,15 +4,11 @@ import time
 import pytest
 
 from pgworkbench import blocking
-from pgworkbench.blocking import (FULL, LONG, T_SECANT, BlockingError,
-                                  WeightedPointSet, classify_lines,
-                                  construct_qplus1_fold, construct_union,
+from pgworkbench.blocking import (BlockingError, WeightedPointSet, construct_union,
                                   enumerate_t_mod_p_sets, essential_points,
-                                  folklore_bound_margin,
                                   harrach_uniqueness_limit, is_minimal,
                                   is_t_fold_blocking, is_t_mod_p_set,
-                                  kspace_weights, largest_mod_exponent,
-                                  minimal_reduction, solve_mod_p)
+                                  kspace_weights, minimal_reduction, solve_mod_p)
 from pgworkbench.geometry import ProjectiveSpace, theta
 
 
@@ -97,71 +93,6 @@ def test_is_t_mod_p_set():
     assert not ok and witness is not None
     with pytest.raises(BlockingError):
         is_t_mod_p_set(B, 2, 1, p=5)
-
-
-def test_largest_mod_exponent():
-    space = ProjectiveSpace.of_order(2, 3)
-    line = space.subspaces(1)[0]
-    B = construct_union(space, [(line, 1)])
-    rep = largest_mod_exponent(B, 1, 1)
-    # line sums are 4 and 1: congruent mod 3 but not mod 9
-    assert rep.p == 3 and rep.e == 1 and not rep.capped
-    assert rep.size_lower_bound > 0
-    with pytest.raises(BlockingError):
-        largest_mod_exponent(B, 2, 1)
-
-
-def test_largest_mod_exponent_capped():
-    # the full plane meets every line in exactly 3 points
-    space = ProjectiveSpace.of_order(2, 2)
-    B = WeightedPointSet(space, [1] * 7)
-    rep = largest_mod_exponent(B, 3, 1)
-    assert rep.capped
-
-
-def test_classify_lines_two_line_union():
-    space = ProjectiveSpace.of_order(2, 3)
-    B = two_line_union(space)
-    rep = classify_lines(B, 2)
-    assert rep.classes.count(T_SECANT) == 11
-    assert rep.h1 == 2 and rep.h2 == 0
-    assert rep.s_min is None  # no long lines at all
-    assert len(rep.outer_points) == 13 - 7
-    assert sorted(rep.line_weights) == [2] * 11 + [5, 5]
-
-
-def test_classify_lines_long_lines():
-    # complement of a line in the Fano plane: a 0 (mod 2) set
-    space = ProjectiveSpace.of_order(2, 2)
-    removed = space.subspaces(1)[0]
-    w = [1] * 7
-    for i in removed.point_indices():
-        w[i] = 0
-    B = WeightedPointSet(space, w)
-    ok, _ = is_t_mod_p_set(B, 0, 1)
-    assert ok
-    rep = classify_lines(B, 0)
-    assert rep.classes.count(T_SECANT) == 1   # the removed line itself
-    assert rep.h1 == 0 and rep.h2 == 6
-    assert rep.s_min == 1                      # long lines weigh 0 + 1*2
-
-
-def test_folklore_bound_margin():
-    space = ProjectiveSpace.of_order(2, 3)
-    B = two_line_union(space)
-    assert folklore_bound_margin(B, 2, 1) == 0
-    with pytest.raises(BlockingError):
-        folklore_bound_margin(B, 4, 1)  # t > q
-
-
-def test_construct_qplus1_fold():
-    for n, q, k in [(2, 2, 1), (3, 2, 1), (3, 2, 2), (2, 3, 1)]:
-        space = ProjectiveSpace.of_order(n, q)
-        B = construct_qplus1_fold(space, k)
-        assert B.size == theta(n - k + 1, q)
-        assert B.size < (q + 1) * theta(n - k, q)
-        ok, _ = is_t_fold_blocking(B, q + 1, k)
-        assert ok
 
 
 def test_construct_union_rejects_negative_multiplicity():

@@ -3,14 +3,14 @@ import time
 
 import pytest
 
-from pgworkbench.blocking import MATRIX_ENTRY_LIMIT, solve_mod_p
+from pgworkbench.blocking import solve_mod_p
 from pgworkbench.certificates import (CertificateError, _plane_kernel_dim, canonical_json,
                                       checksum, coloring_certificate, load_certificate,
                                       make_certificate, recheck,
                                       tmodp_certificate, transversal_certificate,
                                       write_certificate)
-from pgworkbench.fields import GF, is_prime
-from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
+from pgworkbench.coloring import trivial_coloring
+from pgworkbench.geometry import Hypergraph, ProjectiveSpace
 from pgworkbench.solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -87,6 +87,18 @@ def test_recheck_coloring():
     bad = dict(payload, trivial=True)
     ok, detail = recheck(make_certificate("coloring", bad))
     assert not ok
+
+
+def test_recheck_coloring_refuses_a_trivial_coloring_claimed_not_trivial():
+    # until the flag was compared either way, a false "trivial": false
+    # rechecked (True, 'proper strict coloring verified')
+    H = ProjectiveSpace.of_order(2, 3).hypergraph(1)
+    coloring = trivial_coloring(exact_tau(H, 2).witness, H)
+    cert = coloring_certificate(H, coloring)
+    assert cert["payload"]["trivial"] and recheck(cert) == (True, "proper strict coloring verified")
+    payload = dict(cert["payload"], trivial=False)
+    assert recheck(make_certificate("coloring", payload)) == \
+        (False, "claimed not trivial but a class contains a 2-transversal")
 
 
 def test_recheck_blocking_set():
@@ -169,18 +181,6 @@ def _list_first_twice(data):
     data["num_found"] += 1
 
 
-def _as_point_report(data):
-    """Recast the (2, 1) report as one about points (k = 0), listing a
-    single point: a union of one point, but not a 1 (mod 2) set for the
-    points, since the others have weight 0."""
-    points = [[int(i == j) for i in range(7)] for j in range(7)]
-    data.update(k=0, kernel_dim=0, num_solution_classes=1, expected_size=7,
-                sets=points[:1], num_found=1, verified=False,
-                violations=[{"weights": points[0], "reason": "size 1 != 7"}]
-                + [{"weights": w, "reason": "line union missed by enumeration"}
-                   for w in points[1:]])
-
-
 def _non_union(data):
     """The first listed set of the (3,2) report that is not a line union:
     the 91 unions have size 8, the other 234 sets size 11."""
@@ -191,13 +191,16 @@ def _negate_a_zero(wt):
     wt[wt.index(0)] = -1
 
 
-def _fails_on_the_last_point(data):
-    """Recast the (2,1) report as one about points (k = 0), whose 1 (mod 2)
-    sets below size 8 are the single points, and list one set that is
-    1 (mod 2) on every point but the last: the last k-space of the walk
-    is the only one that it fails on."""
-    data.update(k=0, kernel_dim=0, num_solution_classes=1, expected_size=7, max_size=7,
-                num_unions=7, verified=False, sets=[[1] * 6 + [0]], num_found=1, violations=[])
+def _fails_through_one_point(data):
+    """List one set that is 1 (mod 2) on every line but the three through
+    one point: no set fails on the last line alone, since the transposed
+    incidence has a nonzero kernel mod 2.  The point is the one whose first
+    line comes latest in canonical order, so the scan meets the fault only
+    that late; the set is the first line plus that point, of size 4."""
+    lines = ProjectiveSpace.of_order(2, 2).incidence(1)
+    point = max(range(7), key=lambda i: next(j for j, pts in enumerate(lines) if i in pts))
+    wt = [int(i in lines[0] or i == point) for i in range(7)]
+    data.update(sets=[wt], num_found=1, verified=False, violations=[])
 
 
 def _bump_last_set(data):
@@ -237,7 +240,7 @@ TAMPERED_TMODP_REPORTS = [
     pytest.param((2, 1), lambda d: d.update(p=4), "p = 4 is not prime", id="p-not-prime"),
     pytest.param((3, 2), lambda d: d.update(exhaustive=False), "exhaustive does not match",
                  id="exhaustive-flipped"),
-    pytest.param((3, 2), lambda d: d.update(num_unions=90), "recount of the unions",
+    pytest.param((3, 2), lambda d: d.update(num_unions=90), "count of the unions",
                  id="num-unions-off"),
     # the (3,2) report lists 234 violations, each a set of size 11
     pytest.param((3, 2), lambda d: d.update(violations=d["violations"][:1]),
@@ -246,10 +249,16 @@ TAMPERED_TMODP_REPORTS = [
                  id="violations-emptied"),
     pytest.param((3, 2), lambda d: d["violations"][0].update(weights=[0] * 13),
                  "violations do not match", id="violation-zeroed"),
-    # a recounted union skips the incidence scan only where it is a
-    # t (mod p) set by construction, which needs 2k = n
-    pytest.param((2, 1), _as_point_report, "is not a 1 (mod 2) set", id="point-unions"),
-    pytest.param((2, 1), _fails_on_the_last_point, "listed set of size 6 is not a 1 (mod 2) set",
+    # a report is about the lines of the plane: unions of points or of the
+    # plane itself have another size than expected_size = t*theta(1)
+    pytest.param((2, 1), lambda d: d.update(k=0), "k = 0: a report is about the lines",
+                 id="point-unions"),
+    pytest.param((2, 1), lambda d: d.update(k=2), "k = 2: a report is about the lines",
+                 id="plane-unions"),
+    # the union count and the size test need t <= weight_cap
+    pytest.param((3, 2), lambda d: d.update(weight_cap=1), "t = 2 is above weight_cap 1",
+                 id="t-above-weight-cap"),
+    pytest.param((2, 1), _fails_through_one_point, "listed set of size 4 is not a 1 (mod 2) set",
                  id="fails-on-the-last-k-space"),
     pytest.param((3, 2), _bump_last_set, "is not a 2 (mod 3) set", id="last-set-off-by-one"),
     pytest.param((3, 2), lambda d: _non_union(d).pop(),
@@ -333,33 +342,19 @@ def test_recheck_transversal_for_points_and_the_whole_space(n, k, q, t, points, 
     assert (ok, got) == ((True, "t-transversal verified") if detail is None else (False, detail))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_plane_kernel_dim_matches_elimination(p):
-    space = ProjectiveSpace.of_order(2, p)
     # the 307 lines of PG(2,17) take about 2.7 s to eliminate, and
     # test_enumerate_t_mod_p_sets_answers_below_the_matrix_limit pins the
     # kernel dimension 153 that their elimination gives
-    levels = (0, 2) if p == 17 else (0, 1, 2)
-    for k in levels:
-        rows = [[S.mask >> i & 1 for i in range(space.num_points)] for S in space.subspaces(k)]
-        assert _plane_kernel_dim(p, k) == len(solve_mod_p(rows, [1] * len(rows), p)[1])
+    space = ProjectiveSpace.of_order(2, p)
+    rows = [[S.mask >> i & 1 for i in range(space.num_points)] for S in space.subspaces(1)]
+    assert _plane_kernel_dim(p) == len(solve_mod_p(rows, [1] * len(rows), p)[1])
 
 
 def test_plane_kernel_dim_of_the_lines_of_pg2_17():
     # the elimination that test_blocking pins, which is too slow to rerun here
-    assert _plane_kernel_dim(17, 1) == 153
-
-
-def test_plane_kernel_dim_of_every_admitted_plane():
-    # the one 2-space of PG(2,p) is the all-ones row over its theta(2)
-    # points; past p = 17 its kernel basis is too large to list, so the rank
-    # comes from the elimination that solve_mod_p runs, for every prime
-    # whose matrix the enumeration's limit admits
-    primes = [p for p in range(2, 400) if is_prime(p) and theta(2, p) <= MATRIX_ENTRY_LIMIT]
-    assert primes[-1] == 313
-    for p in primes:
-        npts = theta(2, p)
-        assert _plane_kernel_dim(p, 2) == npts - len(GF(p).row_reduce([[1] * npts], npts)[1])
+    assert _plane_kernel_dim(17) == 153
 
 
 def test_recheck_bounds():

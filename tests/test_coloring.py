@@ -1,9 +1,8 @@
 import pytest
 
 from pgworkbench.coloring import (Coloring, ColoringError, is_2_transversal,
-                                  is_proper, is_rainbow, is_strict,
-                                  is_trivial_coloring, make_coloring,
-                                  monochromatic_disjoint_pair, trivial_coloring)
+                                  is_proper, is_strict, is_trivial_coloring,
+                                  make_coloring, trivial_coloring)
 from pgworkbench.geometry import Hypergraph, ProjectiveSpace
 from pgworkbench.solvers import exact_tau
 
@@ -25,13 +24,6 @@ def test_is_strict():
     assert is_strict(Coloring((1, 2, 1)), 3)
     assert not is_strict(Coloring((1, 3, 1)), 3)   # color 2 skipped
     assert not is_strict(Coloring((1, 2)), 3)       # wrong length
-
-
-def test_is_rainbow():
-    c = Coloring((1, 2, 1, 3))
-    assert is_rainbow(0b1010, c)      # colors 2, 3
-    assert not is_rainbow(0b0101, c)  # color 1 twice
-    assert is_rainbow(0b0001, c)
 
 
 def test_is_proper_reports_rainbow_edge():
@@ -91,33 +83,3 @@ def test_is_trivial_coloring_ignores_lying_params():
     # lines of PG(2,2) would skip the 2-point class that is a 2-transversal
     H = Hypergraph(7, (0b11,), (2, 1, 2))
     assert is_trivial_coloring(Coloring((1, 1, 2, 3, 4, 5, 6)), H) == (True, 1)
-
-
-def test_monochromatic_disjoint_pair():
-    space = ProjectiveSpace.of_order(3, 2)
-    A, B = space.disjoint_subspaces(1, 2)
-    inside = set(A.point_indices()) | set(B.point_indices())
-    assignment = [1 if i in inside else 2 + j
-                  for j, i in enumerate(range(space.num_points))]
-    # renumber the singleton tail so the coloring is strict
-    nxt = 2
-    for i in range(space.num_points):
-        if i not in inside:
-            assignment[i] = nxt
-            nxt += 1
-    c = make_coloring(assignment)
-    hit = monochromatic_disjoint_pair(c, space, 1)
-    assert hit is not None
-    color, U, V = hit
-    assert color == 1 and U.mask & V.mask == 0
-    # a class holding two disjoint lines is a 2-transversal of the
-    # plane hypergraph, hence the coloring is trivial there
-    H = space.hypergraph(2)
-    triv, cls = is_trivial_coloring(c, H)
-    assert triv and cls == 1
-
-
-def test_monochromatic_disjoint_pair_absent():
-    space = ProjectiveSpace.of_order(3, 2)
-    c = make_coloring(range(1, space.num_points + 1))
-    assert monochromatic_disjoint_pair(c, space, 1) is None

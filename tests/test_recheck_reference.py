@@ -3,11 +3,14 @@
 The reference below decides transversal, blocking_set and tmodp_report
 certificates the plain way, from the public predicates: one
 WeightedPointSet and one scan of the k-spaces per listed set or per
-claim.  `recheck` must give the same verdict and the same detail on
-valid certificates and on copies with one entry edited.
+claim, and, for a t (mod p) report, a list of every multiset of t lines
+where `recheck` counts the unions and compares sizes.  `recheck` must give
+the same verdict and the same detail on valid certificates and on copies
+with one entry edited.
 """
 
 import functools
+import itertools
 import json
 import random
 
@@ -18,8 +21,7 @@ from pgworkbench.blocking import (COSET_LIMIT, MATRIX_ENTRY_LIMIT, BlockingError
                                   is_t_fold_blocking, is_t_mod_p_set, solve_mod_p)
 from pgworkbench.certificates import make_certificate, recheck
 from pgworkbench.geometry import ProjectiveSpace, count_subspaces, point_set, theta
-from pgworkbench.solvers import (line_union_weights, require_line_multiset_limit,
-                                 tmodp_violations, verify_tmodp_theorem)
+from pgworkbench.solvers import verify_tmodp_theorem
 
 
 def reference_transversal(payload):
@@ -59,6 +61,35 @@ def reference_blocking_set(payload):
     return True, "all claims verified"
 
 
+def reference_line_unions(space, t, max_size, cap):
+    """The weight tuples of the unions of t lines of the plane `space`,
+    with multiplicity, of size at most max_size and no point above cap,
+    listed one multiset at a time."""
+    weights = set()
+    for combo in itertools.combinations_with_replacement(space.incidence(1), t):
+        w = [0] * space.num_points
+        for i in itertools.chain.from_iterable(combo):
+            w[i] += 1
+        if sum(w) <= max_size and max(w) <= cap:
+            weights.add(tuple(w))
+    return weights
+
+
+def reference_violations(found, unions, expected, exhaustive):
+    """Each found set of the wrong size or outside the unions and, after an
+    exhaustive search, each union that it did not find."""
+    violations = []
+    for wt in found:
+        if sum(wt) != expected:
+            violations.append({"weights": list(wt), "reason": f"size {sum(wt)} != {expected}"})
+        elif wt not in unions:
+            violations.append({"weights": list(wt), "reason": "not a weighted union of t lines"})
+    if exhaustive:
+        for wt in sorted(unions - set(found)):
+            violations.append({"weights": list(wt), "reason": "line union missed by enumeration"})
+    return violations
+
+
 def reference_tmodp_report(payload):
     p, t, k, sets = payload["p"], payload["t"], payload["k"], payload["sets"]
     cap, max_size, verified = payload["weight_cap"], payload["max_size"], payload["verified"]
@@ -66,6 +97,8 @@ def reference_tmodp_report(payload):
     space = ProjectiveSpace.of_order(2, p)
     if space.field.h != 1:
         return False, f"p = {p} is not prime, so the enumeration has no report"
+    if k != 1:
+        return False, f"k = {k}: a report is about the lines of the plane, k = 1"
     expected = payload["expected_size"]
     if expected != t * theta(space.n - k, p):
         return False, "expected_size is wrong for the parameters"
@@ -93,14 +126,12 @@ def reference_tmodp_report(payload):
         return False, "claimed verified without an exhaustive search finding every union"
     if cap > p - 1:
         return False, f"weight_cap {cap} is above p - 1"
-    require_line_multiset_limit(p, t)
-    unions = line_union_weights(space, k, t, max_size, cap)
+    if t > cap:
+        return False, f"t = {t} is above weight_cap {cap}"
+    unions = reference_line_unions(space, t, max_size, cap)
     if payload["num_unions"] != len(unions):
-        return False, "num_unions does not match a recount of the unions"
-    known = unions if 2 * k == space.n else set()
+        return False, "num_unions does not match the count of the unions"
     for wt in found:
-        if wt in known:
-            continue
         B = WeightedPointSet(space, list(wt))
         if max(wt) > cap:
             return False, f"listed set has a point of weight {max(wt)} > weight_cap {cap}"
@@ -114,10 +145,9 @@ def reference_tmodp_report(payload):
 
     def key(v):
         return v["weights"], v["reason"]
-    violations = tmodp_violations(found, unions, expected, exhaustive)
-    if violations != payload["violations"] and \
-            sorted(map(key, violations)) != sorted(map(key, payload["violations"])):
-        return False, "violations do not match those of the listed sets and the recount"
+    violations = reference_violations(found, unions, expected, exhaustive)
+    if sorted(map(key, violations)) != sorted(map(key, payload["violations"])):
+        return False, "violations do not match those of the listed sets and the union count"
     return True, "report sets verified"
 
 
@@ -250,3 +280,37 @@ def test_recheck_matches_the_public_predicates(kind, seed):
         assert got == reference_recheck(cert), cert["payload"]
         verdicts.add(got[0])
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("pt", [(2, 1), (3, 1), (3, 2), (5, 1), (5, 2), (7, 2)])
+def test_union_count_matches_the_listed_multisets(pt):
+    # the count needs no list: distinct multisets give distinct unions, all
+    # of size t*(p+1) and within the cap; below that size there are none
+    data = json.loads(report(*pt))
+    p, t, cap = data["p"], data["t"], data["weight_cap"]
+    space = ProjectiveSpace.of_order(2, p)
+    assert data["num_unions"] == len(reference_line_unions(space, t, data["max_size"], cap))
+    # at max_size t*(p+1) the report keeps only its unions, one below it
+    # none; either way it has no violations
+    for max_size, num_unions in [(t * (p + 1), data["num_unions"]), (t * (p + 1) - 1, 0)]:
+        assert len(reference_line_unions(space, t, max_size, cap)) == num_unions
+        sets = [wt for wt in data["sets"] if sum(wt) <= max_size]
+        data.update(max_size=max_size, num_unions=num_unions, sets=sets, num_found=len(sets),
+                    violations=[])
+        cert = make_certificate("tmodp_report", data)
+        assert recheck(cert) == reference_recheck(cert) == (True, "report sets verified")
+
+
+def test_recheck_names_the_unions_that_an_exhaustive_search_missed():
+    # the (2, 1) report less one of its seven lines: an exhaustive search
+    # that missed a union, which only the listed multisets can name
+    data = json.loads(report(2, 1))
+    missed = data["sets"].pop(3)
+    data.update(num_found=6, verified=False,
+                violations=[{"weights": missed, "reason": "line union missed by enumeration"}])
+    cert = make_certificate("tmodp_report", data)
+    assert recheck(cert) == reference_recheck(cert) == (True, "report sets verified")
+    data.update(violations=[])
+    cert = make_certificate("tmodp_report", data)
+    assert recheck(cert) == reference_recheck(cert) == (
+        False, "violations do not match those of the listed sets and the union count")

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -13,8 +14,7 @@ from pgworkbench.fields import FieldError
 from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
 from pgworkbench.solvers import (BOUND_ONLY, OPTIMAL, SolverError,
                                  _sqrt2_combo_nonneg, bounds_report, exact_tau,
-                                 exact_ucn, require_line_multiset_limit,
-                                 verify_tmodp_theorem)
+                                 exact_ucn, verify_tmodp_theorem)
 
 FANO = ProjectiveSpace.of_order(2, 2).hypergraph(1)
 
@@ -349,6 +349,28 @@ def test_exact_tau_fixed_root_points_keep_the_objective(n, k, q, t):
         assert rooted.objective == exact_tau(plain, t, initial_witness=seed).objective
 
 
+ROOT_BRUTE_FORCE_CASES = [(n, k, q, t) for n, k, q in [(2, 1, 2), (2, 1, 3), (2, 1, 4),
+                                                       (3, 1, 2), (3, 2, 2), (4, 3, 2)]
+                          for t in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n, k, q, t", ROOT_BRUTE_FORCE_CASES,
+                         ids=["-".join(map(str, c)) for c in ROOT_BRUTE_FORCE_CASES])
+def test_fixed_root_points_lie_in_a_minimum_transversal(n, k, q, t):
+    # the claim of (L1) and (L2) itself, apart from any objective: tau_t
+    # comes from the search with no params, so no root is fixed; then some
+    # tau_t-set holding every root point must be a t-transversal, tried
+    # over every choice of its other points.  A third independent point at
+    # t = 1 with k = n - 1, which no minimum blocking set holds, fails here
+    H = ProjectiveSpace.of_order(n, q).hypergraph(k)
+    tau = exact_tau(Hypergraph(H.num_vertices, H.edges), t).objective
+    root = solvers._root_points(n, k, q, t)
+    rest = [v for v in range(H.num_vertices) if v not in root]
+    masks = (sum(1 << v for v in root + list(extra))
+             for extra in itertools.combinations(rest, tau - len(root)))
+    assert any(all((e & mask).bit_count() >= t for e in H.edges) for mask in masks)
+
+
 # edges on 7 points that claim (2, 1, 2) but are not the lines of PG(2,2):
 # the greedy incumbent has 6 points, which met the claimed bound 2*theta(1)
 # and stopped the search, while the optimum is 5
@@ -422,18 +444,18 @@ def test_verify_tmodp_theorem_rejects_bad_parameters(t, max_size):
         verify_tmodp_theorem(2, t, max_size=max_size)
 
 
-@pytest.mark.parametrize("p, t, count", [(11, 4, 13633830), (13, 3, 1038220)])
-def test_verify_tmodp_theorem_refuses_too_many_line_multisets(p, t, count):
-    # refused before the space is built
+@pytest.mark.parametrize("p, t, count", [(11, 3, 400995), (11, 4, 13633830),
+                                         (13, 3, 1038220)])
+def test_verify_tmodp_theorem_counts_the_line_unions(p, t, count):
+    # comb(theta(2) + t - 1, t), with no multiset listed: listing the 400995
+    # multisets of (11, 3) took about 5 s, the count and the elimination
+    # about 0.2 s; no coset is searched at these kernel dimensions
     start = time.perf_counter()
-    with pytest.raises(SolverError, match=f"PG\\(2,{p}\\) has {count} multisets of {t} lines"):
-        verify_tmodp_theorem(p, t)
-    assert time.perf_counter() - start < 0.1
-
-
-def test_line_multiset_limit_admits_p11_t3():
-    # 400995 multisets, below 5 * 10^5: the full verification takes seconds
-    require_line_multiset_limit(11, 3)
+    rep = verify_tmodp_theorem(p, t)
+    assert time.perf_counter() - start < 2
+    assert rep.num_unions == count == math.comb(theta(2, p) + t - 1, t)
+    assert rep.kernel_dim == p * (p + 1) // 2 and not rep.exhaustive
+    assert (rep.num_found, rep.violations, rep.verified) == (0, [], False)
 
 
 def test_sqrt2_combo_sign():
