@@ -203,7 +203,19 @@ def _plane_kernel_dim(p: int) -> int:
     return p * (p + 1) // 2
 
 
+_TMODP_INT_FIELDS = ("p", "t", "k", "max_size", "weight_cap", "num_solution_classes",
+                     "num_found", "num_unions", "expected_size")
+
+
 def _verify_tmodp_report(payload):
+    # every count is an int and each flag a bool: True == 1 and 6.5 compares
+    # with every size as 6 does, so either would pass the tests below
+    for key in _TMODP_INT_FIELDS:
+        if type(payload[key]) is not int:
+            return False, f"{key} {payload[key]!r} is not an int"
+    for key in ("verified", "exhaustive"):
+        if type(payload[key]) is not bool:
+            return False, f"{key} {payload[key]!r} is not a bool"
     p, t, k, sets = payload["p"], payload["t"], payload["k"], payload["sets"]
     cap, max_size, verified = payload["weight_cap"], payload["max_size"], payload["verified"]
     kdim, exhaustive = payload["kernel_dim"], payload["exhaustive"]

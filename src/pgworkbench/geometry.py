@@ -23,6 +23,8 @@ from .fields import MAX_Q, GF, FieldError, field_for_order
 
 DEFAULT_MAX_POINTS = 10**6
 DEFAULT_MAX_SUBSPACES = 5 * 10**6
+# the bits of the edge masks that a hypergraph file may ask for, about 12 MB
+DEFAULT_MAX_MASK_BITS = 10**8
 
 
 class GeometryError(ValueError):
@@ -161,7 +163,9 @@ class Hypergraph:
         """A hypergraph from its JSON form, with its edges in file order.
         Claimed parameters (n, k, q) are checked by `geometry`, which
         compares the counts before it builds PG(n,q): the edges, in any
-        order, must be the k-spaces of PG(n,q)."""
+        order, must be the k-spaces of PG(n,q).  Before any mask is built,
+        the bits that the masks need, the sum over the edges of the largest
+        index plus one, are compared with DEFAULT_MAX_MASK_BITS."""
         edge_lists = data.get("edges") if isinstance(data, dict) else None
         if not isinstance(edge_lists, (list, tuple)) or not all(
                 isinstance(e, (list, tuple)) for e in edge_lists):
@@ -184,6 +188,11 @@ class Hypergraph:
         for i in itertools.chain.from_iterable(edge_lists):
             if type(i) is not int or not 0 <= i < num:
                 raise GeometryError(f"edge index {i!r} is not a vertex in [0, {num})")
+        # an edge's mask has as many bits as its largest index plus one
+        bits = sum(max(e, default=-1) + 1 for e in edge_lists)
+        if bits > DEFAULT_MAX_MASK_BITS:
+            raise GeometryError(f"the edge masks need {bits} bits, more than the limit "
+                                f"{DEFAULT_MAX_MASK_BITS}")
         H = cls(num, tuple(sum(1 << i for i in set(e)) for e in edge_lists), params)
         if params is not None and H.geometry is None:
             raise GeometryError(f"the edges are not the {k}-spaces of PG({n},{q})")

@@ -84,6 +84,16 @@ def _root_points(n: int, m: int, q: int, t: int) -> list:
     return [index[u] for u in units]
 
 
+def _cover_falls_short(cover: list, k: int, total: int) -> bool:
+    """True when k >= 1 more vertices cannot cover the open deficit
+    `total`: each lowers it by at most its count of open edges, so the k
+    largest counts must sum to at least `total`.  The counts of the
+    unavailable vertices are negative and enter no sum, also when fewer
+    than k vertices are available."""
+    top = sorted(cover)[-k:]
+    return sum(top) < total and sum(c for c in top if c > 0) < total
+
+
 def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
     """Minimum size of a t-transversal, by branch and bound.
 
@@ -97,6 +107,15 @@ def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
     construction; it must be a list of distinct vertex indices.  Past
     DEFAULT_TAU_VERTEX_LIMIT vertices it, or else the greedy one, is
     returned unsearched as `bound_only`.
+
+    A node with room r = incumbent - chosen is pruned when an open edge's
+    deficit is at least r, when an open edge has fewer candidates than its
+    deficit, when a packing of open edges with disjoint candidates needs r
+    more points, or by the cover-prefix bound: a better transversal adds
+    at most r - 1 points, and each lowers the sum of the open deficits by
+    at most its number of open edges, so the r - 1 largest such numbers
+    over the available points must reach that sum.  Nodes of tau_2:
+    H(2,1,4) 385, H(2,1,5) 13391, H(3,1,3) 167551.
     """
     if t < 1:
         raise SolverError("t must be >= 1")
@@ -171,7 +190,9 @@ def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
                 done = best_size == geometric_lb
             return
         room = best_size - count
-        if max(deficits) >= room or -(-total // max(max(cover), 1)) >= room:
+        if max(deficits) >= room:
+            return
+        if _cover_falls_short(cover, room - 1, total):
             return
         # branch on the first open edge with the fewest candidates; an open
         # edge with fewer candidates than its deficit cannot be covered
@@ -244,6 +265,21 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
     The incumbent is seeded by the trivial coloring on the witness of
     exact_tau(H, 2), minimum or, past its limit, greedy.  A hypergraph
     with no vertex has no coloring to witness, and raises SolverError.
+
+    The rainbow edges are one mask over edge indices, and each class keeps
+    the mask of the edges that meet it, so a merge of classes A and B
+    leaves rainbow the edges that do not meet both.  With room r =
+    incumbent merges - merges, a better partition makes at most r - 1 more
+    merges, and two bounds prune a node:
+    Packing: rainbow edges that meet pairwise disjoint sets of classes
+    each need a merge of their own, so there must be fewer than r of them.
+    Class degrees: r - 1 merges touch at most 2r - 2 classes, and a
+    rainbow edge stops being rainbow only when two of the classes it meets
+    are touched; it meets each class at most once, so the 2r - 2 largest
+    numbers of rainbow edges that meet one class must sum to at least
+    twice the number of rainbow edges.
+    Nodes: H(2,1,3) 726, H(3,2,2) 57, H(3,1,2) 2000, H(4,3,2) at
+    vertex_limit=31 297, H(2,1,4) at vertex_limit=21 509758.
     """
     V = H.num_vertices
     if V == 0:
@@ -262,44 +298,57 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
         return SolveResult(objective=None, witness=seed_coloring, nodes=0,
                            status=BOUND_ONLY, lower_bound=trivial_lb)
 
-    edge_pts = dict(zip(H.edges, H.edge_points))
+    edge_pts = H.edge_points
     best_merges = seed_merges
     best_assignment = list(seed_coloring.assignment)
     nodes = 0
 
     # root[v] is the least vertex of v's class, cls[r] the point mask of the
-    # class of root r and apart[r] the point mask of the classes it must
-    # stay apart from: a merge relabels the class of the larger root with
-    # the smaller one and joins their apart masks, and undoing it restores
-    # both
+    # class of root r, inc[r] the mask of the indices of the edges that meet
+    # it (0 once r is no root) and apart[r] the point mask of the classes it
+    # must stay apart from: a merge relabels the class of the larger root
+    # with the smaller one and joins their masks, and undoing it restores
+    # them
     root = list(range(V))
     members = [[v] for v in range(V)]
     cls = [1 << v for v in range(V)]
+    inc = [sum(1 << ei for ei in eis) for eis in H.vertex_edges]
     apart = [0] * V
 
-    def dfs(merges, rainbows):
+    def dfs(merges, rainbow):
+        # rainbow: the mask of the indices of the rainbow edges
         nonlocal best_merges, best_assignment, nodes
         nodes += 1
-        if not rainbows:
+        if not rainbow:
             if merges < best_merges:
                 best_merges, best_assignment = merges, list(root)
             return
-        # packing: rainbow edges that meet pairwise disjoint sets of classes
-        used, room = 0, best_merges - merges
-        for e in rainbows:
-            if not e & used:
-                room -= 1
-                if room <= 0:
-                    return
-                for v in edge_pts[e]:
-                    used |= cls[root[v]]
+        # packing: rainbow edges that meet pairwise disjoint sets of classes,
+        # each the lowest left once the edges meeting the classes of those
+        # before it are cleared
+        room = best_merges - merges
+        packed, left = 0, rainbow
+        while left:
+            packed += 1
+            if packed >= room:
+                return
+            for v in edge_pts[(left & -left).bit_length() - 1]:
+                left &= ~inc[root[v]]
+        # class degrees: a better partition is room - 1 more merges, which
+        # touch at most 2*room - 2 classes; each rainbow edge must meet two
+        # of them, and meets a class at most once
+        touched = 2 * room - 2
+        if touched < V - merges:
+            degrees = sorted(map(int.bit_count, map(rainbow.__and__, inc)))
+            if sum(degrees[-touched:]) < 2 * rainbow.bit_count():
+                return
         # the roots of a rainbow edge are distinct, so every pair is a new
         # merge; it keeps a rainbow edge rainbow unless the edge meets both.
         # Zykov's same-or-different branching: once the subtree that merges
         # a pair is done, the later siblings keep that pair apart, so no
         # partition is searched twice; an edge with no pair left to merge
         # yields no child
-        roots = [root[v] for v in edge_pts[rainbows[0]]]
+        roots = [root[v] for v in edge_pts[(rainbow & -rainbow).bit_length() - 1]]
         saved = [apart[r] for r in roots]
         for ra, rb in itertools.combinations(roots, 2):
             lo, hi = min(ra, rb), max(ra, rb)
@@ -311,10 +360,13 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
                 root[v] = lo
             members[lo] += moved
             cls[lo] = a | b
+            inc_lo, inc_hi = inc[lo], inc[hi]
+            inc[lo], inc[hi] = inc_lo | inc_hi, 0
             apart_lo = apart[lo]
             apart[lo] = apart_lo | apart[hi]
-            dfs(merges + 1, [e for e in rainbows if not (e & a and e & b)])
+            dfs(merges + 1, rainbow & ~(inc_lo & inc_hi))
             cls[lo] = a
+            inc[lo], inc[hi] = inc_lo, inc_hi
             del members[lo][-len(moved):]
             for v in moved:
                 root[v] = hi
@@ -322,25 +374,32 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
         for r, mask in zip(roots, saved):
             apart[r] = mask
 
+    def rainbow_edges(merged):
+        """The mask of the indices of the edges that meet the point mask
+        `merged` of one class at most once."""
+        return sum(1 << ei for ei, e in enumerate(H.edges) if (e & merged).bit_count() < 2)
+
     if H.geometry is None:
-        dfs(0, list(H.edges))
+        dfs(0, (1 << len(H.edges)) - 1)
     else:
         # every proper coloring has a monochromatic pair, and PGL(n+1,q) is
         # 2-transitive on points, so some optimal coloring puts points 0
         # and 1 in one class; line 01 is the points 0..d-1
         d = theta(1, H.geometry[2])
+        pair, inc_d = inc[0] | inc[1], inc[d]
         for v in (1, d):
             root[v] = 0
             members[0].append(v)
         cls[0] = 0b11 | 1 << d
-        dfs(2, [e for e in H.edges if (e & cls[0]).bit_count() < 2])  # case A
+        inc[0], inc[1], inc[d] = pair | inc_d, 0, 0
+        dfs(2, rainbow_edges(cls[0]))  # case A
         root[d] = d
         members[0].pop()
-        cls[0] = 0b11
+        cls[0], inc[0], inc[d] = 0b11, pair, inc_d
         apart[0] = (1 << V) - (1 << d)
         for v in range(d, V):
             apart[v] = 1
-        dfs(1, [e for e in H.edges if e & 0b11 != 0b11])  # case B
+        dfs(1, rainbow_edges(0b11))  # case B
     witness = make_coloring(best_assignment)
     objective = V - best_merges
     ok, _ = is_proper(witness, H)
@@ -441,11 +500,15 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVe
     (p, t) = (3, 2) is 7, below the size 8 of the line unions, while the
     default is 13.  Within that 13 lie 234 sets of size 11 that are not line
     unions; each is reported as a violation and `verified` is False.
-    Raises SolverError for t < 1, for a max_size that is not an int >= 0
-    and for t > 3p/8 + 1; FieldError when p is not a prime power; and
+    Raises SolverError for a p or t that is not an int (a bool is none),
+    for t < 1, for a max_size that is not an int >= 0 and for
+    t > 3p/8 + 1; FieldError when p is not a prime power; and
     BlockingError when p is not prime or the plane's line/point incidence
     matrix is past the enumeration's limit.
     """
+    for name, value in (("p", p), ("t", t)):
+        if type(value) is not int:
+            raise SolverError(f"{name} must be an int, not {value!r}")
     if t < 1:
         raise SolverError(f"t must be >= 1, not {t}")
     if max_size is not None and (type(max_size) is not int or max_size < 0):

@@ -258,6 +258,17 @@ TAMPERED_TMODP_REPORTS = [
     # the union count and the size test need t <= weight_cap
     pytest.param((3, 2), lambda d: d.update(weight_cap=1), "t = 2 is above weight_cap 1",
                  id="t-above-weight-cap"),
+    # True == 1, and 6.5 compares with every size as 6 does: each of these
+    # rechecked true until the verifier tested the type of every field
+    pytest.param((2, 1), lambda d: d.update(t=True), "t True is not an int", id="t-bool"),
+    pytest.param((2, 1), lambda d: d.update(max_size=6.5), "max_size 6.5 is not an int",
+                 id="max-size-float"),
+    pytest.param((2, 1), lambda d: d.update(num_found=7.0), "num_found 7.0 is not an int",
+                 id="num-found-float"),
+    pytest.param((2, 1), lambda d: d.update(verified=1), "verified 1 is not a bool",
+                 id="verified-int"),
+    pytest.param((3, 2), lambda d: d.update(exhaustive=1), "exhaustive 1 is not a bool",
+                 id="exhaustive-int"),
     pytest.param((2, 1), _fails_through_one_point, "listed set of size 4 is not a 1 (mod 2) set",
                  id="fails-on-the-last-k-space"),
     pytest.param((3, 2), _bump_last_set, "is not a 2 (mod 3) set", id="last-set-off-by-one"),

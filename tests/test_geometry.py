@@ -352,6 +352,20 @@ def test_hypergraph_from_json_rejects_malformed_input(data):
         Hypergraph.from_json(data)
 
 
+def test_hypergraph_from_json_refuses_huge_masks_before_building_them():
+    # about 100 KB of JSON asking for 10^4 masks of 10^6 bits, 1.25 GB
+    data = {"num_vertices": 10**6, "edges": [[999999]] * 10**4}
+    start = time.perf_counter()
+    with pytest.raises(GeometryError, match="the edge masks need 10000000000 bits"):
+        Hypergraph.from_json(data)
+    assert time.perf_counter() - start < 0.1
+    # the limit itself is allowed, and one bit more is not
+    at_limit = [[geometry.DEFAULT_MAX_MASK_BITS // 100 - 1]] * 100
+    assert len(Hypergraph.from_json({"num_vertices": 10**6, "edges": at_limit}).edges) == 100
+    with pytest.raises(GeometryError, match="more than the limit"):
+        Hypergraph.from_json({"num_vertices": 10**6, "edges": at_limit + [[0]]})
+
+
 def test_levels_are_one_shared_structure():
     space = ProjectiveSpace.of_order(3, 2)
     for k in (1, 2):

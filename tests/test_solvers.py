@@ -48,9 +48,11 @@ def brute_force_ucn(H):
     edge_pts = H.edge_points
     best = 0
     for labels in set_partitions(H.num_vertices):
-        if any(len({labels[v] for v in pts}) == len(pts) for pts in edge_pts):
+        classes = max(labels) + 1
+        if classes <= best or any(len({labels[v] for v in pts}) == len(pts)
+                                  for pts in edge_pts):
             continue
-        best = max(best, max(labels) + 1)
+        best = classes
     return best
 
 
@@ -247,12 +249,13 @@ def _digest(values):
 
 
 # Search effort and witnesses of the benchmark's solve tasks.  The nodes are
-# pinned from the search with the root fixes and the Zykov apart masks, so a
-# faster inner loop must visit the same nodes; the witnesses are those the
-# searches without either gave, and stay.
+# pinned from the search with the root fixes, the Zykov apart masks and the
+# counting bounds (the cover prefix of exact_tau, the class degrees of
+# exact_ucn), so a faster inner loop must visit the same nodes; the
+# witnesses are those the searches without any of them gave, and stay.
 def test_exact_tau_search_effort_pinned():
     res = exact_tau(ProjectiveSpace.of_order(2, 4).hypergraph(1), 2)
-    assert (res.nodes, res.objective) == (522, 12)
+    assert (res.nodes, res.objective) == (385, 12)
     assert _digest(res.witness) == \
         "25de17e2fea885085c7a167e7323c1d190f620478904b783ef487693fb114900"
 
@@ -260,7 +263,7 @@ def test_exact_tau_search_effort_pinned():
 def test_exact_tau_plane_of_order_5_pinned():
     # the root holds the frame 0, 1, 6, 12 of PG(2,5)
     res = exact_tau(ProjectiveSpace.of_order(2, 5).hypergraph(1), 2)
-    assert (res.nodes, res.objective, res.status) == (18558, 15, OPTIMAL)
+    assert (res.nodes, res.objective, res.status) == (13391, 15, OPTIMAL)
     assert _digest(res.witness) == \
         "c19bba64109514d733407a49468d81278f3fee6c2527c13791bae4071bc63b0d"
 
@@ -283,9 +286,9 @@ MIXED_SIZES = Hypergraph(30, (
 
 
 @pytest.mark.parametrize("t, nodes, objective, digest", [
-    (2, 726, 14, "355f4ce158c58ffe2ceac585249b944f1455bf217ee51e5d7e2c26c15974d515"),
-    (3, 143, 22, "9e0ffcb710ffa63338dc0a41f3ccd225ffda0465caa9455f91956c71b042aff7"),
-])
+    (2, 680, 14, "355f4ce158c58ffe2ceac585249b944f1455bf217ee51e5d7e2c26c15974d515"),
+    (3, 139, 22, "9e0ffcb710ffa63338dc0a41f3ccd225ffda0465caa9455f91956c71b042aff7"),
+], ids=["t2", "t3"])
 def test_exact_tau_search_effort_pinned_mixed_sizes(t, nodes, objective, digest):
     res = exact_tau(MIXED_SIZES, t)
     assert (res.nodes, res.objective) == (nodes, objective)
@@ -293,9 +296,9 @@ def test_exact_tau_search_effort_pinned_mixed_sizes(t, nodes, objective, digest)
 
 
 @pytest.mark.parametrize("n, k, q, nodes, objective, digest", [
-    (2, 1, 3, 2898, 6, "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"),
-    (3, 2, 2, 373, 11, "293457e67e07e2c24c6063f0a22f750faf3b7bdb059d05895370f300e0b7909b"),
-    (3, 1, 2, 3909, 4, "da83a276cc2807790005fec7bb6fde011b53a5c8f22668a4d371bfcf6c915be6"),
+    (2, 1, 3, 726, 6, "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"),
+    (3, 2, 2, 57, 11, "293457e67e07e2c24c6063f0a22f750faf3b7bdb059d05895370f300e0b7909b"),
+    (3, 1, 2, 2000, 4, "da83a276cc2807790005fec7bb6fde011b53a5c8f22668a4d371bfcf6c915be6"),
 ], ids=["2-1-3", "3-2-2", "3-1-2"])
 def test_exact_ucn_search_effort_pinned(n, k, q, nodes, objective, digest):
     res = exact_ucn(ProjectiveSpace.of_order(n, q).hypergraph(k))
@@ -308,9 +311,67 @@ def test_exact_ucn_search_effort_pinned_without_params():
     # alone, with no fixed first merge
     H = ProjectiveSpace.of_order(2, 3).hypergraph(1)
     res = exact_ucn(Hypergraph(H.num_vertices, H.edges))
-    assert (res.nodes, res.objective) == (35320, 6)
+    assert (res.nodes, res.objective) == (7740, 6)
     assert _digest(res.witness.assignment) == \
         "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"
+
+
+def test_exact_ucn_solids_of_pg42_pinned():
+    # 31 points, past the default vertex limit; 8931 nodes before the
+    # class-degree bound
+    H = ProjectiveSpace.of_order(4, 2).hypergraph(3)
+    res = exact_ucn(H, vertex_limit=31)
+    assert (res.nodes, res.objective, res.status) == (297, 27, OPTIMAL)
+    assert _digest(res.witness.assignment) == \
+        "e69f6504ea086b61d5448d2167ef76c3ae8c33148517a87a0d409df20ae1396d"
+
+
+def _differential_corpus():
+    """Seeded hypergraphs on at most 9 vertices with edges of mixed sizes:
+    most with no params, some claiming (2, 1, 2) falsely, and the lines of
+    PG(2,2) in a shuffled order, whose params are valid."""
+    rng = random.Random(20261018)
+    corpus = []
+    for i in range(160):
+        if i % 8 == 7:
+            lines = list(FANO.edges)
+            rng.shuffle(lines)
+            corpus.append(Hypergraph(7, tuple(lines), (2, 1, 2)))
+            continue
+        V = rng.randrange(2, 10)
+        edges = tuple(sum(1 << v for v in rng.sample(range(V), rng.randrange(2, min(V, 6) + 1)))
+                      for _ in range(rng.randrange(1, 11)))
+        corpus.append(Hypergraph(V, edges, (2, 1, 2) if V == 7 and i % 2 else None))
+    return corpus
+
+
+def test_exact_solvers_match_brute_force_on_a_differential_corpus():
+    # both counting bounds, the edge-index masks and the root fixes against
+    # plain enumeration; duplicate edges may occur and count twice
+    corpus = _differential_corpus()
+    assert sum(H.geometry is not None for H in corpus) == 20
+    assert sum(H.params is not None and H.geometry is None for H in corpus) > 0
+    for H in corpus:
+        res = exact_ucn(H)
+        assert res.status == OPTIMAL and res.objective == brute_force_ucn(H)
+        assert is_proper(res.witness, H)[0] and res.witness.N == res.objective
+        for t in range(1, min(e.bit_count() for e in H.edges) + 1):
+            res = exact_tau(H, t)
+            assert res.objective == len(res.witness) == brute_force_tau(H, t)
+
+
+def test_cover_prefix_bound_skips_unavailable_vertices():
+    # 3 more vertices, one available count of 5 and one of 4 against an
+    # open deficit of 9: the two available vertices can cover it, while a
+    # sum over the 3 largest counts, -12 included, falls short.  exact_tau
+    # reaches such nodes (fewer vertices available than room - 1) only
+    # where an open edge also lacks candidates, so its results cannot show
+    # this fault, and the bound is tested here on its own
+    cover = [-12, -13, 5, -14, 4]
+    assert not solvers._cover_falls_short(cover, 3, 9)
+    assert solvers._cover_falls_short(cover, 3, 10)
+    assert solvers._cover_falls_short([3, 3, 3, 3], 2, 7)
+    assert not solvers._cover_falls_short([3, 3, 3, 3], 3, 7)
 
 
 @pytest.mark.parametrize("n, k, q", [(2, 1, 2), (2, 1, 3), (3, 2, 2), (3, 1, 2)])
@@ -438,10 +499,23 @@ def test_verify_tmodp_theorem_hypothesis_guard():
         verify_tmodp_theorem(2, 2)  # t > 3p/8 + 1
 
 
-@pytest.mark.parametrize("t, max_size", [(0, None), (-1, None), (1, -5), (1, 6.0), (1, True)])
+@pytest.mark.parametrize("t, max_size", [(0, None), (-1, None), (1, -5), (1, 6.0), (1, True),
+                                          (1.0, None), (True, None)])
 def test_verify_tmodp_theorem_rejects_bad_parameters(t, max_size):
     with pytest.raises(SolverError):
         verify_tmodp_theorem(2, t, max_size=max_size)
+
+
+@pytest.mark.parametrize("p, t, message", [
+    (2, 1.0, "t must be an int, not 1.0"), (2, True, "t must be an int, not True"),
+    (2.0, 1, "p must be an int, not 2.0"), (True, 1, "p must be an int, not True"),
+], ids=["t-float", "t-bool", "p-float", "p-bool"])
+def test_verify_tmodp_theorem_names_a_non_int_argument(p, t, message):
+    # (2, 1.0) ran the enumeration up to a BlockingError about max_size 6.0,
+    # and (2.0, 1) raised a TypeError
+    with pytest.raises(SolverError) as info:
+        verify_tmodp_theorem(p, t)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("p, t, count", [(11, 3, 400995), (11, 4, 13633830),
