@@ -91,7 +91,9 @@ def _cover_falls_short(cover: list, k: int, total: int) -> bool:
     unavailable vertices are negative and enter no sum, also when fewer
     than k vertices are available."""
     top = sorted(cover)[-k:]
-    return sum(top) < total and sum(c for c in top if c > 0) < total
+    if top[0] < 0:
+        top = [c for c in top if c >= 0]
+    return sum(top) < total
 
 
 def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
