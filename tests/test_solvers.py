@@ -317,8 +317,7 @@ def test_exact_ucn_search_effort_pinned_without_params():
 
 
 def test_exact_ucn_solids_of_pg42_pinned():
-    # 31 points, past the default vertex limit; 8931 nodes before the
-    # class-degree bound
+    # 31 points, past the default vertex limit of exact_ucn
     H = ProjectiveSpace.of_order(4, 2).hypergraph(3)
     res = exact_ucn(H, vertex_limit=31)
     assert (res.nodes, res.objective, res.status) == (297, 27, OPTIMAL)
