@@ -67,12 +67,14 @@ def _normalized_vectors(r: int, q: int) -> list:
 
 
 def mask_bits(mask: int) -> list:
-    """Indices of the set bits of a point mask, in increasing order."""
+    """Indices of the set bits of a point mask, in increasing order.  The
+    bits are cleared from the top, so each step works on a shorter int."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return out
 
 
@@ -371,27 +373,23 @@ class ProjectiveSpace:
         return self._level(m).vertex_edges
 
     def _enumerate_rref_bases(self, nrows: int):
-        """All RREF matrices with nrows pivots over n+1 columns.  Each row
-        is a point, and is given as that point's tuple in self.points, so
-        the bases of all levels share their rows."""
-        ncols = self.n + 1
-        q = self.q
-        points, index = self.points, self.point_index
+        """All RREF matrices with nrows pivots over n+1 columns, as products
+        over per-pivot row lists.  The list for pivot c holds the points
+        with their leading 1 in column c and 0 in the later pivot columns;
+        their indices are theta(n-c-1) plus their free coordinates read in
+        base q.  Each row is that point's tuple in self.points, so the
+        bases of all levels share their rows and none is copied."""
+        n, q, points, place = self.n, self.q, self.points, self._place
         out = []
-        for pivots in itertools.combinations(range(ncols), nrows):
-            pivset = set(pivots)
-            free = [(i, j) for i in range(nrows)
-                    for j in range(pivots[i] + 1, ncols) if j not in pivset]
-            template = []
-            for i in range(nrows):
-                row = [0] * ncols
-                row[pivots[i]] = 1
-                template.append(row)
-            for vals in itertools.product(range(q), repeat=len(free)):
-                rows = [list(r) for r in template]
-                for (i, j), v in zip(free, vals):
-                    rows[i][j] = v
-                out.append(tuple(points[index[tuple(r)]] for r in rows))
+        for pivots in itertools.combinations(range(n + 1), nrows):
+            lists = []
+            for i, c in enumerate(pivots):
+                indices = [theta(n - c - 1, q)]
+                for j in range(c + 1, n + 1):
+                    if j not in pivots[i + 1:]:
+                        indices = [k + v * place[j] for k in indices for v in range(q)]
+                lists.append([points[k] for k in indices])
+            out.extend(itertools.product(*lists))
         return out
 
     # -- lattice operations ---------------------------------------------
@@ -482,20 +480,28 @@ class ProjectiveSpace:
         """Every k-space lies in exactly theta(n-k-1) many (k+1)-spaces.
 
         Verified exhaustively, reading every bit of every mask of both
-        levels: each point gets a mask over the indices of the (k+1)-spaces
-        through it, and the AND of these masks over the points of a k-space
-        marks the (k+1)-spaces that contain it.  The point masks are built
-        here and dropped on return; no level caches them.
+        levels; a bit at or past num_points in either gives False.  When
+        the (k+1)-spaces are no more than the points of a k-space, as at
+        k = n-1, containment is tested pair by pair.  Otherwise each point
+        gets a mask over the indices of the (k+1)-spaces through it, and
+        the AND of these masks over the points of a k-space marks the
+        (k+1)-spaces that contain it.  The point masks are built here and
+        dropped on return; no level caches them.
         """
         target = theta(self.n - k - 1, self.q)
-        uppers = self.subspaces(k + 1)
-        rows = [bytearray((len(uppers) + 7) // 8) for _ in range(self.num_points)]
+        lowers, uppers = self.subspaces(k), self.subspaces(k + 1)
+        num = self.num_points
+        if any(X.mask >> num for X in lowers + uppers):
+            return False
+        if len(uppers) <= theta(k, self.q):
+            return all(sum(not S.mask & ~U.mask for U in uppers) == target for S in lowers)
+        rows = [bytearray((len(uppers) + 7) // 8) for _ in range(num)]
         for j, U in enumerate(uppers):
             byte, bit = j >> 3, 1 << (j & 7)
             for i in mask_bits(U.mask):
                 rows[i][byte] |= bit
         through = [int.from_bytes(row, "little") for row in rows]
-        for S in self.subspaces(k):
+        for S in lowers:
             common = -1
             for i in mask_bits(S.mask):
                 common &= through[i]

@@ -66,7 +66,7 @@ def test_criterion_02_pencil_identity():
     def body():
         for n, q in GRID:
             sp = space(n, q)
-            for k in range(n - 1):
+            for k in range(n):
                 assert sp.verify_pencil_identity(k), (n, q, k)
     check(2, "every k-space lies in exactly theta(n-k-1) many (k+1)-spaces", body)
 

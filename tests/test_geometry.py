@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -253,29 +254,33 @@ def test_project_from_point_strictness():
         space.project_from_point(0, line, w)
 
 
-@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 2), (2, 3), (3, 2)])
 def test_pencil_identity_small(n, q):
     space = ProjectiveSpace.of_order(n, q)
-    for k in range(n - 1):
+    for k in range(n):
         assert space.verify_pencil_identity(k)
 
 
-@pytest.mark.parametrize("n,q,k", [(2, 3, 0), (3, 2, 0), (3, 2, 1)])
+@pytest.mark.parametrize("n,q,k", [(2, 3, 0), (3, 2, 0), (3, 2, 1),
+                                   (1, 3, 0), (2, 3, 1), (3, 2, 2)])
 def test_pencil_identity_detects_tampered_caches(n, q, k):
     # a fresh space each time: the tampering must not reach the shared ones
     space = ProjectiveSpace(n, field_for_order(q))
     space._subspace_cache[k + 1] = space.subspaces(k + 1)[:-1]
     assert not space.verify_pencil_identity(k)
 
-    space = ProjectiveSpace(n, field_for_order(q))
-    subs = list(space.subspaces(k))
-    S = subs[3]
-    outside = (~S.mask & ((1 << space.num_points) - 1)).bit_length() - 1
-    subs[3] = dataclasses.replace(S, mask=S.mask | 1 << outside)
-    space._subspace_cache[k] = tuple(subs)
-    assert not space.verify_pencil_identity(k)
+    # at k = n-1 the one (k+1)-space is the whole space, which contains
+    # any set of points, so only the cases below can fail there
+    if k < n - 1:
+        space = ProjectiveSpace(n, field_for_order(q))
+        subs = list(space.subspaces(k))
+        S = subs[3]
+        outside = (~S.mask & ((1 << space.num_points) - 1)).bit_length() - 1
+        subs[3] = dataclasses.replace(S, mask=S.mask | 1 << outside)
+        space._subspace_cache[k] = tuple(subs)
+        assert not space.verify_pencil_identity(k)
 
-    if k >= 1:
+    if 1 <= k < n - 1:
         # as many points as a k-space, one of them swapped for a point
         # outside: only span(S, outside) contains the set
         space = ProjectiveSpace(n, field_for_order(q))
@@ -284,16 +289,52 @@ def test_pencil_identity_detects_tampered_caches(n, q, k):
         space._subspace_cache[k] = tuple(subs)
         assert not space.verify_pencil_identity(k)
 
-    # a (k+1)-space with one point dropped from its mask: the k-spaces in
-    # it through that point lose it from their pencils
+    # a (k+1)-space with one point dropped from its mask (at k = n-1 the
+    # whole space): the k-spaces in it through that point lose it from
+    # their pencils
     space = ProjectiveSpace(n, field_for_order(q))
     uppers = list(space.subspaces(k + 1))
-    U = uppers[2]
-    uppers[2] = dataclasses.replace(U, mask=U.mask & (U.mask - 1))
+    j = min(2, len(uppers) - 1)
+    U = uppers[j]
+    uppers[j] = dataclasses.replace(U, mask=U.mask & (U.mask - 1))
     space._subspace_cache[k + 1] = tuple(uppers)
     assert not space.verify_pencil_identity(k)
 
+    # a bit at num_points in a k-space or in a (k+1)-space is no point
+    for m in (k, k + 1):
+        space = ProjectiveSpace(n, field_for_order(q))
+        subs = list(space.subspaces(m))
+        subs[-1] = dataclasses.replace(subs[-1], mask=subs[-1].mask | 1 << space.num_points)
+        space._subspace_cache[m] = tuple(subs)
+        assert not space.verify_pencil_identity(k)
+
     assert ProjectiveSpace(n, field_for_order(q)).verify_pencil_identity(k)
+
+
+@pytest.mark.parametrize("n,q", [(3, 4), (5, 2)])
+def test_basis_rows_are_the_shared_point_tuples(n, q):
+    space = ProjectiveSpace(n, field_for_order(q))
+    for m in range(n + 1):
+        for S in space.subspaces(m):
+            assert all(row is space.points[space.point_index[row]] for row in S.basis)
+
+
+# the tracemalloc peak of this build when the guard was written, in MiB
+@pytest.mark.parametrize("n,q,peak_mib", [(2, 32, 1.18), (3, 7, 1.15)])
+def test_levels_and_pencil_checks_peak_memory(n, q, peak_mib):
+    field = field_for_order(q)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        space = ProjectiveSpace(n, field)
+        for m in range(n + 1):
+            space.subspaces(m)
+        assert all(space.verify_pencil_identity(k) for k in range(n))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * peak_mib * 2**20, peak / 2**20
 
 
 def test_point_subspaces_match_incidence():
