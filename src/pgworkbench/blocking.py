@@ -199,9 +199,17 @@ def solve_mod_p(rows, rhs, p):
     return particular, kernel
 
 
+def _plane_kernel_dim(p: int) -> int:
+    """Dimension of the kernel over GF(p), p prime, of the line/point
+    incidence matrix of PG(2,p): p(p+1)/2, since that matrix has p-rank
+    C(p+1, 2) + 1 (Graham and MacWilliams 1966)."""
+    return p * (p + 1) // 2
+
+
 COSET_LIMIT = 3**13
-# entries of the dense k-space/point incidence matrix that the elimination
-# may take on: PG(2,17) with k = 1 has 94249 and takes seconds
+# entries of the dense k-space/point incidence matrix that the enumeration
+# may take on: the lines of PG(2,17) give 94249, whose elimination would
+# take seconds, but the closed-form plane kernel answers first
 MATRIX_ENTRY_LIMIT = 10**5
 
 
@@ -224,9 +232,12 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
     The solutions form a coset of the kernel of the k-space/point
     incidence matrix over GF(p).  Every coset of that kernel is walked when
     there are at most COSET_LIMIT of them; past it none is, and the result
-    lists no sets with exhaustive=False.  BlockingError unless the field is
-    prime, max_size is an int >= 0 and weight_cap one in [0, p - 1], and
-    unless the incidence matrix has at most MATRIX_ENTRY_LIMIT entries.
+    lists no sets with exhaustive=False.  For the lines of a plane the
+    kernel dimension has a closed form (`_plane_kernel_dim`), so a plane
+    past the limit is answered without building or eliminating the matrix.
+    BlockingError unless the field is prime, max_size is an int >= 0 and
+    weight_cap one in [0, p - 1], and unless the incidence matrix has at
+    most MATRIX_ENTRY_LIMIT entries.
     """
     p = space.field.p
     if space.field.h != 1:
@@ -241,6 +252,11 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
     if entries > MATRIX_ENTRY_LIMIT:
         raise BlockingError(f"the {k}-space/point incidence matrix of PG({space.n},{p}) has "
                             f"{entries} entries, above the limit {MATRIX_ENTRY_LIMIT}")
+    if (space.n, k) == (2, 1):
+        # the constant weight t solves the system, so it is consistent
+        kdim = _plane_kernel_dim(p)
+        if p**kdim > COSET_LIMIT:
+            return TModPEnumeration([], kdim, p**kdim, False)
     rows = [[S.mask >> i & 1 for i in range(npts)] for S in space.subspaces(k)]
     solved = solve_mod_p(rows, [t] * len(rows), p)
     if solved is None:

@@ -3,18 +3,17 @@ never re-solves anything."""
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
-import operator
 
 from .blocking import (COSET_LIMIT, MATRIX_ENTRY_LIMIT, WeightedPointSet, _is_minimal,
-                       _kspace_failure, _verdict)
+                       _kspace_failure, _plane_kernel_dim, _verdict)
 from .coloring import (Coloring, _rainbow_edge, _trivial_class, is_strict,
                        is_trivial_coloring)
 from .fields import factor_prime_power
-from .geometry import Hypergraph, ProjectiveSpace, count_subspaces, mask_bits, point_set, theta
+from .geometry import (Hypergraph, ProjectiveSpace, count_subspaces, load_json, mask_bits,
+                       point_set, theta)
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
                       num_line_unions, tmodp_violations)
 
@@ -24,8 +23,20 @@ class CertificateError(ValueError):
     pass
 
 
+# one encoder for every call; check_circular=False drops the id() bookkeeping
+# of each container, so a payload that holds itself raises RecursionError
+# where json.dumps raises ValueError
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                      check_circular=False)
+
+
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """The canonical JSON text of payload: sorted keys, no spaces, ASCII
+    only; the bytes of json.dumps(payload, sort_keys=True,
+    separators=(",", ":")).  TypeError for a value that is not JSON or a
+    dict whose keys cannot be sorted, RecursionError for one nested too deep
+    or holding itself."""
+    return _CANONICAL_ENCODER.encode(payload)
 
 
 def checksum(payload) -> str:
@@ -80,8 +91,7 @@ def write_certificate(cert: dict, path: str) -> None:
 
 
 def load_certificate(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    return load_json(path)
 
 
 def _all_ints(values) -> bool:
@@ -159,48 +169,60 @@ def _verify_blocking_set(payload):
     return True, "all claims verified"
 
 
-_add_elementwise = functools.partial(map, operator.add)
+def _listed_set_fault(space, sets, sizes, t, cap, max_size, expected):
+    """Why one of the listed weight tuples, all of int weights and of the
+    sizes `sizes`, is not a t (mod p) set of the plane `space` within
+    weight_cap and max_size, or, when expected is not None, not of size
+    expected; None when all are.  cap must be at most p - 1, and p below
+    256 (the matrix limit keeps it at most 17).
 
-
-def _listed_set_fault(space, sets, t, cap, max_size, expected):
-    """Why one of the listed weight tuples is not a t (mod p) set of
-    `space` with respect to lines within weight_cap and max_size, or,
-    when expected is not None, not of size expected; None when all are.
     Each test runs over every set before the next starts, in the order
     that a single faulty set meets them, so such a set gets the detail
-    that a set-by-set scan gives it; the lines are read once for all the
-    sets together."""
+    that a set-by-set scan gives it.  The sets are read as one bytes
+    object, one byte per weight; a weight outside [0, 255] makes that
+    fail, and the plain tests name it.  Otherwise point i's column is one
+    int with a byte lane per set, and a line's weight in every set is the
+    sum of its points' columns, reduced lane by lane mod p often enough
+    that no lane passes 255.  The first lane off residue t names the set."""
     if not sets:
         return None
     npts = space.num_points
-    if set(map(len, sets)) != {npts} or min(map(min, sets)) < 0:
+    try:
+        flat = bytes(itertools.chain.from_iterable(sets))
+    except ValueError:
+        flat = None
+    if set(map(len, sets)) != {npts} or (flat is None and min(map(min, sets)) < 0):
         for wt in sets:
             # raises the BlockingError that names the fault
             WeightedPointSet(space, list(wt))
-    peak = max(map(max, sets))
+    if flat is None:
+        peak = max(map(max, sets))
+    else:
+        peak = max(flat.translate(None, bytes(range(cap + 1))), default=cap)
     if peak > cap:
         return f"listed set has a point of weight {peak} > weight_cap {cap}"
-    sizes = list(map(sum, sets))
     if max(sizes) > max_size:
         return f"listed set has size {max(sizes)} > max_size {max_size}"
-    char = space.field.p
+    char, nsets = space.field.p, len(sets)
     residue = t % char
-    columns = list(zip(*sets))  # per point, its weight in every set
+    residues = bytes(range(char)) * (256 // char) + bytes(range(256 % char))  # w -> w % char
+    # a reduced lane is below char and each term adds at most cap
+    step = (256 - char) // max(cap, 1)
+    columns = [int.from_bytes(flat[i::npts], "little") for i in range(npts)]
     for pts in space.incidence(1):
-        weights = list(functools.reduce(_add_elementwise, map(columns.__getitem__, pts)))
-        if not all(w % char == residue for w in set(weights)):
-            j = next(j for j, w in enumerate(weights) if not w % char == residue)
+        lanes = 0
+        for start in range(0, len(pts), step):
+            if start:
+                lanes = int.from_bytes(lanes.to_bytes(nsets, "little").translate(residues),
+                                       "little")
+            lanes += sum(map(columns.__getitem__, pts[start:start + step]))
+        got = lanes.to_bytes(nsets, "little").translate(residues)
+        if got.count(residue) != nsets:
+            j = next(j for j, r in enumerate(got) if r != residue)
             return f"listed set of size {sizes[j]} is not a {t} (mod {space.q}) set"
     if expected is not None and set(sizes) != {expected}:
         return f"listed set has size {(set(sizes) - {expected}).pop()} != {expected}"
     return None
-
-
-def _plane_kernel_dim(p: int) -> int:
-    """Dimension of the kernel over GF(p), p prime, of the line/point
-    incidence matrix of PG(2,p): p(p+1)/2, since that matrix has p-rank
-    C(p+1, 2) + 1 (Graham and MacWilliams 1966)."""
-    return p * (p + 1) // 2
 
 
 _TMODP_INT_FIELDS = ("p", "t", "k", "max_size", "weight_cap", "num_solution_classes",
@@ -260,7 +282,9 @@ def _verify_tmodp_report(payload):
         return False, f"t = {t} is above weight_cap {cap}"
     if payload["num_unions"] != num_line_unions(p, t, max_size):
         return False, "num_unions does not match the count of the unions"
-    fault = _listed_set_fault(space, found, t, cap, max_size, expected if verified else None)
+    sizes = list(map(sum, found))
+    fault = _listed_set_fault(space, found, sizes, t, cap, max_size,
+                              expected if verified else None)
     if fault is not None:
         return False, fault
     # the violations follow from the listed sets and, when the search was
@@ -269,7 +293,8 @@ def _verify_tmodp_report(payload):
         return v["weights"], v["reason"]
     if not _all_ints(itertools.chain.from_iterable(v["weights"] for v in payload["violations"])):
         return False, "a violation has a weight that is not an int"
-    violations = tmodp_violations(space, t, found, expected, payload["num_unions"], exhaustive)
+    violations = tmodp_violations(space, t, found, sizes, expected, payload["num_unions"],
+                                  exhaustive)
     if violations != payload["violations"] and \
             sorted(map(key, violations)) != sorted(map(key, payload["violations"])):
         return False, "violations do not match those of the listed sets and the union count"
@@ -301,7 +326,11 @@ def recheck(cert: dict):
             return False, f"malformed certificate: missing {key!r}"
     if not isinstance(cert["kind"], str) or cert["kind"] not in _VERIFIERS:
         return False, f"unknown certificate kind {cert['kind']!r}"
-    if checksum(cert["payload"]) != cert["checksum"]:
+    try:
+        digest = checksum(cert["payload"])
+    except (TypeError, ValueError, RecursionError) as exc:
+        return False, f"malformed certificate: {exc}"
+    if digest != cert["checksum"]:
         return False, "checksum mismatch"
     try:
         return _VERIFIERS[cert["kind"]](cert["payload"])

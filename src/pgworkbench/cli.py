@@ -7,7 +7,6 @@ All machine-readable output is canonical JSON (sorted keys, no floats).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .blocking import (BlockingError, WeightedPointSet, is_minimal, is_t_fold_blocking,
@@ -18,7 +17,7 @@ from .certificates import (_all_ints, bounds_certificate, canonical_json,
 from .coloring import Coloring, is_proper, is_trivial_coloring, trivial_coloring
 from .experiments import ExperimentConfig, default_grid, run_experiments
 from .geometry import (ProjectiveSpace, count_subspaces, hypergraph_from_file,
-                       hypergraph_to_file)
+                       hypergraph_to_file, load_json)
 from .solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -41,8 +40,7 @@ def cmd_space(args):
 
 def cmd_blocking(args):
     space = ProjectiveSpace.of_order(args.n, args.q)
-    with open(args.weights) as fh:
-        weights = json.load(fh)
+    weights = load_json(args.weights)
     # the rule recheck applies to a blocking_set certificate's weights
     if not isinstance(weights, list) or not _all_ints(weights):
         raise BlockingError("the weights file must hold a JSON list of integers")
@@ -67,8 +65,7 @@ def cmd_color(args):
     if getattr(args, flag) is None:
         raise ValueError(f"--mode {args.mode} needs --{flag}")
     H = hypergraph_from_file(args.hypergraph)
-    with open(getattr(args, flag)) as fh:
-        data = json.load(fh)
+    data = load_json(getattr(args, flag))
     if args.mode == "trivialize":
         coloring = trivial_coloring(data, H)
         _emit({"assignment": list(coloring.assignment), "N": coloring.N})
@@ -128,8 +125,7 @@ def cmd_bounds(args):
 def cmd_run(args):
     grid = default_grid()
     if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
+        data = load_json(args.config)
         grid = data.get("grid") if isinstance(data, dict) else None
         if not isinstance(grid, list):
             raise ValueError("the config file must hold a JSON object whose 'grid' is a list")
@@ -144,7 +140,7 @@ def cmd_run(args):
 def cmd_recheck(args):
     try:
         cert = load_certificate(args.certificate)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"VERDICT false malformed: {exc}")
         return 1
     ok, detail = recheck(cert)

@@ -518,6 +518,17 @@ def hypergraph_to_file(h: Hypergraph, path: str) -> None:
         json.dump(h.to_json(), fh, sort_keys=True, separators=(",", ":"))
 
 
-def hypergraph_from_file(path: str) -> Hypergraph:
+def load_json(path: str):
+    """The JSON value in the file at path.  Every input file of the library
+    and of the command line is read through here, so one nested too deeply
+    to parse raises ValueError, as other malformed JSON does, and never
+    RecursionError."""
     with open(path) as fh:
-        return Hypergraph.from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
+def hypergraph_from_file(path: str) -> Hypergraph:
+    return Hypergraph.from_json(load_json(path))

@@ -447,20 +447,23 @@ def num_line_unions(p: int, t: int, max_size: int) -> int:
     return math.comb(theta(2, p) + t - 1, t) if t * (p + 1) <= max_size else 0
 
 
-def tmodp_violations(space: ProjectiveSpace, t: int, found: list, expected_size: int,
-                     num_unions: int, exhaustive: bool) -> list:
-    """The violations of a t (mod p) report on the lines of the plane
-    `space`, whose found weight tuples are t (mod p) sets with t <= p - 1,
-    in report order: each found set whose size is not expected_size and,
-    when the search was exhaustive and found fewer than num_unions sets of
-    that size, each union of t lines that it did not find.
+def tmodp_violations(space: ProjectiveSpace, t: int, found: list, sizes: list,
+                     expected_size: int, num_unions: int, exhaustive: bool) -> list:
+    """The violations, in report order, of a t (mod p) report on the lines
+    of the plane `space`, whose found weight tuples are t (mod p) sets with
+    t <= p - 1, of the sizes `sizes` in the same order: each found set
+    whose size is not expected_size and, when the search was exhaustive
+    and found fewer than num_unions sets of that size, each union of t
+    lines that it did not find.
 
     A found set of size expected_size is a union of t lines (see
-    verify_tmodp_theorem), so only sizes are compared.  The unions are
-    listed only to name the missed ones; an exhaustive search needs
-    p <= 3, so there are at most comb(14, 2) = 91 multisets of lines."""
-    violations = [{"weights": list(wt), "reason": f"size {sum(wt)} != {expected_size}"}
-                  for wt in found if sum(wt) != expected_size]
+    verify_tmodp_theorem), so only sizes are compared; each distinct
+    reason string is built once.  The unions are listed only to name the
+    missed ones; an exhaustive search needs p <= 3, so there are at most
+    comb(14, 2) = 91 multisets of lines."""
+    reasons = {s: f"size {s} != {expected_size}" for s in set(sizes) if s != expected_size}
+    violations = [{"weights": list(wt), "reason": reasons[s]}
+                  for wt, s in zip(found, sizes) if s in reasons]
     if exhaustive and len(found) - len(violations) < num_unions:
         listed = set(found)
         for combo in itertools.combinations_with_replacement(space.incidence(1), t):
@@ -525,7 +528,8 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVe
     expected_size = t * theta(space.n - k, p)
     num_unions = num_line_unions(p, t, max_size)
     violations = tmodp_violations(space, t, [tuple(B.weights) for B in enum.sets],
-                                  expected_size, num_unions, enum.exhaustive)
+                                  [B.size for B in enum.sets], expected_size, num_unions,
+                                  enum.exhaustive)
     return TModPVerification(
         p=p, t=t, k=k, max_size=max_size, weight_cap=p - 1,
         kernel_dim=enum.kernel_dim, num_solution_classes=enum.num_solution_classes,

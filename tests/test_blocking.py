@@ -232,9 +232,28 @@ def test_enumerate_t_mod_p_sets_refuses_large_incidence_matrices(q):
 
 
 def test_enumerate_t_mod_p_sets_answers_below_the_matrix_limit():
-    # PG(2,17) has 307^2 = 94249 entries: eliminated, then past the coset limit
+    # PG(2,17) has 307^2 = 94249 entries, within the matrix limit; the
+    # closed-form kernel dimension puts it past the coset limit before any
+    # elimination
     enum = enumerate_t_mod_p_sets(ProjectiveSpace.of_order(2, 17), k=1, t=1, max_size=5)
     assert (enum.kernel_dim, enum.exhaustive, enum.sets) == (153, False, [])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_enumerate_t_mod_p_sets_plane_kernel_needs_no_elimination(monkeypatch, p):
+    # past the coset limit the closed form answers before the matrix is
+    # built, with the kernel dimension that elimination gives
+    space = ProjectiveSpace.of_order(2, p)
+    rows = [[S.mask >> i & 1 for i in range(space.num_points)] for S in space.subspaces(1)]
+    kdim = len(solve_mod_p(rows, [1] * len(rows), p)[1])
+
+    def refuse(*args):
+        raise AssertionError("the plane was eliminated")
+    monkeypatch.setattr(blocking, "solve_mod_p", refuse)
+    monkeypatch.setattr(blocking, "COSET_LIMIT", p**kdim - 1)
+    enum = enumerate_t_mod_p_sets(space, k=1, t=1, max_size=space.num_points)
+    assert (enum.sets, enum.kernel_dim, enum.num_solution_classes, enum.exhaustive) == \
+        ([], kdim, p**kdim, False)
 
 
 def assert_matches_reference(space, k, t, max_size, weight_cap):

@@ -1,9 +1,11 @@
+import itertools
 import json
+import math
 import time
 
 import pytest
 
-from pgworkbench.blocking import solve_mod_p
+from pgworkbench.blocking import WeightedPointSet, is_t_mod_p_set, solve_mod_p
 from pgworkbench.certificates import (CertificateError, _plane_kernel_dim, canonical_json,
                                       checksum, coloring_certificate, load_certificate,
                                       make_certificate, recheck,
@@ -18,6 +20,14 @@ def test_canonical_json_is_stable():
     a = canonical_json({"b": 1, "a": [2, 3]})
     b = canonical_json(json.loads(a))
     assert a == b == '{"a":[2,3],"b":1}'
+
+
+def test_canonical_json_is_the_bytes_of_json_dumps():
+    # the shared encoder skips only the circular-reference check
+    for payload in [verify_tmodp_theorem(3, 2).to_json(), bounds_report(3, 1, 4, 2).to_json(),
+                    {"\u00e9": [1.5, None, True, -0.0], "a": {"z": "\u2603\n", "b": [[]]}}]:
+        assert canonical_json(payload) == json.dumps(payload, sort_keys=True,
+                                                     separators=(",", ":"))
 
 
 def test_make_certificate_and_roundtrip(tmp_path):
@@ -355,16 +365,15 @@ def test_recheck_transversal_for_points_and_the_whole_space(n, k, q, t, points, 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_plane_kernel_dim_matches_elimination(p):
-    # the 307 lines of PG(2,17) take about 2.7 s to eliminate, and
-    # test_enumerate_t_mod_p_sets_answers_below_the_matrix_limit pins the
-    # kernel dimension 153 that their elimination gives
+    # the 307 lines of PG(2,17) take about 2.7 s to eliminate; the p = 17
+    # reports of test_recheck_reference compare with that elimination once
     space = ProjectiveSpace.of_order(2, p)
     rows = [[S.mask >> i & 1 for i in range(space.num_points)] for S in space.subspaces(1)]
     assert _plane_kernel_dim(p) == len(solve_mod_p(rows, [1] * len(rows), p)[1])
 
 
 def test_plane_kernel_dim_of_the_lines_of_pg2_17():
-    # the elimination that test_blocking pins, which is too slow to rerun here
+    # the elimination that test_recheck_reference makes, too slow to rerun here
     assert _plane_kernel_dim(17) == 153
 
 
@@ -419,3 +428,65 @@ def test_recheck_rejects_non_object_and_unhashable_kind():
     ok, detail = recheck({"schema_version": 1, "kind": ["transversal"],
                           "payload": {}, "checksum": checksum({})})
     assert not ok and "unknown" in detail
+
+
+def _holds_itself():
+    payload = {"n": 2}
+    payload["self"] = payload
+    return payload
+
+
+@pytest.mark.parametrize("payload, needle", [
+    ({1, 2}, "Object of type set is not JSON serializable"),
+    ({1: "a", "b": 2}, "'<' not supported"),
+    (_holds_itself(), "maximum recursion depth exceeded"),
+], ids=["set", "mixed-keys", "holds-itself"])
+def test_recheck_refuses_a_payload_that_is_not_json(payload, needle):
+    # the checksum cannot encode these; recheck answers instead of raising
+    ok, detail = recheck({"schema_version": 1, "kind": "bounds", "payload": payload,
+                          "checksum": "0" * 64})
+    assert not ok and detail.startswith("malformed certificate: ") and needle in detail
+
+
+def heavy_report(sets):
+    """A non-exhaustive 16 (mod 17) report listing `sets`, with the
+    violations that their sizes give."""
+    data = verify_tmodp_theorem(17, 1).to_json()
+    data.update(t=16, expected_size=16 * 18, max_size=16 * 307,
+                num_unions=math.comb(307 + 15, 16), sets=sets, num_found=len(sets),
+                violations=[{"weights": wt, "reason": f"size {sum(wt)} != 288"}
+                            for wt in sets])
+    return data
+
+
+def test_recheck_reduces_byte_lanes_within_a_line():
+    # c everywhere plus 16 - c lines is a 16 (mod 17) set; at c = 16 every
+    # line weighs 18 * 16 = 288, past one byte, so recheck must reduce the
+    # lanes mod 17 part way along each line of 18 points
+    space = ProjectiveSpace.of_order(2, 17)
+    lines = space.incidence(1)
+    sets = []
+    for c, members in [(16, []), (15, [0]), (14, [3, 200]), (15, [306])]:
+        wt = [c] * space.num_points
+        for i in itertools.chain.from_iterable(lines[j] for j in members):
+            wt[i] += 1
+        sets.append(wt)
+    assert max(map(max, sets)) == 16
+    assert all(is_t_mod_p_set(WeightedPointSet(space, wt), 16, 1)[0] for wt in sets)
+    assert recheck(make_certificate("tmodp_report", heavy_report(sets))) == \
+        (True, "report sets verified")
+    # (set, point, weight) edits; the last set is the top lane, and of two
+    # sets that fail on the same lines the first is named
+    for edits, detail in [
+        ([(3, 5, 13)], "listed set of size 4621 is not a 16 (mod 17) set"),
+        ([(0, 0, 15)], "listed set of size 4911 is not a 16 (mod 17) set"),
+        ([(2, 0, 13), (0, 0, 15)], "listed set of size 4911 is not a 16 (mod 17) set"),
+        ([(2, 306, 300)], "listed set has a point of weight 300 > weight_cap 16"),
+        ([(1, 7, -1)], "verification error: weights must be nonnegative"),
+    ]:
+        edited = [list(wt) for wt in sets]
+        for j, i, w in edits:
+            edited[j][i] = w
+        data = heavy_report(sets)
+        data["sets"] = edited
+        assert recheck(make_certificate("tmodp_report", data)) == (False, detail)

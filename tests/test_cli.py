@@ -7,7 +7,7 @@ from test_certificates import TYPE_MUTATED_TRANSVERSALS
 
 from pgworkbench.certificates import make_certificate, write_certificate
 from pgworkbench.cli import main
-from pgworkbench.geometry import ProjectiveSpace
+from pgworkbench.geometry import ProjectiveSpace, hypergraph_to_file
 
 
 def run_cli(capsys, *argv):
@@ -384,3 +384,32 @@ def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and "missing.json" in captured.err
+
+
+def write_over_nested(path):
+    # parses to a RecursionError inside json, at any default recursion limit
+    path.write_text("[" * 10**5 + "]" * 10**5)
+    return str(path)
+
+
+def test_recheck_over_nested_file(tmp_path, capsys):
+    code, out = run_cli(capsys, "recheck", write_over_nested(tmp_path / "deep.json"))
+    assert code == 1 and out.startswith("VERDICT false malformed: ")
+    assert "nested too deeply" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["blocking", "--n", "2", "--q", "2", "--t", "1", "--k", "1", "--weights", "{deep}"],
+    ["color", "--hypergraph", "{fano}", "--coloring", "{deep}"],
+    ["color", "--mode", "trivialize", "--hypergraph", "{fano}", "--transversal", "{deep}"],
+    ["solve", "tau", "--hypergraph", "{deep}"],
+    ["run", "--config", "{deep}", "--out", "{out}"],
+], ids=["blocking", "color-coloring", "color-transversal", "solve", "run"])
+def test_over_nested_input_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    fano = tmp_path / "fano.json"
+    hypergraph_to_file(ProjectiveSpace.of_order(2, 2).hypergraph(1), str(fano))
+    deep = write_over_nested(tmp_path / "deep.json")
+    code = main([a.format(deep=deep, fano=fano, out=tmp_path / "certs") for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "nested too deeply" in captured.err

@@ -90,6 +90,15 @@ def reference_violations(found, unions, expected, exhaustive):
     return violations
 
 
+@functools.cache
+def reference_kernel_dim(p, k, t):
+    """The kernel dimension mod p of the k-space/point incidence of PG(2,p),
+    by elimination: about 2.5 s for the lines of PG(2,17), so once."""
+    space = ProjectiveSpace.of_order(2, p)
+    rows = [[S.mask >> i & 1 for i in range(space.num_points)] for S in space.subspaces(k)]
+    return len(solve_mod_p(rows, [t] * len(rows), p)[1])
+
+
 def reference_tmodp_report(payload):
     p, t, k, sets = payload["p"], payload["t"], payload["k"], payload["sets"]
     cap, max_size, verified = payload["weight_cap"], payload["max_size"], payload["verified"]
@@ -106,8 +115,7 @@ def reference_tmodp_report(payload):
         return False, "the enumeration refuses this plane, so it has no report"
     if type(kdim) is not int or not 0 <= kdim <= space.num_points:
         return False, f"kernel_dim {kdim!r} is not an int in [0, {space.num_points}]"
-    rows = [[S.mask >> i & 1 for i in range(space.num_points)] for S in space.subspaces(k)]
-    kernel_dim = len(solve_mod_p(rows, [t] * len(rows), p)[1])
+    kernel_dim = reference_kernel_dim(p, k, t)
     if kdim != kernel_dim:
         return False, f"kernel_dim {kdim} is not {kernel_dim}, the kernel dimension " \
                       f"mod {p} of the {k}-space incidence"
@@ -118,6 +126,8 @@ def reference_tmodp_report(payload):
     if len(sets) != payload["num_found"]:
         return False, "num_found does not match the listed sets"
     found = list(map(tuple, sets))
+    if any(type(w) is not int for wt in found for w in wt):
+        return False, "a listed set has a weight that is not an int"
     if len(set(found)) != len(found):
         return False, "a set is listed twice"
     if verified and payload["violations"]:
@@ -142,6 +152,9 @@ def reference_tmodp_report(payload):
             return False, f"listed set of size {B.size} is not a {t} (mod {p}) set"
         if verified and B.size != expected:
             return False, f"listed set has size {B.size} != {expected}"
+
+    if any(type(w) is not int for v in payload["violations"] for w in v["weights"]):
+        return False, "a violation has a weight that is not an int"
 
     def key(v):
         return v["weights"], v["reason"]
@@ -169,12 +182,43 @@ def report(p, t):
     return json.dumps(verify_tmodp_theorem(p, t).to_json())
 
 
+def forged_tmodp_case(rng):
+    """A non-exhaustive report at p = 5, 7 or 17 that lists some weighted
+    unions of t lines, which no search found, with at most one weight
+    edited: by one or by p, to a value in [0, cap], past one byte, below
+    zero, or to a bool or a float.  At p = 17 a line has more points than
+    recheck adds before it reduces a byte lane mod p."""
+    p, t = rng.choice([(5, 1), (5, 2), (7, 1), (7, 2), (17, 1), (17, 1)])
+    data = json.loads(report(p, t))
+    lines = ProjectiveSpace.of_order(2, p).incidence(1)
+    sets = []
+    for _ in range(rng.randint(1, 5)):
+        w = [0] * theta(2, p)
+        for i in itertools.chain.from_iterable(rng.choices(lines, k=t)):
+            w[i] += 1
+        if w not in sets:
+            sets.append(w)
+    data.update(sets=sets, num_found=len(sets))
+    if rng.random() < 0.25:
+        return data
+    wt = rng.choice(sets)
+    i = rng.randrange(len(wt))
+    wt[i] = rng.choice([wt[i] - 1, wt[i] + 1, wt[i] + p, wt[i] - p,
+                        rng.randint(0, data["weight_cap"]), 300, -1, True, 1.0])
+    return data
+
+
 def tmodp_cases(rng):
+    if rng.random() < 0.5:
+        return forged_tmodp_case(rng)
     data = json.loads(report(*rng.choice([(2, 1), (3, 1), (3, 2)])))
     p = data["p"]
     where = rng.choice(["none", "sets", "sets", "violations"])
     if where == "sets":
         wt = rng.choice(data["sets"])
+        if rng.random() < 0.25:
+            # the top byte lane of recheck's pass over the sets
+            wt = data["sets"][-1]
     elif where == "violations" and data["violations"]:
         wt = rng.choice(data["violations"])["weights"]
     else:
