@@ -258,6 +258,14 @@ def test_recheck_malformed_file(tmp_path, capsys):
     assert code == 1 and out.startswith("VERDICT false")
 
 
+def test_recheck_file_that_is_not_utf8(tmp_path, capsys):
+    # UnicodeDecodeError is a ValueError, not a JSONDecodeError
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out = run_cli(capsys, "recheck", str(path))
+    assert code == 1 and out.startswith("VERDICT false malformed: ")
+
+
 @pytest.mark.parametrize("payload", TYPE_MUTATED_TRANSVERSALS)
 def test_recheck_type_mutated_file(tmp_path, capsys, payload):
     path = tmp_path / "mutated.json"
