@@ -11,13 +11,18 @@ from .blocking import (COSET_LIMIT, MATRIX_ENTRY_LIMIT, WeightedPointSet, _is_mi
                        _kspace_failure, _plane_kernel_dim, _verdict)
 from .coloring import (Coloring, _rainbow_edge, _trivial_class, is_strict,
                        is_trivial_coloring)
-from .fields import factor_prime_power
-from .geometry import (Hypergraph, ProjectiveSpace, count_subspaces, load_json, mask_bits,
-                       point_set, theta)
+from .fields import MAX_Q, factor_prime_power
+from .geometry import (DEFAULT_MAX_POINTS, Hypergraph, ProjectiveSpace, _bounded_theta,
+                       count_subspaces, load_json, mask_bits, point_set, theta, write_text)
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
                       num_line_unions, tmodp_violations)
 
 SCHEMA_VERSION = 1
+# the point/k-space incidences, count_subspaces(n, k, q) * theta(k, q), that
+# a transversal or coloring certificate may make recheck read: PG(2,97)'s
+# 931,686 take about 0.8 s and 34 MiB, and the largest certificate in the
+# tests and the benchmark corpus has 4,840
+RECHECK_INCIDENCE_LIMIT = 10**6
 
 class CertificateError(ValueError):
     pass
@@ -86,8 +91,7 @@ def tmodp_certificate(rep: TModPVerification) -> dict:
 
 
 def write_certificate(cert: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(cert))
+    write_text(path, canonical_json(cert))
 
 
 def load_certificate(path: str) -> dict:
@@ -99,8 +103,28 @@ def _all_ints(values) -> bool:
     return set(map(type, values)) <= {int}
 
 
+def _incidence_fault(n, k, q):
+    """Why recheck will not read the k-spaces of PG(n,q): the space is past
+    its limits or has more incidences than RECHECK_INCIDENCE_LIMIT.  Only
+    counts are computed, so a small certificate naming a huge space is
+    refused at once.  None otherwise, and for (n, k, q) that are not ints
+    with q >= 2 and 0 <= k <= n: building the space names their fault."""
+    if not (type(n) is type(k) is type(q) is int and q >= 2 and 0 <= k <= n):
+        return None
+    if _bounded_theta(n, q) is None:
+        return f"PG({n},{q}) exceeds the limits q <= {MAX_Q} and {DEFAULT_MAX_POINTS} points"
+    incidences = count_subspaces(n, k, q) * theta(k, q)
+    if incidences > RECHECK_INCIDENCE_LIMIT:
+        return f"the {k}-spaces of PG({n},{q}) have {incidences} point incidences, " \
+               f"more than the limit {RECHECK_INCIDENCE_LIMIT}"
+    return None
+
+
 def _verify_transversal(payload):
     n, k, q, t = payload["n"], payload["k"], payload["q"], payload["t"]
+    fault = _incidence_fault(n, k, q)
+    if fault is not None:
+        return False, fault
     space = ProjectiveSpace.of_order(n, q)
     pts = point_set(payload["points"], space.num_points)
     if "objective" in payload and payload["objective"] != len(pts):
@@ -115,6 +139,9 @@ def _verify_transversal(payload):
 
 def _verify_coloring(payload):
     n, k, q = payload["n"], payload["k"], payload["q"]
+    fault = _incidence_fault(n, k, q)
+    if fault is not None:
+        return False, fault
     space = ProjectiveSpace.of_order(n, q)
     H = space.hypergraph(k)
     coloring = Coloring(tuple(payload["assignment"]))

@@ -4,12 +4,13 @@ writes one certificate per task, and assembles a summary table."""
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass, field
 
 from .certificates import (bounds_certificate, coloring_certificate, recheck,
                            tmodp_certificate, transversal_certificate, write_certificate)
-from .geometry import ProjectiveSpace
+from .geometry import ProjectiveSpace, write_text
 from .solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -119,15 +120,15 @@ def run_experiments(config: ExperimentConfig):
             rows.append(SummaryRow(name, "error", reason, "", "no"))
     all_ok = all(row.match == "yes" for row in rows)
 
-    csv_path = os.path.join(config.outdir, "summary.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "quantity", "value", "expected", "match"])
-        for row in rows:
-            writer.writerow([row.instance, row.quantity, row.value, row.expected, row.match])
-    txt_path = os.path.join(config.outdir, "summary.txt")
-    with open(txt_path, "w") as fh:
-        for row in rows:
-            fh.write(f"{row.instance:24s} {row.quantity:28s} "
-                     f"value={row.value:16s} expected={row.expected:10s} match={row.match}\n")
+    # the csv module ends each row with \r\n, which newline="" keeps
+    csv_text = io.StringIO(newline="")
+    writer = csv.writer(csv_text)
+    writer.writerow(["instance", "quantity", "value", "expected", "match"])
+    writer.writerows([row.instance, row.quantity, row.value, row.expected, row.match]
+                     for row in rows)
+    write_text(os.path.join(config.outdir, "summary.csv"), csv_text.getvalue())
+    write_text(os.path.join(config.outdir, "summary.txt"), "".join(
+        f"{row.instance:24s} {row.quantity:28s} "
+        f"value={row.value:16s} expected={row.expected:10s} match={row.match}\n"
+        for row in rows))
     return rows, all_ok

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .blocking import enumerate_t_mod_p_sets
 from .coloring import is_proper, make_coloring, trivial_coloring
 from .fields import factor_prime_power
-from .geometry import (GeometryError, Hypergraph, ProjectiveSpace, mask_bits,
+from .geometry import (MAX_N, GeometryError, Hypergraph, ProjectiveSpace, mask_bits,
                        point_set, theta)
 
 OPTIMAL = "optimal"
@@ -600,10 +600,13 @@ class BoundsReport:
 
 def bounds_report(n: int, k: int, q: int, t: int) -> BoundsReport:
     """All bound formulas and theorem-applicability flags, exact, for
-    1 <= k <= n-1 and a prime power q <= MAX_Q; SolverError or FieldError
-    otherwise."""
+    1 <= k <= n-1, n <= MAX_N (the dimension limit of the spaces) and a
+    prime power q <= MAX_Q; SolverError or FieldError otherwise.  n is
+    checked before any power is taken."""
     if type(k) is not int or type(n) is not int or not 1 <= k <= n - 1:
         raise SolverError(f"k = {k!r} is not an integer in [1, n - 1] for n = {n!r}")
+    if n > MAX_N:
+        raise SolverError(f"n = {n} exceeds the limit {MAX_N}")
     p, h = factor_prime_power(q)
     qk = q**k
     theta_n = theta(n, q)

@@ -221,6 +221,15 @@ def test_bounds_verb(tmp_path, capsys):
     assert code == 0
 
 
+def test_solve_out_to_a_directory_is_an_error(tmp_path, capsys):
+    hpath = tmp_path / "fano.json"
+    hypergraph_to_file(ProjectiveSpace.of_order(2, 2).hypergraph(1), str(hpath))
+    code = main(["solve", "tau", "--hypergraph", str(hpath), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+
+
 def test_run_verb_custom_grid(tmp_path, capsys):
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"grid": [
@@ -326,6 +335,14 @@ def test_space_refuses_a_huge_order_before_factoring(capsys):
     code, captured = _timed_main(capsys, ["space", "--n", "2", "--q", str(HUGE_Q)], 0.05)
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: q = {HUGE_Q} exceeds the limit 65536")
+
+
+def test_bounds_verb_refuses_a_huge_n(capsys):
+    # theta(10^9, 4) has 6 * 10^8 digits; n is compared before any power
+    code, captured = _timed_main(capsys, ["bounds", "--n", "1000000000", "--k", "1",
+                                          "--q", "4"], 0.1)
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: n = 1000000000 exceeds the limit 19")
 
 
 @pytest.mark.parametrize("claim, needle", [

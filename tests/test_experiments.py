@@ -1,3 +1,5 @@
+import csv
+
 from pgworkbench.certificates import load_certificate, recheck
 from pgworkbench.experiments import ExperimentConfig, run_experiments
 
@@ -41,3 +43,29 @@ def test_malformed_grid_tasks_become_error_rows(tmp_path):
     assert rows[4].value == "task is not an object: 'tau'"
     assert rows[5].value == "expected_at_least '10' is not a number"
 
+
+
+def test_rerun_into_an_existing_outdir_gives_the_same_bytes(tmp_path):
+    # every file of the first run is padded first: the second run must
+    # leave exactly its own bytes, with no tail of the longer old file
+    config = ExperimentConfig(outdir=str(tmp_path))
+    run_experiments(config)
+    first = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert sorted(first) == sorted([f"{name}.json" for name in GOLDEN_CHECKSUMS]
+                                   + ["summary.csv", "summary.txt"])
+    for path in tmp_path.iterdir():
+        path.write_bytes(path.read_bytes() + b" padding" * 1000)
+    run_experiments(config)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == first
+
+
+def test_summary_csv_keeps_crlf_line_endings(tmp_path):
+    rows, _ = run_experiments(ExperimentConfig(outdir=str(tmp_path)))
+    data = (tmp_path / "summary.csv").read_bytes()
+    assert data.count(b"\r\n") == data.count(b"\n") == len(rows) + 1
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == ["instance", "quantity", "value", "expected", "match"]
+    assert [line[0] for line in table[1:]] == [row.instance for row in rows]
+    text = (tmp_path / "summary.txt").read_bytes()
+    assert b"\r" not in text and text.count(b"\n") == len(rows)

@@ -12,7 +12,7 @@ from pgworkbench.fields import field_for_order
 from pgworkbench.geometry import (EMPTY_SUBSPACE, GeometryError, Hypergraph,
                                   ProjectiveSpace, count_subspaces,
                                   hypergraph_from_file, hypergraph_to_file,
-                                  mask_bits, theta)
+                                  mask_bits, theta, write_text)
 from pgworkbench.solvers import exact_tau, exact_ucn
 
 
@@ -356,6 +356,34 @@ def test_hypergraph_construction_and_roundtrip(tmp_path):
     hypergraph_to_file(H, str(path))
     H2 = hypergraph_from_file(str(path))
     assert H2 == H
+
+
+def test_write_text_over_a_longer_file_leaves_no_old_tail(tmp_path):
+    # the file is written in place and then cut to the new length
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"x" * 5000)
+    write_text(str(path), "caf\u00e9\n")
+    assert path.read_bytes() == "caf\u00e9\n".encode()
+    write_text(str(path), "")
+    assert path.read_bytes() == b""
+    write_text(str(tmp_path / "new.txt"), "a\r\nb")
+    assert (tmp_path / "new.txt").read_bytes() == b"a\r\nb"
+
+
+def test_write_text_to_a_directory_raises_oserror(tmp_path):
+    with pytest.raises(OSError):
+        write_text(str(tmp_path), "{}")
+
+
+def test_hypergraph_file_overwrites_in_place_and_round_trips(tmp_path):
+    H = ProjectiveSpace.of_order(3, 2).hypergraph(2)
+    path = tmp_path / "planes.json"
+    path.write_text("{" * 10000)
+    hypergraph_to_file(H, str(path))
+    # the bytes of json.dumps with the arguments the file always had
+    assert path.read_text() == json.dumps(H.to_json(), sort_keys=True, separators=(",", ":"))
+    H2 = hypergraph_from_file(str(path))
+    assert H2 == H and H2.geometry == (3, 2, 2)
 
 
 def test_hypergraph_json_without_params():

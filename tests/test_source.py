@@ -91,3 +91,72 @@ def test_solvers_read_params_through_the_check():
             if isinstance(node, ast.Attribute) and node.attr == "params":
                 found.append(f"{name} (line {node.lineno})")
     assert found == []
+
+
+def _opens_for_writing(call):
+    """True for a call that opens a file for writing or writes one whole:
+    os.open (any flags), open or fdopen with a mode that writes (or one
+    that is not a literal), json.dump to a handle, Path.write_text and
+    Path.write_bytes."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        owner = func.value.id if isinstance(func.value, ast.Name) else None
+        if (owner, func.attr) in {("os", "open"), ("json", "dump")} \
+                or func.attr in ("write_text", "write_bytes"):
+            return True
+        name = func.attr
+    elif isinstance(func, ast.Name):
+        name = func.id
+    else:
+        return False
+    if name not in ("open", "fdopen"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def _write_sites(tree):
+    """(enclosing function, line) of every call in tree that writes a file."""
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and _opens_for_writing(node):
+            sites.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return sites
+
+
+def test_every_file_is_written_by_the_one_writer():
+    # geometry.write_text overwrites in place and cuts to length; a second
+    # writer would bring back the truncating open
+    found = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        sites = _write_sites(ast.parse(path.read_text(), filename=str(path)))
+        if sites:
+            found[path.name] = [func for func, _ in sites]
+    assert found == {"geometry.py": ["write_text"]}
+
+
+def test_write_guard_sees_each_kind_of_write():
+    source = """
+import json, os
+def a(p): open(p, "w")
+def b(p): open(p, mode="ab")
+def c(p, m): open(p, m)
+def d(p, d): json.dump(d, open(p, "r+"))
+def e(p): os.open(p, os.O_RDONLY)
+def f(p): p.write_text("x")
+def g(p): open(p)
+def h(p): open(p, "rb")
+"""
+    assert [func for func, _ in _write_sites(ast.parse(source))] == \
+        ["a", "b", "c", "d", "d", "e", "f"]
