@@ -525,7 +525,7 @@ def write_text(path: str, text: str) -> None:
     Every file of the library and of the command line is written through
     here.  An existing file is overwritten in place and then cut to the
     new length, never first truncated to 0 bytes: on ext4 that truncation,
-    with the flush it schedules at close, costs about 0.25 ms a rewrite.
+    with the flush it schedules at close, costs 0.1-0.3 ms a rewrite.
     A directory or an unwritable path raises OSError.  A write that fails
     part way can leave a partial file, as truncate-then-write can."""
     data = text.encode()

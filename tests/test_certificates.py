@@ -6,14 +6,14 @@ import time
 import pytest
 
 from pgworkbench.blocking import WeightedPointSet, is_t_mod_p_set, solve_mod_p
-from pgworkbench.certificates import (RECHECK_INCIDENCE_LIMIT, CertificateError,
-                                      _incidence_fault, _plane_kernel_dim, canonical_json,
-                                      checksum, coloring_certificate, load_certificate,
+from pgworkbench.certificates import (CertificateError, _incidence_fault, _plane_kernel_dim,
+                                      canonical_json, checksum, coloring_certificate,
+                                      load_certificate,
                                       make_certificate, recheck,
                                       tmodp_certificate, transversal_certificate,
                                       write_certificate)
 from pgworkbench.coloring import trivial_coloring
-from pgworkbench.geometry import Hypergraph, ProjectiveSpace, count_subspaces, theta
+from pgworkbench.geometry import Hypergraph, ProjectiveSpace
 from pgworkbench.solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -394,7 +394,7 @@ def test_recheck_bounds():
     (2, 1, 100000000000031, "exceeds the limit 65536"),
     # its report had trivial_lower -714, and rechecked true
     (2, 5, 3, "k = 5 is not an integer in [1, n - 1]"),
-    # 185 bytes whose theta(n, q) kept recheck busy past 5 s
+    # under 200 bytes, and its theta(n, q) kept recheck busy past 5 s
     (10**9, 1, 4, "n = 1000000000 exceeds the limit 19"),
 ])
 def test_recheck_bounds_refuses_parameters_out_of_range(n, k, q, needle):
@@ -408,7 +408,7 @@ def test_recheck_bounds_refuses_parameters_out_of_range(n, k, q, needle):
 @pytest.mark.parametrize("kind, payload, needle", [
     # 184 bytes that cost 1.9 s and 59 MiB: every line of PG(2,127) was
     # built before the one point was found to miss most of them
-    ("transversal", {"n": 2, "k": 1, "q": 127, "t": 1, "points": [0]},
+    ("transversal", {"n": 2, "k": 1, "q": 127, "t": 1, "points": [0], "objective": 1},
      "the 1-spaces of PG(2,127) have 2080896 point incidences, more than the limit"),
     ("coloring", {"n": 2, "k": 1, "q": 127, "assignment": [0, 1], "N": 2},
      "the 1-spaces of PG(2,127) have 2080896 point incidences, more than the limit"),
@@ -429,7 +429,6 @@ def test_incidence_limit_sits_between_the_largest_corpus_space_and_pg2_127():
     # PG(4,3) solids (4,840) are the largest that the tests and the
     # benchmark corpus recheck; PG(2,97) lines (931,686) still pass
     assert _incidence_fault(4, 3, 3) is None and _incidence_fault(2, 1, 97) is None
-    assert count_subspaces(2, 1, 97) * theta(1, 97) <= RECHECK_INCIDENCE_LIMIT
     assert _incidence_fault(2, 1, 101) is not None
     # parameters out of range are left to the build, which names them
     assert _incidence_fault(2, 3, 2) is None and _incidence_fault(2, 1, 1) is None

@@ -44,7 +44,6 @@ def test_malformed_grid_tasks_become_error_rows(tmp_path):
     assert rows[5].value == "expected_at_least '10' is not a number"
 
 
-
 def test_rerun_into_an_existing_outdir_gives_the_same_bytes(tmp_path):
     # every file of the first run is padded first: the second run must
     # leave exactly its own bytes, with no tail of the longer old file

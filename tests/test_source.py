@@ -120,14 +120,14 @@ def _opens_for_writing(call):
 
 
 def _write_sites(tree):
-    """(enclosing function, line) of every call in tree that writes a file."""
+    """The enclosing function of every call in tree that writes a file."""
     sites = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
         if isinstance(node, ast.Call) and _opens_for_writing(node):
-            sites.append((func, node.lineno))
+            sites.append(func)
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -140,9 +140,12 @@ def test_every_file_is_written_by_the_one_writer():
     # writer would bring back the truncating open
     found = {}
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        sites = _write_sites(ast.parse(path.read_text(), filename=str(path)))
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sites = _write_sites(tree)
+        sites += [f"O_TRUNC (line {node.lineno})" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "O_TRUNC"]
         if sites:
-            found[path.name] = [func for func, _ in sites]
+            found[path.name] = sites
     assert found == {"geometry.py": ["write_text"]}
 
 
@@ -158,5 +161,4 @@ def f(p): p.write_text("x")
 def g(p): open(p)
 def h(p): open(p, "rb")
 """
-    assert [func for func, _ in _write_sites(ast.parse(source))] == \
-        ["a", "b", "c", "d", "d", "e", "f"]
+    assert _write_sites(ast.parse(source)) == ["a", "b", "c", "d", "d", "e", "f"]
