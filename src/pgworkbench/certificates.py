@@ -11,9 +11,9 @@ from .blocking import (COSET_LIMIT, MATRIX_ENTRY_LIMIT, WeightedPointSet, _is_mi
                        _kspace_failure, _plane_kernel_dim, _verdict)
 from .coloring import (Coloring, _rainbow_edge, _trivial_class, is_strict,
                        is_trivial_coloring)
-from .fields import MAX_Q, factor_prime_power
-from .geometry import (DEFAULT_MAX_POINTS, Hypergraph, ProjectiveSpace, _bounded_theta,
-                       count_subspaces, load_json, mask_bits, point_set, theta, write_text)
+from .fields import factor_prime_power
+from .geometry import (Hypergraph, ProjectiveSpace, _limit_fault, count_subspaces, load_json,
+                       mask_bits, point_set, theta, write_text)
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
                       num_line_unions, tmodp_violations)
 
@@ -111,8 +111,9 @@ def _incidence_fault(n, k, q):
     with q >= 2 and 0 <= k <= n: building the space names their fault."""
     if not (type(n) is type(k) is type(q) is int and q >= 2 and 0 <= k <= n):
         return None
-    if _bounded_theta(n, q) is None:
-        return f"PG({n},{q}) exceeds the limits q <= {MAX_Q} and {DEFAULT_MAX_POINTS} points"
+    fault = _limit_fault(n, q)
+    if fault is not None:
+        return fault
     incidences = count_subspaces(n, k, q) * theta(k, q)
     if incidences > RECHECK_INCIDENCE_LIMIT:
         return f"the {k}-spaces of PG({n},{q}) have {incidences} point incidences, " \

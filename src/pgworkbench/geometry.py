@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import os
+import stat
 from dataclasses import dataclass
 
 from .fields import MAX_Q, GF, FieldError, field_for_order
@@ -50,6 +51,13 @@ def _bounded_theta(n: int, q: int) -> int | None:
         return None
     num = theta(n, q)
     return num if num <= DEFAULT_MAX_POINTS else None
+
+
+def _limit_fault(n: int, q: int) -> str | None:
+    """Why PG(n,q) is past the limits of _bounded_theta; None within them."""
+    if _bounded_theta(n, q) is None:
+        return f"PG({n},{q}) exceeds the limits q <= {MAX_Q} and {DEFAULT_MAX_POINTS} points"
+    return None
 
 
 def count_subspaces(n: int, m: int, q: int) -> int:
@@ -181,10 +189,10 @@ class Hypergraph:
             if not all(type(x) is int for x in params) or n < 1 or q < 2:
                 raise GeometryError(f"(n, k, q) = {params!r} are not integers "
                                     f"with n >= 1 and q >= 2")
-            num = _bounded_theta(n, q)
-            if num is None:
-                raise GeometryError(f"PG({n},{q}) exceeds the limits q <= {MAX_Q} "
-                                    f"and {DEFAULT_MAX_POINTS} points")
+            fault = _limit_fault(n, q)
+            if fault is not None:
+                raise GeometryError(fault)
+            num = theta(n, q)
         else:
             num, params = data.get("num_vertices"), None
             if type(num) is not int or not 0 <= num <= DEFAULT_MAX_POINTS:
@@ -523,18 +531,28 @@ def hypergraph_to_file(h: Hypergraph, path: str) -> None:
 def write_text(path: str, text: str) -> None:
     """Write text, UTF-8 encoded, as the whole content of the file at path.
     Every file of the library and of the command line is written through
-    here.  An existing file is overwritten in place and then cut to the
-    new length, never first truncated to 0 bytes: on ext4 that truncation,
-    with the flush it schedules at close, costs 0.1-0.3 ms a rewrite.
-    A directory or an unwritable path raises OSError.  A write that fails
-    part way can leave a partial file, as truncate-then-write can."""
-    data = text.encode()
+    here.  An existing regular file is overwritten in place and then cut
+    to the new length, never first truncated to 0 bytes: on ext4 that
+    truncation, with the flush it schedules at close, costs 0.1-0.3 ms a
+    rewrite.  Any other destination, such as /dev/null, a pipe or a
+    terminal, takes the bytes as they come and is not cut.  A directory
+    or an unwritable path raises OSError.  A write that fails part way
+    still cuts a regular file to the bytes it wrote, so the file is a
+    prefix of the new text and holds none of the old.  With no truncation
+    to 0 bytes, ext4 does not flush a rewritten file at close, so after a
+    crash a rewrite is less likely to be on disk than one through a
+    truncating open."""
+    data = memoryview(text.encode())
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-        os.ftruncate(fd, len(data))
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            if regular:
+                os.ftruncate(fd, written)
     finally:
         os.close(fd)
 

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 import time
 
 import pytest
@@ -228,6 +230,31 @@ def test_solve_out_to_a_directory_is_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")
+
+
+def test_out_to_a_device_or_a_pipe(tmp_path, capsys):
+    # /dev/null and a FIFO take the bytes and cannot be cut to length
+    hpath = tmp_path / "fano.json"
+    hypergraph_to_file(ProjectiveSpace.of_order(2, 2).hypergraph(1), str(hpath))
+    code, out = run_cli(capsys, "solve", "tau", "--hypergraph", str(hpath),
+                        "--out", os.devnull)
+    assert code == 0 and json.loads(out)["objective"] == 6
+    code, out = run_cli(capsys, "space", "--n", "2", "--q", "2", "--k", "1",
+                        "--export-hypergraph", os.devnull)
+    assert code == 0 and json.loads(out)["num_points"] == 7
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    code, out = run_cli(capsys, "solve", "tau", "--hypergraph", str(hpath),
+                        "--out", str(fifo))
+    reader.join(timeout=10)
+    assert code == 0 and json.loads(out)["objective"] == 6
+    cpath = tmp_path / "tau.json"
+    cpath.write_bytes(received[0])
+    code, out = run_cli(capsys, "recheck", str(cpath))
+    assert code == 0 and out.startswith("VERDICT true")
 
 
 def test_run_verb_custom_grid(tmp_path, capsys):

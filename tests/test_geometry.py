@@ -1,7 +1,10 @@
 import dataclasses
+import errno
 import itertools
 import json
+import os
 import random
+import threading
 import time
 import tracemalloc
 
@@ -373,6 +376,39 @@ def test_write_text_over_a_longer_file_leaves_no_old_tail(tmp_path):
 def test_write_text_to_a_directory_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         write_text(str(tmp_path), "{}")
+
+
+def test_write_text_to_files_that_cannot_be_cut(tmp_path):
+    # ftruncate fails on anything but a regular file, so it is not called there
+    write_text(os.devnull, "x" * 10000)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    write_text(str(fifo), "caf\u00e9\n" * 1000)
+    reader.join(timeout=10)
+    assert received == ["caf\u00e9\n".encode() * 1000]
+
+
+@pytest.mark.parametrize("fault", [OSError(errno.ENOSPC, "no space"), KeyboardInterrupt()])
+def test_write_text_failing_part_way_leaves_a_prefix_of_the_new_text(tmp_path, monkeypatch,
+                                                                      fault):
+    path = tmp_path / "summary.txt"
+    path.write_bytes(b"old row\n" * 1000)
+    real_write, calls = os.write, []
+
+    def write_then_fail(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise fault
+        return real_write(fd, data[:10])
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "write", write_then_fail)
+        with pytest.raises(type(fault)):
+            write_text(str(path), "new row\n" * 100)
+    assert path.read_bytes() == b"new row\nne"
 
 
 def test_hypergraph_file_overwrites_in_place_and_round_trips(tmp_path):
