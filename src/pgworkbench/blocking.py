@@ -258,10 +258,9 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
         if p**kdim > COSET_LIMIT:
             return TModPEnumeration([], kdim, p**kdim, False)
     rows = [[S.mask >> i & 1 for i in range(npts)] for S in space.subspaces(k)]
-    solved = solve_mod_p(rows, [t] * len(rows), p)
-    if solved is None:
-        return TModPEnumeration([], 0, 0, True)
-    particular, kernel = solved
+    # a k-space has theta(k) = 1 (mod p) points, so the constant weight t
+    # solves the system and solve_mod_p never returns None
+    particular, kernel = solve_mod_p(rows, [t] * len(rows), p)
     kdim = len(kernel)
     total = p**kdim
     if total > COSET_LIMIT:

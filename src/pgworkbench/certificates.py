@@ -103,13 +103,22 @@ def _all_ints(values) -> bool:
     return set(map(type, values)) <= {int}
 
 
+def _require_ints(payload: dict, keys) -> None:
+    """TypeError, which recheck reports, unless each field `keys` of
+    payload is an int: True == 1 and 2.0 == 2, so a bool or a float would
+    pass every test that compares it."""
+    for key in keys:
+        if type(payload[key]) is not int:
+            raise TypeError(f"{key} {payload[key]!r} is not an int")
+
+
 def _incidence_fault(n, k, q):
     """Why recheck will not read the k-spaces of PG(n,q): the space is past
     its limits or has more incidences than RECHECK_INCIDENCE_LIMIT.  Only
     counts are computed, so a small certificate naming a huge space is
-    refused at once.  None otherwise, and for (n, k, q) that are not ints
-    with q >= 2 and 0 <= k <= n: building the space names their fault."""
-    if not (type(n) is type(k) is type(q) is int and q >= 2 and 0 <= k <= n):
+    refused at once.  None otherwise, and for ints (n, k, q) without q >= 2
+    and 0 <= k <= n: building the space names their fault."""
+    if not (q >= 2 and 0 <= k <= n):
         return None
     fault = _limit_fault(n, q)
     if fault is not None:
@@ -122,6 +131,7 @@ def _incidence_fault(n, k, q):
 
 
 def _verify_transversal(payload):
+    _require_ints(payload, ("n", "k", "q", "t"))
     n, k, q, t = payload["n"], payload["k"], payload["q"], payload["t"]
     fault = _incidence_fault(n, k, q)
     if fault is not None:
@@ -139,6 +149,7 @@ def _verify_transversal(payload):
 
 
 def _verify_coloring(payload):
+    _require_ints(payload, ("n", "k", "q"))
     n, k, q = payload["n"], payload["k"], payload["q"]
     fault = _incidence_fault(n, k, q)
     if fault is not None:
@@ -167,6 +178,7 @@ def _verify_coloring(payload):
 
 
 def _verify_blocking_set(payload):
+    _require_ints(payload["space"], ("n", "q"))
     n, q = payload["space"]["n"], payload["space"]["q"]
     space = ProjectiveSpace.of_order(n, q)
     weights = list(payload["weights"])
@@ -177,6 +189,7 @@ def _verify_blocking_set(payload):
     sums = {}
     for claim in payload["claims"]:
         kind = claim["type"]
+        _require_ints(claim, ("t", "k"))
         t, k = claim["t"], claim["k"]
         if kind == "t_fold_blocking":
             ok, witness = _verdict(B, k, _kspace_failure(B, t, k, None, sums))
@@ -260,9 +273,7 @@ _TMODP_INT_FIELDS = ("p", "t", "k", "max_size", "weight_cap", "num_solution_clas
 def _verify_tmodp_report(payload):
     # every count is an int and each flag a bool: True == 1 and 6.5 compares
     # with every size as 6 does, so either would pass the tests below
-    for key in _TMODP_INT_FIELDS:
-        if type(payload[key]) is not int:
-            return False, f"{key} {payload[key]!r} is not an int"
+    _require_ints(payload, _TMODP_INT_FIELDS)
     for key in ("verified", "exhaustive"):
         if type(payload[key]) is not bool:
             return False, f"{key} {payload[key]!r} is not a bool"
@@ -330,6 +341,7 @@ def _verify_tmodp_report(payload):
 
 
 def _verify_bounds(payload):
+    _require_ints(payload, ("n", "k", "q", "t"))
     rep = bounds_report(payload["n"], payload["k"], payload["q"], payload["t"])
     if rep.to_json() != payload["report"]:
         return False, "bounds report does not match a recomputation"

@@ -84,19 +84,17 @@ def cmd_solve(args):
     H = hypergraph_from_file(args.hypergraph)
     if args.problem == "tau":
         res = exact_tau(H, args.t)
-        out = {"problem": "tau", "t": args.t, "objective": res.objective,
-               "status": res.status, "nodes": res.nodes,
-               "witness": list(res.witness) if res.witness is not None else None}
+        out = {"problem": "tau", "t": args.t, "witness": list(res.witness)}
         if H.geometry is not None and res.status == "optimal" and args.out:
             write_certificate(transversal_certificate(H, args.t, res), args.out)
     else:
         res = exact_ucn(H)
-        witness = res.witness
-        out = {"problem": "ucn", "objective": res.objective, "status": res.status,
-               "nodes": res.nodes,
-               "witness": list(witness.assignment) if witness is not None else None}
+        out = {"problem": "ucn", "witness": list(res.witness.assignment)}
         if H.geometry is not None and res.status == "optimal" and args.out:
-            write_certificate(coloring_certificate(H, witness), args.out)
+            write_certificate(coloring_certificate(H, res.witness), args.out)
+    # a bound_only answer has no objective; its bounds give the interval
+    out.update(objective=res.objective, status=res.status, nodes=res.nodes,
+               lower_bound=res.lower_bound, upper_bound=res.upper_bound)
     _emit(out)
     return 0
 

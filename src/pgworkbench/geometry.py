@@ -220,9 +220,9 @@ class ProjectiveSpace:
             raise GeometryError(f"projective dimension n = {n} must be >= 1")
         self.n = n
         self.field = field
-        if _bounded_theta(n, field.q) is None:
-            raise GeometryError(
-                f"PG({n},{field.q}) has more points than the limit {DEFAULT_MAX_POINTS}")
+        fault = _limit_fault(n, field.q)
+        if fault is not None:
+            raise GeometryError(fault)
         self.points = tuple(sorted(_normalized_vectors(n + 1, field.q)))
         self.point_index = {pt: i for i, pt in enumerate(self.points)}
         self._place = [field.q ** (n - j) for j in range(n + 1)]

@@ -18,8 +18,9 @@ from .geometry import (MAX_N, GeometryError, Hypergraph, ProjectiveSpace, mask_b
 OPTIMAL = "optimal"
 BOUND_ONLY = "bound_only"
 
-DEFAULT_TAU_VERTEX_LIMIT = 40
-DEFAULT_UCN_VERTEX_LIMIT = 20
+# the nodes a search visits before it gives up and answers `bound_only`
+# from its incumbent: seconds, at 7-85 us per node
+NODE_LIMIT = 2 * 10**5
 
 
 class SolverError(ValueError):
@@ -39,16 +40,15 @@ class SolveResult:
 # -- minimum t-transversal ----------------------------------------------
 
 def _greedy_transversal(vertex_edges, num_edges, t):
-    """Add the first vertex on the most open edges until none is open."""
+    """Add the first vertex on the most open edges until none is open.
+    Every edge must have at least t vertices: then an open edge always has
+    a vertex not yet chosen, so the best gain is positive."""
     deficits = [t] * num_edges
     chosen = set()
     while any(d > 0 for d in deficits):
         gains = [-1 if v in chosen else sum(deficits[ei] > 0 for ei in eis)
                  for v, eis in enumerate(vertex_edges)]
-        best_gain = max(gains)
-        if best_gain <= 0:
-            return None
-        v = gains.index(best_gain)
+        v = gains.index(max(gains))
         chosen.add(v)
         for ei in vertex_edges[v]:
             deficits[ei] -= 1
@@ -106,9 +106,10 @@ def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
     t-transversal holds them all, by the lemmas (L1) and (L2) stated
     there.  Claimed params that do not match the edges get neither.
     initial_witness seeds the incumbent, e.g. a disjoint-subspace
-    construction; it must be a list of distinct vertex indices.  Past
-    DEFAULT_TAU_VERTEX_LIMIT vertices it, or else the greedy one, is
-    returned unsearched as `bound_only`.
+    construction; it must be a list of distinct vertex indices.  Else the
+    greedy transversal does.  Past NODE_LIMIT nodes the search stops and
+    answers `bound_only`: the incumbent as witness and upper_bound, and
+    the folklore bound as lower_bound, None where it does not apply.
 
     A node with room r = incumbent - chosen is pruned when an open edge's
     deficit is at least r, when an open edge has fewer candidates than its
@@ -117,7 +118,7 @@ def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
     at most r - 1 points, and each lowers the sum of the open deficits by
     at most its number of open edges, so the r - 1 largest such numbers
     over the available points must reach that sum.  Nodes of tau_2:
-    H(2,1,4) 385, H(2,1,5) 13391, H(3,1,3) 167551.
+    H(2,1,4) 385, H(2,1,5) 13391, H(3,1,3) 167551, H(3,2,4) 378.
     """
     if t < 1:
         raise SolverError("t must be >= 1")
@@ -141,15 +142,9 @@ def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
         if any((e & given).bit_count() < t for e in edges):
             raise SolverError("initial witness is not a t-transversal")
     else:
-        greedy = _greedy_transversal(vertex_edges, len(edges), t)
-        inc = sorted(greedy) if greedy is not None else None
+        inc = sorted(_greedy_transversal(vertex_edges, len(edges), t))
 
-    if V > DEFAULT_TAU_VERTEX_LIMIT:
-        return SolveResult(objective=None, witness=inc, nodes=0, status=BOUND_ONLY,
-                           lower_bound=geometric_lb,
-                           upper_bound=len(inc) if inc is not None else None)
-
-    if inc is not None and geometric_lb is not None and len(inc) == geometric_lb:
+    if len(inc) == geometric_lb:
         return SolveResult(objective=len(inc), witness=tuple(inc), nodes=0,
                            status=OPTIMAL, lower_bound=geometric_lb,
                            upper_bound=len(inc))
@@ -163,7 +158,7 @@ def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
     cover = [len(eis) for eis in vertex_edges]
     out = len(edges) + 1
     by_size = sorted(enumerate(edges), key=lambda item: item[1].bit_count())
-    best = (1 << V) - 1 if inc is None else sum(1 << v for v in inc)
+    best = sum(1 << v for v in inc)
     best_size = best.bit_count()
     nodes = 0
     done = False
@@ -186,6 +181,9 @@ def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
         # total and num_open: the sum of the open deficits, the open edges
         nonlocal best, best_size, nodes, done
         nodes += 1
+        if nodes > NODE_LIMIT:
+            done = True
+            return
         if not num_open:
             if count < best_size:
                 best, best_size = chosen, count
@@ -237,14 +235,16 @@ def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
             total, num_open = take(v, total, num_open)
             chosen |= 1 << v
     dfs(chosen, chosen.bit_count(), ((1 << V) - 1) ^ chosen, total, num_open)
-    return SolveResult(objective=best_size, witness=tuple(mask_bits(best)), nodes=nodes,
-                       status=OPTIMAL, lower_bound=geometric_lb,
+    solved = nodes <= NODE_LIMIT
+    return SolveResult(objective=best_size if solved else None,
+                       witness=tuple(mask_bits(best)), nodes=nodes,
+                       status=OPTIMAL if solved else BOUND_ONLY, lower_bound=geometric_lb,
                        upper_bound=best_size)
 
 
 # -- exact upper chromatic number ---------------------------------------
 
-def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) -> SolveResult:
+def exact_ucn(H: Hypergraph) -> SolveResult:
     """Largest N admitting a proper strict N-coloring.
 
     Searches over class merges starting from the all-distinct coloring:
@@ -265,8 +265,12 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
     class 0 holds the points off the line, and each of them holds point 0
     in its own, so that the masks stay symmetric.
     The incumbent is seeded by the trivial coloring on the witness of
-    exact_tau(H, 2), minimum or, past its limit, greedy.  A hypergraph
-    with no vertex has no coloring to witness, and raises SolverError.
+    exact_tau(H, 2), minimum or, past the node ceiling, that search's
+    incumbent.  Past NODE_LIMIT nodes this search stops too and answers
+    `bound_only`: its incumbent coloring as witness, its class count, at
+    least the trivial bound, as lower_bound, and no upper_bound.  A
+    hypergraph with no vertex has no coloring to witness, and raises
+    SolverError.
 
     The rainbow edges are one mask over edge indices, and each class keeps
     the mask of the edges that meet it, so a merge of classes A and B
@@ -280,8 +284,9 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
     are touched; it meets each class at most once, so the 2r - 2 largest
     numbers of rainbow edges that meet one class must sum to at least
     twice the number of rainbow edges.
-    Nodes: H(2,1,3) 726, H(3,2,2) 57, H(3,1,2) 2000, H(4,3,2) at
-    vertex_limit=31 297, H(2,1,4) at vertex_limit=21 509758.
+    Nodes: H(2,1,3) 726, H(3,2,2) 57, H(3,1,2) 2000, H(4,3,2) 297.
+    H(2,1,4), UCN 12, needs 509758, past NODE_LIMIT: it answers
+    `bound_only` with lower_bound 11.
     """
     V = H.num_vertices
     if V == 0:
@@ -295,10 +300,6 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
     # is empty and the seed is the all-distinct coloring
     seed_merges = max(len(transversal) - 1, 0)
     trivial_lb = V - seed_merges
-
-    if V > vertex_limit:
-        return SolveResult(objective=None, witness=seed_coloring, nodes=0,
-                           status=BOUND_ONLY, lower_bound=trivial_lb)
 
     edge_pts = H.edge_points
     best_merges = seed_merges
@@ -321,6 +322,8 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
         # rainbow: the mask of the indices of the rainbow edges
         nonlocal best_merges, best_assignment, nodes
         nodes += 1
+        if nodes > NODE_LIMIT:
+            return
         if not rainbow:
             if merges < best_merges:
                 best_merges, best_assignment = merges, list(root)
@@ -411,6 +414,9 @@ def exact_ucn(H: Hypergraph, *, vertex_limit: int = DEFAULT_UCN_VERTEX_LIMIT) ->
     if objective < trivial_lb:
         raise SolverError(f"internal error: UCN {objective} is below the trivial "
                           f"lower bound {trivial_lb}")
+    if nodes > NODE_LIMIT:
+        return SolveResult(objective=None, witness=witness, nodes=nodes,
+                           status=BOUND_ONLY, lower_bound=objective)
     return SolveResult(objective=objective, witness=witness, nodes=nodes,
                        status=OPTIMAL, lower_bound=trivial_lb, upper_bound=objective)
 

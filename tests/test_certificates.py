@@ -214,6 +214,14 @@ def _fails_through_one_point(data):
     data.update(sets=[wt], num_found=1, verified=False, violations=[])
 
 
+def _claim_a_non_union_verified(data):
+    """List 90 of the 91 unions and one set of size 11, with no violations,
+    as a verified report: only the size test against expected_size fails."""
+    unions = [wt for wt in data["sets"] if sum(wt) == 8]
+    other = next(wt for wt in data["sets"] if sum(wt) == 11)
+    data.update(sets=unions[:90] + [other], num_found=91, violations=[], verified=True)
+
+
 def _bump_last_set(data):
     wt = data["sets"][-1]
     wt[0] = (wt[0] + 1) % data["p"]
@@ -253,6 +261,12 @@ TAMPERED_TMODP_REPORTS = [
                  id="exhaustive-flipped"),
     pytest.param((3, 2), lambda d: d.update(num_unions=90), "count of the unions",
                  id="num-unions-off"),
+    pytest.param((3, 2), _claim_a_non_union_verified, "listed set has size 11 != 8",
+                 id="verified-with-a-non-union"),
+    pytest.param((3, 2), lambda d: d.update(expected_size=9), "expected_size is wrong",
+                 id="expected-size-off"),
+    pytest.param((3, 2), lambda d: d.update(num_found=324), "num_found does not match",
+                 id="num-found-off"),
     # the (3,2) report lists 234 violations, each a set of size 11
     pytest.param((3, 2), lambda d: d.update(violations=d["violations"][:1]),
                  "violations do not match", id="violations-dropped"),
@@ -323,9 +337,35 @@ NON_INT_ENTRIES = [
     for to in (float, bool)]
 
 
+def _retype_bounds_t(payload, t):
+    """Set t, and the report that bounds_report gives for it."""
+    rep = bounds_report(payload["n"], payload["k"], payload["q"], t)
+    payload.update(t=t, report=rep.to_json())
+
+
+# scalar fields: each of these rechecked true until every verifier tested
+# the type of its ints; here `to` is the value itself
+NON_INT_ENTRIES += [
+    pytest.param("transversal", True, lambda d, to: d.update(n=to),
+                 "verification error: n True is not an int", id="transversal-n-bool"),
+    pytest.param("bounds", 2.5, _retype_bounds_t, "verification error: t 2.5 is not an int",
+                 id="bounds-t-float"),
+    pytest.param("bounds", True, _retype_bounds_t, "verification error: t True is not an int",
+                 id="bounds-t-bool"),
+    pytest.param("blocking_set", 0.5,
+                 lambda d, to: d["claims"][0].update(type="t_fold_blocking", t=to),
+                 "verification error: t 0.5 is not an int", id="blocking-claim-t-float"),
+]
+
+
 def _valid_payload(kind):
     if kind == "tmodp_report":
         return verify_tmodp_theorem(3, 2).to_json()
+    if kind == "transversal":
+        # PG(1,2), whose n = 1 a bool can stand for
+        return {"n": 1, "k": 0, "q": 2, "t": 1, "points": [0, 1, 2], "objective": 3}
+    if kind == "bounds":
+        return {"n": 3, "k": 1, "q": 4, "t": 2, "report": bounds_report(3, 1, 4, 2).to_json()}
     space = ProjectiveSpace.of_order(2, 3)
     if kind == "coloring":
         res = exact_ucn(space.hypergraph(1))
@@ -343,7 +383,8 @@ def test_recheck_refuses_non_int_entries(kind, to, edit, needle):
     payload = _valid_payload(kind)
     assert recheck(make_certificate(kind, payload)) == (True, {
         "tmodp_report": "report sets verified", "coloring": "proper strict coloring verified",
-        "blocking_set": "all claims verified"}[kind])
+        "blocking_set": "all claims verified", "transversal": "t-transversal verified",
+        "bounds": "bounds verified"}[kind])
     edit(payload, to)
     assert recheck(make_certificate(kind, payload)) == (False, needle)
 

@@ -7,6 +7,7 @@ import pytest
 
 from test_certificates import TYPE_MUTATED_TRANSVERSALS
 
+from pgworkbench import solvers
 from pgworkbench.certificates import make_certificate, write_certificate
 from pgworkbench.cli import main
 from pgworkbench.geometry import ProjectiveSpace, hypergraph_to_file
@@ -66,6 +67,27 @@ def test_solve_ucn_verb(tmp_path, capsys):
     assert data["objective"] == 3
     code, out = run_cli(capsys, "recheck", str(tmp_path / "ucn.json"))
     assert code == 0
+
+
+def test_solve_prints_the_interval_of_a_search_past_the_node_limit(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the lines of PG(2,4): tau_2 = 12 in 385 nodes and UCN 12 in far more;
+    # at 100 nodes both stop, print lower_bound and upper_bound, and write
+    # no certificate, which would claim an optimum
+    hpath, cpath = tmp_path / "pg24.json", tmp_path / "cert.json"
+    hypergraph_to_file(ProjectiveSpace.of_order(2, 4).hypergraph(1), str(hpath))
+    monkeypatch.setattr(solvers, "NODE_LIMIT", 100)
+    code, out = run_cli(capsys, "solve", "tau", "--hypergraph", str(hpath), "--out", str(cpath))
+    data = json.loads(out)
+    assert code == 0
+    assert (data["status"], data["objective"], data["nodes"]) == ("bound_only", None, 101)
+    assert data["lower_bound"] == 10 <= 12 <= data["upper_bound"] == len(data["witness"])
+    code, out = run_cli(capsys, "solve", "ucn", "--hypergraph", str(hpath), "--out", str(cpath))
+    data = json.loads(out)
+    assert code == 0
+    assert (data["status"], data["objective"], data["upper_bound"]) == ("bound_only", None, None)
+    assert 10 <= data["lower_bound"] <= 12 and data["lower_bound"] == max(data["witness"])
+    assert not cpath.exists()
 
 
 def test_solve_ucn_of_hypergraph_without_edges(tmp_path, capsys):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from pgworkbench import solvers
-from pgworkbench.coloring import is_proper, is_trivial_coloring, make_coloring
+from pgworkbench.coloring import is_proper, make_coloring
 from pgworkbench.fields import FieldError
 from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
 from pgworkbench.solvers import (BOUND_ONLY, OPTIMAL, SolverError,
@@ -78,6 +78,10 @@ def test_exact_tau_plane_hypergraphs():
     res = exact_tau(H3, 2, initial_witness=seed)
     assert res.objective == 8 == 2 * theta(1, 3)
     assert res.lower_bound == 8
+    # 85 points, solved at the default node ceiling
+    res = exact_tau(ProjectiveSpace.of_order(3, 4).hypergraph(2), 2)
+    assert (res.status, res.objective, res.nodes) == (OPTIMAL, 10, 378)
+    assert res.lower_bound == 10 == 2 * theta(1, 4)
 
 
 def test_exact_tau_infeasible_and_limits(monkeypatch):
@@ -86,10 +90,12 @@ def test_exact_tau_infeasible_and_limits(monkeypatch):
         exact_tau(H, 2)
     with pytest.raises(SolverError):
         exact_tau(FANO, 0)
-    monkeypatch.setattr(solvers, "DEFAULT_TAU_VERTEX_LIMIT", 3)
-    res = exact_tau(FANO, 2)
-    assert res.status == BOUND_ONLY and res.objective is None
-    assert res.lower_bound == 6 and res.upper_bound >= 6
+    # seeded with every point, the search must run; at the ceiling 0 it
+    # gives up at its first node and answers from that seed
+    monkeypatch.setattr(solvers, "NODE_LIMIT", 0)
+    res = exact_tau(FANO, 2, initial_witness=list(range(7)))
+    assert res.status == BOUND_ONLY and res.objective is None and res.nodes == 1
+    assert (res.lower_bound, res.upper_bound, res.witness) == (6, 7, tuple(range(7)))
     with pytest.raises(SolverError):
         exact_tau(FANO, 2, initial_witness=[0, 1])
 
@@ -192,35 +198,44 @@ def test_no_proper_twelve_class_coloring_of_pg32_planes():
     assert not found
 
 
-def test_exact_ucn_limits_and_errors():
+def test_exact_ucn_limits_and_errors(monkeypatch):
     with pytest.raises(SolverError):
         exact_ucn(Hypergraph(3, (0b001, 0b110)))
-    res = exact_ucn(FANO, vertex_limit=3)
-    assert res.status == BOUND_ONLY and res.objective is None
-    assert res.lower_bound == 2
+    # the greedy 2-transversal of the Fano plane meets the folklore bound,
+    # so the seed is the trivial 2-coloring; each of the two root cases
+    # stops at its first node
+    monkeypatch.setattr(solvers, "NODE_LIMIT", 0)
+    res = exact_ucn(FANO)
+    assert res.status == BOUND_ONLY and res.objective is None and res.nodes == 2
+    assert (res.lower_bound, res.upper_bound) == (2, None)
+    assert is_proper(res.witness, FANO)[0] and res.witness.N == 2
 
 
-def test_exact_ucn_past_the_tau_limit_is_bound_only_at_once():
-    # 57 points: above both vertex limits, so neither search runs, and the
-    # bound comes from the greedy 2-transversal that exact_tau returns
+def test_exact_ucn_past_the_node_limit_is_bound_only(monkeypatch):
+    # 57 points: both searches stop at a lowered ceiling, and the bound
+    # comes from the coloring that the UCN search holds then, at least the
+    # trivial one on the 2-transversal that exact_tau holds
     H = ProjectiveSpace.of_order(2, 7).hypergraph(1)
+    monkeypatch.setattr(solvers, "NODE_LIMIT", 1000)
     start = time.perf_counter()
     res = exact_ucn(H)
     assert time.perf_counter() - start < 1
     tau = exact_tau(H, 2)
-    assert (res.status, res.nodes, tau.status) == (BOUND_ONLY, 0, BOUND_ONLY)
-    assert res.lower_bound == 58 - len(tau.witness)
-    assert is_proper(res.witness, H)[0] and is_trivial_coloring(res.witness, H)[0]
-    assert res.witness.N == res.lower_bound
+    assert (res.status, tau.status) == (BOUND_ONLY, BOUND_ONLY)
+    assert res.nodes > 1000 and tau.nodes == 1001 and res.objective is None
+    assert tau.upper_bound == len(tau.witness) and tau.lower_bound == 16
+    assert is_proper(res.witness, H)[0]
+    assert res.witness.N == res.lower_bound >= 58 - len(tau.witness)
 
 
-def test_exact_ucn_without_edges():
+def test_exact_ucn_without_edges(monkeypatch):
     # tau_2 = 0: the seed is the all-distinct coloring, and the bound is V
     H = Hypergraph(3, ())
     res = exact_ucn(H)
     assert (res.objective, res.status, res.lower_bound) == (3, OPTIMAL, 3)
     assert res.witness.assignment == (1, 2, 3)
-    res = exact_ucn(H, vertex_limit=2)
+    monkeypatch.setattr(solvers, "NODE_LIMIT", 0)
+    res = exact_ucn(H)
     assert (res.status, res.lower_bound) == (BOUND_ONLY, 3)
     assert res.witness.assignment == (1, 2, 3)
 
@@ -317,9 +332,9 @@ def test_exact_ucn_search_effort_pinned_without_params():
 
 
 def test_exact_ucn_solids_of_pg42_pinned():
-    # 31 points, past the default vertex limit of exact_ucn
+    # 31 points, solved at the default node ceiling
     H = ProjectiveSpace.of_order(4, 2).hypergraph(3)
-    res = exact_ucn(H, vertex_limit=31)
+    res = exact_ucn(H)
     assert (res.nodes, res.objective, res.status) == (297, 27, OPTIMAL)
     assert _digest(res.witness.assignment) == \
         "e69f6504ea086b61d5448d2167ef76c3ae8c33148517a87a0d409df20ae1396d"
@@ -344,19 +359,44 @@ def _differential_corpus():
     return corpus
 
 
-def test_exact_solvers_match_brute_force_on_a_differential_corpus():
+def test_exact_solvers_match_brute_force_on_a_differential_corpus(monkeypatch):
     # both counting bounds, the edge-index masks and the root fixes against
-    # plain enumeration; duplicate edges may occur and count twice
+    # plain enumeration; duplicate edges may occur and count twice.  At the
+    # default node ceiling every answer is optimal; at the lowered ones a
+    # search that stops must answer bound_only with a valid witness and
+    # bounds that hold the optimum
     corpus = _differential_corpus()
     assert sum(H.geometry is not None for H in corpus) == 20
     assert sum(H.params is not None and H.geometry is None for H in corpus) > 0
-    for H in corpus:
-        res = exact_ucn(H)
-        assert res.status == OPTIMAL and res.objective == brute_force_ucn(H)
-        assert is_proper(res.witness, H)[0] and res.witness.N == res.objective
-        for t in range(1, min(e.bit_count() for e in H.edges) + 1):
-            res = exact_tau(H, t)
-            assert res.objective == len(res.witness) == brute_force_tau(H, t)
+    optima = [(H, brute_force_ucn(H), [(t, brute_force_tau(H, t))
+                                        for t in range(1, min(map(int.bit_count, H.edges)) + 1)])
+              for H in corpus]
+    default = solvers.NODE_LIMIT
+    for limit in (default, 0, 1, 10, 100):
+        monkeypatch.setattr(solvers, "NODE_LIMIT", limit)
+        stopped = 0
+        for H, ucn, taus in optima:
+            res = exact_ucn(H)
+            assert is_proper(res.witness, H)[0]
+            if res.status == OPTIMAL:
+                assert res.objective == ucn == res.witness.N and res.nodes <= limit
+            else:
+                assert (res.status, res.objective, res.upper_bound) == (BOUND_ONLY, None, None)
+                assert res.witness.N == res.lower_bound <= ucn and res.nodes > limit
+                stopped += 1
+            for t, tau in taus:
+                res = exact_tau(H, t)
+                mask = sum(1 << v for v in res.witness)
+                assert all((e & mask).bit_count() >= t for e in H.edges)
+                assert res.upper_bound == len(res.witness)
+                if res.status == OPTIMAL:
+                    assert res.objective == tau == res.upper_bound and res.nodes <= limit
+                else:
+                    assert res.status == BOUND_ONLY and res.objective is None
+                    assert (res.lower_bound or 0) <= tau <= res.upper_bound
+                    assert res.nodes > limit
+                    stopped += 1
+        assert (stopped > 0) == (limit < default), limit
 
 
 def test_cover_prefix_bound_skips_unavailable_vertices():

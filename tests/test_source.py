@@ -93,6 +93,22 @@ def test_solvers_read_params_through_the_check():
     assert found == []
 
 
+def test_no_parameter_is_a_limit():
+    # limits are module constants, such as solvers.NODE_LIMIT, which a test
+    # lowers by monkeypatching: a keyword would be one more setting that
+    # every caller, certificate and benchmark run could differ in
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                found += [f"{path.name} (line {node.lineno}): {a.arg}"
+                          for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                    args.vararg, args.kwarg)
+                          if a is not None and a.arg.endswith("limit")]
+    assert found == []
+
+
 def _opens_for_writing(call):
     """True for a call that opens a file for writing or writes one whole:
     os.open (any flags), open or fdopen with a mode that writes (or one
