@@ -150,12 +150,10 @@ def harrach_uniqueness_limit(space: ProjectiveSpace, t: int, k: int) -> int:
 
 # -- modular intersection conditions ------------------------------------
 
-def is_t_mod_p_set(B: WeightedPointSet, t: int, k: int, p: int | None = None):
-    """True iff every k-space weight is congruent to t mod p."""
-    char = B.space.field.p
-    if p is not None and p != char:
-        raise BlockingError(f"p = {p} does not match the field characteristic {char}")
-    return _verdict(B, k, _kspace_failure(B, t, k, char, {}))
+def is_t_mod_p_set(B: WeightedPointSet, t: int, k: int):
+    """True iff every k-space weight is congruent to t mod p, the
+    characteristic of the field."""
+    return _verdict(B, k, _kspace_failure(B, t, k, B.space.field.p, {}))
 
 
 # -- weighted unions -----------------------------------------------------

@@ -62,11 +62,13 @@ def _geometry(H: Hypergraph) -> tuple:
 
 
 def transversal_certificate(H: Hypergraph, t: int, res: SolveResult) -> dict:
-    """Certificate of a t-transversal of H; CertificateError unless H.geometry is set."""
+    """Certificate of a t-transversal of H; CertificateError unless H.geometry is set.
+    A `bound_only` result claims no objective, so its payload has none."""
     n, k, q = _geometry(H)
-    return make_certificate("transversal", {"n": n, "k": k, "q": q, "t": t,
-                                            "points": list(res.witness),
-                                            "objective": res.objective})
+    payload = {"n": n, "k": k, "q": q, "t": t, "points": list(res.witness)}
+    if res.objective is not None:
+        payload["objective"] = res.objective
+    return make_certificate("transversal", payload)
 
 
 def coloring_certificate(H: Hypergraph, coloring: Coloring) -> dict:

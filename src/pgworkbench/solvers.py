@@ -12,8 +12,7 @@ from fractions import Fraction
 from .blocking import enumerate_t_mod_p_sets
 from .coloring import is_proper, make_coloring, trivial_coloring
 from .fields import factor_prime_power
-from .geometry import (MAX_N, GeometryError, Hypergraph, ProjectiveSpace, mask_bits,
-                       point_set, theta)
+from .geometry import MAX_N, Hypergraph, ProjectiveSpace, mask_bits, theta
 
 OPTIMAL = "optimal"
 BOUND_ONLY = "bound_only"
@@ -39,18 +38,25 @@ class SolveResult:
 
 # -- minimum t-transversal ----------------------------------------------
 
-def _greedy_transversal(vertex_edges, num_edges, t):
-    """Add the first vertex on the most open edges until none is open.
+def _seed_transversal(H: Hypergraph, t: int) -> set:
+    """A first t-transversal of H.  On a validated H(n,m,q) where t
+    disjoint (n-m)-spaces fit, their union: each meets every m-space.
+    Else add the first vertex on the most open edges until none is open.
     Every edge must have at least t vertices: then an open edge always has
     a vertex not yet chosen, so the best gain is positive."""
-    deficits = [t] * num_edges
+    if H.geometry is not None:
+        n, m, q = H.geometry
+        if t * (n - m + 1) <= n + 1:
+            blocks = ProjectiveSpace.of_order(n, q).disjoint_subspaces(n - m, t)
+            return set().union(*(S.point_indices() for S in blocks))
+    deficits = [t] * len(H.edges)
     chosen = set()
     while any(d > 0 for d in deficits):
         gains = [-1 if v in chosen else sum(deficits[ei] > 0 for ei in eis)
-                 for v, eis in enumerate(vertex_edges)]
+                 for v, eis in enumerate(H.vertex_edges)]
         v = gains.index(max(gains))
         chosen.add(v)
-        for ei in vertex_edges[v]:
+        for ei in H.vertex_edges[v]:
             deficits[ei] -= 1
     return chosen
 
@@ -96,7 +102,7 @@ def _cover_falls_short(cover: list, k: int, total: int) -> bool:
     return sum(top) < total
 
 
-def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
+def exact_tau(H: Hypergraph, t: int) -> SolveResult:
     """Minimum size of a t-transversal, by branch and bound.
 
     On a hypergraph that `Hypergraph.geometry` validates as H(n,m,q), with
@@ -104,12 +110,12 @@ def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
     as an incumbent meets it.  On any validated H(n,m,q) the search also
     starts with the points of `_root_points` chosen: some minimum
     t-transversal holds them all, by the lemmas (L1) and (L2) stated
-    there.  Claimed params that do not match the edges get neither.
-    initial_witness seeds the incumbent, e.g. a disjoint-subspace
-    construction; it must be a list of distinct vertex indices.  Else the
-    greedy transversal does.  Past NODE_LIMIT nodes the search stops and
-    answers `bound_only`: the incumbent as witness and upper_bound, and
-    the folklore bound as lower_bound, None where it does not apply.
+    there.  Claimed params that do not match the edges get neither.  The
+    first incumbent is `_seed_transversal`: where t disjoint (n-m)-spaces
+    fit and t <= q, it meets the folklore bound, `optimal` at 0 nodes.
+    Past NODE_LIMIT nodes the search stops and answers `bound_only`: the
+    incumbent as witness and upper_bound, and the folklore bound as
+    lower_bound, None where it does not apply.
 
     A node with room r = incumbent - chosen is pruned when an open edge's
     deficit is at least r, when an open edge has fewer candidates than its
@@ -118,7 +124,7 @@ def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
     at most r - 1 points, and each lowers the sum of the open deficits by
     at most its number of open edges, so the r - 1 largest such numbers
     over the available points must reach that sum.  Nodes of tau_2:
-    H(2,1,4) 385, H(2,1,5) 13391, H(3,1,3) 167551, H(3,2,4) 378.
+    H(2,1,4) 385, H(2,1,5) 13391, H(3,1,3) 167551.
     """
     if t < 1:
         raise SolverError("t must be >= 1")
@@ -132,18 +138,7 @@ def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
         n, m, q = H.geometry
         geometric_lb = t * theta(n - m, q)
 
-    vertex_edges = H.vertex_edges
-    if initial_witness is not None:
-        try:
-            inc = sorted(point_set(initial_witness, V))
-        except GeometryError as exc:
-            raise SolverError(f"initial witness: {exc}") from None
-        given = sum(1 << v for v in inc)
-        if any((e & given).bit_count() < t for e in edges):
-            raise SolverError("initial witness is not a t-transversal")
-    else:
-        inc = sorted(_greedy_transversal(vertex_edges, len(edges), t))
-
+    inc = sorted(_seed_transversal(H, t))
     if len(inc) == geometric_lb:
         return SolveResult(objective=len(inc), witness=tuple(inc), nodes=0,
                            status=OPTIMAL, lower_bound=geometric_lb,
@@ -153,6 +148,7 @@ def exact_tau(H: Hypergraph, t: int, *, initial_witness=None) -> SolveResult:
     # open edges through it, updated when an edge's deficit crosses 0; a
     # vertex out of the search is held len(edges) + 1 lower, so that the
     # largest count is the largest over the available vertices
+    vertex_edges = H.vertex_edges
     edge_pts = H.edge_points
     deficits = [t] * len(edges)
     cover = [len(eis) for eis in vertex_edges]
@@ -266,11 +262,12 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
     in its own, so that the masks stay symmetric.
     The incumbent is seeded by the trivial coloring on the witness of
     exact_tau(H, 2), minimum or, past the node ceiling, that search's
-    incumbent.  Past NODE_LIMIT nodes this search stops too and answers
-    `bound_only`: its incumbent coloring as witness, its class count, at
-    least the trivial bound, as lower_bound, and no upper_bound.  A
-    hypergraph with no vertex has no coloring to witness, and raises
-    SolverError.
+    incumbent.  Past NODE_LIMIT nodes this search stops too, at exactly
+    NODE_LIMIT + 1 nodes as exact_tau does: it makes no further sibling
+    merge and skips case B.  It answers `bound_only`: its incumbent
+    coloring as witness, its class count, at least the trivial bound, as
+    lower_bound, and no upper_bound.  A hypergraph with no vertex has no
+    coloring to witness, and raises SolverError.
 
     The rainbow edges are one mask over edge indices, and each class keeps
     the mask of the edges that meet it, so a merge of classes A and B
@@ -376,6 +373,8 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
             for v in moved:
                 root[v] = hi
             apart[lo], apart[hi] = apart_lo | b, apart[hi] | a
+            if nodes > NODE_LIMIT:
+                break
         for r, mask in zip(roots, saved):
             apart[r] = mask
 
@@ -404,7 +403,8 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
         apart[0] = (1 << V) - (1 << d)
         for v in range(d, V):
             apart[v] = 1
-        dfs(1, rainbow_edges(0b11))  # case B
+        if nodes <= NODE_LIMIT:
+            dfs(1, rainbow_edges(0b11))  # case B
     witness = make_coloring(best_assignment)
     objective = V - best_merges
     ok, _ = is_proper(witness, H)

@@ -74,14 +74,7 @@ def test_criterion_02_pencil_identity():
 # -- 3: tau_2 exactness for k < n/2 --------------------------------------
 
 def tau2_results():
-    out = {}
-    for q in (2, 3):
-        sp = space(3, q)
-        H = sp.hypergraph(2)
-        seed = sorted(set().union(*(S.point_indices()
-                                    for S in sp.disjoint_subspaces(1, 2))))
-        out[q] = exact_tau(H, 2, initial_witness=seed)
-    return out
+    return {q: exact_tau(space(3, q).hypergraph(2), 2) for q in (2, 3)}
 
 
 def test_criterion_03_tau2_exactness():

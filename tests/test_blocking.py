@@ -91,8 +91,6 @@ def test_is_t_mod_p_set():
     assert ok
     ok, witness = is_t_mod_p_set(B, 1, 1)
     assert not ok and witness is not None
-    with pytest.raises(BlockingError):
-        is_t_mod_p_set(B, 2, 1, p=5)
 
 
 def test_construct_union_rejects_negative_multiplicity():

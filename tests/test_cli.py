@@ -73,7 +73,8 @@ def test_solve_prints_the_interval_of_a_search_past_the_node_limit(tmp_path, cap
                                                                    monkeypatch):
     # the lines of PG(2,4): tau_2 = 12 in 385 nodes and UCN 12 in far more;
     # at 100 nodes both stop, print lower_bound and upper_bound, and write
-    # no certificate, which would claim an optimum
+    # the certificate of their witness, which claims no optimum: the
+    # transversal's has no objective, and both recheck
     hpath, cpath = tmp_path / "pg24.json", tmp_path / "cert.json"
     hypergraph_to_file(ProjectiveSpace.of_order(2, 4).hypergraph(1), str(hpath))
     monkeypatch.setattr(solvers, "NODE_LIMIT", 100)
@@ -82,12 +83,34 @@ def test_solve_prints_the_interval_of_a_search_past_the_node_limit(tmp_path, cap
     assert code == 0
     assert (data["status"], data["objective"], data["nodes"]) == ("bound_only", None, 101)
     assert data["lower_bound"] == 10 <= 12 <= data["upper_bound"] == len(data["witness"])
+    payload = json.loads(cpath.read_text())["payload"]
+    assert payload["points"] == data["witness"] and "objective" not in payload
+    assert run_cli(capsys, "recheck", str(cpath))[0] == 0
     code, out = run_cli(capsys, "solve", "ucn", "--hypergraph", str(hpath), "--out", str(cpath))
     data = json.loads(out)
     assert code == 0
     assert (data["status"], data["objective"], data["upper_bound"]) == ("bound_only", None, None)
     assert 10 <= data["lower_bound"] <= 12 and data["lower_bound"] == max(data["witness"])
-    assert not cpath.exists()
+    assert json.loads(cpath.read_text())["payload"]["assignment"] == data["witness"]
+    assert run_cli(capsys, "recheck", str(cpath))[0] == 0
+
+
+def test_solve_tau_starts_from_the_disjoint_lines(tmp_path, capsys):
+    # the planes of PG(3,3): the solver's own seed, two disjoint lines,
+    # meets the folklore bound 8 at 0 nodes, with the points of the grid
+    hpath, cpath = tmp_path / "planes.json", tmp_path / "tau.json"
+    run_cli(capsys, "space", "--n", "3", "--q", "3", "--k", "2", "--export-hypergraph", str(hpath))
+    code, out = run_cli(capsys, "solve", "tau", "--hypergraph", str(hpath), "--out", str(cpath))
+    data = json.loads(out)
+    assert code == 0
+    assert (data["status"], data["objective"], data["nodes"]) == ("optimal", 8, 0)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"grid": [{"kind": "tau", "n": 3, "k": 2, "q": 3, "t": 2}]}))
+    assert main(["run", "--config", str(grid), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    grid_cert = json.loads((tmp_path / "run" / "task000_tau.json").read_text())
+    assert grid_cert["payload"]["points"] == data["witness"]
+    assert json.loads(cpath.read_text()) == grid_cert
 
 
 def test_solve_ucn_of_hypergraph_without_edges(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 
+from pgworkbench import solvers
 from pgworkbench.certificates import load_certificate, recheck
 from pgworkbench.experiments import ExperimentConfig, run_experiments
 
@@ -68,3 +69,35 @@ def test_summary_csv_keeps_crlf_line_endings(tmp_path):
     assert [line[0] for line in table[1:]] == [row.instance for row in rows]
     text = (tmp_path / "summary.txt").read_bytes()
     assert b"\r" not in text and text.count(b"\n") == len(rows)
+
+
+def test_tau_rows_at_t3_where_the_blocks_do_not_all_fit(tmp_path):
+    # three disjoint lines fit in PG(5,3) only; in PG(3,2) and PG(4,2) the
+    # search starts from the greedy transversal, and t = 3 > q = 2 leaves
+    # no folklore bound
+    grid = [{"kind": "tau", "n": n, "k": k, "q": q, "t": 3, "expected": expected}
+            for n, k, q, expected in [(3, 2, 2, 7), (4, 3, 2, 7), (5, 4, 3, 12)]]
+    rows, ok = run_experiments(ExperimentConfig(grid=grid, outdir=str(tmp_path)))
+    assert ok and [row.value for row in rows] == ["7", "7", "12"]
+    for row in rows:
+        assert recheck(load_certificate(str(tmp_path / f"{row.instance}.json")))[0]
+
+
+def test_rows_past_the_node_limit_show_both_bounds(tmp_path, monkeypatch):
+    # the lines of PG(2,4): tau_2 = 12 and UCN 12, both past 100 nodes.  A
+    # row holds the interval; expected never matches it, and
+    # expected_at_least matches when the lower bound, here the trivial 10,
+    # reaches it.  The tau certificate claims no objective, and all recheck
+    monkeypatch.setattr(solvers, "NODE_LIMIT", 100)
+    grid = [{"kind": "tau", "n": 2, "k": 1, "q": 4, "t": 2, "expected": 12},
+            {"kind": "ucn", "n": 2, "k": 1, "q": 4, "expected_at_least": 10},
+            {"kind": "ucn", "n": 2, "k": 1, "q": 4, "expected_at_least": 11}]
+    rows, ok = run_experiments(ExperimentConfig(grid=grid, outdir=str(tmp_path)))
+    assert not ok
+    tau_lb, tau_ub = rows[0].value.split("..")
+    assert int(tau_lb) == 10 and int(tau_ub) >= 12 and rows[0].match == "no"
+    assert [(row.value, row.match) for row in rows[1:]] == [("10..?", "yes"), ("10..?", "no")]
+    certs = [load_certificate(str(tmp_path / f"{row.instance}.json")) for row in rows]
+    assert "objective" not in certs[0]["payload"]
+    assert len(certs[0]["payload"]["points"]) == int(tau_ub)
+    assert all(recheck(cert)[0] for cert in certs)

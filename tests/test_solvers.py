@@ -56,6 +56,12 @@ def brute_force_ucn(H):
     return best
 
 
+def _every_point(H, t):
+    """A seed of every vertex, in place of solvers._seed_transversal, so
+    that exact_tau searches below its root."""
+    return set(range(H.num_vertices))
+
+
 def test_exact_tau_fano_matches_brute_force():
     for t in (1, 2):
         res = exact_tau(FANO, t)
@@ -71,17 +77,32 @@ def test_exact_tau_plane_hypergraphs():
     H2 = ProjectiveSpace.of_order(3, 2).hypergraph(2)
     res = exact_tau(H2, 2)
     assert res.objective == 6 == 2 * theta(1, 2)
-    space3 = ProjectiveSpace.of_order(3, 3)
-    H3 = space3.hypergraph(2)
-    seed = sorted(set().union(*(S.point_indices()
-                                for S in space3.disjoint_subspaces(1, 2))))
-    res = exact_tau(H3, 2, initial_witness=seed)
+    res = exact_tau(ProjectiveSpace.of_order(3, 3).hypergraph(2), 2)
     assert res.objective == 8 == 2 * theta(1, 3)
     assert res.lower_bound == 8
-    # 85 points, solved at the default node ceiling
-    res = exact_tau(ProjectiveSpace.of_order(3, 4).hypergraph(2), 2)
-    assert (res.status, res.objective, res.nodes) == (OPTIMAL, 10, 378)
+
+
+def test_exact_tau_plane_of_pg34_seeded_and_searched(monkeypatch):
+    # 85 points: the two disjoint lines meet the folklore bound at once;
+    # seeded with every point instead, the search still finds 10 below
+    # the default node ceiling
+    H = ProjectiveSpace.of_order(3, 4).hypergraph(2)
+    res = exact_tau(H, 2)
+    assert (res.status, res.objective, res.nodes) == (OPTIMAL, 10, 0)
     assert res.lower_bound == 10 == 2 * theta(1, 4)
+    monkeypatch.setattr(solvers, "_seed_transversal", _every_point)
+    res = exact_tau(H, 2)
+    assert (res.status, res.objective, res.nodes) == (OPTIMAL, 10, 438)
+
+
+def test_exact_tau_planes_of_pg37_at_the_seed():
+    # 400 points: from the greedy incumbent the search needs 160,894 nodes,
+    # from the two disjoint lines none
+    H = ProjectiveSpace.of_order(3, 7).hypergraph(2)
+    res = exact_tau(H, 2)
+    assert (res.status, res.objective, res.nodes) == (OPTIMAL, 16, 0)
+    mask = sum(1 << v for v in res.witness)
+    assert mask.bit_count() == 16 and all((e & mask).bit_count() >= 2 for e in H.edges)
 
 
 def test_exact_tau_infeasible_and_limits(monkeypatch):
@@ -93,18 +114,10 @@ def test_exact_tau_infeasible_and_limits(monkeypatch):
     # seeded with every point, the search must run; at the ceiling 0 it
     # gives up at its first node and answers from that seed
     monkeypatch.setattr(solvers, "NODE_LIMIT", 0)
-    res = exact_tau(FANO, 2, initial_witness=list(range(7)))
+    monkeypatch.setattr(solvers, "_seed_transversal", _every_point)
+    res = exact_tau(FANO, 2)
     assert res.status == BOUND_ONLY and res.objective is None and res.nodes == 1
     assert (res.lower_bound, res.upper_bound, res.witness) == (6, 7, tuple(range(7)))
-    with pytest.raises(SolverError):
-        exact_tau(FANO, 2, initial_witness=[0, 1])
-
-
-@pytest.mark.parametrize("witness", [[1, 2, 9], [1, 2, -3], [1, 1, 2], [1, "2"], [True, 2], 3])
-def test_exact_tau_rejects_malformed_initial_witness(witness):
-    H = Hypergraph(4, (0b0011, 0b0110, 0b1100))
-    with pytest.raises(SolverError, match="initial witness"):
-        exact_tau(H, 1, initial_witness=witness)
 
 
 def test_exact_tau_deterministic():
@@ -202,11 +215,11 @@ def test_exact_ucn_limits_and_errors(monkeypatch):
     with pytest.raises(SolverError):
         exact_ucn(Hypergraph(3, (0b001, 0b110)))
     # the greedy 2-transversal of the Fano plane meets the folklore bound,
-    # so the seed is the trivial 2-coloring; each of the two root cases
-    # stops at its first node
+    # so the seed is the trivial 2-coloring; case A stops at its first
+    # node, and case B is not entered
     monkeypatch.setattr(solvers, "NODE_LIMIT", 0)
     res = exact_ucn(FANO)
-    assert res.status == BOUND_ONLY and res.objective is None and res.nodes == 2
+    assert res.status == BOUND_ONLY and res.objective is None and res.nodes == 1
     assert (res.lower_bound, res.upper_bound) == (2, None)
     assert is_proper(res.witness, FANO)[0] and res.witness.N == 2
 
@@ -222,7 +235,8 @@ def test_exact_ucn_past_the_node_limit_is_bound_only(monkeypatch):
     assert time.perf_counter() - start < 1
     tau = exact_tau(H, 2)
     assert (res.status, tau.status) == (BOUND_ONLY, BOUND_ONLY)
-    assert res.nodes > 1000 and tau.nodes == 1001 and res.objective is None
+    assert res.nodes == 1001 == tau.nodes and res.objective is None
+    assert res.lower_bound == 37
     assert tau.upper_bound == len(tau.witness) and tau.lower_bound == 16
     assert is_proper(res.witness, H)[0]
     assert res.witness.N == res.lower_bound >= 58 - len(tau.witness)
@@ -382,7 +396,7 @@ def test_exact_solvers_match_brute_force_on_a_differential_corpus(monkeypatch):
                 assert res.objective == ucn == res.witness.N and res.nodes <= limit
             else:
                 assert (res.status, res.objective, res.upper_bound) == (BOUND_ONLY, None, None)
-                assert res.witness.N == res.lower_bound <= ucn and res.nodes > limit
+                assert res.witness.N == res.lower_bound <= ucn and res.nodes == limit + 1
                 stopped += 1
             for t, tau in taus:
                 res = exact_tau(H, t)
@@ -394,7 +408,7 @@ def test_exact_solvers_match_brute_force_on_a_differential_corpus(monkeypatch):
                 else:
                     assert res.status == BOUND_ONLY and res.objective is None
                     assert (res.lower_bound or 0) <= tau <= res.upper_bound
-                    assert res.nodes > limit
+                    assert res.nodes == limit + 1
                     stopped += 1
         assert (stopped > 0) == (limit < default), limit
 
@@ -435,18 +449,17 @@ ROOTED_TAU_CASES = [(n, k, q, t) for n, k, q in [(2, 1, 2), (2, 1, 3), (2, 1, 4)
 
 @pytest.mark.parametrize("n, k, q, t", ROOTED_TAU_CASES,
                          ids=["-".join(map(str, c)) for c in ROOTED_TAU_CASES])
-def test_exact_tau_fixed_root_points_keep_the_objective(n, k, q, t):
+def test_exact_tau_fixed_root_points_keep_the_objective(monkeypatch, n, k, q, t):
     # the root of (L1) and (L2) against the same edges with no params,
     # also seeded with every point so that the search runs below the root
-    # even where the greedy incumbent meets the folklore bound; the cases
-    # hold t = 1 with k = n - 1, where only two points may be fixed, and
-    # t > q, where the folklore bound does not apply
+    # even where the seed meets the folklore bound; the cases hold t = 1
+    # with k = n - 1, where only two points may be fixed, and t > q, where
+    # the folklore bound does not apply
     H = ProjectiveSpace.of_order(n, q).hypergraph(k)
     plain = Hypergraph(H.num_vertices, H.edges)
-    everything = list(range(H.num_vertices))
-    for seed in (None, everything):
-        rooted = exact_tau(H, t, initial_witness=seed)
-        assert rooted.objective == exact_tau(plain, t, initial_witness=seed).objective
+    assert exact_tau(H, t).objective == exact_tau(plain, t).objective
+    monkeypatch.setattr(solvers, "_seed_transversal", _every_point)
+    assert exact_tau(H, t).objective == exact_tau(plain, t).objective
 
 
 ROOT_BRUTE_FORCE_CASES = [(n, k, q, t) for n, k, q in [(2, 1, 2), (2, 1, 3), (2, 1, 4),
