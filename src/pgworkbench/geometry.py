@@ -6,10 +6,11 @@ coordinates; the position in that order is the point index.  Subspaces
 carry a canonical reduced-row-echelon basis and a bitmask over point
 indices, which makes incidence tests O(1) on Python big ints.
 
-Every mask is built by one vector walk over the rows of its basis, which
-adds to each row only the coordinates that the rows below it change; the
-bases of one level that share all rows but the first share that part of
-the walk.  No level is built from another, and a single span builds none.
+The bases of one level that share all rows but the first share one
+vector walk over those rows, which gives their span as one mask of
+vector indices; each basis's mask is that mask moved by its first row in
+whole-mask shifts, one per coordinate digit.  No level is built from
+another, and a single span builds none.
 """
 
 from __future__ import annotations
@@ -228,6 +229,7 @@ class ProjectiveSpace:
         self._place = [field.q ** (n - j) for j in range(n + 1)]
         self._subspace_cache: dict[int, tuple] = {}
         self._levels: dict[int, Hypergraph] = {}
+        self._wrap_masks: dict[tuple, int] = {}
 
     @property
     def q(self) -> int:
@@ -308,25 +310,70 @@ class ProjectiveSpace:
         return self._masks([basis])[0] if basis else 0
 
     def _masks(self, bases):
-        """Masks of nonempty RREF bases, each by one vector walk from its
-        last row up: the points are each row b plus every vector of the
-        span of the rows below b, 0 included, and the RREF form keeps all
+        """Masks of nonempty RREF bases.  The points of a basis are its first
+        row b plus every vector w of the span of the rows below b, 0
+        included, and the points of that span; the RREF form keeps all
         these sums normalized.  For a line (b0, b1) they are b1, b0 and
-        b0 + c*b1 for c != 0.  The walk of the rows below the first is
-        taken once for all the bases that share them, and dropped after
-        them."""
+        b0 + c*b1 for c != 0.
+
+        The bases that share all rows but the first share one vector walk
+        over those rows, from the last row up.  It gives the mask of the
+        points of their span, and the span itself as one mask of vector
+        indices: w sits at slot sum(w[j] * q^(n-j)), its coordinates read
+        in base q, whose digits are the base-p digits of the coordinates
+        over GF(p^h).  Each basis's mask is that span mask moved by b in
+        whole-mask steps.  Every w is 0 up to the pivot of the row below
+        b, so b's coordinates before that pivot are one shift, to the
+        index of b.  Adding a nonzero digit x at place P of a later
+        coordinate adds x mod p to that digit of every slot: the slots
+        whose digit is below p - x (_wrap_mask) move up by x*P, the
+        others down by (p - x)*P."""
         groups = {}
         for pos, B in enumerate(bases):
             groups.setdefault(B[1:], []).append(pos)
+        n, p, place, index = self.n, self.field.p, self._place, self.point_index
         masks = [0] * len(bases)
         for rows, positions in groups.items():
             lower, vectors = 0, [()]
             for row in reversed(rows):
                 lower |= self._translates(row, vectors)
                 vectors = self._extend(vectors, row)
+            span = 0
+            for w in vectors:
+                slot = 0
+                for j, x in w:
+                    slot += x * place[j]
+                span |= 1 << slot
+            pivot = rows[0].index(1) if rows else n
             for pos in positions:
-                masks[pos] = lower | self._translates(bases[pos][0], vectors)
+                # the index of row, less its coordinates after pivot
+                row, M = bases[pos][0], span
+                shift = index[row]
+                for j in range(pivot + 1, n + 1):
+                    a, P = row[j], place[j]
+                    shift -= a * P
+                    while a:
+                        a, x = divmod(a, p)
+                        if x:
+                            low = M & self._wrap_mask(P, x)
+                            M = low << x * P | (M ^ low) >> (p - x) * P
+                        P *= p
+                masks[pos] = lower | M << shift
         return masks
+
+    def _wrap_mask(self, P, x) -> int:
+        """The slots below q^n, the width of every span mask, whose base-p
+        digit at place P is below p - x: the slots that adding x to that
+        digit moves up.  Built on first use and kept as a plain int."""
+        L = self._wrap_masks.get((P, x))
+        if L is None:
+            p, width = self.field.p, self.q ** self.n
+            L, period = (1 << (p - x) * P) - 1, p * P
+            while period < width:
+                L |= L << period
+                period *= 2
+            L = self._wrap_masks[P, x] = L & (1 << width) - 1
+        return L
 
     def subspace_from_basis(self, basis) -> Subspace:
         if not basis:
@@ -491,27 +538,39 @@ class ProjectiveSpace:
         """Every k-space lies in exactly theta(n-k-1) many (k+1)-spaces.
 
         Verified exhaustively, reading every bit of every mask of both
-        levels; a bit at or past num_points in either gives False.  When
-        the (k+1)-spaces are no more than the points of a k-space, as at
-        k = n-1, containment is tested pair by pair.  Otherwise each point
-        gets a mask over the indices of the (k+1)-spaces through it, and
-        the AND of these masks over the points of a k-space marks the
-        (k+1)-spaces that contain it.  The point masks are built here and
-        dropped on return; no level caches them.
+        levels; a bit at or past num_points in either, or a mask without
+        theta(k) or theta(k+1) points, gives False.  When the (k+1)-spaces
+        are no more than the points of a k-space, as at k = n-1,
+        containment is tested pair by pair.  Otherwise each point gets a
+        mask over the indices of the (k+1)-spaces through it, and the AND
+        of these masks over the points of a k-space marks the (k+1)-spaces
+        that contain it.  The point masks are one transpose of the byte
+        matrix whose rows are the (k+1)-space masks, last row first: a
+        strided slice takes one byte column, and per bit a translate to
+        '0' and '1' and a base-2 parse give one point's mask.  They are
+        built here and dropped on return; no level caches them.
         """
-        target = theta(self.n - k - 1, self.q)
+        q, num = self.q, self.num_points
+        target = theta(self.n - k - 1, q)
         lowers, uppers = self.subspaces(k), self.subspaces(k + 1)
-        num = self.num_points
-        if any(X.mask >> num for X in lowers + uppers):
-            return False
-        if len(uppers) <= theta(k, self.q):
+        for level, size in ((lowers, theta(k, q)), (uppers, theta(k + 1, q))):
+            masks = [X.mask for X in level]
+            if max(masks, default=0) >> num or set(map(int.bit_count, masks)) != {size}:
+                return False
+        del masks  # not kept through the transpose, the peak of the call
+        if len(uppers) <= theta(k, q):
             return all(sum(not S.mask & ~U.mask for U in uppers) == target for S in lowers)
-        rows = [bytearray((len(uppers) + 7) // 8) for _ in range(num)]
-        for j, U in enumerate(uppers):
-            byte, bit = j >> 3, 1 << (j & 7)
-            for i in mask_bits(U.mask):
-                rows[i][byte] |= bit
-        through = [int.from_bytes(row, "little") for row in rows]
+        width = (num + 7) // 8
+        matrix = bytearray(len(uppers) * width)
+        for row, U in enumerate(reversed(uppers)):
+            matrix[row * width:(row + 1) * width] = U.mask.to_bytes(width, "little")
+        # per bit b, the byte v becomes '1' when bit b of v is set, else '0'
+        digits = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+        through = []
+        for c in range(width):
+            column = matrix[c::width]
+            through.extend(int(column.translate(digits[b]), 2)
+                           for b in range(min(8, num - 8 * c)))
         for S in lowers:
             common = -1
             for i in mask_bits(S.mask):

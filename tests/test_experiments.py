@@ -101,3 +101,20 @@ def test_rows_past_the_node_limit_show_both_bounds(tmp_path, monkeypatch):
     assert "objective" not in certs[0]["payload"]
     assert len(certs[0]["payload"]["points"]) == int(tau_ub)
     assert all(recheck(cert)[0] for cert in certs)
+
+
+def test_tmodp_rows_with_violations_read_no(tmp_path):
+    # PG(2,3) has 2 (mod 3) sets that are no union of two lines, so its
+    # report is not verified: the row shows the count with a mark and
+    # matches no expectation; the verified p = 2 row still matches
+    grid = [{"kind": "tmodp", "p": 3, "t": 2, "expected_at_least": 10},
+            {"kind": "tmodp", "p": 3, "t": 2, "expected": 325},
+            {"kind": "tmodp", "p": 2, "t": 1, "expected_at_least": 7}]
+    rows, ok = run_experiments(ExperimentConfig(grid=grid, outdir=str(tmp_path)))
+    assert not ok
+    assert [(row.quantity, row.value, row.expected, row.match) for row in rows] == [
+        ("tmodp(p=3,t=2)", "325 (violations!)", ">=10", "no"),
+        ("tmodp(p=3,t=2)", "325 (violations!)", "325", "no"),
+        ("tmodp(p=2,t=1)", "7", ">=7", "yes")]
+    for row in rows:
+        assert recheck(load_certificate(str(tmp_path / f"{row.instance}.json")))[0]

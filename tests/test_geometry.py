@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import gc
 import itertools
 import json
 import os
@@ -7,6 +8,7 @@ import random
 import threading
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -87,7 +89,8 @@ def _reference_mask(space, basis):
     return mask
 
 
-@pytest.mark.parametrize("n,q", [(1, 16), (2, 8), (2, 9), (3, 4), (4, 3), (5, 2)])
+@pytest.mark.parametrize("n,q", [(1, 16), (2, 8), (2, 9), (2, 25), (2, 27), (3, 4), (4, 3),
+                                 (5, 2)])
 def test_lattice_matches_reference_walk(n, q):
     # a fresh space, so every level is built by this test
     space = ProjectiveSpace(n, field_for_order(q))
@@ -272,22 +275,29 @@ def test_pencil_identity_detects_tampered_caches(n, q, k):
     space._subspace_cache[k + 1] = space.subspaces(k + 1)[:-1]
     assert not space.verify_pencil_identity(k)
 
-    # at k = n-1 the one (k+1)-space is the whole space, which contains
-    # any set of points, so only the cases below can fail there
-    if k < n - 1:
+    # a k-space or a (k+1)-space with one more point inside the range (the
+    # n-space has none to add): at k = n-1 the one (k+1)-space is the
+    # whole space, which contains any set of points, and for k >= 1 an
+    # extra point of a (k+1)-space adds no k-space to it, so only the
+    # point counts see these
+    for m in range(k, min(k + 2, n)):
         space = ProjectiveSpace(n, field_for_order(q))
-        subs = list(space.subspaces(k))
+        subs = list(space.subspaces(m))
         S = subs[3]
         outside = (~S.mask & ((1 << space.num_points) - 1)).bit_length() - 1
         subs[3] = dataclasses.replace(S, mask=S.mask | 1 << outside)
-        space._subspace_cache[k] = tuple(subs)
+        space._subspace_cache[m] = tuple(subs)
         assert not space.verify_pencil_identity(k)
 
     if 1 <= k < n - 1:
         # as many points as a k-space, one of them swapped for a point
-        # outside: only span(S, outside) contains the set
+        # outside: only span(S, outside) contains the set.  At k = n-1 the
+        # swap keeps the point count and the whole space contains it, so
+        # the check cannot see it there
         space = ProjectiveSpace(n, field_for_order(q))
         subs = list(space.subspaces(k))
+        S = subs[3]
+        outside = (~S.mask & ((1 << space.num_points) - 1)).bit_length() - 1
         subs[3] = dataclasses.replace(S, mask=(S.mask & (S.mask - 1)) | 1 << outside)
         space._subspace_cache[k] = tuple(subs)
         assert not space.verify_pencil_identity(k)
@@ -312,6 +322,54 @@ def test_pencil_identity_detects_tampered_caches(n, q, k):
         assert not space.verify_pencil_identity(k)
 
     assert ProjectiveSpace(n, field_for_order(q)).verify_pencil_identity(k)
+
+
+@pytest.mark.parametrize("n,q", [(1, 27), (2, 25), (2, 27), (3, 8), (3, 9), (4, 3)])
+def test_one_basis_builds_a_wrap_mask_per_nonzero_digit(n, q):
+    # the wrap masks of a basis are those of the nonzero base-p digits of
+    # its first row after the pivot of the second; lines of PG(1,q) have
+    # no such coordinates, so they build none
+    space = ProjectiveSpace(n, field_for_order(q))
+    p = space.field.p
+    rng = random.Random(n * 100 + q)
+    for _ in range(20):
+        space._wrap_masks.clear()
+        pts = rng.sample(range(space.num_points), rng.randint(1, n + 1))
+        basis = space.rref([space.points[i] for i in pts])
+        lead = basis[1].index(1) if len(basis) > 1 else n
+        digits = 0
+        for a in basis[0][lead + 1:]:
+            while a:
+                a, x = divmod(a, p)
+                digits += x != 0
+        assert space.mask_for_basis(basis) == _reference_mask(space, basis)
+        assert len(space._wrap_masks) == digits
+    if n == 1:
+        space.subspaces(1)
+        assert not space._wrap_masks
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (2, 4)])
+def test_a_cold_space_is_freed_without_the_cycle_collector(n, q):
+    # no cache of a space may refer back to it: a cycle would keep every
+    # level alive until the cycle collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        space = ProjectiveSpace(n, field_for_order(q))
+        for m in range(n + 1):
+            space.subspaces(m)
+        assert all(space.verify_pencil_identity(k) for k in range(n))
+        for k in range(1, n):
+            H = space.hypergraph(k)
+            assert H.edge_points and H.vertex_edges and H.geometry == (n, k, q)
+            assert space.incidence(k) is H.edge_points
+        assert space._wrap_masks
+        ref = weakref.ref(space)
+        del space, H
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n,q", [(3, 4), (5, 2)])
