@@ -71,11 +71,11 @@ def _run_ucn(task):
 
 def _run_tmodp(task):
     rep = verify_tmodp_theorem(task["p"], task["t"], max_size=task.get("max_size"))
-    quantity = f"tmodp(p={task['p']},t={task['t']})"
+    cert, quantity = tmodp_certificate(rep), f"tmodp(p={task['p']},t={task['t']})"
     if rep.verified:
-        return tmodp_certificate(rep), quantity, rep.num_found, rep.num_found
+        return cert, quantity, rep.num_found, rep.num_found
     # a report with violations matches neither expected nor expected_at_least
-    return tmodp_certificate(rep), quantity, f"{rep.num_found} (violations!)", None
+    return cert, quantity, f"{rep.num_found} (violations!)", None
 
 def _run_bounds(task):
     rep = bounds_report(task["n"], task["k"], task["q"], task["t"])

@@ -9,7 +9,8 @@ indices, which makes incidence tests O(1) on Python big ints.
 The bases of one level that share all rows but the first share one
 vector walk over those rows, which gives their span as one mask of
 vector indices; each basis's mask is that mask moved by its first row in
-whole-mask shifts, one per coordinate digit.  No level is built from
+whole-mask moves: one shift, then one wrap move per nonzero base-p digit
+of its coordinates after the pivot below it.  No level is built from
 another, and a single span builds none.
 """
 
