@@ -347,8 +347,8 @@ class ProjectiveSpace:
                 span |= 1 << slot
             pivot = rows[0].index(1) if rows else n
             for pos in positions:
-                # the index of row, less its coordinates after pivot
                 row, M = bases[pos][0], span
+                # ends as the index of row less its coordinates after pivot
                 shift = index[row]
                 for j in range(pivot + 1, n + 1):
                     a, P = row[j], place[j]
@@ -563,6 +563,8 @@ class ProjectiveSpace:
             return all(sum(not S.mask & ~U.mask for U in uppers) == target for S in lowers)
         width = (num + 7) // 8
         matrix = bytearray(len(uppers) * width)
+        # the last space first: int(..., 2) reads its most significant
+        # digit first, so the (k+1)-space j lands on bit j
         for row, U in enumerate(reversed(uppers)):
             matrix[row * width:(row + 1) * width] = U.mask.to_bytes(width, "little")
         # per bit b, the byte v becomes '1' when bit b of v is set, else '0'
