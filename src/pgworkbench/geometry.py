@@ -6,12 +6,14 @@ coordinates; the position in that order is the point index.  Subspaces
 carry a canonical reduced-row-echelon basis and a bitmask over point
 indices, which makes incidence tests O(1) on Python big ints.
 
-The bases of one level that share all rows but the first share one
-vector walk over those rows, which gives their span as one mask of
-vector indices; each basis's mask is that mask moved by its first row in
-whole-mask moves: one shift, then one wrap move per nonzero base-p digit
-of its coordinates after the pivot below it.  No level is built from
-another, and a single span builds none.
+A span of vectors is one mask of vector indices, and every mask is
+built by whole-mask moves: adding a vector to every index of a mask is
+one shift for the coordinates where they are all 0, then one wrap move
+per nonzero base-p digit of the others.  The span of the rows below a
+basis's first row is built from the last row up, each row added as its
+GF(p)-multiples by a GF(p)-basis of GF(q); the basis's mask is that
+span moved by its first row.  No level is built from another, and no
+vector is walked one by one.
 """
 
 from __future__ import annotations
@@ -267,40 +269,6 @@ class ProjectiveSpace:
         """Reduced row echelon form of a list of coordinate vectors."""
         return self.field.row_reduce(rows, self.n + 1)[0]
 
-    def _translates(self, row, vectors) -> int:
-        """Mask of the points row + w, for w in vectors, each given by its
-        nonzero coordinates as (column, value) pairs; every row + w must be
-        normalized.  A point with its leading 1 in column l has the index
-        theta(n-l-1) plus its coordinates after column l read in base q,
-        so the index of row + w is that of row moved by the coordinates
-        that w changes: only those are added, with no tuple built."""
-        add, place = self.field.add, self._place
-        base = self.point_index[row]
-        mask = 0
-        for w in vectors:
-            k = base
-            for j, x in w:
-                a = row[j]
-                k += (add(a, x) - a if a else x) * place[j]
-            mask |= 1 << k
-        return mask
-
-    def _extend(self, vectors, row) -> list:
-        """The vectors c*row + w, for c in GF(q) and w in vectors, in the
-        sparse form of _translates; c*row is taken on the nonzero
-        coordinates of row alone."""
-        add, mul = self.field.add, self.field.mul
-        nonzero = [j for j, x in enumerate(row) if x]
-        out = list(vectors)
-        for c in range(1, self.q):
-            scaled = [(j, mul(c, row[j])) for j in nonzero]
-            for w in vectors:
-                v = dict(w)
-                for j, x in scaled:
-                    v[j] = add(v[j], x) if j in v else x
-                out.append([(j, x) for j, x in v.items() if x])
-        return out
-
     def mask_for_basis(self, basis) -> int:
         """Bitmask of the points spanned by an RREF basis, by _masks.  Any
         other basis raises GeometryError: its sums would not be normalized."""
@@ -317,50 +285,72 @@ class ProjectiveSpace:
         these sums normalized.  For a line (b0, b1) they are b1, b0 and
         b0 + c*b1 for c != 0.
 
-        The bases that share all rows but the first share one vector walk
-        over those rows, from the last row up.  It gives the mask of the
-        points of their span, and the span itself as one mask of vector
-        indices: w sits at slot sum(w[j] * q^(n-j)), its coordinates read
-        in base q, whose digits are the base-p digits of the coordinates
-        over GF(p^h).  Each basis's mask is that span mask moved by b in
-        whole-mask steps.  Every w is 0 up to the pivot of the row below
-        b, so b's coordinates before that pivot are one shift, to the
-        index of b.  Adding a nonzero digit x at place P of a later
-        coordinate adds x mod p to that digit of every slot: the slots
-        whose digit is below p - x (_wrap_mask) move up by x*P, the
-        others down by (p - x)*P."""
+        A span is one mask of vector indices: w sits at slot
+        sum(w[j] * q^(n-j)), its coordinates read in base q, whose digits
+        are the base-p digits of the coordinates over GF(p^h).  The bases
+        are grouped by their rows below b, and each suffix of those rows
+        gets its span and its point mask once, from the last row up, each
+        from the suffix below it.  Putting a row r on top of a suffix adds
+        to its points its span moved by r, as a basis moves it (_lifted);
+        the new span is the old one with each multiple x^i * r, i < h,
+        added p - 1 times (_moved).  The x^i, the elements p^i, are a
+        basis of GF(q) over GF(p), so these sums reach every c*r + w.
+        Each basis's mask is then the points of its rows below b and their
+        span moved by b."""
+        n, p, h, mul = self.n, self.field.p, self.field.h, self.field.mul
         groups = {}
         for pos, B in enumerate(bases):
             groups.setdefault(B[1:], []).append(pos)
-        n, p, place, index = self.n, self.field.p, self._place, self.point_index
+        # a suffix of rows -> (its span as a mask of slots, its point mask)
+        spans = {(): (1, 0)}
         masks = [0] * len(bases)
         for rows, positions in groups.items():
-            lower, vectors = 0, [()]
-            for row in reversed(rows):
-                lower |= self._translates(row, vectors)
-                vectors = self._extend(vectors, row)
-            span = 0
-            for w in vectors:
-                slot = 0
-                for j, x in w:
-                    slot += x * place[j]
-                span |= 1 << slot
+            for i in range(len(rows) - 1, -1, -1):
+                if rows[i:] in spans:
+                    continue
+                row, below = rows[i], rows[i + 1:]
+                span, points = spans[below]
+                points |= self._lifted(span, row, below[0].index(1) if below else n)
+                for d in range(h):
+                    # x^d * r, x^d being the element p**d
+                    step = tuple(mul(p**d, a) for a in row) if d else row
+                    layer = span
+                    for _ in range(p - 1):
+                        layer = self._moved(layer, step, 0)[0]
+                        span |= layer
+                spans[rows[i:]] = span, points
+            span, points = spans[rows]
             pivot = rows[0].index(1) if rows else n
             for pos in positions:
-                row, M = bases[pos][0], span
-                # ends as the index of row less its coordinates after pivot
-                shift = index[row]
-                for j in range(pivot + 1, n + 1):
-                    a, P = row[j], place[j]
-                    shift -= a * P
-                    while a:
-                        a, x = divmod(a, p)
-                        if x:
-                            low = M & self._wrap_mask(P, x)
-                            M = low << x * P | (M ^ low) >> (p - x) * P
-                        P *= p
-                masks[pos] = lower | M << shift
+                masks[pos] = points | self._lifted(span, bases[pos][0], pivot)
         return masks
+
+    def _lifted(self, span, row, pivot) -> int:
+        """The mask of the points row + w, for the vectors w of span, which
+        are 0 up to column pivot, where row is 0.  Row's coordinates before
+        pivot are one shift, to the index of row; the later ones are moved
+        by _moved."""
+        span, tail = self._moved(span, row, pivot + 1)
+        return span << self.point_index[row] - tail
+
+    def _moved(self, M, row, start) -> tuple:
+        """(M with the coordinates of row from column start on added to
+        every slot of it, those coordinates read in base q), for a mask M
+        of slots.  Adding a nonzero digit x at place P adds x mod p to that
+        digit of every slot: the slots whose digit is below p - x
+        (_wrap_mask) move up by x*P, the others down by (p - x)*P."""
+        p, place = self.field.p, self._place
+        tail = 0
+        for j in range(start, self.n + 1):
+            a, P = row[j], place[j]
+            tail += a * P
+            while a:
+                a, x = divmod(a, p)
+                if x:
+                    low = M & self._wrap_mask(P, x)
+                    M = low << x * P | (M ^ low) >> (p - x) * P
+                P *= p
+        return M, tail
 
     def _wrap_mask(self, P, x) -> int:
         """The slots below q^n, the width of every span mask, whose base-p
@@ -545,11 +535,13 @@ class ProjectiveSpace:
         containment is tested pair by pair.  Otherwise each point gets a
         mask over the indices of the (k+1)-spaces through it, and the AND
         of these masks over the points of a k-space marks the (k+1)-spaces
-        that contain it.  The point masks are one transpose of the byte
-        matrix whose rows are the (k+1)-space masks, last row first: a
-        strided slice takes one byte column, and per bit a translate to
-        '0' and '1' and a base-2 parse give one point's mask.  They are
-        built here and dropped on return; no level caches them.
+        that contain it; the k-space's mask is walked in place, clearing
+        its top bit at each step, with no list of its points.  The point
+        masks are one transpose of the byte matrix whose rows are the
+        (k+1)-space masks, last row first: a strided slice takes one byte
+        column, and per bit a translate to '0' and '1' and a base-2 parse
+        give one point's mask.  They are built here and dropped on return;
+        no level caches them.
         """
         q, num = self.q, self.num_points
         target = theta(self.n - k - 1, q)
@@ -575,9 +567,11 @@ class ProjectiveSpace:
             through.extend(int(column.translate(digits[b]), 2)
                            for b in range(min(8, num - 8 * c)))
         for S in lowers:
-            common = -1
-            for i in mask_bits(S.mask):
-                common &= through[i]
+            common, m = -1, S.mask
+            while m:
+                top = m.bit_length() - 1
+                common &= through[top]
+                m ^= 1 << top
             if common.bit_count() != target:
                 return False
         return True

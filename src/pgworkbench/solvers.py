@@ -606,11 +606,14 @@ class BoundsReport:
 
 def bounds_report(n: int, k: int, q: int, t: int) -> BoundsReport:
     """All bound formulas and theorem-applicability flags, exact, for
-    1 <= k <= n-1, n <= MAX_N (the dimension limit of the spaces) and a
-    prime power q <= MAX_Q; SolverError or FieldError otherwise.  n is
-    checked before any power is taken."""
+    1 <= k <= n-1, n <= MAX_N (the dimension limit of the spaces), a
+    prime power q <= MAX_Q and an int t >= 1 (a bool is none);
+    SolverError or FieldError otherwise.  n is checked before any power
+    is taken."""
     if type(k) is not int or type(n) is not int or not 1 <= k <= n - 1:
         raise SolverError(f"k = {k!r} is not an integer in [1, n - 1] for n = {n!r}")
+    if type(t) is not int or t < 1:
+        raise SolverError(f"t must be an int >= 1, not {t!r}")
     if n > MAX_N:
         raise SolverError(f"n = {n} exceeds the limit {MAX_N}")
     p, h = factor_prime_power(q)

@@ -338,9 +338,10 @@ NON_INT_ENTRIES = [
 
 
 def _retype_bounds_t(payload, t):
-    """Set t, and the report that bounds_report gives for it."""
-    rep = bounds_report(payload["n"], payload["k"], payload["q"], t)
-    payload.update(t=t, report=rep.to_json())
+    """Set t in the payload and in its report; bounds_report refuses such
+    a t, so only the type check of the payload stands between it and a
+    recomputation."""
+    payload["t"] = payload["report"]["t"] = t
 
 
 # scalar fields: each of these rechecked true until every verifier tested
@@ -428,6 +429,16 @@ def test_recheck_bounds():
     bad["report"]["trivial_lower"] += 1
     ok, detail = recheck(make_certificate("bounds", bad))
     assert not ok
+
+
+@pytest.mark.parametrize("t", [0, -3])
+def test_recheck_refuses_a_bounds_certificate_with_t_below_1(t):
+    # its report, with threshold (t + 1/2)p^k - 1/2, rechecked true
+    report = bounds_report(3, 1, 4, 2).to_json()
+    report.update(t=t, blsetthm_threshold=f"{(2 * t + 1) * 2 - 1}/2")
+    payload = {"n": 3, "k": 1, "q": 4, "t": t, "report": report}
+    assert recheck(make_certificate("bounds", payload)) == (
+        False, f"verification error: t must be an int >= 1, not {t}")
 
 
 @pytest.mark.parametrize("n, k, q, needle", [

@@ -268,6 +268,14 @@ def test_bounds_verb(tmp_path, capsys):
     assert code == 0
 
 
+def test_bounds_verb_refuses_t_below_1(tmp_path, capsys):
+    out = tmp_path / "bounds.json"
+    code = main(["bounds", "--n", "3", "--k", "1", "--q", "4", "--t", "0", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: t must be an int >= 1, not 0")
+
+
 def test_solve_out_to_a_directory_is_an_error(tmp_path, capsys):
     hpath = tmp_path / "fano.json"
     hypergraph_to_file(ProjectiveSpace.of_order(2, 2).hypergraph(1), str(hpath))

@@ -89,8 +89,8 @@ def _reference_mask(space, basis):
     return mask
 
 
-@pytest.mark.parametrize("n,q", [(1, 16), (2, 8), (2, 9), (2, 25), (2, 27), (3, 4), (4, 3),
-                                 (5, 2)])
+@pytest.mark.parametrize("n,q", [(1, 16), (2, 8), (2, 9), (2, 25), (2, 27), (3, 4), (3, 9),
+                                 (4, 3), (5, 2)])
 def test_lattice_matches_reference_walk(n, q):
     # a fresh space, so every level is built by this test
     space = ProjectiveSpace(n, field_for_order(q))
@@ -117,6 +117,17 @@ def test_lattice_matches_reference_walk(n, q):
             U = space.span_points(pts[1:]) if len(pts) > 1 else space.subspaces(0)[pts[0]]
             assert space.span(U, pts[0]).mask == want
     assert ranks == set(range(1, n + 2))
+
+
+@pytest.mark.parametrize("n,q,size", [(3, 31, 3), (2, 125, 2)])
+def test_span_of_large_q_matches_reference_walk(n, q, size):
+    # a plane over a prime field with p - 1 = 30 moves per row, and a line
+    # over GF(5^3), whose wrap moves reach the third base-p digit
+    space = ProjectiveSpace(n, field_for_order(q))
+    pts = random.Random(q).sample(range(space.num_points), size)
+    S = space.span_points(pts)
+    assert S.dim == size - 1
+    assert S.mask == _reference_mask(space, S.basis)
 
 
 @pytest.mark.parametrize("basis", [((1, 0, 0), (1, 1, 0)), ((0, 1, 0), (1, 0, 0)),
@@ -324,29 +335,45 @@ def test_pencil_identity_detects_tampered_caches(n, q, k):
     assert ProjectiveSpace(n, field_for_order(q)).verify_pencil_identity(k)
 
 
+def _digit_moves(space, row, start):
+    """The (place, digit) pair of each nonzero base-p digit of row's
+    coordinates from column start on."""
+    p, out = space.field.p, set()
+    for j in range(start, space.n + 1):
+        a, P = row[j], space.q ** (space.n - j)
+        while a:
+            a, x = divmod(a, p)
+            if x:
+                out.add((P, x))
+            P *= p
+    return out
+
+
 @pytest.mark.parametrize("n,q", [(1, 27), (2, 25), (2, 27), (3, 8), (3, 9), (4, 3)])
 def test_one_basis_builds_a_wrap_mask_per_nonzero_digit(n, q):
-    # the wrap masks of a basis are those of the nonzero base-p digits of
-    # its first row after the pivot of the second; lines of PG(1,q) have
-    # no such coordinates, so they build none
+    # a basis moves the span of its rows below the first by each multiple
+    # x^i * r of each of those rows r, i < h, and then by its first row
+    # after the pivot of the second: exactly the wrap masks of the
+    # nonzero digits of those vectors are built
     space = ProjectiveSpace(n, field_for_order(q))
-    p = space.field.p
+    f = space.field
     rng = random.Random(n * 100 + q)
     for _ in range(20):
         space._wrap_masks.clear()
         pts = rng.sample(range(space.num_points), rng.randint(1, n + 1))
         basis = space.rref([space.points[i] for i in pts])
         lead = basis[1].index(1) if len(basis) > 1 else n
-        digits = 0
-        for a in basis[0][lead + 1:]:
-            while a:
-                a, x = divmod(a, p)
-                digits += x != 0
+        want = _digit_moves(space, basis[0], lead + 1)
+        for r in basis[1:]:
+            for i in range(f.h):
+                want |= _digit_moves(space, tuple(f.mul(f.p**i, a) for a in r), 0)
         assert space.mask_for_basis(basis) == _reference_mask(space, basis)
-        assert len(space._wrap_masks) == digits
+        assert set(space._wrap_masks) == want
     if n == 1:
+        # the one line of PG(1,q) adds (0, x^i) to its span for each i < h
+        space._wrap_masks.clear()
         space.subspaces(1)
-        assert not space._wrap_masks
+        assert set(space._wrap_masks) == {(f.p**i, 1) for i in range(f.h)}
 
 
 @pytest.mark.parametrize("n,q", [(3, 3), (2, 4)])

@@ -626,6 +626,12 @@ def test_bounds_report_refuses_a_huge_q_and_k_out_of_range():
             bounds_report(n, k, 3, 2)
 
 
+@pytest.mark.parametrize("t", [0, -3, True, 2.5])
+def test_bounds_report_refuses_a_t_that_is_not_an_int_at_least_1(t):
+    with pytest.raises(SolverError, match=f"t must be an int >= 1, not {t!r}"):
+        bounds_report(3, 1, 4, t)
+
+
 def test_bounds_report_json_exact_fractions():
     data = bounds_report(3, 1, 17, 2).to_json()
     assert data["trivial_lower"] == 5185
