@@ -222,9 +222,9 @@ class TModPEnumeration:
     sampled: int = 0
 
 
-def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int,
-                           weight_cap: int | None = None) -> TModPEnumeration:
-    """All weight functions w with 0 <= w <= weight_cap pointwise,
+def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int,
+                           max_size: int) -> TModPEnumeration:
+    """All weight functions w with 0 <= w <= p - 1 pointwise,
     sum(w) <= max_size, and every k-space weight congruent to t mod p.
 
     The solutions form a coset of the kernel of the k-space/point
@@ -233,18 +233,14 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
     lists no sets with exhaustive=False.  For the lines of a plane the
     kernel dimension has a closed form (`_plane_kernel_dim`), so a plane
     past the limit is answered without building or eliminating the matrix.
-    BlockingError unless the field is prime, max_size is an int >= 0 and
-    weight_cap one in [0, p - 1], and unless the incidence matrix has at
-    most MATRIX_ENTRY_LIMIT entries.
+    BlockingError unless the field is prime and max_size is an int >= 0,
+    and unless the incidence matrix has at most MATRIX_ENTRY_LIMIT entries.
     """
     p = space.field.p
     if space.field.h != 1:
         raise BlockingError(f"mod-p enumeration needs a prime field, not GF({space.q})")
-    weight_cap = p - 1 if weight_cap is None else weight_cap
     if type(max_size) is not int or max_size < 0:
         raise BlockingError(f"max_size must be an int >= 0, not {max_size!r}")
-    if type(weight_cap) is not int or not 0 <= weight_cap <= p - 1:
-        raise BlockingError(f"weight_cap must be an int in [0, {p - 1}], not {weight_cap!r}")
     npts = space.num_points
     entries = count_subspaces(space.n, k, p) * npts
     if entries > MATRIX_ENTRY_LIMIT:
@@ -267,7 +263,7 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int, max_size: int
 
     def walk(j, w):
         if j == kdim:
-            if sum(w) <= max_size and max(w) <= weight_cap:
+            if sum(w) <= max_size:
                 found.append(w)
             return
         for c in range(p):

@@ -12,8 +12,8 @@ from .blocking import (COSET_LIMIT, MATRIX_ENTRY_LIMIT, WeightedPointSet, _is_mi
 from .coloring import (Coloring, _rainbow_edge, _trivial_class, is_strict,
                        is_trivial_coloring)
 from .fields import factor_prime_power
-from .geometry import (Hypergraph, ProjectiveSpace, _limit_fault, count_subspaces, load_json,
-                       mask_bits, point_set, theta, write_text)
+from .geometry import (DEFAULT_MAX_MASK_BITS, Hypergraph, ProjectiveSpace, _limit_fault,
+                       count_subspaces, load_json, mask_bits, point_set, theta, write_text)
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
                       num_line_unions, tmodp_violations)
 
@@ -57,7 +57,7 @@ def make_certificate(kind: str, payload: dict) -> dict:
 
 def _geometry(H: Hypergraph) -> tuple:
     if H.geometry is None:
-        raise CertificateError("the hypergraph's edges are not the k-spaces its params name")
+        raise CertificateError("the edges are not the k-spaces of any PG(n,q)")
     return H.geometry
 
 
@@ -115,20 +115,26 @@ def _require_ints(payload: dict, keys) -> None:
 
 
 def _incidence_fault(n, k, q):
-    """Why recheck will not read the k-spaces of PG(n,q): the space is past
-    its limits or has more incidences than RECHECK_INCIDENCE_LIMIT.  Only
-    counts are computed, so a small certificate naming a huge space is
-    refused at once.  None otherwise, and for ints (n, k, q) without q >= 2
-    and 0 <= k <= n: building the space names their fault."""
-    if not (q >= 2 and 0 <= k <= n):
+    """Why recheck will not read the k-spaces of PG(n,q), by counts alone,
+    before any field is built (GF(65536) alone takes seconds): the space is
+    past its limits, or the k-spaces have more than RECHECK_INCIDENCE_LIMIT
+    incidences, or their masks, up to theta(n, q) bits each, may need more
+    than DEFAULT_MAX_MASK_BITS.  None for q < 2 and for k outside [0, n]:
+    the build names those faults."""
+    if q < 2:
         return None
     fault = _limit_fault(n, q)
-    if fault is not None:
+    if fault is not None or not 0 <= k <= n:
         return fault
-    incidences = count_subspaces(n, k, q) * theta(k, q)
+    count = count_subspaces(n, k, q)
+    incidences = count * theta(k, q)
     if incidences > RECHECK_INCIDENCE_LIMIT:
         return f"the {k}-spaces of PG({n},{q}) have {incidences} point incidences, " \
                f"more than the limit {RECHECK_INCIDENCE_LIMIT}"
+    bits = count * theta(n, q)
+    if bits > DEFAULT_MAX_MASK_BITS:
+        return f"the masks of the {k}-spaces of PG({n},{q}) may need {bits} bits, " \
+               f"more than the limit {DEFAULT_MAX_MASK_BITS}"
     return None
 
 
@@ -182,6 +188,10 @@ def _verify_coloring(payload):
 def _verify_blocking_set(payload):
     _require_ints(payload["space"], ("n", "q"))
     n, q = payload["space"]["n"], payload["space"]["q"]
+    # the space itself, its one n-space, before the field is built
+    fault = _incidence_fault(n, n, q)
+    if fault is not None:
+        return False, fault
     space = ProjectiveSpace.of_order(n, q)
     weights = list(payload["weights"])
     if not _all_ints(weights):
@@ -193,6 +203,9 @@ def _verify_blocking_set(payload):
         kind = claim["type"]
         _require_ints(claim, ("t", "k"))
         t, k = claim["t"], claim["k"]
+        fault = _incidence_fault(n, k, q)
+        if fault is not None:
+            return False, fault
         if kind == "t_fold_blocking":
             ok, witness = _verdict(B, k, _kspace_failure(B, t, k, None, sums))
             if ok != claim.get("verified", True):

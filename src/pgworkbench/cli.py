@@ -85,12 +85,12 @@ def cmd_solve(args):
     if args.problem == "tau":
         res = exact_tau(H, args.t)
         out = {"problem": "tau", "t": args.t, "witness": list(res.witness)}
-        if H.geometry is not None and args.out:
+        if args.out:
             write_certificate(transversal_certificate(H, args.t, res), args.out)
     else:
         res = exact_ucn(H)
         out = {"problem": "ucn", "witness": list(res.witness.assignment)}
-        if H.geometry is not None and args.out:
+        if args.out:
             write_certificate(coloring_certificate(H, res.witness), args.out)
     # a bound_only answer has no objective; its bounds give the interval
     out.update(objective=res.objective, status=res.status, nodes=res.nodes,

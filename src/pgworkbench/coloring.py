@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .geometry import Hypergraph, point_set, theta
+from .geometry import Hypergraph, point_set
 
 
 class ColoringError(ValueError):
@@ -104,21 +104,12 @@ def trivial_coloring(transversal, H: Hypergraph) -> Coloring:
     return Coloring(tuple(1 if i in chosen else next(others) for i in range(H.num_vertices)))
 
 
-def _tau2_size_cutoff(H: Hypergraph) -> int:
-    """Cheap lower bound on the size of any 2-transversal of H."""
-    if H.geometry is None:
-        return 2
-    n, k, q = H.geometry
-    return max(2, 2 * theta(n - k, q))
-
-
 def _trivial_class(class_masks, H: Hypergraph):
     """The least color whose class is a 2-transversal of H, or None.  A
     superset of a 2-transversal is one, so it suffices to test each class
-    itself, skipping those below a size cutoff."""
-    cutoff = _tau2_size_cutoff(H)
+    itself, skipping those of fewer than 2 points."""
     for ci, mask in enumerate(class_masks):
-        if mask.bit_count() >= cutoff and is_2_transversal(mask, H):
+        if mask & (mask - 1) and is_2_transversal(mask, H):
             return ci + 1
     return None
 

@@ -528,20 +528,19 @@ class ProjectiveSpace:
     def verify_pencil_identity(self, k: int) -> bool:
         """Every k-space lies in exactly theta(n-k-1) many (k+1)-spaces.
 
-        Verified exhaustively, reading every bit of every mask of both
-        levels; a bit at or past num_points in either, or a mask without
-        theta(k) or theta(k+1) points, gives False.  When the (k+1)-spaces
-        are no more than the points of a k-space, as at k = n-1,
-        containment is tested pair by pair.  Otherwise each point gets a
-        mask over the indices of the (k+1)-spaces through it, and the AND
-        of these masks over the points of a k-space marks the (k+1)-spaces
-        that contain it; the k-space's mask is walked in place, clearing
-        its top bit at each step, with no list of its points.  The point
-        masks are one transpose of the byte matrix whose rows are the
-        (k+1)-space masks, last row first: a strided slice takes one byte
-        column, and per bit a translate to '0' and '1' and a base-2 parse
-        give one point's mask.  They are built here and dropped on return;
-        no level caches them.
+        Verified exhaustively, reading every bit of every mask of both levels;
+        a bit at or past num_points in either, or a mask without theta(k) or
+        theta(k+1) points, gives False.  At k = n-1 that leaves each
+        (k+1)-space all points, so the identity holds iff there is one.
+        Otherwise each point gets a mask over the indices of the (k+1)-spaces
+        through it, and the AND of these masks over the points of a k-space
+        marks the (k+1)-spaces that contain it; the k-space's mask is walked
+        in place, clearing its top bit at each step, with no list of its
+        points.  The point masks are one transpose of the byte matrix whose
+        rows are the (k+1)-space masks, last row first: a strided slice takes
+        one byte column, and per bit a translate to '0' and '1' and a base-2
+        parse give one point's mask.  They are built here and dropped on
+        return; no level caches them.
         """
         q, num = self.q, self.num_points
         target = theta(self.n - k - 1, q)
@@ -551,8 +550,8 @@ class ProjectiveSpace:
             if max(masks, default=0) >> num or set(map(int.bit_count, masks)) != {size}:
                 return False
         del masks  # not kept through the transpose, the peak of the call
-        if len(uppers) <= theta(k, q):
-            return all(sum(not S.mask & ~U.mask for U in uppers) == target for S in lowers)
+        if k == self.n - 1:
+            return len(uppers) == 1
         width = (num + 7) // 8
         matrix = bytearray(len(uppers) * width)
         # the last space first: int(..., 2) reads its most significant

@@ -103,7 +103,8 @@ def _cover_falls_short(cover: list, k: int, total: int) -> bool:
 
 
 def exact_tau(H: Hypergraph, t: int) -> SolveResult:
-    """Minimum size of a t-transversal, by branch and bound.
+    """Minimum size of a t-transversal, by branch and bound; SolverError
+    unless t is an int >= 1 (a bool is none).
 
     On a hypergraph that `Hypergraph.geometry` validates as H(n,m,q), with
     t <= q, the folklore bound t*theta(n-m) lets the search stop as soon
@@ -126,6 +127,8 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
     over the available points must reach that sum.  Nodes of tau_2:
     H(2,1,4) 385, H(2,1,5) 13391, H(3,1,3) 167551.
     """
+    if type(t) is not int:
+        raise SolverError(f"t must be an int, not {t!r}")
     if t < 1:
         raise SolverError("t must be >= 1")
     V = H.num_vertices
@@ -378,25 +381,22 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
         for r, mask in zip(roots, saved):
             apart[r] = mask
 
-    def rainbow_edges(merged):
-        """The mask of the indices of the edges that meet the point mask
-        `merged` of one class at most once."""
-        return sum(1 << ei for ei, e in enumerate(H.edges) if (e & merged).bit_count() < 2)
-
+    rainbow = (1 << len(H.edges)) - 1  # every class is one point
     if H.geometry is None:
-        dfs(0, (1 << len(H.edges)) - 1)
+        dfs(0, rainbow)
     else:
         # every proper coloring has a monochromatic pair, and PGL(n+1,q) is
         # 2-transitive on points, so some optimal coloring puts points 0
         # and 1 in one class; line 01 is the points 0..d-1
         d = theta(1, H.geometry[2])
         pair, inc_d = inc[0] | inc[1], inc[d]
+        rainbow &= ~(inc[0] & inc[1])
         for v in (1, d):
             root[v] = 0
             members[0].append(v)
         cls[0] = 0b11 | 1 << d
         inc[0], inc[1], inc[d] = pair | inc_d, 0, 0
-        dfs(2, rainbow_edges(cls[0]))  # case A
+        dfs(2, rainbow & ~(pair & inc_d))  # case A
         root[d] = d
         members[0].pop()
         cls[0], inc[0], inc[d] = 0b11, pair, inc_d
@@ -404,7 +404,7 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
         for v in range(d, V):
             apart[v] = 1
         if nodes <= NODE_LIMIT:
-            dfs(1, rainbow_edges(0b11))  # case B
+            dfs(1, rainbow)  # case B
     witness = make_coloring(best_assignment)
     objective = V - best_merges
     ok, _ = is_proper(witness, H)
@@ -530,7 +530,7 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVe
     k = 1
     if max_size is None:
         max_size = (t + 1) * theta(space.n - k, p) + p - 2
-    enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size, weight_cap=p - 1)
+    enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size)
     expected_size = t * theta(space.n - k, p)
     num_unions = num_line_unions(p, t, max_size)
     violations = tmodp_violations(space, t, [tuple(B.weights) for B in enum.sets],

@@ -155,7 +155,7 @@ def test_enumerate_t_mod_p_sets_past_the_coset_limit(monkeypatch):
             enum.sampled) == (False, [], 6, 729, 0)
 
 
-def reference_t_mod_p_walk(space, k, t, max_size, weight_cap):
+def reference_t_mod_p_walk(space, k, t, max_size):
     """The coset walk written coordinate by coordinate over
     itertools.product, as a reference for the walk of
     enumerate_t_mod_p_sets: the same solve, coset limit, filter and sort;
@@ -178,16 +178,15 @@ def reference_t_mod_p_walk(space, k, t, max_size, weight_cap):
                 for j in range(npts):
                     if vec[j]:
                         w[j] = (w[j] + c * vec[j]) % p
-        if max(w) <= weight_cap and sum(w) <= max_size:
+        if sum(w) <= max_size:
             found.append(w)
     return (sorted(found), kdim, p**kdim, exhaustive,
             0 if exhaustive else len(walk))
 
 
-@pytest.mark.parametrize("n, q, k, t, weight_cap, coset_limit", [
+@pytest.mark.parametrize("n, q, k, t, cap, coset_limit", [
     (2, 2, 1, 1, 1, 3**13),   # exhaustive
     (2, 3, 1, 2, 2, 3**13),   # 729 cosets
-    (2, 3, 1, 1, 1, 3**13),   # a weight cap below p - 1 keeps 14 of 482 sets
     (3, 2, 2, 1, 1, 3**13),   # 2048 cosets
     (2, 5, 1, 2, 4, 3**13),   # past the coset limit
     (3, 3, 2, 1, 2, 3**13),
@@ -195,15 +194,16 @@ def reference_t_mod_p_walk(space, k, t, max_size, weight_cap):
     (2, 3, 1, 1, 2, 10),      # past a lowered limit
     (2, 5, 1, 2, 4, 10),
 ])
-def test_enumerate_t_mod_p_sets_matches_coordinate_walk(monkeypatch, n, q, k, t, weight_cap,
+def test_enumerate_t_mod_p_sets_matches_coordinate_walk(monkeypatch, n, q, k, t, cap,
                                                         coset_limit):
     monkeypatch.setattr(blocking, "COSET_LIMIT", coset_limit)
     space = ProjectiveSpace.of_order(n, q)
     max_size = space.num_points * (q - 1) // 2
-    enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size, weight_cap=weight_cap)
-    ref_sets, kdim, total, exhaustive, sampled = reference_t_mod_p_walk(
-        space, k, t, max_size, weight_cap)
+    enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size)
+    ref_sets, kdim, total, exhaustive, sampled = reference_t_mod_p_walk(space, k, t, max_size)
     assert [B.weights for B in enum.sets] == ref_sets and (ref_sets or not exhaustive)
+    # the walk reduces every weight mod p, so no weight passes cap = p - 1
+    assert all(max(B.weights) <= cap for B in enum.sets)
     assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive, enum.sampled) == \
         (kdim, total, exhaustive, sampled)
     assert exhaustive == ((n, q) in {(2, 2), (2, 3), (3, 2)} and coset_limit > 10)
@@ -213,9 +213,6 @@ def test_enumerate_t_mod_p_sets_parameter_errors():
     space9 = ProjectiveSpace.of_order(2, 4)
     with pytest.raises(BlockingError, match=r"needs a prime field, not GF\(4\)"):
         enumerate_t_mod_p_sets(space9, k=1, t=1, max_size=5)  # h = 2
-    space = ProjectiveSpace.of_order(2, 3)
-    with pytest.raises(BlockingError):
-        enumerate_t_mod_p_sets(space, k=1, t=1, max_size=5, weight_cap=3)
 
 
 @pytest.mark.parametrize("q", [19, 127])
@@ -254,10 +251,9 @@ def test_enumerate_t_mod_p_sets_plane_kernel_needs_no_elimination(monkeypatch, p
         ([], kdim, p**kdim, False)
 
 
-def assert_matches_reference(space, k, t, max_size, weight_cap):
-    enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size, weight_cap=weight_cap)
-    ref_sets, kdim, total, exhaustive, sampled = reference_t_mod_p_walk(
-        space, k, t, max_size, weight_cap)
+def assert_matches_reference(space, k, t, max_size):
+    enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size)
+    ref_sets, kdim, total, exhaustive, sampled = reference_t_mod_p_walk(space, k, t, max_size)
     assert [B.weights for B in enum.sets] == ref_sets
     assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive, enum.sampled) == \
         (kdim, total, exhaustive, sampled)
@@ -277,10 +273,10 @@ def test_enumerate_t_mod_p_sets_chunk_boundaries(monkeypatch, chunk, n, q, k, t,
     monkeypatch.setattr(blocking, "COSET_LIMIT", coset_limit)
     space = ProjectiveSpace.of_order(n, q)
     top = space.num_points * (q - 1) // 2
-    full = assert_matches_reference(space, k, t, max_size=top, weight_cap=q - 1)
+    full = assert_matches_reference(space, k, t, max_size=top)
     assert bool(full.sets) == full.exhaustive
     for cut in sorted(set(range(0, top, chunk)) | {top}):
-        enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=cut, weight_cap=q - 1)
+        enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=cut)
         assert [B.weights for B in enum.sets] == \
             [B.weights for B in full.sets if sum(B.weights) <= cut]
         assert (enum.kernel_dim, enum.exhaustive) == (full.kernel_dim, full.exhaustive)
@@ -299,7 +295,7 @@ def test_enumerate_t_mod_p_sets_large_primes(monkeypatch, q, k, t, coset_limit):
     monkeypatch.setattr(blocking, "COSET_LIMIT", coset_limit)
     space = ProjectiveSpace.of_order(1, q)
     for max_size in (q * (q + 1) // 2, 10**6):
-        enum = assert_matches_reference(space, k, t, max_size, q - 1)
+        enum = assert_matches_reference(space, k, t, max_size)
         assert enum.exhaustive == (k == 0)
 
 
@@ -307,8 +303,6 @@ def test_enumerate_t_mod_p_sets_large_primes(monkeypatch, q, k, t, coset_limit):
     (dict(max_size=None), "max_size must be an int >= 0, not None"),
     (dict(max_size=-1), "max_size must be an int >= 0, not -1"),
     (dict(max_size=5.0), "max_size must be an int >= 0, not 5.0"),
-    (dict(max_size=5, weight_cap=-1), r"weight_cap must be an int in \[0, 2\], not -1"),
-    (dict(max_size=5, weight_cap=3), r"weight_cap must be an int in \[0, 2\], not 3"),
 ])
 def test_enumerate_t_mod_p_sets_rejects_bad_arguments(kwargs, message):
     with pytest.raises(BlockingError, match=message):

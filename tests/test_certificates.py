@@ -13,7 +13,7 @@ from pgworkbench.certificates import (CertificateError, _incidence_fault, _plane
                                       tmodp_certificate, transversal_certificate,
                                       write_certificate)
 from pgworkbench.coloring import trivial_coloring
-from pgworkbench.geometry import Hypergraph, ProjectiveSpace
+from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
 from pgworkbench.solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -390,6 +390,21 @@ def test_recheck_refuses_non_int_entries(kind, to, edit, needle):
     assert recheck(make_certificate(kind, payload)) == (False, needle)
 
 
+@pytest.mark.parametrize("kind, edit, needle", [
+    ("transversal", lambda d: d.update(objective=4),
+     "objective does not match the witness size"),
+    ("coloring", lambda d: d["assignment"].pop(), "coloring is not strict"),
+    ("coloring", lambda d: d.update(N=d["N"] + 1), "N does not match the assignment"),
+    ("blocking_set", lambda d: d["claims"][0].update(type="maximal"),
+     "unknown claim type 'maximal'"),
+], ids=["transversal-objective", "coloring-short", "coloring-N", "blocking-claim-type"])
+def test_recheck_refuses_a_payload_at_odds_with_itself(kind, edit, needle):
+    payload = _valid_payload(kind)
+    assert recheck(make_certificate(kind, payload))[0]
+    edit(payload)
+    assert recheck(make_certificate(kind, payload)) == (False, needle)
+
+
 @pytest.mark.parametrize("n, k, q, t, points, detail", [
     (2, 0, 2, 1, list(range(7)), None),
     (2, 0, 2, 1, list(range(6)), "a 0-space meets the set in only 0 < 1 points"),
@@ -468,6 +483,21 @@ def test_recheck_bounds_refuses_parameters_out_of_range(n, k, q, needle):
      "PG(2,65521) exceeds the limits"),
     ("coloring", {"n": 10**9, "k": 1, "q": 2, "assignment": [0], "N": 1},
      "PG(1000000000,2) exceeds the limits"),
+    # 242 bytes that cost 1.7 s: GF(65536) was built before the point limit
+    ("blocking_set", {"space": {"n": 2, "q": 65536}, "weights": [1],
+                      "claims": [{"type": "t_fold_blocking", "t": 1, "k": 1}]},
+     "PG(2,65536) exceeds the limits"),
+    # 134 KB that cost 8.9 s and 777 MiB, and rechecked true
+    ("blocking_set", {"space": {"n": 2, "q": 211}, "weights": [1] * theta(2, 211),
+                      "claims": [{"type": "t_fold_blocking", "t": 1, "k": 1}]},
+     "the 1-spaces of PG(2,211) have 9483396 point incidences, more than the limit"),
+    # 60 bytes that cost 12 s and 4 GiB: 249,501 incidences, but each
+    # point's mask has as many bits as its index
+    ("transversal", {"n": 2, "k": 0, "q": 499, "t": 1, "points": [0]},
+     "the masks of the 0-spaces of PG(2,499) may need 62250749001 bits, more than the limit"),
+    # a field past the point limit, whatever level is named
+    ("coloring", {"n": 2, "k": 3, "q": 65536, "assignment": [0], "N": 1},
+     "PG(2,65536) exceeds the limits"),
 ])
 def test_recheck_refuses_a_huge_space_before_any_build(kind, payload, needle):
     cert = make_certificate(kind, payload)
@@ -484,6 +514,9 @@ def test_incidence_limit_sits_between_the_largest_corpus_space_and_pg2_127():
     assert _incidence_fault(2, 1, 101) is not None
     # parameters out of range are left to the build, which names them
     assert _incidence_fault(2, 3, 2) is None and _incidence_fault(2, 1, 1) is None
+    # the masks of the points of PG(2,97) may need 9507^2, about 90 million
+    # bits, and those of PG(2,101) more than 10^8
+    assert _incidence_fault(2, 0, 97) is None and _incidence_fault(2, 0, 101) is not None
 
 
 def test_recheck_malformed():

@@ -124,6 +124,18 @@ def test_solve_ucn_of_hypergraph_without_edges(tmp_path, capsys):
     assert (data["objective"], data["status"], data["witness"]) == (3, "optimal", [1, 2, 3])
 
 
+@pytest.mark.parametrize("problem", ["tau", "ucn"])
+def test_solve_out_of_a_hypergraph_that_is_not_h_nkq_is_an_error(tmp_path, capsys, problem):
+    # a certificate names its space, so there is none to write; this exited
+    # 0 and wrote nothing
+    hpath, cpath = tmp_path / "two.json", tmp_path / "cert.json"
+    hpath.write_text(json.dumps({"num_vertices": 4, "edges": [[0, 1, 2], [1, 2, 3]]}))
+    code = main(["solve", problem, "--hypergraph", str(hpath), "--out", str(cpath)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not cpath.exists()
+    assert captured.err.startswith("error: the edges are not the k-spaces of any PG(n,q)")
+
+
 def test_solve_ucn_of_hypergraph_without_vertices(tmp_path, capsys):
     hpath = tmp_path / "none.json"
     hpath.write_text(json.dumps({"num_vertices": 0, "edges": []}))

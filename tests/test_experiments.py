@@ -33,6 +33,9 @@ def test_malformed_grid_tasks_become_error_rows(tmp_path):
         {"kind": "bounds", "n": 3, "k": 1, "q": 17, "t": 2, "expected": 5185},
         "tau",
         {"kind": "bounds", "n": 3, "k": 1, "q": 17, "t": 2, "expected_at_least": "10"},
+        {"kind": "flow", "n": 2},
+        # once a tau_2.0 row whose own certificate failed its recheck
+        {"kind": "tau", "n": 2, "k": 1, "q": 2, "t": 2.0},
     ]
     rows, ok = run_experiments(ExperimentConfig(grid=grid, outdir=str(tmp_path)))
     assert not ok
@@ -40,9 +43,12 @@ def test_malformed_grid_tasks_become_error_rows(tmp_path):
     assert rows[0].value == "missing task field 'k'"
     assert rows[2].value == "missing task field 't'"
     assert rows[3].match == "yes"
-    assert [(row.quantity, row.match) for row in rows[4:]] == [("error", "no")] * 2
+    assert [(row.quantity, row.match) for row in rows[4:]] == [("error", "no")] * 4
     assert rows[4].value == "task is not an object: 'tau'"
     assert rows[5].value == "expected_at_least '10' is not a number"
+    assert rows[6].value == "unknown task kind 'flow'"
+    assert rows[7].value == "t must be an int, not 2.0"
+    assert not (tmp_path / "task007_tau.json").exists()
 
 
 def test_rerun_into_an_existing_outdir_gives_the_same_bytes(tmp_path):

@@ -105,6 +105,18 @@ def test_exact_tau_planes_of_pg37_at_the_seed():
     assert mask.bit_count() == 16 and all((e & mask).bit_count() >= 2 for e in H.edges)
 
 
+@pytest.mark.parametrize("t, message", [
+    (2.0, "t must be an int, not 2.0"), (True, "t must be an int, not True"),
+    ("2", "t must be an int, not '2'"), (0, "t must be >= 1"),
+], ids=["float", "bool", "str", "zero"])
+def test_exact_tau_refuses_a_t_that_is_not_an_int(t, message):
+    # 2.0 answered with the float lower_bound 6.0, True solved tau_1, and
+    # "2" raised a bare TypeError
+    with pytest.raises(SolverError) as info:
+        exact_tau(FANO, t)
+    assert str(info.value) == message
+
+
 def test_exact_tau_infeasible_and_limits(monkeypatch):
     H = Hypergraph(3, (0b001,))
     with pytest.raises(SolverError):

@@ -23,7 +23,6 @@ def walks(draw):
     n, q = draw(st.sampled_from(SPACES))
     space = ProjectiveSpace.of_order(n, q)
     return dict(space=space, k=draw(st.integers(0, n)), t=draw(st.integers(0, 2 * q)),
-                weight_cap=draw(st.integers(0, q - 1)),
                 max_size=draw(st.integers(0, space.num_points * (q - 1) + 2)))
 
 
@@ -41,7 +40,7 @@ def test_walk_matches_reference(case, coset_limit):
                 ([], 0, 0, True)
             return
         ref_sets, kdim, total, exhaustive, sampled = reference_t_mod_p_walk(
-            space, k, t, case["max_size"], case["weight_cap"])
+            space, k, t, case["max_size"])
     assert [B.weights for B in enum.sets] == ref_sets
     assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive, enum.sampled) == \
         (kdim, total, exhaustive, sampled)
