@@ -18,7 +18,7 @@ OPTIMAL = "optimal"
 BOUND_ONLY = "bound_only"
 
 # the nodes a search visits before it gives up and answers `bound_only`
-# from its incumbent: seconds, at 7-85 us per node
+# from its incumbent: seconds, at about 6-41 us per node
 NODE_LIMIT = 2 * 10**5
 
 
@@ -118,14 +118,19 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
     incumbent as witness and upper_bound, and the folklore bound as
     lower_bound, None where it does not apply.
 
-    A node with room r = incumbent - chosen is pruned when an open edge's
-    deficit is at least r, when an open edge has fewer candidates than its
-    deficit, when a packing of open edges with disjoint candidates needs r
-    more points, or by the cover-prefix bound: a better transversal adds
-    at most r - 1 points, and each lowers the sum of the open deficits by
-    at most its number of open edges, so the r - 1 largest such numbers
-    over the available points must reach that sum.  Nodes of tau_2:
-    H(2,1,4) 385, H(2,1,5) 13391, H(3,1,3) 167551.
+    A node with room r = incumbent - chosen is pruned at r <= 1, as an
+    open edge needs a point more, or by the cover-prefix bound: a better
+    transversal adds at most r - 1 points, and each lowers the sum of the
+    open deficits by at most its number of open edges, so the r - 1
+    largest such numbers over the available points must reach that sum.
+    Else one pass over the open edges, smallest first (ties in edge
+    order), decides the node: it prunes at an edge whose deficit is at
+    least r or whose candidates are fewer than its deficit, and as soon as
+    the deficits of the edges it has packed, each with candidates disjoint
+    from those packed before, sum to r.  Past the pass, the node branches
+    on the points of the edge with the fewest candidates, the lowest edge
+    index among those.  Nodes of tau_2: H(2,1,4) 385, H(2,1,5) 13391,
+    H(3,1,3) 167551.
     """
     if type(t) is not int:
         raise SolverError(f"t must be an int, not {t!r}")
@@ -147,16 +152,22 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
                            status=OPTIMAL, lower_bound=geometric_lb,
                            upper_bound=len(inc))
 
-    # the search state: each edge's deficit, and per vertex the number of
-    # open edges through it, updated when an edge's deficit crosses 0; a
-    # vertex out of the search is held len(edges) + 1 lower, so that the
-    # largest count is the largest over the available vertices
-    vertex_edges = H.vertex_edges
-    edge_pts = H.edge_points
+    # the search state, over the edges renumbered by size (ties in edge
+    # order): each edge's deficit, whether it is open, and per vertex the
+    # number of open edges through it, updated when an edge's deficit
+    # crosses 0; a vertex out of the search is held len(edges) + 1 lower,
+    # so that the largest count is the largest over the available vertices
+    order = sorted(range(len(edges)), key=lambda ei: edges[ei].bit_count())
+    position = [0] * len(edges)
+    for pos, ei in enumerate(order):
+        position[ei] = pos
+    by_size = [(pos, ei, edges[ei]) for pos, ei in enumerate(order)]
+    vertex_edges = [[position[ei] for ei in eis] for eis in H.vertex_edges]
+    edge_pts = [H.edge_points[ei] for ei in order]
     deficits = [t] * len(edges)
+    is_open = [True] * len(edges)
     cover = [len(eis) for eis in vertex_edges]
     out = len(edges) + 1
-    by_size = sorted(enumerate(edges), key=lambda item: item[1].bit_count())
     best = sum(1 << v for v in inc)
     best_size = best.bit_count()
     nodes = 0
@@ -165,14 +176,15 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
     def take(v, total, num_open):
         """Choose the available vertex v; the new total and num_open."""
         cover[v] -= out
-        for ei in vertex_edges[v]:
-            d = deficits[ei]
-            deficits[ei] = d - 1
+        for pos in vertex_edges[v]:
+            d = deficits[pos]
+            deficits[pos] = d - 1
             if d > 0:
                 total -= 1
                 if d == 1:
                     num_open -= 1
-                    for u in edge_pts[ei]:
+                    is_open[pos] = False
+                    for u in edge_pts[pos]:
                         cover[u] -= 1
         return total, num_open
 
@@ -188,44 +200,53 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
                 best, best_size = chosen, count
                 done = best_size == geometric_lb
             return
+        # an open edge's deficit is at least 1, so a room of 1 prunes
         room = best_size - count
-        if max(deficits) >= room:
+        if room <= 1 or _cover_falls_short(cover, room - 1, total):
             return
-        if _cover_falls_short(cover, room - 1, total):
-            return
-        # branch on the first open edge with the fewest candidates; an open
-        # edge with fewer candidates than its deficit cannot be covered
-        pick, fewest = 0, V + 1
-        for e, d in zip(edges, deficits):
-            if d > 0:
-                k = (e & avail).bit_count()
-                if k < d:
-                    return
-                if k < fewest:
-                    pick, fewest = e & avail, k
-        # packing over open edges, smallest first, whose candidates are disjoint
+        # one pass over the open edges, smallest first: prune on a deficit
+        # of at least the room or fewer candidates than the deficit, or once
+        # the edges whose candidates are disjoint from those packed before
+        # need the room; pick the fewest candidates, the lower edge index
+        # on a tie
+        pick_ei, fewest = -1, V + 1
         used = lb3 = 0
-        for ei, e in by_size:
-            d = deficits[ei]
-            if d > 0 and not e & avail & used:
-                used |= e & avail
+        for pos, ei, e in itertools.compress(by_size, is_open):
+            d = deficits[pos]
+            if d >= room:
+                return
+            cand = e & avail
+            k = cand.bit_count()
+            if k < d:
+                return
+            if k < fewest or k == fewest and ei < pick_ei:
+                pick, pick_ei, fewest = cand, ei, k
+            if not cand & used:
+                used |= cand
                 lb3 += d
-        if lb3 >= room:
-            return
-        for v in mask_bits(pick):
-            low = 1 << v
+                if lb3 >= room:
+                    return
+        rest = pick
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             avail ^= low
             dfs(chosen | low, count + 1, avail, *take(v, total, num_open))
-            for ei in vertex_edges[v]:
-                d = deficits[ei] + 1
-                deficits[ei] = d
+            for pos in vertex_edges[v]:
+                d = deficits[pos] + 1
+                deficits[pos] = d
                 if d == 1:
-                    for u in edge_pts[ei]:
+                    is_open[pos] = True
+                    for u in edge_pts[pos]:
                         cover[u] += 1
             if done:
                 break
-        for v in mask_bits(pick & ~avail):
-            cover[v] += out
+        rest = pick & ~avail
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cover[low.bit_length() - 1] += out
 
     total, num_open = t * len(edges), len(edges)
     chosen = 0
@@ -356,26 +377,35 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
         roots = [root[v] for v in edge_pts[(rainbow & -rainbow).bit_length() - 1]]
         saved = [apart[r] for r in roots]
         for ra, rb in itertools.combinations(roots, 2):
-            lo, hi = min(ra, rb), max(ra, rb)
-            a, b = cls[lo], cls[hi]
-            if a & apart[hi]:
+            if ra < rb:
+                lo, hi = ra, rb
+            else:
+                lo, hi = rb, ra
+            a = cls[lo]
+            apart_hi = apart[hi]
+            if a & apart_hi:
                 continue
+            b = cls[hi]
             moved = members[hi]
             for v in moved:
                 root[v] = lo
             members[lo] += moved
             cls[lo] = a | b
-            inc_lo, inc_hi = inc[lo], inc[hi]
-            inc[lo], inc[hi] = inc_lo | inc_hi, 0
+            inc_lo = inc[lo]
+            inc_hi = inc[hi]
+            inc[lo] = inc_lo | inc_hi
+            inc[hi] = 0
             apart_lo = apart[lo]
-            apart[lo] = apart_lo | apart[hi]
+            apart[lo] = apart_lo | apart_hi
             dfs(merges + 1, rainbow & ~(inc_lo & inc_hi))
             cls[lo] = a
-            inc[lo], inc[hi] = inc_lo, inc_hi
+            inc[lo] = inc_lo
+            inc[hi] = inc_hi
             del members[lo][-len(moved):]
             for v in moved:
                 root[v] = hi
-            apart[lo], apart[hi] = apart_lo | b, apart[hi] | a
+            apart[lo] = apart_lo | b
+            apart[hi] = apart_hi | a
             if nodes > NODE_LIMIT:
                 break
         for r, mask in zip(roots, saved):

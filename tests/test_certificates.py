@@ -7,7 +7,7 @@ import pytest
 
 from pgworkbench.blocking import WeightedPointSet, is_t_mod_p_set, solve_mod_p
 from pgworkbench.certificates import (CertificateError, _incidence_fault, _plane_kernel_dim,
-                                      canonical_json, checksum, coloring_certificate,
+                                      _verify_payload, canonical_json, checksum, coloring_certificate,
                                       load_certificate,
                                       make_certificate, recheck,
                                       tmodp_certificate, transversal_certificate,
@@ -403,6 +403,25 @@ def test_recheck_refuses_a_payload_at_odds_with_itself(kind, edit, needle):
     assert recheck(make_certificate(kind, payload))[0]
     edit(payload)
     assert recheck(make_certificate(kind, payload)) == (False, needle)
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("transversal", lambda d: d.update(n=True)),
+    ("coloring", lambda d: d.update(N=d["N"] + 1)),
+    ("blocking_set", lambda d: d["claims"][0].update(type="maximal")),
+    ("tmodp_report", lambda d: _retype_entry(d["sets"][0], float)),
+    ("bounds", lambda d: _retype_bounds_t(d, 2.5)),
+])
+def test_verify_payload_is_recheck_past_the_checksum(kind, edit):
+    # the grid runner verifies the certificate it has just made with
+    # _verify_payload: on a valid and on a tampered payload of each kind it
+    # must give recheck's verdict, also where a verifier raises
+    payload = _valid_payload(kind)
+    verdict = _verify_payload(kind, payload)
+    assert verdict[0] and verdict == recheck(make_certificate(kind, payload))
+    edit(payload)
+    verdict = _verify_payload(kind, payload)
+    assert not verdict[0] and verdict == recheck(make_certificate(kind, payload))
 
 
 @pytest.mark.parametrize("n, k, q, t, points, detail", [

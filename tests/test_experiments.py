@@ -1,7 +1,7 @@
 import csv
 
-from pgworkbench import solvers
-from pgworkbench.certificates import load_certificate, recheck
+from pgworkbench import experiments, solvers
+from pgworkbench.certificates import load_certificate, make_certificate, recheck
 from pgworkbench.experiments import ExperimentConfig, run_experiments
 
 # sha256 checksums of the default-grid certificates: any change to a
@@ -124,3 +124,26 @@ def test_tmodp_rows_with_violations_read_no(tmp_path):
         ("tmodp(p=2,t=1)", "7", ">=7", "yes")]
     for row in rows:
         assert recheck(load_certificate(str(tmp_path / f"{row.instance}.json")))[0]
+
+
+def test_a_certificate_that_fails_its_claims_reads_no(tmp_path, monkeypatch):
+    # the in-run check re-derives the claims of the certificate it has just
+    # made: a transversal short of one witness point, with its objective and
+    # checksum consistent and the row's value still the expected one, reads
+    # no, and recheck of the written file refuses it for the same reason
+    run_tau = experiments._run_tau
+
+    def run_tau_short(task):
+        cert, quantity, value, lower = run_tau(task)
+        payload = dict(cert["payload"], points=cert["payload"]["points"][:-1])
+        payload["objective"] = len(payload["points"])
+        return make_certificate("transversal", payload), quantity, value, lower
+
+    grid = [{"kind": "tau", "n": 2, "k": 1, "q": 2, "t": 2, "expected": 6}]
+    rows, ok = run_experiments(ExperimentConfig(grid=grid, outdir=str(tmp_path / "good")))
+    assert ok and (rows[0].value, rows[0].match) == ("6", "yes")
+    monkeypatch.setitem(experiments._RUNNERS, "tau", run_tau_short)
+    rows, ok = run_experiments(ExperimentConfig(grid=grid, outdir=str(tmp_path / "bad")))
+    assert not ok and (rows[0].value, rows[0].match) == ("6", "no")
+    cert = load_certificate(str(tmp_path / "bad" / f"{rows[0].instance}.json"))
+    assert recheck(cert) == (False, "a 1-space meets the set in only 1 < 2 points")

@@ -336,6 +336,39 @@ def test_exact_tau_search_effort_pinned_mixed_sizes(t, nodes, objective, digest)
     assert _digest(res.witness) == digest
 
 
+def _mixed_size_hypergraph(rng, V, num_edges, sizes):
+    """num_edges distinct edges on V vertices with sizes drawn from
+    range(*sizes), in a shuffled order, so that the order by size differs
+    from the edge order."""
+    edges = set()
+    while len(edges) < num_edges:
+        edges.add(sum(1 << v for v in rng.sample(range(V), rng.randrange(*sizes))))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    return Hypergraph(V, tuple(edges))
+
+
+def test_search_effort_pinned_on_a_mixed_size_corpus():
+    # one digest over (nodes, objective, witness) of exact_tau for t = 1..3
+    # on 12 hypergraphs of 24 to 32 vertices, then of exact_ucn on 12 of 12
+    # to 16, about 6,100 and 21,400 nodes: the packing order by size, its
+    # tie-break in edge order and the tie-break of the branching edge all
+    # show in the nodes
+    rng = random.Random(2027)
+    rows = []
+    for _ in range(12):
+        H = _mixed_size_hypergraph(rng, rng.randrange(24, 33), rng.randrange(40, 71), (3, 10))
+        for t in (1, 2, 3):
+            res = exact_tau(H, t)
+            rows.append([res.nodes, res.objective, list(res.witness)])
+    for _ in range(12):
+        H = _mixed_size_hypergraph(rng, rng.randrange(12, 17), rng.randrange(12, 21), (3, 8))
+        res = exact_ucn(H)
+        rows.append([res.nodes, res.objective, list(res.witness.assignment)])
+    assert _digest(rows) == \
+        "bf2430cd82b6489ce5933d1f6446879b400d7fa8c6abf75ebc201df6a84a791d"
+
+
 @pytest.mark.parametrize("n, k, q, nodes, objective, digest", [
     (2, 1, 3, 726, 6, "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"),
     (3, 2, 2, 57, 11, "293457e67e07e2c24c6063f0a22f750faf3b7bdb059d05895370f300e0b7909b"),
