@@ -297,14 +297,15 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
     the mask of the edges that meet it, so a merge of classes A and B
     leaves rainbow the edges that do not meet both.  With room r =
     incumbent merges - merges, a better partition makes at most r - 1 more
-    merges, and two bounds prune a node:
-    Packing: rainbow edges that meet pairwise disjoint sets of classes
-    each need a merge of their own, so there must be fewer than r of them.
+    merges, so r <= 1 prunes a node with a rainbow edge, and two bounds
+    prune, tested in this order as the first prunes most nodes:
     Class degrees: r - 1 merges touch at most 2r - 2 classes, and a
     rainbow edge stops being rainbow only when two of the classes it meets
     are touched; it meets each class at most once, so the 2r - 2 largest
     numbers of rainbow edges that meet one class must sum to at least
     twice the number of rainbow edges.
+    Packing: rainbow edges that meet pairwise disjoint sets of classes
+    each need a merge of their own, so there must be fewer than r of them.
     Nodes: H(2,1,3) 726, H(3,2,2) 57, H(3,1,2) 2000, H(4,3,2) 297.
     H(2,1,4), UCN 12, needs 509758, past NODE_LIMIT: it answers
     `bound_only` with lower_bound 11.
@@ -349,10 +350,22 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
             if merges < best_merges:
                 best_merges, best_assignment = merges, list(root)
             return
+        # a rainbow edge needs a merge more, so a room of 1 prunes
+        room = best_merges - merges
+        if room <= 1:
+            return
+        # class degrees, first as they prune most nodes: a better partition
+        # is room - 1 more merges, which touch at most 2*room - 2 classes;
+        # each rainbow edge must meet two of them, and meets a class at most
+        # once
+        touched = 2 * room - 2
+        if touched < V - merges:
+            degrees = sorted([(rainbow & mask).bit_count() for mask in inc])
+            if sum(degrees[-touched:]) < 2 * rainbow.bit_count():
+                return
         # packing: rainbow edges that meet pairwise disjoint sets of classes,
         # each the lowest left once the edges meeting the classes of those
         # before it are cleared
-        room = best_merges - merges
         packed, left = 0, rainbow
         while left:
             packed += 1
@@ -360,14 +373,6 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
                 return
             for v in edge_pts[(left & -left).bit_length() - 1]:
                 left &= ~inc[root[v]]
-        # class degrees: a better partition is room - 1 more merges, which
-        # touch at most 2*room - 2 classes; each rainbow edge must meet two
-        # of them, and meets a class at most once
-        touched = 2 * room - 2
-        if touched < V - merges:
-            degrees = sorted(map(int.bit_count, map(rainbow.__and__, inc)))
-            if sum(degrees[-touched:]) < 2 * rainbow.bit_count():
-                return
         # the roots of a rainbow edge are distinct, so every pair is a new
         # merge; it keeps a rainbow edge rainbow unless the edge meets both.
         # Zykov's same-or-different branching: once the subtree that merges
