@@ -49,15 +49,22 @@ def _seed_transversal(H: Hypergraph, t: int) -> set:
         if t * (n - m + 1) <= n + 1:
             blocks = ProjectiveSpace.of_order(n, q).disjoint_subspaces(n - m, t)
             return set().union(*(S.point_indices() for S in blocks))
+    # gains[v]: the open edges through v, or -1 once v is chosen
     deficits = [t] * len(H.edges)
+    gains = [len(eis) for eis in H.vertex_edges]
+    num_open = len(H.edges)
     chosen = set()
-    while any(d > 0 for d in deficits):
-        gains = [-1 if v in chosen else sum(deficits[ei] > 0 for ei in eis)
-                 for v, eis in enumerate(H.vertex_edges)]
+    while num_open:
         v = gains.index(max(gains))
         chosen.add(v)
+        gains[v] = -1
         for ei in H.vertex_edges[v]:
             deficits[ei] -= 1
+            if deficits[ei] == 0:
+                num_open -= 1
+                for u in H.edge_points[ei]:
+                    if u not in chosen:
+                        gains[u] -= 1
     return chosen
 
 
