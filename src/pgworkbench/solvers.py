@@ -18,7 +18,7 @@ OPTIMAL = "optimal"
 BOUND_ONLY = "bound_only"
 
 # the nodes a search visits before it gives up and answers `bound_only`
-# from its incumbent: seconds, at about 6-41 us per node
+# from its incumbent: seconds, at about 3-30 us per node
 NODE_LIMIT = 2 * 10**5
 
 
