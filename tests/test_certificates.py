@@ -7,8 +7,8 @@ import pytest
 
 from pgworkbench.blocking import WeightedPointSet, is_t_mod_p_set, solve_mod_p
 from pgworkbench.certificates import (CertificateError, _incidence_fault, _plane_kernel_dim,
-                                      _verify_payload, canonical_json, checksum, coloring_certificate,
-                                      load_certificate,
+                                      _verify_payload, canonical_json, checksum,
+                                      coloring_certificate, load_certificate,
                                       make_certificate, recheck,
                                       tmodp_certificate, transversal_certificate,
                                       write_certificate)
