@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import GF
+from .fields import GF, factor_prime_power
 from .geometry import ProjectiveSpace, Subspace, count_subspaces, theta
 
 
@@ -211,6 +211,18 @@ COSET_LIMIT = 3**13
 MATRIX_ENTRY_LIMIT = 10**5
 
 
+def _require_mod_p_matrix(n: int, k: int, q: int) -> None:
+    """BlockingError unless q is prime and the k-space/point incidence
+    matrix of PG(n,q) has at most MATRIX_ENTRY_LIMIT entries; FieldError
+    unless q is a prime power.  Counts only: no field or space is built."""
+    if factor_prime_power(q)[1] != 1:
+        raise BlockingError(f"mod-p enumeration needs a prime field, not GF({q})")
+    entries = count_subspaces(n, k, q) * theta(n, q)
+    if entries > MATRIX_ENTRY_LIMIT:
+        raise BlockingError(f"the {k}-space/point incidence matrix of PG({n},{q}) has "
+                            f"{entries} entries, above the limit {MATRIX_ENTRY_LIMIT}")
+
+
 @dataclass
 class TModPEnumeration:
     sets: list
@@ -236,16 +248,10 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int,
     BlockingError unless the field is prime and max_size is an int >= 0,
     and unless the incidence matrix has at most MATRIX_ENTRY_LIMIT entries.
     """
-    p = space.field.p
-    if space.field.h != 1:
-        raise BlockingError(f"mod-p enumeration needs a prime field, not GF({space.q})")
+    _require_mod_p_matrix(space.n, k, space.q)
     if type(max_size) is not int or max_size < 0:
         raise BlockingError(f"max_size must be an int >= 0, not {max_size!r}")
-    npts = space.num_points
-    entries = count_subspaces(space.n, k, p) * npts
-    if entries > MATRIX_ENTRY_LIMIT:
-        raise BlockingError(f"the {k}-space/point incidence matrix of PG({space.n},{p}) has "
-                            f"{entries} entries, above the limit {MATRIX_ENTRY_LIMIT}")
+    p, npts = space.field.p, space.num_points
     if (space.n, k) == (2, 1):
         # the constant weight t solves the system, so it is consistent
         kdim = _plane_kernel_dim(p)

@@ -7,15 +7,13 @@ import hashlib
 import itertools
 import json
 
-from .blocking import (COSET_LIMIT, MATRIX_ENTRY_LIMIT, WeightedPointSet, _is_minimal,
-                       _kspace_failure, _plane_kernel_dim, _verdict)
+from .blocking import WeightedPointSet, _is_minimal, _kspace_failure, _verdict
 from .coloring import (Coloring, _rainbow_edge, _trivial_class, is_strict,
                        is_trivial_coloring)
-from .fields import factor_prime_power
 from .geometry import (DEFAULT_MAX_MASK_BITS, Hypergraph, ProjectiveSpace, _limit_fault,
                        count_subspaces, load_json, mask_bits, point_set, theta, write_text)
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
-                      num_line_unions, tmodp_violations)
+                      tmodp_frame, tmodp_violations)
 
 SCHEMA_VERSION = 1
 # the point/k-space incidences, count_subspaces(n, k, q) * theta(k, q), that
@@ -225,12 +223,12 @@ def _verify_blocking_set(payload):
     return True, "all claims verified"
 
 
-def _listed_set_fault(space, sets, sizes, t, cap, max_size, expected):
+def _listed_set_fault(space, sets, sizes, t, max_size, expected):
     """Why one of the listed weight tuples, all of int weights and of the
-    sizes `sizes`, is not a t (mod p) set of the plane `space` within
-    weight_cap and max_size, or, when expected is not None, not of size
-    expected; None when all are.  cap must be at most p - 1, and p below
-    256 (the matrix limit keeps it at most 17).
+    sizes `sizes`, is not a t (mod p) set of the plane `space` within the
+    weight_cap p - 1 and max_size, or, when expected is not None, not of
+    size expected; None when all are.  p must be below 256 (the matrix
+    limit keeps it at most 17).
 
     Each test runs over every set before the next starts, in the order
     that a single faulty set meets them, so such a set gets the detail
@@ -242,7 +240,8 @@ def _listed_set_fault(space, sets, sizes, t, cap, max_size, expected):
     that no lane passes 255.  The first lane off residue t names the set."""
     if not sets:
         return None
-    npts = space.num_points
+    npts, char = space.num_points, space.field.p
+    cap = char - 1
     try:
         flat = bytes(itertools.chain.from_iterable(sets))
     except ValueError:
@@ -254,16 +253,15 @@ def _listed_set_fault(space, sets, sizes, t, cap, max_size, expected):
     if flat is None:
         peak = max(map(max, sets))
     else:
-        peak = max(flat.translate(None, bytes(range(cap + 1))), default=cap)
+        peak = max(flat.translate(None, bytes(range(char))), default=cap)
     if peak > cap:
         return f"listed set has a point of weight {peak} > weight_cap {cap}"
     if max(sizes) > max_size:
         return f"listed set has size {max(sizes)} > max_size {max_size}"
-    char, nsets = space.field.p, len(sets)
-    residue = t % char
+    nsets, residue = len(sets), t % char
     residues = bytes(range(char)) * (256 // char) + bytes(range(256 % char))  # w -> w % char
     # a reduced lane is below char and each term adds at most cap
-    step = (256 - char) // max(cap, 1)
+    step = (256 - char) // cap
     columns = [int.from_bytes(flat[i::npts], "little") for i in range(npts)]
     for pts in space.incidence(1):
         lanes = 0
@@ -281,43 +279,22 @@ def _listed_set_fault(space, sets, sizes, t, cap, max_size, expected):
     return None
 
 
-_TMODP_INT_FIELDS = ("p", "t", "k", "max_size", "weight_cap", "num_solution_classes",
-                     "num_found", "num_unions", "expected_size")
-
-
 def _verify_tmodp_report(payload):
-    # every count is an int and each flag a bool: True == 1 and 6.5 compares
-    # with every size as 6 does, so either would pass the tests below
-    _require_ints(payload, _TMODP_INT_FIELDS)
-    for key in ("verified", "exhaustive"):
-        if type(payload[key]) is not bool:
-            return False, f"{key} {payload[key]!r} is not a bool"
-    p, t, k, sets = payload["p"], payload["t"], payload["k"], payload["sets"]
-    cap, max_size, verified = payload["weight_cap"], payload["max_size"], payload["verified"]
-    kdim, exhaustive = payload["kernel_dim"], payload["exhaustive"]
-    # counts only until the plane is known to be within the matrix limit
-    if factor_prime_power(p)[1] != 1:
-        return False, f"p = {p} is not prime, so the enumeration has no report"
-    if k != 1:
-        return False, f"k = {k}: a report is about the lines of the plane, k = 1"
-    expected = payload["expected_size"]
-    if expected != t * theta(1, p):
-        return False, "expected_size is wrong for the parameters"
-    if count_subspaces(2, 1, p) * theta(2, p) > MATRIX_ENTRY_LIMIT:
-        return False, "the enumeration refuses this plane, so it has no report"
-    space = ProjectiveSpace.of_order(2, p)
-    if type(kdim) is not int or not 0 <= kdim <= space.num_points:
-        return False, f"kernel_dim {kdim!r} is not an int in [0, {space.num_points}]"
-    plane_dim = _plane_kernel_dim(p)
-    if kdim != plane_dim:
-        return False, f"kernel_dim {kdim} is not {plane_dim}, the kernel dimension mod {p} " \
-                      f"of the {k}-space incidence"
-    # the constant weight t is a t (mod p) set, so the system is consistent
-    # and its solutions form p^kernel_dim classes
-    if payload["num_solution_classes"] != p**kdim:
-        return False, "num_solution_classes is not p^kernel_dim"
-    if exhaustive != (p**kdim <= COSET_LIMIT):
-        return False, f"exhaustive does not match {p}^{kdim} cosets against the limit"
+    # every field that follows from p, t and max_size, recomputed; the type
+    # too, as True == 1 and 6.5 compares with every size as 6 does.  The
+    # frame raises for a p, t or max_size that no report can have, and
+    # refuses a plane past the matrix limit before any field is built
+    frame = tmodp_frame(payload["p"], payload["t"], payload["max_size"])
+    for key, value in frame.items():
+        if type(payload[key]) is not type(value) or payload[key] != value:
+            return False, f"{key} {payload[key]!r} is not {value!r} as recomputed " \
+                          f"from p, t and max_size"
+    _require_ints(payload, ("num_found",))
+    if type(payload["verified"]) is not bool:
+        return False, f"verified {payload['verified']!r} is not a bool"
+    p, t, max_size, sets = payload["p"], payload["t"], payload["max_size"], payload["sets"]
+    verified, exhaustive = payload["verified"], payload["exhaustive"]
+    expected, num_unions = payload["expected_size"], payload["num_unions"]
     if len(sets) != payload["num_found"]:
         return False, "num_found does not match the listed sets"
     found = list(map(tuple, sets))
@@ -327,18 +304,11 @@ def _verify_tmodp_report(payload):
         return False, "a set is listed twice"
     if verified and payload["violations"]:
         return False, "claimed verified but violations are listed"
-    if verified and not (exhaustive and payload["num_found"] == payload["num_unions"]):
+    if verified and not (exhaustive and payload["num_found"] == num_unions):
         return False, "claimed verified without an exhaustive search finding every union"
-    if cap > p - 1:
-        return False, f"weight_cap {cap} is above p - 1"
-    # the union count, and the sizes that tell a union, need t <= weight_cap
-    if t > cap:
-        return False, f"t = {t} is above weight_cap {cap}"
-    if payload["num_unions"] != num_line_unions(p, t, max_size):
-        return False, "num_unions does not match the count of the unions"
+    space = ProjectiveSpace.of_order(2, p)
     sizes = list(map(sum, found))
-    fault = _listed_set_fault(space, found, sizes, t, cap, max_size,
-                              expected if verified else None)
+    fault = _listed_set_fault(space, found, sizes, t, max_size, expected if verified else None)
     if fault is not None:
         return False, fault
     # the violations follow from the listed sets and, when the search was
@@ -347,8 +317,7 @@ def _verify_tmodp_report(payload):
         return v["weights"], v["reason"]
     if not _all_ints(itertools.chain.from_iterable(v["weights"] for v in payload["violations"])):
         return False, "a violation has a weight that is not an int"
-    violations = tmodp_violations(space, t, found, sizes, expected, payload["num_unions"],
-                                  exhaustive)
+    violations = tmodp_violations(space, t, found, sizes, expected, num_unions, exhaustive)
     if violations != payload["violations"] and \
             sorted(map(key, violations)) != sorted(map(key, payload["violations"])):
         return False, "violations do not match those of the listed sets and the union count"

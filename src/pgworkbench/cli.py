@@ -52,8 +52,7 @@ def cmd_blocking(args):
     if blocking:
         claims.append({"type": "minimal", "t": args.t, "k": args.k,
                        "verified": is_minimal(B, args.t, args.k)})
-    payload = {"space": {"n": args.n, "q": args.q}, "weights": weights, "claims": claims}
-    cert = make_certificate("blocking_set", payload)
+    cert = make_certificate("blocking_set", {**B.to_json(), "claims": claims})
     if args.out:
         write_certificate(cert, args.out)
     _emit({"size": B.size, "claims": claims})

@@ -9,7 +9,8 @@ import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .blocking import enumerate_t_mod_p_sets
+from .blocking import (COSET_LIMIT, _plane_kernel_dim, _require_mod_p_matrix,
+                       enumerate_t_mod_p_sets)
 from .coloring import is_proper, make_coloring, trivial_coloring
 from .fields import factor_prime_power
 from .geometry import MAX_N, Hypergraph, ProjectiveSpace, mask_bits, theta
@@ -487,14 +488,6 @@ class TModPVerification:
         return {**data, "sets": [list(B.weights) for B in self.sets]}
 
 
-def num_line_unions(p: int, t: int, max_size: int) -> int:
-    """The number of unions of t lines of PG(2,p), with multiplicity, of
-    size at most max_size, for 0 <= t <= p - 1: distinct multisets give
-    distinct unions (see verify_tmodp_theorem), each of size t*(p+1) and
-    with no point above weight t."""
-    return math.comb(theta(2, p) + t - 1, t) if t * (p + 1) <= max_size else 0
-
-
 def tmodp_violations(space: ProjectiveSpace, t: int, found: list, sizes: list,
                      expected_size: int, num_unions: int, exhaustive: bool) -> list:
     """The violations, in report order, of a t (mod p) report on the lines
@@ -523,6 +516,38 @@ def tmodp_violations(space: ProjectiveSpace, t: int, found: list, sizes: list,
     return violations
 
 
+def tmodp_frame(p: int, t: int, max_size: int | None = None) -> dict:
+    """The fields of the t (mod p) report of `verify_tmodp_theorem(p, t,
+    max_size)` that follow from its arguments with no search, keyed as in
+    `TModPVerification`, with max_size filled in with its default;
+    `recheck` compares a report with them.  Raises what
+    `verify_tmodp_theorem` raises, and refuses a p that is not prime or a
+    plane past the enumeration's matrix limit by counts alone, before any
+    power p^kernel_dim is taken and before any field or space is built."""
+    for name, value in (("p", p), ("t", t)):
+        if type(value) is not int:
+            raise SolverError(f"{name} must be an int, not {value!r}")
+    if t < 1:
+        raise SolverError(f"t must be >= 1, not {t}")
+    if max_size is not None and (type(max_size) is not int or max_size < 0):
+        raise SolverError(f"max_size must be an integer >= 0, not {max_size!r}")
+    if 8 * t > 3 * p + 8:
+        raise SolverError(f"hypothesis violated: t = {t} > 3p/8 + 1 = {Fraction(3 * p, 8) + 1}")
+    _require_mod_p_matrix(2, 1, p)
+    if max_size is None:
+        max_size = (t + 1) * theta(1, p) + p - 2
+    kdim = _plane_kernel_dim(p)
+    # the constant weight t solves the system, so its solutions form
+    # p^kernel_dim classes, walked up to COSET_LIMIT of them; the hypothesis
+    # gives t <= p - 1, so the unions are counted by their multisets
+    classes = p**kdim
+    return {"p": p, "t": t, "k": 1, "max_size": max_size, "weight_cap": p - 1,
+            "kernel_dim": kdim, "num_solution_classes": classes,
+            "exhaustive": classes <= COSET_LIMIT,
+            "num_unions": math.comb(theta(2, p) + t - 1, t) if t * (p + 1) <= max_size else 0,
+            "expected_size": t * theta(1, p)}
+
+
 def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVerification:
     """Verify, in the plane PG(2,p), that every residue-capped t (mod p)
     set of bounded total weight is a weighted union of t lines.
@@ -541,6 +566,8 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVe
     `expected_size` = t*(p+1), and a violation is a listed set of another
     size or, after an exhaustive search, a union that it missed.
 
+    Every field but the found sets, their violations and the verdict comes
+    from `tmodp_frame(p, t, max_size)`, which `recheck` recomputes.
     `enumerate_t_mod_p_sets` searches every coset of the mod-p kernel or,
     past `COSET_LIMIT` cosets, none: then the report lists no sets and is
     neither `exhaustive` nor `verified`, but still counts the line unions.
@@ -553,38 +580,21 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVe
     (p, t) = (3, 2) is 7, below the size 8 of the line unions, while the
     default is 13.  Within that 13 lie 234 sets of size 11 that are not line
     unions; each is reported as a violation and `verified` is False.
-    Raises SolverError for a p or t that is not an int (a bool is none),
+    Raises, through `tmodp_frame` and so before any field or space is
+    built, SolverError for a p or t that is not an int (a bool is none),
     for t < 1, for a max_size that is not an int >= 0 and for
     t > 3p/8 + 1; FieldError when p is not a prime power; and
     BlockingError when p is not prime or the plane's line/point incidence
     matrix is past the enumeration's limit.
     """
-    for name, value in (("p", p), ("t", t)):
-        if type(value) is not int:
-            raise SolverError(f"{name} must be an int, not {value!r}")
-    if t < 1:
-        raise SolverError(f"t must be >= 1, not {t}")
-    if max_size is not None and (type(max_size) is not int or max_size < 0):
-        raise SolverError(f"max_size must be an integer >= 0, not {max_size!r}")
-    if Fraction(t) > Fraction(3 * p, 8) + 1:
-        raise SolverError(f"hypothesis violated: t = {t} > 3p/8 + 1 = {Fraction(3 * p, 8) + 1}")
+    frame = tmodp_frame(p, t, max_size)
     space = ProjectiveSpace.of_order(2, p)
-    k = 1
-    if max_size is None:
-        max_size = (t + 1) * theta(space.n - k, p) + p - 2
-    enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size)
-    expected_size = t * theta(space.n - k, p)
-    num_unions = num_line_unions(p, t, max_size)
+    enum = enumerate_t_mod_p_sets(space, k=1, t=t, max_size=frame["max_size"])
     violations = tmodp_violations(space, t, [tuple(B.weights) for B in enum.sets],
-                                  [B.size for B in enum.sets], expected_size, num_unions,
-                                  enum.exhaustive)
-    return TModPVerification(
-        p=p, t=t, k=k, max_size=max_size, weight_cap=p - 1,
-        kernel_dim=enum.kernel_dim, num_solution_classes=enum.num_solution_classes,
-        exhaustive=enum.exhaustive, num_found=len(enum.sets),
-        num_unions=num_unions, expected_size=expected_size,
-        violations=violations, verified=not violations and enum.exhaustive,
-        sets=enum.sets)
+                                  [B.size for B in enum.sets], frame["expected_size"],
+                                  frame["num_unions"], frame["exhaustive"])
+    return TModPVerification(**frame, num_found=len(enum.sets), violations=violations,
+                             verified=not violations and frame["exhaustive"], sets=enum.sets)
 
 
 # -- bound calculators ---------------------------------------------------
@@ -612,10 +622,9 @@ class BoundsReport:
     trivial_lower: int
     tau2_known: int | None
     # delta for prime order: (sqrt(2)*q^k - q^k - 3*theta(k-1) - 8) / 2,
-    # stored as the exact pair (sqrt2 coefficient, rational part)
-    delta_prime_sqrt2: Fraction
-    delta_prime_rational: Fraction
-    delta_prime_nonneg: bool
+    # stored as the exact pair "sqrt2_coeff" and "rational", with its sign
+    # test as "nonnegative"
+    delta_prime: dict
     delta_ext: Fraction | None
     delta_strong: Fraction
     blsetthm_threshold: Fraction
@@ -625,25 +634,12 @@ class BoundsReport:
     flags: dict
 
     def to_json(self) -> dict:
-        def frac(x):
-            if x is None:
-                return None
-            return f"{x.numerator}/{x.denominator}"
-        return {
-            "n": self.n, "k": self.k, "q": self.q, "p": self.p, "h": self.h,
-            "t": self.t, "theta_n": self.theta_n, "theta_k": self.theta_k,
-            "trivial_lower": self.trivial_lower, "tau2_known": self.tau2_known,
-            "delta_prime": {"sqrt2_coeff": frac(self.delta_prime_sqrt2),
-                            "rational": frac(self.delta_prime_rational),
-                            "nonnegative": self.delta_prime_nonneg},
-            "delta_ext": frac(self.delta_ext),
-            "delta_strong": frac(self.delta_strong),
-            "blsetthm_threshold": frac(self.blsetthm_threshold),
-            "dbhszvdv_size": self.dbhszvdv_size,
-            "bruen_lower_ceil": self.bruen_lower_ceil,
-            "blokhuis": frac(self.blokhuis),
-            "flags": dict(self.flags),
-        }
+        """The fields by name, in order, each Fraction, also one in a dict
+        field, written "a/b"."""
+        def text(x):
+            return f"{x.numerator}/{x.denominator}" if type(x) is Fraction else x
+        return {name: {key: text(v) for key, v in x.items()} if type(x) is dict else text(x)
+                for name, x in vars(self).items()}
 
 
 def bounds_report(n: int, k: int, q: int, t: int) -> BoundsReport:
@@ -690,8 +686,7 @@ def bounds_report(n: int, k: int, q: int, t: int) -> BoundsReport:
     return BoundsReport(
         n=n, k=k, q=q, p=p, h=h, t=t, theta_n=theta_n, theta_k=theta_k,
         trivial_lower=trivial_lower, tau2_known=tau2_known,
-        delta_prime_sqrt2=a, delta_prime_rational=b,
-        delta_prime_nonneg=delta_prime_nonneg,
+        delta_prime={"sqrt2_coeff": a, "rational": b, "nonnegative": delta_prime_nonneg},
         delta_ext=delta_ext, delta_strong=delta_strong,
         blsetthm_threshold=blsetthm_threshold, dbhszvdv_size=dbhszvdv_size,
         bruen_lower_ceil=bruen_lower_ceil, blokhuis=blokhuis, flags=flags)

@@ -5,14 +5,16 @@ import time
 
 import pytest
 
-from pgworkbench.blocking import WeightedPointSet, is_t_mod_p_set, solve_mod_p
-from pgworkbench.certificates import (CertificateError, _incidence_fault, _plane_kernel_dim,
+from pgworkbench.blocking import (WeightedPointSet, _plane_kernel_dim, is_t_mod_p_set,
+                                  solve_mod_p)
+from pgworkbench.certificates import (CertificateError, _incidence_fault,
                                       _verify_payload, canonical_json, checksum,
                                       coloring_certificate, load_certificate,
                                       make_certificate, recheck,
                                       tmodp_certificate, transversal_certificate,
                                       write_certificate)
 from pgworkbench.coloring import trivial_coloring
+from pgworkbench.fields import GF
 from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
 from pgworkbench.solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
@@ -160,23 +162,30 @@ def test_recheck_accepts_every_tmodp_report(p, t):
     assert ok, detail
 
 
+def _no_build(self, *args):
+    raise AssertionError("a field was built")
+
+
 def test_recheck_refuses_a_tmodp_report_past_the_matrix_limit():
     # no report of PG(2,127) can exist; its lines are never enumerated
     data = dict(verify_tmodp_theorem(2, 1).to_json(), p=127, expected_size=128, sets=[],
                 num_found=0, verified=False)
     start = time.perf_counter()
     ok, detail = recheck(make_certificate("tmodp_report", data))
-    assert not ok and "refuses this plane" in detail
+    assert (ok, detail) == (False, "verification error: the 1-space/point incidence matrix of "
+                                   "PG(2,127) has 264290049 entries, above the limit 100000")
     assert time.perf_counter() - start < 0.1
 
 
-def test_recheck_refuses_a_tmodp_report_of_a_huge_plane_before_building_it():
+def test_recheck_refuses_a_tmodp_report_of_a_huge_plane_before_building_it(monkeypatch):
     # PG(2,997) has about 10^6 points and lines: only their counts are read
     data = dict(verify_tmodp_theorem(2, 1).to_json(), p=997, expected_size=998, sets=[],
                 num_found=0, verified=False)
+    monkeypatch.setattr(GF, "__init__", _no_build)
     start = time.perf_counter()
     ok, detail = recheck(make_certificate("tmodp_report", data))
-    assert not ok and "refuses this plane" in detail
+    assert (ok, detail) == (False, "verification error: the 1-space/point incidence matrix of "
+                                   "PG(2,997) has 990038930049 entries, above the limit 100000")
     assert time.perf_counter() - start < 0.1
 
 
@@ -227,6 +236,8 @@ def _bump_last_set(data):
     wt[0] = (wt[0] + 1) % data["p"]
 
 
+RECOMPUTED = " as recomputed from p, t and max_size"
+
 # (p, t), a tampering of the report, and the expected rejection; the first
 # set of the (3,2) report has size 8 and weight 2 at point 3
 TAMPERED_TMODP_REPORTS = [
@@ -239,7 +250,7 @@ TAMPERED_TMODP_REPORTS = [
     # the 234 sets of size 11 lie above a lowered max_size
     pytest.param((3, 2), lambda d: d.update(max_size=10), "size 11 > max_size 10",
                  id="above-max-size"),
-    pytest.param((3, 2), lambda d: d.update(weight_cap=3), "above p - 1",
+    pytest.param((3, 2), lambda d: d.update(weight_cap=3), "weight_cap 3 is not 2" + RECOMPUTED,
                  id="weight-cap-above-p-1"),
     pytest.param((3, 2), _list_first_twice, "listed twice", id="repeated-set"),
     pytest.param((2, 1), lambda d: d.update(violations=[{"weights": d["sets"][0],
@@ -251,20 +262,22 @@ TAMPERED_TMODP_REPORTS = [
     pytest.param((2, 1), lambda d: d.update(sets=d["sets"][1:], num_found=6),
                  "without an exhaustive search finding every union", id="verified-set-dropped"),
     pytest.param((2, 1), lambda d: d.update(kernel_dim=99, num_solution_classes=5),
-                 "kernel_dim 99 is not an int in [0, 7]", id="kernel-dim-out-of-range"),
+                 "kernel_dim 99 is not 3" + RECOMPUTED, id="kernel-dim-out-of-range"),
     pytest.param((2, 1), lambda d: d.update(kernel_dim=10**100),
-                 "is not an int in [0, 7]", id="kernel-dim-huge"),
+                 f"kernel_dim {10**100} is not 3" + RECOMPUTED, id="kernel-dim-huge"),
     pytest.param((2, 1), lambda d: d.update(num_solution_classes=7),
-                 "not p^kernel_dim", id="classes-not-a-power"),
-    pytest.param((2, 1), lambda d: d.update(p=4), "p = 4 is not prime", id="p-not-prime"),
-    pytest.param((3, 2), lambda d: d.update(exhaustive=False), "exhaustive does not match",
-                 id="exhaustive-flipped"),
-    pytest.param((3, 2), lambda d: d.update(num_unions=90), "count of the unions",
+                 "num_solution_classes 7 is not 8" + RECOMPUTED, id="classes-not-a-power"),
+    pytest.param((2, 1), lambda d: d.update(p=4),
+                 "verification error: mod-p enumeration needs a prime field, not GF(4)",
+                 id="p-not-prime"),
+    pytest.param((3, 2), lambda d: d.update(exhaustive=False),
+                 "exhaustive False is not True" + RECOMPUTED, id="exhaustive-flipped"),
+    pytest.param((3, 2), lambda d: d.update(num_unions=90), "num_unions 90 is not 91" + RECOMPUTED,
                  id="num-unions-off"),
     pytest.param((3, 2), _claim_a_non_union_verified, "listed set has size 11 != 8",
                  id="verified-with-a-non-union"),
-    pytest.param((3, 2), lambda d: d.update(expected_size=9), "expected_size is wrong",
-                 id="expected-size-off"),
+    pytest.param((3, 2), lambda d: d.update(expected_size=9),
+                 "expected_size 9 is not 8" + RECOMPUTED, id="expected-size-off"),
     pytest.param((3, 2), lambda d: d.update(num_found=324), "num_found does not match",
                  id="num-found-off"),
     # the (3,2) report lists 234 violations, each a set of size 11
@@ -276,23 +289,42 @@ TAMPERED_TMODP_REPORTS = [
                  "violations do not match", id="violation-zeroed"),
     # a report is about the lines of the plane: unions of points or of the
     # plane itself have another size than expected_size = t*theta(1)
-    pytest.param((2, 1), lambda d: d.update(k=0), "k = 0: a report is about the lines",
+    pytest.param((2, 1), lambda d: d.update(k=0), "k 0 is not 1" + RECOMPUTED,
                  id="point-unions"),
-    pytest.param((2, 1), lambda d: d.update(k=2), "k = 2: a report is about the lines",
+    pytest.param((2, 1), lambda d: d.update(k=2), "k 2 is not 1" + RECOMPUTED,
                  id="plane-unions"),
-    # the union count and the size test need t <= weight_cap
-    pytest.param((3, 2), lambda d: d.update(weight_cap=1), "t = 2 is above weight_cap 1",
+    # weight_cap is p - 1; below t, the union count and the size test
+    # would not hold
+    pytest.param((3, 2), lambda d: d.update(weight_cap=1), "weight_cap 1 is not 2" + RECOMPUTED,
                  id="t-above-weight-cap"),
+    # a weight_cap below p - 1 with t still within it, and a t past the
+    # hypothesis t <= 3p/8 + 1 with expected_size and num_unions to match:
+    # each of these rechecked true until the frame fields were recomputed
+    pytest.param((3, 1), lambda d: d.update(weight_cap=1), "weight_cap 1 is not 2" + RECOMPUTED,
+                 id="weight-cap-below-p-1"),
+    pytest.param((5, 2), lambda d: d.update(weight_cap=2), "weight_cap 2 is not 4" + RECOMPUTED,
+                 id="weight-cap-at-t"),
+    # 3p/8 + 1 = 23/8 at p = 5; the default max_size 21 holds the unions
+    # of 3 lines, of size 18, and none of 4
+    pytest.param((5, 2), lambda d: d.update(t=3, expected_size=18,
+                                            num_unions=math.comb(31 + 2, 3)),
+                 "verification error: hypothesis violated: t = 3 > 3p/8 + 1 = 23/8",
+                 id="t-past-the-hypothesis"),
+    pytest.param((5, 2), lambda d: d.update(t=4, expected_size=24, num_unions=0),
+                 "verification error: hypothesis violated: t = 4 > 3p/8 + 1 = 23/8",
+                 id="t-far-past-the-hypothesis"),
     # True == 1, and 6.5 compares with every size as 6 does: each of these
     # rechecked true until the verifier tested the type of every field
-    pytest.param((2, 1), lambda d: d.update(t=True), "t True is not an int", id="t-bool"),
-    pytest.param((2, 1), lambda d: d.update(max_size=6.5), "max_size 6.5 is not an int",
+    pytest.param((2, 1), lambda d: d.update(t=True),
+                 "verification error: t must be an int, not True", id="t-bool"),
+    pytest.param((2, 1), lambda d: d.update(max_size=6.5),
+                 "verification error: max_size must be an integer >= 0, not 6.5",
                  id="max-size-float"),
     pytest.param((2, 1), lambda d: d.update(num_found=7.0), "num_found 7.0 is not an int",
                  id="num-found-float"),
     pytest.param((2, 1), lambda d: d.update(verified=1), "verified 1 is not a bool",
                  id="verified-int"),
-    pytest.param((3, 2), lambda d: d.update(exhaustive=1), "exhaustive 1 is not a bool",
+    pytest.param((3, 2), lambda d: d.update(exhaustive=1), "exhaustive 1 is not True" + RECOMPUTED,
                  id="exhaustive-int"),
     pytest.param((2, 1), _fails_through_one_point, "listed set of size 4 is not a 1 (mod 2) set",
                  id="fails-on-the-last-k-space"),
@@ -585,38 +617,44 @@ def test_recheck_refuses_a_payload_that_is_not_json(payload, needle):
 
 
 def heavy_report(sets):
-    """A non-exhaustive 16 (mod 17) report listing `sets`, with the
+    """A non-exhaustive 7 (mod 17) report listing `sets`, with the
     violations that their sizes give."""
-    data = verify_tmodp_theorem(17, 1).to_json()
-    data.update(t=16, expected_size=16 * 18, max_size=16 * 307,
-                num_unions=math.comb(307 + 15, 16), sets=sets, num_found=len(sets),
-                violations=[{"weights": wt, "reason": f"size {sum(wt)} != 288"}
+    data = verify_tmodp_theorem(17, 7, 16 * 307).to_json()
+    data.update(sets=sets, num_found=len(sets),
+                violations=[{"weights": wt, "reason": f"size {sum(wt)} != 126"}
                             for wt in sets])
     return data
 
 
 def test_recheck_reduces_byte_lanes_within_a_line():
-    # c everywhere plus 16 - c lines is a 16 (mod 17) set; at c = 16 every
-    # line weighs 18 * 16 = 288, past one byte, so recheck must reduce the
-    # lanes mod 17 part way along each line of 18 points
+    # c everywhere plus 24 - c lines is a 7 (mod 17) set: a line weighs
+    # 18c + 24 - c, and 17 more if it is one of them.  The lines are taken
+    # greedily, from line `first` on, so that no weight passes 16.  At
+    # c = 14 a line weighs up to 279, past one byte, so recheck must reduce
+    # the lanes mod 17 part way along each line of 18 points
     space = ProjectiveSpace.of_order(2, 17)
     lines = space.incidence(1)
     sets = []
-    for c, members in [(16, []), (15, [0]), (14, [3, 200]), (15, [306])]:
-        wt = [c] * space.num_points
-        for i in itertools.chain.from_iterable(lines[j] for j in members):
-            wt[i] += 1
+    for c, first in [(13, 0), (12, 0), (11, 0), (14, 306)]:
+        wt, members = [c] * space.num_points, 0
+        for j in itertools.chain(range(first, len(lines)), range(first)):
+            if members < 24 - c and all(wt[i] < 16 for i in lines[j]):
+                members += 1
+                for i in lines[j]:
+                    wt[i] += 1
         sets.append(wt)
+    assert [sum(wt) for wt in sets] == [4189, 3900, 3611, 4478]
     assert max(map(max, sets)) == 16
-    assert all(is_t_mod_p_set(WeightedPointSet(space, wt), 16, 1)[0] for wt in sets)
+    assert max(sum(wt[i] for i in pts) for wt in sets for pts in lines) == 279
+    assert all(is_t_mod_p_set(WeightedPointSet(space, wt), 7, 1)[0] for wt in sets)
     assert recheck(make_certificate("tmodp_report", heavy_report(sets))) == \
         (True, "report sets verified")
     # (set, point, weight) edits; the last set is the top lane, and of two
     # sets that fail on the same lines the first is named
     for edits, detail in [
-        ([(3, 5, 13)], "listed set of size 4621 is not a 16 (mod 17) set"),
-        ([(0, 0, 15)], "listed set of size 4911 is not a 16 (mod 17) set"),
-        ([(2, 0, 13), (0, 0, 15)], "listed set of size 4911 is not a 16 (mod 17) set"),
+        ([(3, 5, 13)], "listed set of size 4475 is not a 7 (mod 17) set"),
+        ([(0, 0, 16)], "listed set of size 4190 is not a 7 (mod 17) set"),
+        ([(2, 0, 12), (0, 0, 16)], "listed set of size 4190 is not a 7 (mod 17) set"),
         ([(2, 306, 300)], "listed set has a point of weight 300 > weight_cap 16"),
         ([(1, 7, -1)], "verification error: weights must be nonnegative"),
     ]:

@@ -4,15 +4,17 @@ The reference below decides transversal, blocking_set and tmodp_report
 certificates the plain way, from the public predicates: one
 WeightedPointSet and one scan of the k-spaces per listed set or per
 claim, and, for a t (mod p) report, a list of every multiset of t lines
-where `recheck` counts the unions and compares sizes.  `recheck` must give
-the same verdict and the same detail on valid certificates and on copies
-with one entry edited.
+where `recheck` counts the unions and compares sizes, and an elimination
+where `recheck` takes the kernel dimension from its closed form.
+`recheck` must give the same verdict and the same detail on valid
+certificates and on copies with one entry edited.
 """
 
 import functools
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +22,7 @@ from pgworkbench.blocking import (COSET_LIMIT, MATRIX_ENTRY_LIMIT, BlockingError
                                   WeightedPointSet, construct_union, is_minimal,
                                   is_t_fold_blocking, is_t_mod_p_set, solve_mod_p)
 from pgworkbench.certificates import make_certificate, recheck
+from pgworkbench.fields import field_for_order
 from pgworkbench.geometry import ProjectiveSpace, count_subspaces, point_set, theta
 from pgworkbench.solvers import verify_tmodp_theorem
 
@@ -100,29 +103,33 @@ def reference_kernel_dim(p, k, t):
 
 
 def reference_tmodp_report(payload):
-    p, t, k, sets = payload["p"], payload["t"], payload["k"], payload["sets"]
-    cap, max_size, verified = payload["weight_cap"], payload["max_size"], payload["verified"]
-    kdim, exhaustive = payload["kernel_dim"], payload["exhaustive"]
+    p, t, max_size, sets = payload["p"], payload["t"], payload["max_size"], payload["sets"]
+    verified = payload["verified"]
+    # the fields that follow from p, t and max_size, in the order that
+    # recheck compares them, each found the plain way: the kernel dimension
+    # by elimination and the union count by listing the unions
+    bound = Fraction(3 * p, 8) + 1
+    if t > bound:
+        raise ValueError(f"hypothesis violated: t = {t} > 3p/8 + 1 = {bound}")
+    if field_for_order(p).h != 1:
+        raise ValueError(f"mod-p enumeration needs a prime field, not GF({p})")
+    entries = count_subspaces(2, 1, p) * theta(2, p)
+    if entries > MATRIX_ENTRY_LIMIT:
+        raise ValueError(f"the 1-space/point incidence matrix of PG(2,{p}) has {entries} "
+                         f"entries, above the limit {MATRIX_ENTRY_LIMIT}")
     space = ProjectiveSpace.of_order(2, p)
-    if space.field.h != 1:
-        return False, f"p = {p} is not prime, so the enumeration has no report"
-    if k != 1:
-        return False, f"k = {k}: a report is about the lines of the plane, k = 1"
-    expected = payload["expected_size"]
-    if expected != t * theta(space.n - k, p):
-        return False, "expected_size is wrong for the parameters"
-    if count_subspaces(2, k, p) * space.num_points > MATRIX_ENTRY_LIMIT:
-        return False, "the enumeration refuses this plane, so it has no report"
-    if type(kdim) is not int or not 0 <= kdim <= space.num_points:
-        return False, f"kernel_dim {kdim!r} is not an int in [0, {space.num_points}]"
-    kernel_dim = reference_kernel_dim(p, k, t)
-    if kdim != kernel_dim:
-        return False, f"kernel_dim {kdim} is not {kernel_dim}, the kernel dimension " \
-                      f"mod {p} of the {k}-space incidence"
-    if payload["num_solution_classes"] != p**kdim:
-        return False, "num_solution_classes is not p^kernel_dim"
-    if exhaustive != (p**kdim <= COSET_LIMIT):
-        return False, f"exhaustive does not match {p}^{kdim} cosets against the limit"
+    cap, expected = p - 1, t * theta(1, p)
+    kernel_dim = reference_kernel_dim(p, 1, t)
+    unions = reference_line_unions(space, t, max_size, cap)
+    frame = {"p": p, "t": t, "k": 1, "max_size": max_size, "weight_cap": cap,
+             "kernel_dim": kernel_dim, "num_solution_classes": p**kernel_dim,
+             "exhaustive": p**kernel_dim <= COSET_LIMIT, "num_unions": len(unions),
+             "expected_size": expected}
+    for key, value in frame.items():
+        if type(payload[key]) is not type(value) or payload[key] != value:
+            return False, f"{key} {payload[key]!r} is not {value!r} as recomputed " \
+                          f"from p, t and max_size"
+    exhaustive = frame["exhaustive"]
     if len(sets) != payload["num_found"]:
         return False, "num_found does not match the listed sets"
     found = list(map(tuple, sets))
@@ -132,22 +139,15 @@ def reference_tmodp_report(payload):
         return False, "a set is listed twice"
     if verified and payload["violations"]:
         return False, "claimed verified but violations are listed"
-    if verified and not (exhaustive and payload["num_found"] == payload["num_unions"]):
+    if verified and not (exhaustive and payload["num_found"] == len(unions)):
         return False, "claimed verified without an exhaustive search finding every union"
-    if cap > p - 1:
-        return False, f"weight_cap {cap} is above p - 1"
-    if t > cap:
-        return False, f"t = {t} is above weight_cap {cap}"
-    unions = reference_line_unions(space, t, max_size, cap)
-    if payload["num_unions"] != len(unions):
-        return False, "num_unions does not match the count of the unions"
     for wt in found:
         B = WeightedPointSet(space, list(wt))
         if max(wt) > cap:
             return False, f"listed set has a point of weight {max(wt)} > weight_cap {cap}"
         if B.size > max_size:
             return False, f"listed set has size {B.size} > max_size {max_size}"
-        ok, _ = is_t_mod_p_set(B, t, k)
+        ok, _ = is_t_mod_p_set(B, t, 1)
         if not ok:
             return False, f"listed set of size {B.size} is not a {t} (mod {p}) set"
         if verified and B.size != expected:
@@ -305,8 +305,8 @@ def test_recheck_matches_the_reference_on_every_kernel_dim(pt):
         if kdim == true_dim:
             assert got[0]
         else:
-            assert got == (False, f"kernel_dim {kdim} is not {true_dim}, the kernel "
-                                  f"dimension mod {p} of the 1-space incidence")
+            assert got == (False, f"kernel_dim {kdim} is not {true_dim} as recomputed "
+                                  f"from p, t and max_size")
 
 
 CASES = {"tmodp_report": tmodp_cases, "blocking_set": blocking_cases,

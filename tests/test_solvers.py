@@ -9,12 +9,13 @@ from fractions import Fraction
 import pytest
 
 from pgworkbench import solvers
+from pgworkbench.blocking import BlockingError, enumerate_t_mod_p_sets
 from pgworkbench.coloring import is_proper, make_coloring
-from pgworkbench.fields import FieldError
+from pgworkbench.fields import GF, FieldError
 from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
 from pgworkbench.solvers import (BOUND_ONLY, OPTIMAL, SolverError,
                                  _sqrt2_combo_nonneg, bounds_report, exact_tau,
-                                 exact_ucn, verify_tmodp_theorem)
+                                 exact_ucn, tmodp_frame, verify_tmodp_theorem)
 
 FANO = ProjectiveSpace.of_order(2, 2).hypergraph(1)
 
@@ -627,6 +628,37 @@ def test_verify_tmodp_theorem_counts_the_line_unions(p, t, count):
     assert rep.num_unions == count == math.comb(theta(2, p) + t - 1, t)
     assert rep.kernel_dim == p * (p + 1) // 2 and not rep.exhaustive
     assert (rep.num_found, rep.violations, rep.verified) == (0, [], False)
+
+
+@pytest.mark.parametrize("p, t", [(2, 1), (3, 1), (3, 2), (5, 1), (5, 2), (7, 2), (17, 1)])
+def test_tmodp_frame_agrees_with_the_report_and_the_walk(p, t):
+    # recheck compares a report's search-free fields with tmodp_frame, so
+    # the report builder and the enumeration must give the same ones, by
+    # value and by type; at t*(p+1) - 1 the size bound leaves no union
+    space = ProjectiveSpace.of_order(2, p)
+    for max_size in [None, t * (p + 1) - 1]:
+        frame = tmodp_frame(p, t, max_size)
+        data = verify_tmodp_theorem(p, t, max_size).to_json()
+        assert {key: data[key] for key in frame} == frame
+        assert [type(data[key]) for key in frame] == list(map(type, frame.values()))
+        enum = enumerate_t_mod_p_sets(space, k=1, t=t, max_size=frame["max_size"])
+        assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive) == \
+            (frame["kernel_dim"], frame["num_solution_classes"], frame["exhaustive"])
+
+
+def _no_build(self, *args):
+    raise AssertionError("a field or space was built")
+
+
+@pytest.mark.parametrize("p, error", [(4, BlockingError), (6, FieldError), (127, BlockingError),
+                                      (997, BlockingError), (65537, FieldError)])
+def test_tmodp_frame_builds_no_field_or_space(monkeypatch, p, error):
+    # a plane with a report and planes without one are told apart by counts
+    monkeypatch.setattr(GF, "__init__", _no_build)
+    monkeypatch.setattr(ProjectiveSpace, "__init__", _no_build)
+    assert tmodp_frame(17, 7)["num_unions"] == math.comb(307 + 6, 7)
+    with pytest.raises(error):
+        tmodp_frame(p, 1)
 
 
 def test_sqrt2_combo_sign():

@@ -93,6 +93,15 @@ def test_solvers_read_params_through_the_check():
     assert found == []
 
 
+def test_certificates_leave_the_tmodp_rules_to_the_frame():
+    # the coset and matrix limits and the plane kernel dimension reach a
+    # t (mod p) report through solvers.tmodp_frame alone, so the report
+    # builder and recheck cannot drift apart
+    source = (PACKAGE_DIR / "certificates.py").read_text()
+    names = {"COSET_LIMIT", "MATRIX_ENTRY_LIMIT", "_plane_kernel_dim"}
+    assert sorted(name for name in names if name in source) == []
+
+
 def test_no_parameter_is_a_limit():
     # limits are module constants, such as solvers.NODE_LIMIT, which a test
     # lowers by monkeypatching: a keyword would be one more setting that
