@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 
 from .blocking import WeightedPointSet, _is_minimal, _kspace_failure, _verdict
 from .coloring import (Coloring, _rainbow_edge, _trivial_class, is_strict,
@@ -46,11 +47,25 @@ def checksum(payload) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
+class _Made(dict):
+    """A certificate as make_certificate made it, with its canonical text
+    and the field values that text was made from."""
+    __slots__ = ("text", "made")
+
+
 def make_certificate(kind: str, payload: dict) -> dict:
+    """The certificate of payload.  Its canonical text is kept, built
+    around the payload text that the checksum is computed from: the keys
+    sort as checksum, kind, payload, schema_version."""
     if kind not in _VERIFIERS:
         raise CertificateError(f"unknown certificate kind {kind!r}")
-    return {"schema_version": SCHEMA_VERSION, "kind": kind,
-            "payload": payload, "checksum": checksum(payload)}
+    text = canonical_json(payload)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    cert = _Made(schema_version=SCHEMA_VERSION, kind=kind, payload=payload, checksum=digest)
+    cert.made = tuple(cert.values())
+    cert.text = (f'{{"checksum":"{digest}","kind":"{kind}","payload":{text},'
+                 f'"schema_version":{SCHEMA_VERSION}}}')
+    return cert
 
 
 def _geometry(H: Hypergraph) -> tuple:
@@ -91,7 +106,14 @@ def tmodp_certificate(rep: TModPVerification) -> dict:
 
 
 def write_certificate(cert: dict, path: str) -> None:
-    write_text(path, canonical_json(cert))
+    """Write the canonical JSON text of cert.  A certificate from
+    make_certificate whose four fields still hold the objects it was made
+    with is written from its kept text, so its payload is not encoded a
+    second time; a payload changed in place after that is not seen, as
+    its checksum would not match it either."""
+    made = type(cert) is _Made and len(cert) == 4 and all(map(
+        operator.is_, cert.values(), cert.made))
+    write_text(path, cert.text if made else canonical_json(cert))
 
 
 def load_certificate(path: str) -> dict:

@@ -106,7 +106,7 @@ def point_set(points, num_points: int) -> set:
     return pts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subspace:
     dim: int
     basis: tuple  # RREF rows, each a coordinate tuple; () for the empty space
@@ -289,59 +289,64 @@ class ProjectiveSpace:
         sum(w[j] * q^(n-j)), its coordinates read in base q, whose digits
         are the base-p digits of the coordinates over GF(p^h).  The bases
         are grouped by their rows below b, and each suffix of those rows
-        gets its span and its point mask once, from the last row up, each
-        from the suffix below it.  Putting a row r on top of a suffix adds
-        to its points its span moved by r, as a basis moves it (_lifted);
-        the new span is the old one with each multiple x^i * r, i < h,
-        added p - 1 times (_moved).  The x^i, the elements p^i, are a
-        basis of GF(q) over GF(p), so these sums reach every c*r + w.
-        Each basis's mask is then the points of its rows below b and their
-        span moved by b."""
-        n, p, h, mul = self.n, self.field.p, self.field.h, self.field.mul
+        gets its span, its point mask and its columns (where some row is
+        nonzero, so that every slot of the span is 0 elsewhere) once, from
+        the last row up, each from the suffix below it.  Putting a row r on
+        top of a suffix adds to its points its span moved by r, as a basis
+        moves it (_lifted); the new span is the old one with each multiple
+        x^i * r, i < h, added p - 1 times (_moved).  The x^i, the elements
+        p^i, are a basis of GF(q) over GF(p), so these sums reach every
+        c*r + w.  At r's pivot every slot of the span is 0, and the
+        multiple x^i adds 1 to a digit that the earlier additions of x^i
+        left below p - 1, so that move is a plain shift.  Each basis's mask
+        is then the points of its rows below b and their span moved by b."""
+        p, h, mul, place = self.field.p, self.field.h, self.field.mul, self._place
         groups = {}
         for pos, B in enumerate(bases):
             groups.setdefault(B[1:], []).append(pos)
-        # a suffix of rows -> (its span as a mask of slots, its point mask)
-        spans = {(): (1, 0)}
+        # a suffix of rows -> (its span as a mask of slots, its point mask,
+        # its columns)
+        spans = {(): (1, 0, ())}
         masks = [0] * len(bases)
         for rows, positions in groups.items():
             for i in range(len(rows) - 1, -1, -1):
                 if rows[i:] in spans:
                     continue
                 row, below = rows[i], rows[i + 1:]
-                span, points = spans[below]
-                points |= self._lifted(span, row, below[0].index(1) if below else n)
+                span, points, columns = spans[below]
+                points |= self._lifted(span, row, columns)
+                pivot = row.index(1)
+                later = [j for j in range(pivot + 1, self.n + 1) if row[j]]
                 for d in range(h):
                     # x^d * r, x^d being the element p**d
                     step = tuple(mul(p**d, a) for a in row) if d else row
                     layer = span
                     for _ in range(p - 1):
-                        layer = self._moved(layer, step, 0)[0]
+                        layer = self._moved(layer, step, later)[0] << p**d * place[pivot]
                         span |= layer
-                spans[rows[i:]] = span, points
-            span, points = spans[rows]
-            pivot = rows[0].index(1) if rows else n
+                spans[rows[i:]] = span, points, sorted({pivot, *later, *columns})
+            span, points, columns = spans[rows]
             for pos in positions:
-                masks[pos] = points | self._lifted(span, bases[pos][0], pivot)
+                masks[pos] = points | self._lifted(span, bases[pos][0], columns)
         return masks
 
-    def _lifted(self, span, row, pivot) -> int:
+    def _lifted(self, span, row, columns) -> int:
         """The mask of the points row + w, for the vectors w of span, which
-        are 0 up to column pivot, where row is 0.  Row's coordinates before
-        pivot are one shift, to the index of row; the later ones are moved
-        by _moved."""
-        span, tail = self._moved(span, row, pivot + 1)
+        are 0 outside the given columns, and at and before the pivot of
+        row.  Row's coordinates in the other columns are one shift, to the
+        index of row; those in the given columns are moved by _moved."""
+        span, tail = self._moved(span, row, columns)
         return span << self.point_index[row] - tail
 
-    def _moved(self, M, row, start) -> tuple:
-        """(M with the coordinates of row from column start on added to
+    def _moved(self, M, row, columns) -> tuple:
+        """(M with the coordinates of row in the given columns added to
         every slot of it, those coordinates read in base q), for a mask M
         of slots.  Adding a nonzero digit x at place P adds x mod p to that
         digit of every slot: the slots whose digit is below p - x
         (_wrap_mask) move up by x*P, the others down by (p - x)*P."""
         p, place = self.field.p, self._place
         tail = 0
-        for j in range(start, self.n + 1):
+        for j in columns:
             a, P = row[j], place[j]
             tail += a * P
             while a:
@@ -532,15 +537,17 @@ class ProjectiveSpace:
         a bit at or past num_points in either, or a mask without theta(k) or
         theta(k+1) points, gives False.  At k = n-1 that leaves each
         (k+1)-space all points, so the identity holds iff there is one.
-        Otherwise each point gets a mask over the indices of the (k+1)-spaces
-        through it, and the AND of these masks over the points of a k-space
-        marks the (k+1)-spaces that contain it; the k-space's mask is walked
-        in place, clearing its top bit at each step, with no list of its
-        points.  The point masks are one transpose of the byte matrix whose
-        rows are the (k+1)-space masks, last row first: a strided slice takes
-        one byte column, and per bit a translate to '0' and '1' and a base-2
-        parse give one point's mask.  They are built here and dropped on
-        return; no level caches them.
+        Otherwise the byte matrix whose rows are the (k+1)-space masks, last
+        row first, is read one byte column at a time, by a strided slice,
+        and per bit b of the column a translate marks the (k+1)-spaces
+        through point 8c + b with '1' and the others with '0'.  At k = 0
+        the count of '1' is that point's number of lines, the check itself.
+        For k >= 1 a base-2 parse makes it the point's mask over the indices
+        of the (k+1)-spaces, and the AND of these masks over the points of a
+        k-space marks the (k+1)-spaces that contain it; the k-space's mask
+        is walked in place, clearing its top bit at each step, with no list
+        of its points.  Counts and masks are dropped on return; no level
+        caches them.
         """
         q, num = self.q, self.num_points
         target = theta(self.n - k - 1, q)
@@ -560,11 +567,16 @@ class ProjectiveSpace:
             matrix[row * width:(row + 1) * width] = U.mask.to_bytes(width, "little")
         # per bit b, the byte v becomes '1' when bit b of v is set, else '0'
         digits = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+        # per point, its (k+1)-spaces: their count at k = 0, else their mask
         through = []
         for c in range(width):
             column = matrix[c::width]
-            through.extend(int(column.translate(digits[b]), 2)
-                           for b in range(min(8, num - 8 * c)))
+            for b in range(min(8, num - 8 * c)):
+                bits = column.translate(digits[b])
+                through.append(bits.count(49) if k == 0 else int(bits, 2))
+        if k == 0:
+            # each point's mask was found to have one bit
+            return all(through[S.mask.bit_length() - 1] == target for S in lowers)
         for S in lowers:
             common, m = -1, S.mask
             while m:

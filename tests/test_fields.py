@@ -112,7 +112,8 @@ def test_large_field_randomized_axioms():
             assert f.mul(a, f.inv(a)) == 1
 
 
-@pytest.mark.parametrize("p,h", [(3, 3), (2, 5), (2, 7), (3, 5), (2, 10), (3, 7)])
+@pytest.mark.parametrize("p,h", [(3, 3), (2, 5), (2, 7), (3, 5), (2, 10), (3, 7),
+                                 (2, 16), (3, 10)])
 def test_tables_match_polynomial_arithmetic(p, h):
     # the log/Zech tables against schoolbook arithmetic on residue polynomials
     import random

@@ -335,11 +335,11 @@ def test_pencil_identity_detects_tampered_caches(n, q, k):
     assert ProjectiveSpace(n, field_for_order(q)).verify_pencil_identity(k)
 
 
-def _digit_moves(space, row, start):
+def _digit_moves(space, row, columns):
     """The (place, digit) pair of each nonzero base-p digit of row's
-    coordinates from column start on."""
+    coordinates in the given columns."""
     p, out = space.field.p, set()
-    for j in range(start, space.n + 1):
+    for j in columns:
         a, P = row[j], space.q ** (space.n - j)
         while a:
             a, x = divmod(a, p)
@@ -352,9 +352,11 @@ def _digit_moves(space, row, start):
 @pytest.mark.parametrize("n,q", [(1, 27), (2, 25), (2, 27), (3, 8), (3, 9), (4, 3)])
 def test_one_basis_builds_a_wrap_mask_per_nonzero_digit(n, q):
     # a basis moves the span of its rows below the first by each multiple
-    # x^i * r of each of those rows r, i < h, and then by its first row
-    # after the pivot of the second: exactly the wrap masks of the
-    # nonzero digits of those vectors are built
+    # x^i * r of each of those rows r, i < h, in the columns after r's
+    # pivot (at the pivot that move is a shift), and then by its first row
+    # in the columns where a row below is nonzero (elsewhere every vector
+    # of the span is 0): exactly the wrap masks of the nonzero digits of
+    # those vectors in those columns are built
     space = ProjectiveSpace(n, field_for_order(q))
     f = space.field
     rng = random.Random(n * 100 + q)
@@ -362,18 +364,20 @@ def test_one_basis_builds_a_wrap_mask_per_nonzero_digit(n, q):
         space._wrap_masks.clear()
         pts = rng.sample(range(space.num_points), rng.randint(1, n + 1))
         basis = space.rref([space.points[i] for i in pts])
-        lead = basis[1].index(1) if len(basis) > 1 else n
-        want = _digit_moves(space, basis[0], lead + 1)
+        below = [j for j in range(n + 1) if any(r[j] for r in basis[1:])]
+        want = _digit_moves(space, basis[0], below)
         for r in basis[1:]:
             for i in range(f.h):
-                want |= _digit_moves(space, tuple(f.mul(f.p**i, a) for a in r), 0)
+                want |= _digit_moves(space, tuple(f.mul(f.p**i, a) for a in r),
+                                     range(r.index(1) + 1, n + 1))
         assert space.mask_for_basis(basis) == _reference_mask(space, basis)
         assert set(space._wrap_masks) == want
     if n == 1:
-        # the one line of PG(1,q) adds (0, x^i) to its span for each i < h
+        # the one line of PG(1,q) adds x^i to its span at the pivot of
+        # (0, 1), for each i < h: every move is a shift
         space._wrap_masks.clear()
         space.subspaces(1)
-        assert set(space._wrap_masks) == {(f.p**i, 1) for i in range(f.h)}
+        assert space._wrap_masks == {}
 
 
 @pytest.mark.parametrize("n,q", [(3, 3), (2, 4)])

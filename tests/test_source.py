@@ -80,6 +80,32 @@ def test_library_imports_no_random():
     assert found == []
 
 
+def _uses(node):
+    """The names that node reads, as names or as attributes."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Name) or isinstance(n, ast.Attribute)]
+
+
+def test_every_private_definition_has_a_caller():
+    # a private function, method or class that nothing in the library
+    # reads outside its own body is dead code; the public API may have no
+    # caller inside the library
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    uses = {}
+    for tree in trees.values():
+        for name in _uses(tree):
+            uses[name] = uses.get(name, 0) + 1
+    dead = []
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_") and not node.name.startswith("__") \
+                    and uses.get(node.name, 0) == _uses(node).count(node.name):
+                dead.append(f"{file}: {node.name}")
+    assert dead == []
+
+
 def test_solvers_read_params_through_the_check():
     # the geometric shortcuts (bounds, fixed roots, size cutoffs) and the
     # certificates that name a space read Hypergraph.geometry, which
