@@ -575,7 +575,7 @@ class ProjectiveSpace:
                 bits = column.translate(digits[b])
                 through.append(bits.count(49) if k == 0 else int(bits, 2))
         if k == 0:
-            # each point's mask was found to have one bit
+            # each 0-space was found to have one bit in its mask, its point
             return all(through[S.mask.bit_length() - 1] == target for S in lowers)
         for S in lowers:
             common, m = -1, S.mask
