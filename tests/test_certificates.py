@@ -49,6 +49,21 @@ def test_make_certificate_and_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["transversal", "coloring", "blocking_set", "tmodp_report",
+                                  "bounds"])
+def test_write_certificate_writes_the_canonical_json(tmp_path, kind):
+    # a made certificate is written from the payload text of its checksum;
+    # once a field is set after making, the certificate is encoded again
+    cert = make_certificate(kind, _valid_payload(kind))
+    path = tmp_path / "cert.json"
+    write_certificate(cert, str(path))
+    assert path.read_text() == canonical_json(dict(cert))
+    cert["payload"] = {**cert["payload"], "extra": 1}
+    write_certificate(cert, str(path))
+    assert path.read_text() == canonical_json(dict(cert))
+    assert json.loads(path.read_text())["payload"]["extra"] == 1
+
+
 def test_make_certificate_rejects_unknown_kind():
     with pytest.raises(CertificateError):
         make_certificate("mystery", {})
