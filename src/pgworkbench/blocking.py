@@ -56,47 +56,58 @@ def kspace_weights(B: WeightedPointSet, k: int):
     return [sum(map(w, pts)) for pts in B.space.incidence(k)]
 
 
-def _kspace_failure(B: WeightedPointSet, t: int, k: int, char, sums: dict):
-    """Index of the first k-space, in canonical order, whose weight in B is
-    below t (char None, with k in 1..n-1) or not congruent to t mod char;
-    None when there is none.  The k-space weights are read from the dict
-    sums, keyed by k, and put there on first use, so every predicate of
-    one set takes a single pass over the k-spaces of each k."""
-    if char is None and (k < 1 or k > B.space.n - 1):
+# -- claims: blocking, t (mod p), essentiality, minimality ---------------
+
+def judge_claim(B: WeightedPointSet, kind: str, t: int, k: int, sums: dict):
+    """(holds, S) for a claim about B on k-spaces: t_fold_blocking (each
+    k-space, 1 <= k <= n-1, has weight >= t), t_mod_p (each weight is t mod
+    the characteristic) or minimal (t-fold blocking, and each point of
+    positive weight is on a k-space of weight t, so a set that is not
+    t-fold blocking is not minimal).  S is the first k-space, in canonical
+    order, that fails the weight test, else None.  Claims sharing the dict
+    sums (the weights by k) make one pass per k.  BlockingError for another
+    kind, and for k out of range in a blocking or minimal claim."""
+    if kind not in ("t_fold_blocking", "t_mod_p", "minimal"):
+        raise BlockingError(f"unknown claim type {kind!r}")
+    if kind != "t_mod_p" and (k < 1 or k > B.space.n - 1):
         raise BlockingError(f"k = {k} out of range")
     if k not in sums:
         sums[k] = kspace_weights(B, k)
-    if char is None:
-        return next((i for i, s in enumerate(sums[k]) if not s >= t), None)
-    r = t % char
-    return next((i for i, s in enumerate(sums[k]) if not s % char == r), None)
+    if kind == "t_mod_p":
+        char = B.space.field.p
+        failure = next((i for i, s in enumerate(sums[k]) if (s - t) % char), None)
+    else:
+        failure = next((i for i, s in enumerate(sums[k]) if not s >= t), None)
+    if failure is not None:
+        return False, B.space.subspaces(k)[failure]
+    if kind == "minimal":
+        tight = _tight_mask(B, t, k, sums[k])
+        return all(tight >> i & 1 for i in B.support), None
+    return True, None
 
-
-def _verdict(B: WeightedPointSet, k: int, failure):
-    return (True, None) if failure is None else (False, B.space.subspaces(k)[failure])
-
-
-# -- blocking, essentiality, minimality ---------------------------------
 
 def is_t_fold_blocking(B: WeightedPointSet, t: int, k: int):
     """True iff every k-space meets B in >= t weight; else (False, witness)."""
-    return _verdict(B, k, _kspace_failure(B, t, k, None, {}))
+    return judge_claim(B, "t_fold_blocking", t, k, {})
+
+
+def is_t_mod_p_set(B: WeightedPointSet, t: int, k: int):
+    """True iff every k-space weight is congruent to t mod p, the
+    characteristic of the field; else (False, witness)."""
+    return judge_claim(B, "t_mod_p", t, k, {})
 
 
 def _require_blocking(B, t, k, sums: dict) -> list:
     """The k-space weights of B; BlockingError unless B is t-fold blocking."""
-    i = _kspace_failure(B, t, k, None, sums)
-    if i is not None:
-        raise BlockingError(
-            f"not a {t}-fold blocking set with respect to {k}-spaces "
-            f"(violated by a k-space of weight {sums[k][i]})")
+    blocking, S = judge_claim(B, "t_fold_blocking", t, k, sums)
+    if not blocking:
+        raise BlockingError(f"not a {t}-fold blocking set with respect to {k}-spaces "
+                            f"(violated by a k-space of weight {B.subspace_weight(S)})")
     return sums[k]
 
 
-def _essential_mask(B: WeightedPointSet, t: int, k: int, sums: dict) -> int:
-    """Mask of the points on some k-space of weight exactly t; BlockingError
-    unless B is t-fold blocking."""
-    weights = _require_blocking(B, t, k, sums)
+def _tight_mask(B: WeightedPointSet, t: int, k: int, weights: list) -> int:
+    """Mask of the points on a k-space whose weight in the list weights is t."""
     tight = 0
     for S, s in zip(B.space.subspaces(k), weights):
         if s == t:
@@ -104,19 +115,15 @@ def _essential_mask(B: WeightedPointSet, t: int, k: int, sums: dict) -> int:
     return tight
 
 
-def _is_minimal(B: WeightedPointSet, t: int, k: int, sums: dict) -> bool:
-    tight = _essential_mask(B, t, k, sums)
-    return all(tight >> i & 1 for i in B.support)
-
-
 def essential_points(B: WeightedPointSet, t: int, k: int):
     """Positive-weight points lying on some k-space of weight exactly t."""
-    tight = _essential_mask(B, t, k, {})
+    tight = _tight_mask(B, t, k, _require_blocking(B, t, k, {}))
     return {i for i in B.support if tight >> i & 1}
 
 
 def is_minimal(B: WeightedPointSet, t: int, k: int) -> bool:
-    return _is_minimal(B, t, k, {})
+    """True iff B is minimal; BlockingError unless B is t-fold blocking."""
+    return essential_points(B, t, k) == set(B.support)
 
 
 def minimal_reduction(B: WeightedPointSet, t: int, k: int, order=None) -> WeightedPointSet:
@@ -146,14 +153,6 @@ def harrach_uniqueness_limit(space: ProjectiveSpace, t: int, k: int) -> int:
     """
     q = space.q
     return (t + 1) * q ** (space.n - k) + theta(space.n - k - 1, q)
-
-
-# -- modular intersection conditions ------------------------------------
-
-def is_t_mod_p_set(B: WeightedPointSet, t: int, k: int):
-    """True iff every k-space weight is congruent to t mod p, the
-    characteristic of the field."""
-    return _verdict(B, k, _kspace_failure(B, t, k, B.space.field.p, {}))
 
 
 # -- weighted unions -----------------------------------------------------
@@ -197,13 +196,6 @@ def solve_mod_p(rows, rhs, p):
     return particular, kernel
 
 
-def _plane_kernel_dim(p: int) -> int:
-    """Dimension of the kernel over GF(p), p prime, of the line/point
-    incidence matrix of PG(2,p): p(p+1)/2, since that matrix has p-rank
-    C(p+1, 2) + 1 (Graham and MacWilliams 1966)."""
-    return p * (p + 1) // 2
-
-
 COSET_LIMIT = 3**13
 # entries of the dense k-space/point incidence matrix that the enumeration
 # may take on: the lines of PG(2,17) give 94249, whose elimination would
@@ -221,6 +213,16 @@ def _require_mod_p_matrix(n: int, k: int, q: int) -> None:
     if entries > MATRIX_ENTRY_LIMIT:
         raise BlockingError(f"the {k}-space/point incidence matrix of PG({n},{q}) has "
                             f"{entries} entries, above the limit {MATRIX_ENTRY_LIMIT}")
+
+
+def plane_cosets(p: int) -> tuple:
+    """(kernel_dim, classes, exhaustive) for the lines of PG(2,p), once
+    `_require_mod_p_matrix` passes: kernel_dim is p(p+1)/2 by the p-rank
+    C(p+1, 2) + 1 (Graham and MacWilliams 1966), the p^kernel_dim classes
+    are the kernel's cosets, and exhaustive means at most COSET_LIMIT."""
+    _require_mod_p_matrix(2, 1, p)
+    kdim = p * (p + 1) // 2
+    return kdim, p**kdim, p**kdim <= COSET_LIMIT
 
 
 @dataclass
@@ -243,7 +245,7 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int,
     incidence matrix over GF(p).  Every coset of that kernel is walked when
     there are at most COSET_LIMIT of them; past it none is, and the result
     lists no sets with exhaustive=False.  For the lines of a plane the
-    kernel dimension has a closed form (`_plane_kernel_dim`), so a plane
+    kernel dimension has a closed form (`plane_cosets`), so a plane
     past the limit is answered without building or eliminating the matrix.
     BlockingError unless the field is prime and max_size is an int >= 0,
     and unless the incidence matrix has at most MATRIX_ENTRY_LIMIT entries.
@@ -254,9 +256,9 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int,
     p, npts = space.field.p, space.num_points
     if (space.n, k) == (2, 1):
         # the constant weight t solves the system, so it is consistent
-        kdim = _plane_kernel_dim(p)
-        if p**kdim > COSET_LIMIT:
-            return TModPEnumeration([], kdim, p**kdim, False)
+        kdim, total, exhaustive = plane_cosets(p)
+        if not exhaustive:
+            return TModPEnumeration([], kdim, total, False)
     rows = [[S.mask >> i & 1 for i in range(npts)] for S in space.subspaces(k)]
     # a k-space has theta(k) = 1 (mod p) points, so the constant weight t
     # solves the system and solve_mod_p never returns None

@@ -8,7 +8,7 @@ import itertools
 import json
 import operator
 
-from .blocking import WeightedPointSet, _is_minimal, _kspace_failure, _verdict
+from .blocking import WeightedPointSet, judge_claim
 from .coloring import (Coloring, _rainbow_edge, _trivial_class, is_strict,
                        is_trivial_coloring)
 from .geometry import (DEFAULT_MAX_MASK_BITS, Hypergraph, ProjectiveSpace, _limit_fault,
@@ -98,6 +98,17 @@ def bounds_certificate(rep: BoundsReport) -> dict:
     """Certificate of a bounds report; recheck recomputes it."""
     return make_certificate("bounds", {"n": rep.n, "k": rep.k, "q": rep.q, "t": rep.t,
                                        "report": rep.to_json()})
+
+
+def blocking_set_certificate(B: WeightedPointSet, t: int, k: int) -> dict:
+    """Certificate of B's claims on k-spaces, judged in one pass over them:
+    t-fold blocking, t (mod p) and, if it is blocking, minimal."""
+    sums = {}
+    claims = [{"type": kind, "t": t, "k": k, "verified": judge_claim(B, kind, t, k, sums)[0]}
+              for kind in ("t_fold_blocking", "t_mod_p", "minimal")]
+    if not claims[0]["verified"]:
+        del claims[2]
+    return make_certificate("blocking_set", {**B.to_json(), "claims": claims})
 
 
 def tmodp_certificate(rep: TModPVerification) -> dict:
@@ -198,7 +209,9 @@ def _verify_coloring(payload):
     if edge is not None:
         return False, f"rainbow hyperedge on points {mask_bits(edge)}"
     trivial = payload.get("trivial")
-    if trivial is not None and bool(trivial) != (_trivial_class(masks, H) is not None):
+    if trivial is not None and type(trivial) is not bool:
+        return False, f"trivial {trivial!r} is not a bool"
+    if trivial is not None and trivial != (_trivial_class(masks, H) is not None):
         if trivial:
             return False, "claimed trivial but no class contains a 2-transversal"
         return False, "claimed not trivial but a class contains a 2-transversal"
@@ -223,25 +236,24 @@ def _verify_blocking_set(payload):
         kind = claim["type"]
         _require_ints(claim, ("t", "k"))
         t, k = claim["t"], claim["k"]
+        claimed = claim.get("verified", True)
+        if type(claimed) is not bool:
+            return False, f"verified {claimed!r} is not a bool"
         fault = _incidence_fault(n, k, q)
         if fault is not None:
             return False, fault
-        if kind == "t_fold_blocking":
-            ok, witness = _verdict(B, k, _kspace_failure(B, t, k, None, sums))
-            if ok != claim.get("verified", True):
-                detail = "claim mismatch"
-                if witness is not None:
-                    detail = f"violating {k}-space with basis {witness.basis}"
-                return False, detail
-        elif kind == "t_mod_p":
-            failure = _kspace_failure(B, t, k, space.field.p, sums)
-            if (failure is None) != claim.get("verified", True):
-                return False, f"t (mod p) claim fails on a {k}-space"
-        elif kind == "minimal":
-            if _is_minimal(B, t, k, sums) != claim.get("verified", True):
-                return False, "minimality claim mismatch"
-        else:
+        if kind not in ("t_fold_blocking", "t_mod_p", "minimal"):
             return False, f"unknown claim type {kind!r}"
+        holds, witness = judge_claim(B, kind, t, k, sums)
+        if holds == claimed:
+            continue
+        if kind == "minimal":
+            return False, "minimality claim mismatch"
+        if kind == "t_mod_p":
+            return False, f"t (mod p) claim fails on a {k}-space"
+        if witness is None:
+            return False, "claim mismatch"
+        return False, f"violating {k}-space with basis {witness.basis}"
     return True, "all claims verified"
 
 

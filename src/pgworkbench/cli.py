@@ -9,10 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .blocking import (BlockingError, WeightedPointSet, is_minimal, is_t_fold_blocking,
-                       is_t_mod_p_set)
-from .certificates import (_all_ints, bounds_certificate, canonical_json,
-                           coloring_certificate, load_certificate, make_certificate, recheck,
+from .blocking import BlockingError, WeightedPointSet
+from .certificates import (_all_ints, blocking_set_certificate, bounds_certificate,
+                           canonical_json, coloring_certificate, load_certificate, recheck,
                            tmodp_certificate, transversal_certificate, write_certificate)
 from .coloring import Coloring, is_proper, is_trivial_coloring, trivial_coloring
 from .experiments import ExperimentConfig, default_grid, run_experiments
@@ -45,18 +44,12 @@ def cmd_blocking(args):
     if not isinstance(weights, list) or not _all_ints(weights):
         raise BlockingError("the weights file must hold a JSON list of integers")
     B = WeightedPointSet(space, weights)
-    blocking, witness = is_t_fold_blocking(B, args.t, args.k)
-    modp, _ = is_t_mod_p_set(B, args.t, args.k)
-    claims = [{"type": "t_fold_blocking", "t": args.t, "k": args.k, "verified": blocking},
-              {"type": "t_mod_p", "t": args.t, "k": args.k, "verified": modp}]
-    if blocking:
-        claims.append({"type": "minimal", "t": args.t, "k": args.k,
-                       "verified": is_minimal(B, args.t, args.k)})
-    cert = make_certificate("blocking_set", {**B.to_json(), "claims": claims})
+    cert = blocking_set_certificate(B, args.t, args.k)
     if args.out:
         write_certificate(cert, args.out)
+    claims = cert["payload"]["claims"]
     _emit({"size": B.size, "claims": claims})
-    return 0 if blocking else 1
+    return 0 if claims[0]["verified"] else 1
 
 
 def cmd_color(args):
@@ -66,8 +59,7 @@ def cmd_color(args):
     H = hypergraph_from_file(args.hypergraph)
     data = load_json(getattr(args, flag))
     if args.mode == "trivialize":
-        coloring = trivial_coloring(data, H)
-        _emit({"assignment": list(coloring.assignment), "N": coloring.N})
+        _emit(trivial_coloring(data, H).to_json())
         return 0
     coloring = Coloring.from_json(data)
     proper, edge = is_proper(coloring, H)

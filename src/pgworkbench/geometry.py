@@ -498,7 +498,7 @@ class ProjectiveSpace:
                 return H
         raise GeometryError("no hyperplane avoids the point")  # unreachable
 
-    def project_from_point(self, center: int, H: Subspace, weights, strict: bool = True):
+    def project_from_point(self, center: int, H: Subspace, weights):
         """Project a weight function from a point into a hyperplane.
 
         Each point X != center maps to line(center, X) & H; weights add.
@@ -512,9 +512,7 @@ class ProjectiveSpace:
             if w == 0:
                 continue
             if x == center:
-                if strict:
-                    raise GeometryError("projection center carries positive weight")
-                continue
+                raise GeometryError("projection center carries positive weight")
             line = self.line_through(center, x)
             img = line.mask & H.mask
             out[img.bit_length() - 1] += w

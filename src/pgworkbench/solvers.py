@@ -9,8 +9,7 @@ import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .blocking import (COSET_LIMIT, _plane_kernel_dim, _require_mod_p_matrix,
-                       enumerate_t_mod_p_sets)
+from .blocking import enumerate_t_mod_p_sets, plane_cosets
 from .coloring import is_proper, make_coloring, trivial_coloring
 from .fields import factor_prime_power
 from .geometry import MAX_N, Hypergraph, ProjectiveSpace, mask_bits, theta
@@ -533,17 +532,14 @@ def tmodp_frame(p: int, t: int, max_size: int | None = None) -> dict:
         raise SolverError(f"max_size must be an integer >= 0, not {max_size!r}")
     if 8 * t > 3 * p + 8:
         raise SolverError(f"hypothesis violated: t = {t} > 3p/8 + 1 = {Fraction(3 * p, 8) + 1}")
-    _require_mod_p_matrix(2, 1, p)
+    # the constant weight t solves the system, so its solutions form the classes
+    # of plane_cosets; t <= p - 1 by the hypothesis, so unions count as multisets
+    kdim, classes, exhaustive = plane_cosets(p)
     if max_size is None:
         max_size = (t + 1) * theta(1, p) + p - 2
-    kdim = _plane_kernel_dim(p)
-    # the constant weight t solves the system, so its solutions form
-    # p^kernel_dim classes, walked up to COSET_LIMIT of them; the hypothesis
-    # gives t <= p - 1, so the unions are counted by their multisets
-    classes = p**kdim
     return {"p": p, "t": t, "k": 1, "max_size": max_size, "weight_cap": p - 1,
             "kernel_dim": kdim, "num_solution_classes": classes,
-            "exhaustive": classes <= COSET_LIMIT,
+            "exhaustive": exhaustive,
             "num_unions": math.comb(theta(2, p) + t - 1, t) if t * (p + 1) <= max_size else 0,
             "expected_size": t * theta(1, p)}
 

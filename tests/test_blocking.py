@@ -7,9 +7,10 @@ from pgworkbench import blocking
 from pgworkbench.blocking import (BlockingError, WeightedPointSet, construct_union,
                                   enumerate_t_mod_p_sets, essential_points,
                                   harrach_uniqueness_limit, is_minimal,
-                                  is_t_fold_blocking, is_t_mod_p_set,
+                                  is_t_fold_blocking, is_t_mod_p_set, judge_claim,
                                   kspace_weights, minimal_reduction, solve_mod_p)
 from pgworkbench.geometry import ProjectiveSpace, theta
+from pgworkbench.solvers import tmodp_frame
 
 
 def two_line_union(space, i=0, j=1):
@@ -56,6 +57,53 @@ def test_essential_points_and_minimality():
     C.weights[extra] += 1
     assert not is_minimal(C, 2, 1)
     assert extra not in essential_points(C, 2, 1)
+
+
+def test_judge_claim_shares_one_pass_per_k(monkeypatch):
+    passes = []
+    monkeypatch.setattr(blocking, "kspace_weights",
+                        lambda B, k: passes.append(k) or kspace_weights(B, k))
+    B = two_line_union(ProjectiveSpace.of_order(2, 3))
+    sums = {}
+    verdicts = [judge_claim(B, kind, 2, 1, sums)
+                for kind in ("t_fold_blocking", "t_mod_p", "minimal")]
+    assert verdicts == [(True, None)] * 3 and passes == [1]
+    # a 3-fold claim fails on a 2-secant, from the same weights
+    ok, witness = judge_claim(B, "t_fold_blocking", 3, 1, sums)
+    assert not ok and B.subspace_weight(witness) == 2 and passes == [1]
+
+
+def test_judge_claim_reads_a_set_that_is_not_blocking_as_not_minimal():
+    B = WeightedPointSet(ProjectiveSpace.of_order(2, 2), [1, 1, 0, 0, 0, 0, 0])
+    ok, witness = judge_claim(B, "minimal", 1, 1, {})
+    assert not ok and B.subspace_weight(witness) == 0
+    assert (ok, witness) == is_t_fold_blocking(B, 1, 1)
+    # the public predicate still refuses to answer
+    with pytest.raises(BlockingError, match="not a 1-fold blocking set"):
+        is_minimal(B, 1, 1)
+
+
+def test_judge_claim_refuses_other_kinds_and_ranges():
+    B = two_line_union(ProjectiveSpace.of_order(2, 3))
+    with pytest.raises(BlockingError, match="unknown claim type 'maximal'"):
+        judge_claim(B, "maximal", 2, 1, {})
+    for kind in ("t_fold_blocking", "minimal"):
+        with pytest.raises(BlockingError, match="k = 0 out of range"):
+            judge_claim(B, kind, 2, 0, {})
+    # k = 0 is in range for a t (mod p) claim: the first point of weight 1 fails it
+    ok, witness = judge_claim(B, "t_mod_p", 2, 0, {})
+    assert not ok and B.subspace_weight(witness) == 1
+
+
+def test_frame_and_walk_read_one_plane_rule(monkeypatch):
+    # tmodp_frame and the walk both take the plane's cosets from
+    # plane_cosets, so a lowered limit reaches both
+    monkeypatch.setattr(blocking, "COSET_LIMIT", 10)
+    frame = tmodp_frame(3, 1)
+    enum = enumerate_t_mod_p_sets(ProjectiveSpace.of_order(2, 3), k=1, t=1,
+                                  max_size=frame["max_size"])
+    assert (frame["kernel_dim"], frame["num_solution_classes"], frame["exhaustive"]) == \
+        (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive) == (6, 729, False)
 
 
 def test_minimal_reduction_recovers_union():

@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+import re
 import time
 
 import pytest
 
-from pgworkbench.blocking import (WeightedPointSet, _plane_kernel_dim, is_t_mod_p_set,
-                                  solve_mod_p)
+from pgworkbench.blocking import (COSET_LIMIT, BlockingError, WeightedPointSet, is_t_mod_p_set,
+                                  plane_cosets, solve_mod_p)
 from pgworkbench.certificates import (CertificateError, _incidence_fault,
                                       _verify_payload, canonical_json, checksum,
                                       coloring_certificate, load_certificate,
@@ -145,6 +146,44 @@ def test_recheck_blocking_set():
     bad["claims"][0]["t"] = 3
     ok, detail = recheck(make_certificate("blocking_set", bad))
     assert not ok
+
+
+@pytest.mark.parametrize("verified, detail", [
+    (False, "all claims verified"),
+    (True, "minimality claim mismatch"),
+])
+def test_recheck_reads_a_set_that_is_not_blocking_as_not_minimal(verified, detail):
+    # two points of the Fano plane miss five lines; recheck used to refuse
+    # the true claim with "verification error: not a 1-fold blocking set ..."
+    payload = {"space": {"n": 2, "q": 2}, "weights": [1, 1, 0, 0, 0, 0, 0],
+               "claims": [{"type": "minimal", "t": 1, "k": 1, "verified": verified}]}
+    assert recheck(make_certificate("blocking_set", payload)) == (detail == "all claims verified",
+                                                                  detail)
+
+
+def _fano_coloring(trivial):
+    # a proper 3-coloring of the Fano plane, which is not trivial
+    res = exact_ucn(ProjectiveSpace.of_order(2, 2).hypergraph(1))
+    return {"n": 2, "k": 1, "q": 2, "assignment": list(res.witness.assignment),
+            "N": res.witness.N, "trivial": trivial}
+
+
+@pytest.mark.parametrize("kind, payload, detail", [
+    # "false" was read as a claim of triviality, 0 as false and 1.0 as true
+    ("coloring", _fano_coloring("false"), "trivial 'false' is not a bool"),
+    ("coloring", _fano_coloring(0), "trivial 0 is not a bool"),
+    ("blocking_set", {"space": {"n": 2, "q": 2}, "weights": [1] * 7,
+                      "claims": [{"type": "t_fold_blocking", "t": 1, "k": 1, "verified": 1.0}]},
+     "verified 1.0 is not a bool"),
+], ids=["trivial-string", "trivial-zero", "verified-float"])
+def test_recheck_reads_claim_flags_as_bools(kind, payload, detail):
+    assert recheck(make_certificate(kind, payload)) == (False, detail)
+
+
+@pytest.mark.parametrize("trivial", [None, False])
+def test_recheck_accepts_a_null_or_false_trivial_flag(trivial):
+    assert recheck(make_certificate("coloring", _fano_coloring(trivial))) == \
+        (True, "proper strict coloring verified")
 
 
 def test_recheck_tmodp_report():
@@ -493,12 +532,22 @@ def test_plane_kernel_dim_matches_elimination(p):
     # reports of test_recheck_reference compare with that elimination once
     space = ProjectiveSpace.of_order(2, p)
     rows = [[S.mask >> i & 1 for i in range(space.num_points)] for S in space.subspaces(1)]
-    assert _plane_kernel_dim(p) == len(solve_mod_p(rows, [1] * len(rows), p)[1])
+    kdim = len(solve_mod_p(rows, [1] * len(rows), p)[1])
+    assert plane_cosets(p) == (kdim, p**kdim, p**kdim <= COSET_LIMIT)
 
 
 def test_plane_kernel_dim_of_the_lines_of_pg2_17():
     # the elimination that test_recheck_reference makes, too slow to rerun here
-    assert _plane_kernel_dim(17) == 153
+    assert plane_cosets(17) == (153, 17**153, False)
+
+
+@pytest.mark.parametrize("p, needle", [
+    (4, "mod-p enumeration needs a prime field, not GF(4)"),
+    (19, "the 1-space/point incidence matrix of PG(2,19) has 145161 entries"),
+])
+def test_plane_cosets_checks_the_matrix_first(p, needle):
+    with pytest.raises(BlockingError, match=re.escape(needle)):
+        plane_cosets(p)
 
 
 def test_recheck_bounds():

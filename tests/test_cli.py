@@ -166,6 +166,53 @@ def test_blocking_verb(tmp_path, capsys):
     assert code == 0
 
 
+UNION_CLAIMS = ('[{"k":1,"t":2,"type":"t_fold_blocking","verified":true},'
+                '{"k":1,"t":2,"type":"t_mod_p","verified":true},'
+                '{"k":1,"t":2,"type":"minimal","verified":true}]')
+FOUR_CLAIMS = ('[{"k":1,"t":2,"type":"t_fold_blocking","verified":false},'
+               '{"k":1,"t":2,"type":"t_mod_p","verified":false}]')
+
+
+@pytest.mark.parametrize("weights, code, claims, digest", [
+    # the union of the first two lines of PG(2,3): blocking, so minimality is claimed
+    ([2, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0], 0, UNION_CLAIMS,
+     "ecf14e391c4a940bd5b5c2b19d799af005b76876ac4e4811f9451fe728a94f9e"),
+    # not 2-fold blocking: no minimal claim is written
+    ([1, 1, 1, 1] + [0] * 9, 1, FOUR_CLAIMS,
+     "551cca24ec47d78a13285831e6cc64912d8ab75da57aa601dda64ffbfd976b99"),
+], ids=["union", "four"])
+def test_blocking_verb_output_and_one_pass(tmp_path, capsys, monkeypatch, weights, code,
+                                           claims, digest):
+    # the stdout, exit code and certificate bytes that the three separate
+    # predicates gave, now from one pass over the lines
+    from pgworkbench import blocking
+    passes = []
+    kspace_weights = blocking.kspace_weights
+    monkeypatch.setattr(blocking, "kspace_weights",
+                        lambda B, k: passes.append(k) or kspace_weights(B, k))
+    wpath, cert = tmp_path / "weights.json", tmp_path / "blocking.json"
+    wpath.write_text(json.dumps(weights))
+    got = run_cli(capsys, "blocking", "--n", "2", "--q", "3", "--t", "2", "--k", "1",
+                  "--weights", str(wpath), "--out", str(cert))
+    assert got == (code, f'{{"claims":{claims},"size":{sum(weights)}}}\n')
+    assert passes == [1]
+    assert cert.read_text() == (
+        f'{{"checksum":"{digest}","kind":"blocking_set","payload":{{"claims":{claims},'
+        f'"space":{{"n":2,"q":3}},"weights":{json.dumps(weights, separators=(",", ":"))}}},'
+        f'"schema_version":1}}')
+    assert run_cli(capsys, "recheck", str(cert)) == (0, "VERDICT true all claims verified\n")
+
+
+def test_blocking_verb_refuses_k_0(tmp_path, capsys):
+    wpath, cert = tmp_path / "weights.json", tmp_path / "blocking.json"
+    wpath.write_text(json.dumps([1] * 13))
+    code = main(["blocking", "--n", "2", "--q", "3", "--t", "2", "--k", "0",
+                 "--weights", str(wpath), "--out", str(cert)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: k = 0 out of range\n")
+    assert not cert.exists()
+
+
 def test_color_verbs(tmp_path, capsys):
     hpath = tmp_path / "fano.json"
     run_cli(capsys, "space", "--n", "2", "--q", "2", "--export-hypergraph", str(hpath))
@@ -177,9 +224,9 @@ def test_color_verbs(tmp_path, capsys):
     tpath.write_text(json.dumps(list(witness)))
     code, out = run_cli(capsys, "color", "--mode", "trivialize",
                         "--hypergraph", str(hpath), "--transversal", str(tpath))
-    assert code == 0
+    assert (witness, code, out) == ((0, 1, 2, 3, 4, 6), 0,
+                                    '{"N":2,"assignment":[1,1,1,1,1,2,1]}\n')
     coloring = json.loads(out)
-    assert coloring["N"] == 2
     cpath = tmp_path / "coloring.json"
     cpath.write_text(json.dumps(coloring))
     code, out = run_cli(capsys, "color", "--mode", "analyze",

@@ -57,7 +57,8 @@ def reference_blocking_set(payload):
             if ok != want:
                 return False, f"t (mod p) claim fails on a {k}-space"
         elif kind == "minimal":
-            if is_minimal(B, t, k) != want:
+            # a set that is not t-fold blocking is not minimal
+            if (is_t_fold_blocking(B, t, k)[0] and is_minimal(B, t, k)) != want:
                 return False, "minimality claim mismatch"
         else:
             return False, f"unknown claim type {kind!r}"
