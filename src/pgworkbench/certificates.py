@@ -11,17 +11,13 @@ import operator
 from .blocking import WeightedPointSet, judge_claim
 from .coloring import (Coloring, _rainbow_edge, _trivial_class, is_strict,
                        is_trivial_coloring)
-from .geometry import (DEFAULT_MAX_MASK_BITS, Hypergraph, ProjectiveSpace, _limit_fault,
-                       count_subspaces, load_json, mask_bits, point_set, theta, write_text)
+from .geometry import (Hypergraph, ProjectiveSpace, level_fault, load_json, mask_bits,
+                       point_set, write_text)
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
                       tmodp_frame, tmodp_violations)
 
 SCHEMA_VERSION = 1
-# the point/k-space incidences, count_subspaces(n, k, q) * theta(k, q), that
-# a transversal or coloring certificate may make recheck read: PG(2,97)'s
-# 931,686 take about 0.8 s and 34 MiB, and the largest certificate in the
-# tests and the benchmark corpus has 4,840
-RECHECK_INCIDENCE_LIMIT = 10**6
+
 
 class CertificateError(ValueError):
     pass
@@ -145,34 +141,10 @@ def _require_ints(payload: dict, keys) -> None:
             raise TypeError(f"{key} {payload[key]!r} is not an int")
 
 
-def _incidence_fault(n, k, q):
-    """Why recheck will not read the k-spaces of PG(n,q), by counts alone,
-    before any field is built (GF(65536) alone takes seconds): the space is
-    past its limits, or the k-spaces have more than RECHECK_INCIDENCE_LIMIT
-    incidences, or their masks, up to theta(n, q) bits each, may need more
-    than DEFAULT_MAX_MASK_BITS.  None for q < 2 and for k outside [0, n]:
-    the build names those faults."""
-    if q < 2:
-        return None
-    fault = _limit_fault(n, q)
-    if fault is not None or not 0 <= k <= n:
-        return fault
-    count = count_subspaces(n, k, q)
-    incidences = count * theta(k, q)
-    if incidences > RECHECK_INCIDENCE_LIMIT:
-        return f"the {k}-spaces of PG({n},{q}) have {incidences} point incidences, " \
-               f"more than the limit {RECHECK_INCIDENCE_LIMIT}"
-    bits = count * theta(n, q)
-    if bits > DEFAULT_MAX_MASK_BITS:
-        return f"the masks of the {k}-spaces of PG({n},{q}) may need {bits} bits, " \
-               f"more than the limit {DEFAULT_MAX_MASK_BITS}"
-    return None
-
-
 def _verify_transversal(payload):
     _require_ints(payload, ("n", "k", "q", "t"))
     n, k, q, t = payload["n"], payload["k"], payload["q"], payload["t"]
-    fault = _incidence_fault(n, k, q)
+    fault = level_fault(n, k, q)
     if fault is not None:
         return False, fault
     space = ProjectiveSpace.of_order(n, q)
@@ -190,7 +162,7 @@ def _verify_transversal(payload):
 def _verify_coloring(payload):
     _require_ints(payload, ("n", "k", "q"))
     n, k, q = payload["n"], payload["k"], payload["q"]
-    fault = _incidence_fault(n, k, q)
+    fault = level_fault(n, k, q)
     if fault is not None:
         return False, fault
     space = ProjectiveSpace.of_order(n, q)
@@ -222,7 +194,7 @@ def _verify_blocking_set(payload):
     _require_ints(payload["space"], ("n", "q"))
     n, q = payload["space"]["n"], payload["space"]["q"]
     # the space itself, its one n-space, before the field is built
-    fault = _incidence_fault(n, n, q)
+    fault = level_fault(n, n, q)
     if fault is not None:
         return False, fault
     space = ProjectiveSpace.of_order(n, q)
@@ -239,7 +211,7 @@ def _verify_blocking_set(payload):
         claimed = claim.get("verified", True)
         if type(claimed) is not bool:
             return False, f"verified {claimed!r} is not a bool"
-        fault = _incidence_fault(n, k, q)
+        fault = level_fault(n, k, q)
         if fault is not None:
             return False, fault
         if kind not in ("t_fold_blocking", "t_mod_p", "minimal"):

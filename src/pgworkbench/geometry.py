@@ -27,12 +27,13 @@ from dataclasses import dataclass
 
 from .fields import MAX_Q, GF, FieldError, field_for_order
 
+# the points of a space, and the point incidences of one of its levels
 DEFAULT_MAX_POINTS = 10**6
 # theta(n, q) >= 2^(n+1) - 1, so no PG(n,q) of a larger dimension has at
 # most DEFAULT_MAX_POINTS points
 MAX_N = DEFAULT_MAX_POINTS.bit_length() - 1
-DEFAULT_MAX_SUBSPACES = 5 * 10**6
-# the bits of the edge masks that a hypergraph file may ask for, about 12 MB
+# the bits of the masks of one level, or of a hypergraph file's edges,
+# about 12 MB
 DEFAULT_MAX_MASK_BITS = 10**8
 
 
@@ -47,20 +48,32 @@ def theta(k: int, q: int) -> int:
     return (q ** (k + 1) - 1) // (q - 1)
 
 
-def _bounded_theta(n: int, q: int) -> int | None:
-    """theta(n, q) when q <= MAX_Q and PG(n,q) has at most
-    DEFAULT_MAX_POINTS points; None otherwise.  n is compared with MAX_N
-    before any power is taken, so a claim of a huge space costs nothing."""
-    if q > MAX_Q or n > MAX_N:
+def level_fault(n: int, m: int, q: int) -> str | None:
+    """Why the m-spaces of PG(n,q) may not be built, by counts alone,
+    before any field is built (GF(65536) alone takes seconds); None when
+    they may.  The one gate of every level build and of recheck: q must
+    be at most MAX_Q, PG(n,q) have at most DEFAULT_MAX_POINTS points (n is
+    compared with MAX_N before any power is taken, so a claim of a huge
+    space costs nothing), the m-spaces at most DEFAULT_MAX_POINTS point
+    incidences, and their masks, up to theta(n, q) bits each, at most
+    DEFAULT_MAX_MASK_BITS bits.  PG(n,q) is its own one n-space, so at
+    m = n only the space's limits can fail.  None for q < 2 and for m
+    outside [0, n]: the build names those faults."""
+    if q < 2:
         return None
-    num = theta(n, q)
-    return num if num <= DEFAULT_MAX_POINTS else None
-
-
-def _limit_fault(n: int, q: int) -> str | None:
-    """Why PG(n,q) is past the limits of _bounded_theta; None within them."""
-    if _bounded_theta(n, q) is None:
+    if q > MAX_Q or n > MAX_N or theta(n, q) > DEFAULT_MAX_POINTS:
         return f"PG({n},{q}) exceeds the limits q <= {MAX_Q} and {DEFAULT_MAX_POINTS} points"
+    if not 0 <= m <= n:
+        return None
+    count = count_subspaces(n, m, q)
+    incidences = count * theta(m, q)
+    if incidences > DEFAULT_MAX_POINTS:
+        return f"the {m}-spaces of PG({n},{q}) have {incidences} point incidences, " \
+               f"more than the limit {DEFAULT_MAX_POINTS}"
+    bits = count * theta(n, q)
+    if bits > DEFAULT_MAX_MASK_BITS:
+        return f"the masks of the {m}-spaces of PG({n},{q}) may need {bits} bits, " \
+               f"more than the limit {DEFAULT_MAX_MASK_BITS}"
     return None
 
 
@@ -147,15 +160,15 @@ class Hypergraph:
         """(n, k, q) when the edges are exactly the k-spaces of PG(n,q), for
         1 <= k <= n-1, as `params` claims; None otherwise.  This is the one
         check behind every geometric shortcut: claimed parameters that do
-        not match the edges get none.  The vertex and edge counts are
-        tested first, so a false claim of a large space builds nothing; the
-        space's own cached hypergraph matches at once, and any other is
-        compared with it edge by edge, in any edge order."""
+        not match the edges get none.  level_fault and the vertex and edge
+        counts are tested first, so a false claim of a large space builds
+        nothing; the space's own cached hypergraph matches at once, and any
+        other is compared with it edge by edge, in any edge order."""
         if self.params is None:
             return None
         n, k, q = self.params
         if not all(type(x) is int for x in self.params) or not 1 <= k <= n - 1 or q < 2 \
-                or self.num_vertices != _bounded_theta(n, q) \
+                or level_fault(n, k, q) is not None or self.num_vertices != theta(n, q) \
                 or len(self.edges) != count_subspaces(n, k, q):
             return None
         try:
@@ -180,9 +193,10 @@ class Hypergraph:
         """A hypergraph from its JSON form, with its edges in file order.
         Claimed parameters (n, k, q) are checked by `geometry`, which
         compares the counts before it builds PG(n,q): the edges, in any
-        order, must be the k-spaces of PG(n,q).  Before any mask is built,
-        the bits that the masks need, the sum over the edges of the largest
-        index plus one, are compared with DEFAULT_MAX_MASK_BITS."""
+        order, must be the k-spaces of PG(n,q), a level that level_fault
+        lets be built.  Before any mask is built, the bits that the masks
+        need, the sum over the edges of the largest index plus one, are
+        compared with DEFAULT_MAX_MASK_BITS."""
         edge_lists = data.get("edges") if isinstance(data, dict) else None
         if not isinstance(edge_lists, (list, tuple)) or not all(
                 isinstance(e, (list, tuple)) for e in edge_lists):
@@ -193,7 +207,7 @@ class Hypergraph:
             if not all(type(x) is int for x in params) or n < 1 or q < 2:
                 raise GeometryError(f"(n, k, q) = {params!r} are not integers "
                                     f"with n >= 1 and q >= 2")
-            fault = _limit_fault(n, q)
+            fault = level_fault(n, k, q)
             if fault is not None:
                 raise GeometryError(fault)
             num = theta(n, q)
@@ -224,7 +238,7 @@ class ProjectiveSpace:
             raise GeometryError(f"projective dimension n = {n} must be >= 1")
         self.n = n
         self.field = field
-        fault = _limit_fault(n, field.q)
+        fault = level_fault(n, n, field.q)
         if fault is not None:
             raise GeometryError(fault)
         self.points = tuple(sorted(_normalized_vectors(n + 1, field.q)))
@@ -381,18 +395,18 @@ class ProjectiveSpace:
     def subspaces(self, m: int):
         """All m-spaces in canonical order (sorted by basis), cached, their
         masks built by _masks from the bases alone: no other level is
-        built.  Raises GeometryError unless the count is right and every
-        mask has theta(m) points."""
+        built.  Raises GeometryError for a level that level_fault refuses,
+        before any basis is enumerated, and unless the count is right and
+        every mask has theta(m) points."""
         if m < 0 or m > self.n:
             raise GeometryError(f"m = {m} out of range for PG({self.n},{self.q})")
         cached = self._subspace_cache.get(m)
         if cached is not None:
             return cached
+        fault = level_fault(self.n, m, self.q)
+        if fault is not None:
+            raise GeometryError(fault)
         total = count_subspaces(self.n, m, self.q)
-        if total > DEFAULT_MAX_SUBSPACES:
-            raise GeometryError(
-                f"PG({self.n},{self.q}) has {total} {m}-spaces, "
-                f"exceeding the limit {DEFAULT_MAX_SUBSPACES}")
         if m == 0:
             subs = tuple(Subspace(0, (pt,), 1 << i) for i, pt in enumerate(self.points))
         else:

@@ -8,15 +8,15 @@ import pytest
 
 from pgworkbench.blocking import (COSET_LIMIT, BlockingError, WeightedPointSet, is_t_mod_p_set,
                                   plane_cosets, solve_mod_p)
-from pgworkbench.certificates import (CertificateError, _incidence_fault,
-                                      _verify_payload, canonical_json, checksum,
+from pgworkbench.certificates import (CertificateError, _verify_payload,
+                                      canonical_json, checksum,
                                       coloring_certificate, load_certificate,
                                       make_certificate, recheck,
                                       tmodp_certificate, transversal_certificate,
                                       write_certificate)
 from pgworkbench.coloring import trivial_coloring
 from pgworkbench.fields import GF
-from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
+from pgworkbench.geometry import Hypergraph, ProjectiveSpace, level_fault, theta
 from pgworkbench.solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -625,13 +625,13 @@ def test_recheck_refuses_a_huge_space_before_any_build(kind, payload, needle):
 def test_incidence_limit_sits_between_the_largest_corpus_space_and_pg2_127():
     # PG(4,3) solids (4,840) are the largest that the tests and the
     # benchmark corpus recheck; PG(2,97) lines (931,686) still pass
-    assert _incidence_fault(4, 3, 3) is None and _incidence_fault(2, 1, 97) is None
-    assert _incidence_fault(2, 1, 101) is not None
+    assert level_fault(4, 3, 3) is None and level_fault(2, 1, 97) is None
+    assert level_fault(2, 1, 101) is not None
     # parameters out of range are left to the build, which names them
-    assert _incidence_fault(2, 3, 2) is None and _incidence_fault(2, 1, 1) is None
+    assert level_fault(2, 3, 2) is None and level_fault(2, 1, 1) is None
     # the masks of the points of PG(2,97) may need 9507^2, about 90 million
     # bits, and those of PG(2,101) more than 10^8
-    assert _incidence_fault(2, 0, 97) is None and _incidence_fault(2, 0, 101) is not None
+    assert level_fault(2, 0, 97) is None and level_fault(2, 0, 101) is not None
 
 
 def test_recheck_malformed():

@@ -486,9 +486,11 @@ def test_bounds_verb_refuses_a_huge_n(capsys):
 
 @pytest.mark.parametrize("claim, needle", [
     # PG(2,251) has 63253 lines: they were all built, in 22 s and 550 MiB,
-    # before the empty edge list was compared with them
+    # before the empty edge list was compared with them; the level gate
+    # refuses them by their counts
     ({"n": 2, "k": 1, "q": 251, "edges": []},
-     "error: the edges are not the 1-spaces of PG(2,251)"),
+     "error: the 1-spaces of PG(2,251) have 15939756 point incidences, "
+     "more than the limit 1000000"),
     ({"n": 2, "k": 1, "q": HUGE_Q, "edges": []},
      f"error: PG(2,{HUGE_Q}) exceeds the limits"),
     # an index just below theta(2, 65521) was a 537 MB edge mask
@@ -523,6 +525,40 @@ def test_blocking_rejects_weights_that_are_not_ints(tmp_path, capsys, weights, n
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and not cert.exists()
     assert captured.err.startswith(needle)
+
+
+PG2_101_LINES = ("the 1-spaces of PG(2,101) have 1050906 point incidences, "
+                 "more than the limit 1000000")
+
+
+def test_blocking_refuses_a_level_past_the_gate(tmp_path, capsys):
+    # the line x0 = 0 of PG(2,101): recheck refuses the lines of that plane,
+    # so no certificate about them is written
+    wpath = tmp_path / "weights.json"
+    wpath.write_text(json.dumps([1] * 102 + [0] * (101 ** 2)))
+    cert = tmp_path / "blocking.json"
+    code = main(["blocking", "--n", "2", "--q", "101", "--t", "1", "--k", "1",
+                 "--weights", str(wpath), "--out", str(cert)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not cert.exists()
+    assert captured.err == f"error: {PG2_101_LINES}\n"
+
+
+def test_space_export_refuses_a_level_past_the_gate(tmp_path, capsys):
+    path = tmp_path / "lines.json"
+    code, captured = _timed_main(capsys, ["space", "--n", "2", "--q", "211", "--k", "1",
+                                          "--export-hypergraph", str(path)], 1)
+    assert code == 2 and captured.out == "" and not path.exists()
+    assert captured.err.startswith("error: the 1-spaces of PG(2,211) have ")
+
+
+def test_run_gives_an_error_row_for_a_level_past_the_gate(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid": [
+        {"kind": "tau", "n": 2, "k": 1, "q": 101, "t": 1, "expected": 102}]}))
+    code, out = run_cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path / "certs"))
+    assert code == 1
+    assert out == f"RESULT task000_tau error value={PG2_101_LINES} expected= match=no\n"
 
 
 @pytest.mark.parametrize("config", [[1], {"grid": 5}, {"tasks": []}, "grid"])

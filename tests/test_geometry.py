@@ -13,11 +13,12 @@ import weakref
 import pytest
 
 from pgworkbench import geometry
+from pgworkbench.certificates import make_certificate, recheck
 from pgworkbench.fields import field_for_order
 from pgworkbench.geometry import (EMPTY_SUBSPACE, GeometryError, Hypergraph,
                                   ProjectiveSpace, count_subspaces,
                                   hypergraph_from_file, hypergraph_to_file,
-                                  mask_bits, theta, write_text)
+                                  level_fault, mask_bits, theta, write_text)
 from pgworkbench.solvers import exact_tau, exact_ucn
 
 
@@ -162,14 +163,15 @@ def test_subspaces_rejects_a_mask_of_the_wrong_size(monkeypatch, how):
 
 
 def test_hyperplanes_build_no_lower_level(monkeypatch):
-    # PG(3,3) has 40 planes and 130 lines: the planes alone fit the limit
-    monkeypatch.setattr(geometry, "DEFAULT_MAX_SUBSPACES", 40)
+    # PG(3,3) has 40 planes and 130 lines, 520 point incidences each: the
+    # planes' masks alone, 40 * 40 bits, fit the limit
+    monkeypatch.setattr(geometry, "DEFAULT_MAX_MASK_BITS", 1600)
     space = ProjectiveSpace(3, field_for_order(3))
     assert len(space.subspaces(2)) == 40
     assert len(space.hypergraph(2).edges) == 40
     assert space.hyperplane_avoiding(0).mask >> 0 & 1 == 0
     assert set(space._subspace_cache) == {2}
-    with pytest.raises(GeometryError, match="130 1-spaces"):
+    with pytest.raises(GeometryError, match="1-spaces of PG.3,3. may need 5200 bits"):
         space.subspaces(1)
 
 
@@ -661,10 +663,39 @@ def test_size_limits(monkeypatch):
     # the limits are read at call time, on a fresh space: of_order's cache
     # holds one space per (n, q)
     assert ProjectiveSpace.of_order(3, 3) is ProjectiveSpace.of_order(3, 3)
-    monkeypatch.setattr(geometry, "DEFAULT_MAX_SUBSPACES", 10)
+    monkeypatch.setattr(geometry, "DEFAULT_MAX_MASK_BITS", 400)
     space = ProjectiveSpace(3, field_for_order(3))
     with pytest.raises(GeometryError):
         space.subspaces(1)
     monkeypatch.setattr(geometry, "DEFAULT_MAX_POINTS", 10)
     with pytest.raises(GeometryError):
         ProjectiveSpace(3, field_for_order(3))
+
+
+def test_level_builds_and_recheck_agree_with_the_gate(monkeypatch):
+    # limits low enough that each test of level_fault refuses some level:
+    # PG(4,5) has 781 points, the lines of PG(3,3) 520 incidences, and the
+    # points of PG(4,3) need 121^2 mask bits
+    monkeypatch.setattr(geometry, "DEFAULT_MAX_POINTS", 500)
+    monkeypatch.setattr(geometry, "DEFAULT_MAX_MASK_BITS", 10**4)
+    tests, refused = ("exceeds the limits", "point incidences", "may need"), set()
+    for n, q in itertools.product(range(1, 5), (2, 3, 4, 5)):
+        for m in range(n + 1):
+            fault = level_fault(n, m, q)
+            refused.update(test for test in tests if fault is not None and test in fault)
+            space = None
+            try:
+                space = ProjectiveSpace(n, field_for_order(q))
+                count = len(space.subspaces(m))
+            except GeometryError as exc:
+                assert str(exc) == fault
+                assert space is None or m not in space._subspace_cache
+            else:
+                assert fault is None and count == count_subspaces(n, m, q)
+            if 1 <= m <= n - 1:
+                cert = make_certificate("transversal", {
+                    "n": n, "k": m, "q": q, "t": 1, "points": list(range(theta(n, q)))})
+                assert recheck(cert) == ((True, "t-transversal verified") if fault is None
+                                         else (False, fault))
+    # the space, incidence and mask-bit tests each refused a level
+    assert refused == set(tests)

@@ -128,6 +128,16 @@ def test_certificates_leave_the_tmodp_rules_to_the_frame():
     assert sorted(name for name in names if name in source) == []
 
 
+def test_certificates_leave_the_level_rule_to_the_gate():
+    # the point, incidence and mask-bit limits reach recheck through
+    # geometry.level_fault alone, the gate of every level build, so recheck
+    # cannot refuse a level that the library builds, nor read one it refuses
+    source = (PACKAGE_DIR / "certificates.py").read_text()
+    names = {"DEFAULT_MAX_POINTS", "DEFAULT_MAX_MASK_BITS", "count_subspaces"}
+    assert sorted(name for name in names if name in source) == []
+    assert "level_fault" in source
+
+
 def test_only_blocking_reads_its_private_names():
     # blocking owns its rules: the claim judge and the plane cosets are
     # public, so no other module needs a private helper of it
