@@ -5,14 +5,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import operator
 
 from .blocking import WeightedPointSet, judge_claim
-from .coloring import (Coloring, _rainbow_edge, _trivial_class, is_strict,
-                       is_trivial_coloring)
-from .geometry import (Hypergraph, ProjectiveSpace, level_fault, load_json, mask_bits,
-                       point_set, write_text)
+from .coloring import Coloring, ColoringError, is_strict, judge_coloring
+from .geometry import (Hypergraph, ProjectiveSpace, all_ints, canonical_json, level_fault,
+                       load_json, mask_bits, point_set, write_text)
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
                       tmodp_frame, tmodp_violations)
 
@@ -21,22 +19,6 @@ SCHEMA_VERSION = 1
 
 class CertificateError(ValueError):
     pass
-
-
-# one encoder for every call; check_circular=False drops the id() bookkeeping
-# of each container, so a payload that holds itself raises RecursionError
-# where json.dumps raises ValueError
-_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                      check_circular=False)
-
-
-def canonical_json(payload) -> str:
-    """The canonical JSON text of payload: sorted keys, no spaces, ASCII
-    only; the bytes of json.dumps(payload, sort_keys=True,
-    separators=(",", ":")).  TypeError for a value that is not JSON or a
-    dict whose keys cannot be sorted, RecursionError for one nested too deep
-    or holding itself."""
-    return _CANONICAL_ENCODER.encode(payload)
 
 
 def checksum(payload) -> str:
@@ -84,10 +66,9 @@ def coloring_certificate(H: Hypergraph, coloring: Coloring) -> dict:
     """Certificate of a proper strict coloring of H, recording whether it
     is trivial; CertificateError unless H.geometry is set."""
     n, k, q = _geometry(H)
-    trivial, _ = is_trivial_coloring(coloring, H)
-    return make_certificate("coloring", {"n": n, "k": k, "q": q,
-                                         "assignment": list(coloring.assignment),
-                                         "N": coloring.N, "trivial": bool(trivial)})
+    _, color = judge_coloring(coloring, H)
+    return make_certificate("coloring", {"n": n, "k": k, "q": q, **coloring.to_json(),
+                                         "trivial": color is not None})
 
 
 def bounds_certificate(rep: BoundsReport) -> dict:
@@ -127,11 +108,6 @@ def load_certificate(path: str) -> dict:
     return load_json(path)
 
 
-def _all_ints(values) -> bool:
-    """True iff every value is an int and not a bool."""
-    return set(map(type, values)) <= {int}
-
-
 def _require_ints(payload: dict, keys) -> None:
     """TypeError, which recheck reports, unless each field `keys` of
     payload is an int: True == 1 and 2.0 == 2, so a bool or a float would
@@ -149,8 +125,10 @@ def _verify_transversal(payload):
         return False, fault
     space = ProjectiveSpace.of_order(n, q)
     pts = point_set(payload["points"], space.num_points)
-    if "objective" in payload and payload["objective"] != len(pts):
-        return False, "objective does not match the witness size"
+    if "objective" in payload:
+        _require_ints(payload, ("objective",))
+        if payload["objective"] != len(pts):
+            return False, "objective does not match the witness size"
     mask = sum(1 << i for i in pts)
     for S in space.subspaces(k):
         hit = (S.mask & mask).bit_count()
@@ -168,22 +146,24 @@ def _verify_coloring(payload):
     space = ProjectiveSpace.of_order(n, q)
     H = space.hypergraph(k)
     coloring = Coloring(tuple(payload["assignment"]))
-    if not _all_ints(coloring.assignment):
+    if not all_ints(coloring.assignment):
         return False, "a color is not an int"
-    if not is_strict(coloring, H.num_vertices):
-        return False, "coloring is not strict"
-    if payload.get("N") is not None and coloring.N != payload["N"]:
+    N = payload.get("N")
+    if N is not None:
+        _require_ints(payload, ("N",))
+    # a wrong N needs only the strictness test, which the judge reports first
+    if N is not None and N != coloring.N and is_strict(coloring, H.num_vertices):
         return False, "N does not match the assignment"
-    # the coloring is strict from here on: one set of class masks serves
-    # both tests, with no second strictness test
-    masks = coloring.class_masks()
-    edge = _rainbow_edge(masks, H)
+    try:
+        edge, color = judge_coloring(coloring, H)
+    except ColoringError:
+        return False, "coloring is not strict"
     if edge is not None:
         return False, f"rainbow hyperedge on points {mask_bits(edge)}"
     trivial = payload.get("trivial")
     if trivial is not None and type(trivial) is not bool:
         return False, f"trivial {trivial!r} is not a bool"
-    if trivial is not None and trivial != (_trivial_class(masks, H) is not None):
+    if trivial is not None and trivial != (color is not None):
         if trivial:
             return False, "claimed trivial but no class contains a 2-transversal"
         return False, "claimed not trivial but a class contains a 2-transversal"
@@ -199,7 +179,7 @@ def _verify_blocking_set(payload):
         return False, fault
     space = ProjectiveSpace.of_order(n, q)
     weights = list(payload["weights"])
-    if not _all_ints(weights):
+    if not all_ints(weights):
         return False, "a weight is not an int"
     B = WeightedPointSet(space, weights)
     # the k-space weights of B, computed once for each k that a claim names
@@ -304,7 +284,7 @@ def _verify_tmodp_report(payload):
     if len(sets) != payload["num_found"]:
         return False, "num_found does not match the listed sets"
     found = list(map(tuple, sets))
-    if not _all_ints(itertools.chain.from_iterable(found)):
+    if not all_ints(itertools.chain.from_iterable(found)):
         return False, "a listed set has a weight that is not an int"
     if len(set(found)) != len(found):
         return False, "a set is listed twice"
@@ -321,7 +301,7 @@ def _verify_tmodp_report(payload):
     # exhaustive, from the unions it missed; in any order
     def key(v):
         return v["weights"], v["reason"]
-    if not _all_ints(itertools.chain.from_iterable(v["weights"] for v in payload["violations"])):
+    if not all_ints(itertools.chain.from_iterable(v["weights"] for v in payload["violations"])):
         return False, "a violation has a weight that is not an int"
     violations = tmodp_violations(space, t, found, sizes, expected, num_unions, exhaustive)
     if violations != payload["violations"] and \

@@ -10,13 +10,14 @@ import argparse
 import sys
 
 from .blocking import BlockingError, WeightedPointSet
-from .certificates import (_all_ints, blocking_set_certificate, bounds_certificate,
-                           canonical_json, coloring_certificate, load_certificate, recheck,
-                           tmodp_certificate, transversal_certificate, write_certificate)
-from .coloring import Coloring, is_proper, is_trivial_coloring, trivial_coloring
+from .certificates import (blocking_set_certificate, bounds_certificate, coloring_certificate,
+                           load_certificate, recheck, tmodp_certificate,
+                           transversal_certificate, write_certificate)
+from .coloring import Coloring, judge_coloring, trivial_coloring
 from .experiments import ExperimentConfig, default_grid, run_experiments
-from .geometry import (ProjectiveSpace, count_subspaces, hypergraph_from_file,
-                       hypergraph_to_file, load_json)
+from .geometry import (GeometryError, ProjectiveSpace, all_ints, canonical_json,
+                       count_subspaces, hypergraph_from_file, hypergraph_to_file, level_fault,
+                       load_json)
 from .solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -25,6 +26,10 @@ def _emit(data):
 
 
 def cmd_space(args):
+    # an export past the level gate is refused by counts, before the space is built
+    fault = args.export_hypergraph and level_fault(args.n, args.k, args.q)
+    if fault:
+        raise GeometryError(fault)
     space = ProjectiveSpace.of_order(args.n, args.q)
     info = {"n": args.n, "q": args.q, "field": space.field.descriptor(),
             "num_points": space.num_points,
@@ -41,7 +46,7 @@ def cmd_blocking(args):
     space = ProjectiveSpace.of_order(args.n, args.q)
     weights = load_json(args.weights)
     # the rule recheck applies to a blocking_set certificate's weights
-    if not isinstance(weights, list) or not _all_ints(weights):
+    if not isinstance(weights, list) or not all_ints(weights):
         raise BlockingError("the weights file must hold a JSON list of integers")
     B = WeightedPointSet(space, weights)
     cert = blocking_set_certificate(B, args.t, args.k)
@@ -62,13 +67,12 @@ def cmd_color(args):
         _emit(trivial_coloring(data, H).to_json())
         return 0
     coloring = Coloring.from_json(data)
-    proper, edge = is_proper(coloring, H)
-    out = {"N": coloring.N, "proper": proper}
+    edge, color = judge_coloring(coloring, H)
+    out = {"N": coloring.N, "proper": edge is None}
     if args.mode == "analyze":
-        trivial, cls = is_trivial_coloring(coloring, H)
-        out.update({"trivial": trivial, "witness_class": cls})
+        out.update({"trivial": color is not None, "witness_class": color})
     _emit(out)
-    return 0 if proper else 1
+    return 0 if edge is None else 1
 
 
 def cmd_solve(args):

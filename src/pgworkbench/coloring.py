@@ -1,12 +1,12 @@
 """Strict colorings of hypergraphs: rainbow detection, trivial-coloring
-construction and triviality analysis."""
+construction and triviality analysis, all decided by judge_coloring."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .geometry import Hypergraph, point_set
+from .geometry import Hypergraph, all_ints, point_set
 
 
 class ColoringError(ValueError):
@@ -38,7 +38,7 @@ class Coloring:
         """A coloring from a JSON object whose 'assignment' is a list of
         ints; ColoringError otherwise."""
         assignment = data.get("assignment") if isinstance(data, dict) else None
-        if not isinstance(assignment, list) or not all(type(c) is int for c in assignment):
+        if not isinstance(assignment, list) or not all_ints(assignment):
             raise ColoringError("a coloring is a JSON object whose 'assignment' "
                                 "is a list of integers")
         return cls(tuple(assignment))
@@ -66,26 +66,31 @@ def is_strict(coloring: Coloring, num_vertices: int) -> bool:
     return used == set(range(1, len(used) + 1))
 
 
-def _rainbow_edge(class_masks, H: Hypergraph):
-    """The first edge of H, in edge order, that no class meets twice; None
-    when there is none.  Only the classes of two or more points can meet
-    an edge twice, so only their masks are tested."""
-    multi = [m for m in class_masks if m & (m - 1)]
+def judge_coloring(coloring: Coloring, H: Hypergraph):
+    """(edge, color): the first rainbow edge of H in edge order, or None,
+    and the least color whose class contains (so is) a 2-transversal of H,
+    or None; ColoringError unless the coloring is strict.  Every coloring
+    test reads it.  Only classes of 2+ points are tested, and no class is
+    a 2-transversal, meeting every edge twice, when an edge is rainbow."""
+    if not is_strict(coloring, H.num_vertices):
+        raise ColoringError("coloring is not a strict coloring of the vertex set")
+    masks = coloring.class_masks()
+    multi = [m for m in masks if m & (m - 1)]
     for e in H.edges:
         for m in multi:
             if (e & m).bit_count() > 1:
                 break
         else:
-            return e
-    return None
+            return e, None
+    color = next((c for c, m in enumerate(masks, 1)
+                  if m & (m - 1) and is_2_transversal(m, H)), None)
+    return None, color
 
 
 def is_proper(coloring: Coloring, H: Hypergraph):
     """True iff no edge is rainbow; on failure returns the first rainbow
     edge in edge order."""
-    if not is_strict(coloring, H.num_vertices):
-        raise ColoringError("coloring is not a strict coloring of the vertex set")
-    edge = _rainbow_edge(coloring.class_masks(), H)
+    edge, _ = judge_coloring(coloring, H)
     return edge is None, edge
 
 
@@ -104,20 +109,8 @@ def trivial_coloring(transversal, H: Hypergraph) -> Coloring:
     return Coloring(tuple(1 if i in chosen else next(others) for i in range(H.num_vertices)))
 
 
-def _trivial_class(class_masks, H: Hypergraph):
-    """The least color whose class is a 2-transversal of H, or None.  A
-    superset of a 2-transversal is one, so it suffices to test each class
-    itself, skipping those of fewer than 2 points."""
-    for ci, mask in enumerate(class_masks):
-        if mask & (mask - 1) and is_2_transversal(mask, H):
-            return ci + 1
-    return None
-
-
 def is_trivial_coloring(coloring: Coloring, H: Hypergraph):
     """True iff some color class contains a 2-transversal of H; the
     reported witness is the lowest-index qualifying class."""
-    if not is_strict(coloring, H.num_vertices):
-        raise ColoringError("coloring is not strict")
-    color = _trivial_class(coloring.class_masks(), H)
+    _, color = judge_coloring(coloring, H)
     return color is not None, color

@@ -106,6 +106,12 @@ def mask_bits(mask: int) -> list:
     return out
 
 
+def all_ints(values) -> bool:
+    """True iff every value is an int and not a bool: the rule for a JSON
+    list of ints, as True == 1 and 2.0 == 2 pass every comparison."""
+    return set(map(type, values)) <= {int}
+
+
 def point_set(points, num_points: int) -> set:
     """The set of a listed point set, which must be a list of distinct int
     point indices in [0, num_points); GeometryError otherwise."""
@@ -167,7 +173,7 @@ class Hypergraph:
         if self.params is None:
             return None
         n, k, q = self.params
-        if not all(type(x) is int for x in self.params) or not 1 <= k <= n - 1 or q < 2 \
+        if not all_ints(self.params) or not 1 <= k <= n - 1 or q < 2 \
                 or level_fault(n, k, q) is not None or self.num_vertices != theta(n, q) \
                 or len(self.edges) != count_subspaces(n, k, q):
             return None
@@ -204,7 +210,7 @@ class Hypergraph:
                                 "is a list of vertex index lists")
         if "n" in data:
             n, k, q = params = tuple(data.get(key) for key in ("n", "k", "q"))
-            if not all(type(x) is int for x in params) or n < 1 or q < 2:
+            if not all_ints(params) or n < 1 or q < 2:
                 raise GeometryError(f"(n, k, q) = {params!r} are not integers "
                                     f"with n >= 1 and q >= 2")
             fault = level_fault(n, k, q)
@@ -604,7 +610,23 @@ class ProjectiveSpace:
 
 
 def hypergraph_to_file(h: Hypergraph, path: str) -> None:
-    write_text(path, json.dumps(h.to_json(), sort_keys=True, separators=(",", ":")))
+    write_text(path, canonical_json(h.to_json()))
+
+
+# one encoder for every call; check_circular=False drops the id() bookkeeping
+# of each container, so a payload that holds itself raises RecursionError
+# where json.dumps raises ValueError
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                      check_circular=False)
+
+
+def canonical_json(payload) -> str:
+    """The canonical JSON text of payload: sorted keys, no spaces, ASCII
+    only; the bytes of json.dumps(payload, sort_keys=True,
+    separators=(",", ":")), for every file and output line.  TypeError for
+    a value that is not JSON or a dict whose keys cannot be sorted,
+    RecursionError for one nested too deep or holding itself."""
+    return _CANONICAL_ENCODER.encode(payload)
 
 
 def write_text(path: str, text: str) -> None:

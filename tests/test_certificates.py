@@ -442,6 +442,18 @@ NON_INT_ENTRIES += [
     pytest.param("blocking_set", 0.5,
                  lambda d, to: d["claims"][0].update(type="t_fold_blocking", t=to),
                  "verification error: t 0.5 is not an int", id="blocking-claim-t-float"),
+    pytest.param("transversal", 3.0, lambda d, to: d.update(objective=to),
+                 "verification error: objective 3.0 is not an int",
+                 id="transversal-objective-float"),
+    # one point meets the one line of PG(1,2) once
+    pytest.param("transversal", True, lambda d, to: d.update(k=1, points=[0], objective=to),
+                 "verification error: objective True is not an int",
+                 id="transversal-objective-bool"),
+    # the one-color coloring of PG(2,3), which no line is rainbow in
+    pytest.param("coloring", 1.0, lambda d, to: d.update(assignment=[1] * 13, N=to),
+                 "verification error: N 1.0 is not an int", id="coloring-N-float"),
+    pytest.param("coloring", True, lambda d, to: d.update(assignment=[1] * 13, N=to),
+                 "verification error: N True is not an int", id="coloring-N-bool"),
 ]
 
 

@@ -10,6 +10,7 @@ from test_certificates import TYPE_MUTATED_TRANSVERSALS
 from pgworkbench import solvers
 from pgworkbench.certificates import make_certificate, write_certificate
 from pgworkbench.cli import main
+from pgworkbench.coloring import Coloring
 from pgworkbench.geometry import ProjectiveSpace, hypergraph_to_file
 
 
@@ -234,6 +235,27 @@ def test_color_verbs(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["proper"] and data["trivial"] and data["witness_class"] == 1
+
+
+@pytest.mark.parametrize("assignment, code, out", [
+    ([1, 1, 1, 1, 1, 2, 1], 0, '{"N":2,"proper":true,"trivial":true,"witness_class":1}\n'),
+    ([1, 1, 2, 1, 2, 3, 1], 0, '{"N":3,"proper":true,"trivial":false,"witness_class":null}\n'),
+    ([1, 2, 3, 4, 5, 6, 7], 1, '{"N":7,"proper":false,"trivial":false,"witness_class":null}\n'),
+], ids=["trivial", "proper", "rainbow"])
+def test_color_analyze_judges_once(tmp_path, capsys, monkeypatch, assignment, code, out):
+    # the trivial coloring of test_color_verbs, exact_ucn's witness and the
+    # all-distinct coloring of the Fano plane: one judge builds the class
+    # masks once for both answers
+    hpath = tmp_path / "fano.json"
+    run_cli(capsys, "space", "--n", "2", "--q", "2", "--export-hypergraph", str(hpath))
+    cpath = tmp_path / "coloring.json"
+    cpath.write_text(json.dumps({"N": max(assignment), "assignment": assignment}))
+    builds = []
+    class_masks = Coloring.class_masks
+    monkeypatch.setattr(Coloring, "class_masks", lambda c: builds.append(c) or class_masks(c))
+    assert run_cli(capsys, "color", "--mode", "analyze", "--hypergraph", str(hpath),
+                   "--coloring", str(cpath)) == (code, out)
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("transversal", [["a"], [[0]], {"x": 1}, None,
@@ -550,6 +572,17 @@ def test_space_export_refuses_a_level_past_the_gate(tmp_path, capsys):
                                           "--export-hypergraph", str(path)], 1)
     assert code == 2 and captured.out == "" and not path.exists()
     assert captured.err.startswith("error: the 1-spaces of PG(2,211) have ")
+
+
+def test_space_export_asks_the_gate_before_building_the_space(tmp_path, capsys):
+    # PG(3,64) has 266305 points; its planes are refused by counts alone
+    path = tmp_path / "planes.json"
+    code, captured = _timed_main(capsys, ["space", "--n", "3", "--q", "64", "--k", "2",
+                                          "--export-hypergraph", str(path)], 0.1)
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: the 2-spaces of PG(3,64) have 1108095105 point incidences, "
+               "more than the limit 1000000\n")
+    assert not path.exists()
 
 
 def test_run_gives_an_error_row_for_a_level_past_the_gate(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import gc
+import hashlib
 import itertools
 import json
 import os
@@ -509,6 +510,18 @@ def test_hypergraph_file_overwrites_in_place_and_round_trips(tmp_path):
     assert path.read_text() == json.dumps(H.to_json(), sort_keys=True, separators=(",", ":"))
     H2 = hypergraph_from_file(str(path))
     assert H2 == H and H2.geometry == (3, 2, 2)
+
+
+def test_exported_hypergraph_bytes_are_pinned(tmp_path):
+    # the Fano plane's lines and the planes of PG(3,2), through the
+    # canonical encoder of certificates and command line output
+    path = tmp_path / "h.json"
+    hypergraph_to_file(ProjectiveSpace.of_order(2, 2).hypergraph(1), str(path))
+    assert path.read_bytes() == (b'{"edges":[[0,1,2],[0,3,4],[1,3,5],[2,3,6],[1,4,6],[2,4,5],'
+                                 b'[0,5,6]],"k":1,"n":2,"q":2}')
+    hypergraph_to_file(ProjectiveSpace.of_order(3, 2).hypergraph(2), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "a244070e916919a8df43e45b88ef582e80deb59eba31e5cd5562918f34088568"
 
 
 def test_hypergraph_json_without_params():

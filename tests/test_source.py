@@ -138,18 +138,17 @@ def test_certificates_leave_the_level_rule_to_the_gate():
     assert "level_fault" in source
 
 
-def test_only_blocking_reads_its_private_names():
-    # blocking owns its rules: the claim judge and the plane cosets are
-    # public, so no other module needs a private helper of it
+def test_no_module_reads_another_modules_private_names():
+    # each module owns its rules, such as blocking's claim judge and
+    # coloring's judge, and makes public what another module needs.  The
+    # one exception: the experiment grid made its own certificates, so it
+    # runs recheck's verifiers without recomputing their checksums
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        if path.name == "blocking.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom) and node.module == "blocking" \
-                    and node.level == 1:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
                 found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
-    assert found == []
+    assert found == ["experiments.py: _verify_payload"]
 
 
 def test_no_parameter_is_a_limit():
