@@ -3,7 +3,6 @@ never re-solves anything."""
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import operator
 
@@ -21,8 +20,16 @@ class CertificateError(ValueError):
     pass
 
 
+def _digest(text: str) -> str:
+    """The SHA-256 hex digest of text.  hashlib, and with it OpenSSL,
+    loads at the first digest, so a process that never certifies never
+    loads it."""
+    import hashlib
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def checksum(payload) -> str:
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    return _digest(canonical_json(payload))
 
 
 class _Made(dict):
@@ -38,7 +45,7 @@ def make_certificate(kind: str, payload: dict) -> dict:
     if kind not in _VERIFIERS:
         raise CertificateError(f"unknown certificate kind {kind!r}")
     text = canonical_json(payload)
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = _digest(text)
     cert = _Made(schema_version=SCHEMA_VERSION, kind=kind, payload=payload, checksum=digest)
     cert.made = tuple(cert.values())
     cert.text = (f'{{"checksum":"{digest}","kind":"{kind}","payload":{text},'

@@ -15,9 +15,10 @@ from .certificates import (blocking_set_certificate, bounds_certificate, colorin
                            transversal_certificate, write_certificate)
 from .coloring import Coloring, judge_coloring, trivial_coloring
 from .experiments import ExperimentConfig, default_grid, run_experiments
+from .fields import field_for_order
 from .geometry import (GeometryError, ProjectiveSpace, all_ints, canonical_json,
                        count_subspaces, hypergraph_from_file, hypergraph_to_file, level_fault,
-                       load_json)
+                       load_json, space_fault, theta)
 from .solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -26,17 +27,20 @@ def _emit(data):
 
 
 def cmd_space(args):
+    n, q = args.n, args.q
     # an export past the level gate is refused by counts, before the space is built
-    fault = args.export_hypergraph and level_fault(args.n, args.k, args.q)
+    fault = args.export_hypergraph and level_fault(n, args.k, q)
     if fault:
         raise GeometryError(fault)
-    space = ProjectiveSpace.of_order(args.n, args.q)
-    info = {"n": args.n, "q": args.q, "field": space.field.descriptor(),
-            "num_points": space.num_points,
-            "subspace_counts": {str(m): count_subspaces(args.n, m, args.q)
-                                for m in range(args.n + 1)}}
+    # the refusals of ProjectiveSpace(n, field), in its order, with no point built
+    field = field_for_order(q)
+    fault = space_fault(n, q)
+    if fault:
+        raise GeometryError(fault)
+    info = {"n": n, "q": q, "field": field.descriptor(), "num_points": theta(n, q),
+            "subspace_counts": {str(m): count_subspaces(n, m, q) for m in range(n + 1)}}
     if args.export_hypergraph:
-        hypergraph_to_file(space.hypergraph(args.k), args.export_hypergraph)
+        hypergraph_to_file(ProjectiveSpace(n, field).hypergraph(args.k), args.export_hypergraph)
         info["exported"] = args.export_hypergraph
     _emit(info)
     return 0

@@ -295,15 +295,14 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     above MAX_Q: that is refused before any trial division."""
     if q > MAX_Q:
         raise FieldError(f"q = {q} exceeds the limit {MAX_Q}")
-    if q < 2:
-        raise FieldError(f"q = {q} is not a prime power")
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    h = 1
-    while p**h < q:
-        h += 1
-    if p**h != q:
-        raise FieldError("not a prime power")
-    return p, h
+    if q >= 2:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        h = 1
+        while p**h < q:
+            h += 1
+        if p**h == q:
+            return p, h
+    raise FieldError(f"q = {q} is not a prime power")
 
 
 def field_for_order(q: int) -> GF:

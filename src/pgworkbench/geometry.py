@@ -77,6 +77,14 @@ def level_fault(n: int, m: int, q: int) -> str | None:
     return None
 
 
+def space_fault(n: int, q: int) -> str | None:
+    """Why PG(n,q), q a field order, may not be built: n below 1, then
+    the limits of level_fault on its one n-space; None when it may."""
+    if n < 1:
+        return f"projective dimension n = {n} must be >= 1"
+    return level_fault(n, n, q)
+
+
 def count_subspaces(n: int, m: int, q: int) -> int:
     """Number of m-spaces of PG(n,q) (a Gaussian binomial coefficient)."""
     if m < 0 or m > n:
@@ -240,13 +248,11 @@ class ProjectiveSpace:
     """PG(n,q) with cached point, subspace and incidence enumerations."""
 
     def __init__(self, n: int, field: GF):
-        if n < 1:
-            raise GeometryError(f"projective dimension n = {n} must be >= 1")
-        self.n = n
-        self.field = field
-        fault = level_fault(n, n, field.q)
+        fault = space_fault(n, field.q)
         if fault is not None:
             raise GeometryError(fault)
+        self.n = n
+        self.field = field
         self.points = tuple(sorted(_normalized_vectors(n + 1, field.q)))
         self.point_index = {pt: i for i, pt in enumerate(self.points)}
         self._place = [field.q ** (n - j) for j in range(n + 1)]

@@ -31,7 +31,41 @@ def test_space_verb(capsys):
 
 def test_space_rejects_non_prime_power(capsys):
     code = main(["space", "--n", "2", "--q", "6"])
-    assert code == 2
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: q = 6 is not a prime power\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "3", "--k", "1", "--q", "6"],
+    ["verify", "tmodp", "--p", "6", "--t", "1"],
+])
+def test_bounds_and_verify_name_the_non_prime_power(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: q = 6 is not a prime power\n")
+
+
+def test_space_builds_no_space_it_does_not_export(capsys, monkeypatch):
+    # PG(2,997) has 995007 points: building them took 0.7 s and 180 MiB
+    def refuse(*args):
+        raise AssertionError("ProjectiveSpace built")
+    monkeypatch.setattr(ProjectiveSpace, "__init__", refuse)
+    code, out = run_cli(capsys, "space", "--n", "2", "--q", "997")
+    assert code == 0
+    assert out == ('{"field":"GF(997)","n":2,"num_points":995007,"q":997,'
+                   '"subspace_counts":{"0":995007,"1":995007,"2":1}}\n')
+
+
+@pytest.mark.parametrize("n, q, err", [
+    (0, 2, "projective dimension n = 0 must be >= 1"),
+    # the field's refusal comes before the space's limits
+    (2, 70000, "q = 70000 exceeds the limit 65536"),
+    (40, 2, "PG(40,2) exceeds the limits q <= 65536 and 1000000 points"),
+])
+def test_space_refusals(capsys, n, q, err):
+    code = main(["space", "--n", str(n), "--q", str(q)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
 
 
 def test_space_export_then_solve_and_recheck(tmp_path, capsys):

@@ -1,8 +1,13 @@
-"""Static checks on the library source, stdlib only."""
+"""Checks on the library source and on what it loads, stdlib only."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import pgworkbench
 
@@ -78,6 +83,46 @@ def test_library_imports_no_random():
                     or isinstance(node, ast.ImportFrom) and node.module == "random":
                 found.append(f"{path.name} (line {node.lineno})")
     assert found == []
+
+
+# geometry and solving without a certificate, then one certificate; the
+# checksum is recomputed by hand after hashlib is loaded
+_OPENSSL_CHILD = """
+import json, sys
+preloaded = "_hashlib" in sys.modules
+import pgworkbench, pgworkbench.cli, pgworkbench.experiments
+from pgworkbench.certificates import make_certificate
+from pgworkbench.geometry import canonical_json
+space = pgworkbench.ProjectiveSpace.of_order(3, 2)
+levels = [len(space.subspaces(m)) for m in range(4)]
+pencils = [space.verify_pencil_identity(k) for k in range(3)]
+H = pgworkbench.ProjectiveSpace.of_order(2, 3).hypergraph(1)
+values = [pgworkbench.exact_tau(H, 2).objective, pgworkbench.exact_ucn(H).objective]
+code = pgworkbench.cli.main(["space", "--n", "2", "--q", "3"])
+before = "_hashlib" in sys.modules
+payload = {"n": 2, "k": 1, "q": 3, "t": 2, "points": list(range(9))}
+digest = make_certificate("transversal", payload)["checksum"]
+import hashlib
+print(json.dumps({"preloaded": preloaded, "levels": levels, "pencils": pencils,
+                  "values": values, "code": code, "before": before,
+                  "after": "_hashlib" in sys.modules,
+                  "checksum": digest == hashlib.sha256(
+                      canonical_json(payload).encode()).hexdigest()}))
+"""
+
+
+def test_geometry_and_solving_load_no_openssl():
+    # hashlib loads OpenSSL's libcrypto, about 3.5 MiB; only a checksum
+    # needs it.  pytest has loaded it here, so a child process is asked
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    child = subprocess.run([sys.executable, "-c", _OPENSSL_CHILD], capture_output=True,
+                           text=True, check=True, env=env)
+    got = json.loads(child.stdout.splitlines()[-1])
+    if got["preloaded"]:
+        pytest.skip("a site hook loaded hashlib at start-up")
+    assert got == {"preloaded": False, "levels": [15, 35, 15, 1], "pencils": [True] * 3,
+                   "values": [9, 6], "code": 0, "before": False, "after": True,
+                   "checksum": True}
 
 
 def _uses(node):
