@@ -15,10 +15,9 @@ from .certificates import (blocking_set_certificate, bounds_certificate, colorin
                            transversal_certificate, write_certificate)
 from .coloring import Coloring, judge_coloring, trivial_coloring
 from .experiments import ExperimentConfig, default_grid, run_experiments
-from .fields import field_for_order
 from .geometry import (GeometryError, ProjectiveSpace, all_ints, canonical_json,
                        count_subspaces, hypergraph_from_file, hypergraph_to_file, level_fault,
-                       load_json, space_fault, theta)
+                       load_json, space_field, theta)
 from .solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -32,11 +31,8 @@ def cmd_space(args):
     fault = args.export_hypergraph and level_fault(n, args.k, q)
     if fault:
         raise GeometryError(fault)
-    # the refusals of ProjectiveSpace(n, field), in its order, with no point built
-    field = field_for_order(q)
-    fault = space_fault(n, q)
-    if fault:
-        raise GeometryError(fault)
+    # the refusals of ProjectiveSpace.of_order(n, q), with no point built
+    field = space_field(n, q)
     info = {"n": n, "q": q, "field": field.descriptor(), "num_points": theta(n, q),
             "subspace_counts": {str(m): count_subspaces(n, m, q) for m in range(n + 1)}}
     if args.export_hypergraph:

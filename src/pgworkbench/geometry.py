@@ -18,6 +18,7 @@ vector is walked one by one.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -25,7 +26,7 @@ import os
 import stat
 from dataclasses import dataclass
 
-from .fields import MAX_Q, GF, FieldError, field_for_order
+from .fields import MAX_Q, GF, FieldError, factor_prime_power, field_for_order
 
 # the points of a space, and the point incidences of one of its levels
 DEFAULT_MAX_POINTS = 10**6
@@ -85,6 +86,17 @@ def space_fault(n: int, q: int) -> str | None:
     return level_fault(n, n, q)
 
 
+def space_field(n: int, q: int) -> GF:
+    """GF(q), built for PG(n,q) only once the space may be built: first
+    the field's refusals by q alone (factor_prime_power), then those of
+    space_fault, so a space refused by its counts builds no field."""
+    factor_prime_power(q)
+    fault = space_fault(n, q)
+    if fault is not None:
+        raise GeometryError(fault)
+    return field_for_order(q)
+
+
 def count_subspaces(n: int, m: int, q: int) -> int:
     """Number of m-spaces of PG(n,q) (a Gaussian binomial coefficient)."""
     if m < 0 or m > n:
@@ -133,11 +145,13 @@ def point_set(points, num_points: int) -> set:
     return pts
 
 
-@dataclass(frozen=True, slots=True)
-class Subspace:
-    dim: int
-    basis: tuple  # RREF rows, each a coordinate tuple; () for the empty space
-    mask: int
+class Subspace(collections.namedtuple("Subspace", "dim basis mask")):
+    """An m-space: its dimension, its RREF rows, each a coordinate tuple (()
+    for the empty space), and its point mask.  A tuple, so subspaces(m)
+    makes a whole level's records in one C call, with no Python __init__
+    per record; immutable and hashable, equal to (dim, basis, mask)."""
+
+    __slots__ = ()
 
     def point_indices(self):
         return mask_bits(self.mask)
@@ -274,7 +288,7 @@ class ProjectiveSpace:
         """PG(n,q), shared: every call with the same (n, q) returns the
         same space, so its point, subspace and incidence caches are built
         once per process."""
-        return cls(n, field_for_order(q))
+        return cls(n, space_field(n, q))
 
     # -- points ---------------------------------------------------------
 
@@ -370,7 +384,7 @@ class ProjectiveSpace:
         of slots.  Adding a nonzero digit x at place P adds x mod p to that
         digit of every slot: the slots whose digit is below p - x
         (_wrap_mask) move up by x*P, the others down by (p - x)*P."""
-        p, place = self.field.p, self._place
+        p, place, wraps = self.field.p, self._place, self._wrap_masks
         tail = 0
         for j in columns:
             a, P = row[j], place[j]
@@ -378,7 +392,10 @@ class ProjectiveSpace:
             while a:
                 a, x = divmod(a, p)
                 if x:
-                    low = M & self._wrap_mask(P, x)
+                    L = wraps.get((P, x))
+                    if L is None:
+                        L = self._wrap_mask(P, x)
+                    low = M & L
                     M = low << x * P | (M ^ low) >> (p - x) * P
                 P *= p
         return M, tail
@@ -386,15 +403,14 @@ class ProjectiveSpace:
     def _wrap_mask(self, P, x) -> int:
         """The slots below q^n, the width of every span mask, whose base-p
         digit at place P is below p - x: the slots that adding x to that
-        digit moves up.  Built on first use and kept as a plain int."""
-        L = self._wrap_masks.get((P, x))
-        if L is None:
-            p, width = self.field.p, self.q ** self.n
-            L, period = (1 << (p - x) * P) - 1, p * P
-            while period < width:
-                L |= L << period
-                period *= 2
-            L = self._wrap_masks[P, x] = L & (1 << width) - 1
+        digit moves up.  Built on the first miss of _moved's lookup and
+        kept in _wrap_masks as a plain int."""
+        p, width = self.field.p, self.q ** self.n
+        L, period = (1 << (p - x) * P) - 1, p * P
+        while period < width:
+            L |= L << period
+            period *= 2
+        L = self._wrap_masks[P, x] = L & (1 << width) - 1
         return L
 
     def subspace_from_basis(self, basis) -> Subspace:
@@ -409,7 +425,9 @@ class ProjectiveSpace:
         masks built by _masks from the bases alone: no other level is
         built.  Raises GeometryError for a level that level_fault refuses,
         before any basis is enumerated, and unless the count is right and
-        every mask has theta(m) points."""
+        every mask has theta(m) points.  Both checks read the plain lists
+        of bases and masks; the level's records are then made in one C
+        call, with no Python code per record."""
         if m < 0 or m > self.n:
             raise GeometryError(f"m = {m} out of range for PG({self.n},{self.q})")
         cached = self._subspace_cache.get(m)
@@ -420,18 +438,20 @@ class ProjectiveSpace:
             raise GeometryError(fault)
         total = count_subspaces(self.n, m, self.q)
         if m == 0:
-            subs = tuple(Subspace(0, (pt,), 1 << i) for i, pt in enumerate(self.points))
+            bases = list(zip(self.points))
+            masks = [1 << i for i in range(len(bases))]
         else:
             bases = sorted(self._enumerate_rref_bases(m + 1))
             masks = self._masks(bases)
-            subs = tuple(Subspace(m, b, mask) for b, mask in zip(bases, masks))
-        if len(subs) != total:
-            raise GeometryError(f"enumerated {len(subs)} {m}-spaces of PG({self.n},{self.q}), "
+        if len(bases) != total:
+            raise GeometryError(f"enumerated {len(bases)} {m}-spaces of PG({self.n},{self.q}), "
                                 f"expected {total}")
         size = theta(m, self.q)
-        if any(S.mask.bit_count() != size for S in subs):
+        if set(map(int.bit_count, masks)) != {size}:
             raise GeometryError(f"an enumerated {m}-space of PG({self.n},{self.q}) "
                                 f"does not have {size} points")
+        subs = tuple(map(tuple.__new__, itertools.repeat(Subspace),
+                         zip(itertools.repeat(m), bases, masks)))
         self._subspace_cache[m] = subs
         return subs
 
@@ -562,9 +582,10 @@ class ProjectiveSpace:
         theta(k+1) points, gives False.  At k = n-1 that leaves each
         (k+1)-space all points, so the identity holds iff there is one.
         Otherwise the byte matrix whose rows are the (k+1)-space masks, last
-        row first, is read one byte column at a time, by a strided slice,
-        and per bit b of the column a translate marks the (k+1)-spaces
-        through point 8c + b with '1' and the others with '0'.  At k = 0
+        row first, filled by appends, is read one byte column at a time, by
+        a strided slice, and per bit b of the column a translate marks the
+        (k+1)-spaces through point 8c + b with '1' and the others with '0'.
+        At k = 0
         the count of '1' is that point's number of lines, the check itself.
         For k >= 1 a base-2 parse makes it the point's mask over the indices
         of the (k+1)-spaces, and the AND of these masks over the points of a
@@ -584,11 +605,12 @@ class ProjectiveSpace:
         if k == self.n - 1:
             return len(uppers) == 1
         width = (num + 7) // 8
-        matrix = bytearray(len(uppers) * width)
         # the last space first: int(..., 2) reads its most significant
-        # digit first, so the (k+1)-space j lands on bit j
-        for row, U in enumerate(reversed(uppers)):
-            matrix[row * width:(row + 1) * width] = U.mask.to_bytes(width, "little")
+        # digit first, so the (k+1)-space j lands on bit j.  No join: it
+        # would hold every row's bytes and the matrix at once
+        matrix = bytearray()
+        for U in reversed(uppers):
+            matrix += U.mask.to_bytes(width, "little")
         # per bit b, the byte v becomes '1' when bit b of v is set, else '0'
         digits = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
         # per point, its (k+1)-spaces: their count at k = 0, else their mask

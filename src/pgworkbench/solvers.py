@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .blocking import enumerate_t_mod_p_sets, plane_cosets
 from .coloring import is_proper, make_coloring, trivial_coloring
-from .fields import factor_prime_power
+from .fields import MAX_Q, factor_prime_power, is_prime
 from .geometry import MAX_N, Hypergraph, ProjectiveSpace, mask_bits, theta
 
 OPTIMAL = "optimal"
@@ -532,6 +532,11 @@ def tmodp_frame(p: int, t: int, max_size: int | None = None) -> dict:
         raise SolverError(f"max_size must be an integer >= 0, not {max_size!r}")
     if 8 * t > 3 * p + 8:
         raise SolverError(f"hypothesis violated: t = {t} > 3p/8 + 1 = {Fraction(3 * p, 8) + 1}")
+    # the limit first, so a huge p gets no trial division
+    if p > MAX_Q:
+        raise SolverError(f"p = {p} exceeds the limit {MAX_Q}")
+    if not is_prime(p):
+        raise SolverError(f"p = {p} is not prime")
     # the constant weight t solves the system, so its solutions form the classes
     # of plane_cosets; t <= p - 1 by the hypothesis, so unions count as multisets
     kdim, classes, exhaustive = plane_cosets(p)
@@ -578,10 +583,9 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVe
     unions; each is reported as a violation and `verified` is False.
     Raises, through `tmodp_frame` and so before any field or space is
     built, SolverError for a p or t that is not an int (a bool is none),
-    for t < 1, for a max_size that is not an int >= 0 and for
-    t > 3p/8 + 1; FieldError when p is not a prime power; and
-    BlockingError when p is not prime or the plane's line/point incidence
-    matrix is past the enumeration's limit.
+    for t < 1, for a max_size that is not an int >= 0, for t > 3p/8 + 1,
+    for p above MAX_Q and for p not prime; and BlockingError when the
+    plane's line/point incidence matrix is past the enumeration's limit.
     """
     frame = tmodp_frame(p, t, max_size)
     space = ProjectiveSpace.of_order(2, p)

@@ -322,7 +322,7 @@ TAMPERED_TMODP_REPORTS = [
     pytest.param((2, 1), lambda d: d.update(num_solution_classes=7),
                  "num_solution_classes 7 is not 8" + RECOMPUTED, id="classes-not-a-power"),
     pytest.param((2, 1), lambda d: d.update(p=4),
-                 "verification error: mod-p enumeration needs a prime field, not GF(4)",
+                 "verification error: p = 4 is not prime",
                  id="p-not-prime"),
     pytest.param((3, 2), lambda d: d.update(exhaustive=False),
                  "exhaustive False is not True" + RECOMPUTED, id="exhaustive-flipped"),

@@ -11,6 +11,7 @@ from pgworkbench import solvers
 from pgworkbench.certificates import make_certificate, write_certificate
 from pgworkbench.cli import main
 from pgworkbench.coloring import Coloring
+from pgworkbench.fields import GF
 from pgworkbench.geometry import ProjectiveSpace, hypergraph_to_file
 
 
@@ -40,9 +41,11 @@ def test_space_rejects_non_prime_power(capsys):
     ["verify", "tmodp", "--p", "6", "--t", "1"],
 ])
 def test_bounds_and_verify_name_the_non_prime_power(capsys, argv):
+    # verify tmodp names its own option, p, which must be prime
+    err = "p = 6 is not prime" if argv[0] == "verify" else "q = 6 is not a prime power"
     code = main(argv)
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (2, "", "error: q = 6 is not a prime power\n")
+    assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
 
 
 def test_space_builds_no_space_it_does_not_export(capsys, monkeypatch):
@@ -66,6 +69,33 @@ def test_space_refusals(capsys, n, q, err):
     code = main(["space", "--n", str(n), "--q", str(q)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("verb", ["space", "blocking"])
+def test_a_space_past_the_limits_builds_no_field(tmp_path, capsys, monkeypatch, verb):
+    # GF(65521) alone took 0.2 s to build, only for PG(2,65521) to be refused
+    def refuse(*args):
+        raise AssertionError("field built")
+    monkeypatch.setattr(GF, "__init__", refuse)
+    weights = tmp_path / "weights.json"
+    weights.write_text("[1]")
+    argv = {"space": ["space", "--n", "2", "--q", "65521"],
+            "blocking": ["blocking", "--n", "2", "--q", "65521", "--t", "1", "--k", "1",
+                         "--weights", str(weights)]}[verb]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == \
+        (2, "", "error: PG(2,65521) exceeds the limits q <= 65536 and 1000000 points\n")
+
+
+def test_verify_refuses_a_p_past_the_limit_at_once(capsys):
+    start = time.perf_counter()
+    code = main(["verify", "tmodp", "--p", "70001", "--t", "1"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == \
+        (2, "", "error: p = 70001 exceeds the limit 65536\n")
+    assert elapsed < 0.05
 
 
 def test_space_export_then_solve_and_recheck(tmp_path, capsys):

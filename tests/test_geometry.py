@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import gc
 import hashlib
@@ -17,7 +16,7 @@ from pgworkbench import geometry
 from pgworkbench.certificates import make_certificate, recheck
 from pgworkbench.fields import field_for_order
 from pgworkbench.geometry import (EMPTY_SUBSPACE, GeometryError, Hypergraph,
-                                  ProjectiveSpace, count_subspaces,
+                                  ProjectiveSpace, Subspace, count_subspaces,
                                   hypergraph_from_file, hypergraph_to_file,
                                   level_fault, mask_bits, theta, write_text)
 from pgworkbench.solvers import exact_tau, exact_ucn
@@ -297,7 +296,7 @@ def test_pencil_identity_detects_tampered_caches(n, q, k):
         subs = list(space.subspaces(m))
         S = subs[3]
         outside = (~S.mask & ((1 << space.num_points) - 1)).bit_length() - 1
-        subs[3] = dataclasses.replace(S, mask=S.mask | 1 << outside)
+        subs[3] = S._replace(mask=S.mask | 1 << outside)
         space._subspace_cache[m] = tuple(subs)
         assert not space.verify_pencil_identity(k)
 
@@ -310,7 +309,7 @@ def test_pencil_identity_detects_tampered_caches(n, q, k):
         subs = list(space.subspaces(k))
         S = subs[3]
         outside = (~S.mask & ((1 << space.num_points) - 1)).bit_length() - 1
-        subs[3] = dataclasses.replace(S, mask=(S.mask & (S.mask - 1)) | 1 << outside)
+        subs[3] = S._replace(mask=(S.mask & (S.mask - 1)) | 1 << outside)
         space._subspace_cache[k] = tuple(subs)
         assert not space.verify_pencil_identity(k)
 
@@ -321,7 +320,7 @@ def test_pencil_identity_detects_tampered_caches(n, q, k):
     uppers = list(space.subspaces(k + 1))
     j = min(2, len(uppers) - 1)
     U = uppers[j]
-    uppers[j] = dataclasses.replace(U, mask=U.mask & (U.mask - 1))
+    uppers[j] = U._replace(mask=U.mask & (U.mask - 1))
     space._subspace_cache[k + 1] = tuple(uppers)
     assert not space.verify_pencil_identity(k)
 
@@ -329,7 +328,7 @@ def test_pencil_identity_detects_tampered_caches(n, q, k):
     for m in (k, k + 1):
         space = ProjectiveSpace(n, field_for_order(q))
         subs = list(space.subspaces(m))
-        subs[-1] = dataclasses.replace(subs[-1], mask=subs[-1].mask | 1 << space.num_points)
+        subs[-1] = subs[-1]._replace(mask=subs[-1].mask | 1 << space.num_points)
         space._subspace_cache[m] = tuple(subs)
         assert not space.verify_pencil_identity(k)
 
@@ -662,6 +661,40 @@ def test_subspace_count_mismatch_raises(monkeypatch):
     space = ProjectiveSpace(2, field_for_order(2))
     with pytest.raises(GeometryError, match="enumerated 7 1-spaces"):
         space.subspaces(1)
+
+
+def test_a_level_with_a_basis_missing_is_refused_and_not_cached(monkeypatch):
+    space = ProjectiveSpace(3, field_for_order(2))
+    enumerate_bases = ProjectiveSpace._enumerate_rref_bases
+    monkeypatch.setattr(ProjectiveSpace, "_enumerate_rref_bases",
+                        lambda self, nrows: enumerate_bases(self, nrows)[1:])
+    # twice: a refused level is not cached, so the second call checks again
+    for _ in range(2):
+        with pytest.raises(GeometryError) as info:
+            space.subspaces(2)
+        assert str(info.value) == "enumerated 14 2-spaces of PG(3,2), expected 15"
+        assert 2 not in space._subspace_cache
+
+
+def test_subspace_records():
+    space = ProjectiveSpace(3, field_for_order(2))
+    S = space.subspaces(1)[3]
+    with pytest.raises(AttributeError):
+        S.mask = 0
+    T = Subspace(S.dim, S.basis, S.mask)
+    assert T is not S and T == S and hash(T) == hash(S)
+    assert S == (S.dim, S.basis, S.mask) and tuple(S) == (1, S.basis, S.mask)
+    mask = S.mask
+    R = S._replace(mask=mask & (mask - 1))
+    assert S.mask == mask and R.mask == mask & (mask - 1) and R != S
+    assert (R.dim, R.basis) == (S.dim, S.basis)
+    # every record of every level, the points included, is the record of
+    # its basis, as subspace_from_basis makes it
+    for m in range(space.n + 1):
+        for U in space.subspaces(m):
+            assert type(U) is Subspace and U.dim == m
+            assert U == Subspace(m, U.basis, space.mask_for_basis(U.basis))
+            assert U.point_indices() == mask_bits(U.mask)
 
 
 def test_hypergraph_k_range_errors():

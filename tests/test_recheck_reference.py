@@ -22,7 +22,7 @@ from pgworkbench.blocking import (COSET_LIMIT, MATRIX_ENTRY_LIMIT, BlockingError
                                   WeightedPointSet, construct_union, is_minimal,
                                   is_t_fold_blocking, is_t_mod_p_set, solve_mod_p)
 from pgworkbench.certificates import make_certificate, recheck
-from pgworkbench.fields import field_for_order
+from pgworkbench.fields import MAX_Q
 from pgworkbench.geometry import ProjectiveSpace, count_subspaces, point_set, theta
 from pgworkbench.solvers import verify_tmodp_theorem
 
@@ -112,8 +112,10 @@ def reference_tmodp_report(payload):
     bound = Fraction(3 * p, 8) + 1
     if t > bound:
         raise ValueError(f"hypothesis violated: t = {t} > 3p/8 + 1 = {bound}")
-    if field_for_order(p).h != 1:
-        raise ValueError(f"mod-p enumeration needs a prime field, not GF({p})")
+    if p > MAX_Q:
+        raise ValueError(f"p = {p} exceeds the limit {MAX_Q}")
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        raise ValueError(f"p = {p} is not prime")
     entries = count_subspaces(2, 1, p) * theta(2, p)
     if entries > MATRIX_ENTRY_LIMIT:
         raise ValueError(f"the 1-space/point incidence matrix of PG(2,{p}) has {entries} "

@@ -650,8 +650,8 @@ def _no_build(self, *args):
     raise AssertionError("a field or space was built")
 
 
-@pytest.mark.parametrize("p, error", [(4, BlockingError), (6, FieldError), (127, BlockingError),
-                                      (997, BlockingError), (65537, FieldError)])
+@pytest.mark.parametrize("p, error", [(4, SolverError), (6, SolverError), (127, BlockingError),
+                                      (997, BlockingError), (65537, SolverError)])
 def test_tmodp_frame_builds_no_field_or_space(monkeypatch, p, error):
     # a plane with a report and planes without one are told apart by counts
     monkeypatch.setattr(GF, "__init__", _no_build)
