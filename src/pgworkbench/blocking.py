@@ -9,7 +9,7 @@ points, counted with weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
 
 from .fields import GF, factor_prime_power
 from .geometry import ProjectiveSpace, Subspace, count_subspaces, theta
@@ -19,16 +19,18 @@ class BlockingError(ValueError):
     pass
 
 
-@dataclass
-class WeightedPointSet:
-    space: ProjectiveSpace
-    weights: list
+class WeightedPointSet(collections.namedtuple("WeightedPointSet", "space weights")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.weights) != self.space.num_points:
+    def __new__(cls, space: ProjectiveSpace, weights: list):
+        if len(weights) != space.num_points:
             raise BlockingError("weight array length does not match the point count")
-        if min(self.weights) < 0:
+        if min(weights) < 0:
             raise BlockingError("weights must be nonnegative")
+        return super().__new__(cls, space, weights)
+
+    # so that _replace checks its fields too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def size(self) -> int:
@@ -225,15 +227,11 @@ def plane_cosets(p: int) -> tuple:
     return kdim, p**kdim, p**kdim <= COSET_LIMIT
 
 
-@dataclass
-class TModPEnumeration:
-    sets: list
-    kernel_dim: int
-    num_solution_classes: int
-    exhaustive: bool
-    # always 0: nothing in the library reads it; kept only because the
-    # benchmark's tracing does
-    sampled: int = 0
+# sampled is always 0: nothing in the library reads it; kept only because
+# the benchmark's tracing does
+TModPEnumeration = collections.namedtuple(
+    "TModPEnumeration", "sets kernel_dim num_solution_classes exhaustive sampled",
+    defaults=(0,))
 
 
 def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int,

@@ -3,8 +3,8 @@ construction and triviality analysis, all decided by judge_coloring."""
 
 from __future__ import annotations
 
+import collections
 import itertools
-from dataclasses import dataclass
 
 from .geometry import Hypergraph, all_ints, point_set
 
@@ -13,9 +13,10 @@ class ColoringError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Coloring:
-    assignment: tuple  # point index -> color id in 1..N
+class Coloring(collections.namedtuple("Coloring", "assignment")):
+    """assignment: point index -> color id in 1..N."""
+
+    __slots__ = ()
 
     @property
     def N(self) -> int:

@@ -3,10 +3,10 @@ writes one certificate per task, and assembles a summary table."""
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import os
-from dataclasses import dataclass, field
 
 from .certificates import (_verify_payload, bounds_certificate, coloring_certificate,
                            tmodp_certificate, transversal_certificate, write_certificate)
@@ -25,22 +25,18 @@ def default_grid():
     ]
 
 
-@dataclass
 class ExperimentConfig:
-    grid: list = field(default_factory=default_grid)
-    outdir: str = "certificates"
-    # nothing in the library reads it; kept only because the benchmark
-    # passes it
-    seed: int = 0
+    """A grid of tasks, a fresh default_grid() unless one is given, and the
+    directory its certificates go to.  Nothing in the library reads seed;
+    it is kept only because the benchmark passes it."""
+
+    def __init__(self, grid: list | None = None, outdir: str = "certificates", seed: int = 0):
+        self.grid = default_grid() if grid is None else grid
+        self.outdir = outdir
+        self.seed = seed
 
 
-@dataclass
-class SummaryRow:
-    instance: str
-    quantity: str
-    value: str
-    expected: str
-    match: str
+SummaryRow = collections.namedtuple("SummaryRow", "instance quantity value expected match")
 
 
 def _searched(res):
@@ -136,9 +132,8 @@ def run_experiments(config: ExperimentConfig):
     # the csv module ends each row with \r\n, which newline="" keeps
     csv_text = io.StringIO(newline="")
     writer = csv.writer(csv_text)
-    writer.writerow(["instance", "quantity", "value", "expected", "match"])
-    writer.writerows([row.instance, row.quantity, row.value, row.expected, row.match]
-                     for row in rows)
+    writer.writerow(SummaryRow._fields)
+    writer.writerows(rows)
     write_text(os.path.join(config.outdir, "summary.csv"), csv_text.getvalue())
     write_text(os.path.join(config.outdir, "summary.txt"), "".join(
         f"{row.instance:24s} {row.quantity:28s} "

@@ -104,7 +104,12 @@ def _powers(p: int, h: int, m, g: int) -> list:
     its top bit exactly where the sum reached p, and p is taken off there.
     Multiplying by g is GF(p)-linear: it is the sum of the images of the
     low a digits and of the others, each read from a table built from
-    the multiples of the columns X^j * g."""
+    the multiples of the columns X^j * g.  A prime field steps by s * g % p."""
+    if h == 1:
+        out = [1]
+        for _ in range(p - 2):
+            out.append(out[-1] * g % p)
+        return out
     W = p.bit_length() + 1
     ones = sum(1 << W * i for i in range(h))
     lift = ((1 << W - 1) - p) * ones

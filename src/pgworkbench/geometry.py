@@ -24,7 +24,6 @@ import itertools
 import json
 import os
 import stat
-from dataclasses import dataclass
 
 from .fields import MAX_Q, GF, FieldError, factor_prime_power, field_for_order
 
@@ -160,13 +159,11 @@ class Subspace(collections.namedtuple("Subspace", "dim basis mask")):
 EMPTY_SUBSPACE = Subspace(-1, (), 0)
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    """Vertices 0..num_vertices-1, edges as point-index bitmasks."""
-
-    num_vertices: int
-    edges: tuple
-    params: tuple | None = None  # (n, k, q) when geometric
+class Hypergraph(collections.namedtuple("Hypergraph", "num_vertices edges params",
+                                         defaults=(None,))):
+    """Vertices 0..num_vertices-1, edges as point-index bitmasks, and params
+    (n, k, q) when geometric.  No __slots__: the cached views below live in
+    the instance dict; hash and equality are those of the field tuple."""
 
     @functools.cached_property
     def edge_points(self) -> tuple:

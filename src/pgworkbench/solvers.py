@@ -4,9 +4,9 @@ bound calculators with their applicability predicates."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .blocking import enumerate_t_mod_p_sets, plane_cosets
@@ -26,14 +26,9 @@ class SolverError(ValueError):
     pass
 
 
-@dataclass
-class SolveResult:
-    objective: int | None
-    witness: object
-    nodes: int
-    status: str
-    lower_bound: int | None = None
-    upper_bound: int | None = None
+SolveResult = collections.namedtuple(
+    "SolveResult", "objective witness nodes status lower_bound upper_bound",
+    defaults=(None, None))
 
 
 # -- minimum t-transversal ----------------------------------------------
@@ -465,26 +460,14 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
 
 # -- modular-set theorem verification -----------------------------------
 
-@dataclass
-class TModPVerification:
-    p: int
-    t: int
-    k: int
-    max_size: int
-    weight_cap: int
-    kernel_dim: int
-    num_solution_classes: int
-    exhaustive: bool
-    num_found: int
-    num_unions: int
-    expected_size: int
-    violations: list
-    verified: bool
-    sets: list = field(default_factory=list)
+class TModPVerification(collections.namedtuple(
+        "TModPVerification", "p t k max_size weight_cap kernel_dim num_solution_classes "
+        "exhaustive num_found num_unions expected_size violations verified sets",
+        defaults=((),))):
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {**data, "sets": [list(B.weights) for B in self.sets]}
+        return {**self._asdict(), "sets": [list(B.weights) for B in self.sets]}
 
 
 def tmodp_violations(space: ProjectiveSpace, t: int, found: list, sizes: list,
@@ -609,29 +592,15 @@ def _sqrt2_combo_nonneg(a: Fraction, b: Fraction) -> bool:
     return 2 * a * a >= b * b if a > 0 else 2 * a * a <= b * b
 
 
-@dataclass
-class BoundsReport:
-    n: int
-    k: int
-    q: int
-    p: int
-    h: int
-    t: int
-    theta_n: int
-    theta_k: int
-    trivial_lower: int
-    tau2_known: int | None
-    # delta for prime order: (sqrt(2)*q^k - q^k - 3*theta(k-1) - 8) / 2,
-    # stored as the exact pair "sqrt2_coeff" and "rational", with its sign
-    # test as "nonnegative"
-    delta_prime: dict
-    delta_ext: Fraction | None
-    delta_strong: Fraction
-    blsetthm_threshold: Fraction
-    dbhszvdv_size: int
-    bruen_lower_ceil: int
-    blokhuis: Fraction
-    flags: dict
+class BoundsReport(collections.namedtuple(
+        "BoundsReport", "n k q p h t theta_n theta_k trivial_lower tau2_known delta_prime "
+        "delta_ext delta_strong blsetthm_threshold dbhszvdv_size bruen_lower_ceil "
+        "blokhuis flags")):
+    """delta_prime, delta for prime order (sqrt(2)*q^k - q^k - 3*theta(k-1) - 8) / 2,
+    is the dict of the exact pair "sqrt2_coeff" and "rational" and of its
+    sign test "nonnegative"; tau2_known and delta_ext may be None."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         """The fields by name, in order, each Fraction, also one in a dict
@@ -639,7 +608,7 @@ class BoundsReport:
         def text(x):
             return f"{x.numerator}/{x.denominator}" if type(x) is Fraction else x
         return {name: {key: text(v) for key, v in x.items()} if type(x) is dict else text(x)
-                for name, x in vars(self).items()}
+                for name, x in self._asdict().items()}
 
 
 def bounds_report(n: int, k: int, q: int, t: int) -> BoundsReport:

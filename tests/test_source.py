@@ -86,10 +86,12 @@ def test_library_imports_no_random():
 
 
 # geometry and solving without a certificate, then one certificate; the
-# checksum is recomputed by hand after hashlib is loaded
+# checksum is recomputed by hand after hashlib is loaded.  dataclasses and
+# inspect (with ast, dis and tokenize) must stay unloaded throughout
 _OPENSSL_CHILD = """
 import json, sys
-preloaded = "_hashlib" in sys.modules
+heavy = ("_hashlib", "dataclasses", "inspect")
+preloaded = [name for name in heavy if name in sys.modules]
 import pgworkbench, pgworkbench.cli, pgworkbench.experiments
 from pgworkbench.certificates import make_certificate
 from pgworkbench.geometry import canonical_json
@@ -106,23 +108,27 @@ import hashlib
 print(json.dumps({"preloaded": preloaded, "levels": levels, "pencils": pencils,
                   "values": values, "code": code, "before": before,
                   "after": "_hashlib" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules,
+                  "inspect": "inspect" in sys.modules,
                   "checksum": digest == hashlib.sha256(
                       canonical_json(payload).encode()).hexdigest()}))
 """
 
 
-def test_geometry_and_solving_load_no_openssl():
+def test_geometry_and_solving_load_no_openssl_and_no_dataclasses():
     # hashlib loads OpenSSL's libcrypto, about 3.5 MiB; only a checksum
-    # needs it.  pytest has loaded it here, so a child process is asked
+    # needs it.  dataclasses loads inspect, ast, dis and tokenize, and the
+    # library's records are namedtuples, so nothing needs it.  pytest has
+    # loaded all of them here, so a child process is asked
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
     child = subprocess.run([sys.executable, "-c", _OPENSSL_CHILD], capture_output=True,
                            text=True, check=True, env=env)
     got = json.loads(child.stdout.splitlines()[-1])
     if got["preloaded"]:
-        pytest.skip("a site hook loaded hashlib at start-up")
-    assert got == {"preloaded": False, "levels": [15, 35, 15, 1], "pencils": [True] * 3,
+        pytest.skip(f"a site hook loaded {', '.join(got['preloaded'])} at start-up")
+    assert got == {"preloaded": [], "levels": [15, 35, 15, 1], "pencils": [True] * 3,
                    "values": [9, 6], "code": 0, "before": False, "after": True,
-                   "checksum": True}
+                   "dataclasses": False, "inspect": False, "checksum": True}
 
 
 def _uses(node):
