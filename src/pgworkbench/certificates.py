@@ -349,10 +349,10 @@ def recheck(cert: dict):
         return False, f"malformed certificate: {exc}"
     if digest != cert["checksum"]:
         return False, "checksum mismatch"
-    return _verify_payload(cert["kind"], cert["payload"])
+    return verify_payload(cert["kind"], cert["payload"])
 
 
-def _verify_payload(kind: str, payload):
+def verify_payload(kind: str, payload):
     """The verdict (ok, detail) of the verifier of a known kind on a
     payload, re-deriving every claim; the checks of recheck after the
     checksum, for a caller that made the certificate and so knows its

@@ -186,7 +186,8 @@ def build_parser():
 
     p = sub.add_parser("bounds", help="bound formulas and applicability flags")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True,
+                   help="dimension of the blocking subspaces; the report is on the (n-k)-spaces")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--out", help="certificate output file")

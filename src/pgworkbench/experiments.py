@@ -8,8 +8,8 @@ import csv
 import io
 import os
 
-from .certificates import (_verify_payload, bounds_certificate, coloring_certificate,
-                           tmodp_certificate, transversal_certificate, write_certificate)
+from .certificates import (bounds_certificate, coloring_certificate, tmodp_certificate,
+                           transversal_certificate, verify_payload, write_certificate)
 from .geometry import ProjectiveSpace, write_text
 from .solvers import OPTIMAL, bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
@@ -98,7 +98,7 @@ def _run_task(name, task, config) -> SummaryRow:
     write_certificate(cert, os.path.join(config.outdir, f"{name}.json"))
     # the checksum was computed from this payload as the certificate was
     # made, so only the claims are re-derived
-    ok, _ = _verify_payload(cert["kind"], cert["payload"])
+    ok, _ = verify_payload(cert["kind"], cert["payload"])
     expected = task.get("expected")
     if expected is not None:
         match = ok and value == expected

@@ -26,6 +26,10 @@ class SolverError(ValueError):
     pass
 
 
+class _Stop(Exception):
+    """Ends a search: past NODE_LIMIT nodes, or at the folklore bound."""
+
+
 SolveResult = collections.namedtuple(
     "SolveResult", "objective witness nodes status lower_bound upper_bound",
     defaults=(None, None))
@@ -33,17 +37,23 @@ SolveResult = collections.namedtuple(
 
 # -- minimum t-transversal ----------------------------------------------
 
+def _tau_facts(n: int, m: int, q: int, t: int) -> tuple:
+    """The folklore lower bound t*theta(n-m) on a t-transversal of the
+    m-spaces of PG(n,q), None when t > q, and whether t disjoint
+    (n-m)-spaces fit, whose union is then one: each meets every m-space."""
+    return t * theta(n - m, q) if t <= q else None, t * (n - m + 1) <= n + 1
+
+
 def _seed_transversal(H: Hypergraph, t: int) -> set:
     """A first t-transversal of H.  On a validated H(n,m,q) where t
     disjoint (n-m)-spaces fit, their union: each meets every m-space.
     Else add the first vertex on the most open edges until none is open.
     Every edge must have at least t vertices: then an open edge always has
     a vertex not yet chosen, so the best gain is positive."""
-    if H.geometry is not None:
+    if H.geometry is not None and _tau_facts(*H.geometry, t)[1]:
         n, m, q = H.geometry
-        if t * (n - m + 1) <= n + 1:
-            blocks = ProjectiveSpace.of_order(n, q).disjoint_subspaces(n - m, t)
-            return set().union(*(S.point_indices() for S in blocks))
+        blocks = ProjectiveSpace.of_order(n, q).disjoint_subspaces(n - m, t)
+        return set().union(*(S.point_indices() for S in blocks))
     # gains[v]: the open edges through v, or -1 once v is chosen
     deficits = [t] * len(H.edges)
     gains = [len(eis) for eis in H.vertex_edges]
@@ -109,16 +119,16 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
     unless t is an int >= 1 (a bool is none).
 
     On a hypergraph that `Hypergraph.geometry` validates as H(n,m,q), with
-    t <= q, the folklore bound t*theta(n-m) lets the search stop as soon
-    as an incumbent meets it.  On any validated H(n,m,q) the search also
-    starts with the points of `_root_points` chosen: some minimum
-    t-transversal holds them all, by the lemmas (L1) and (L2) stated
-    there.  Claimed params that do not match the edges get neither.  The
-    first incumbent is `_seed_transversal`: where t disjoint (n-m)-spaces
-    fit and t <= q, it meets the folklore bound, `optimal` at 0 nodes.
-    Past NODE_LIMIT nodes the search stops and answers `bound_only`: the
-    incumbent as witness and upper_bound, and the folklore bound as
-    lower_bound, None where it does not apply.
+    t <= q, the folklore bound t*theta(n-m) of `_tau_facts` lets the
+    search stop as soon as an incumbent meets it.  On any validated
+    H(n,m,q) the search also starts with the points of `_root_points`
+    chosen: some minimum t-transversal holds them all, by the lemmas (L1)
+    and (L2) stated there.  Claimed params that do not match the edges get
+    neither.  The first incumbent is `_seed_transversal`: where t disjoint
+    (n-m)-spaces fit and t <= q, it meets the folklore bound, `optimal` at
+    0 nodes.  Past NODE_LIMIT nodes the search stops and answers
+    `bound_only`: the incumbent as witness and upper_bound, and the
+    folklore bound as lower_bound, None where it does not apply.
 
     A node with room r = incumbent - chosen is pruned at r <= 1, as an
     open edge needs a point more, or by the cover-prefix bound: a better
@@ -143,10 +153,7 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
     if any(e.bit_count() < t for e in edges):
         raise SolverError("infeasible: some hyperedge has fewer than t vertices")
 
-    geometric_lb = None
-    if H.geometry is not None and t <= H.geometry[2]:
-        n, m, q = H.geometry
-        geometric_lb = t * theta(n - m, q)
+    geometric_lb = None if H.geometry is None else _tau_facts(*H.geometry, t)[0]
 
     inc = sorted(_seed_transversal(H, t))
     if len(inc) == geometric_lb:
@@ -173,7 +180,6 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
     best = sum(1 << v for v in inc)
     best_size = best.bit_count()
     nodes = 0
-    done = False
 
     def take(v, total, num_open):
         """Choose the available vertex v; the new total and num_open."""
@@ -192,15 +198,15 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
 
     def dfs(chosen, count, avail, total, num_open):
         # total and num_open: the sum of the open deficits, the open edges
-        nonlocal best, best_size, nodes, done
+        nonlocal best, best_size, nodes
         nodes += 1
         if nodes > NODE_LIMIT:
-            done = True
-            return
+            raise _Stop
         if not num_open:
             if count < best_size:
                 best, best_size = chosen, count
-                done = best_size == geometric_lb
+                if count == geometric_lb:
+                    raise _Stop
             return
         # an open edge's deficit is at least 1, so a room of 1 prunes
         room = best_size - count
@@ -242,8 +248,6 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
                     is_open[pos] = True
                     for u in edge_pts[pos]:
                         cover[u] += 1
-            if done:
-                break
         rest = pick & ~avail
         while rest:
             low = rest & -rest
@@ -256,7 +260,10 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
         for v in _root_points(*H.geometry, t):
             total, num_open = take(v, total, num_open)
             chosen |= 1 << v
-    dfs(chosen, chosen.bit_count(), ((1 << V) - 1) ^ chosen, total, num_open)
+    try:
+        dfs(chosen, chosen.bit_count(), ((1 << V) - 1) ^ chosen, total, num_open)
+    except _Stop:
+        pass
     solved = nodes <= NODE_LIMIT
     return SolveResult(objective=best_size if solved else None,
                        witness=tuple(mask_bits(best)), nodes=nodes,
@@ -288,12 +295,11 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
     in its own, so that the masks stay symmetric.
     The incumbent is seeded by the trivial coloring on the witness of
     exact_tau(H, 2), minimum or, past the node ceiling, that search's
-    incumbent.  Past NODE_LIMIT nodes this search stops too, at exactly
-    NODE_LIMIT + 1 nodes as exact_tau does: it makes no further sibling
-    merge and skips case B.  It answers `bound_only`: its incumbent
-    coloring as witness, its class count, at least the trivial bound, as
-    lower_bound, and no upper_bound.  A hypergraph with no vertex has no
-    coloring to witness, and raises SolverError.
+    incumbent.  Past NODE_LIMIT nodes it stops as exact_tau does, by
+    `_Stop` at node NODE_LIMIT + 1, and answers `bound_only`: its
+    incumbent coloring as witness, its class count, at least the trivial
+    bound, as lower_bound, and no upper_bound.  A hypergraph with no
+    vertex has no coloring to witness, and raises SolverError.
 
     The rainbow edges are one mask over edge indices, and each class keeps
     the mask of the edges that meet it, so a merge of classes A and B
@@ -337,7 +343,6 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
     # with the smaller one and joins their masks, and undoing it restores
     # them
     root = list(range(V))
-    members = [[v] for v in range(V)]
     cls = [1 << v for v in range(V)]
     inc = [sum(1 << ei for ei in eis) for eis in H.vertex_edges]
     apart = [0] * V
@@ -347,7 +352,7 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
         nonlocal best_merges, best_assignment, nodes
         nodes += 1
         if nodes > NODE_LIMIT:
-            return
+            raise _Stop
         if not rainbow:
             if merges < best_merges:
                 best_merges, best_assignment = merges, list(root)
@@ -393,10 +398,9 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
             if a & apart_hi:
                 continue
             b = cls[hi]
-            moved = members[hi]
+            moved = mask_bits(b)
             for v in moved:
                 root[v] = lo
-            members[lo] += moved
             cls[lo] = a | b
             inc_lo = inc[lo]
             inc_hi = inc[hi]
@@ -408,40 +412,35 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
             cls[lo] = a
             inc[lo] = inc_lo
             inc[hi] = inc_hi
-            del members[lo][-len(moved):]
             for v in moved:
                 root[v] = hi
             apart[lo] = apart_lo | b
             apart[hi] = apart_hi | a
-            if nodes > NODE_LIMIT:
-                break
         for r, mask in zip(roots, saved):
             apart[r] = mask
 
     rainbow = (1 << len(H.edges)) - 1  # every class is one point
-    if H.geometry is None:
-        dfs(0, rainbow)
-    else:
-        # every proper coloring has a monochromatic pair, and PGL(n+1,q) is
-        # 2-transitive on points, so some optimal coloring puts points 0
-        # and 1 in one class; line 01 is the points 0..d-1
-        d = theta(1, H.geometry[2])
-        pair, inc_d = inc[0] | inc[1], inc[d]
-        rainbow &= ~(inc[0] & inc[1])
-        for v in (1, d):
-            root[v] = 0
-            members[0].append(v)
-        cls[0] = 0b11 | 1 << d
-        inc[0], inc[1], inc[d] = pair | inc_d, 0, 0
-        dfs(2, rainbow & ~(pair & inc_d))  # case A
-        root[d] = d
-        members[0].pop()
-        cls[0], inc[0], inc[d] = 0b11, pair, inc_d
-        apart[0] = (1 << V) - (1 << d)
-        for v in range(d, V):
-            apart[v] = 1
-        if nodes <= NODE_LIMIT:
+    try:
+        if H.geometry is None:
+            dfs(0, rainbow)
+        else:
+            # every proper coloring has a monochromatic pair, and PGL(n+1,q)
+            # is 2-transitive on points, so some optimal coloring puts points
+            # 0 and 1 in one class; line 01 is the points 0..d-1
+            d = theta(1, H.geometry[2])
+            pair, inc_d = inc[0] | inc[1], inc[d]
+            rainbow &= ~(inc[0] & inc[1])
+            root[1] = root[d] = 0
+            cls[0] = 0b11 | 1 << d
+            inc[0], inc[1], inc[d] = pair | inc_d, 0, 0
+            dfs(2, rainbow & ~(pair & inc_d))  # case A
+            root[d] = d
+            cls[0], inc[0], inc[d] = 0b11, pair, inc_d
+            apart[0] = (1 << V) - (1 << d)
+            apart[d:] = [1] * (V - d)
             dfs(1, rainbow)  # case B
+    except _Stop:
+        pass
     witness = make_coloring(best_assignment)
     objective = V - best_merges
     ok, _ = is_proper(witness, H)
@@ -582,16 +581,6 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVe
 
 # -- bound calculators ---------------------------------------------------
 
-def _sqrt2_combo_nonneg(a: Fraction, b: Fraction) -> bool:
-    """Exact sign test of a*sqrt(2) + b >= 0."""
-    if a >= 0 and b >= 0:
-        return True
-    if a <= 0 and b <= 0:
-        return False
-    # opposite signs: the term of larger magnitude decides
-    return 2 * a * a >= b * b if a > 0 else 2 * a * a <= b * b
-
-
 class BoundsReport(collections.namedtuple(
         "BoundsReport", "n k q p h t theta_n theta_k trivial_lower tau2_known delta_prime "
         "delta_ext delta_strong blsetthm_threshold dbhszvdv_size bruen_lower_ceil "
@@ -616,7 +605,15 @@ def bounds_report(n: int, k: int, q: int, t: int) -> BoundsReport:
     1 <= k <= n-1, n <= MAX_N (the dimension limit of the spaces), a
     prime power q <= MAX_Q and an int t >= 1 (a bool is none);
     SolverError or FieldError otherwise.  n is checked before any power
-    is taken."""
+    is taken.
+
+    k is the dimension of the blocking subspaces: the report is about
+    H(n, n-k, q).  tau2_known is its tau_2 where two disjoint k-spaces fit
+    (2k < n), the folklore bound 2*theta_k of `_tau_facts`; else None.
+    trivial_lower is theta_n - 2*theta_k + 1 and so is the trivial bound
+    theta_n - tau_2 + 1 only where tau2_known is set.  Elsewhere it can
+    overstate it: 12 at (2, 1, 4), where tau_2 = 12 gives 10, and 15 at
+    (3, 2, 3), where the best known lower bound on UCN H(3,1,3) is 11."""
     if type(k) is not int or type(n) is not int or not 1 <= k <= n - 1:
         raise SolverError(f"k = {k!r} is not an integer in [1, n - 1] for n = {n!r}")
     if type(t) is not int or t < 1:
@@ -627,12 +624,13 @@ def bounds_report(n: int, k: int, q: int, t: int) -> BoundsReport:
     qk = q**k
     theta_n = theta(n, q)
     theta_k = theta(k, q)
-    trivial_lower = theta_n - 2 * theta_k + 1
-    tau2_known = 2 * theta_k if 2 * k < n else None
+    folklore, fits = _tau_facts(n, n - k, q, 2)
+    trivial_lower = theta_n - folklore + 1
+    tau2_known = folklore if fits else None
 
     a = Fraction(qk, 2)
     b = Fraction(-qk - 3 * theta(k - 1, q) - 8, 2)
-    delta_prime_nonneg = _sqrt2_combo_nonneg(a, b)
+    delta_prime_nonneg = 2 * a * a >= b * b  # a*sqrt(2) + b >= 0, as a > 0 > b
 
     delta_ext = Fraction(q ** (k - 1) - theta(k - 2, q) - 3, 2) if k >= 2 else None
     delta_strong = Fraction(qk, 200) - theta(k - 1, q) - Fraction(3, 2)

@@ -8,12 +8,11 @@ import pytest
 
 from pgworkbench.blocking import (COSET_LIMIT, BlockingError, WeightedPointSet, is_t_mod_p_set,
                                   plane_cosets, solve_mod_p)
-from pgworkbench.certificates import (CertificateError, _verify_payload,
-                                      canonical_json, checksum,
+from pgworkbench.certificates import (CertificateError, canonical_json, checksum,
                                       coloring_certificate, load_certificate,
                                       make_certificate, recheck,
                                       tmodp_certificate, transversal_certificate,
-                                      write_certificate)
+                                      verify_payload, write_certificate)
 from pgworkbench.coloring import trivial_coloring
 from pgworkbench.fields import GF
 from pgworkbench.geometry import Hypergraph, ProjectiveSpace, level_fault, theta
@@ -512,13 +511,13 @@ def test_recheck_refuses_a_payload_at_odds_with_itself(kind, edit, needle):
 ])
 def test_verify_payload_is_recheck_past_the_checksum(kind, edit):
     # the grid runner verifies the certificate it has just made with
-    # _verify_payload: on a valid and on a tampered payload of each kind it
+    # verify_payload: on a valid and on a tampered payload of each kind it
     # must give recheck's verdict, also where a verifier raises
     payload = _valid_payload(kind)
-    verdict = _verify_payload(kind, payload)
+    verdict = verify_payload(kind, payload)
     assert verdict[0] and verdict == recheck(make_certificate(kind, payload))
     edit(payload)
-    verdict = _verify_payload(kind, payload)
+    verdict = verify_payload(kind, payload)
     assert not verdict[0] and verdict == recheck(make_certificate(kind, payload))
 
 

@@ -12,10 +12,9 @@ from pgworkbench import solvers
 from pgworkbench.blocking import BlockingError, enumerate_t_mod_p_sets
 from pgworkbench.coloring import is_proper, make_coloring
 from pgworkbench.fields import GF, FieldError
-from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
-from pgworkbench.solvers import (BOUND_ONLY, OPTIMAL, SolverError,
-                                 _sqrt2_combo_nonneg, bounds_report, exact_tau,
-                                 exact_ucn, tmodp_frame, verify_tmodp_theorem)
+from pgworkbench.geometry import Hypergraph, ProjectiveSpace, level_fault, theta
+from pgworkbench.solvers import (BOUND_ONLY, OPTIMAL, SolverError, bounds_report,
+                                 exact_tau, exact_ucn, tmodp_frame, verify_tmodp_theorem)
 
 FANO = ProjectiveSpace.of_order(2, 2).hypergraph(1)
 
@@ -661,14 +660,49 @@ def test_tmodp_frame_builds_no_field_or_space(monkeypatch, p, error):
         tmodp_frame(p, 1)
 
 
-def test_sqrt2_combo_sign():
-    F = Fraction
-    assert _sqrt2_combo_nonneg(F(1), F(-1))       # sqrt(2) - 1 >= 0
-    assert not _sqrt2_combo_nonneg(F(-5), F(7))   # 7 - 5*sqrt(2) < 0
-    assert _sqrt2_combo_nonneg(F(-7), F(10))      # 10 - 7*sqrt(2) > 0
-    assert _sqrt2_combo_nonneg(F(0), F(0))
-    assert not _sqrt2_combo_nonneg(F(0), F(-1))
-    assert not _sqrt2_combo_nonneg(F(-1), F(0))
+@pytest.mark.parametrize("n, k, q, nonnegative", [
+    (3, 1, 25, False), (3, 1, 27, True), (3, 2, 9, False), (3, 2, 11, True)])
+def test_delta_prime_sign_at_both_outcomes(n, k, q, nonnegative):
+    # delta_prime = a*sqrt(2) + b with a = q^k/2 > 0 > b; each pair of rows
+    # straddles the order where it turns nonnegative, for k = 1 and k = 2
+    dp = bounds_report(n, k, q, 2).delta_prime
+    a, b = dp["sqrt2_coeff"], dp["rational"]
+    assert a == Fraction(q**k, 2) and b == Fraction(-q**k - 3 * theta(k - 1, q) - 8, 2)
+    assert a > 0 > b
+    assert dp["nonnegative"] is nonnegative
+    assert (float(a) * math.sqrt(2) + float(b) >= 0) is nonnegative
+
+
+def test_tau2_known_is_tau_2_of_the_hypergraph_of_the_n_minus_k_spaces():
+    # bounds_report's k is the dimension of the blocking subspaces, the
+    # hypergraph's is that of its edges: the report for (n, k, q) is about
+    # H(n, n-k, q).  Every such row past the level gate is left out
+    rows = [(n, k, q) for n in range(2, 6) for k in range(1, n) for q in (2, 3, 4)
+            if bounds_report(n, k, q, 2).tau2_known is not None
+            and level_fault(n, n - k, q) is None]
+    assert len(rows) == 11 and (5, 2, 4) not in rows
+    for n, k, q in rows:
+        res = exact_tau(ProjectiveSpace.of_order(n, q).hypergraph(n - k), 2)
+        assert (res.objective, res.status, res.nodes) == \
+            (bounds_report(n, k, q, 2).tau2_known, OPTIMAL, 0), (n, k, q)
+
+
+def test_trivial_lower_is_the_formula_where_tau2_is_not_known():
+    # a known discrepancy, pinned and not hidden: where tau2_known is None,
+    # trivial_lower is theta_n - 2*theta_k + 1, not theta_n - tau_2 + 1.
+    # On the lines of PG(2,4) exact tau_2 is 12, which gives 10, not 12
+    rep = bounds_report(2, 1, 4, 2)
+    assert rep.tau2_known is None
+    assert rep.trivial_lower == 21 - 2 * 5 + 1 == 12
+    res = exact_tau(ProjectiveSpace.of_order(2, 4).hypergraph(1), 2)
+    assert (res.objective, res.status) == (12, OPTIMAL)
+    assert rep.theta_n - res.objective + 1 == 10
+    # (3, 2, 3), about the lines of PG(3,3): the formula gives 15
+    assert bounds_report(3, 2, 3, 2).trivial_lower == 15
+    # a recheck tamper adds +-1 to it in reports over n = 2..5 and every k
+    assert all(type(bounds_report(n, k, q, t).trivial_lower) is int
+               for n in range(2, 6) for k in range(1, n) for q in (2, 3, 4, 5, 7, 8, 9, 17)
+               for t in (1, 2, 3))
 
 
 def test_bounds_report_values():

@@ -179,6 +179,56 @@ def test_certificates_leave_the_tmodp_rules_to_the_frame():
     assert sorted(name for name in names if name in source) == []
 
 
+def _tau_rule_sites(tree):
+    """The functions of tree, by name, that compute the folklore bound
+    (theta of a difference of two names, as theta(n - m), or a product
+    with theta_k or theta(k, q)), compute the disjoint-spaces fit (a
+    comparison with n + 1) or name a `done` flag."""
+    def is_theta_k(node):
+        return isinstance(node, ast.Name) and node.id == "theta_k" \
+            or isinstance(node, ast.Call) and ast.unparse(node.func) == "theta" \
+            and ast.unparse(node.args[0]) == "k"
+
+    def copies_a_rule(node):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "theta":
+            arg = node.args[0]
+            return isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Sub) \
+                and isinstance(arg.left, ast.Name) and isinstance(arg.right, ast.Name)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return is_theta_k(node.left) or is_theta_k(node.right)
+        if isinstance(node, ast.Compare):
+            return any(ast.unparse(side) == "n + 1" for side in (node.left, *node.comparators))
+        return isinstance(node, ast.Name) and node.id == "done"
+
+    return [func.name for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(copies_a_rule(node) for node in ast.walk(func))]
+
+
+def test_solvers_leave_the_folklore_bound_and_the_stop_to_one_place():
+    # the folklore bound t*theta(n-m) and the fit of t disjoint (n-m)-spaces
+    # are computed by solvers._tau_facts alone, which exact_tau, its seed
+    # and bounds_report read; both searches stop by raising _Stop, with no
+    # done flag to check after each child
+    path = PACKAGE_DIR / "solvers.py"
+    assert _tau_rule_sites(ast.parse(path.read_text(), filename=str(path))) == ["_tau_facts"]
+
+
+def test_tau_rule_guard_sees_each_copy():
+    source = """
+def a(n, m, q, t): return t * theta(n - m, q)
+def b(n, m, t): return t * (n - m + 1) <= n + 1
+def c(n, k, t): return n + 1 >= t * (k + 1)
+def d(theta_k, n, k): return 2 * theta_k if 2 * k < n else None
+def e(k, q): return theta(k, q) * 2
+def f():
+    done = False
+def g(n, k, q, p): return theta(k - 1, q) + 3 * theta(1, p) + theta(n, q)
+def h(n, k): return 2 * k < n and not 1 <= k <= n - 1
+"""
+    assert _tau_rule_sites(ast.parse(source)) == ["a", "b", "c", "d", "e", "f"]
+
+
 def test_certificates_leave_the_level_rule_to_the_gate():
     # the point, incidence and mask-bit limits reach recheck through
     # geometry.level_fault alone, the gate of every level build, so recheck
@@ -191,15 +241,15 @@ def test_certificates_leave_the_level_rule_to_the_gate():
 
 def test_no_module_reads_another_modules_private_names():
     # each module owns its rules, such as blocking's claim judge and
-    # coloring's judge, and makes public what another module needs.  The
-    # one exception: the experiment grid made its own certificates, so it
-    # runs recheck's verifiers without recomputing their checksums
+    # coloring's judge, and makes public what another module needs, such
+    # as certificates.verify_payload, which the experiment grid runs on the
+    # certificates it made without recomputing their checksums
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
-    assert found == ["experiments.py: _verify_payload"]
+    assert found == []
 
 
 def test_no_parameter_is_a_limit():
