@@ -125,7 +125,7 @@ def _require_ints(payload: dict, keys) -> None:
 
 
 def _verify_transversal(payload):
-    _require_ints(payload, ("n", "k", "q", "t"))
+    _require_ints(payload, ("t",))
     n, k, q, t = payload["n"], payload["k"], payload["q"], payload["t"]
     fault = level_fault(n, k, q)
     if fault is not None:
@@ -145,7 +145,6 @@ def _verify_transversal(payload):
 
 
 def _verify_coloring(payload):
-    _require_ints(payload, ("n", "k", "q"))
     n, k, q = payload["n"], payload["k"], payload["q"]
     fault = level_fault(n, k, q)
     if fault is not None:
@@ -178,7 +177,6 @@ def _verify_coloring(payload):
 
 
 def _verify_blocking_set(payload):
-    _require_ints(payload["space"], ("n", "q"))
     n, q = payload["space"]["n"], payload["space"]["q"]
     # the space itself, its one n-space, before the field is built
     fault = level_fault(n, n, q)
@@ -193,7 +191,7 @@ def _verify_blocking_set(payload):
     sums = {}
     for claim in payload["claims"]:
         kind = claim["type"]
-        _require_ints(claim, ("t", "k"))
+        _require_ints(claim, ("t",))
         t, k = claim["t"], claim["k"]
         claimed = claim.get("verified", True)
         if type(claimed) is not bool:
@@ -206,12 +204,12 @@ def _verify_blocking_set(payload):
         holds, witness = judge_claim(B, kind, t, k, sums)
         if holds == claimed:
             continue
+        if holds:
+            return False, f"{kind} claim (t = {t}, k = {k}) holds but is marked unverified"
         if kind == "minimal":
             return False, "minimality claim mismatch"
         if kind == "t_mod_p":
             return False, f"t (mod p) claim fails on a {k}-space"
-        if witness is None:
-            return False, "claim mismatch"
         return False, f"violating {k}-space with basis {witness.basis}"
     return True, "all claims verified"
 

@@ -49,22 +49,28 @@ def theta(k: int, q: int) -> int:
 
 
 def level_fault(n: int, m: int, q: int) -> str | None:
-    """Why the m-spaces of PG(n,q) may not be built, by counts alone,
-    before any field is built (GF(65536) alone takes seconds); None when
-    they may.  The one gate of every level build and of recheck: q must
-    be at most MAX_Q, PG(n,q) have at most DEFAULT_MAX_POINTS points (n is
+    """Why the m-spaces of PG(n,q) may not be built, by types and counts
+    alone, before any field is built (GF(65536) alone takes seconds);
+    None when they may.  The one gate of every space and level build and
+    of recheck, asked in this order: n, m and q are ints and not bools
+    (True == 1 and 2.0 == 2 would pass every later test), n >= 1, q >= 2,
+    q at most MAX_Q and PG(n,q) at most DEFAULT_MAX_POINTS points (n is
     compared with MAX_N before any power is taken, so a claim of a huge
-    space costs nothing), the m-spaces at most DEFAULT_MAX_POINTS point
-    incidences, and their masks, up to theta(n, q) bits each, at most
-    DEFAULT_MAX_MASK_BITS bits.  PG(n,q) is its own one n-space, so at
-    m = n only the space's limits can fail.  None for q < 2 and for m
-    outside [0, n]: the build names those faults."""
+    space costs nothing), 0 <= m <= n, the m-spaces at most
+    DEFAULT_MAX_POINTS point incidences, and their masks, up to theta(n, q)
+    bits each, at most DEFAULT_MAX_MASK_BITS bits.  PG(n,q) is its own one
+    n-space, so level_fault(n, n, q) is the gate of the space itself.
+    Whether q is a prime power is the field's test (factor_prime_power)."""
+    if not all_ints((n, m, q)):
+        return f"(n, m, q) = ({n!r}, {m!r}, {q!r}) are not all integers"
+    if n < 1:
+        return f"projective dimension n = {n} must be >= 1"
     if q < 2:
-        return None
+        return f"q = {q} is not a prime power"
     if q > MAX_Q or n > MAX_N or theta(n, q) > DEFAULT_MAX_POINTS:
         return f"PG({n},{q}) exceeds the limits q <= {MAX_Q} and {DEFAULT_MAX_POINTS} points"
     if not 0 <= m <= n:
-        return None
+        return f"m = {m} out of range for PG({n},{q})"
     count = count_subspaces(n, m, q)
     incidences = count * theta(m, q)
     if incidences > DEFAULT_MAX_POINTS:
@@ -77,20 +83,12 @@ def level_fault(n: int, m: int, q: int) -> str | None:
     return None
 
 
-def space_fault(n: int, q: int) -> str | None:
-    """Why PG(n,q), q a field order, may not be built: n below 1, then
-    the limits of level_fault on its one n-space; None when it may."""
-    if n < 1:
-        return f"projective dimension n = {n} must be >= 1"
-    return level_fault(n, n, q)
-
-
 def space_field(n: int, q: int) -> GF:
     """GF(q), built for PG(n,q) only once the space may be built: first
     the field's refusals by q alone (factor_prime_power), then those of
-    space_fault, so a space refused by its counts builds no field."""
+    level_fault(n, n, q), so a space refused by its counts builds no field."""
     factor_prime_power(q)
-    fault = space_fault(n, q)
+    fault = level_fault(n, n, q)
     if fault is not None:
         raise GeometryError(fault)
     return field_for_order(q)
@@ -185,15 +183,16 @@ class Hypergraph(collections.namedtuple("Hypergraph", "num_vertices edges params
         """(n, k, q) when the edges are exactly the k-spaces of PG(n,q), for
         1 <= k <= n-1, as `params` claims; None otherwise.  This is the one
         check behind every geometric shortcut: claimed parameters that do
-        not match the edges get none.  level_fault and the vertex and edge
-        counts are tested first, so a false claim of a large space builds
-        nothing; the space's own cached hypergraph matches at once, and any
-        other is compared with it edge by edge, in any edge order."""
+        not match the edges get none.  level_fault, which refuses any
+        (n, k, q) that are not ints, comes first, then the hyperedge range
+        and the vertex and edge counts, so a false claim of a large space
+        builds nothing; the space's own cached hypergraph matches at once,
+        and any other is compared with it edge by edge, in any edge order."""
         if self.params is None:
             return None
         n, k, q = self.params
-        if not all_ints(self.params) or not 1 <= k <= n - 1 or q < 2 \
-                or level_fault(n, k, q) is not None or self.num_vertices != theta(n, q) \
+        if level_fault(n, k, q) is not None or not 1 <= k <= n - 1 \
+                or self.num_vertices != theta(n, q) \
                 or len(self.edges) != count_subspaces(n, k, q):
             return None
         try:
@@ -216,12 +215,13 @@ class Hypergraph(collections.namedtuple("Hypergraph", "num_vertices edges params
     @classmethod
     def from_json(cls, data) -> "Hypergraph":
         """A hypergraph from its JSON form, with its edges in file order.
-        Claimed parameters (n, k, q) are checked by `geometry`, which
-        compares the counts before it builds PG(n,q): the edges, in any
-        order, must be the k-spaces of PG(n,q), a level that level_fault
-        lets be built.  Before any mask is built, the bits that the masks
-        need, the sum over the edges of the largest index plus one, are
-        compared with DEFAULT_MAX_MASK_BITS."""
+        Claimed parameters (n, k, q) get level_fault's refusal first, for
+        their types and ranges and the level's limits, and are then checked
+        by `geometry`, which compares the counts before it builds PG(n,q):
+        the edges, in any order, must be the k-spaces of PG(n,q).  Before
+        any mask is built, the bits that the masks need, the sum over the
+        edges of the largest index plus one, are compared with
+        DEFAULT_MAX_MASK_BITS."""
         edge_lists = data.get("edges") if isinstance(data, dict) else None
         if not isinstance(edge_lists, (list, tuple)) or not all(
                 isinstance(e, (list, tuple)) for e in edge_lists):
@@ -229,9 +229,6 @@ class Hypergraph(collections.namedtuple("Hypergraph", "num_vertices edges params
                                 "is a list of vertex index lists")
         if "n" in data:
             n, k, q = params = tuple(data.get(key) for key in ("n", "k", "q"))
-            if not all_ints(params) or n < 1 or q < 2:
-                raise GeometryError(f"(n, k, q) = {params!r} are not integers "
-                                    f"with n >= 1 and q >= 2")
             fault = level_fault(n, k, q)
             if fault is not None:
                 raise GeometryError(fault)
@@ -259,7 +256,7 @@ class ProjectiveSpace:
     """PG(n,q) with cached point, subspace and incidence enumerations."""
 
     def __init__(self, n: int, field: GF):
-        fault = space_fault(n, field.q)
+        fault = level_fault(n, n, field.q)
         if fault is not None:
             raise GeometryError(fault)
         self.n = n
@@ -280,11 +277,11 @@ class ProjectiveSpace:
         return len(self.points)
 
     @classmethod
-    @functools.cache
+    @functools.lru_cache(maxsize=None, typed=True)
     def of_order(cls, n: int, q: int) -> "ProjectiveSpace":
-        """PG(n,q), shared: every call with the same (n, q) returns the
-        same space, so its point, subspace and incidence caches are built
-        once per process."""
+        """PG(n,q), shared: every call with the same (n, q), of the same
+        types, returns the same space, so its point, subspace and incidence
+        caches are built once per process; True for n = 1 meets the gate."""
         return cls(n, space_field(n, q))
 
     # -- points ---------------------------------------------------------
@@ -420,15 +417,15 @@ class ProjectiveSpace:
     def subspaces(self, m: int):
         """All m-spaces in canonical order (sorted by basis), cached, their
         masks built by _masks from the bases alone: no other level is
-        built.  Raises GeometryError for a level that level_fault refuses,
-        before any basis is enumerated, and unless the count is right and
-        every mask has theta(m) points.  Both checks read the plain lists
-        of bases and masks; the level's records are then made in one C
-        call, with no Python code per record."""
-        if m < 0 or m > self.n:
-            raise GeometryError(f"m = {m} out of range for PG({self.n},{self.q})")
+        built.  A level not yet cached, or an m that is not an int (True
+        finds level 1's key), meets level_fault, m outside [0, n] included:
+        GeometryError with the gate's reason before any basis is
+        enumerated, and unless the count is right and every mask has
+        theta(m) points.  Both checks read the plain lists of bases and
+        masks; the level's records are then made in one C call, with no
+        Python code per record."""
         cached = self._subspace_cache.get(m)
-        if cached is not None:
+        if cached is not None and type(m) is int:
             return cached
         fault = level_fault(self.n, m, self.q)
         if fault is not None:
@@ -565,8 +562,9 @@ class ProjectiveSpace:
 
     def hypergraph(self, k: int) -> Hypergraph:
         """H(n,k,q): points as vertices, k-spaces as hyperedges; cached."""
-        if k < 1 or k > self.n - 1:
-            raise GeometryError(f"k = {k} out of range for hyperedges of PG({self.n},{self.q})")
+        if type(k) is not int or not 1 <= k <= self.n - 1:
+            raise GeometryError(f"k = {k!r} is not an integer in [1, {self.n - 1}] "
+                                f"for hyperedges of PG({self.n},{self.q})")
         return self._level(k)
 
     # -- exhaustive consistency checks ----------------------------------

@@ -641,13 +641,15 @@ def bounds_report(n: int, k: int, q: int, t: int) -> BoundsReport:
     bruen_lower_ceil = q + s + 1 + (0 if s * s == q else 1)
     blokhuis = Fraction(3 * (p + 1), 2)
 
+    # the paper's hypothesis t <= 3p/8 + 1 on a prime order
+    small_t = h == 1 and 8 * t <= 3 * p + 8
     flags = {
         "ucnthm": n >= 3 and 2 * k < n and ((k == 1 and q >= 17) or (k >= 2 and q >= 13)),
         "ucnstabp": ((h == 1 and q >= 11 and delta_prime_nonneg)
                      or (h >= 2 and k >= 2 and q >= 25)),
         "ucnstabq": h >= 2 and p >= 11 and qk >= 239,
-        "tmodpsetthm": h == 1 and Fraction(t) <= Fraction(3 * p, 8) + 1,
-        "blsetthm": h == 1 and Fraction(t) <= Fraction(3 * p, 8) + 1,
+        "tmodpsetthm": small_t,
+        "blsetthm": small_t,
     }
 
     return BoundsReport(

@@ -160,6 +160,21 @@ def test_recheck_reads_a_set_that_is_not_blocking_as_not_minimal(verified, detai
                                                                   detail)
 
 
+@pytest.mark.parametrize("kind", ["t_fold_blocking", "t_mod_p", "minimal"])
+def test_recheck_names_a_claim_that_holds_but_is_marked_unverified(kind):
+    # the union of two lines of PG(2,3) is a minimal 2-fold blocking 2 (mod 3)
+    # set; the t (mod p) claim read "fails on a 1-space", which is false
+    from pgworkbench.blocking import construct_union
+    space = ProjectiveSpace.of_order(2, 3)
+    lines = space.subspaces(1)
+    B = construct_union(space, [(lines[0], 1), (lines[1], 1)])
+    payload = {**B.to_json(), "claims": [{"type": kind, "t": 2, "k": 1, "verified": True}]}
+    assert recheck(make_certificate("blocking_set", payload)) == (True, "all claims verified")
+    payload["claims"][0]["verified"] = False
+    assert recheck(make_certificate("blocking_set", payload)) == (
+        False, f"{kind} claim (t = 2, k = 1) holds but is marked unverified")
+
+
 def _fano_coloring(trivial):
     # a proper 3-coloring of the Fano plane, which is not trivial
     res = exact_ucn(ProjectiveSpace.of_order(2, 2).hypergraph(1))
@@ -432,8 +447,9 @@ def _retype_bounds_t(payload, t):
 # scalar fields: each of these rechecked true until every verifier tested
 # the type of its ints; here `to` is the value itself
 NON_INT_ENTRIES += [
+    # the level gate refuses a type of n, k or q plainly, as it refuses a range
     pytest.param("transversal", True, lambda d, to: d.update(n=to),
-                 "verification error: n True is not an int", id="transversal-n-bool"),
+                 "(n, m, q) = (True, 0, 2) are not all integers", id="transversal-n-bool"),
     pytest.param("bounds", 2.5, _retype_bounds_t, "verification error: t 2.5 is not an int",
                  id="bounds-t-float"),
     pytest.param("bounds", True, _retype_bounds_t, "verification error: t True is not an int",
@@ -527,7 +543,7 @@ def test_verify_payload_is_recheck_past_the_checksum(kind, edit):
     (2, 2, 2, 3, [0, 1, 5], None),
     (2, 2, 2, 4, [0, 1, 5], "a 2-space meets the set in only 3 < 4 points"),
     (3, 3, 2, 2, [0, 14], None),
-    (2, 3, 2, 1, [0], "verification error: m = 3 out of range for PG(2,2)"),
+    (2, 3, 2, 1, [0], "m = 3 out of range for PG(2,2)"),
 ])
 def test_recheck_transversal_for_points_and_the_whole_space(n, k, q, t, points, detail):
     # k = 0 and k = n: the levels that incidence accepts beyond the hyperedges
@@ -638,8 +654,9 @@ def test_incidence_limit_sits_between_the_largest_corpus_space_and_pg2_127():
     # benchmark corpus recheck; PG(2,97) lines (931,686) still pass
     assert level_fault(4, 3, 3) is None and level_fault(2, 1, 97) is None
     assert level_fault(2, 1, 101) is not None
-    # parameters out of range are left to the build, which names them
-    assert level_fault(2, 3, 2) is None and level_fault(2, 1, 1) is None
+    # the gate names parameters out of range too
+    assert level_fault(2, 3, 2) == "m = 3 out of range for PG(2,2)"
+    assert level_fault(2, 1, 1) == "q = 1 is not a prime power"
     # the masks of the points of PG(2,97) may need 9507^2, about 90 million
     # bits, and those of PG(2,101) more than 10^8
     assert level_fault(2, 0, 97) is None and level_fault(2, 0, 101) is not None
@@ -653,17 +670,23 @@ def test_recheck_malformed():
     assert not ok and "unknown" in detail
 
 
+# each payload with the start of its detail: the level gate refuses a
+# type of n, k or q plainly, and a verifier raises for the other fields
 TYPE_MUTATED_TRANSVERSALS = [
-    {"n": "2", "k": 1, "q": 2, "t": 2, "points": [0, 1, 2, 3, 4, 5], "objective": 6},
-    {"n": 2, "k": 1, "q": 2, "t": 2, "points": None, "objective": 6},
-    {"n": 2, "k": 1, "q": 2, "t": None, "points": [0, 1, 2, 3, 4, 5], "objective": 6},
+    pytest.param({"n": "2", "k": 1, "q": 2, "t": 2, "points": [0, 1, 2, 3, 4, 5],
+                  "objective": 6}, "(n, m, q) = ('2', 1, 2) are not all integers",
+                 id="payload0"),
+    pytest.param({"n": 2, "k": 1, "q": 2, "t": 2, "points": None, "objective": 6},
+                 "verification error:", id="payload1"),
+    pytest.param({"n": 2, "k": 1, "q": 2, "t": None, "points": [0, 1, 2, 3, 4, 5],
+                  "objective": 6}, "verification error:", id="payload2"),
 ]
 
 
-@pytest.mark.parametrize("payload", TYPE_MUTATED_TRANSVERSALS)
-def test_recheck_type_mutated_payload(payload):
+@pytest.mark.parametrize("payload, prefix", TYPE_MUTATED_TRANSVERSALS)
+def test_recheck_type_mutated_payload(payload, prefix):
     ok, detail = recheck(make_certificate("transversal", payload))
-    assert not ok and detail.startswith("verification error:")
+    assert not ok and detail.startswith(prefix)
 
 
 def test_recheck_rejects_non_object_and_unhashable_kind():

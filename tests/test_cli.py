@@ -500,12 +500,12 @@ def test_recheck_file_that_is_not_utf8(tmp_path, capsys):
     assert code == 1 and out.startswith("VERDICT false malformed: ")
 
 
-@pytest.mark.parametrize("payload", TYPE_MUTATED_TRANSVERSALS)
-def test_recheck_type_mutated_file(tmp_path, capsys, payload):
+@pytest.mark.parametrize("payload, prefix", TYPE_MUTATED_TRANSVERSALS)
+def test_recheck_type_mutated_file(tmp_path, capsys, payload, prefix):
     path = tmp_path / "mutated.json"
     write_certificate(make_certificate("transversal", payload), str(path))
     code, out = run_cli(capsys, "recheck", str(path))
-    assert code == 1 and out.startswith("VERDICT false verification error:")
+    assert code == 1 and out.startswith(f"VERDICT false {prefix}")
 
 
 def test_solve_rejects_out_of_range_edge_index(tmp_path, capsys):

@@ -3,6 +3,7 @@ import csv
 from pgworkbench import experiments, solvers
 from pgworkbench.certificates import load_certificate, make_certificate, recheck
 from pgworkbench.experiments import ExperimentConfig, run_experiments
+from pgworkbench.geometry import ProjectiveSpace
 
 # sha256 checksums of the default-grid certificates: any change to a
 # payload, to the enumeration order or to canonical JSON shows up here.
@@ -36,6 +37,12 @@ def test_malformed_grid_tasks_become_error_rows(tmp_path):
         {"kind": "flow", "n": 2},
         # once a tau_2.0 row whose own certificate failed its recheck
         {"kind": "tau", "n": 2, "k": 1, "q": 2, "t": 2.0},
+        # a bool k once reached the level caches of PG(2,2), and either
+        # failed the valid task after it or read tau_2(H(2,True,2)) as a match
+        {"kind": "tau", "n": 2, "k": True, "q": 2, "t": 2},
+        {"kind": "tau", "n": 2, "k": 1, "q": 2, "t": 2, "expected": 6},
+        # a bool n once built and cached PG(True,3) as PG(1,3)
+        {"kind": "ucn", "n": True, "k": 1, "q": 3},
     ]
     rows, ok = run_experiments(ExperimentConfig(grid=grid, outdir=str(tmp_path)))
     assert not ok
@@ -43,12 +50,19 @@ def test_malformed_grid_tasks_become_error_rows(tmp_path):
     assert rows[0].value == "missing task field 'k'"
     assert rows[2].value == "missing task field 't'"
     assert rows[3].match == "yes"
-    assert [(row.quantity, row.match) for row in rows[4:]] == [("error", "no")] * 4
+    assert [(row.quantity, row.match) for row in rows[4:9]] == [("error", "no")] * 5
     assert rows[4].value == "task is not an object: 'tau'"
     assert rows[5].value == "expected_at_least '10' is not a number"
     assert rows[6].value == "unknown task kind 'flow'"
     assert rows[7].value == "t must be an int, not 2.0"
     assert not (tmp_path / "task007_tau.json").exists()
+    assert rows[8].value == "k = True is not an integer in [1, 1] for hyperedges of PG(2,2)"
+    assert (rows[9].quantity, rows[9].match) == ("tau_2(H(2,1,2))", "yes")
+    assert (rows[10].quantity, rows[10].match) == ("error", "no")
+    assert rows[10].value == "(n, m, q) = (True, True, 3) are not all integers"
+    assert type(ProjectiveSpace.of_order(1, 3).n) is int
+    space = ProjectiveSpace.of_order(2, 2)
+    assert {type(m) for m in [*space._subspace_cache, *space._levels]} == {int}
 
 
 def test_rerun_into_an_existing_outdir_gives_the_same_bytes(tmp_path):

@@ -718,6 +718,49 @@ def test_size_limits(monkeypatch):
         ProjectiveSpace(3, field_for_order(3))
 
 
+@pytest.mark.parametrize("n, m, q, reason", [
+    *[pytest.param(*args, f"(n, m, q) = {args!r} are not all integers", id=repr(args))
+      for args in [(True, 0, 2), (2.0, 0, 2), (2, True, 2), (2, 1.0, 2), (2, 1, True),
+                   (2, 1, 2.0), ("2", 1, 2), (2, 1, None)]],
+    (0, 0, 2, "projective dimension n = 0 must be >= 1"),
+    (2, 1, 1, "q = 1 is not a prime power"),
+    (2, -1, 2, "m = -1 out of range for PG(2,2)"),
+    (2, 3, 2, "m = 3 out of range for PG(2,2)"),
+    # the order of the tests: type, n, q, the space's limits, m, the level's
+    (0, 1.0, 1, "(n, m, q) = (0, 1.0, 1) are not all integers"),
+    (0, 5, 1, "projective dimension n = 0 must be >= 1"),
+    (2, 5, 0, "q = 0 is not a prime power"),
+    (40, 50, 2, "PG(40,2) exceeds the limits q <= 65536 and 1000000 points"),
+    (2, 3, 101, "m = 3 out of range for PG(2,101)"),
+    # the points and the whole space pass
+    (2, 0, 2, None),
+    (2, 2, 2, None),
+])
+def test_level_fault_refusals(n, m, q, reason):
+    assert level_fault(n, m, q) == reason
+
+
+def test_no_bool_reaches_a_space_or_level_cache():
+    # True == 1 and hashes as 1, so a cache keyed by it answered for 1
+    space = ProjectiveSpace.of_order(2, 3)
+    space.hypergraph(1)
+    with pytest.raises(GeometryError, match="not all integers"):
+        ProjectiveSpace.of_order(True, 3)
+    assert type(ProjectiveSpace.of_order(1, 3).n) is int
+    with pytest.raises(GeometryError, match="is not an integer in"):
+        space.hypergraph(True)
+    with pytest.raises(GeometryError, match="not all integers"):
+        ProjectiveSpace(2, field_for_order(3)).subspaces(True)
+    # level 1's records are cached but not its hypergraph: incidence(True)
+    # made one and cached it under True, with params (2, True, 3)
+    cold = ProjectiveSpace(2, field_for_order(3))
+    cold.subspaces(1)
+    with pytest.raises(GeometryError, match="not all integers"):
+        cold.incidence(True)
+    for S in (space, cold):
+        assert {type(m) for m in [*S._subspace_cache, *S._levels]} == {int}
+
+
 def test_level_builds_and_recheck_agree_with_the_gate(monkeypatch):
     # limits low enough that each test of level_fault refuses some level:
     # PG(4,5) has 781 points, the lines of PG(3,3) 520 incidences, and the

@@ -48,20 +48,22 @@ def reference_blocking_set(payload):
         want = claim.get("verified", True)
         if kind == "t_fold_blocking":
             ok, witness = is_t_fold_blocking(B, t, k)
-            if ok != want:
-                if witness is None:
-                    return False, "claim mismatch"
-                return False, f"violating {k}-space with basis {witness.basis}"
         elif kind == "t_mod_p":
             ok, _ = is_t_mod_p_set(B, t, k)
-            if ok != want:
-                return False, f"t (mod p) claim fails on a {k}-space"
         elif kind == "minimal":
             # a set that is not t-fold blocking is not minimal
-            if (is_t_fold_blocking(B, t, k)[0] and is_minimal(B, t, k)) != want:
-                return False, "minimality claim mismatch"
+            ok = is_t_fold_blocking(B, t, k)[0] and is_minimal(B, t, k)
         else:
             return False, f"unknown claim type {kind!r}"
+        if ok == want:
+            continue
+        if ok:
+            return False, f"{kind} claim (t = {t}, k = {k}) holds but is marked unverified"
+        if kind == "t_fold_blocking":
+            return False, f"violating {k}-space with basis {witness.basis}"
+        if kind == "t_mod_p":
+            return False, f"t (mod p) claim fails on a {k}-space"
+        return False, "minimality claim mismatch"
     return True, "all claims verified"
 
 

@@ -229,14 +229,46 @@ def h(n, k): return 2 * k < n and not 1 <= k <= n - 1
     assert _tau_rule_sites(ast.parse(source)) == ["a", "b", "c", "d", "e", "f"]
 
 
+def _level_rule_copies(tree):
+    """The functions of tree, by name, that define space_fault or pass "n",
+    "k" or "q" to _require_ints, except _verify_bounds: bounds_report
+    builds no level, so the gate does not see its parameters."""
+    def copies(func):
+        return func.name == "space_fault" or func.name != "_verify_bounds" and any(
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "_require_ints"
+            and any(isinstance(c, ast.Constant) and c.value in ("n", "k", "q")
+                    for arg in node.args[1:] for c in ast.walk(arg))
+            for node in ast.walk(func))
+
+    return [func.name for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and copies(func)]
+
+
 def test_certificates_leave_the_level_rule_to_the_gate():
-    # the point, incidence and mask-bit limits reach recheck through
-    # geometry.level_fault alone, the gate of every level build, so recheck
-    # cannot refuse a level that the library builds, nor read one it refuses
+    # the types and ranges of n, k and q and the point, incidence and
+    # mask-bit limits reach recheck through geometry.level_fault alone, the
+    # gate of every space and level build, so recheck cannot refuse a level
+    # that the library builds, nor read one it refuses
     source = (PACKAGE_DIR / "certificates.py").read_text()
     names = {"DEFAULT_MAX_POINTS", "DEFAULT_MAX_MASK_BITS", "count_subspaces"}
     assert sorted(name for name in names if name in source) == []
     assert "level_fault" in source
+    found = [f"{path.name}: {name}" for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for name in _level_rule_copies(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == []
+
+
+def test_level_rule_guard_sees_each_copy():
+    source = """
+def space_fault(n, q): return level_fault(n, n, q)
+def a(payload): _require_ints(payload, ("n", "k", "q", "t"))
+def b(claim): _require_ints(claim, ("t", "k"))
+def c(payload): _require_ints(payload["space"], ("q",))
+def _verify_bounds(payload): _require_ints(payload, ("n", "k", "q", "t"))
+def d(payload): _require_ints(payload, ("t", "objective"))
+def e(payload): return payload["n"], payload["k"]
+"""
+    assert _level_rule_copies(ast.parse(source)) == ["space_fault", "a", "b", "c"]
 
 
 def test_no_module_reads_another_modules_private_names():
