@@ -68,9 +68,12 @@ def judge_claim(B: WeightedPointSet, kind: str, t: int, k: int, sums: dict):
     t-fold blocking is not minimal).  S is the first k-space, in canonical
     order, that fails the weight test, else None.  Claims sharing the dict
     sums (the weights by k) make one pass per k.  BlockingError for another
-    kind, and for k out of range in a blocking or minimal claim."""
+    kind, for a t that is not an int (a bool is none), and for k out of
+    range in a blocking or minimal claim."""
     if kind not in ("t_fold_blocking", "t_mod_p", "minimal"):
         raise BlockingError(f"unknown claim type {kind!r}")
+    if type(t) is not int:
+        raise BlockingError(f"t {t!r} is not an int")
     if kind != "t_mod_p" and (k < 1 or k > B.space.n - 1):
         raise BlockingError(f"k = {k} out of range")
     if k not in sums:

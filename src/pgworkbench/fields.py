@@ -20,7 +20,7 @@ class FieldError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    return type(n) is int and n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 # -- polynomial helpers over GF(p); coefficient lists, lowest degree first --
@@ -296,8 +296,11 @@ class GF:
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """q -> (p, h) with q = p^h, or raise if q is not a prime power or is
-    above MAX_Q: that is refused before any trial division."""
+    """q -> (p, h) with q = p^h; FieldError if q is not an int (a bool is
+    none), is above MAX_Q or is not a prime power, the first two before
+    any trial division.  Every field and space build asks it for q's type."""
+    if type(q) is not int:
+        raise FieldError(f"q = {q!r} is not an int")
     if q > MAX_Q:
         raise FieldError(f"q = {q} exceeds the limit {MAX_Q}")
     if q >= 2:

@@ -97,7 +97,7 @@ def space_field(n: int, q: int) -> GF:
 def count_subspaces(n: int, m: int, q: int) -> int:
     """Number of m-spaces of PG(n,q) (a Gaussian binomial coefficient)."""
     if m < 0 or m > n:
-        raise GeometryError(f"m = {m} out of range for PG({n},q)")
+        raise GeometryError(f"m = {m} out of range for PG({n},{q})")
     num, den = 1, 1
     for i in range(m + 1):
         num *= q ** (n + 1 - i) - 1
@@ -264,8 +264,7 @@ class ProjectiveSpace:
         self.points = tuple(sorted(_normalized_vectors(n + 1, field.q)))
         self.point_index = {pt: i for i, pt in enumerate(self.points)}
         self._place = [field.q ** (n - j) for j in range(n + 1)]
-        self._subspace_cache: dict[int, tuple] = {}
-        self._levels: dict[int, Hypergraph] = {}
+        self._levels: dict[int, tuple] = {}
         self._wrap_masks: dict[tuple, int] = {}
 
     @property
@@ -415,18 +414,22 @@ class ProjectiveSpace:
     # -- subspace enumeration -------------------------------------------
 
     def subspaces(self, m: int):
-        """All m-spaces in canonical order (sorted by basis), cached, their
-        masks built by _masks from the bases alone: no other level is
-        built.  A level not yet cached, or an m that is not an int (True
-        finds level 1's key), meets level_fault, m outside [0, n] included:
-        GeometryError with the gate's reason before any basis is
-        enumerated, and unless the count is right and every mask has
-        theta(m) points.  Both checks read the plain lists of bases and
-        masks; the level's records are then made in one C call, with no
-        Python code per record."""
-        cached = self._subspace_cache.get(m)
-        if cached is not None and type(m) is int:
-            return cached
+        """All m-spaces in canonical order (sorted by basis), cached, as
+        _level builds them: no other level is built."""
+        return self._level(m)[0]
+
+    def _level(self, m: int) -> tuple:
+        """(the m-spaces' records, the hypergraph of the points and those
+        m-spaces in that order): the one reader and writer of _levels.  The
+        cache answers an int m only (True and 1.0 find level 1's key); any
+        other m, and a level not yet cached, meets level_fault first, then
+        GeometryError unless the count is right and every mask, by _masks
+        from the bases alone, has theta(m) points, checked on the plain
+        lists; a refused level caches nothing.  The records are made in one
+        C call, with no Python code per record, the hypergraph from the masks."""
+        level = self._levels.get(m) if type(m) is int else None
+        if level is not None:
+            return level
         fault = level_fault(self.n, m, self.q)
         if fault is not None:
             raise GeometryError(fault)
@@ -446,25 +449,16 @@ class ProjectiveSpace:
                                 f"does not have {size} points")
         subs = tuple(map(tuple.__new__, itertools.repeat(Subspace),
                          zip(itertools.repeat(m), bases, masks)))
-        self._subspace_cache[m] = subs
-        return subs
-
-    def _level(self, m: int) -> Hypergraph:
-        """The points and the m-spaces, in the order of subspaces(m), as one
-        cached hypergraph: every incidence view of level m is read from it."""
-        H = self._levels.get(m)
-        if H is None:
-            edges = tuple(S.mask for S in self.subspaces(m))
-            H = self._levels[m] = Hypergraph(self.num_points, edges, (self.n, m, self.q))
-        return H
+        self._levels[m] = subs, Hypergraph(self.num_points, tuple(masks), (self.n, m, self.q))
+        return self._levels[m]
 
     def incidence(self, m: int):
         """Point-index tuples of the m-spaces, in the order of subspaces(m)."""
-        return self._level(m).edge_points
+        return self._level(m)[1].edge_points
 
     def point_subspaces(self, m: int):
         """Per point, the indices into subspaces(m) of the m-spaces through it."""
-        return self._level(m).vertex_edges
+        return self._level(m)[1].vertex_edges
 
     def _enumerate_rref_bases(self, nrows: int):
         """All RREF matrices with nrows pivots over n+1 columns, as products
@@ -565,7 +559,7 @@ class ProjectiveSpace:
         if type(k) is not int or not 1 <= k <= self.n - 1:
             raise GeometryError(f"k = {k!r} is not an integer in [1, {self.n - 1}] "
                                 f"for hyperedges of PG({self.n},{self.q})")
-        return self._level(k)
+        return self._level(k)[1]
 
     # -- exhaustive consistency checks ----------------------------------
 

@@ -6,9 +6,11 @@ import time
 
 import pytest
 
-from pgworkbench.blocking import (COSET_LIMIT, BlockingError, WeightedPointSet, is_t_mod_p_set,
+from pgworkbench.blocking import (COSET_LIMIT, BlockingError, WeightedPointSet,
+                                  is_t_fold_blocking, is_t_mod_p_set, judge_claim,
                                   plane_cosets, solve_mod_p)
-from pgworkbench.certificates import (CertificateError, canonical_json, checksum,
+from pgworkbench.certificates import (CertificateError, blocking_set_certificate,
+                                      canonical_json, checksum,
                                       coloring_certificate, load_certificate,
                                       make_certificate, recheck,
                                       tmodp_certificate, transversal_certificate,
@@ -158,6 +160,30 @@ def test_recheck_reads_a_set_that_is_not_blocking_as_not_minimal(verified, detai
                "claims": [{"type": "minimal", "t": 1, "k": 1, "verified": verified}]}
     assert recheck(make_certificate("blocking_set", payload)) == (detail == "all claims verified",
                                                                   detail)
+
+
+@pytest.mark.parametrize("t", [2.5, True])
+def test_judge_claim_refuses_a_t_that_is_not_an_int(t):
+    # on the all-ones set of PG(2,3) such a t once got the claims [True,
+    # False, False] (2.5) or [True, True, False] (True) written into a
+    # certificate that recheck refused, and is_t_fold_blocking answered
+    # (True, None)
+    space = ProjectiveSpace.of_order(2, 3)
+    B = WeightedPointSet(space, [1] * space.num_points)
+    message = f"t {t!r} is not an int"
+    for kind in ("t_fold_blocking", "t_mod_p", "minimal"):
+        with pytest.raises(BlockingError) as info:
+            judge_claim(B, kind, t, 1, {})
+        assert str(info.value) == message
+    for call in (is_t_fold_blocking, is_t_mod_p_set, blocking_set_certificate):
+        with pytest.raises(BlockingError) as info:
+            call(B, t, 1)
+        assert str(info.value) == message
+    # recheck's detail is the judge's refusal
+    payload = {**B.to_json(),
+               "claims": [{"type": "t_fold_blocking", "t": t, "k": 1, "verified": True}]}
+    assert recheck(make_certificate("blocking_set", payload)) == (
+        False, f"verification error: {message}")
 
 
 @pytest.mark.parametrize("kind", ["t_fold_blocking", "t_mod_p", "minimal"])
@@ -439,8 +465,7 @@ NON_INT_ENTRIES = [
 
 def _retype_bounds_t(payload, t):
     """Set t in the payload and in its report; bounds_report refuses such
-    a t, so only the type check of the payload stands between it and a
-    recomputation."""
+    a t in its own words, so recheck does not read the report as a match."""
     payload["t"] = payload["report"]["t"] = t
 
 
@@ -450,10 +475,10 @@ NON_INT_ENTRIES += [
     # the level gate refuses a type of n, k or q plainly, as it refuses a range
     pytest.param("transversal", True, lambda d, to: d.update(n=to),
                  "(n, m, q) = (True, 0, 2) are not all integers", id="transversal-n-bool"),
-    pytest.param("bounds", 2.5, _retype_bounds_t, "verification error: t 2.5 is not an int",
-                 id="bounds-t-float"),
-    pytest.param("bounds", True, _retype_bounds_t, "verification error: t True is not an int",
-                 id="bounds-t-bool"),
+    pytest.param("bounds", 2.5, _retype_bounds_t,
+                 "verification error: t must be an int >= 1, not 2.5", id="bounds-t-float"),
+    pytest.param("bounds", True, _retype_bounds_t,
+                 "verification error: t must be an int >= 1, not True", id="bounds-t-bool"),
     pytest.param("blocking_set", 0.5,
                  lambda d, to: d["claims"][0].update(type="t_fold_blocking", t=to),
                  "verification error: t 0.5 is not an int", id="blocking-claim-t-float"),

@@ -1,8 +1,11 @@
 import csv
 
+import pytest
+
 from pgworkbench import experiments, solvers
 from pgworkbench.certificates import load_certificate, make_certificate, recheck
 from pgworkbench.experiments import ExperimentConfig, run_experiments
+from pgworkbench.fields import FieldError
 from pgworkbench.geometry import ProjectiveSpace
 
 # sha256 checksums of the default-grid certificates: any change to a
@@ -62,7 +65,19 @@ def test_malformed_grid_tasks_become_error_rows(tmp_path):
     assert rows[10].value == "(n, m, q) = (True, True, 3) are not all integers"
     assert type(ProjectiveSpace.of_order(1, 3).n) is int
     space = ProjectiveSpace.of_order(2, 2)
-    assert {type(m) for m in [*space._subspace_cache, *space._levels]} == {int}
+    assert {type(m) for m in space._levels} == {int}
+
+
+def test_a_q_that_is_not_an_int_is_the_fields_error_row(tmp_path):
+    # each gave the raw row "'float' object cannot be interpreted as an integer"
+    grid = [{"kind": "tau", "n": 2, "k": 1, "q": 2.5, "t": 2},
+            {"kind": "bounds", "n": 3, "k": 1, "q": 4.0, "t": 2}]
+    rows, ok = run_experiments(ExperimentConfig(grid=grid, outdir=str(tmp_path)))
+    assert not ok
+    assert [(row.quantity, row.match, row.value) for row in rows] == [
+        ("error", "no", "q = 2.5 is not an int"), ("error", "no", "q = 4.0 is not an int")]
+    with pytest.raises(FieldError, match="q = '3' is not an int"):
+        ProjectiveSpace.of_order(2, "3")
 
 
 def test_rerun_into_an_existing_outdir_gives_the_same_bytes(tmp_path):

@@ -171,6 +171,20 @@ def test_factor_prime_power():
             factor_prime_power(bad)
 
 
+@pytest.mark.parametrize("q", [2.5, 4.0, "3", True, None])
+def test_the_field_owns_the_type_of_q(q):
+    # a float or a string q once reached math.isqrt or a comparison and
+    # raised TypeError; a bool is no int either
+    message = f"q = {q!r} is not an int"
+    for call in (factor_prime_power, field_for_order):
+        with pytest.raises(FieldError) as info:
+            call(q)
+        assert str(info.value) == message
+    assert not is_prime(q)
+    with pytest.raises(FieldError, match="is not prime"):
+        GF(q)
+
+
 def test_order_above_the_limit_is_refused_before_factoring():
     # 10^14 + 31 is prime: trial division up to its root took about 1.8 s
     start = time.perf_counter()
@@ -199,3 +213,6 @@ def test_descriptor_and_equality():
     assert GF(3, 2) == GF(3, 2)
     assert GF(3, 2) != GF(3, 1)
     assert field_for_order(9) == GF(3, 2)
+    assert hash(field_for_order(9)) == hash(GF(3, 2))
+    assert len({GF(3, 2), field_for_order(9), GF(3)}) == 2
+    assert repr(GF(3, 2)) == "GF(p=3, h=2)"

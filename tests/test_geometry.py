@@ -13,6 +13,7 @@ import weakref
 import pytest
 
 from pgworkbench import geometry
+from pgworkbench.blocking import WeightedPointSet, is_t_fold_blocking, kspace_weights
 from pgworkbench.certificates import make_certificate, recheck
 from pgworkbench.fields import field_for_order
 from pgworkbench.geometry import (EMPTY_SUBSPACE, GeometryError, Hypergraph,
@@ -40,10 +41,15 @@ def test_count_subspaces_examples():
     assert count_subspaces(4, 4, 5) == 1
     with pytest.raises(GeometryError):
         count_subspaces(3, 4, 2)
+    # the gate's words, the order included
+    with pytest.raises(GeometryError) as info:
+        count_subspaces(2, 5, 3)
+    assert str(info.value) == "m = 5 out of range for PG(2,3)" == level_fault(2, 5, 3)
 
 
 def test_point_enumeration_normalized_and_sorted():
     space = ProjectiveSpace.of_order(2, 4)
+    assert repr(space) == "PG(2,4)"
     assert space.num_points == theta(2, 4) == 21
     assert len(set(space.points)) == 21
     assert list(space.points) == sorted(space.points)
@@ -56,6 +62,8 @@ def test_normalize():
     space = ProjectiveSpace.of_order(2, 3)
     assert space.normalize((2, 1, 0)) == (1, 2, 0)  # scaled by 2^{-1} = 2
     assert space.normalize((0, 0, 2)) == (0, 0, 1)
+    # a vector that already leads with 1 is only made a tuple
+    assert space.normalize([0, 1, 2]) == (0, 1, 2)
     with pytest.raises(GeometryError):
         space.normalize((0, 0, 0))
 
@@ -170,7 +178,7 @@ def test_hyperplanes_build_no_lower_level(monkeypatch):
     assert len(space.subspaces(2)) == 40
     assert len(space.hypergraph(2).edges) == 40
     assert space.hyperplane_avoiding(0).mask >> 0 & 1 == 0
-    assert set(space._subspace_cache) == {2}
+    assert set(space._levels) == {2}
     with pytest.raises(GeometryError, match="1-spaces of PG.3,3. may need 5200 bits"):
         space.subspaces(1)
 
@@ -229,6 +237,11 @@ def test_span_points_matches_span():
     line = space.span_points([0, 7])
     assert line.mask == space.span(0, 7).mask
     assert line.mask.bit_count() == 4
+    assert space.subspace_from_basis(()) is EMPTY_SUBSPACE
+    with pytest.raises(GeometryError, match="span of an empty point set"):
+        space.span_points([])
+    with pytest.raises(GeometryError, match="span of nothing"):
+        space.span()
 
 
 def test_disjoint_subspaces_error():
@@ -269,6 +282,9 @@ def test_project_from_point_strictness():
     line = space.subspaces(1)[0]
     with pytest.raises(GeometryError):
         space.project_from_point(0, line, w)
+    w[0] = 0
+    with pytest.raises(GeometryError, match="projection target must be a hyperplane"):
+        space.project_from_point(0, space.subspaces(0)[1], w)
 
 
 @pytest.mark.parametrize("n,q", [(1, 3), (2, 2), (2, 3), (3, 2)])
@@ -278,12 +294,17 @@ def test_pencil_identity_small(n, q):
         assert space.verify_pencil_identity(k)
 
 
+def _tamper(space, m, subs):
+    """Put the records subs in place of level m's, which must be cached."""
+    space._levels[m] = (tuple(subs), space._levels[m][1])
+
+
 @pytest.mark.parametrize("n,q,k", [(2, 3, 0), (3, 2, 0), (3, 2, 1),
                                    (1, 3, 0), (2, 3, 1), (3, 2, 2)])
 def test_pencil_identity_detects_tampered_caches(n, q, k):
     # a fresh space each time: the tampering must not reach the shared ones
     space = ProjectiveSpace(n, field_for_order(q))
-    space._subspace_cache[k + 1] = space.subspaces(k + 1)[:-1]
+    _tamper(space, k + 1, space.subspaces(k + 1)[:-1])
     assert not space.verify_pencil_identity(k)
 
     # a k-space or a (k+1)-space with one more point inside the range (the
@@ -297,7 +318,7 @@ def test_pencil_identity_detects_tampered_caches(n, q, k):
         S = subs[3]
         outside = (~S.mask & ((1 << space.num_points) - 1)).bit_length() - 1
         subs[3] = S._replace(mask=S.mask | 1 << outside)
-        space._subspace_cache[m] = tuple(subs)
+        _tamper(space, m, subs)
         assert not space.verify_pencil_identity(k)
 
     if 1 <= k < n - 1:
@@ -310,7 +331,7 @@ def test_pencil_identity_detects_tampered_caches(n, q, k):
         S = subs[3]
         outside = (~S.mask & ((1 << space.num_points) - 1)).bit_length() - 1
         subs[3] = S._replace(mask=(S.mask & (S.mask - 1)) | 1 << outside)
-        space._subspace_cache[k] = tuple(subs)
+        _tamper(space, k, subs)
         assert not space.verify_pencil_identity(k)
 
     # a (k+1)-space with one point dropped from its mask (at k = n-1 the
@@ -321,7 +342,7 @@ def test_pencil_identity_detects_tampered_caches(n, q, k):
     j = min(2, len(uppers) - 1)
     U = uppers[j]
     uppers[j] = U._replace(mask=U.mask & (U.mask - 1))
-    space._subspace_cache[k + 1] = tuple(uppers)
+    _tamper(space, k + 1, uppers)
     assert not space.verify_pencil_identity(k)
 
     # a bit at num_points in a k-space or in a (k+1)-space is no point
@@ -329,7 +350,7 @@ def test_pencil_identity_detects_tampered_caches(n, q, k):
         space = ProjectiveSpace(n, field_for_order(q))
         subs = list(space.subspaces(m))
         subs[-1] = subs[-1]._replace(mask=subs[-1].mask | 1 << space.num_points)
-        space._subspace_cache[m] = tuple(subs)
+        _tamper(space, m, subs)
         assert not space.verify_pencil_identity(k)
 
     assert ProjectiveSpace(n, field_for_order(q)).verify_pencil_identity(k)
@@ -580,9 +601,16 @@ def test_levels_are_one_shared_structure():
         assert space.incidence(k) is H.edge_points
         assert space.point_subspaces(k) is H.vertex_edges
         assert H.edges == tuple(S.mask for S in space.subspaces(k))
-    for m in (0, space.n):
-        assert space.point_subspaces(m) is space._level(m).vertex_edges
-        assert space.incidence(m) is space._level(m).edge_points
+    # every level, the points and the whole space included, is one cached
+    # record that its records and both incidence views are read from
+    for m in range(space.n + 1):
+        records = space.subspaces(m)
+        assert space._levels[m][0] is records
+        H = space._levels[m][1]
+        assert space.incidence(m) is H.edge_points
+        assert space.point_subspaces(m) is H.vertex_edges
+        assert H.edges == tuple(S.mask for S in records)
+        assert H.params == (space.n, m, space.q)
 
 
 def test_vertex_edges_match_edge_points():
@@ -631,6 +659,10 @@ def test_hypergraph_from_json_checks_claimed_params():
         Hypergraph.from_json({"n": 2, "k": 2, "q": 3, "edges": edges})  # k out of range
     with pytest.raises(GeometryError, match="integers"):
         Hypergraph.from_json({"n": 2.0, "k": 1, "q": 3, "edges": edges})
+    # 43 = theta(2, 6) = the count of its 1-spaces, but GF(6) is no field
+    with pytest.raises(GeometryError) as info:
+        Hypergraph.from_json({"n": 2, "k": 1, "q": 6, "edges": [[i] for i in range(43)]})
+    assert str(info.value) == "the edges are not the 1-spaces of PG(2,6)"
 
 
 def test_hypergraph_geometry_trusts_only_matching_params():
@@ -673,7 +705,7 @@ def test_a_level_with_a_basis_missing_is_refused_and_not_cached(monkeypatch):
         with pytest.raises(GeometryError) as info:
             space.subspaces(2)
         assert str(info.value) == "enumerated 14 2-spaces of PG(3,2), expected 15"
-        assert 2 not in space._subspace_cache
+        assert 2 not in space._levels
 
 
 def test_subspace_records():
@@ -751,14 +783,39 @@ def test_no_bool_reaches_a_space_or_level_cache():
         space.hypergraph(True)
     with pytest.raises(GeometryError, match="not all integers"):
         ProjectiveSpace(2, field_for_order(3)).subspaces(True)
-    # level 1's records are cached but not its hypergraph: incidence(True)
-    # made one and cached it under True, with params (2, True, 3)
+    # once level 1's records were cached, incidence(True) made a hypergraph
+    # and cached it under True, with params (2, True, 3)
     cold = ProjectiveSpace(2, field_for_order(3))
     cold.subspaces(1)
     with pytest.raises(GeometryError, match="not all integers"):
         cold.incidence(True)
     for S in (space, cold):
-        assert {type(m) for m in [*S._subspace_cache, *S._levels]} == {int}
+        assert {type(m) for m in S._levels} == {int}
+
+
+WARM_LEVEL_CALLS = {
+    "incidence(True)": (True, lambda space, B: space.incidence(True)),
+    "incidence(1.0)": (1.0, lambda space, B: space.incidence(1.0)),
+    "point_subspaces(True)": (True, lambda space, B: space.point_subspaces(True)),
+    "subspaces(1.0)": (1.0, lambda space, B: space.subspaces(1.0)),
+    "kspace_weights(B, 1.0)": (1.0, lambda space, B: kspace_weights(B, 1.0)),
+    "is_t_fold_blocking(B, 2, 1.0)": (1.0, lambda space, B: is_t_fold_blocking(B, 2, 1.0)),
+}
+
+
+@pytest.mark.parametrize("m, call", WARM_LEVEL_CALLS.values(), ids=list(WARM_LEVEL_CALLS))
+def test_a_warm_level_refuses_what_a_cold_one_does(m, call):
+    # True == 1 == 1.0 hash alike, so a lookup of any of them found level
+    # 1 once it was built, where a cold space asks the gate
+    for warm in (False, True):
+        space = ProjectiveSpace(2, field_for_order(3))
+        if warm:
+            space.hypergraph(1)
+        B = WeightedPointSet(space, [1] * space.num_points)
+        with pytest.raises(GeometryError) as info:
+            call(space, B)
+        assert str(info.value) == level_fault(2, m, 3)
+        assert [(key, type(key)) for key in space._levels] == ([(1, int)] if warm else [])
 
 
 def test_level_builds_and_recheck_agree_with_the_gate(monkeypatch):
@@ -778,7 +835,7 @@ def test_level_builds_and_recheck_agree_with_the_gate(monkeypatch):
                 count = len(space.subspaces(m))
             except GeometryError as exc:
                 assert str(exc) == fault
-                assert space is None or m not in space._subspace_cache
+                assert space is None or m not in space._levels
             else:
                 assert fault is None and count == count_subspaces(n, m, q)
             if 1 <= m <= n - 1:
