@@ -12,7 +12,7 @@ from __future__ import annotations
 import collections
 
 from .fields import GF, factor_prime_power
-from .geometry import ProjectiveSpace, Subspace, count_subspaces, theta
+from .geometry import ProjectiveSpace, Subspace, count_subspaces, level_gate, theta
 
 
 class BlockingError(ValueError):
@@ -68,12 +68,13 @@ def judge_claim(B: WeightedPointSet, kind: str, t: int, k: int, sums: dict):
     t-fold blocking is not minimal).  S is the first k-space, in canonical
     order, that fails the weight test, else None.  Claims sharing the dict
     sums (the weights by k) make one pass per k.  BlockingError for another
-    kind, for a t that is not an int (a bool is none), and for k out of
-    range in a blocking or minimal claim."""
+    kind, for a t that is not an int (a bool is none) and for k = 0 or n in
+    a blocking or minimal claim, after level_gate's refusal of any other k."""
     if kind not in ("t_fold_blocking", "t_mod_p", "minimal"):
         raise BlockingError(f"unknown claim type {kind!r}")
     if type(t) is not int:
         raise BlockingError(f"t {t!r} is not an int")
+    level_gate(B.space.n, k, B.space.q)
     if kind != "t_mod_p" and (k < 1 or k > B.space.n - 1):
         raise BlockingError(f"k = {k} out of range")
     if k not in sums:
@@ -248,12 +249,14 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int,
     lists no sets with exhaustive=False.  For the lines of a plane the
     kernel dimension has a closed form (`plane_cosets`), so a plane
     past the limit is answered without building or eliminating the matrix.
-    BlockingError unless the field is prime and max_size is an int >= 0,
-    and unless the incidence matrix has at most MATRIX_ENTRY_LIMIT entries.
+    BlockingError unless the field is prime, max_size is an int >= 0, t is
+    an int (a bool is none) and the matrix has at most MATRIX_ENTRY_LIMIT entries.
     """
     _require_mod_p_matrix(space.n, k, space.q)
     if type(max_size) is not int or max_size < 0:
         raise BlockingError(f"max_size must be an int >= 0, not {max_size!r}")
+    if type(t) is not int:
+        raise BlockingError(f"t {t!r} is not an int")
     p, npts = space.field.p, space.num_points
     if (space.n, k) == (2, 1):
         # the constant weight t solves the system, so it is consistent

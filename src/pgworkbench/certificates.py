@@ -8,8 +8,8 @@ import operator
 
 from .blocking import WeightedPointSet, judge_claim
 from .coloring import Coloring, ColoringError, is_strict, judge_coloring
-from .geometry import (Hypergraph, ProjectiveSpace, all_ints, canonical_json, level_fault,
-                       load_json, mask_bits, point_set, write_text)
+from .geometry import (GeometryError, Hypergraph, ProjectiveSpace, all_ints, canonical_json,
+                       level_gate, load_json, mask_bits, point_set, write_text)
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
                       tmodp_frame, tmodp_violations)
 
@@ -124,12 +124,18 @@ def _require_ints(payload: dict, keys) -> None:
             raise TypeError(f"{key} {payload[key]!r} is not an int")
 
 
+def _require(payload: dict, key: str, kind: type, item: type, what: str):
+    """payload[key] if it is a `kind` of `item`s, else a TypeError saying what it must be."""
+    value = payload[key]
+    if type(value) is not kind or not all(isinstance(v, item) for v in value):
+        raise TypeError(f"{key} must be {what}")
+    return value
+
+
 def _verify_transversal(payload):
     _require_ints(payload, ("t",))
     n, k, q, t = payload["n"], payload["k"], payload["q"], payload["t"]
-    fault = level_fault(n, k, q)
-    if fault is not None:
-        return False, fault
+    level_gate(n, k, q)
     space = ProjectiveSpace.of_order(n, q)
     pts = point_set(payload["points"], space.num_points)
     if "objective" in payload:
@@ -146,14 +152,11 @@ def _verify_transversal(payload):
 
 def _verify_coloring(payload):
     n, k, q = payload["n"], payload["k"], payload["q"]
-    fault = level_fault(n, k, q)
-    if fault is not None:
-        return False, fault
-    space = ProjectiveSpace.of_order(n, q)
-    H = space.hypergraph(k)
-    coloring = Coloring(tuple(payload["assignment"]))
-    if not all_ints(coloring.assignment):
+    level_gate(n, k, q)
+    H = ProjectiveSpace.of_order(n, q).hypergraph(k)
+    if isinstance(payload["assignment"], list) and not all_ints(payload["assignment"]):
         return False, "a color is not an int"
+    coloring = Coloring.from_json(payload)
     N = payload.get("N")
     if N is not None:
         _require_ints(payload, ("N",))
@@ -177,27 +180,23 @@ def _verify_coloring(payload):
 
 
 def _verify_blocking_set(payload):
-    n, q = payload["space"]["n"], payload["space"]["q"]
+    spec = _require(payload, "space", dict, object, "an object with n and q")
+    n, q = spec["n"], spec["q"]
     # the space itself, its one n-space, before the field is built
-    fault = level_fault(n, n, q)
-    if fault is not None:
-        return False, fault
+    level_gate(n, n, q)
     space = ProjectiveSpace.of_order(n, q)
-    weights = list(payload["weights"])
+    weights = _require(payload, "weights", list, object, "a list of ints")
     if not all_ints(weights):
         return False, "a weight is not an int"
     B = WeightedPointSet(space, weights)
     # the k-space weights of B, computed once for each k that a claim names
     sums = {}
-    for claim in payload["claims"]:
-        kind = claim["type"]
-        t, k = claim["t"], claim["k"]
+    for claim in _require(payload, "claims", list, dict, "a list of claim objects"):
+        kind, t, k = claim["type"], claim["t"], claim["k"]
         claimed = claim.get("verified", True)
         if type(claimed) is not bool:
             return False, f"verified {claimed!r} is not a bool"
-        fault = level_fault(n, k, q)
-        if fault is not None:
-            return False, fault
+        level_gate(n, k, q)
         if kind not in ("t_fold_blocking", "t_mod_p", "minimal"):
             return False, f"unknown claim type {kind!r}"
         holds, witness = judge_claim(B, kind, t, k, sums)
@@ -282,7 +281,9 @@ def _verify_tmodp_report(payload):
     _require_ints(payload, ("num_found",))
     if type(payload["verified"]) is not bool:
         return False, f"verified {payload['verified']!r} is not a bool"
-    p, t, max_size, sets = payload["p"], payload["t"], payload["max_size"], payload["sets"]
+    p, t, max_size = payload["p"], payload["t"], payload["max_size"]
+    sets = _require(payload, "sets", list, list, "a list of weight lists")
+    claimed = _require(payload, "violations", list, dict, "a list of violation objects")
     verified, exhaustive = payload["verified"], payload["exhaustive"]
     expected, num_unions = payload["expected_size"], payload["num_unions"]
     if len(sets) != payload["num_found"]:
@@ -292,7 +293,7 @@ def _verify_tmodp_report(payload):
         return False, "a listed set has a weight that is not an int"
     if len(set(found)) != len(found):
         return False, "a set is listed twice"
-    if verified and payload["violations"]:
+    if verified and claimed:
         return False, "claimed verified but violations are listed"
     if verified and not (exhaustive and payload["num_found"] == num_unions):
         return False, "claimed verified without an exhaustive search finding every union"
@@ -303,13 +304,11 @@ def _verify_tmodp_report(payload):
         return False, fault
     # the violations follow from the listed sets and, when the search was
     # exhaustive, from the unions it missed; in any order
-    def key(v):
-        return v["weights"], v["reason"]
-    if not all_ints(itertools.chain.from_iterable(v["weights"] for v in payload["violations"])):
+    key = operator.itemgetter("weights", "reason")
+    if not all_ints(itertools.chain.from_iterable(v["weights"] for v in claimed)):
         return False, "a violation has a weight that is not an int"
     violations = tmodp_violations(space, t, found, sizes, expected, num_unions, exhaustive)
-    if violations != payload["violations"] and \
-            sorted(map(key, violations)) != sorted(map(key, payload["violations"])):
+    if violations != claimed and sorted(map(key, violations)) != sorted(map(key, claimed)):
         return False, "violations do not match those of the listed sets and the union count"
     return True, "report sets verified"
 
@@ -349,11 +348,11 @@ def recheck(cert: dict):
 
 
 def verify_payload(kind: str, payload):
-    """The verdict (ok, detail) of the verifier of a known kind on a
-    payload, re-deriving every claim; the checks of recheck after the
-    checksum, for a caller that made the certificate and so knows its
-    envelope and checksum to be sound."""
+    """The verdict (ok, detail) of the verifier of a known kind, re-deriving
+    every claim of the payload: recheck past the checksum, for a caller that
+    made the certificate.  A GeometryError, such as level_gate's, is the
+    detail itself; any other error is "verification error: {error}"."""
     try:
         return _VERIFIERS[kind](payload)
     except (ValueError, KeyError, IndexError, TypeError) as exc:
-        return False, f"verification error: {exc}"
+        return False, str(exc) if isinstance(exc, GeometryError) else f"verification error: {exc}"

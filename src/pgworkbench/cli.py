@@ -15,9 +15,9 @@ from .certificates import (blocking_set_certificate, bounds_certificate, colorin
                            transversal_certificate, write_certificate)
 from .coloring import Coloring, judge_coloring, trivial_coloring
 from .experiments import ExperimentConfig, default_grid, run_experiments
-from .geometry import (GeometryError, ProjectiveSpace, all_ints, canonical_json,
-                       count_subspaces, hypergraph_from_file, hypergraph_to_file, level_fault,
-                       load_json, space_field, theta)
+from .geometry import (ProjectiveSpace, all_ints, canonical_json, count_subspaces,
+                       hypergraph_from_file, hypergraph_to_file, level_gate, load_json,
+                       space_field, theta)
 from .solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -28,9 +28,8 @@ def _emit(data):
 def cmd_space(args):
     n, q = args.n, args.q
     # an export past the level gate is refused by counts, before the space is built
-    fault = args.export_hypergraph and level_fault(n, args.k, q)
-    if fault:
-        raise GeometryError(fault)
+    if args.export_hypergraph:
+        level_gate(n, args.k, q)
     # the refusals of ProjectiveSpace.of_order(n, q), with no point built
     field = space_field(n, q)
     info = {"n": n, "q": q, "field": field.descriptor(), "num_points": theta(n, q),

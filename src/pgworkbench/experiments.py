@@ -10,7 +10,8 @@ import os
 
 from .certificates import (bounds_certificate, coloring_certificate, tmodp_certificate,
                            transversal_certificate, verify_payload, write_certificate)
-from .geometry import ProjectiveSpace, write_text
+from .fields import factor_prime_power
+from .geometry import ProjectiveSpace, level_gate, write_text
 from .solvers import OPTIMAL, bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -49,18 +50,23 @@ def _searched(res):
                      for b in (res.lower_bound, res.upper_bound)), res.lower_bound
 
 
+def _hypergraph(n, k, q):
+    """H(n,k,q); q and n meet their refusals before of_order hashes them."""
+    factor_prime_power(q)
+    level_gate(n, n, q)
+    return ProjectiveSpace.of_order(n, q).hypergraph(k)
+
+
 def _run_tau(task):
     n, k, q, t = task["n"], task["k"], task["q"], task["t"]
-    H = ProjectiveSpace.of_order(n, q).hypergraph(k)
+    H = _hypergraph(n, k, q)
     res = exact_tau(H, t)
-    return (transversal_certificate(H, t, res), f"tau_{t}(H({n},{k},{q}))",
-            *_searched(res))
+    return transversal_certificate(H, t, res), f"tau_{t}(H({n},{k},{q}))", *_searched(res)
 
 
 def _run_ucn(task):
     n, k, q = task["n"], task["k"], task["q"]
-    space = ProjectiveSpace.of_order(n, q)
-    H = space.hypergraph(k)
+    H = _hypergraph(n, k, q)
     res = exact_ucn(H)
     return coloring_certificate(H, res.witness), f"UCN(H({n},{k},{q}))", *_searched(res)
 
@@ -87,9 +93,10 @@ def _run_task(name, task, config) -> SummaryRow:
     KeyError, TypeError or ValueError."""
     if not isinstance(task, dict):
         raise TypeError(f"task is not an object: {task!r}")
-    runner = _RUNNERS.get(task.get("kind"))
+    kind = task.get("kind")
+    runner = _RUNNERS.get(kind) if isinstance(kind, str) else None
     if runner is None:
-        raise ValueError(f"unknown task kind {task.get('kind')!r}")
+        raise ValueError(f"unknown task kind {kind!r}")
     at_least = task.get("expected_at_least")
     if "expected_at_least" in task and type(at_least) not in (int, float):
         raise TypeError(f"expected_at_least {at_least!r} is not a number")

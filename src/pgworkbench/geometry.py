@@ -48,49 +48,47 @@ def theta(k: int, q: int) -> int:
     return (q ** (k + 1) - 1) // (q - 1)
 
 
-def level_fault(n: int, m: int, q: int) -> str | None:
-    """Why the m-spaces of PG(n,q) may not be built, by types and counts
-    alone, before any field is built (GF(65536) alone takes seconds);
-    None when they may.  The one gate of every space and level build and
-    of recheck, asked in this order: n, m and q are ints and not bools
+def level_gate(n: int, m: int, q: int) -> None:
+    """GeometryError unless the m-spaces of PG(n,q) may be built, decided
+    by types and counts alone, before any field is built (GF(65536) alone
+    takes seconds).  The one gate of every space and level build and of
+    recheck, which tests in this order: n, m and q are ints and not bools
     (True == 1 and 2.0 == 2 would pass every later test), n >= 1, q >= 2,
     q at most MAX_Q and PG(n,q) at most DEFAULT_MAX_POINTS points (n is
     compared with MAX_N before any power is taken, so a claim of a huge
     space costs nothing), 0 <= m <= n, the m-spaces at most
     DEFAULT_MAX_POINTS point incidences, and their masks, up to theta(n, q)
     bits each, at most DEFAULT_MAX_MASK_BITS bits.  PG(n,q) is its own one
-    n-space, so level_fault(n, n, q) is the gate of the space itself.
+    n-space, so level_gate(n, n, q) is the gate of the space itself.
     Whether q is a prime power is the field's test (factor_prime_power)."""
     if not all_ints((n, m, q)):
-        return f"(n, m, q) = ({n!r}, {m!r}, {q!r}) are not all integers"
+        raise GeometryError(f"(n, m, q) = ({n!r}, {m!r}, {q!r}) are not all integers")
     if n < 1:
-        return f"projective dimension n = {n} must be >= 1"
+        raise GeometryError(f"projective dimension n = {n} must be >= 1")
     if q < 2:
-        return f"q = {q} is not a prime power"
+        raise GeometryError(f"q = {q} is not a prime power")
     if q > MAX_Q or n > MAX_N or theta(n, q) > DEFAULT_MAX_POINTS:
-        return f"PG({n},{q}) exceeds the limits q <= {MAX_Q} and {DEFAULT_MAX_POINTS} points"
+        raise GeometryError(f"PG({n},{q}) exceeds the limits q <= {MAX_Q} and "
+                            f"{DEFAULT_MAX_POINTS} points")
     if not 0 <= m <= n:
-        return f"m = {m} out of range for PG({n},{q})"
+        raise GeometryError(f"m = {m} out of range for PG({n},{q})")
     count = count_subspaces(n, m, q)
     incidences = count * theta(m, q)
     if incidences > DEFAULT_MAX_POINTS:
-        return f"the {m}-spaces of PG({n},{q}) have {incidences} point incidences, " \
-               f"more than the limit {DEFAULT_MAX_POINTS}"
+        raise GeometryError(f"the {m}-spaces of PG({n},{q}) have {incidences} point "
+                            f"incidences, more than the limit {DEFAULT_MAX_POINTS}")
     bits = count * theta(n, q)
     if bits > DEFAULT_MAX_MASK_BITS:
-        return f"the masks of the {m}-spaces of PG({n},{q}) may need {bits} bits, " \
-               f"more than the limit {DEFAULT_MAX_MASK_BITS}"
-    return None
+        raise GeometryError(f"the masks of the {m}-spaces of PG({n},{q}) may need {bits} "
+                            f"bits, more than the limit {DEFAULT_MAX_MASK_BITS}")
 
 
 def space_field(n: int, q: int) -> GF:
     """GF(q), built for PG(n,q) only once the space may be built: first
     the field's refusals by q alone (factor_prime_power), then those of
-    level_fault(n, n, q), so a space refused by its counts builds no field."""
+    level_gate(n, n, q), so a space refused by its counts builds no field."""
     factor_prime_power(q)
-    fault = level_fault(n, n, q)
-    if fault is not None:
-        raise GeometryError(fault)
+    level_gate(n, n, q)
     return field_for_order(q)
 
 
@@ -183,25 +181,24 @@ class Hypergraph(collections.namedtuple("Hypergraph", "num_vertices edges params
         """(n, k, q) when the edges are exactly the k-spaces of PG(n,q), for
         1 <= k <= n-1, as `params` claims; None otherwise.  This is the one
         check behind every geometric shortcut: claimed parameters that do
-        not match the edges get none.  level_fault, which refuses any
-        (n, k, q) that are not ints, comes first, then the hyperedge range
+        not match the edges get none.  level_gate comes first, its refusal
+        read as None in the try that reads the build's, then the hyperedge range
         and the vertex and edge counts, so a false claim of a large space
         builds nothing; the space's own cached hypergraph matches at once,
         and any other is compared with it edge by edge, in any edge order."""
         if self.params is None:
             return None
         n, k, q = self.params
-        if level_fault(n, k, q) is not None or not 1 <= k <= n - 1 \
-                or self.num_vertices != theta(n, q) \
-                or len(self.edges) != count_subspaces(n, k, q):
-            return None
         try:
+            level_gate(n, k, q)
+            if not 1 <= k <= n - 1 or self.num_vertices != theta(n, q) \
+                    or len(self.edges) != count_subspaces(n, k, q):
+                return None
             H = ProjectiveSpace.of_order(n, q).hypergraph(k)
         except (FieldError, GeometryError):
             return None
-        if H is self or len(H.edges) == len(self.edges) and set(H.edges) == set(self.edges):
-            return self.params
-        return None
+        same = H is self or len(H.edges) == len(self.edges) and set(H.edges) == set(self.edges)
+        return self.params if same else None
 
     def to_json(self) -> dict:
         data = {"edges": list(self.edge_points)}
@@ -215,7 +212,7 @@ class Hypergraph(collections.namedtuple("Hypergraph", "num_vertices edges params
     @classmethod
     def from_json(cls, data) -> "Hypergraph":
         """A hypergraph from its JSON form, with its edges in file order.
-        Claimed parameters (n, k, q) get level_fault's refusal first, for
+        Claimed parameters (n, k, q) meet level_gate's refusals first, for
         their types and ranges and the level's limits, and are then checked
         by `geometry`, which compares the counts before it builds PG(n,q):
         the edges, in any order, must be the k-spaces of PG(n,q).  Before
@@ -229,9 +226,7 @@ class Hypergraph(collections.namedtuple("Hypergraph", "num_vertices edges params
                                 "is a list of vertex index lists")
         if "n" in data:
             n, k, q = params = tuple(data.get(key) for key in ("n", "k", "q"))
-            fault = level_fault(n, k, q)
-            if fault is not None:
-                raise GeometryError(fault)
+            level_gate(n, k, q)
             num = theta(n, q)
         else:
             num, params = data.get("num_vertices"), None
@@ -256,9 +251,7 @@ class ProjectiveSpace:
     """PG(n,q) with cached point, subspace and incidence enumerations."""
 
     def __init__(self, n: int, field: GF):
-        fault = level_fault(n, n, field.q)
-        if fault is not None:
-            raise GeometryError(fault)
+        level_gate(n, n, field.q)
         self.n = n
         self.field = field
         self.points = tuple(sorted(_normalized_vectors(n + 1, field.q)))
@@ -422,7 +415,7 @@ class ProjectiveSpace:
         """(the m-spaces' records, the hypergraph of the points and those
         m-spaces in that order): the one reader and writer of _levels.  The
         cache answers an int m only (True and 1.0 find level 1's key); any
-        other m, and a level not yet cached, meets level_fault first, then
+        other m, and a level not yet cached, meets level_gate first, then
         GeometryError unless the count is right and every mask, by _masks
         from the bases alone, has theta(m) points, checked on the plain
         lists; a refused level caches nothing.  The records are made in one
@@ -430,9 +423,7 @@ class ProjectiveSpace:
         level = self._levels.get(m) if type(m) is int else None
         if level is not None:
             return level
-        fault = level_fault(self.n, m, self.q)
-        if fault is not None:
-            raise GeometryError(fault)
+        level_gate(self.n, m, self.q)
         total = count_subspaces(self.n, m, self.q)
         if m == 0:
             bases = list(zip(self.points))

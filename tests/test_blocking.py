@@ -9,7 +9,7 @@ from pgworkbench.blocking import (BlockingError, WeightedPointSet, construct_uni
                                   harrach_uniqueness_limit, is_minimal,
                                   is_t_fold_blocking, is_t_mod_p_set, judge_claim,
                                   kspace_weights, minimal_reduction, solve_mod_p)
-from pgworkbench.geometry import ProjectiveSpace, theta
+from pgworkbench.geometry import GeometryError, ProjectiveSpace, theta
 from pgworkbench.solvers import tmodp_frame
 
 
@@ -93,6 +93,28 @@ def test_judge_claim_refuses_other_kinds_and_ranges():
     # k = 0 is in range for a t (mod p) claim: the first point of weight 1 fails it
     ok, witness = judge_claim(B, "t_mod_p", 2, 0, {})
     assert not ok and B.subspace_weight(witness) == 1
+
+
+@pytest.mark.parametrize("k", ["1", None, [1], 1.0, True, -1, 3])
+def test_judge_claim_gates_k_before_comparing_it(k):
+    # a blocking or minimal claim compared k with 1 before any type test:
+    # "1" and None raised "'<' not supported between instances", and a list
+    # k of a t (mod p) claim "unhashable type" from the shared sums
+    B = two_line_union(ProjectiveSpace.of_order(2, 3))
+    reason = f"m = {k} out of range for PG(2,3)" if type(k) is int else \
+        f"(n, m, q) = (2, {k!r}, 3) are not all integers"
+    for judge in (lambda k: judge_claim(B, "t_fold_blocking", 2, k, {}),
+                  lambda k: judge_claim(B, "minimal", 2, k, {}),
+                  lambda k: judge_claim(B, "t_mod_p", 2, k, {}),
+                  lambda k: is_t_fold_blocking(B, 2, k), lambda k: is_t_mod_p_set(B, 2, k)):
+        with pytest.raises(GeometryError) as info:
+            judge(k)
+        assert str(info.value) == reason
+    # an int k that is a level of the plane but no blocking level keeps the
+    # judge's refusal
+    for k in (0, 2):
+        with pytest.raises(BlockingError, match=f"^k = {k} out of range$"):
+            is_t_fold_blocking(B, 2, k)
 
 
 def test_frame_and_walk_read_one_plane_rule(monkeypatch):
@@ -351,7 +373,12 @@ def test_enumerate_t_mod_p_sets_large_primes(monkeypatch, q, k, t, coset_limit):
     (dict(max_size=None), "max_size must be an int >= 0, not None"),
     (dict(max_size=-1), "max_size must be an int >= 0, not -1"),
     (dict(max_size=5.0), "max_size must be an int >= 0, not 5.0"),
+    # t = True listed t = 1's 482 sets; 2.5 and "1" raised raw TypeErrors
+    (dict(t=True), "t True is not an int"),
+    (dict(t=2.5), "t 2.5 is not an int"),
+    (dict(t="1"), "t '1' is not an int"),
 ])
 def test_enumerate_t_mod_p_sets_rejects_bad_arguments(kwargs, message):
     with pytest.raises(BlockingError, match=message):
-        enumerate_t_mod_p_sets(ProjectiveSpace.of_order(2, 3), k=1, t=1, **kwargs)
+        enumerate_t_mod_p_sets(ProjectiveSpace.of_order(2, 3),
+                               **{"k": 1, "t": 1, "max_size": 13, **kwargs})

@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+from test_geometry import gate_refusal
+
 from pgworkbench.blocking import (COSET_LIMIT, BlockingError, WeightedPointSet,
                                   is_t_fold_blocking, is_t_mod_p_set, judge_claim,
                                   plane_cosets, solve_mod_p)
@@ -17,7 +19,7 @@ from pgworkbench.certificates import (CertificateError, blocking_set_certificate
                                       verify_payload, write_certificate)
 from pgworkbench.coloring import trivial_coloring
 from pgworkbench.fields import GF
-from pgworkbench.geometry import Hypergraph, ProjectiveSpace, level_fault, theta
+from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
 from pgworkbench.solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -528,6 +530,24 @@ def test_recheck_refuses_non_int_entries(kind, to, edit, needle):
     assert recheck(make_certificate(kind, payload)) == (False, needle)
 
 
+# raw Python messages that a detail carried when a verifier read a field of
+# the wrong JSON type, such as "'int' object is not subscriptable"
+RAW_MESSAGES = ("object is not", "not supported between", "unhashable", "indices must be",
+                "has no len")
+
+
+@pytest.mark.parametrize("kind", ["transversal", "coloring", "blocking_set", "tmodp_report",
+                                  "bounds"])
+def test_recheck_names_every_field_of_a_wrong_json_type(kind):
+    payload = _valid_payload(kind)
+    if kind == "coloring":
+        payload["trivial"] = False
+    for key in sorted(payload):
+        for value in (None, True, 2.5, "x", [], {}, -1, [1, "a"]):
+            _, detail = recheck(make_certificate(kind, {**payload, key: value}))
+            assert not any(raw in detail for raw in RAW_MESSAGES), (key, value, detail)
+
+
 @pytest.mark.parametrize("kind, edit, needle", [
     ("transversal", lambda d: d.update(objective=4),
      "objective does not match the witness size"),
@@ -677,14 +697,14 @@ def test_recheck_refuses_a_huge_space_before_any_build(kind, payload, needle):
 def test_incidence_limit_sits_between_the_largest_corpus_space_and_pg2_127():
     # PG(4,3) solids (4,840) are the largest that the tests and the
     # benchmark corpus recheck; PG(2,97) lines (931,686) still pass
-    assert level_fault(4, 3, 3) is None and level_fault(2, 1, 97) is None
-    assert level_fault(2, 1, 101) is not None
+    assert gate_refusal(4, 3, 3) is None and gate_refusal(2, 1, 97) is None
+    assert gate_refusal(2, 1, 101) is not None
     # the gate names parameters out of range too
-    assert level_fault(2, 3, 2) == "m = 3 out of range for PG(2,2)"
-    assert level_fault(2, 1, 1) == "q = 1 is not a prime power"
+    assert gate_refusal(2, 3, 2) == "m = 3 out of range for PG(2,2)"
+    assert gate_refusal(2, 1, 1) == "q = 1 is not a prime power"
     # the masks of the points of PG(2,97) may need 9507^2, about 90 million
     # bits, and those of PG(2,101) more than 10^8
-    assert level_fault(2, 0, 97) is None and level_fault(2, 0, 101) is not None
+    assert gate_refusal(2, 0, 97) is None and gate_refusal(2, 0, 101) is not None
 
 
 def test_recheck_malformed():
@@ -702,7 +722,7 @@ TYPE_MUTATED_TRANSVERSALS = [
                   "objective": 6}, "(n, m, q) = ('2', 1, 2) are not all integers",
                  id="payload0"),
     pytest.param({"n": 2, "k": 1, "q": 2, "t": 2, "points": None, "objective": 6},
-                 "verification error:", id="payload1"),
+                 "a point set is a list of point indices, not None", id="payload1"),
     pytest.param({"n": 2, "k": 1, "q": 2, "t": None, "points": [0, 1, 2, 3, 4, 5],
                   "objective": 6}, "verification error:", id="payload2"),
 ]

@@ -46,6 +46,12 @@ def test_malformed_grid_tasks_become_error_rows(tmp_path):
         {"kind": "tau", "n": 2, "k": 1, "q": 2, "t": 2, "expected": 6},
         # a bool n once built and cached PG(True,3) as PG(1,3)
         {"kind": "ucn", "n": True, "k": 1, "q": 3},
+        # each of these gave the row "unhashable type: 'list'" (or 'dict')
+        # from a cache lookup, before any refusal
+        *({"kind": kind, "n": n, "k": 1, "q": q, "t": 2} for kind in ("tau", "ucn")
+          for n, q in (([], 2), ({}, 2), (2, []), (2, {}))),
+        {"kind": [], "n": 2},
+        {"kind": {}, "n": 2},
     ]
     rows, ok = run_experiments(ExperimentConfig(grid=grid, outdir=str(tmp_path)))
     assert not ok
@@ -63,6 +69,12 @@ def test_malformed_grid_tasks_become_error_rows(tmp_path):
     assert (rows[9].quantity, rows[9].match) == ("tau_2(H(2,1,2))", "yes")
     assert (rows[10].quantity, rows[10].match) == ("error", "no")
     assert rows[10].value == "(n, m, q) = (True, True, 3) are not all integers"
+    assert [(row.quantity, row.match, row.value) for row in rows[11:]] == [
+        ("error", "no", reason) for reason in [
+            "(n, m, q) = ([], [], 2) are not all integers",
+            "(n, m, q) = ({}, {}, 2) are not all integers",
+            "q = [] is not an int", "q = {} is not an int"] * 2
+        + ["unknown task kind []", "unknown task kind {}"]]
     assert type(ProjectiveSpace.of_order(1, 3).n) is int
     space = ProjectiveSpace.of_order(2, 2)
     assert {type(m) for m in space._levels} == {int}

@@ -19,8 +19,17 @@ from pgworkbench.fields import field_for_order
 from pgworkbench.geometry import (EMPTY_SUBSPACE, GeometryError, Hypergraph,
                                   ProjectiveSpace, Subspace, count_subspaces,
                                   hypergraph_from_file, hypergraph_to_file,
-                                  level_fault, mask_bits, theta, write_text)
+                                  level_gate, mask_bits, theta, write_text)
 from pgworkbench.solvers import exact_tau, exact_ucn
+
+
+def gate_refusal(n, m, q):
+    """The text of level_gate's refusal of (n, m, q), None when it passes."""
+    try:
+        level_gate(n, m, q)
+    except GeometryError as exc:
+        return str(exc)
+    return None
 
 
 def test_theta_values():
@@ -44,7 +53,7 @@ def test_count_subspaces_examples():
     # the gate's words, the order included
     with pytest.raises(GeometryError) as info:
         count_subspaces(2, 5, 3)
-    assert str(info.value) == "m = 5 out of range for PG(2,3)" == level_fault(2, 5, 3)
+    assert str(info.value) == "m = 5 out of range for PG(2,3)" == gate_refusal(2, 5, 3)
 
 
 def test_point_enumeration_normalized_and_sorted():
@@ -768,8 +777,8 @@ def test_size_limits(monkeypatch):
     (2, 0, 2, None),
     (2, 2, 2, None),
 ])
-def test_level_fault_refusals(n, m, q, reason):
-    assert level_fault(n, m, q) == reason
+def test_level_gate_refusals(n, m, q, reason):
+    assert gate_refusal(n, m, q) == reason
 
 
 def test_no_bool_reaches_a_space_or_level_cache():
@@ -814,12 +823,12 @@ def test_a_warm_level_refuses_what_a_cold_one_does(m, call):
         B = WeightedPointSet(space, [1] * space.num_points)
         with pytest.raises(GeometryError) as info:
             call(space, B)
-        assert str(info.value) == level_fault(2, m, 3)
+        assert str(info.value) == gate_refusal(2, m, 3)
         assert [(key, type(key)) for key in space._levels] == ([(1, int)] if warm else [])
 
 
 def test_level_builds_and_recheck_agree_with_the_gate(monkeypatch):
-    # limits low enough that each test of level_fault refuses some level:
+    # limits low enough that each test of level_gate refuses some level:
     # PG(4,5) has 781 points, the lines of PG(3,3) 520 incidences, and the
     # points of PG(4,3) need 121^2 mask bits
     monkeypatch.setattr(geometry, "DEFAULT_MAX_POINTS", 500)
@@ -827,7 +836,7 @@ def test_level_builds_and_recheck_agree_with_the_gate(monkeypatch):
     tests, refused = ("exceeds the limits", "point incidences", "may need"), set()
     for n, q in itertools.product(range(1, 5), (2, 3, 4, 5)):
         for m in range(n + 1):
-            fault = level_fault(n, m, q)
+            fault = gate_refusal(n, m, q)
             refused.update(test for test in tests if fault is not None and test in fault)
             space = None
             try:

@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from test_geometry import gate_refusal
+
 from pgworkbench import solvers
 from pgworkbench.blocking import BlockingError, enumerate_t_mod_p_sets
 from pgworkbench.coloring import is_proper, make_coloring
 from pgworkbench.fields import GF, FieldError
-from pgworkbench.geometry import Hypergraph, ProjectiveSpace, level_fault, theta
+from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
 from pgworkbench.solvers import (BOUND_ONLY, OPTIMAL, SolverError, bounds_report,
                                  exact_tau, exact_ucn, tmodp_frame, verify_tmodp_theorem)
 
@@ -679,7 +681,7 @@ def test_tau2_known_is_tau_2_of_the_hypergraph_of_the_n_minus_k_spaces():
     # H(n, n-k, q).  Every such row past the level gate is left out
     rows = [(n, k, q) for n in range(2, 6) for k in range(1, n) for q in (2, 3, 4)
             if bounds_report(n, k, q, 2).tau2_known is not None
-            and level_fault(n, n - k, q) is None]
+            and gate_refusal(n, n - k, q) is None]
     assert len(rows) == 11 and (5, 2, 4) not in rows
     for n, k, q in rows:
         res = exact_tau(ProjectiveSpace.of_order(n, q).hypergraph(n - k), 2)

@@ -244,23 +244,64 @@ def _level_rule_copies(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and copies(func)]
 
 
+def _gate_value_uses(tree):
+    """Where tree defines a second level gate, a function level_* other
+    than level_gate (such as the one that returned its refusal as text),
+    or uses the value of a level_gate call: each such call that is not a
+    statement of its own, by line and the node that holds it."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = [f"{node.lineno}: def {node.name}" for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name.startswith("level_") and node.name != "level_gate"]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "level_gate" \
+                and not isinstance(parents[node], ast.Expr):
+            found.append(f"{node.lineno}: {type(parents[node]).__name__}")
+    return found
+
+
 def test_certificates_leave_the_level_rule_to_the_gate():
     # the types and ranges of n, k and q and the point, incidence and
-    # mask-bit limits reach recheck through geometry.level_fault alone, the
+    # mask-bit limits reach recheck through geometry.level_gate alone, the
     # gate of every space and level build, so recheck cannot refuse a level
     # that the library builds, nor read one it refuses
     source = (PACKAGE_DIR / "certificates.py").read_text()
     names = {"DEFAULT_MAX_POINTS", "DEFAULT_MAX_MASK_BITS", "count_subspaces"}
     assert sorted(name for name in names if name in source) == []
-    assert "level_fault" in source
+    assert "level_gate" in source
     found = [f"{path.name}: {name}" for path in sorted(PACKAGE_DIR.glob("*.py"))
              for name in _level_rule_copies(ast.parse(path.read_text(), filename=str(path)))]
     assert found == []
+    # the gate raises its refusal: every call of it is a statement of its
+    # own, and no module turns a returned text back into a refusal
+    found = [f"{path.name}: {use}" for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for use in _gate_value_uses(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == []
+
+
+def test_gate_value_guard_sees_each_use():
+    source = """
+def level_refusal(n, m, q): return None
+def a(n, m, q): fault = level_gate(n, m, q)
+def b(n, m, q):
+    if level_gate(n, m, q) is not None: raise ValueError
+def c(n, m, q): return level_gate(n, m, q) or "ok"
+def d(space): assert geometry.level_gate(space.n, 1, space.q) is None
+def e(n, m, q): print(level_gate(n, m, q))
+def f(n, m, q): level_gate(n, m, q)
+def g(space):
+    try:
+        geometry.level_gate(space.n, 1, space.q)
+    except ValueError:
+        return None
+"""
+    assert _gate_value_uses(ast.parse(source)) == [
+        "2: def level_refusal", "3: Assign", "5: Compare", "6: BoolOp", "7: Compare", "8: Call"]
 
 
 def test_level_rule_guard_sees_each_copy():
     source = """
-def space_fault(n, q): return level_fault(n, n, q)
+def space_fault(n, q): return level_gate(n, n, q)
 def a(payload): _require_ints(payload, ("n", "k", "q", "t"))
 def b(claim): _require_ints(claim, ("t", "k"))
 def c(payload): _require_ints(payload["space"], ("q",))
