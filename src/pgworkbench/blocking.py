@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import collections
 
-from .fields import GF, factor_prime_power
-from .geometry import ProjectiveSpace, Subspace, count_subspaces, level_gate, theta
+from .fields import GF, MAX_Q, is_prime
+from .geometry import ProjectiveSpace, Subspace, all_ints, count_subspaces, level_gate, theta
 
 
 class BlockingError(ValueError):
@@ -32,6 +32,15 @@ class WeightedPointSet(collections.namedtuple("WeightedPointSet", "space weights
     # so that _replace checks its fields too
     _make = classmethod(lambda cls, fields: cls(*fields))
 
+    @classmethod
+    def from_json(cls, space: ProjectiveSpace, weights) -> "WeightedPointSet":
+        """The set of weights read from outside the program, from a
+        certificate or a file: BlockingError unless they are a list of ints
+        (a bool is none), then the refusals of the constructor."""
+        if type(weights) is not list or not all_ints(weights):
+            raise BlockingError("weights must be a list of ints")
+        return cls(space, weights)
+
     @property
     def size(self) -> int:
         return sum(self.weights)
@@ -39,9 +48,6 @@ class WeightedPointSet(collections.namedtuple("WeightedPointSet", "space weights
     @property
     def support(self):
         return [i for i, w in enumerate(self.weights) if w > 0]
-
-    def copy(self) -> "WeightedPointSet":
-        return WeightedPointSet(self.space, list(self.weights))
 
     def subspace_weight(self, U: Subspace) -> int:
         w = self.weights
@@ -60,6 +66,10 @@ def kspace_weights(B: WeightedPointSet, k: int):
 
 # -- claims: blocking, t (mod p), essentiality, minimality ---------------
 
+# the kinds of claim that judge_claim decides, in the order a certificate lists them
+CLAIM_KINDS = ("t_fold_blocking", "t_mod_p", "minimal")
+
+
 def judge_claim(B: WeightedPointSet, kind: str, t: int, k: int, sums: dict):
     """(holds, S) for a claim about B on k-spaces: t_fold_blocking (each
     k-space, 1 <= k <= n-1, has weight >= t), t_mod_p (each weight is t mod
@@ -70,7 +80,7 @@ def judge_claim(B: WeightedPointSet, kind: str, t: int, k: int, sums: dict):
     sums (the weights by k) make one pass per k.  BlockingError for another
     kind, for a t that is not an int (a bool is none) and for k = 0 or n in
     a blocking or minimal claim, after level_gate's refusal of any other k."""
-    if kind not in ("t_fold_blocking", "t_mod_p", "minimal"):
+    if kind not in CLAIM_KINDS:
         raise BlockingError(f"unknown claim type {kind!r}")
     if type(t) is not int:
         raise BlockingError(f"t {t!r} is not an int")
@@ -209,24 +219,33 @@ COSET_LIMIT = 3**13
 MATRIX_ENTRY_LIMIT = 10**5
 
 
-def _require_mod_p_matrix(n: int, k: int, q: int) -> None:
-    """BlockingError unless q is prime and the k-space/point incidence
-    matrix of PG(n,q) has at most MATRIX_ENTRY_LIMIT entries; FieldError
-    unless q is a prime power.  Counts only: no field or space is built."""
-    if factor_prime_power(q)[1] != 1:
-        raise BlockingError(f"mod-p enumeration needs a prime field, not GF({q})")
-    entries = count_subspaces(n, k, q) * theta(n, q)
+def mod_p_gate(n: int, k: int, p: int, t: int, max_size: int) -> None:
+    """The one gate of a mod-p enumeration of weights on the k-spaces of
+    PG(n,p) and of a t (mod p) report: BlockingError unless p and t are
+    ints and max_size is an int >= 0 (a bool is none), p is a prime at
+    most MAX_Q, tested before any trial division, and the k-space/point
+    incidence matrix has at most MATRIX_ENTRY_LIMIT entries.  Counts only:
+    no field or space is built and no power p^kernel_dim is taken."""
+    for name, value in (("p", p), ("t", t)):
+        if type(value) is not int:
+            raise BlockingError(f"{name} {value!r} is not an int")
+    if type(max_size) is not int or max_size < 0:
+        raise BlockingError(f"max_size must be an integer >= 0, not {max_size!r}")
+    if p > MAX_Q:
+        raise BlockingError(f"p = {p} exceeds the limit {MAX_Q}")
+    if not is_prime(p):
+        raise BlockingError(f"p = {p} is not prime")
+    entries = count_subspaces(n, k, p) * theta(n, p)
     if entries > MATRIX_ENTRY_LIMIT:
-        raise BlockingError(f"the {k}-space/point incidence matrix of PG({n},{q}) has "
+        raise BlockingError(f"the {k}-space/point incidence matrix of PG({n},{p}) has "
                             f"{entries} entries, above the limit {MATRIX_ENTRY_LIMIT}")
 
 
 def plane_cosets(p: int) -> tuple:
     """(kernel_dim, classes, exhaustive) for the lines of PG(2,p), once
-    `_require_mod_p_matrix` passes: kernel_dim is p(p+1)/2 by the p-rank
-    C(p+1, 2) + 1 (Graham and MacWilliams 1966), the p^kernel_dim classes
-    are the kernel's cosets, and exhaustive means at most COSET_LIMIT."""
-    _require_mod_p_matrix(2, 1, p)
+    `mod_p_gate` passes: kernel_dim is p(p+1)/2 by the p-rank C(p+1, 2) + 1
+    (Graham and MacWilliams 1966), the p^kernel_dim classes are the
+    kernel's cosets, and exhaustive means at most COSET_LIMIT."""
     kdim = p * (p + 1) // 2
     return kdim, p**kdim, p**kdim <= COSET_LIMIT
 
@@ -249,14 +268,11 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int,
     lists no sets with exhaustive=False.  For the lines of a plane the
     kernel dimension has a closed form (`plane_cosets`), so a plane
     past the limit is answered without building or eliminating the matrix.
-    BlockingError unless the field is prime, max_size is an int >= 0, t is
-    an int (a bool is none) and the matrix has at most MATRIX_ENTRY_LIMIT entries.
+    BlockingError, from `mod_p_gate(space.n, k, space.q, t, max_size)`,
+    unless t is an int, max_size an int >= 0, the field prime (`p = 4 is
+    not prime`) and the matrix at most MATRIX_ENTRY_LIMIT entries.
     """
-    _require_mod_p_matrix(space.n, k, space.q)
-    if type(max_size) is not int or max_size < 0:
-        raise BlockingError(f"max_size must be an int >= 0, not {max_size!r}")
-    if type(t) is not int:
-        raise BlockingError(f"t {t!r} is not an int")
+    mod_p_gate(space.n, k, space.q, t, max_size)
     p, npts = space.field.p, space.num_points
     if (space.n, k) == (2, 1):
         # the constant weight t solves the system, so it is consistent

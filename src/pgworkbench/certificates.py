@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .blocking import WeightedPointSet, judge_claim
+from .blocking import CLAIM_KINDS, WeightedPointSet, judge_claim
 from .coloring import Coloring, ColoringError, is_strict, judge_coloring
 from .geometry import (GeometryError, Hypergraph, ProjectiveSpace, all_ints, canonical_json,
                        level_gate, load_json, mask_bits, point_set, write_text)
@@ -89,7 +89,7 @@ def blocking_set_certificate(B: WeightedPointSet, t: int, k: int) -> dict:
     t-fold blocking, t (mod p) and, if it is blocking, minimal."""
     sums = {}
     claims = [{"type": kind, "t": t, "k": k, "verified": judge_claim(B, kind, t, k, sums)[0]}
-              for kind in ("t_fold_blocking", "t_mod_p", "minimal")]
+              for kind in CLAIM_KINDS]
     if not claims[0]["verified"]:
         del claims[2]
     return make_certificate("blocking_set", {**B.to_json(), "claims": claims})
@@ -135,6 +135,9 @@ def _require(payload: dict, key: str, kind: type, item: type, what: str):
 def _verify_transversal(payload):
     _require_ints(payload, ("t",))
     n, k, q, t = payload["n"], payload["k"], payload["q"], payload["t"]
+    # exact_tau refuses t < 1, so no solve certifies one
+    if t < 1:
+        return False, "t must be >= 1"
     level_gate(n, k, q)
     space = ProjectiveSpace.of_order(n, q)
     pts = point_set(payload["points"], space.num_points)
@@ -184,31 +187,28 @@ def _verify_blocking_set(payload):
     n, q = spec["n"], spec["q"]
     # the space itself, its one n-space, before the field is built
     level_gate(n, n, q)
-    space = ProjectiveSpace.of_order(n, q)
-    weights = _require(payload, "weights", list, object, "a list of ints")
-    if not all_ints(weights):
-        return False, "a weight is not an int"
-    B = WeightedPointSet(space, weights)
-    # the k-space weights of B, computed once for each k that a claim names
+    B = WeightedPointSet.from_json(ProjectiveSpace.of_order(n, q), payload["weights"])
+    claims = _require(payload, "claims", list, dict, "a list of claim objects")
+    if not claims:
+        return False, "claims lists no claim"
+    # the k-space weights of B, once for each k; the judge refuses kind, t and k
     sums = {}
-    for claim in _require(payload, "claims", list, dict, "a list of claim objects"):
+    for claim in claims:
         kind, t, k = claim["type"], claim["t"], claim["k"]
         claimed = claim.get("verified", True)
         if type(claimed) is not bool:
             return False, f"verified {claimed!r} is not a bool"
-        level_gate(n, k, q)
-        if kind not in ("t_fold_blocking", "t_mod_p", "minimal"):
-            return False, f"unknown claim type {kind!r}"
         holds, witness = judge_claim(B, kind, t, k, sums)
         if holds == claimed:
             continue
         if holds:
             return False, f"{kind} claim (t = {t}, k = {k}) holds but is marked unverified"
-        if kind == "minimal":
-            return False, "minimality claim mismatch"
-        if kind == "t_mod_p":
+        blocking, mod_p, _ = CLAIM_KINDS
+        if kind == blocking:
+            return False, f"violating {k}-space with basis {witness.basis}"
+        if kind == mod_p:
             return False, f"t (mod p) claim fails on a {k}-space"
-        return False, f"violating {k}-space with basis {witness.basis}"
+        return False, "minimality claim mismatch"
     return True, "all claims verified"
 
 
@@ -305,6 +305,8 @@ def _verify_tmodp_report(payload):
     # the violations follow from the listed sets and, when the search was
     # exhaustive, from the unions it missed; in any order
     key = operator.itemgetter("weights", "reason")
+    if not all(type(v.get("weights")) is list for v in claimed):
+        return False, "a violation's weights must be a list of ints"
     if not all_ints(itertools.chain.from_iterable(v["weights"] for v in claimed)):
         return False, "a violation has a weight that is not an int"
     violations = tmodp_violations(space, t, found, sizes, expected, num_unions, exhaustive)

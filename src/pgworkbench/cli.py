@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .blocking import BlockingError, WeightedPointSet
+from .blocking import WeightedPointSet
 from .certificates import (blocking_set_certificate, bounds_certificate, coloring_certificate,
                            load_certificate, recheck, tmodp_certificate,
                            transversal_certificate, write_certificate)
 from .coloring import Coloring, judge_coloring, trivial_coloring
 from .experiments import ExperimentConfig, default_grid, run_experiments
-from .geometry import (ProjectiveSpace, all_ints, canonical_json, count_subspaces,
+from .geometry import (ProjectiveSpace, canonical_json, count_subspaces,
                        hypergraph_from_file, hypergraph_to_file, level_gate, load_json,
                        space_field, theta)
 from .solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
@@ -42,12 +42,8 @@ def cmd_space(args):
 
 
 def cmd_blocking(args):
-    space = ProjectiveSpace.of_order(args.n, args.q)
-    weights = load_json(args.weights)
-    # the rule recheck applies to a blocking_set certificate's weights
-    if not isinstance(weights, list) or not all_ints(weights):
-        raise BlockingError("the weights file must hold a JSON list of integers")
-    B = WeightedPointSet(space, weights)
+    B = WeightedPointSet.from_json(ProjectiveSpace.of_order(args.n, args.q),
+                                   load_json(args.weights))
     cert = blocking_set_certificate(B, args.t, args.k)
     if args.out:
         write_certificate(cert, args.out)

@@ -28,9 +28,6 @@ class Coloring(collections.namedtuple("Coloring", "assignment")):
             masks[c - 1] |= 1 << i
         return masks
 
-    def class_sizes(self):
-        return [m.bit_count() for m in self.class_masks()]
-
     def to_json(self) -> dict:
         return {"assignment": list(self.assignment), "N": self.N}
 

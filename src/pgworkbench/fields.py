@@ -238,14 +238,6 @@ class GF:
             raise ZeroDivisionError("inversion of zero field element")
         return self._exp[self.q - 1 - self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0 if e else 1
-        return self._exp[self._log[a] * e % (self.q - 1)]
-
     # -- linear algebra -------------------------------------------------
 
     def row_reduce(self, rows, ncols: int):

@@ -9,9 +9,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .blocking import enumerate_t_mod_p_sets, plane_cosets
+from .blocking import enumerate_t_mod_p_sets, mod_p_gate, plane_cosets
 from .coloring import is_proper, make_coloring, trivial_coloring
-from .fields import MAX_Q, factor_prime_power, is_prime
+from .fields import factor_prime_power
 from .geometry import MAX_N, Hypergraph, ProjectiveSpace, mask_bits, theta
 
 OPTIMAL = "optimal"
@@ -502,23 +502,16 @@ def tmodp_frame(p: int, t: int, max_size: int | None = None) -> dict:
     max_size)` that follow from its arguments with no search, keyed as in
     `TModPVerification`, with max_size filled in with its default;
     `recheck` compares a report with them.  Raises what
-    `verify_tmodp_theorem` raises, and refuses a p that is not prime or a
-    plane past the enumeration's matrix limit by counts alone, before any
-    power p^kernel_dim is taken and before any field or space is built."""
-    for name, value in (("p", p), ("t", t)):
-        if type(value) is not int:
-            raise SolverError(f"{name} must be an int, not {value!r}")
+    `verify_tmodp_theorem` raises, all before any power p^kernel_dim is
+    taken and before any field or space is built: first the refusals of
+    `mod_p_gate(2, 1, p, t, max_size)`, by counts alone, then its own t >= 1
+    test and the hypothesis t <= 3p/8 + 1."""
+    # None is the default bound, filled in below once p and t have passed
+    mod_p_gate(2, 1, p, t, 0 if max_size is None else max_size)
     if t < 1:
         raise SolverError(f"t must be >= 1, not {t}")
-    if max_size is not None and (type(max_size) is not int or max_size < 0):
-        raise SolverError(f"max_size must be an integer >= 0, not {max_size!r}")
     if 8 * t > 3 * p + 8:
         raise SolverError(f"hypothesis violated: t = {t} > 3p/8 + 1 = {Fraction(3 * p, 8) + 1}")
-    # the limit first, so a huge p gets no trial division
-    if p > MAX_Q:
-        raise SolverError(f"p = {p} exceeds the limit {MAX_Q}")
-    if not is_prime(p):
-        raise SolverError(f"p = {p} is not prime")
     # the constant weight t solves the system, so its solutions form the classes
     # of plane_cosets; t <= p - 1 by the hypothesis, so unions count as multisets
     kdim, classes, exhaustive = plane_cosets(p)
@@ -564,10 +557,10 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVe
     default is 13.  Within that 13 lie 234 sets of size 11 that are not line
     unions; each is reported as a violation and `verified` is False.
     Raises, through `tmodp_frame` and so before any field or space is
-    built, SolverError for a p or t that is not an int (a bool is none),
-    for t < 1, for a max_size that is not an int >= 0, for t > 3p/8 + 1,
-    for p above MAX_Q and for p not prime; and BlockingError when the
-    plane's line/point incidence matrix is past the enumeration's limit.
+    built, BlockingError from `mod_p_gate` for a p or t that is not an int
+    (`t True is not an int`), a max_size that is not an int >= 0, p above
+    MAX_Q, p not prime (`p = 4 is not prime`) and a plane past the matrix
+    limit; then SolverError for t < 1 and for t > 3p/8 + 1.
     """
     frame = tmodp_frame(p, t, max_size)
     space = ProjectiveSpace.of_order(2, p)

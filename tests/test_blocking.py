@@ -52,7 +52,7 @@ def test_essential_points_and_minimality():
     B = two_line_union(space)
     assert essential_points(B, 2, 1) == set(B.support)
     assert is_minimal(B, 2, 1)
-    C = B.copy()
+    C = WeightedPointSet(space, list(B.weights))
     extra = next(i for i, w in enumerate(C.weights) if w == 0)
     C.weights[extra] += 1
     assert not is_minimal(C, 2, 1)
@@ -131,7 +131,7 @@ def test_frame_and_walk_read_one_plane_rule(monkeypatch):
 def test_minimal_reduction_recovers_union():
     space = ProjectiveSpace.of_order(2, 3)
     B = two_line_union(space)
-    C = B.copy()
+    C = WeightedPointSet(space, list(B.weights))
     extra = next(i for i, w in enumerate(C.weights) if w == 0)
     C.weights[extra] += 1
     R = minimal_reduction(C, 2, 1)
@@ -281,7 +281,7 @@ def test_enumerate_t_mod_p_sets_matches_coordinate_walk(monkeypatch, n, q, k, t,
 
 def test_enumerate_t_mod_p_sets_parameter_errors():
     space9 = ProjectiveSpace.of_order(2, 4)
-    with pytest.raises(BlockingError, match=r"needs a prime field, not GF\(4\)"):
+    with pytest.raises(BlockingError, match=r"^p = 4 is not prime$"):
         enumerate_t_mod_p_sets(space9, k=1, t=1, max_size=5)  # h = 2
 
 
@@ -370,9 +370,9 @@ def test_enumerate_t_mod_p_sets_large_primes(monkeypatch, q, k, t, coset_limit):
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(max_size=None), "max_size must be an int >= 0, not None"),
-    (dict(max_size=-1), "max_size must be an int >= 0, not -1"),
-    (dict(max_size=5.0), "max_size must be an int >= 0, not 5.0"),
+    (dict(max_size=None), "max_size must be an integer >= 0, not None"),
+    (dict(max_size=-1), "max_size must be an integer >= 0, not -1"),
+    (dict(max_size=5.0), "max_size must be an integer >= 0, not 5.0"),
     # t = True listed t = 1's 482 sets; 2.5 and "1" raised raw TypeErrors
     (dict(t=True), "t True is not an int"),
     (dict(t=2.5), "t 2.5 is not an int"),
@@ -382,3 +382,64 @@ def test_enumerate_t_mod_p_sets_rejects_bad_arguments(kwargs, message):
     with pytest.raises(BlockingError, match=message):
         enumerate_t_mod_p_sets(ProjectiveSpace.of_order(2, 3),
                                **{"k": 1, "t": 1, "max_size": 13, **kwargs})
+
+
+def _no_build(self, *args):
+    raise AssertionError("a field or space was built")
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, 1, 2.0, 1, 13), "p 2.0 is not an int"),
+    ((2, 1, True, 1, 13), "p True is not an int"),
+    ((2, 1, 3, 1.0, 13), "t 1.0 is not an int"),
+    ((2, 1, 3, False, 13), "t False is not an int"),
+    ((2, 1, 3, 1, None), "max_size must be an integer >= 0, not None"),
+    ((2, 1, 3, 1, -1), "max_size must be an integer >= 0, not -1"),
+    ((2, 1, 3, 1, True), "max_size must be an integer >= 0, not True"),
+    # a prime whose trial division would take minutes
+    ((2, 1, 2**61 - 1, 1, 13), f"p = {2**61 - 1} exceeds the limit 65536"),
+    ((2, 1, 4, 1, 13), "p = 4 is not prime"),
+    ((2, 1, 1, 1, 13), "p = 1 is not prime"),
+    ((2, 1, 19, 1, 13), "the 1-space/point incidence matrix of PG(2,19) has 145161 entries, "
+                        "above the limit 100000"),
+    ((3, 1, 7, 1, 13), "the 1-space/point incidence matrix of PG(3,7) has 1140000 entries, "
+                       "above the limit 100000"),
+], ids=["p-float", "p-bool", "t-float", "t-bool", "max-size-none", "max-size-negative",
+        "max-size-bool", "p-past-max-q", "p-not-prime", "p-one", "matrix-past-the-limit",
+        "matrix-of-a-solid-past-the-limit"])
+def test_mod_p_gate_refuses_by_counts_alone(monkeypatch, args, message):
+    # the one gate of the enumeration and of tmodp_frame, each fault in one
+    # text; the frame reads a max_size of None as its default
+    monkeypatch.setattr(blocking.GF, "__init__", _no_build)
+    monkeypatch.setattr(ProjectiveSpace, "__init__", _no_build)
+    assert blocking.mod_p_gate(2, 1, 17, 7, 0) is None
+    with pytest.raises(BlockingError) as info:
+        blocking.mod_p_gate(*args)
+    assert str(info.value) == message
+    n, k, p, t, max_size = args
+    if (n, k) == (2, 1) and max_size is not None:
+        with pytest.raises(BlockingError) as info:
+            tmodp_frame(p, t, max_size)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("weights", ["abc", None, 3, {"0": 1}, [1.0] + [1] * 6,
+                                     [True] + [1] * 6, [None] + [1] * 6, [[1]] + [1] * 6],
+                         ids=["str", "null", "int", "object", "float", "bool", "list-null",
+                              "list-list"])
+def test_weights_from_outside_are_read_by_one_reader(weights):
+    space = ProjectiveSpace.of_order(2, 2)
+    with pytest.raises(BlockingError) as info:
+        WeightedPointSet.from_json(space, weights)
+    assert str(info.value) == "weights must be a list of ints"
+
+
+def test_the_weights_reader_keeps_the_constructors_tests():
+    space = ProjectiveSpace.of_order(2, 2)
+    weights = [1, 1, 1, 0, 0, 0, 0]
+    B = WeightedPointSet.from_json(space, weights)
+    assert B == WeightedPointSet(space, weights) and B.weights is weights
+    with pytest.raises(BlockingError, match="^weight array length does not match"):
+        WeightedPointSet.from_json(space, weights[1:])
+    with pytest.raises(BlockingError, match="^weights must be nonnegative$"):
+        WeightedPointSet.from_json(space, [-1] + weights[1:])

@@ -598,10 +598,11 @@ def test_solve_refuses_a_small_file_claiming_a_large_space(tmp_path, capsys, cla
 
 
 @pytest.mark.parametrize("weights, needle", [
-    ("abc", "error: the weights file must hold a JSON list of integers"),
-    # recheck refuses a float weight, so no certificate may carry one
-    ([1.0, 1, 1, 0, 0, 0, 0], "error: the weights file must hold a JSON list of integers"),
-])
+    # WeightedPointSet.from_json, the reader recheck uses, refuses a float
+    # weight, so no certificate may carry one
+    ("abc", "error: weights must be a list of ints"),
+    ([1.0, 1, 1, 0, 0, 0, 0], "error: weights must be a list of ints"),
+], ids=["abc", "float"])
 def test_blocking_rejects_weights_that_are_not_ints(tmp_path, capsys, weights, needle):
     wpath = tmp_path / "weights.json"
     wpath.write_text(json.dumps(weights))

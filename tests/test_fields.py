@@ -91,8 +91,6 @@ def test_field_axioms_exhaustive(p, h):
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
             assert f.sub(f.add(a, b), b) == a
-            if b:
-                assert f.mul(f.div(a, b), b) == a
     for a in els:
         for b in els:
             for c in els:
@@ -149,15 +147,6 @@ def test_multiplicative_group_cyclic(q):
     orders = {multiplicative_order(f, a) for a in range(1, q)}
     assert max(orders) == q - 1          # a primitive element exists
     assert all((q - 1) % o == 0 for o in orders)
-
-
-def test_pow_matches_repeated_mul():
-    f = GF(3, 2)
-    for a in f.elements:
-        acc = 1
-        for e in range(10):
-            assert f.pow(a, e) == acc
-            acc = f.mul(acc, a)
 
 
 def test_factor_prime_power():

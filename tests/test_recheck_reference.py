@@ -29,6 +29,9 @@ from pgworkbench.solvers import verify_tmodp_theorem
 
 def reference_transversal(payload):
     n, k, q, t = payload["n"], payload["k"], payload["q"], payload["t"]
+    # exact_tau refuses t < 1, and so does recheck
+    if t < 1:
+        return False, "t must be >= 1"
     space = ProjectiveSpace.of_order(n, q)
     pts = point_set(payload["points"], space.num_points)
     if "objective" in payload and payload["objective"] != len(pts):

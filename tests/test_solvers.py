@@ -598,21 +598,26 @@ def test_verify_tmodp_theorem_hypothesis_guard():
         verify_tmodp_theorem(2, 2)  # t > 3p/8 + 1
 
 
-@pytest.mark.parametrize("t, max_size", [(0, None), (-1, None), (1, -5), (1, 6.0), (1, True),
-                                          (1.0, None), (True, None)])
-def test_verify_tmodp_theorem_rejects_bad_parameters(t, max_size):
-    with pytest.raises(SolverError):
+# mod_p_gate refuses the type of t and the type and range of max_size, and
+# the frame itself t < 1
+@pytest.mark.parametrize("t, max_size, error", [
+    (0, None, SolverError), (-1, None, SolverError), (1, -5, BlockingError),
+    (1, 6.0, BlockingError), (1, True, BlockingError), (1.0, None, BlockingError),
+    (True, None, BlockingError),
+], ids=["0-None", "-1-None", "1--5", "1-6.0", "1-True", "1.0-None", "True-None"])
+def test_verify_tmodp_theorem_rejects_bad_parameters(t, max_size, error):
+    with pytest.raises(error):
         verify_tmodp_theorem(2, t, max_size=max_size)
 
 
 @pytest.mark.parametrize("p, t, message", [
-    (2, 1.0, "t must be an int, not 1.0"), (2, True, "t must be an int, not True"),
-    (2.0, 1, "p must be an int, not 2.0"), (True, 1, "p must be an int, not True"),
+    (2, 1.0, "t 1.0 is not an int"), (2, True, "t True is not an int"),
+    (2.0, 1, "p 2.0 is not an int"), (True, 1, "p True is not an int"),
 ], ids=["t-float", "t-bool", "p-float", "p-bool"])
 def test_verify_tmodp_theorem_names_a_non_int_argument(p, t, message):
     # (2, 1.0) ran the enumeration up to a BlockingError about max_size 6.0,
-    # and (2.0, 1) raised a TypeError
-    with pytest.raises(SolverError) as info:
+    # and (2.0, 1) raised a TypeError; mod_p_gate refuses them
+    with pytest.raises(BlockingError) as info:
         verify_tmodp_theorem(p, t)
     assert str(info.value) == message
 
@@ -651,8 +656,8 @@ def _no_build(self, *args):
     raise AssertionError("a field or space was built")
 
 
-@pytest.mark.parametrize("p, error", [(4, SolverError), (6, SolverError), (127, BlockingError),
-                                      (997, BlockingError), (65537, SolverError)])
+@pytest.mark.parametrize("p, error", [(4, BlockingError), (6, BlockingError), (127, BlockingError),
+                                      (997, BlockingError), (65537, BlockingError)])
 def test_tmodp_frame_builds_no_field_or_space(monkeypatch, p, error):
     # a plane with a report and planes without one are told apart by counts
     monkeypatch.setattr(GF, "__init__", _no_build)

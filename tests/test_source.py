@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import pgworkbench
+from pgworkbench.blocking import CLAIM_KINDS
 
 PACKAGE_DIR = Path(pgworkbench.__file__).parent
 
@@ -231,10 +232,9 @@ def h(n, k): return 2 * k < n and not 1 <= k <= n - 1
 
 def _level_rule_copies(tree):
     """The functions of tree, by name, that define space_fault or pass "n",
-    "k" or "q" to _require_ints, except _verify_bounds: bounds_report
-    builds no level, so the gate does not see its parameters."""
+    "k" or "q" to _require_ints."""
     def copies(func):
-        return func.name == "space_fault" or func.name != "_verify_bounds" and any(
+        return func.name == "space_fault" or any(
             isinstance(node, ast.Call) and ast.unparse(node.func) == "_require_ints"
             and any(isinstance(c, ast.Constant) and c.value in ("n", "k", "q")
                     for arg in node.args[1:] for c in ast.walk(arg))
@@ -309,7 +309,57 @@ def _verify_bounds(payload): _require_ints(payload, ("n", "k", "q", "t"))
 def d(payload): _require_ints(payload, ("t", "objective"))
 def e(payload): return payload["n"], payload["k"]
 """
-    assert _level_rule_copies(ast.parse(source)) == ["space_fault", "a", "b", "c"]
+    assert _level_rule_copies(ast.parse(source)) == ["space_fault", "a", "b", "c",
+                                                     "_verify_bounds"]
+
+
+def _blocking_rule_copies(tree):
+    """What tree copies of the input rules that blocking.py owns, by line:
+    a claim kind spelled as a literal (CLAIM_KINDS is its one spelling),
+    an all_ints call made directly on weights, a name `weights` or a
+    ["weights"] subscript (WeightedPointSet.from_json is their one
+    reader), and an import of is_prime or MAX_Q, the prime test and limit
+    of p that mod_p_gate makes."""
+    def is_weights(node):
+        return isinstance(node, ast.Name) and node.id == "weights" \
+            or isinstance(node, ast.Subscript) and ast.unparse(node.slice) == "'weights'"
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in CLAIM_KINDS:
+            found.append(f"{node.lineno}: {node.value}")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "all_ints" \
+                and any(map(is_weights, node.args)):
+            found.append(f"{node.lineno}: all_ints")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{node.lineno}: import {a.name}" for a in node.names
+                      if a.name in ("is_prime", "MAX_Q")]
+    return found
+
+
+def test_blocking_owns_the_rules_of_its_inputs():
+    # recheck and the command line leave the claim kinds and the reading of
+    # outside weights to blocking.py, and the t (mod p) frame leaves the
+    # type, range and primality of p, t and max_size to blocking.mod_p_gate
+    found = [f"{name}: {copy}" for name in ("certificates.py", "cli.py", "solvers.py")
+             for copy in _blocking_rule_copies(ast.parse((PACKAGE_DIR / name).read_text()))]
+    assert found == []
+
+
+def test_blocking_rule_guard_sees_each_copy():
+    source = """
+from .fields import MAX_Q, factor_prime_power, is_prime
+def a(payload): return all_ints(payload["weights"])
+def b(weights): return geometry.all_ints(weights)
+def c(claim): return claim["type"] == "t_mod_p"
+def d(): return ("t_fold_blocking", "minimal")
+def e(payload): return all_ints(payload["assignment"])
+def f(kind): return kind == CLAIM_KINDS[1] and "minimality claim mismatch"
+def g(claimed): return all_ints(itertools.chain.from_iterable(v["weights"] for v in claimed))
+"""
+    assert _blocking_rule_copies(ast.parse(source)) == [
+        "2: import MAX_Q", "2: import is_prime", "3: all_ints", "4: all_ints", "5: t_mod_p",
+        "6: t_fold_blocking", "6: minimal"]
 
 
 def test_no_module_reads_another_modules_private_names():
