@@ -221,12 +221,12 @@ MATRIX_ENTRY_LIMIT = 10**5
 
 def mod_p_gate(n: int, k: int, p: int, t: int, max_size: int) -> None:
     """The one gate of a mod-p enumeration of weights on the k-spaces of
-    PG(n,p) and of a t (mod p) report: BlockingError unless p and t are
-    ints and max_size is an int >= 0 (a bool is none), p is a prime at
+    PG(n,p) and of a t (mod p) report: BlockingError unless k, p and t
+    are ints and max_size is an int >= 0 (a bool is none), p is a prime at
     most MAX_Q, tested before any trial division, and the k-space/point
     incidence matrix has at most MATRIX_ENTRY_LIMIT entries.  Counts only:
     no field or space is built and no power p^kernel_dim is taken."""
-    for name, value in (("p", p), ("t", t)):
+    for name, value in (("k", k), ("p", p), ("t", t)):
         if type(value) is not int:
             raise BlockingError(f"{name} {value!r} is not an int")
     if type(max_size) is not int or max_size < 0:
@@ -269,8 +269,8 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int,
     kernel dimension has a closed form (`plane_cosets`), so a plane
     past the limit is answered without building or eliminating the matrix.
     BlockingError, from `mod_p_gate(space.n, k, space.q, t, max_size)`,
-    unless t is an int, max_size an int >= 0, the field prime (`p = 4 is
-    not prime`) and the matrix at most MATRIX_ENTRY_LIMIT entries.
+    unless k and t are ints, max_size an int >= 0, the field prime (`p = 4
+    is not prime`) and the matrix at most MATRIX_ENTRY_LIMIT entries.
     """
     mod_p_gate(space.n, k, space.q, t, max_size)
     p, npts = space.field.p, space.num_points

@@ -13,6 +13,12 @@ from .geometry import (GeometryError, Hypergraph, ProjectiveSpace, all_ints, can
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
                       tmodp_frame, tmodp_violations)
 
+try:
+    from _sha256 import sha256 as _sha256
+except ImportError:
+    # CPython 3.12 renamed the module _sha2, and a build may leave it out
+    _sha256 = None
+
 SCHEMA_VERSION = 1
 
 
@@ -21,11 +27,15 @@ class CertificateError(ValueError):
 
 
 def _digest(text: str) -> str:
-    """The SHA-256 hex digest of text.  hashlib, and with it OpenSSL,
-    loads at the first digest, so a process that never certifies never
+    """The SHA-256 hex digest of text.  The interpreter's built-in
+    `_sha256` links no OpenSSL, where `hashlib` loads libcrypto, about
+    3.5 MiB.  Without that module hashlib gives the same digest and is
+    imported at the first one, so a process that never certifies never
     loads it."""
-    import hashlib
-    return hashlib.sha256(text.encode()).hexdigest()
+    sha256 = _sha256
+    if sha256 is None:
+        from hashlib import sha256
+    return sha256(text.encode()).hexdigest()
 
 
 def checksum(payload) -> str:
@@ -305,8 +315,11 @@ def _verify_tmodp_report(payload):
     # the violations follow from the listed sets and, when the search was
     # exhaustive, from the unions it missed; in any order
     key = operator.itemgetter("weights", "reason")
-    if not all(type(v.get("weights")) is list for v in claimed):
-        return False, "a violation's weights must be a list of ints"
+    for v in claimed:
+        if type(v.get("weights")) is not list:
+            return False, "a violation's weights must be a list of ints"
+        if type(v.get("reason")) is not str:
+            return False, "a violation's reason must be a string"
     if not all_ints(itertools.chain.from_iterable(v["weights"] for v in claimed)):
         return False, "a violation has a weight that is not an int"
     violations = tmodp_violations(space, t, found, sizes, expected, num_unions, exhaustive)
@@ -338,6 +351,9 @@ def recheck(cert: dict):
     for key in ("schema_version", "kind", "payload", "checksum"):
         if key not in cert:
             return False, f"malformed certificate: missing {key!r}"
+    # True == 1, so the type is tested too
+    if type(cert["schema_version"]) is not int or cert["schema_version"] != SCHEMA_VERSION:
+        return False, f"unsupported schema_version {cert['schema_version']!r}"
     if not isinstance(cert["kind"], str) or cert["kind"] not in _VERIFIERS:
         return False, f"unknown certificate kind {cert['kind']!r}"
     try:

@@ -285,6 +285,15 @@ def test_enumerate_t_mod_p_sets_parameter_errors():
         enumerate_t_mod_p_sets(space9, k=1, t=1, max_size=5)  # h = 2
 
 
+@pytest.mark.parametrize("k", ["1", None, 1.0, True])
+def test_enumerate_t_mod_p_sets_refuses_a_k_that_is_not_an_int(k):
+    # the subspace count once raised a raw TypeError for these, and True
+    # counted as 1
+    with pytest.raises(BlockingError) as info:
+        enumerate_t_mod_p_sets(ProjectiveSpace.of_order(2, 3), k=k, t=1, max_size=5)
+    assert str(info.value) == f"k {k!r} is not an int"
+
+
 @pytest.mark.parametrize("q", [19, 127])
 def test_enumerate_t_mod_p_sets_refuses_large_incidence_matrices(q):
     # PG(2,19) has 381^2 = 145161 line/point entries, above 10^5; the

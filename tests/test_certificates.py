@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import pytest
 
 from test_geometry import gate_refusal
 
+from pgworkbench import certificates
 from pgworkbench.blocking import (COSET_LIMIT, BlockingError, WeightedPointSet,
                                   is_t_fold_blocking, is_t_mod_p_set, judge_claim,
                                   plane_cosets, solve_mod_p)
@@ -34,6 +36,20 @@ def test_canonical_json_is_the_bytes_of_json_dumps():
                     {"\u00e9": [1.5, None, True, -0.0], "a": {"z": "\u2603\n", "b": [[]]}}]:
         assert canonical_json(payload) == json.dumps(payload, sort_keys=True,
                                                      separators=(",", ":"))
+
+
+@pytest.mark.parametrize("path", ["builtin", "hashlib"])
+def test_checksum_is_the_sha256_of_the_canonical_json(monkeypatch, path):
+    # the built-in _sha256 and its hashlib fallback give the same digest;
+    # the (3,2) report's text spans many 64-byte blocks
+    if path == "hashlib":
+        monkeypatch.setattr(certificates, "_sha256", None)
+    elif certificates._sha256 is None:
+        pytest.skip("this interpreter has no built-in _sha256 module")
+    report = verify_tmodp_theorem(3, 2).to_json()
+    assert len(canonical_json(report)) == 24275
+    for payload in [{}, _valid_payload("transversal"), report]:
+        assert checksum(payload) == hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 def test_make_certificate_and_roundtrip(tmp_path):
@@ -434,6 +450,11 @@ TAMPERED_TMODP_REPORTS = [
       for name, to in [("int", 5), ("null", None), ("object", {})]],
     pytest.param((3, 2), lambda d: d["violations"][0].pop("weights"),
                  "a violation's weights must be a list of ints", id="violation-weights-missing"),
+    # a missing reason read as the raw message 'reason', a null one as a mismatch
+    pytest.param((3, 2), lambda d: d["violations"][0].pop("reason"),
+                 "a violation's reason must be a string", id="violation-reason-missing"),
+    pytest.param((3, 2), lambda d: d["violations"][-1].update(reason=None),
+                 "a violation's reason must be a string", id="violation-reason-null"),
 ]
 
 
@@ -723,6 +744,15 @@ def test_recheck_malformed():
     ok, detail = recheck({"schema_version": 1, "kind": "mystery",
                           "payload": {}, "checksum": checksum({})})
     assert not ok and "unknown" in detail
+
+
+@pytest.mark.parametrize("version", [99, "x", True, 1.0, None])
+def test_recheck_refuses_an_unsupported_schema_version(version):
+    # True == 1 == 1.0, so the type is tested too; the refusal comes before
+    # the checksum, which a wrong version would not change
+    cert = {**make_certificate("bounds", _valid_payload("bounds")), "schema_version": version}
+    assert recheck(cert) == (False, f"unsupported schema_version {version!r}")
+    assert recheck({**cert, "checksum": "0" * 64})[1].startswith("unsupported")
 
 
 # each payload with the start of its detail: the level gate refuses a

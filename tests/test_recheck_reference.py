@@ -161,6 +161,11 @@ def reference_tmodp_report(payload):
         if verified and B.size != expected:
             return False, f"listed set has size {B.size} != {expected}"
 
+    for v in payload["violations"]:
+        if type(v.get("weights")) is not list:
+            return False, "a violation's weights must be a list of ints"
+        if type(v.get("reason")) is not str:
+            return False, "a violation's reason must be a string"
     if any(type(w) is not int for v in payload["violations"] for w in v["weights"]):
         return False, "a violation has a weight that is not an int"
 

@@ -86,15 +86,16 @@ def test_library_imports_no_random():
     assert found == []
 
 
-# geometry and solving without a certificate, then one certificate; the
-# checksum is recomputed by hand after hashlib is loaded.  dataclasses and
-# inspect (with ast, dis and tokenize) must stay unloaded throughout
+# geometry and solving without a certificate, then one certificate made and
+# rechecked; OpenSSL is looked for before hashlib is loaded to recompute the
+# checksum.  dataclasses and inspect (with ast, dis and tokenize) must stay
+# unloaded throughout
 _OPENSSL_CHILD = """
 import json, sys
 heavy = ("_hashlib", "dataclasses", "inspect")
 preloaded = [name for name in heavy if name in sys.modules]
 import pgworkbench, pgworkbench.cli, pgworkbench.experiments
-from pgworkbench.certificates import make_certificate
+from pgworkbench.certificates import _sha256, make_certificate, recheck
 from pgworkbench.geometry import canonical_json
 space = pgworkbench.ProjectiveSpace.of_order(3, 2)
 levels = [len(space.subspaces(m)) for m in range(4)]
@@ -103,32 +104,38 @@ H = pgworkbench.ProjectiveSpace.of_order(2, 3).hypergraph(1)
 values = [pgworkbench.exact_tau(H, 2).objective, pgworkbench.exact_ucn(H).objective]
 code = pgworkbench.cli.main(["space", "--n", "2", "--q", "3"])
 before = "_hashlib" in sys.modules
-payload = {"n": 2, "k": 1, "q": 3, "t": 2, "points": list(range(9))}
-digest = make_certificate("transversal", payload)["checksum"]
+payload = {"n": 2, "k": 1, "q": 3, "t": 2, "points": list(range(13))}
+cert = make_certificate("transversal", payload)
+verdict = recheck(cert)
+after = "_hashlib" in sys.modules
 import hashlib
-print(json.dumps({"preloaded": preloaded, "levels": levels, "pencils": pencils,
-                  "values": values, "code": code, "before": before,
-                  "after": "_hashlib" in sys.modules,
+print(json.dumps({"preloaded": preloaded, "builtin": _sha256 is not None, "levels": levels,
+                  "pencils": pencils, "values": values, "code": code, "before": before,
+                  "verdict": verdict, "after": after,
                   "dataclasses": "dataclasses" in sys.modules,
                   "inspect": "inspect" in sys.modules,
-                  "checksum": digest == hashlib.sha256(
+                  "checksum": cert["checksum"] == hashlib.sha256(
                       canonical_json(payload).encode()).hexdigest()}))
 """
 
 
 def test_geometry_and_solving_load_no_openssl_and_no_dataclasses():
-    # hashlib loads OpenSSL's libcrypto, about 3.5 MiB; only a checksum
-    # needs it.  dataclasses loads inspect, ast, dis and tokenize, and the
-    # library's records are namedtuples, so nothing needs it.  pytest has
-    # loaded all of them here, so a child process is asked
+    # hashlib loads OpenSSL's libcrypto, about 3.5 MiB, and certificates
+    # hash with the interpreter's built-in _sha256 instead.  dataclasses
+    # loads inspect, ast, dis and tokenize, and the library's records are
+    # namedtuples, so nothing needs it.  pytest has loaded all of them
+    # here, so a child process is asked
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
     child = subprocess.run([sys.executable, "-c", _OPENSSL_CHILD], capture_output=True,
                            text=True, check=True, env=env)
     got = json.loads(child.stdout.splitlines()[-1])
     if got["preloaded"]:
         pytest.skip(f"a site hook loaded {', '.join(got['preloaded'])} at start-up")
-    assert got == {"preloaded": [], "levels": [15, 35, 15, 1], "pencils": [True] * 3,
-                   "values": [9, 6], "code": 0, "before": False, "after": True,
+    if not got["builtin"]:
+        pytest.skip("this interpreter has no built-in _sha256 module, so hashlib hashes")
+    assert got == {"preloaded": [], "builtin": True, "levels": [15, 35, 15, 1],
+                   "pencils": [True] * 3, "values": [9, 6], "code": 0, "before": False,
+                   "verdict": [True, "t-transversal verified"], "after": False,
                    "dataclasses": False, "inspect": False, "checksum": True}
 
 
