@@ -13,11 +13,15 @@ from .geometry import (GeometryError, Hypergraph, ProjectiveSpace, all_ints, can
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
                       tmodp_frame, tmodp_violations)
 
+# CPython 3.12 renamed the built-in module _sha256 to _sha2, and a build
+# may leave it out
 try:
-    from _sha256 import sha256 as _sha256
+    from _sha2 import sha256 as _sha256
 except ImportError:
-    # CPython 3.12 renamed the module _sha2, and a build may leave it out
-    _sha256 = None
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        _sha256 = None
 
 SCHEMA_VERSION = 1
 
@@ -28,10 +32,10 @@ class CertificateError(ValueError):
 
 def _digest(text: str) -> str:
     """The SHA-256 hex digest of text.  The interpreter's built-in
-    `_sha256` links no OpenSSL, where `hashlib` loads libcrypto, about
-    3.5 MiB.  Without that module hashlib gives the same digest and is
-    imported at the first one, so a process that never certifies never
-    loads it."""
+    `_sha2` (`_sha256` before CPython 3.12) links no OpenSSL, where
+    `hashlib` loads libcrypto, about 3.5 MiB.  Without that module
+    hashlib gives the same digest and is imported at the first one, so a
+    process that never certifies never loads it."""
     sha256 = _sha256
     if sha256 is None:
         from hashlib import sha256

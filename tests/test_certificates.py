@@ -40,12 +40,12 @@ def test_canonical_json_is_the_bytes_of_json_dumps():
 
 @pytest.mark.parametrize("path", ["builtin", "hashlib"])
 def test_checksum_is_the_sha256_of_the_canonical_json(monkeypatch, path):
-    # the built-in _sha256 and its hashlib fallback give the same digest;
+    # the built-in _sha2 or _sha256 and the hashlib fallback give the same digest;
     # the (3,2) report's text spans many 64-byte blocks
     if path == "hashlib":
         monkeypatch.setattr(certificates, "_sha256", None)
     elif certificates._sha256 is None:
-        pytest.skip("this interpreter has no built-in _sha256 module")
+        pytest.skip("this interpreter has no built-in _sha2 or _sha256 module")
     report = verify_tmodp_theorem(3, 2).to_json()
     assert len(canonical_json(report)) == 24275
     for payload in [{}, _valid_payload("transversal"), report]:
