@@ -78,8 +78,9 @@ def judge_claim(B: WeightedPointSet, kind: str, t: int, k: int, sums: dict):
     t-fold blocking is not minimal).  S is the first k-space, in canonical
     order, that fails the weight test, else None.  Claims sharing the dict
     sums (the weights by k) make one pass per k.  BlockingError for another
-    kind, for a t that is not an int (a bool is none) and for k = 0 or n in
-    a blocking or minimal claim, after level_gate's refusal of any other k."""
+    kind, for a t that is not an int (a bool is none) and for k = 0 or n,
+    then t < 1, in a blocking or minimal claim, after level_gate's refusal
+    of any other k."""
     if kind not in CLAIM_KINDS:
         raise BlockingError(f"unknown claim type {kind!r}")
     if type(t) is not int:
@@ -87,6 +88,8 @@ def judge_claim(B: WeightedPointSet, kind: str, t: int, k: int, sums: dict):
     level_gate(B.space.n, k, B.space.q)
     if kind != "t_mod_p" and (k < 1 or k > B.space.n - 1):
         raise BlockingError(f"k = {k} out of range")
+    if kind != "t_mod_p" and t < 1:
+        raise BlockingError("t must be >= 1")
     if k not in sums:
         sums[k] = kspace_weights(B, k)
     if kind == "t_mod_p":

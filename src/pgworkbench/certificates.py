@@ -11,7 +11,7 @@ from .coloring import Coloring, ColoringError, is_strict, judge_coloring
 from .geometry import (GeometryError, Hypergraph, ProjectiveSpace, all_ints, canonical_json,
                        level_gate, load_json, mask_bits, point_set, write_text)
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
-                      tmodp_frame, tmodp_violations)
+                      tmodp_frame, tmodp_verdict)
 
 # CPython 3.12 renamed the built-in module _sha256 to _sha2, and a build
 # may leave it out
@@ -226,12 +226,11 @@ def _verify_blocking_set(payload):
     return True, "all claims verified"
 
 
-def _listed_set_fault(space, sets, sizes, t, max_size, expected):
+def _listed_set_fault(space, sets, sizes, t, max_size):
     """Why one of the listed weight tuples, all of int weights and of the
     sizes `sizes`, is not a t (mod p) set of the plane `space` within the
-    weight_cap p - 1 and max_size, or, when expected is not None, not of
-    size expected; None when all are.  p must be below 256 (the matrix
-    limit keeps it at most 17).
+    weight_cap p - 1 and max_size; None when all are.  p must be below 256
+    (the matrix limit keeps it at most 17).
 
     Each test runs over every set before the next starts, in the order
     that a single faulty set meets them, so such a set gets the detail
@@ -277,8 +276,6 @@ def _listed_set_fault(space, sets, sizes, t, max_size, expected):
         if got.count(residue) != nsets:
             j = next(j for j, r in enumerate(got) if r != residue)
             return f"listed set of size {sizes[j]} is not a {t} (mod {space.q}) set"
-    if expected is not None and set(sizes) != {expected}:
-        return f"listed set has size {(set(sizes) - {expected}).pop()} != {expected}"
     return None
 
 
@@ -298,8 +295,6 @@ def _verify_tmodp_report(payload):
     p, t, max_size = payload["p"], payload["t"], payload["max_size"]
     sets = _require(payload, "sets", list, list, "a list of weight lists")
     claimed = _require(payload, "violations", list, dict, "a list of violation objects")
-    verified, exhaustive = payload["verified"], payload["exhaustive"]
-    expected, num_unions = payload["expected_size"], payload["num_unions"]
     if len(sets) != payload["num_found"]:
         return False, "num_found does not match the listed sets"
     found = list(map(tuple, sets))
@@ -307,17 +302,18 @@ def _verify_tmodp_report(payload):
         return False, "a listed set has a weight that is not an int"
     if len(set(found)) != len(found):
         return False, "a set is listed twice"
-    if verified and claimed:
-        return False, "claimed verified but violations are listed"
-    if verified and not (exhaustive and payload["num_found"] == num_unions):
-        return False, "claimed verified without an exhaustive search finding every union"
     space = ProjectiveSpace.of_order(2, p)
     sizes = list(map(sum, found))
-    fault = _listed_set_fault(space, found, sizes, t, max_size, expected if verified else None)
+    fault = _listed_set_fault(space, found, sizes, t, max_size)
     if fault is not None:
         return False, fault
-    # the violations follow from the listed sets and, when the search was
-    # exhaustive, from the unions it missed; in any order
+    # the verdict and the violations follow from the listed sets and, when
+    # the search was exhaustive, from the unions it missed; the violations
+    # in any order
+    violations, verified = tmodp_verdict(space, t, found, sizes, frame)
+    if payload["verified"] is not verified:
+        return False, f"verified {payload['verified']} is not {verified} as recomputed " \
+                      f"from the listed sets"
     key = operator.itemgetter("weights", "reason")
     for v in claimed:
         if type(v.get("weights")) is not list:
@@ -326,7 +322,6 @@ def _verify_tmodp_report(payload):
             return False, "a violation's reason must be a string"
     if not all_ints(itertools.chain.from_iterable(v["weights"] for v in claimed)):
         return False, "a violation has a weight that is not an int"
-    violations = tmodp_violations(space, t, found, sizes, expected, num_unions, exhaustive)
     if violations != claimed and sorted(map(key, violations)) != sorted(map(key, claimed)):
         return False, "violations do not match those of the listed sets and the union count"
     return True, "report sets verified"

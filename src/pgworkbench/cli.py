@@ -93,12 +93,7 @@ def cmd_verify(args):
     rep = verify_tmodp_theorem(args.p, args.t, max_size=args.max_size)
     if args.out:
         write_certificate(tmodp_certificate(rep), args.out)
-    _emit({"p": rep.p, "t": rep.t, "max_size": rep.max_size,
-           "kernel_dim": rep.kernel_dim,
-           "num_solution_classes": rep.num_solution_classes,
-           "num_found": rep.num_found, "num_unions": rep.num_unions,
-           "exhaustive": rep.exhaustive, "verified": rep.verified,
-           "violations": rep.violations})
+    _emit({key: value for key, value in rep._asdict().items() if key != "sets"})
     return 0 if rep.verified else 1
 
 

@@ -469,24 +469,28 @@ class TModPVerification(collections.namedtuple(
         return {**self._asdict(), "sets": [list(B.weights) for B in self.sets]}
 
 
-def tmodp_violations(space: ProjectiveSpace, t: int, found: list, sizes: list,
-                     expected_size: int, num_unions: int, exhaustive: bool) -> list:
-    """The violations, in report order, of a t (mod p) report on the lines
-    of the plane `space`, whose found weight tuples are t (mod p) sets with
-    t <= p - 1, of the sizes `sizes` in the same order: each found set
-    whose size is not expected_size and, when the search was exhaustive
-    and found fewer than num_unions sets of that size, each union of t
-    lines that it did not find.
+def tmodp_verdict(space: ProjectiveSpace, t: int, found: list, sizes: list,
+                  frame: dict) -> tuple:
+    """(violations, verified) of a t (mod p) report on the lines of the
+    plane `space` with the search-free fields `frame` of `tmodp_frame`,
+    whose found weight tuples are t (mod p) sets with t <= p - 1, of the
+    sizes `sizes` in the same order: the one verdict rule of
+    `verify_tmodp_theorem` and `recheck`.  The violations, in report order,
+    are each found set whose size is not expected_size and, when the
+    search was exhaustive and found fewer than num_unions sets of that
+    size, each union of t lines that it did not find; the report is
+    verified iff the search was exhaustive and there are none.
 
     A found set of size expected_size is a union of t lines (see
     verify_tmodp_theorem), so only sizes are compared; each distinct
     reason string is built once.  The unions are listed only to name the
     missed ones; an exhaustive search needs p <= 3, so there are at most
     comb(14, 2) = 91 multisets of lines."""
-    reasons = {s: f"size {s} != {expected_size}" for s in set(sizes) if s != expected_size}
+    expected, exhaustive = frame["expected_size"], frame["exhaustive"]
+    reasons = {s: f"size {s} != {expected}" for s in set(sizes) if s != expected}
     violations = [{"weights": list(wt), "reason": reasons[s]}
                   for wt, s in zip(found, sizes) if s in reasons]
-    if exhaustive and len(found) - len(violations) < num_unions:
+    if exhaustive and len(found) - len(violations) < frame["num_unions"]:
         listed = set(found)
         for combo in itertools.combinations_with_replacement(space.incidence(1), t):
             w = [0] * space.num_points
@@ -494,7 +498,7 @@ def tmodp_violations(space: ProjectiveSpace, t: int, found: list, sizes: list,
                 w[i] += 1
             if tuple(w) not in listed:
                 violations.append({"weights": w, "reason": "line union missed by enumeration"})
-    return violations
+    return violations, exhaustive and not violations
 
 
 def tmodp_frame(p: int, t: int, max_size: int | None = None) -> dict:
@@ -565,11 +569,10 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVe
     frame = tmodp_frame(p, t, max_size)
     space = ProjectiveSpace.of_order(2, p)
     enum = enumerate_t_mod_p_sets(space, k=1, t=t, max_size=frame["max_size"])
-    violations = tmodp_violations(space, t, [tuple(B.weights) for B in enum.sets],
-                                  [B.size for B in enum.sets], frame["expected_size"],
-                                  frame["num_unions"], frame["exhaustive"])
+    violations, verified = tmodp_verdict(space, t, [tuple(B.weights) for B in enum.sets],
+                                         [B.size for B in enum.sets], frame)
     return TModPVerification(**frame, num_found=len(enum.sets), violations=violations,
-                             verified=not violations and frame["exhaustive"], sets=enum.sets)
+                             verified=verified, sets=enum.sets)
 
 
 # -- bound calculators ---------------------------------------------------

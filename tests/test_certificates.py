@@ -203,6 +203,28 @@ def test_judge_claim_refuses_a_t_that_is_not_an_int(t):
         False, f"verification error: {message}")
 
 
+@pytest.mark.parametrize("t", [0, -1])
+def test_blocking_and_minimal_claims_refuse_a_t_below_1(t):
+    # a 0-fold blocking set is vacuous: the all-zero set of PG(2,3) once
+    # got three verified claims that recheck accepted
+    space = ProjectiveSpace.of_order(2, 3)
+    B = WeightedPointSet(space, [0] * space.num_points)
+    for kind in ("t_fold_blocking", "minimal"):
+        with pytest.raises(BlockingError, match="^t must be >= 1$"):
+            judge_claim(B, kind, t, 1, {})
+        # k is refused first
+        with pytest.raises(BlockingError, match="^k = 0 out of range$"):
+            judge_claim(B, kind, t, 0, {})
+        payload = {**B.to_json(), "claims": [{"type": kind, "t": t, "k": 1, "verified": True}]}
+        assert recheck(make_certificate("blocking_set", payload)) == (
+            False, "verification error: t must be >= 1")
+    for call in (is_t_fold_blocking, blocking_set_certificate):
+        with pytest.raises(BlockingError, match="^t must be >= 1$"):
+            call(B, t, 1)
+    # in a t (mod p) claim t is a residue
+    assert judge_claim(B, "t_mod_p", 0, 1, {}) == (True, None)
+
+
 @pytest.mark.parametrize("kind", ["t_fold_blocking", "t_mod_p", "minimal"])
 def test_recheck_names_a_claim_that_holds_but_is_marked_unverified(kind):
     # the union of two lines of PG(2,3) is a minimal 2-fold blocking 2 (mod 3)
@@ -336,7 +358,8 @@ def _fails_through_one_point(data):
 
 def _claim_a_non_union_verified(data):
     """List 90 of the 91 unions and one set of size 11, with no violations,
-    as a verified report: only the size test against expected_size fails."""
+    as a verified report: the set of size 11 is a violation, so the report
+    is not verified."""
     unions = [wt for wt in data["sets"] if sum(wt) == 8]
     other = next(wt for wt in data["sets"] if sum(wt) == 11)
     data.update(sets=unions[:90] + [other], num_found=91, violations=[], verified=True)
@@ -351,6 +374,7 @@ RECOMPUTED = " as recomputed from p, t and max_size"
 
 # (p, t), a tampering of the report, and the expected rejection; the first
 # set of the (3,2) report has size 8 and weight 2 at point 3
+OVERSTATED = "verified True is not False as recomputed from the listed sets"
 TAMPERED_TMODP_REPORTS = [
     # size 47 and weight 5, against max_size 13 and weight_cap 2
     pytest.param((3, 2), lambda d: _raise_by_p(d, range(13)), "weight 5 > weight_cap 2",
@@ -364,14 +388,21 @@ TAMPERED_TMODP_REPORTS = [
     pytest.param((3, 2), lambda d: d.update(weight_cap=3), "weight_cap 3 is not 2" + RECOMPUTED,
                  id="weight-cap-above-p-1"),
     pytest.param((3, 2), _list_first_twice, "listed twice", id="repeated-set"),
+    # the listed sets are all unions, so the report is verified and lists
+    # no violation
     pytest.param((2, 1), lambda d: d.update(violations=[{"weights": d["sets"][0],
                                                          "reason": "made up"}]),
-                 "violations are listed", id="verified-with-violations"),
+                 "violations do not match", id="verified-with-violations"),
     # (5, 2) has 5^15 cosets, none searched
-    pytest.param((5, 2), lambda d: d.update(verified=True), "without an exhaustive search",
+    pytest.param((5, 2), lambda d: d.update(verified=True), OVERSTATED,
                  id="verified-not-exhaustive"),
-    pytest.param((2, 1), lambda d: d.update(sets=d["sets"][1:], num_found=6),
-                 "without an exhaustive search finding every union", id="verified-set-dropped"),
+    # the exhaustive search missed a union
+    pytest.param((2, 1), lambda d: d.update(sets=d["sets"][1:], num_found=6), OVERSTATED,
+                 id="verified-set-dropped"),
+    # each of these rechecked true while only a claim of verified was audited
+    *[pytest.param(pt, lambda d: d.update(verified=False),
+                   "verified False is not True as recomputed from the listed sets",
+                   id=f"verified-understated-{pt[0]}-{pt[1]}") for pt in [(2, 1), (3, 1)]],
     pytest.param((2, 1), lambda d: d.update(kernel_dim=99, num_solution_classes=5),
                  "kernel_dim 99 is not 3" + RECOMPUTED, id="kernel-dim-out-of-range"),
     pytest.param((2, 1), lambda d: d.update(kernel_dim=10**100),
@@ -385,7 +416,7 @@ TAMPERED_TMODP_REPORTS = [
                  "exhaustive False is not True" + RECOMPUTED, id="exhaustive-flipped"),
     pytest.param((3, 2), lambda d: d.update(num_unions=90), "num_unions 90 is not 91" + RECOMPUTED,
                  id="num-unions-off"),
-    pytest.param((3, 2), _claim_a_non_union_verified, "listed set has size 11 != 8",
+    pytest.param((3, 2), _claim_a_non_union_verified, OVERSTATED,
                  id="verified-with-a-non-union"),
     pytest.param((3, 2), lambda d: d.update(expected_size=9),
                  "expected_size 9 is not 8" + RECOMPUTED, id="expected-size-off"),
@@ -465,6 +496,24 @@ def test_recheck_tmodp_report_rejects_inconsistent_lists(pt, tamper, needle):
     tamper(data)
     ok, detail = recheck(make_certificate("tmodp_report", data))
     assert not ok and needle in detail
+
+
+@pytest.mark.parametrize("p, t", [(2, 1), (3, 1), (3, 2)])
+def test_recheck_derives_verified_both_ways(p, t):
+    # every report rechecks true, and the same report with verified negated
+    # is refused, whichever way it was
+    for max_size in range(17):
+        data = verify_tmodp_theorem(p, t, max_size).to_json()
+        assert recheck(make_certificate("tmodp_report", data)) == (True, "report sets verified")
+        verified = data["verified"]
+        data["verified"] = not verified
+        assert recheck(make_certificate("tmodp_report", data)) == (
+            False, f"verified {not verified} is not {verified} as recomputed from the listed sets")
+        if (p, t, max_size) == (3, 2, 8):
+            # the 91 unions of two lines and none of the 234 sets of size 11
+            assert (data["num_found"], data["num_unions"], data["violations"], verified) == (
+                91, 91, [], True)
+            assert {sum(wt) for wt in data["sets"]} == {8}
 
 
 def _retype_entry(entries, to):

@@ -278,6 +278,17 @@ def test_blocking_verb_refuses_k_0(tmp_path, capsys):
     assert not cert.exists()
 
 
+def test_blocking_verb_refuses_t_0(tmp_path, capsys):
+    # the all-zero set of PG(2,3) was written as a verified 0-fold blocking set
+    wpath, cert = tmp_path / "weights.json", tmp_path / "blocking.json"
+    wpath.write_text(json.dumps([0] * 13))
+    code = main(["blocking", "--n", "2", "--q", "3", "--t", "0", "--k", "1",
+                 "--weights", str(wpath), "--out", str(cert)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: t must be >= 1\n")
+    assert not cert.exists()
+
+
 def test_color_verbs(tmp_path, capsys):
     hpath = tmp_path / "fano.json"
     run_cli(capsys, "space", "--n", "2", "--q", "2", "--export-hypergraph", str(hpath))
@@ -371,8 +382,21 @@ def test_verify_verb(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["verified"] and data["num_found"] == 7
+    # every field of the report but its sets
+    assert sorted(data) == sorted(set(solvers.TModPVerification._fields) - {"sets"})
+    assert (data["k"], data["weight_cap"], data["expected_size"]) == (1, 1, 3)
     code, out = run_cli(capsys, "recheck", str(tmp_path / "rep.json"))
     assert code == 0
+
+
+@pytest.mark.parametrize("p, t", [(2, 1), (3, 1), (3, 2)])
+def test_verify_verb_exits_0_exactly_when_verified(capsys, p, t):
+    for max_size in range(17):
+        code, out = run_cli(capsys, "verify", "tmodp", "--p", str(p), "--t", str(t),
+                            "--max-size", str(max_size))
+        verified = solvers.verify_tmodp_theorem(p, t, max_size).verified
+        assert json.loads(out)["verified"] is verified
+        assert code == (0 if verified else 1)
 
 
 def test_verify_verb_reports_failure_honestly(capsys):

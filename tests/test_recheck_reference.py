@@ -49,6 +49,10 @@ def reference_blocking_set(payload):
     for claim in payload["claims"]:
         kind, t, k = claim["type"], claim["t"], claim["k"]
         want = claim.get("verified", True)
+        # a 0-fold blocking set is vacuous; t is a residue in a t (mod p)
+        # claim, and a k out of range is refused first
+        if kind in ("t_fold_blocking", "minimal") and 0 < k < n and t < 1:
+            return False, "verification error: t must be >= 1"
         if kind == "t_fold_blocking":
             ok, witness = is_t_fold_blocking(B, t, k)
         elif kind == "t_mod_p":
@@ -137,7 +141,6 @@ def reference_tmodp_report(payload):
         if type(payload[key]) is not type(value) or payload[key] != value:
             return False, f"{key} {payload[key]!r} is not {value!r} as recomputed " \
                           f"from p, t and max_size"
-    exhaustive = frame["exhaustive"]
     if len(sets) != payload["num_found"]:
         return False, "num_found does not match the listed sets"
     found = list(map(tuple, sets))
@@ -145,10 +148,6 @@ def reference_tmodp_report(payload):
         return False, "a listed set has a weight that is not an int"
     if len(set(found)) != len(found):
         return False, "a set is listed twice"
-    if verified and payload["violations"]:
-        return False, "claimed verified but violations are listed"
-    if verified and not (exhaustive and payload["num_found"] == len(unions)):
-        return False, "claimed verified without an exhaustive search finding every union"
     for wt in found:
         B = WeightedPointSet(space, list(wt))
         if max(wt) > cap:
@@ -158,8 +157,12 @@ def reference_tmodp_report(payload):
         ok, _ = is_t_mod_p_set(B, t, 1)
         if not ok:
             return False, f"listed set of size {B.size} is not a {t} (mod {p}) set"
-        if verified and B.size != expected:
-            return False, f"listed set has size {B.size} != {expected}"
+    # the report is verified iff its search was exhaustive and there is no
+    # violation, either way
+    violations = reference_violations(found, unions, expected, frame["exhaustive"])
+    if verified != (frame["exhaustive"] and not violations):
+        return False, f"verified {verified} is not {not verified} as recomputed " \
+                      f"from the listed sets"
 
     for v in payload["violations"]:
         if type(v.get("weights")) is not list:
@@ -171,7 +174,6 @@ def reference_tmodp_report(payload):
 
     def key(v):
         return v["weights"], v["reason"]
-    violations = reference_violations(found, unions, expected, exhaustive)
     if sorted(map(key, violations)) != sorted(map(key, payload["violations"])):
         return False, "violations do not match those of the listed sets and the union count"
     return True, "report sets verified"
@@ -226,7 +228,10 @@ def tmodp_cases(rng):
         return forged_tmodp_case(rng)
     data = json.loads(report(*rng.choice([(2, 1), (3, 1), (3, 2)])))
     p = data["p"]
-    where = rng.choice(["none", "sets", "sets", "violations"])
+    where = rng.choice(["none", "sets", "sets", "violations", "verified"])
+    if where == "verified":
+        data["verified"] = not data["verified"]
+        return data
     if where == "sets":
         wt = rng.choice(data["sets"])
         if rng.random() < 0.25:
@@ -348,12 +353,13 @@ def test_union_count_matches_the_listed_multisets(pt):
     space = ProjectiveSpace.of_order(2, p)
     assert data["num_unions"] == len(reference_line_unions(space, t, data["max_size"], cap))
     # at max_size t*(p+1) the report keeps only its unions, one below it
-    # none; either way it has no violations
+    # none; either way it has no violations, so it is verified iff its
+    # search was exhaustive
     for max_size, num_unions in [(t * (p + 1), data["num_unions"]), (t * (p + 1) - 1, 0)]:
         assert len(reference_line_unions(space, t, max_size, cap)) == num_unions
         sets = [wt for wt in data["sets"] if sum(wt) <= max_size]
         data.update(max_size=max_size, num_unions=num_unions, sets=sets, num_found=len(sets),
-                    violations=[])
+                    violations=[], verified=data["exhaustive"])
         cert = make_certificate("tmodp_report", data)
         assert recheck(cert) == reference_recheck(cert) == (True, "report sets verified")
 

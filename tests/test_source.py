@@ -195,6 +195,57 @@ def test_certificates_leave_the_tmodp_rules_to_the_frame():
     assert sorted(name for name in names if name in source) == []
 
 
+def _verdict_rule_sites(tree):
+    """The functions of tree, by name, that combine `exhaustive` with the
+    violations or with `verified` in one `and`, `or` or comparison, as a
+    name, an attribute or a string key."""
+    def words(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+                else n.value for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))
+                or isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+    def combines(node):
+        return isinstance(node, (ast.BoolOp, ast.Compare)) and "exhaustive" in words(node) \
+            and not words(node).isdisjoint({"violations", "verified"})
+
+    return [func.name for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(combines(node) for node in ast.walk(func))]
+
+
+def test_one_verdict_rule_for_tmodp_reports():
+    # the writer and recheck derive a report's verified flag through
+    # solvers.tmodp_verdict alone, so a report cannot be written with a
+    # verdict that recheck reads the other way
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    found = [f"{name}: {func}" for name, tree in trees.items()
+             for func in _verdict_rule_sites(tree)]
+    assert found == ["solvers.py: tmodp_verdict"]
+    funcs = {func.name: func for tree in trees.values() for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef)}
+    for caller in ("verify_tmodp_theorem", "_verify_tmodp_report"):
+        assert any(isinstance(node, ast.Call) and ast.unparse(node.func) == "tmodp_verdict"
+                   for node in ast.walk(funcs[caller])), caller
+
+
+def test_verdict_rule_guard_sees_each_copy():
+    source = """
+def a(violations, frame): return not violations and frame["exhaustive"]
+def b(rep): return rep.verified and not rep.exhaustive
+def c(payload): return payload["verified"] or payload["exhaustive"]
+def d(exhaustive, claimed):
+    if exhaustive and not claimed.violations:
+        return True
+def e(exhaustive, found, num_unions): return exhaustive and found < num_unions
+def f(verified, exhaustive): return verified == exhaustive
+def g(violations): return not violations
+def h(rep): return {"exhaustive": rep.exhaustive, "verified": rep.verified}
+"""
+    assert _verdict_rule_sites(ast.parse(source)) == ["a", "b", "c", "d", "f"]
+
+
 def _tau_rule_sites(tree):
     """The functions of tree, by name, that compute the folklore bound
     (theta of a difference of two names, as theta(n - m), or a product
