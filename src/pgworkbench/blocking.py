@@ -70,6 +70,17 @@ def kspace_weights(B: WeightedPointSet, k: int):
 CLAIM_KINDS = ("t_fold_blocking", "t_mod_p", "minimal")
 
 
+def claim_gate(n: int, q: int, kind: str, t: int, k: int) -> None:
+    """The refusals of a claim that need no space, in order: BlockingError
+    for a kind not in CLAIM_KINDS or a t not an int (a bool is none), then
+    level_gate(n, k, q)'s; recheck asks them all before building PG(n,q)."""
+    if kind not in CLAIM_KINDS:
+        raise BlockingError(f"unknown claim type {kind!r}")
+    if type(t) is not int:
+        raise BlockingError(f"t {t!r} is not an int")
+    level_gate(n, k, q)
+
+
 def judge_claim(B: WeightedPointSet, kind: str, t: int, k: int, sums: dict):
     """(holds, S) for a claim about B on k-spaces: t_fold_blocking (each
     k-space, 1 <= k <= n-1, has weight >= t), t_mod_p (each weight is t mod
@@ -80,12 +91,8 @@ def judge_claim(B: WeightedPointSet, kind: str, t: int, k: int, sums: dict):
     sums (the weights by k) make one pass per k.  BlockingError for another
     kind, for a t that is not an int (a bool is none) and for k = 0 or n,
     then t < 1, in a blocking or minimal claim, after level_gate's refusal
-    of any other k."""
-    if kind not in CLAIM_KINDS:
-        raise BlockingError(f"unknown claim type {kind!r}")
-    if type(t) is not int:
-        raise BlockingError(f"t {t!r} is not an int")
-    level_gate(B.space.n, k, B.space.q)
+    of any other k, the first three by claim_gate."""
+    claim_gate(B.space.n, B.space.q, kind, t, k)
     if kind != "t_mod_p" and (k < 1 or k > B.space.n - 1):
         raise BlockingError(f"k = {k} out of range")
     if kind != "t_mod_p" and t < 1:
@@ -253,11 +260,8 @@ def plane_cosets(p: int) -> tuple:
     return kdim, p**kdim, p**kdim <= COSET_LIMIT
 
 
-# sampled is always 0: nothing in the library reads it; kept only because
-# the benchmark's tracing does
 TModPEnumeration = collections.namedtuple(
-    "TModPEnumeration", "sets kernel_dim num_solution_classes exhaustive sampled",
-    defaults=(0,))
+    "TModPEnumeration", "sets kernel_dim num_solution_classes exhaustive")
 
 
 def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int,

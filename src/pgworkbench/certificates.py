@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .blocking import CLAIM_KINDS, WeightedPointSet, judge_claim
+from .blocking import CLAIM_KINDS, WeightedPointSet, claim_gate, judge_claim
 from .coloring import Coloring, ColoringError, is_strict, judge_coloring
 from .geometry import (GeometryError, Hypergraph, ProjectiveSpace, all_ints, canonical_json,
                        level_gate, load_json, mask_bits, point_set, write_text)
@@ -199,13 +199,14 @@ def _verify_coloring(payload):
 def _verify_blocking_set(payload):
     spec = _require(payload, "space", dict, object, "an object with n and q")
     n, q = spec["n"], spec["q"]
-    # the space itself, its one n-space, before the field is built
-    level_gate(n, n, q)
-    B = WeightedPointSet.from_json(ProjectiveSpace.of_order(n, q), payload["weights"])
     claims = _require(payload, "claims", list, dict, "a list of claim objects")
     if not claims:
         return False, "claims lists no claim"
-    # the k-space weights of B, once for each k; the judge refuses kind, t and k
+    # every claim's kind, t and level, before the field and space are built
+    for claim in claims:
+        claim_gate(n, q, claim["type"], claim["t"], claim["k"])
+    B = WeightedPointSet.from_json(ProjectiveSpace.of_order(n, q), payload["weights"])
+    # the k-space weights of B, once for each k
     sums = {}
     for claim in claims:
         kind, t, k = claim["type"], claim["t"], claim["k"]

@@ -33,8 +33,6 @@ def _poly_trim(c):
 
 
 def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:

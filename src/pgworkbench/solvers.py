@@ -9,7 +9,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .blocking import enumerate_t_mod_p_sets, mod_p_gate, plane_cosets
+from .blocking import construct_union, enumerate_t_mod_p_sets, mod_p_gate, plane_cosets
 from .coloring import is_proper, make_coloring, trivial_coloring
 from .fields import factor_prime_power
 from .geometry import MAX_N, Hypergraph, ProjectiveSpace, mask_bits, theta
@@ -94,12 +94,8 @@ def _root_points(n: int, m: int, q: int, t: int) -> list:
     meets the set only once.  So for t >= 2 T holds a frame, and PGL(3,q)
     is transitive on ordered frames.
     """
-    index = ProjectiveSpace.of_order(n, q).point_index
     j = min(n + 1, n - m + 1 + (t >= 2))
-    units = [tuple(int(c == n - i) for c in range(n + 1)) for i in range(j)]
-    if n == 2 and t >= 2:
-        units.append((1, 1, 1))
-    return [index[u] for u in units]
+    return [theta(i - 1, q) for i in range(j)] + ([2 * q + 2] if n == 2 and t >= 2 else [])
 
 
 def _cover_falls_short(cover: list, k: int, total: int) -> bool:
@@ -492,10 +488,8 @@ def tmodp_verdict(space: ProjectiveSpace, t: int, found: list, sizes: list,
                   for wt, s in zip(found, sizes) if s in reasons]
     if exhaustive and len(found) - len(violations) < frame["num_unions"]:
         listed = set(found)
-        for combo in itertools.combinations_with_replacement(space.incidence(1), t):
-            w = [0] * space.num_points
-            for i in itertools.chain.from_iterable(combo):
-                w[i] += 1
+        for combo in itertools.combinations_with_replacement(space.subspaces(1), t):
+            w = construct_union(space, ((S, 1) for S in combo)).weights
             if tuple(w) not in listed:
                 violations.append({"weights": w, "reason": "line union missed by enumeration"})
     return violations, exhaustive and not violations
@@ -548,9 +542,10 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVe
 
     Every field but the found sets, their violations and the verdict comes
     from `tmodp_frame(p, t, max_size)`, which `recheck` recomputes.
-    `enumerate_t_mod_p_sets` searches every coset of the mod-p kernel or,
-    past `COSET_LIMIT` cosets, none: then the report lists no sets and is
-    neither `exhaustive` nor `verified`, but still counts the line unions.
+    `enumerate_t_mod_p_sets` walks every coset of the mod-p kernel, and runs
+    only on an `exhaustive` frame (p <= 3); past `COSET_LIMIT` cosets the
+    report lists no sets, is not `exhaustive` or `verified`, and still
+    counts the line unions.
 
     t must satisfy t <= 3p/8 + 1.  The size bound defaults to
     (t+1)*theta(1) + p - 2: the size t*theta(1) of a union of t lines plus a
@@ -568,11 +563,12 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVe
     """
     frame = tmodp_frame(p, t, max_size)
     space = ProjectiveSpace.of_order(2, p)
-    enum = enumerate_t_mod_p_sets(space, k=1, t=t, max_size=frame["max_size"])
-    violations, verified = tmodp_verdict(space, t, [tuple(B.weights) for B in enum.sets],
-                                         [B.size for B in enum.sets], frame)
-    return TModPVerification(**frame, num_found=len(enum.sets), violations=violations,
-                             verified=verified, sets=enum.sets)
+    sets = (enumerate_t_mod_p_sets(space, k=1, t=t, max_size=frame["max_size"]).sets
+            if frame["exhaustive"] else [])
+    violations, verified = tmodp_verdict(space, t, [tuple(B.weights) for B in sets],
+                                         [B.size for B in sets], frame)
+    return TModPVerification(**frame, num_found=len(sets), violations=violations,
+                             verified=verified, sets=sets)
 
 
 # -- bound calculators ---------------------------------------------------

@@ -221,8 +221,8 @@ def test_enumerate_t_mod_p_sets_past_the_coset_limit(monkeypatch):
     # past COSET_LIMIT no coset is walked: the kernel is reported, no sets
     monkeypatch.setattr(blocking, "COSET_LIMIT", 10)
     enum = enumerate_t_mod_p_sets(ProjectiveSpace.of_order(2, 3), k=1, t=2, max_size=13)
-    assert (enum.exhaustive, enum.sets, enum.kernel_dim, enum.num_solution_classes,
-            enum.sampled) == (False, [], 6, 729, 0)
+    assert (enum.exhaustive, enum.sets, enum.kernel_dim, enum.num_solution_classes) == \
+        (False, [], 6, 729)
 
 
 def reference_t_mod_p_walk(space, k, t, max_size):
@@ -236,10 +236,7 @@ def reference_t_mod_p_walk(space, k, t, max_size):
     particular, kernel = solve_mod_p(rows, [t] * len(rows), p)
     kdim = len(kernel)
     exhaustive = p**kdim <= blocking.COSET_LIMIT
-    if exhaustive:
-        walk = itertools.product(range(p), repeat=kdim)
-    else:
-        walk = set()
+    walk = itertools.product(range(p), repeat=kdim) if exhaustive else ()
     found = []
     for coeffs in walk:
         w = list(particular)
@@ -250,8 +247,7 @@ def reference_t_mod_p_walk(space, k, t, max_size):
                         w[j] = (w[j] + c * vec[j]) % p
         if sum(w) <= max_size:
             found.append(w)
-    return (sorted(found), kdim, p**kdim, exhaustive,
-            0 if exhaustive else len(walk))
+    return sorted(found), kdim, p**kdim, exhaustive
 
 
 @pytest.mark.parametrize("n, q, k, t, cap, coset_limit", [
@@ -270,12 +266,12 @@ def test_enumerate_t_mod_p_sets_matches_coordinate_walk(monkeypatch, n, q, k, t,
     space = ProjectiveSpace.of_order(n, q)
     max_size = space.num_points * (q - 1) // 2
     enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size)
-    ref_sets, kdim, total, exhaustive, sampled = reference_t_mod_p_walk(space, k, t, max_size)
+    ref_sets, kdim, total, exhaustive = reference_t_mod_p_walk(space, k, t, max_size)
     assert [B.weights for B in enum.sets] == ref_sets and (ref_sets or not exhaustive)
     # the walk reduces every weight mod p, so no weight passes cap = p - 1
     assert all(max(B.weights) <= cap for B in enum.sets)
-    assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive, enum.sampled) == \
-        (kdim, total, exhaustive, sampled)
+    assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive) == \
+        (kdim, total, exhaustive)
     assert exhaustive == ((n, q) in {(2, 2), (2, 3), (3, 2)} and coset_limit > 10)
 
 
@@ -332,10 +328,10 @@ def test_enumerate_t_mod_p_sets_plane_kernel_needs_no_elimination(monkeypatch, p
 
 def assert_matches_reference(space, k, t, max_size):
     enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size)
-    ref_sets, kdim, total, exhaustive, sampled = reference_t_mod_p_walk(space, k, t, max_size)
+    ref_sets, kdim, total, exhaustive = reference_t_mod_p_walk(space, k, t, max_size)
     assert [B.weights for B in enum.sets] == ref_sets
-    assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive, enum.sampled) == \
-        (kdim, total, exhaustive, sampled)
+    assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive) == \
+        (kdim, total, exhaustive)
     return enum
 
 

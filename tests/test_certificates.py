@@ -765,13 +765,20 @@ def test_recheck_bounds_refuses_parameters_out_of_range(n, k, q, needle):
     # a field past the point limit, whatever level is named
     ("coloring", {"n": 2, "k": 3, "q": 65536, "assignment": [0], "N": 1},
      "PG(2,65536) exceeds the limits"),
+    # PG(2,997) passes the point limit, and building it took 0.6 s and
+    # 156 MiB before the weights were read; its claim's level is refused first
+    ("blocking_set", {"space": {"n": 2, "q": 997}, "weights": [1],
+                      "claims": [{"type": "t_fold_blocking", "t": 1, "k": 1}]},
+     "the 1-spaces of PG(2,997) have 993016986 point incidences, more than the limit"),
 ])
 def test_recheck_refuses_a_huge_space_before_any_build(kind, payload, needle):
     cert = make_certificate(kind, payload)
+    ProjectiveSpace.of_order.cache_clear()
     start = time.perf_counter()
     ok, detail = recheck(cert)
     assert time.perf_counter() - start < 0.1
     assert not ok and detail.startswith(needle)
+    assert ProjectiveSpace.of_order.cache_info().currsize == 0
 
 
 def test_incidence_limit_sits_between_the_largest_corpus_space_and_pg2_127():

@@ -16,8 +16,8 @@ RECORDS = [
     (Coloring, "assignment", {}, lambda: Coloring((1, 2, 1))),
     (WeightedPointSet, "space weights", {},
      lambda: WeightedPointSet(ProjectiveSpace.of_order(2, 2), [1] * 7)),
-    (TModPEnumeration, "sets kernel_dim num_solution_classes exhaustive sampled",
-     {"sampled": 0}, lambda: TModPEnumeration([], 6, 729, False)),
+    (TModPEnumeration, "sets kernel_dim num_solution_classes exhaustive", {},
+     lambda: TModPEnumeration([], 6, 729, False)),
     (SolveResult, "objective witness nodes status lower_bound upper_bound",
      {"lower_bound": None, "upper_bound": None}, lambda: SolveResult(3, (0, 1, 2), 0, OPTIMAL)),
     (TModPVerification, "p t k max_size weight_cap kernel_dim num_solution_classes "

@@ -10,7 +10,7 @@ import pytest
 
 from test_geometry import gate_refusal
 
-from pgworkbench import solvers
+from pgworkbench import blocking, solvers
 from pgworkbench.blocking import BlockingError, enumerate_t_mod_p_sets
 from pgworkbench.coloring import is_proper, make_coloring
 from pgworkbench.fields import GF, FieldError
@@ -650,6 +650,20 @@ def test_tmodp_frame_agrees_with_the_report_and_the_walk(p, t):
         enum = enumerate_t_mod_p_sets(space, k=1, t=t, max_size=frame["max_size"])
         assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive) == \
             (frame["kernel_dim"], frame["num_solution_classes"], frame["exhaustive"])
+
+
+def _no_walk(*args, **kwargs):
+    raise AssertionError("enumerate_t_mod_p_sets was called")
+
+
+@pytest.mark.parametrize("p, t", [(5, 2), (7, 2), (17, 1)])
+def test_verify_tmodp_theorem_walks_no_plane_past_the_coset_limit(monkeypatch, p, t):
+    # past COSET_LIMIT the report lists no sets, so no enumeration is called
+    want = verify_tmodp_theorem(p, t).to_json()
+    monkeypatch.setattr(solvers, "enumerate_t_mod_p_sets", _no_walk)
+    monkeypatch.setattr(blocking, "enumerate_t_mod_p_sets", _no_walk)
+    assert verify_tmodp_theorem(p, t).to_json() == want
+    assert (want["exhaustive"], want["sets"], want["num_found"]) == (False, [], 0)
 
 
 def _no_build(self, *args):

@@ -382,7 +382,8 @@ def e(payload): return payload["n"], payload["k"]
 def _blocking_rule_copies(tree):
     """What tree copies of the input rules that blocking.py owns, by line:
     a claim kind spelled as a literal (CLAIM_KINDS is its one spelling),
-    an all_ints call made directly on weights, a name `weights` or a
+    a test of membership in CLAIM_KINDS (claim_gate is its one judge), an
+    all_ints call made directly on weights, a name `weights` or a
     ["weights"] subscript (WeightedPointSet.from_json is their one
     reader), and an import of is_prime or MAX_Q, the prime test and limit
     of p that mod_p_gate makes."""
@@ -394,6 +395,11 @@ def _blocking_rule_copies(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and node.value in CLAIM_KINDS:
             found.append(f"{node.lineno}: {node.value}")
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.In, ast.NotIn))
+                and ast.unparse(right).split(".")[-1] == "CLAIM_KINDS"
+                for op, right in zip(node.ops, node.comparators)):
+            found.append(f"{node.lineno}: in CLAIM_KINDS")
         elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "all_ints" \
                 and any(map(is_weights, node.args)):
             found.append(f"{node.lineno}: all_ints")
@@ -422,10 +428,11 @@ def d(): return ("t_fold_blocking", "minimal")
 def e(payload): return all_ints(payload["assignment"])
 def f(kind): return kind == CLAIM_KINDS[1] and "minimality claim mismatch"
 def g(claimed): return all_ints(itertools.chain.from_iterable(v["weights"] for v in claimed))
+def h(claim): return claim["type"] not in blocking.CLAIM_KINDS
 """
     assert _blocking_rule_copies(ast.parse(source)) == [
-        "2: import MAX_Q", "2: import is_prime", "3: all_ints", "4: all_ints", "5: t_mod_p",
-        "6: t_fold_blocking", "6: minimal"]
+        "2: import MAX_Q", "2: import is_prime", "3: all_ints", "4: all_ints",
+        "10: in CLAIM_KINDS", "5: t_mod_p", "6: t_fold_blocking", "6: minimal"]
 
 
 def test_no_module_reads_another_modules_private_names():

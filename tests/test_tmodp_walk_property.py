@@ -39,8 +39,8 @@ def test_walk_matches_reference(case, coset_limit):
             assert (enum.sets, enum.kernel_dim, enum.num_solution_classes, enum.exhaustive) == \
                 ([], 0, 0, True)
             return
-        ref_sets, kdim, total, exhaustive, sampled = reference_t_mod_p_walk(
+        ref_sets, kdim, total, exhaustive = reference_t_mod_p_walk(
             space, k, t, case["max_size"])
     assert [B.weights for B in enum.sets] == ref_sets
-    assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive, enum.sampled) == \
-        (kdim, total, exhaustive, sampled)
+    assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive) == \
+        (kdim, total, exhaustive)
