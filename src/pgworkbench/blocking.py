@@ -12,7 +12,7 @@ from __future__ import annotations
 import collections
 
 from .fields import GF, MAX_Q, is_prime
-from .geometry import ProjectiveSpace, Subspace, all_ints, count_subspaces, level_gate, theta
+from .geometry import ProjectiveSpace, Subspace, all_ints, count_subspaces, incidence_gate, theta
 
 
 class BlockingError(ValueError):
@@ -73,12 +73,12 @@ CLAIM_KINDS = ("t_fold_blocking", "t_mod_p", "minimal")
 def claim_gate(n: int, q: int, kind: str, t: int, k: int) -> None:
     """The refusals of a claim that need no space, in order: BlockingError
     for a kind not in CLAIM_KINDS or a t not an int (a bool is none), then
-    level_gate(n, k, q)'s; recheck asks them all before building PG(n,q)."""
+    incidence_gate(n, k, q)'s; recheck asks them all before building PG(n,q)."""
     if kind not in CLAIM_KINDS:
         raise BlockingError(f"unknown claim type {kind!r}")
     if type(t) is not int:
         raise BlockingError(f"t {t!r} is not an int")
-    level_gate(n, k, q)
+    incidence_gate(n, k, q)
 
 
 def judge_claim(B: WeightedPointSet, kind: str, t: int, k: int, sums: dict):
@@ -90,8 +90,8 @@ def judge_claim(B: WeightedPointSet, kind: str, t: int, k: int, sums: dict):
     order, that fails the weight test, else None.  Claims sharing the dict
     sums (the weights by k) make one pass per k.  BlockingError for another
     kind, for a t that is not an int (a bool is none) and for k = 0 or n,
-    then t < 1, in a blocking or minimal claim, after level_gate's refusal
-    of any other k, the first three by claim_gate."""
+    then t < 1, in a blocking or minimal claim, after incidence_gate's
+    refusal of any other k, the first three by claim_gate."""
     claim_gate(B.space.n, B.space.q, kind, t, k)
     if kind != "t_mod_p" and (k < 1 or k > B.space.n - 1):
         raise BlockingError(f"k = {k} out of range")

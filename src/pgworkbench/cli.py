@@ -16,7 +16,7 @@ from .certificates import (blocking_set_certificate, bounds_certificate, colorin
 from .coloring import Coloring, judge_coloring, trivial_coloring
 from .experiments import ExperimentConfig, default_grid, run_experiments
 from .geometry import (ProjectiveSpace, canonical_json, count_subspaces,
-                       hypergraph_from_file, hypergraph_to_file, level_gate, load_json,
+                       hypergraph_from_file, hypergraph_to_file, incidence_gate, load_json,
                        space_field, theta)
 from .solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
@@ -27,9 +27,9 @@ def _emit(data):
 
 def cmd_space(args):
     n, q = args.n, args.q
-    # an export past the level gate is refused by counts, before the space is built
+    # an export past the list gate is refused by counts, before the space is built
     if args.export_hypergraph:
-        level_gate(n, args.k, q)
+        incidence_gate(n, args.k, q)
     # the refusals of ProjectiveSpace.of_order(n, q), with no point built
     field = space_field(n, q)
     info = {"n": n, "q": q, "field": field.descriptor(), "num_points": theta(n, q),
@@ -42,6 +42,7 @@ def cmd_space(args):
 
 
 def cmd_blocking(args):
+    incidence_gate(args.n, args.k, args.q)  # a claim's lists, before any space
     B = WeightedPointSet.from_json(ProjectiveSpace.of_order(args.n, args.q),
                                    load_json(args.weights))
     cert = blocking_set_certificate(B, args.t, args.k)

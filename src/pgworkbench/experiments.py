@@ -51,9 +51,9 @@ def _searched(res):
 
 
 def _hypergraph(n, k, q):
-    """H(n,k,q); q and n meet their refusals before of_order hashes them."""
+    """H(n,k,q); q and the level meet their refusals before of_order hashes or builds PG(n,q)."""
     factor_prime_power(q)
-    level_gate(n, n, q)
+    level_gate(n, k, q)
     return ProjectiveSpace.of_order(n, q).hypergraph(k)
 
 

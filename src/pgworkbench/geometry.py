@@ -27,7 +27,7 @@ import stat
 
 from .fields import MAX_Q, GF, FieldError, factor_prime_power, field_for_order
 
-# the points of a space, and the point incidences of one of its levels
+# the points of a space, and the point incidences of a level's lists
 DEFAULT_MAX_POINTS = 10**6
 # theta(n, q) >= 2^(n+1) - 1, so no PG(n,q) of a larger dimension has at
 # most DEFAULT_MAX_POINTS points
@@ -49,18 +49,16 @@ def theta(k: int, q: int) -> int:
 
 
 def level_gate(n: int, m: int, q: int) -> None:
-    """GeometryError unless the m-spaces of PG(n,q) may be built, decided
-    by types and counts alone, before any field is built (GF(65536) alone
-    takes seconds).  The one gate of every space and level build and of
-    recheck, which tests in this order: n, m and q are ints and not bools
-    (True == 1 and 2.0 == 2 would pass every later test), n >= 1, q >= 2,
-    q at most MAX_Q and PG(n,q) at most DEFAULT_MAX_POINTS points (n is
-    compared with MAX_N before any power is taken, so a claim of a huge
-    space costs nothing), 0 <= m <= n, the m-spaces at most
-    DEFAULT_MAX_POINTS point incidences, and their masks, up to theta(n, q)
-    bits each, at most DEFAULT_MAX_MASK_BITS bits.  PG(n,q) is its own one
-    n-space, so level_gate(n, n, q) is the gate of the space itself.
-    Whether q is a prime power is the field's test (factor_prime_power)."""
+    """GeometryError unless the m-spaces of PG(n,q) may be built as masks,
+    decided by types and counts alone, before any field is built (GF(65536)
+    alone takes seconds).  The one gate of every space and level build and
+    of recheck, which tests in this order: n, m and q are ints and not
+    bools (True == 1 and 2.0 == 2 would pass every later test), n >= 1,
+    q >= 2, q <= MAX_Q and theta(n, q) <= DEFAULT_MAX_POINTS (n is compared
+    with MAX_N before any power is taken), 0 <= m <= n, and the masks, up
+    to theta(n, q) bits each, at most DEFAULT_MAX_MASK_BITS bits; the lists
+    have incidence_gate.  level_gate(n, n, q) is the gate of PG(n,q), its
+    own one n-space.  Whether q is a prime power is factor_prime_power's."""
     if not all_ints((n, m, q)):
         raise GeometryError(f"(n, m, q) = ({n!r}, {m!r}, {q!r}) are not all integers")
     if n < 1:
@@ -72,15 +70,21 @@ def level_gate(n: int, m: int, q: int) -> None:
                             f"{DEFAULT_MAX_POINTS} points")
     if not 0 <= m <= n:
         raise GeometryError(f"m = {m} out of range for PG({n},{q})")
-    count = count_subspaces(n, m, q)
-    incidences = count * theta(m, q)
-    if incidences > DEFAULT_MAX_POINTS:
-        raise GeometryError(f"the {m}-spaces of PG({n},{q}) have {incidences} point "
-                            f"incidences, more than the limit {DEFAULT_MAX_POINTS}")
-    bits = count * theta(n, q)
+    bits = count_subspaces(n, m, q) * theta(n, q)
     if bits > DEFAULT_MAX_MASK_BITS:
         raise GeometryError(f"the masks of the {m}-spaces of PG({n},{q}) may need {bits} "
                             f"bits, more than the limit {DEFAULT_MAX_MASK_BITS}")
+
+
+def incidence_gate(n: int, m: int, q: int) -> None:
+    """level_gate's refusals, then GeometryError past DEFAULT_MAX_POINTS
+    point incidences: the gate of a level's lists, Hypergraph.edge_points
+    and vertex_edges, which needs no field, space or mask."""
+    level_gate(n, m, q)
+    incidences = count_subspaces(n, m, q) * theta(m, q)
+    if incidences > DEFAULT_MAX_POINTS:
+        raise GeometryError(f"the {m}-spaces of PG({n},{q}) have {incidences} point "
+                            f"incidences, more than the limit {DEFAULT_MAX_POINTS}")
 
 
 def space_field(n: int, q: int) -> GF:
@@ -164,12 +168,16 @@ class Hypergraph(collections.namedtuple("Hypergraph", "num_vertices edges params
     @functools.cached_property
     def edge_points(self) -> tuple:
         """Per edge, in edge order, the tuple of its vertices."""
+        if self.params is not None:
+            incidence_gate(*self.params)
         return tuple(tuple(mask_bits(e)) for e in self.edges)
 
     @functools.cached_property
     def vertex_edges(self) -> tuple:
         """Per vertex, the increasing indices of the edges through it.
         Built from the masks, so it does not need edge_points."""
+        if self.params is not None:
+            incidence_gate(*self.params)
         lists = [[] for _ in range(self.num_vertices)]
         for ei, e in enumerate(self.edges):
             for v in mask_bits(e):

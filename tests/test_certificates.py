@@ -20,7 +20,7 @@ from pgworkbench.certificates import (CertificateError, blocking_set_certificate
                                       verify_payload, write_certificate)
 from pgworkbench.coloring import trivial_coloring
 from pgworkbench.fields import GF
-from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
+from pgworkbench.geometry import Hypergraph, ProjectiveSpace, incidence_gate, theta
 from pgworkbench.solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -743,9 +743,9 @@ def test_recheck_bounds_refuses_parameters_out_of_range(n, k, q, needle):
     # 184 bytes that cost 1.9 s and 59 MiB: every line of PG(2,127) was
     # built before the one point was found to miss most of them
     ("transversal", {"n": 2, "k": 1, "q": 127, "t": 1, "points": [0], "objective": 1},
-     "the 1-spaces of PG(2,127) have 2080896 point incidences, more than the limit"),
+     "the masks of the 1-spaces of PG(2,127) may need 264290049 bits, more than the limit"),
     ("coloring", {"n": 2, "k": 1, "q": 127, "assignment": [0, 1], "N": 2},
-     "the 1-spaces of PG(2,127) have 2080896 point incidences, more than the limit"),
+     "the masks of the 1-spaces of PG(2,127) may need 264290049 bits, more than the limit"),
     ("transversal", {"n": 2, "k": 1, "q": 65521, "t": 1, "points": [0]},
      "PG(2,65521) exceeds the limits"),
     ("coloring", {"n": 10**9, "k": 1, "q": 2, "assignment": [0], "N": 1},
@@ -757,7 +757,7 @@ def test_recheck_bounds_refuses_parameters_out_of_range(n, k, q, needle):
     # 134 KB that cost 8.9 s and 777 MiB, and rechecked true
     ("blocking_set", {"space": {"n": 2, "q": 211}, "weights": [1] * theta(2, 211),
                       "claims": [{"type": "t_fold_blocking", "t": 1, "k": 1}]},
-     "the 1-spaces of PG(2,211) have 9483396 point incidences, more than the limit"),
+     "the masks of the 1-spaces of PG(2,211) may need 2001041289 bits, more than the limit"),
     # 60 bytes that cost 12 s and 4 GiB: 249,501 incidences, but each
     # point's mask has as many bits as its index
     ("transversal", {"n": 2, "k": 0, "q": 499, "t": 1, "points": [0]},
@@ -769,7 +769,13 @@ def test_recheck_bounds_refuses_parameters_out_of_range(n, k, q, needle):
     # 156 MiB before the weights were read; its claim's level is refused first
     ("blocking_set", {"space": {"n": 2, "q": 997}, "weights": [1],
                       "claims": [{"type": "t_fold_blocking", "t": 1, "k": 1}]},
-     "the 1-spaces of PG(2,997) have 993016986 point incidences, more than the limit"),
+     "the masks of the 1-spaces of PG(2,997) may need 990038930049 bits, more than the limit"),
+    # the 3-spaces of PG(7,2) pass the mask-bit limit, and their masks take
+    # about 1 s and 67 MiB to build; a claim reads the lists, which the list
+    # gate refuses by counts before any space is built
+    ("blocking_set", {"space": {"n": 7, "q": 2}, "weights": [1] * theta(7, 2),
+                      "claims": [{"type": "t_fold_blocking", "t": 1, "k": 3}]},
+     "the 3-spaces of PG(7,2) have 3011805 point incidences, more than the limit"),
 ])
 def test_recheck_refuses_a_huge_space_before_any_build(kind, payload, needle):
     cert = make_certificate(kind, payload)
@@ -782,10 +788,15 @@ def test_recheck_refuses_a_huge_space_before_any_build(kind, payload, needle):
 
 
 def test_incidence_limit_sits_between_the_largest_corpus_space_and_pg2_127():
-    # PG(4,3) solids (4,840) are the largest that the tests and the
-    # benchmark corpus recheck; PG(2,97) lines (931,686) still pass
-    assert gate_refusal(4, 3, 3) is None and gate_refusal(2, 1, 97) is None
-    assert gate_refusal(2, 1, 101) is not None
+    # PG(4,3) solids (4,840 incidences) are the largest that the tests and
+    # the benchmark corpus recheck; the lines of PG(2,97) (931,686) pass the
+    # list gate too, and those of PG(2,101) are refused by their 10303^2
+    # mask bits before their 1,050,906 incidences are counted
+    assert gate_refusal(4, 3, 3, incidence_gate) is None
+    assert gate_refusal(2, 1, 97, incidence_gate) is None
+    assert gate_refusal(2, 1, 101, incidence_gate) == gate_refusal(2, 1, 101) == (
+        "the masks of the 1-spaces of PG(2,101) may need 106151809 bits, "
+        "more than the limit 100000000")
     # the gate names parameters out of range too
     assert gate_refusal(2, 3, 2) == "m = 3 out of range for PG(2,2)"
     assert gate_refusal(2, 1, 1) == "q = 1 is not a prime power"

@@ -599,8 +599,8 @@ def test_bounds_verb_refuses_a_huge_n(capsys):
     # before the empty edge list was compared with them; the level gate
     # refuses them by their counts
     ({"n": 2, "k": 1, "q": 251, "edges": []},
-     "error: the 1-spaces of PG(2,251) have 15939756 point incidences, "
-     "more than the limit 1000000"),
+     "error: the masks of the 1-spaces of PG(2,251) may need 4000942009 bits, "
+     "more than the limit 100000000"),
     ({"n": 2, "k": 1, "q": HUGE_Q, "edges": []},
      f"error: PG(2,{HUGE_Q}) exceeds the limits"),
     # an index just below theta(2, 65521) was a 537 MB edge mask
@@ -638,8 +638,8 @@ def test_blocking_rejects_weights_that_are_not_ints(tmp_path, capsys, weights, n
     assert captured.err.startswith(needle)
 
 
-PG2_101_LINES = ("the 1-spaces of PG(2,101) have 1050906 point incidences, "
-                 "more than the limit 1000000")
+PG2_101_LINES = ("the masks of the 1-spaces of PG(2,101) may need 106151809 bits, "
+                 "more than the limit 100000000")
 
 
 def test_blocking_refuses_a_level_past_the_gate(tmp_path, capsys):
@@ -655,12 +655,31 @@ def test_blocking_refuses_a_level_past_the_gate(tmp_path, capsys):
     assert captured.err == f"error: {PG2_101_LINES}\n"
 
 
+@pytest.mark.parametrize("n, q, k, err", [
+    # building PG(2,997) took 0.93 s and 175 MiB before its lines were refused
+    (2, 997, 1, "the masks of the 1-spaces of PG(2,997) may need 990038930049 bits, "
+                "more than the limit 100000000"),
+    # the masks of the 3-spaces of PG(7,2) may be built, but a claim reads
+    # their lists, 3,011,805 point incidences
+    (7, 2, 3, "the 3-spaces of PG(7,2) have 3011805 point incidences, "
+              "more than the limit 1000000"),
+])
+def test_blocking_asks_the_gate_before_building_the_space(tmp_path, capsys, n, q, k, err):
+    wpath = tmp_path / "weights.json"
+    wpath.write_text("[1]")
+    ProjectiveSpace.of_order.cache_clear()
+    code, captured = _timed_main(capsys, ["blocking", "--n", str(n), "--q", str(q), "--t", "1",
+                                          "--k", str(k), "--weights", str(wpath)], 0.1)
+    assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+    assert ProjectiveSpace.of_order.cache_info().currsize == 0
+
+
 def test_space_export_refuses_a_level_past_the_gate(tmp_path, capsys):
     path = tmp_path / "lines.json"
     code, captured = _timed_main(capsys, ["space", "--n", "2", "--q", "211", "--k", "1",
                                           "--export-hypergraph", str(path)], 1)
     assert code == 2 and captured.out == "" and not path.exists()
-    assert captured.err.startswith("error: the 1-spaces of PG(2,211) have ")
+    assert captured.err.startswith("error: the masks of the 1-spaces of PG(2,211) may need ")
 
 
 def test_space_export_asks_the_gate_before_building_the_space(tmp_path, capsys):
@@ -669,8 +688,8 @@ def test_space_export_asks_the_gate_before_building_the_space(tmp_path, capsys):
     code, captured = _timed_main(capsys, ["space", "--n", "3", "--q", "64", "--k", "2",
                                           "--export-hypergraph", str(path)], 0.1)
     assert (code, captured.out, captured.err) == (
-        2, "", "error: the 2-spaces of PG(3,64) have 1108095105 point incidences, "
-               "more than the limit 1000000\n")
+        2, "", "error: the masks of the 2-spaces of PG(3,64) may need 70918353025 bits, "
+               "more than the limit 100000000\n")
     assert not path.exists()
 
 

@@ -19,14 +19,14 @@ from pgworkbench.fields import field_for_order
 from pgworkbench.geometry import (EMPTY_SUBSPACE, GeometryError, Hypergraph,
                                   ProjectiveSpace, Subspace, count_subspaces,
                                   hypergraph_from_file, hypergraph_to_file,
-                                  level_gate, mask_bits, theta, write_text)
+                                  incidence_gate, level_gate, mask_bits, theta, write_text)
 from pgworkbench.solvers import exact_tau, exact_ucn
 
 
-def gate_refusal(n, m, q):
-    """The text of level_gate's refusal of (n, m, q), None when it passes."""
+def gate_refusal(n, m, q, gate=level_gate):
+    """The text of the gate's refusal of (n, m, q), None when it passes."""
     try:
-        level_gate(n, m, q)
+        gate(n, m, q)
     except GeometryError as exc:
         return str(exc)
     return None
@@ -781,6 +781,25 @@ def test_level_gate_refusals(n, m, q, reason):
     assert gate_refusal(n, m, q) == reason
 
 
+@pytest.mark.parametrize("n, m, q, reason", [
+    # level_gate's refusals come first, in its words
+    (2, 1.0, 3, "(n, m, q) = (2, 1.0, 3) are not all integers"),
+    (2, 1, 101, "the masks of the 1-spaces of PG(2,101) may need 106151809 bits, "
+                "more than the limit 100000000"),
+    # the planes of PG(3,17) pass level_gate: 5220^2 mask bits
+    (3, 2, 17, "the 2-spaces of PG(3,17) have 1602540 point incidences, "
+               "more than the limit 1000000"),
+    (7, 3, 2, "the 3-spaces of PG(7,2) have 3011805 point incidences, "
+              "more than the limit 1000000"),
+    (2, 1, 97, None),
+    (4, 3, 3, None),
+])
+def test_incidence_gate_refusals(n, m, q, reason):
+    assert gate_refusal(n, m, q, incidence_gate) == reason
+    if reason is not None and "incidences" in reason:
+        assert gate_refusal(n, m, q) is None
+
+
 def test_no_bool_reaches_a_space_or_level_cache():
     # True == 1 and hashes as 1, so a cache keyed by it answered for 1
     space = ProjectiveSpace.of_order(2, 3)
@@ -828,16 +847,20 @@ def test_a_warm_level_refuses_what_a_cold_one_does(m, call):
 
 
 def test_level_builds_and_recheck_agree_with_the_gate(monkeypatch):
-    # limits low enough that each test of level_gate refuses some level:
-    # PG(4,5) has 781 points, the lines of PG(3,3) 520 incidences, and the
-    # points of PG(4,3) need 121^2 mask bits
+    # limits low enough that each rule refuses some level: PG(4,5) has 781
+    # points, the points of PG(4,3) need 121^2 mask bits, and the lines of
+    # PG(3,3) need 130 * 40 mask bits but have 520 point incidences
     monkeypatch.setattr(geometry, "DEFAULT_MAX_POINTS", 500)
     monkeypatch.setattr(geometry, "DEFAULT_MAX_MASK_BITS", 10**4)
-    tests, refused = ("exceeds the limits", "point incidences", "may need"), set()
+    rules, refused = ("exceeds the limits", "may need", "point incidences"), set()
+    lists_only = []
     for n, q in itertools.product(range(1, 5), (2, 3, 4, 5)):
         for m in range(n + 1):
             fault = gate_refusal(n, m, q)
-            refused.update(test for test in tests if fault is not None and test in fault)
+            list_fault = gate_refusal(n, m, q, incidence_gate)
+            # the list gate asks level_gate first
+            assert fault is None or list_fault == fault
+            refused.update(rule for rule in rules if list_fault and rule in list_fault)
             space = None
             try:
                 space = ProjectiveSpace(n, field_for_order(q))
@@ -847,10 +870,31 @@ def test_level_builds_and_recheck_agree_with_the_gate(monkeypatch):
                 assert space is None or m not in space._levels
             else:
                 assert fault is None and count == count_subspaces(n, m, q)
+                for view, size in ((space.incidence, count),
+                                   (space.point_subspaces, space.num_points)):
+                    if list_fault is None:
+                        assert len(view(m)) == size
+                        continue
+                    with pytest.raises(GeometryError) as info:
+                        view(m)
+                    assert str(info.value) == list_fault
+                if list_fault is not None:
+                    lists_only.append((n, m, q))
+                    assert not {"edge_points", "vertex_edges"} & set(space._levels[m][1].__dict__)
             if 1 <= m <= n - 1:
                 cert = make_certificate("transversal", {
                     "n": n, "k": m, "q": q, "t": 1, "points": list(range(theta(n, q)))})
                 assert recheck(cert) == ((True, "t-transversal verified") if fault is None
                                          else (False, fault))
-    # the space, incidence and mask-bit tests each refused a level
-    assert refused == set(tests)
+                # a claim reads the lists: refused by counts, with no space built
+                cert = make_certificate("blocking_set", {
+                    "space": {"n": n, "q": q}, "weights": [1] * theta(n, q),
+                    "claims": [{"type": "t_fold_blocking", "t": 1, "k": m}]})
+                ProjectiveSpace.of_order.cache_clear()
+                assert recheck(cert) == ((True, "all claims verified") if list_fault is None
+                                         else (False, list_fault))
+                assert (ProjectiveSpace.of_order.cache_info().currsize == 0) == bool(list_fault)
+    # the point, mask-bit and list rules each refused a level, and a level
+    # past the list rule alone had its masks built and a transversal rechecked
+    assert refused == set(rules)
+    assert (3, 1, 3) in lists_only

@@ -313,24 +313,26 @@ def _level_rule_copies(tree):
 def _gate_value_uses(tree):
     """Where tree defines a second level gate, a function level_* other
     than level_gate (such as the one that returned its refusal as text),
-    or uses the value of a level_gate call: each such call that is not a
-    statement of its own, by line and the node that holds it."""
+    or uses the value of a level_gate or incidence_gate call: each such
+    call that is not a statement of its own, by line and the node that
+    holds it."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     found = [f"{node.lineno}: def {node.name}" for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and node.name.startswith("level_") and node.name != "level_gate"]
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "level_gate" \
-                and not isinstance(parents[node], ast.Expr):
+        if isinstance(node, ast.Call) and not isinstance(parents[node], ast.Expr) \
+                and ast.unparse(node.func).split(".")[-1] in ("level_gate", "incidence_gate"):
             found.append(f"{node.lineno}: {type(parents[node]).__name__}")
     return found
 
 
 def test_certificates_leave_the_level_rule_to_the_gate():
-    # the types and ranges of n, k and q and the point, incidence and
-    # mask-bit limits reach recheck through geometry.level_gate alone, the
-    # gate of every space and level build, so recheck cannot refuse a level
-    # that the library builds, nor read one it refuses
+    # the types and ranges of n, k and q and the point and mask-bit limits
+    # reach recheck through geometry.level_gate alone, the gate of every
+    # space and level build, and the incidence limit of a claim's lists
+    # through incidence_gate, which asks level_gate first; so recheck
+    # cannot refuse a level that the library builds, nor read one it refuses
     source = (PACKAGE_DIR / "certificates.py").read_text()
     names = {"DEFAULT_MAX_POINTS", "DEFAULT_MAX_MASK_BITS", "count_subspaces"}
     assert sorted(name for name in names if name in source) == []
@@ -360,9 +362,54 @@ def g(space):
         geometry.level_gate(space.n, 1, space.q)
     except ValueError:
         return None
+def h(n, m, q): return incidence_gate(n, m, q) is None
+def i(n, m, q): geometry.incidence_gate(n, m, q)
 """
     assert _gate_value_uses(ast.parse(source)) == [
-        "2: def level_refusal", "3: Assign", "5: Compare", "6: BoolOp", "7: Compare", "8: Call"]
+        "2: def level_refusal", "3: Assign", "5: Compare", "6: BoolOp", "7: Compare", "8: Call",
+        "15: Compare"]
+
+
+def _incidence_rule_sites(tree):
+    """The functions of tree, by name, that form a level's point
+    incidences, a product with theta(m, ...) for a plain name m other than
+    n, or raise the text of their limit ("point incidences" in an
+    f-string)."""
+    def copies_the_rule(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return any(isinstance(side, ast.Call) and ast.unparse(side.func) == "theta"
+                       and isinstance(side.args[0], ast.Name) and side.args[0].id != "n"
+                       for side in (node.left, node.right))
+        return isinstance(node, ast.JoinedStr) and any(
+            isinstance(part, ast.Constant) and "point incidences" in part.value
+            for part in node.values)
+
+    return [func.name for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(copies_the_rule(node) for node in ast.walk(func))]
+
+
+def test_the_incidence_rule_lives_in_the_list_gate():
+    # level_gate prices a level's masks and incidence_gate its lists, so
+    # only the list gate counts a level's point incidences and refuses
+    # them; level_gate no longer forms count * theta(m)
+    found = [f"{path.name}: {name}" for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for name in _incidence_rule_sites(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == ["geometry.py: incidence_gate"]
+
+
+def test_incidence_rule_guard_sees_each_copy():
+    source = """
+def a(n, m, q): return count_subspaces(n, m, q) * theta(m, q)
+def b(count, k, q): return theta(k, q) * count
+def c(m, n, q, total):
+    raise GeometryError(f"the {m}-spaces of PG({n},{q}) have {total} point incidences")
+def d(n, m, q): return count_subspaces(n, m, q) * theta(n, q)
+def e(n, m, q, t): return t * theta(n - m, q)
+def f(m, q): return theta(m, q) + 1
+def g(n, q): return f"PG({n},{q}) has {theta(n, q)} points"
+"""
+    assert _incidence_rule_sites(ast.parse(source)) == ["a", "b", "c"]
 
 
 def test_level_rule_guard_sees_each_copy():
