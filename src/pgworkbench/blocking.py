@@ -267,7 +267,8 @@ TModPEnumeration = collections.namedtuple(
 def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int,
                            max_size: int) -> TModPEnumeration:
     """All weight functions w with 0 <= w <= p - 1 pointwise,
-    sum(w) <= max_size, and every k-space weight congruent to t mod p.
+    sum(w) <= max_size, and every k-space weight congruent to t mod p, as
+    the sorted list of their weight tuples.
 
     The solutions form a coset of the kernel of the k-space/point
     incidence matrix over GF(p).  Every coset of that kernel is walked when
@@ -299,7 +300,7 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int,
     def walk(j, w):
         if j == kdim:
             if sum(w) <= max_size:
-                found.append(w)
+                found.append(tuple(w))
             return
         for c in range(p):
             if c:
@@ -307,5 +308,4 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int,
             walk(j + 1, w)
 
     walk(0, particular)
-    sets = [WeightedPointSet(space, w) for w in sorted(found)]
-    return TModPEnumeration(sets, kdim, total, True)
+    return TModPEnumeration(sorted(found), kdim, total, True)

@@ -225,9 +225,6 @@ class GF:
     def neg(self, a: int) -> int:
         return self._neg[a]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self._neg[b])
-
     def mul(self, a: int, b: int) -> int:
         return self._exp[self._log[a] + self._log[b]]
 
@@ -265,10 +262,6 @@ class GF:
         return tuple(tuple(row) for row in mat[:len(pivots)]), pivots
 
     # -- misc -----------------------------------------------------------
-
-    @property
-    def elements(self):
-        return range(self.q)
 
     def descriptor(self) -> str:
         if self.h == 1:

@@ -284,19 +284,6 @@ class ProjectiveSpace:
         caches are built once per process; True for n = 1 meets the gate."""
         return cls(n, space_field(n, q))
 
-    # -- points ---------------------------------------------------------
-
-    def normalize(self, vec):
-        """Scale a nonzero vector so its first nonzero coordinate is 1."""
-        f = self.field
-        for c in vec:
-            if c:
-                if c == 1:
-                    return tuple(vec)
-                s = f.inv(c)
-                return tuple(f.mul(s, x) for x in vec)
-        raise GeometryError("cannot normalize the zero vector")
-
     # -- linear algebra -------------------------------------------------
 
     def rref(self, rows):
@@ -452,11 +439,15 @@ class ProjectiveSpace:
         return self._levels[m]
 
     def incidence(self, m: int):
-        """Point-index tuples of the m-spaces, in the order of subspaces(m)."""
+        """Point-index tuples of the m-spaces, in the order of subspaces(m),
+        refused by incidence_gate before any mask is built."""
+        incidence_gate(self.n, m, self.q)
         return self._level(m)[1].edge_points
 
     def point_subspaces(self, m: int):
-        """Per point, the indices into subspaces(m) of the m-spaces through it."""
+        """Per point, the indices into subspaces(m) of the m-spaces through
+        it, refused by incidence_gate before any mask is built."""
+        incidence_gate(self.n, m, self.q)
         return self._level(m)[1].vertex_edges
 
     def _enumerate_rref_bases(self, nrows: int):
@@ -497,14 +488,6 @@ class ProjectiveSpace:
         if not rows:
             raise GeometryError("span of nothing")
         return self.subspace_from_basis(self.rref(rows))
-
-    def meet(self, U: Subspace, V: Subspace) -> Subspace:
-        common = U.mask & V.mask
-        if common == 0:
-            return EMPTY_SUBSPACE
-        pts = mask_bits(common)
-        basis = self.rref([self.points[i] for i in pts])
-        return Subspace(len(basis) - 1, basis, common)
 
     def line_through(self, i: int, j: int) -> Subspace:
         return self.span_points([i, j])

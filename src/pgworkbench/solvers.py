@@ -463,7 +463,7 @@ class TModPVerification(collections.namedtuple(
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return {**self._asdict(), "sets": [list(B.weights) for B in self.sets]}
+        return {**self._asdict(), "sets": list(map(list, self.sets))}
 
 
 def tmodp_verdict(space: ProjectiveSpace, t: int, found: list, sizes: list,
@@ -566,8 +566,7 @@ def verify_tmodp_theorem(p: int, t: int, max_size: int | None = None) -> TModPVe
     space = ProjectiveSpace.of_order(2, p)
     sets = (enumerate_t_mod_p_sets(space, k=1, t=t, max_size=frame["max_size"]).sets
             if frame["exhaustive"] else [])
-    violations, verified = tmodp_verdict(space, t, [tuple(B.weights) for B in sets],
-                                         [B.size for B in sets], frame)
+    violations, verified = tmodp_verdict(space, t, sets, list(map(sum, sets)), frame)
     return TModPVerification(**frame, num_found=len(sets), violations=violations,
                              verified=verified, sets=sets)
 

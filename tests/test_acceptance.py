@@ -167,7 +167,7 @@ def test_criterion_06_tmodp_verification():
         naive = sorted(w for w in itertools.product(range(2), repeat=7)
                        if sum(w) <= 6 and all(sum(w[i] for i in sup) % 2 == 1
                                               for sup in supports))
-        assert sorted(tuple(B.weights) for B in small.sets) == naive
+        assert sorted(small.sets) == naive
         assert small.verified and small.num_found == 7
 
         rep = verify_tmodp_theorem(3, 2, max_size=13)
@@ -180,7 +180,7 @@ def test_criterion_06_tmodp_verification():
         naive = sorted(w for w in itertools.product(range(3), repeat=13)
                        if sum(w) <= 13 and all(sum(w[i] for i in sup) % 3 == 2
                                                for sup in supports))
-        found = sorted(tuple(B.weights) for B in rep.sets)
+        found = sorted(rep.sets)
         assert found == naive, f"{len(found)} sets found, brute force has {len(naive)}"
         unions = {tuple((i in a) + (i in b) for i in range(13))
                   for a, b in itertools.combinations_with_replacement(supports, 2)}

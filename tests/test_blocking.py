@@ -198,7 +198,7 @@ def test_enumerate_t_mod_p_sets_fano_oracle():
     enum = enumerate_t_mod_p_sets(space, k=1, t=1, max_size=7)
     assert enum.exhaustive
     assert enum.kernel_dim == 3 and enum.num_solution_classes == 8
-    got = sorted(tuple(B.weights) for B in enum.sets)
+    got = sorted(enum.sets)
     assert got == naive_fano_solutions(7)
     # the 8 solutions are the 7 lines plus the full plane
     assert len(got) == 8
@@ -207,7 +207,7 @@ def test_enumerate_t_mod_p_sets_fano_oracle():
     line_weights = sorted(tuple(1 if i in set(L.point_indices()) else 0
                                 for i in range(7))
                           for L in space.subspaces(1))
-    assert sorted(tuple(B.weights) for B in enum6.sets) == line_weights
+    assert sorted(enum6.sets) == line_weights
 
 
 def test_enumerate_t_mod_p_sets_empty_below_minimum():
@@ -246,7 +246,7 @@ def reference_t_mod_p_walk(space, k, t, max_size):
                     if vec[j]:
                         w[j] = (w[j] + c * vec[j]) % p
         if sum(w) <= max_size:
-            found.append(w)
+            found.append(tuple(w))
     return sorted(found), kdim, p**kdim, exhaustive
 
 
@@ -267,9 +267,9 @@ def test_enumerate_t_mod_p_sets_matches_coordinate_walk(monkeypatch, n, q, k, t,
     max_size = space.num_points * (q - 1) // 2
     enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size)
     ref_sets, kdim, total, exhaustive = reference_t_mod_p_walk(space, k, t, max_size)
-    assert [B.weights for B in enum.sets] == ref_sets and (ref_sets or not exhaustive)
+    assert enum.sets == ref_sets and (ref_sets or not exhaustive)
     # the walk reduces every weight mod p, so no weight passes cap = p - 1
-    assert all(max(B.weights) <= cap for B in enum.sets)
+    assert all(max(w) <= cap for w in enum.sets)
     assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive) == \
         (kdim, total, exhaustive)
     assert exhaustive == ((n, q) in {(2, 2), (2, 3), (3, 2)} and coset_limit > 10)
@@ -329,7 +329,7 @@ def test_enumerate_t_mod_p_sets_plane_kernel_needs_no_elimination(monkeypatch, p
 def assert_matches_reference(space, k, t, max_size):
     enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=max_size)
     ref_sets, kdim, total, exhaustive = reference_t_mod_p_walk(space, k, t, max_size)
-    assert [B.weights for B in enum.sets] == ref_sets
+    assert enum.sets == ref_sets
     assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive) == \
         (kdim, total, exhaustive)
     return enum
@@ -352,8 +352,7 @@ def test_enumerate_t_mod_p_sets_chunk_boundaries(monkeypatch, chunk, n, q, k, t,
     assert bool(full.sets) == full.exhaustive
     for cut in sorted(set(range(0, top, chunk)) | {top}):
         enum = enumerate_t_mod_p_sets(space, k=k, t=t, max_size=cut)
-        assert [B.weights for B in enum.sets] == \
-            [B.weights for B in full.sets if sum(B.weights) <= cut]
+        assert enum.sets == [w for w in full.sets if sum(w) <= cut]
         assert (enum.kernel_dim, enum.exhaustive) == (full.kernel_dim, full.exhaustive)
 
 

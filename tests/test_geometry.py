@@ -67,16 +67,6 @@ def test_point_enumeration_normalized_and_sorted():
         assert lead == 1
 
 
-def test_normalize():
-    space = ProjectiveSpace.of_order(2, 3)
-    assert space.normalize((2, 1, 0)) == (1, 2, 0)  # scaled by 2^{-1} = 2
-    assert space.normalize((0, 0, 2)) == (0, 0, 1)
-    # a vector that already leads with 1 is only made a tuple
-    assert space.normalize([0, 1, 2]) == (0, 1, 2)
-    with pytest.raises(GeometryError):
-        space.normalize((0, 0, 0))
-
-
 def test_subspace_enumeration_counts_and_masks():
     space = ProjectiveSpace.of_order(3, 2)
     for m in range(4):
@@ -205,17 +195,11 @@ def test_span_meet_dimension_formula():
     for _ in range(100):
         U, V = rng.choice(subs), rng.choice(subs)
         S = space.span(U, V)
-        M = space.meet(U, V)
-        assert (U.dim + 1) + (V.dim + 1) == (S.dim + 1) + (M.dim + 1)
-        assert M.mask == U.mask & V.mask
+        # the meet has theta(r - 1, 2) points, r its vector-space dimension
+        common = (U.mask & V.mask).bit_count()
+        meet_rank = next(r for r in range(5) if theta(r - 1, 2) == common)
+        assert (U.dim + 1) + (V.dim + 1) == (S.dim + 1) + meet_rank
         assert S.mask & U.mask == U.mask and S.mask & V.mask == V.mask
-
-
-def test_meet_disjoint_is_empty():
-    space = ProjectiveSpace.of_order(3, 2)
-    A, B = space.disjoint_subspaces(1, 2)
-    assert space.meet(A, B) is EMPTY_SUBSPACE
-    assert A.mask & B.mask == 0
 
 
 def test_line_through_and_incidence():
@@ -257,6 +241,8 @@ def test_disjoint_subspaces_error():
     space = ProjectiveSpace.of_order(3, 2)
     with pytest.raises(GeometryError):
         space.disjoint_subspaces(2, 2)  # two disjoint planes cannot fit
+    A, B = space.disjoint_subspaces(1, 2)
+    assert A.mask & B.mask == 0
 
 
 def test_hyperplane_avoiding():
@@ -798,6 +784,27 @@ def test_incidence_gate_refusals(n, m, q, reason):
     assert gate_refusal(n, m, q, incidence_gate) == reason
     if reason is not None and "incidences" in reason:
         assert gate_refusal(n, m, q) is None
+
+
+LIST_CALLS = {
+    "kspace_weights": lambda space, B: kspace_weights(B, 3),
+    "incidence": lambda space, B: space.incidence(3),
+    "point_subspaces": lambda space, B: space.point_subspaces(3),
+}
+
+
+@pytest.mark.parametrize("call", LIST_CALLS.values(), ids=list(LIST_CALLS))
+def test_a_level_past_the_incidence_limit_builds_no_mask(call):
+    # the masks of the 3-spaces of PG(7,2) pass level_gate and took about a
+    # second to build before their lists were refused
+    space = ProjectiveSpace(7, field_for_order(2))
+    B = WeightedPointSet(space, [0] * space.num_points)
+    start = time.perf_counter()
+    with pytest.raises(GeometryError, match=r"the 3-spaces of PG\(7,2\) have 3011805 point "
+                                            r"incidences, more than the limit 1000000"):
+        call(space, B)
+    assert time.perf_counter() - start < 0.1
+    assert 3 not in space._levels
 
 
 def test_no_bool_reaches_a_space_or_level_cache():

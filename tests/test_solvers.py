@@ -571,7 +571,7 @@ def test_verify_tmodp_theorem_p2():
     assert rep.exhaustive and rep.verified
     assert rep.num_found == rep.num_unions == 7
     assert rep.expected_size == 3
-    assert all(B.size == 3 for B in rep.sets)
+    assert all(sum(w) == 3 for w in rep.sets)
 
 
 def test_verify_tmodp_theorem_p3_boundary_failure():
@@ -586,11 +586,28 @@ def test_verify_tmodp_theorem_p3_boundary_failure():
     assert rep.num_found == 325
     assert len(rep.violations) == 234
     assert not rep.verified
-    sizes = sorted({B.size for B in rep.sets})
+    sizes = sorted(set(map(sum, rep.sets)))
     assert sizes == [8, 11]
-    assert sum(1 for B in rep.sets if B.size == 8) == 91
+    assert sum(1 for w in rep.sets if sum(w) == 8) == 91
     for v in rep.violations:
         assert sum(v["weights"]) == 11
+
+
+def test_tmodp_sets_stay_the_walks_weight_tuples(monkeypatch):
+    # a report lists the weight tuples of the walk as they are: no
+    # WeightedPointSet is built for them, and the report is unchanged
+    reports = {args: verify_tmodp_theorem(*args).to_json() for args in ((2, 1), (3, 2))}
+
+    def refuse(cls, *args):
+        raise AssertionError("a WeightedPointSet was built")
+
+    monkeypatch.setattr(blocking.WeightedPointSet, "__new__", staticmethod(refuse))
+    for args, payload in reports.items():
+        assert verify_tmodp_theorem(*args).to_json() == payload
+    sets = enumerate_t_mod_p_sets(ProjectiveSpace.of_order(2, 3), k=1, t=2, max_size=13).sets
+    assert type(sets) is list and len(sets) == 325 and sets == sorted(sets)
+    assert all(type(w) is tuple and len(w) == 13 and all(type(x) is int for x in w)
+               for w in sets)
 
 
 def test_verify_tmodp_theorem_hypothesis_guard():

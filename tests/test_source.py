@@ -173,6 +173,80 @@ def test_every_private_definition_has_a_caller():
     assert dead == []
 
 
+# definitions that no library line reads, kept for the reader outside the
+# library that each names; every other unread one is dead code
+OUTSIDE_READERS = {
+    "ProjectiveSpace.verify_pencil_identity": "the construct workload and criterion 2",
+    "ProjectiveSpace.span": "criterion 8",
+    "ProjectiveSpace.hyperplane_avoiding": "criterion 8",
+    "ProjectiveSpace.project_from_point": "criterion 8",
+}
+
+
+def _unread_definitions(trees, exported):
+    """The module functions and methods of trees, as file: name, that no
+    line of trees outside their own body reads, a function as a name or an
+    attribute and a method as an attribute; dunder methods are read by
+    the interpreter, and a function named in exported is public API."""
+    def reads(node):
+        return [(n.id, False) if isinstance(n, ast.Name) else (n.attr, True)
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+
+    everywhere = [r for tree in trees.values() for r in reads(tree)]
+    found = []
+    for file, tree in trees.items():
+        defs = [("", node) for node in tree.body]
+        defs += [(f"{cls.name}.", node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body]
+        for owner, node in defs:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or node.name.startswith("__") or not owner and node.name in exported:
+                continue
+
+            def is_read(r, name=node.name, method=bool(owner)):
+                return r[0] == name and (r[1] or not method)
+
+            if sum(map(is_read, everywhere)) == sum(map(is_read, reads(node))):
+                found.append(f"{file}: {owner}{node.name}")
+    return found
+
+
+def test_every_definition_has_a_reader():
+    # a method or module function that no library line reads, that the
+    # package does not export and that no outside reader needs is dead
+    # code; the table names the reader of each one it keeps
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    unread = _unread_definitions(trees, set(pgworkbench.__all__))
+    assert sorted(name for name in unread if name.split(": ")[1] not in OUTSIDE_READERS) == []
+    # each entry of the table is still defined and still unread
+    assert sorted(name.split(": ")[1] for name in unread) == sorted(OUTSIDE_READERS)
+
+
+def test_unread_definition_guard_sees_each_one():
+    source = """
+def exported(): return 1
+def helper(): return 2
+def caller(): return helper() + module.called_by_attribute()
+def called_by_attribute(): return 3
+def recursive(n): return recursive(n - 1) if n else 0
+def shadowed(sub): return sub
+class A:
+    def __init__(self): self.x = 1
+    def read(self): return self.x
+    def unread(self): return self.read()
+    def sub(self, a): return a
+    def again(self): return self.again()
+    @property
+    def prop(self): return 4
+def uses_prop(a): return a.prop
+"""
+    assert _unread_definitions({"m.py": ast.parse(source)}, {"exported"}) == [
+        "m.py: caller", "m.py: recursive", "m.py: shadowed", "m.py: uses_prop",
+        "m.py: A.unread", "m.py: A.sub", "m.py: A.again"]
+
+
 def test_solvers_read_params_through_the_check():
     # the geometric shortcuts (bounds, fixed roots, size cutoffs) and the
     # certificates that name a space read Hypergraph.geometry, which
