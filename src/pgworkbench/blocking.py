@@ -70,17 +70,6 @@ def kspace_weights(B: WeightedPointSet, k: int):
 CLAIM_KINDS = ("t_fold_blocking", "t_mod_p", "minimal")
 
 
-def claim_gate(n: int, q: int, kind: str, t: int, k: int) -> None:
-    """The refusals of a claim that need no space, in order: BlockingError
-    for a kind not in CLAIM_KINDS or a t not an int (a bool is none), then
-    incidence_gate(n, k, q)'s; recheck asks them all before building PG(n,q)."""
-    if kind not in CLAIM_KINDS:
-        raise BlockingError(f"unknown claim type {kind!r}")
-    if type(t) is not int:
-        raise BlockingError(f"t {t!r} is not an int")
-    incidence_gate(n, k, q)
-
-
 def judge_claim(B: WeightedPointSet, kind: str, t: int, k: int, sums: dict):
     """(holds, S) for a claim about B on k-spaces: t_fold_blocking (each
     k-space, 1 <= k <= n-1, has weight >= t), t_mod_p (each weight is t mod
@@ -89,10 +78,15 @@ def judge_claim(B: WeightedPointSet, kind: str, t: int, k: int, sums: dict):
     t-fold blocking is not minimal).  S is the first k-space, in canonical
     order, that fails the weight test, else None.  Claims sharing the dict
     sums (the weights by k) make one pass per k.  BlockingError for another
-    kind, for a t that is not an int (a bool is none) and for k = 0 or n,
-    then t < 1, in a blocking or minimal claim, after incidence_gate's
-    refusal of any other k, the first three by claim_gate."""
-    claim_gate(B.space.n, B.space.q, kind, t, k)
+    kind and for a t that is not an int (a bool is none), then
+    incidence_gate(n, k, q)'s refusals, asked once per claim before any
+    level is built, then BlockingError for k = 0 or n and for t < 1, in a
+    blocking or minimal claim."""
+    if kind not in CLAIM_KINDS:
+        raise BlockingError(f"unknown claim type {kind!r}")
+    if type(t) is not int:
+        raise BlockingError(f"t {t!r} is not an int")
+    incidence_gate(B.space.n, k, B.space.q)
     if kind != "t_mod_p" and (k < 1 or k > B.space.n - 1):
         raise BlockingError(f"k = {k} out of range")
     if kind != "t_mod_p" and t < 1:

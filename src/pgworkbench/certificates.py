@@ -6,10 +6,10 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .blocking import CLAIM_KINDS, WeightedPointSet, claim_gate, judge_claim
+from .blocking import CLAIM_KINDS, WeightedPointSet, judge_claim
 from .coloring import Coloring, ColoringError, is_strict, judge_coloring
 from .geometry import (GeometryError, Hypergraph, ProjectiveSpace, all_ints, canonical_json,
-                       level_gate, load_json, mask_bits, point_set, write_text)
+                       load_json, mask_bits, point_set, write_text)
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
                       tmodp_frame, tmodp_verdict)
 
@@ -152,15 +152,16 @@ def _verify_transversal(payload):
     # exact_tau refuses t < 1, so no solve certifies one
     if t < 1:
         return False, "t must be >= 1"
-    level_gate(n, k, q)
     space = ProjectiveSpace.of_order(n, q)
+    # the level's refusals come before the points'
+    levels = space.subspaces(k)
     pts = point_set(payload["points"], space.num_points)
     if "objective" in payload:
         _require_ints(payload, ("objective",))
         if payload["objective"] != len(pts):
             return False, "objective does not match the witness size"
     mask = sum(1 << i for i in pts)
-    for S in space.subspaces(k):
+    for S in levels:
         hit = (S.mask & mask).bit_count()
         if hit < t:
             return False, f"a {k}-space meets the set in only {hit} < {t} points"
@@ -169,10 +170,7 @@ def _verify_transversal(payload):
 
 def _verify_coloring(payload):
     n, k, q = payload["n"], payload["k"], payload["q"]
-    level_gate(n, k, q)
     H = ProjectiveSpace.of_order(n, q).hypergraph(k)
-    if isinstance(payload["assignment"], list) and not all_ints(payload["assignment"]):
-        return False, "a color is not an int"
     coloring = Coloring.from_json(payload)
     N = payload.get("N")
     if N is not None:
@@ -202,9 +200,6 @@ def _verify_blocking_set(payload):
     claims = _require(payload, "claims", list, dict, "a list of claim objects")
     if not claims:
         return False, "claims lists no claim"
-    # every claim's kind, t and level, before the field and space are built
-    for claim in claims:
-        claim_gate(n, q, claim["type"], claim["t"], claim["k"])
     B = WeightedPointSet.from_json(ProjectiveSpace.of_order(n, q), payload["weights"])
     # the k-space weights of B, once for each k
     sums = {}

@@ -15,9 +15,8 @@ from .certificates import (blocking_set_certificate, bounds_certificate, colorin
                            transversal_certificate, write_certificate)
 from .coloring import Coloring, judge_coloring, trivial_coloring
 from .experiments import ExperimentConfig, default_grid, run_experiments
-from .geometry import (ProjectiveSpace, canonical_json, count_subspaces,
-                       hypergraph_from_file, hypergraph_to_file, incidence_gate, load_json,
-                       space_field, theta)
+from .geometry import (ProjectiveSpace, canonical_json, count_subspaces, hypergraph_from_file,
+                       hypergraph_to_file, incidence_gate, load_json)
 from .solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -27,22 +26,22 @@ def _emit(data):
 
 def cmd_space(args):
     n, q = args.n, args.q
-    # an export past the list gate is refused by counts, before the space is built
+    # an export past the list gate is refused by counts, before any mask is
+    # built; the masks of a level may pass the gate where its lists do not
     if args.export_hypergraph:
         incidence_gate(n, args.k, q)
-    # the refusals of ProjectiveSpace.of_order(n, q), with no point built
-    field = space_field(n, q)
-    info = {"n": n, "q": q, "field": field.descriptor(), "num_points": theta(n, q),
+    space = ProjectiveSpace.of_order(n, q)
+    info = {"n": n, "q": q, "field": space.field.descriptor(), "num_points": space.num_points,
             "subspace_counts": {str(m): count_subspaces(n, m, q) for m in range(n + 1)}}
     if args.export_hypergraph:
-        hypergraph_to_file(ProjectiveSpace(n, field).hypergraph(args.k), args.export_hypergraph)
+        hypergraph_to_file(space.hypergraph(args.k), args.export_hypergraph)
         info["exported"] = args.export_hypergraph
     _emit(info)
     return 0
 
 
 def cmd_blocking(args):
-    incidence_gate(args.n, args.k, args.q)  # a claim's lists, before any space
+    incidence_gate(args.n, args.k, args.q)  # a claim's lists, before the weights file is read
     B = WeightedPointSet.from_json(ProjectiveSpace.of_order(args.n, args.q),
                                    load_json(args.weights))
     cert = blocking_set_certificate(B, args.t, args.k)

@@ -10,8 +10,7 @@ import os
 
 from .certificates import (bounds_certificate, coloring_certificate, tmodp_certificate,
                            transversal_certificate, verify_payload, write_certificate)
-from .fields import factor_prime_power
-from .geometry import ProjectiveSpace, level_gate, write_text
+from .geometry import ProjectiveSpace, write_text
 from .solvers import OPTIMAL, bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -50,23 +49,16 @@ def _searched(res):
                      for b in (res.lower_bound, res.upper_bound)), res.lower_bound
 
 
-def _hypergraph(n, k, q):
-    """H(n,k,q); q and the level meet their refusals before of_order hashes or builds PG(n,q)."""
-    factor_prime_power(q)
-    level_gate(n, k, q)
-    return ProjectiveSpace.of_order(n, q).hypergraph(k)
-
-
 def _run_tau(task):
     n, k, q, t = task["n"], task["k"], task["q"], task["t"]
-    H = _hypergraph(n, k, q)
+    H = ProjectiveSpace.of_order(n, q).hypergraph(k)
     res = exact_tau(H, t)
     return transversal_certificate(H, t, res), f"tau_{t}(H({n},{k},{q}))", *_searched(res)
 
 
 def _run_ucn(task):
     n, k, q = task["n"], task["k"], task["q"]
-    H = _hypergraph(n, k, q)
+    H = ProjectiveSpace.of_order(n, q).hypergraph(k)
     res = exact_ucn(H)
     return coloring_certificate(H, res.witness), f"UCN(H({n},{k},{q}))", *_searched(res)
 

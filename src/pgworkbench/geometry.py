@@ -87,15 +87,6 @@ def incidence_gate(n: int, m: int, q: int) -> None:
                             f"incidences, more than the limit {DEFAULT_MAX_POINTS}")
 
 
-def space_field(n: int, q: int) -> GF:
-    """GF(q), built for PG(n,q) only once the space may be built: first
-    the field's refusals by q alone (factor_prime_power), then those of
-    level_gate(n, n, q), so a space refused by its counts builds no field."""
-    factor_prime_power(q)
-    level_gate(n, n, q)
-    return field_for_order(q)
-
-
 def count_subspaces(n: int, m: int, q: int) -> int:
     """Number of m-spaces of PG(n,q) (a Gaussian binomial coefficient)."""
     if m < 0 or m > n:
@@ -255,34 +246,50 @@ class Hypergraph(collections.namedtuple("Hypergraph", "num_vertices edges params
         return H
 
 
+# the spaces of ProjectiveSpace.of_order, by (n, q), both ints
+_SPACES: dict[tuple, "ProjectiveSpace"] = {}
+
+
 class ProjectiveSpace:
-    """PG(n,q) with cached point, subspace and incidence enumerations."""
+    """PG(n,q) with cached point, subspace and incidence enumerations.  The
+    constructor asks level_gate(n, n, q) and builds no point: the points
+    and point_index are built at their first use, by a level, a span or a
+    projection, and kept."""
 
     def __init__(self, n: int, field: GF):
         level_gate(n, n, field.q)
         self.n = n
         self.field = field
-        self.points = tuple(sorted(_normalized_vectors(n + 1, field.q)))
-        self.point_index = {pt: i for i, pt in enumerate(self.points)}
+        self.num_points = theta(n, field.q)
         self._place = [field.q ** (n - j) for j in range(n + 1)]
         self._levels: dict[int, tuple] = {}
         self._wrap_masks: dict[tuple, int] = {}
+
+    @functools.cached_property
+    def points(self) -> tuple:
+        return tuple(sorted(_normalized_vectors(self.n + 1, self.q)))
+
+    @functools.cached_property
+    def point_index(self) -> dict:
+        return {pt: i for i, pt in enumerate(self.points)}
 
     @property
     def q(self) -> int:
         return self.field.q
 
-    @property
-    def num_points(self) -> int:
-        return len(self.points)
-
     @classmethod
-    @functools.lru_cache(maxsize=None, typed=True)
     def of_order(cls, n: int, q: int) -> "ProjectiveSpace":
-        """PG(n,q), shared: every call with the same (n, q), of the same
-        types, returns the same space, so its point, subspace and incidence
-        caches are built once per process; True for n = 1 meets the gate."""
-        return cls(n, space_field(n, q))
+        """PG(n,q), shared: every call with the same int n and q returns the
+        same space, so its point, subspace and incidence caches are built
+        once per process.  A space not yet kept meets factor_prime_power(q),
+        then level_gate(n, n, q), before its field is built, so any other n
+        or q, a bool too, gets their refusal and is never kept."""
+        space = _SPACES.get((n, q)) if type(n) is int and type(q) is int else None
+        if space is None:
+            factor_prime_power(q)
+            level_gate(n, n, q)
+            space = _SPACES[n, q] = cls(n, field_for_order(q))
+        return space
 
     # -- linear algebra -------------------------------------------------
 
@@ -472,12 +479,6 @@ class ProjectiveSpace:
 
     # -- lattice operations ---------------------------------------------
 
-    def span_points(self, indices) -> Subspace:
-        if not indices:
-            raise GeometryError("span of an empty point set")
-        basis = self.rref([self.points[i] for i in indices])
-        return self.subspace_from_basis(basis)
-
     def span(self, *subspaces_or_points) -> Subspace:
         rows = []
         for obj in subspaces_or_points:
@@ -488,9 +489,6 @@ class ProjectiveSpace:
         if not rows:
             raise GeometryError("span of nothing")
         return self.subspace_from_basis(self.rref(rows))
-
-    def line_through(self, i: int, j: int) -> Subspace:
-        return self.span_points([i, j])
 
     def coordinate_subspace(self, columns) -> Subspace:
         """The span of the unit vectors e_c for c in columns, increasing."""
@@ -529,8 +527,7 @@ class ProjectiveSpace:
                 continue
             if x == center:
                 raise GeometryError("projection center carries positive weight")
-            line = self.line_through(center, x)
-            img = line.mask & H.mask
+            img = self.span(center, x).mask & H.mask
             out[img.bit_length() - 1] += w
         return out
 

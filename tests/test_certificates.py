@@ -8,7 +8,7 @@ import pytest
 
 from test_geometry import gate_refusal
 
-from pgworkbench import certificates
+from pgworkbench import blocking, certificates, geometry
 from pgworkbench.blocking import (COSET_LIMIT, BlockingError, WeightedPointSet,
                                   is_t_fold_blocking, is_t_mod_p_set, judge_claim,
                                   plane_cosets, solve_mod_p)
@@ -164,6 +164,27 @@ def test_recheck_blocking_set():
     bad["claims"][0]["t"] = 3
     ok, detail = recheck(make_certificate("blocking_set", bad))
     assert not ok
+
+
+def test_recheck_gates_each_blocking_claim_once(monkeypatch):
+    # recheck asked the list gate for every claim before it built the
+    # space, and judge_claim asked it again: eight calls for four claims
+    space = ProjectiveSpace.of_order(2, 5)
+    B = WeightedPointSet(space, [1] * space.num_points)
+    claims = [{"type": kind, "t": t, "k": 1, "verified": judge_claim(B, kind, t, 1, {})[0]}
+              for kind, t in (("t_fold_blocking", 6), ("t_mod_p", 1), ("minimal", 1),
+                              ("t_fold_blocking", 7))]
+    assert [claim["verified"] for claim in claims] == [True, True, False, False]
+    cert = make_certificate("blocking_set", {**B.to_json(), "claims": claims})
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        incidence_gate(*args)
+
+    monkeypatch.setattr(blocking, "incidence_gate", counted)
+    assert recheck(cert) == (True, "all claims verified")
+    assert calls == [(2, 1, 5)] * 4
 
 
 @pytest.mark.parametrize("verified, detail", [
@@ -535,7 +556,8 @@ NON_INT_ENTRIES = [
         ("blocking-weight", "blocking_set", lambda d, to: _retype_entry(d["weights"], to),
          "verification error: weights must be a list of ints"),
         ("color", "coloring", lambda d, to: _retype_entry(d["assignment"], to),
-         "a color is not an int"),
+         "verification error: a coloring is a JSON object whose 'assignment' is a list of "
+         "integers"),
     ]
     for to in (float, bool)]
 
@@ -549,9 +571,10 @@ def _retype_bounds_t(payload, t):
 # scalar fields: each of these rechecked true until every verifier tested
 # the type of its ints; here `to` is the value itself
 NON_INT_ENTRIES += [
-    # the level gate refuses a type of n, k or q plainly, as it refuses a range
+    # the space's gate, level_gate(n, n, q), refuses a type of n or q
+    # plainly, as it refuses a range
     pytest.param("transversal", True, lambda d, to: d.update(n=to),
-                 "(n, m, q) = (True, 0, 2) are not all integers", id="transversal-n-bool"),
+                 "(n, m, q) = (True, True, 2) are not all integers", id="transversal-n-bool"),
     pytest.param("bounds", 2.5, _retype_bounds_t,
                  "verification error: t must be an int >= 1, not 2.5", id="bounds-t-float"),
     pytest.param("bounds", True, _retype_bounds_t,
@@ -765,11 +788,12 @@ def test_recheck_bounds_refuses_parameters_out_of_range(n, k, q, needle):
     # a field past the point limit, whatever level is named
     ("coloring", {"n": 2, "k": 3, "q": 65536, "assignment": [0], "N": 1},
      "PG(2,65536) exceeds the limits"),
-    # PG(2,997) passes the point limit, and building it took 0.6 s and
-    # 156 MiB before the weights were read; its claim's level is refused first
+    # PG(2,997) passes the point limit, and building its points took 0.6 s
+    # and 156 MiB before the weights were read; the space builds no point,
+    # so its one weight is refused first
     ("blocking_set", {"space": {"n": 2, "q": 997}, "weights": [1],
                       "claims": [{"type": "t_fold_blocking", "t": 1, "k": 1}]},
-     "the masks of the 1-spaces of PG(2,997) may need 990038930049 bits, more than the limit"),
+     "verification error: weight array length does not match the point count"),
     # the 3-spaces of PG(7,2) pass the mask-bit limit, and their masks take
     # about 1 s and 67 MiB to build; a claim reads the lists, which the list
     # gate refuses by counts before any space is built
@@ -779,12 +803,20 @@ def test_recheck_bounds_refuses_parameters_out_of_range(n, k, q, needle):
 ])
 def test_recheck_refuses_a_huge_space_before_any_build(kind, payload, needle):
     cert = make_certificate(kind, payload)
-    ProjectiveSpace.of_order.cache_clear()
+    geometry._SPACES.clear()
     start = time.perf_counter()
     ok, detail = recheck(cert)
     assert time.perf_counter() - start < 0.1
     assert not ok and detail.startswith(needle)
-    assert ProjectiveSpace.of_order.cache_info().currsize == 0
+    # a space refused by its own counts is not kept; one whose level or
+    # weights are refused is kept with no point and no level built
+    spaces = list(geometry._SPACES.values())
+    if "exceeds the limits" in needle:
+        assert spaces == []
+    else:
+        spec = payload.get("space", payload)
+        assert [(space.n, space.q) for space in spaces] == [(spec["n"], spec["q"])]
+        assert "points" not in vars(spaces[0]) and spaces[0]._levels == {}
 
 
 def test_incidence_limit_sits_between_the_largest_corpus_space_and_pg2_127():
@@ -826,7 +858,7 @@ def test_recheck_refuses_an_unsupported_schema_version(version):
 # type of n, k or q plainly, and a verifier raises for the other fields
 TYPE_MUTATED_TRANSVERSALS = [
     pytest.param({"n": "2", "k": 1, "q": 2, "t": 2, "points": [0, 1, 2, 3, 4, 5],
-                  "objective": 6}, "(n, m, q) = ('2', 1, 2) are not all integers",
+                  "objective": 6}, "(n, m, q) = ('2', '2', 2) are not all integers",
                  id="payload0"),
     pytest.param({"n": 2, "k": 1, "q": 2, "t": 2, "points": None, "objective": 6},
                  "a point set is a list of point indices, not None", id="payload1"),

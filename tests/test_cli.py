@@ -7,7 +7,7 @@ import pytest
 
 from test_certificates import TYPE_MUTATED_TRANSVERSALS
 
-from pgworkbench import solvers
+from pgworkbench import geometry, solvers
 from pgworkbench.certificates import make_certificate, write_certificate
 from pgworkbench.cli import main
 from pgworkbench.coloring import Coloring
@@ -48,15 +48,15 @@ def test_bounds_and_verify_name_the_non_prime_power(capsys, argv):
     assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
 
 
-def test_space_builds_no_space_it_does_not_export(capsys, monkeypatch):
-    # PG(2,997) has 995007 points: building them took 0.7 s and 180 MiB
-    def refuse(*args):
-        raise AssertionError("ProjectiveSpace built")
-    monkeypatch.setattr(ProjectiveSpace, "__init__", refuse)
+def test_space_builds_no_space_it_does_not_export(capsys):
+    # PG(2,997) has 995007 points: building them took 0.7 s and 180 MiB;
+    # the space reads its field and point count with no point built
+    geometry._SPACES.pop((2, 997), None)
     code, out = run_cli(capsys, "space", "--n", "2", "--q", "997")
     assert code == 0
     assert out == ('{"field":"GF(997)","n":2,"num_points":995007,"q":997,'
                    '"subspace_counts":{"0":995007,"1":995007,"2":1}}\n')
+    assert "points" not in vars(ProjectiveSpace.of_order(2, 997))
 
 
 @pytest.mark.parametrize("n, q, err", [
@@ -667,11 +667,12 @@ def test_blocking_refuses_a_level_past_the_gate(tmp_path, capsys):
 def test_blocking_asks_the_gate_before_building_the_space(tmp_path, capsys, n, q, k, err):
     wpath = tmp_path / "weights.json"
     wpath.write_text("[1]")
-    ProjectiveSpace.of_order.cache_clear()
+    geometry._SPACES.clear()
     code, captured = _timed_main(capsys, ["blocking", "--n", str(n), "--q", str(q), "--t", "1",
                                           "--k", str(k), "--weights", str(wpath)], 0.1)
     assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
-    assert ProjectiveSpace.of_order.cache_info().currsize == 0
+    # the gate refuses before the weights file is read, with no space kept
+    assert geometry._SPACES == {}
 
 
 def test_space_export_refuses_a_level_past_the_gate(tmp_path, capsys):

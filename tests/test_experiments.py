@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from pgworkbench import experiments, solvers
+from pgworkbench import experiments, geometry, solvers
 from pgworkbench.certificates import load_certificate, make_certificate, recheck
 from pgworkbench.experiments import ExperimentConfig, run_experiments
 from pgworkbench.fields import FieldError
@@ -65,14 +65,14 @@ def test_malformed_grid_tasks_become_error_rows(tmp_path):
     assert rows[6].value == "unknown task kind 'flow'"
     assert rows[7].value == "t must be an int, not 2.0"
     assert not (tmp_path / "task007_tau.json").exists()
-    assert rows[8].value == "(n, m, q) = (2, True, 2) are not all integers"
+    assert rows[8].value == "k = True is not an integer in [1, 1] for hyperedges of PG(2,2)"
     assert (rows[9].quantity, rows[9].match) == ("tau_2(H(2,1,2))", "yes")
     assert (rows[10].quantity, rows[10].match) == ("error", "no")
-    assert rows[10].value == "(n, m, q) = (True, 1, 3) are not all integers"
+    assert rows[10].value == "(n, m, q) = (True, True, 3) are not all integers"
     assert [(row.quantity, row.match, row.value) for row in rows[11:]] == [
         ("error", "no", reason) for reason in [
-            "(n, m, q) = ([], 1, 2) are not all integers",
-            "(n, m, q) = ({}, 1, 2) are not all integers",
+            "(n, m, q) = ([], [], 2) are not all integers",
+            "(n, m, q) = ({}, {}, 2) are not all integers",
             "q = [] is not an int", "q = {} is not an int"] * 2
         + ["unknown task kind []", "unknown task kind {}"]]
     assert type(ProjectiveSpace.of_order(1, 3).n) is int
@@ -83,15 +83,17 @@ def test_malformed_grid_tasks_become_error_rows(tmp_path):
 @pytest.mark.parametrize("kind", ["tau", "ucn"])
 def test_a_level_past_the_gate_is_an_error_row_with_no_space_built(tmp_path, kind):
     # the grid built PG(2,997), 995,007 points, in 0.58 s before its lines
-    # were refused
+    # were refused; the space is kept with no point and no level built
     task = {"kind": kind, "n": 2, "k": 1, "q": 997, "t": 2}
-    ProjectiveSpace.of_order.cache_clear()
+    geometry._SPACES.clear()
     rows, ok = run_experiments(ExperimentConfig(grid=[task], outdir=str(tmp_path)))
     assert not ok
     assert [(row.quantity, row.value) for row in rows] == [(
         "error", "the masks of the 1-spaces of PG(2,997) may need 990038930049 bits, "
                  "more than the limit 100000000")]
-    assert ProjectiveSpace.of_order.cache_info().currsize == 0
+    space = geometry._SPACES.pop((2, 997))
+    assert geometry._SPACES == {}
+    assert "points" not in vars(space) and space._levels == {}
 
 
 def test_a_q_that_is_not_an_int_is_the_fields_error_row(tmp_path):

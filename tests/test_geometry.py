@@ -15,7 +15,7 @@ import pytest
 from pgworkbench import geometry
 from pgworkbench.blocking import WeightedPointSet, is_t_fold_blocking, kspace_weights
 from pgworkbench.certificates import make_certificate, recheck
-from pgworkbench.fields import field_for_order
+from pgworkbench.fields import FieldError, field_for_order
 from pgworkbench.geometry import (EMPTY_SUBSPACE, GeometryError, Hypergraph,
                                   ProjectiveSpace, Subspace, count_subspaces,
                                   hypergraph_from_file, hypergraph_to_file,
@@ -119,10 +119,9 @@ def test_lattice_matches_reference_walk(n, q):
             basis = space.rref([space.points[i] for i in pts])
             ranks.add(len(basis))
             want = _reference_mask(space, basis)
-            S = space.span_points(pts)
+            S = space.span(*pts)
             assert (S.basis, S.mask, S.dim) == (basis, want, len(basis) - 1)
-            assert space.span(*pts).mask == want
-            U = space.span_points(pts[1:]) if len(pts) > 1 else space.subspaces(0)[pts[0]]
+            U = space.span(*pts[1:]) if len(pts) > 1 else space.subspaces(0)[pts[0]]
             assert space.span(U, pts[0]).mask == want
     assert ranks == set(range(1, n + 2))
 
@@ -133,7 +132,7 @@ def test_span_of_large_q_matches_reference_walk(n, q, size):
     # over GF(5^3), whose wrap moves reach the third base-p digit
     space = ProjectiveSpace(n, field_for_order(q))
     pts = random.Random(q).sample(range(space.num_points), size)
-    S = space.span_points(pts)
+    S = space.span(*pts)
     assert S.dim == size - 1
     assert S.mask == _reference_mask(space, S.basis)
 
@@ -202,16 +201,16 @@ def test_span_meet_dimension_formula():
         assert S.mask & U.mask == U.mask and S.mask & V.mask == V.mask
 
 
-def test_line_through_and_incidence():
+def test_the_span_of_two_points_is_their_line():
     space = ProjectiveSpace.of_order(2, 2)
-    line = space.line_through(0, 1)
+    line = space.span(0, 1)
     assert line.dim == 1
     assert line.mask >> 0 & 1 and line.mask >> 1 & 1
     assert line.mask.bit_count() == 3
     # the same line from any two of its points
     pts = line.point_indices()
     for i, j in itertools.combinations(pts, 2):
-        assert space.line_through(i, j).mask == line.mask
+        assert space.span(i, j).mask == line.mask
 
 
 def test_incidence_matches_subspace_masks():
@@ -225,14 +224,12 @@ def test_incidence_matches_subspace_masks():
     assert mask_bits(0) == [] and mask_bits(0b101001) == [0, 3, 5]
 
 
-def test_span_points_matches_span():
+def test_span_of_points_and_of_nothing():
     space = ProjectiveSpace.of_order(3, 3)
-    line = space.span_points([0, 7])
-    assert line.mask == space.span(0, 7).mask
+    line = space.span(0, 7)
+    assert line.mask == space.span(line, 7).mask == space.span(space.span(0), 7).mask
     assert line.mask.bit_count() == 4
     assert space.subspace_from_basis(()) is EMPTY_SUBSPACE
-    with pytest.raises(GeometryError, match="span of an empty point set"):
-        space.span_points([])
     with pytest.raises(GeometryError, match="span of nothing"):
         space.span()
 
@@ -807,6 +804,39 @@ def test_a_level_past_the_incidence_limit_builds_no_mask(call):
     assert 3 not in space._levels
 
 
+def test_a_space_builds_its_points_at_its_first_level():
+    # PG(2,997) has 995,007 points: building them with the space took
+    # 0.55 s and 162 MiB, though a refused level or weight list reads none
+    geometry._SPACES.pop((2, 997), None)
+    start = time.perf_counter()
+    space = ProjectiveSpace.of_order(2, 997)
+    assert time.perf_counter() - start < 0.05
+    assert "points" not in vars(space) and "point_index" not in vars(space)
+    assert space.num_points == 995007 and space.field.q == 997
+    assert ProjectiveSpace.of_order(2, 997) is space
+    small = ProjectiveSpace(2, field_for_order(3))
+    assert "points" not in vars(small)
+    small.subspaces(1)
+    assert len(small.points) == len(small.point_index) == small.num_points == 13
+
+
+@pytest.mark.parametrize("n, q, error, needle", [
+    ([2], 3, GeometryError, "(n, m, q) = ([2], [2], 3) are not all integers"),
+    ({}, 3, GeometryError, "(n, m, q) = ({}, {}, 3) are not all integers"),
+    (2, {}, FieldError, "q = {} is not an int"),
+    (2, [3], FieldError, "q = [3] is not an int"),
+    (True, 3, GeometryError, "(n, m, q) = (True, True, 3) are not all integers"),
+    (2, True, FieldError, "q = True is not an int"),
+])
+def test_of_order_gives_the_gates_refusal_for_any_other_n_or_q(n, q, error, needle):
+    # a list or dict n or q raised "unhashable type" from the cache lookup
+    spaces = dict(geometry._SPACES)
+    with pytest.raises(error) as info:
+        ProjectiveSpace.of_order(n, q)
+    assert type(info.value) is error and str(info.value) == needle
+    assert geometry._SPACES == spaces
+
+
 def test_no_bool_reaches_a_space_or_level_cache():
     # True == 1 and hashes as 1, so a cache keyed by it answered for 1
     space = ProjectiveSpace.of_order(2, 3)
@@ -897,10 +927,16 @@ def test_level_builds_and_recheck_agree_with_the_gate(monkeypatch):
                 cert = make_certificate("blocking_set", {
                     "space": {"n": n, "q": q}, "weights": [1] * theta(n, q),
                     "claims": [{"type": "t_fold_blocking", "t": 1, "k": m}]})
-                ProjectiveSpace.of_order.cache_clear()
+                geometry._SPACES.clear()
                 assert recheck(cert) == ((True, "all claims verified") if list_fault is None
                                          else (False, list_fault))
-                assert (ProjectiveSpace.of_order.cache_info().currsize == 0) == bool(list_fault)
+                # a space past the point rule is not kept, and a space kept
+                # when its level is refused has no point and no level built
+                if list_fault is not None and "exceeds the limits" in list_fault:
+                    assert geometry._SPACES == {}
+                elif list_fault is not None:
+                    kept = geometry._SPACES[n, q]
+                    assert "points" not in vars(kept) and kept._levels == {}
     # the point, mask-bit and list rules each refused a level, and a level
     # past the list rule alone had its masks built and a transversal rechecked
     assert refused == set(rules)

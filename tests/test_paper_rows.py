@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from pgworkbench import geometry
 from pgworkbench.certificates import coloring_certificate, recheck, transversal_certificate
 from pgworkbench.coloring import trivial_coloring
 from pgworkbench.experiments import ExperimentConfig, run_experiments
@@ -35,7 +36,7 @@ def test_the_trivial_bound_is_witnessed_on_the_planes_of_pg3(q, tau, N):
     assert not {"edge_points", "vertex_edges"} & set(H.__dict__)
     # recheck reads the certificates as loaded from a file, on a space of
     # its own
-    ProjectiveSpace.of_order.cache_clear()
+    geometry._SPACES.clear()
     verdicts = [recheck(json.loads(json.dumps(cert))) for cert in certs]
     assert verdicts == [(True, "t-transversal verified"),
                         (True, "proper strict coloring verified")]

@@ -177,7 +177,6 @@ def test_every_private_definition_has_a_caller():
 # library that each names; every other unread one is dead code
 OUTSIDE_READERS = {
     "ProjectiveSpace.verify_pencil_identity": "the construct workload and criterion 2",
-    "ProjectiveSpace.span": "criterion 8",
     "ProjectiveSpace.hyperplane_avoiding": "criterion 8",
     "ProjectiveSpace.project_from_point": "criterion 8",
 }
@@ -401,16 +400,35 @@ def _gate_value_uses(tree):
     return found
 
 
+# the refusals that a space, its levels and a claim ask for themselves
+_GATES = ("level_gate", "incidence_gate", "factor_prime_power")
+
+
+def _gate_uses(tree):
+    """Each gate that tree imports or reads as an attribute, by line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in _GATES]
+        elif isinstance(node, ast.Attribute) and node.attr in _GATES:
+            found.append((node.lineno, node.attr))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
 def test_certificates_leave_the_level_rule_to_the_gate():
     # the types and ranges of n, k and q and the point and mask-bit limits
     # reach recheck through geometry.level_gate alone, the gate of every
     # space and level build, and the incidence limit of a claim's lists
     # through incidence_gate, which asks level_gate first; so recheck
-    # cannot refuse a level that the library builds, nor read one it refuses
+    # cannot refuse a level that the library builds, nor read one it
+    # refuses.  Recheck and the grid ask ProjectiveSpace.of_order, a level
+    # and judge_claim, which ask the gates, and call none themselves
     source = (PACKAGE_DIR / "certificates.py").read_text()
     names = {"DEFAULT_MAX_POINTS", "DEFAULT_MAX_MASK_BITS", "count_subspaces"}
     assert sorted(name for name in names if name in source) == []
-    assert "level_gate" in source
+    found = [f"{name}: {use}" for name in ("certificates.py", "experiments.py")
+             for use in _gate_uses(ast.parse((PACKAGE_DIR / name).read_text()))]
+    assert found == []
     found = [f"{path.name}: {name}" for path in sorted(PACKAGE_DIR.glob("*.py"))
              for name in _level_rule_copies(ast.parse(path.read_text(), filename=str(path)))]
     assert found == []
@@ -419,6 +437,18 @@ def test_certificates_leave_the_level_rule_to_the_gate():
     found = [f"{path.name}: {use}" for path in sorted(PACKAGE_DIR.glob("*.py"))
              for use in _gate_value_uses(ast.parse(path.read_text(), filename=str(path)))]
     assert found == []
+
+
+def test_gate_use_guard_sees_each_one():
+    source = """
+from .geometry import ProjectiveSpace, level_gate
+from .fields import factor_prime_power as prime_power
+from . import geometry
+def a(n, k, q): geometry.incidence_gate(n, k, q)
+def b(n, q): return ProjectiveSpace.of_order(n, q).subspaces(1)
+"""
+    assert _gate_uses(ast.parse(source)) == ["2: level_gate", "3: factor_prime_power",
+                                             "5: incidence_gate"]
 
 
 def test_gate_value_guard_sees_each_use():
@@ -503,7 +533,7 @@ def e(payload): return payload["n"], payload["k"]
 def _blocking_rule_copies(tree):
     """What tree copies of the input rules that blocking.py owns, by line:
     a claim kind spelled as a literal (CLAIM_KINDS is its one spelling),
-    a test of membership in CLAIM_KINDS (claim_gate is its one judge), an
+    a test of membership in CLAIM_KINDS (judge_claim is its one judge), an
     all_ints call made directly on weights, a name `weights` or a
     ["weights"] subscript (WeightedPointSet.from_json is their one
     reader), and an import of is_prime or MAX_Q, the prime test and limit

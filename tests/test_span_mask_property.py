@@ -27,7 +27,7 @@ def point_sets(draw):
 def test_span_masks_match_the_reference_walk(case):
     n, q, points = case
     space = ProjectiveSpace.of_order(n, q)
-    S = space.span_points(points)
+    S = space.span(*points)
     assert S.mask == _reference_mask(space, S.basis)
     assert S.mask.bit_count() == theta(S.dim, q)
     assert all(S.mask >> i & 1 for i in points)
