@@ -107,12 +107,12 @@ def judge_claim(B: WeightedPointSet, kind: str, t: int, k: int, sums: dict):
 
 
 def is_t_fold_blocking(B: WeightedPointSet, t: int, k: int):
-    """True iff every k-space meets B in >= t weight; else (False, witness)."""
+    """(True, None) iff every k-space meets B in >= t weight; else (False, witness)."""
     return judge_claim(B, "t_fold_blocking", t, k, {})
 
 
 def is_t_mod_p_set(B: WeightedPointSet, t: int, k: int):
-    """True iff every k-space weight is congruent to t mod p, the
+    """(True, None) iff every k-space weight is congruent to t mod p, the
     characteristic of the field; else (False, witness)."""
     return judge_claim(B, "t_mod_p", t, k, {})
 
@@ -151,7 +151,7 @@ def minimal_reduction(B: WeightedPointSet, t: int, k: int, order=None) -> Weight
     sums = _require_blocking(B, t, k, {})
     space = B.space
     order = list(range(space.num_points) if order is None else order)
-    point_spaces = space.point_subspaces(k)
+    point_spaces = space.hypergraph(k).vertex_edges
     w = list(B.weights)
     changed = True
     while changed:

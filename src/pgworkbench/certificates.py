@@ -9,7 +9,7 @@ import operator
 from .blocking import CLAIM_KINDS, WeightedPointSet, judge_claim
 from .coloring import Coloring, ColoringError, is_strict, judge_coloring
 from .geometry import (GeometryError, Hypergraph, ProjectiveSpace, all_ints, canonical_json,
-                       load_json, mask_bits, point_set, write_text)
+                       mask_bits, point_set, write_text)
 from .solvers import (BoundsReport, SolveResult, TModPVerification, bounds_report,
                       tmodp_frame, tmodp_verdict)
 
@@ -123,10 +123,6 @@ def write_certificate(cert: dict, path: str) -> None:
     made = type(cert) is _Made and len(cert) == 4 and all(map(
         operator.is_, cert.values(), cert.made))
     write_text(path, cert.text if made else canonical_json(cert))
-
-
-def load_certificate(path: str) -> dict:
-    return load_json(path)
 
 
 def _require_ints(payload: dict, keys) -> None:

@@ -10,8 +10,8 @@ import argparse
 import sys
 
 from .blocking import WeightedPointSet
-from .certificates import (blocking_set_certificate, bounds_certificate, coloring_certificate,
-                           load_certificate, recheck, tmodp_certificate,
+from .certificates import (CertificateError, blocking_set_certificate, bounds_certificate,
+                           coloring_certificate, recheck, tmodp_certificate,
                            transversal_certificate, write_certificate)
 from .coloring import Coloring, judge_coloring, trivial_coloring
 from .experiments import ExperimentConfig, default_grid, run_experiments
@@ -72,6 +72,8 @@ def cmd_color(args):
 
 def cmd_solve(args):
     H = hypergraph_from_file(args.hypergraph)
+    if args.out and H.geometry is None:  # a certificate names its space: refused before solving
+        raise CertificateError("the edges are not the k-spaces of any PG(n,q)")
     if args.problem == "tau":
         res = exact_tau(H, args.t)
         out = {"problem": "tau", "t": args.t, "witness": list(res.witness)}
@@ -122,7 +124,7 @@ def cmd_run(args):
 
 def cmd_recheck(args):
     try:
-        cert = load_certificate(args.certificate)
+        cert = load_json(args.certificate)
     except (OSError, ValueError) as exc:
         print(f"VERDICT false malformed: {exc}")
         return 1

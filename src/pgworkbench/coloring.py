@@ -86,8 +86,8 @@ def judge_coloring(coloring: Coloring, H: Hypergraph):
 
 
 def is_proper(coloring: Coloring, H: Hypergraph):
-    """True iff no edge is rainbow; on failure returns the first rainbow
-    edge in edge order."""
+    """(True, None) iff no edge is rainbow; else (False, the first rainbow
+    edge in edge order)."""
     edge, _ = judge_coloring(coloring, H)
     return edge is None, edge
 

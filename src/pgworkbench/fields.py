@@ -205,12 +205,6 @@ class GF:
         """Integer -> residue polynomial coefficients (low degree first)."""
         return tuple(x // self.p**i % self.p for i in range(self.h))
 
-    def encode(self, coeffs) -> int:
-        x = 0
-        for c in reversed(list(coeffs)[: self.h] + [0] * (self.h - len(coeffs))):
-            x = x * self.p + c
-        return x
-
     # -- arithmetic -----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:

@@ -451,12 +451,6 @@ class ProjectiveSpace:
         incidence_gate(self.n, m, self.q)
         return self._level(m)[1].edge_points
 
-    def point_subspaces(self, m: int):
-        """Per point, the indices into subspaces(m) of the m-spaces through
-        it, refused by incidence_gate before any mask is built."""
-        incidence_gate(self.n, m, self.q)
-        return self._level(m)[1].vertex_edges
-
     def _enumerate_rref_bases(self, nrows: int):
         """All RREF matrices with nrows pivots over n+1 columns, as products
         over per-pivot row lists.  The list for pivot c holds the points
@@ -490,18 +484,15 @@ class ProjectiveSpace:
             raise GeometryError("span of nothing")
         return self.subspace_from_basis(self.rref(rows))
 
-    def coordinate_subspace(self, columns) -> Subspace:
-        """The span of the unit vectors e_c for c in columns, increasing."""
-        return self.subspace_from_basis(tuple(tuple(int(j == c) for j in range(self.n + 1))
-                                              for c in columns))
-
     def disjoint_subspaces(self, m: int, t: int):
-        """t pairwise disjoint m-spaces from disjoint coordinate blocks."""
+        """t pairwise disjoint m-spaces, spans of disjoint blocks of unit vectors."""
         if t * (m + 1) > self.n + 1:
             raise GeometryError(
                 f"no {t} pairwise disjoint {m}-spaces fit in PG({self.n},{self.q}): "
                 f"{t}*({m}+1) > {self.n}+1")
-        return [self.coordinate_subspace(range(b * (m + 1), (b + 1) * (m + 1))) for b in range(t)]
+        units = [tuple(int(j == c) for j in range(self.n + 1)) for c in range(t * (m + 1))]
+        return [self.subspace_from_basis(tuple(units[b * (m + 1):(b + 1) * (m + 1)]))
+                for b in range(t)]
 
     # -- projection -----------------------------------------------------
 

@@ -45,33 +45,15 @@ def _tau_facts(n: int, m: int, q: int, t: int) -> tuple:
     return t * theta(n - m, q) if t <= q else None, t * (n - m + 1) <= n + 1
 
 
-def _seed_transversal(H: Hypergraph, t: int) -> set:
-    """A first t-transversal of H.  On a validated H(n,m,q) where t
-    disjoint (n-m)-spaces fit, their union: each meets every m-space.
-    Else add the first vertex on the most open edges until none is open.
-    Every edge must have at least t vertices: then an open edge always has
-    a vertex not yet chosen, so the best gain is positive."""
-    if H.geometry is not None and _tau_facts(*H.geometry, t)[1]:
-        n, m, q = H.geometry
-        blocks = ProjectiveSpace.of_order(n, q).disjoint_subspaces(n - m, t)
-        return set().union(*(S.point_indices() for S in blocks))
-    # gains[v]: the open edges through v, or -1 once v is chosen
-    deficits = [t] * len(H.edges)
-    gains = [len(eis) for eis in H.vertex_edges]
-    num_open = len(H.edges)
-    chosen = set()
-    while num_open:
-        v = gains.index(max(gains))
-        chosen.add(v)
-        gains[v] = -1
-        for ei in H.vertex_edges[v]:
-            deficits[ei] -= 1
-            if deficits[ei] == 0:
-                num_open -= 1
-                for u in H.edge_points[ei]:
-                    if u not in chosen:
-                        gains[u] -= 1
-    return chosen
+def _seed_transversal(H: Hypergraph, t: int) -> set | None:
+    """On a validated H(n,m,q) where t disjoint (n-m)-spaces fit, their
+    union, a t-transversal: each meets every m-space.  Else None, and
+    exact_tau seeds its search greedily."""
+    if H.geometry is None or not _tau_facts(*H.geometry, t)[1]:
+        return None
+    n, m, q = H.geometry
+    blocks = ProjectiveSpace.of_order(n, q).disjoint_subspaces(n - m, t)
+    return set().union(*(S.point_indices() for S in blocks))
 
 
 def _root_points(n: int, m: int, q: int, t: int) -> list:
@@ -121,10 +103,11 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
     H(n,m,q) the search also starts with the points of `_root_points`
     chosen: some minimum t-transversal holds them all, by the lemmas (L1)
     and (L2) stated there.  Claimed params that do not match the edges get
-    neither.  The first incumbent is `_seed_transversal`: where t disjoint
-    (n-m)-spaces fit and t <= q, it meets the folklore bound, `optimal` at
-    0 nodes.  Past NODE_LIMIT nodes the search stops and answers
-    `bound_only`: the incumbent as witness and upper_bound, and the
+    neither.  The first incumbent is `_seed_transversal`, else greedy on
+    the search state: the first vertex on the most open edges until none is
+    open.  One that meets the folklore bound, as the union does where t <= q,
+    is `optimal` at 0 nodes.  Past NODE_LIMIT nodes the search stops and
+    answers `bound_only`: the incumbent as witness and upper_bound, and the
     folklore bound as lower_bound, None where it does not apply.
 
     A node with room r = incumbent - chosen is pruned at r <= 1, as an
@@ -152,9 +135,10 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
 
     geometric_lb = None if H.geometry is None else _tau_facts(*H.geometry, t)[0]
 
-    inc = sorted(_seed_transversal(H, t))
-    if len(inc) == geometric_lb:
-        return SolveResult(objective=len(inc), witness=tuple(inc), nodes=0,
+    # the union's answer reads the masks only: no list is built
+    inc = _seed_transversal(H, t)
+    if inc is not None and len(inc) == geometric_lb:
+        return SolveResult(objective=len(inc), witness=tuple(sorted(inc)), nodes=0,
                            status=OPTIMAL, lower_bound=geometric_lb,
                            upper_bound=len(inc))
 
@@ -174,8 +158,6 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
     is_open = [True] * len(edges)
     cover = [len(eis) for eis in vertex_edges]
     out = len(edges) + 1
-    best = sum(1 << v for v in inc)
-    best_size = best.bit_count()
     nodes = 0
 
     def take(v, total, num_open):
@@ -252,15 +234,27 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
             cover[low.bit_length() - 1] += out
 
     total, num_open = t * len(edges), len(edges)
-    chosen = 0
-    if H.geometry is not None:
-        for v in _root_points(*H.geometry, t):
-            total, num_open = take(v, total, num_open)
-            chosen |= 1 << v
-    try:
-        dfs(chosen, chosen.bit_count(), ((1 << V) - 1) ^ chosen, total, num_open)
-    except _Stop:
-        pass
+    if inc is None:
+        # the greedy seed takes vertices as a branch does, then resets the state
+        inc, left = [], num_open
+        while left:
+            v = cover.index(max(cover))
+            left = take(v, total, left)[1]
+            inc.append(v)
+        deficits[:], is_open[:] = [t] * len(edges), [True] * len(edges)
+        cover[:] = [len(eis) for eis in vertex_edges]
+    best = sum(1 << v for v in inc)
+    best_size = best.bit_count()
+    if best_size != geometric_lb:
+        chosen = 0
+        if H.geometry is not None:
+            for v in _root_points(*H.geometry, t):
+                total, num_open = take(v, total, num_open)
+                chosen |= 1 << v
+        try:
+            dfs(chosen, chosen.bit_count(), ((1 << V) - 1) ^ chosen, total, num_open)
+        except _Stop:
+            pass
     solved = nodes <= NODE_LIMIT
     return SolveResult(objective=best_size if solved else None,
                        witness=tuple(mask_bits(best)), nodes=nodes,

@@ -14,8 +14,7 @@ from pgworkbench.blocking import (COSET_LIMIT, BlockingError, WeightedPointSet,
                                   plane_cosets, solve_mod_p)
 from pgworkbench.certificates import (CertificateError, blocking_set_certificate,
                                       canonical_json, checksum,
-                                      coloring_certificate, load_certificate,
-                                      make_certificate, recheck,
+                                      coloring_certificate, make_certificate, recheck,
                                       tmodp_certificate, transversal_certificate,
                                       verify_payload, write_certificate)
 from pgworkbench.coloring import trivial_coloring
@@ -60,7 +59,7 @@ def test_make_certificate_and_roundtrip(tmp_path):
     assert cert["checksum"] == checksum(payload)
     path = tmp_path / "cert.json"
     write_certificate(cert, str(path))
-    loaded = load_certificate(str(path))
+    loaded = geometry.load_json(str(path))
     assert loaded == cert
     # writing the loaded certificate again is byte identical
     path2 = tmp_path / "cert2.json"

@@ -7,7 +7,7 @@ import pytest
 
 from test_certificates import TYPE_MUTATED_TRANSVERSALS
 
-from pgworkbench import geometry, solvers
+from pgworkbench import cli, geometry, solvers
 from pgworkbench.certificates import make_certificate, write_certificate
 from pgworkbench.cli import main
 from pgworkbench.coloring import Coloring
@@ -199,6 +199,25 @@ def test_solve_out_of_a_hypergraph_that_is_not_h_nkq_is_an_error(tmp_path, capsy
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and not cpath.exists()
     assert captured.err.startswith("error: the edges are not the k-spaces of any PG(n,q)")
+
+
+@pytest.mark.parametrize("problem, solver", [("tau", "exact_tau"), ("ucn", "exact_ucn")])
+def test_solve_out_is_refused_before_the_solver_runs(tmp_path, capsys, monkeypatch,
+                                                     problem, solver):
+    # the whole search ran, minutes on a large input, before the refusal
+    calls = []
+
+    def solve(*args):
+        calls.append(args)
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, solver, solve)
+    hpath, cpath = tmp_path / "two.json", tmp_path / "cert.json"
+    hpath.write_text(json.dumps({"num_vertices": 4, "edges": [[0, 1, 2], [1, 2, 3]]}))
+    code = main(["solve", problem, "--t", "1", "--hypergraph", str(hpath), "--out", str(cpath)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, calls) == (2, "", []) and not cpath.exists()
+    assert captured.err == "error: the edges are not the k-spaces of any PG(n,q)\n"
 
 
 def test_solve_ucn_of_hypergraph_without_vertices(tmp_path, capsys):

@@ -3,10 +3,10 @@ import csv
 import pytest
 
 from pgworkbench import experiments, geometry, solvers
-from pgworkbench.certificates import load_certificate, make_certificate, recheck
+from pgworkbench.certificates import make_certificate, recheck
 from pgworkbench.experiments import ExperimentConfig, run_experiments
 from pgworkbench.fields import FieldError
-from pgworkbench.geometry import ProjectiveSpace
+from pgworkbench.geometry import ProjectiveSpace, load_json
 
 # sha256 checksums of the default-grid certificates: any change to a
 # payload, to the enumeration order or to canonical JSON shows up here.
@@ -24,7 +24,7 @@ def test_default_grid_golden_checksums(tmp_path):
     rows, _ = run_experiments(ExperimentConfig(outdir=str(tmp_path)))
     assert [row.instance for row in rows] == list(GOLDEN_CHECKSUMS)
     for name, digest in GOLDEN_CHECKSUMS.items():
-        cert = load_certificate(str(tmp_path / f"{name}.json"))
+        cert = load_json(str(tmp_path / f"{name}.json"))
         assert cert["checksum"] == digest, name
         assert recheck(cert)[0], name
 
@@ -143,7 +143,7 @@ def test_tau_rows_at_t3_where_the_blocks_do_not_all_fit(tmp_path):
     rows, ok = run_experiments(ExperimentConfig(grid=grid, outdir=str(tmp_path)))
     assert ok and [row.value for row in rows] == ["7", "7", "12"]
     for row in rows:
-        assert recheck(load_certificate(str(tmp_path / f"{row.instance}.json")))[0]
+        assert recheck(load_json(str(tmp_path / f"{row.instance}.json")))[0]
 
 
 def test_rows_past_the_node_limit_show_both_bounds(tmp_path, monkeypatch):
@@ -160,7 +160,7 @@ def test_rows_past_the_node_limit_show_both_bounds(tmp_path, monkeypatch):
     tau_lb, tau_ub = rows[0].value.split("..")
     assert int(tau_lb) == 10 and int(tau_ub) >= 12 and rows[0].match == "no"
     assert [(row.value, row.match) for row in rows[1:]] == [("10..?", "yes"), ("10..?", "no")]
-    certs = [load_certificate(str(tmp_path / f"{row.instance}.json")) for row in rows]
+    certs = [load_json(str(tmp_path / f"{row.instance}.json")) for row in rows]
     assert "objective" not in certs[0]["payload"]
     assert len(certs[0]["payload"]["points"]) == int(tau_ub)
     assert all(recheck(cert)[0] for cert in certs)
@@ -180,7 +180,7 @@ def test_tmodp_rows_with_violations_read_no(tmp_path):
         ("tmodp(p=3,t=2)", "325 (violations!)", "325", "no"),
         ("tmodp(p=2,t=1)", "7", ">=7", "yes")]
     for row in rows:
-        assert recheck(load_certificate(str(tmp_path / f"{row.instance}.json")))[0]
+        assert recheck(load_json(str(tmp_path / f"{row.instance}.json")))[0]
 
 
 def test_a_certificate_that_fails_its_claims_reads_no(tmp_path, monkeypatch):
@@ -202,5 +202,5 @@ def test_a_certificate_that_fails_its_claims_reads_no(tmp_path, monkeypatch):
     monkeypatch.setitem(experiments._RUNNERS, "tau", run_tau_short)
     rows, ok = run_experiments(ExperimentConfig(grid=grid, outdir=str(tmp_path / "bad")))
     assert not ok and (rows[0].value, rows[0].match) == ("6", "no")
-    cert = load_certificate(str(tmp_path / "bad" / f"{rows[0].instance}.json"))
+    cert = load_json(str(tmp_path / "bad" / f"{rows[0].instance}.json"))
     assert recheck(cert) == (False, "a 1-space meets the set in only 1 < 2 points")

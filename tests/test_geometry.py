@@ -13,7 +13,8 @@ import weakref
 import pytest
 
 from pgworkbench import geometry
-from pgworkbench.blocking import WeightedPointSet, is_t_fold_blocking, kspace_weights
+from pgworkbench.blocking import (WeightedPointSet, is_t_fold_blocking, kspace_weights,
+                                  minimal_reduction)
 from pgworkbench.certificates import make_certificate, recheck
 from pgworkbench.fields import FieldError, field_for_order
 from pgworkbench.geometry import (EMPTY_SUBSPACE, GeometryError, Hypergraph,
@@ -442,12 +443,12 @@ def test_levels_and_pencil_checks_peak_memory(n, q, peak_mib):
     assert peak <= 1.1 * peak_mib * 2**20, peak / 2**20
 
 
-def test_point_subspaces_match_incidence():
+def test_vertex_edges_of_a_level_match_incidence():
     space = ProjectiveSpace.of_order(3, 2)
-    for m in range(4):
-        through = space.point_subspaces(m)
+    for k in (1, 2):
+        through = space.hypergraph(k).vertex_edges
         for i in range(space.num_points):
-            assert through[i] == tuple(si for si, pts in enumerate(space.incidence(m))
+            assert through[i] == tuple(si for si, pts in enumerate(space.incidence(k))
                                        if i in pts)
 
 
@@ -591,16 +592,14 @@ def test_levels_are_one_shared_structure():
         H = space.hypergraph(k)
         assert space.hypergraph(k) is H
         assert space.incidence(k) is H.edge_points
-        assert space.point_subspaces(k) is H.vertex_edges
         assert H.edges == tuple(S.mask for S in space.subspaces(k))
     # every level, the points and the whole space included, is one cached
-    # record that its records and both incidence views are read from
+    # record that its records and its incidence view are read from
     for m in range(space.n + 1):
         records = space.subspaces(m)
         assert space._levels[m][0] is records
         H = space._levels[m][1]
         assert space.incidence(m) is H.edge_points
-        assert space.point_subspaces(m) is H.vertex_edges
         assert H.edges == tuple(S.mask for S in records)
         assert H.params == (space.n, m, space.q)
 
@@ -786,7 +785,7 @@ def test_incidence_gate_refusals(n, m, q, reason):
 LIST_CALLS = {
     "kspace_weights": lambda space, B: kspace_weights(B, 3),
     "incidence": lambda space, B: space.incidence(3),
-    "point_subspaces": lambda space, B: space.point_subspaces(3),
+    "minimal_reduction": lambda space, B: minimal_reduction(B, 1, 3),
 }
 
 
@@ -861,7 +860,7 @@ def test_no_bool_reaches_a_space_or_level_cache():
 WARM_LEVEL_CALLS = {
     "incidence(True)": (True, lambda space, B: space.incidence(True)),
     "incidence(1.0)": (1.0, lambda space, B: space.incidence(1.0)),
-    "point_subspaces(True)": (True, lambda space, B: space.point_subspaces(True)),
+    "minimal_reduction(B, 1, True)": (True, lambda space, B: minimal_reduction(B, 1, True)),
     "subspaces(1.0)": (1.0, lambda space, B: space.subspaces(1.0)),
     "kspace_weights(B, 1.0)": (1.0, lambda space, B: kspace_weights(B, 1.0)),
     "is_t_fold_blocking(B, 2, 1.0)": (1.0, lambda space, B: is_t_fold_blocking(B, 2, 1.0)),
@@ -907,8 +906,9 @@ def test_level_builds_and_recheck_agree_with_the_gate(monkeypatch):
                 assert space is None or m not in space._levels
             else:
                 assert fault is None and count == count_subspaces(n, m, q)
+                level = space._levels[m][1]
                 for view, size in ((space.incidence, count),
-                                   (space.point_subspaces, space.num_points)):
+                                   (lambda m: level.vertex_edges, space.num_points)):
                     if list_fault is None:
                         assert len(view(m)) == size
                         continue

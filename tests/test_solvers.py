@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from test_geometry import gate_refusal
 
@@ -138,6 +139,52 @@ def test_exact_tau_deterministic():
     a = exact_tau(FANO, 2)
     b = exact_tau(FANO, 2)
     assert a.witness == b.witness and a.nodes == b.nodes
+
+
+def reference_greedy(H, t):
+    """The greedy t-transversal on its own counts: add the first vertex on
+    the most open edges until none is open; gains[v] is the number of open
+    edges through v, or -1 once v is chosen."""
+    deficits = [t] * len(H.edges)
+    gains = [len(eis) for eis in H.vertex_edges]
+    num_open = len(H.edges)
+    chosen = set()
+    while num_open:
+        v = gains.index(max(gains))
+        chosen.add(v)
+        gains[v] = -1
+        for ei in H.vertex_edges[v]:
+            deficits[ei] -= 1
+            if deficits[ei] == 0:
+                num_open -= 1
+                for u in H.edge_points[ei]:
+                    if u not in chosen:
+                        gains[u] -= 1
+    return chosen
+
+
+@st.composite
+def hypergraphs_with_t(draw):
+    """A hypergraph of up to 12 vertices and 24 edges of mixed sizes, each
+    with at least t vertices, and t in 1..3."""
+    t = draw(st.integers(1, 3))
+    V = draw(st.integers(t, 12))
+    edges = draw(st.lists(st.sets(st.integers(0, V - 1), min_size=t), max_size=24))
+    return Hypergraph(V, tuple(sum(1 << v for v in e) for e in edges)), t
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hypergraphs_with_t())
+def test_the_greedy_seed_is_the_reference_greedy(case):
+    # at the ceiling 0 the search answers from its seed, which exact_tau
+    # takes on its own search state and must leave as it was found
+    H, t = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "NODE_LIMIT", 0)
+        res = exact_tau(H, t)
+    assume(res.nodes > 0)
+    assert res.witness == tuple(sorted(reference_greedy(H, t)))
+    assert exact_tau(H, t).objective == brute_force_tau(H, t)
 
 
 def test_exact_tau_matches_brute_force_random_corpus():

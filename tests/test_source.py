@@ -369,6 +369,63 @@ def h(n, k): return 2 * k < n and not 1 <= k <= n - 1
     assert _tau_rule_sites(ast.parse(source)) == ["a", "b", "c", "d", "e", "f"]
 
 
+def _cover_count_sites(tree):
+    """The functions of tree, nested ones as outer.inner, that write a
+    subscript of `deficits` or `cover` (a name or an attribute) or count
+    per vertex the edges through it, as len of each entry of a
+    vertex_edges."""
+    def keeps_counts(node):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            target = node.value
+            return getattr(target, "id", getattr(target, "attr", None)) in ("deficits", "cover")
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+            return isinstance(node.elt, ast.Call) and ast.unparse(node.elt.func) == "len" \
+                and any(ast.unparse(g.iter).endswith("vertex_edges") for g in node.generators)
+        return False
+
+    sites = set()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path + [child.name])
+                continue
+            if keeps_counts(child):
+                sites.add(".".join(path) or "<module>")
+            visit(child, path)
+
+    visit(tree, [])
+    return sorted(sites)
+
+
+def test_one_copy_of_the_open_edge_counts():
+    # exact_tau's take, its dfs undo and its reset after the greedy seed
+    # are the only writers of the deficits and the per-vertex counts of
+    # open edges; the greedy seed kept a second copy of both
+    path = PACKAGE_DIR / "solvers.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _cover_count_sites(tree) == ["exact_tau", "exact_tau.dfs", "exact_tau.take"]
+
+
+def test_cover_count_guard_sees_each_copy():
+    source = """
+def a(H, t):
+    deficits = [t] * len(H.edges)
+    gains = [len(eis) for eis in H.vertex_edges]
+def b(deficits, ei): deficits[ei] -= 1
+def c(cover, u): cover[u] += 1
+def d(state): state.cover[0] = 1
+def e(cover): cover[:], x = [], 0
+def f(deficits, cover): return deficits[0] + cover[1]
+def g(H): return [len(pts) for pts in H.edge_points]
+def h(H): return max(len(eis) for eis in H.vertex_edges)
+def outer():
+    def inner(cover): cover[0] -= 1
+    return inner
+"""
+    assert _cover_count_sites(ast.parse(source)) == ["a", "b", "c", "d", "e", "h", "outer.inner"]
+
+
 def _level_rule_copies(tree):
     """The functions of tree, by name, that define space_fault or pass "n",
     "k" or "q" to _require_ints."""
