@@ -12,7 +12,8 @@ from __future__ import annotations
 import collections
 
 from .fields import GF, MAX_Q, is_prime
-from .geometry import ProjectiveSpace, Subspace, all_ints, count_subspaces, incidence_gate, theta
+from .geometry import (ProjectiveSpace, Subspace, all_ints, count_subspaces, level_gate,
+                       mask_bits, mask_columns, theta)
 
 
 class BlockingError(ValueError):
@@ -59,9 +60,21 @@ class WeightedPointSet(collections.namedtuple("WeightedPointSet", "space weights
 
 
 def kspace_weights(B: WeightedPointSet, k: int):
-    """Weighted intersection size of B with every k-space, in canonical order."""
-    w = B.weights.__getitem__
-    return [sum(map(w, pts)) for pts in B.space.incidence(k)]
+    """Weighted intersection size of B with every k-space M, in canonical order,
+    from the masks: the sum over bits b of 2^b |P & M|, P the points whose weight
+    has bit b, one pass per bit of the largest weight, however many weights differ."""
+    of_weight = {}
+    for i, w in enumerate(B.weights):
+        if w:
+            of_weight[w] = of_weight.get(w, 0) | 1 << i
+    masks = [S.mask for S in B.space.subspaces(k)]
+    sums = [0] * len(masks)
+    for b in range(max(of_weight, default=0).bit_length()):
+        plane = sum(points for w, points in of_weight.items() if w >> b & 1)
+        if plane:
+            counts = map(int.bit_count, map(plane.__and__, masks))
+            sums = [s + (x << b) for s, x in zip(sums, counts)]
+    return sums
 
 
 # -- claims: blocking, t (mod p), essentiality, minimality ---------------
@@ -79,14 +92,14 @@ def judge_claim(B: WeightedPointSet, kind: str, t: int, k: int, sums: dict):
     order, that fails the weight test, else None.  Claims sharing the dict
     sums (the weights by k) make one pass per k.  BlockingError for another
     kind and for a t that is not an int (a bool is none), then
-    incidence_gate(n, k, q)'s refusals, asked once per claim before any
-    level is built, then BlockingError for k = 0 or n and for t < 1, in a
-    blocking or minimal claim."""
+    level_gate(n, k, q)'s refusals, asked once per claim before any level
+    is built (a claim reads the masks), then BlockingError for k = 0 or n
+    and for t < 1, in a blocking or minimal claim."""
     if kind not in CLAIM_KINDS:
         raise BlockingError(f"unknown claim type {kind!r}")
     if type(t) is not int:
         raise BlockingError(f"t {t!r} is not an int")
-    incidence_gate(B.space.n, k, B.space.q)
+    level_gate(B.space.n, k, B.space.q)
     if kind != "t_mod_p" and (k < 1 or k > B.space.n - 1):
         raise BlockingError(f"k = {k} out of range")
     if kind != "t_mod_p" and t < 1:
@@ -147,21 +160,23 @@ def is_minimal(B: WeightedPointSet, t: int, k: int) -> bool:
 
 
 def minimal_reduction(B: WeightedPointSet, t: int, k: int, order=None) -> WeightedPointSet:
-    """Decrement non-essential weights in the given point order until minimal."""
+    """Lower each point, in the given order, while every k-space through it
+    weighs more than t: sums never fall below t, so one pass leaves B minimal."""
     sums = _require_blocking(B, t, k, {})
     space = B.space
-    order = list(range(space.num_points) if order is None else order)
-    point_spaces = space.hypergraph(k).vertex_edges
+    masks = [S.mask for S in space.subspaces(k)]
+    through = [int(bits, 2) for bits in mask_columns(masks, space.num_points)]
+    tight = _tight_mask(B, t, k, sums)
     w = list(B.weights)
-    changed = True
-    while changed:
-        changed = False
-        for i in order:
-            while w[i] > 0 and all(sums[si] > t for si in point_spaces[i]):
-                w[i] -= 1
-                for si in point_spaces[i]:
-                    sums[si] -= 1
-                changed = True
+    for i in range(space.num_points) if order is None else order:
+        if w[i] and not tight >> i & 1:
+            spaces = mask_bits(through[i])
+            d = min(w[i], min(sums[si] for si in spaces) - t)
+            w[i] -= d
+            for si in spaces:
+                sums[si] -= d
+                if sums[si] == t:
+                    tight |= masks[si]
     return WeightedPointSet(space, w)
 
 

@@ -257,7 +257,7 @@ def _listed_set_fault(space, sets, sizes, t, max_size):
     # a reduced lane is below char and each term adds at most cap
     step = (256 - char) // cap
     columns = [int.from_bytes(flat[i::npts], "little") for i in range(npts)]
-    for pts in space.incidence(1):
+    for pts in space.hypergraph(1).edge_points():
         lanes = 0
         for start in range(0, len(pts), step):
             if start:

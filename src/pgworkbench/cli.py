@@ -16,7 +16,7 @@ from .certificates import (CertificateError, blocking_set_certificate, bounds_ce
 from .coloring import Coloring, judge_coloring, trivial_coloring
 from .experiments import ExperimentConfig, default_grid, run_experiments
 from .geometry import (ProjectiveSpace, canonical_json, count_subspaces, hypergraph_from_file,
-                       hypergraph_to_file, incidence_gate, load_json)
+                       hypergraph_to_file, incidence_gate, level_gate, load_json)
 from .solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -26,8 +26,7 @@ def _emit(data):
 
 def cmd_space(args):
     n, q = args.n, args.q
-    # an export past the list gate is refused by counts, before any mask is
-    # built; the masks of a level may pass the gate where its lists do not
+    # an export reads the lists: past their gate it is refused before any mask
     if args.export_hypergraph:
         incidence_gate(n, args.k, q)
     space = ProjectiveSpace.of_order(n, q)
@@ -41,7 +40,7 @@ def cmd_space(args):
 
 
 def cmd_blocking(args):
-    incidence_gate(args.n, args.k, args.q)  # a claim's lists, before the weights file is read
+    level_gate(args.n, args.k, args.q)  # a claim's masks, before the weights file is read
     B = WeightedPointSet.from_json(ProjectiveSpace.of_order(args.n, args.q),
                                    load_json(args.weights))
     cert = blocking_set_certificate(B, args.t, args.k)

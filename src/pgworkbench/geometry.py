@@ -27,7 +27,7 @@ import stat
 
 from .fields import MAX_Q, GF, FieldError, factor_prime_power, field_for_order
 
-# the points of a space, and the point incidences of a level's lists
+# the points of a space, and the point incidences of a level's point lists
 DEFAULT_MAX_POINTS = 10**6
 # theta(n, q) >= 2^(n+1) - 1, so no PG(n,q) of a larger dimension has at
 # most DEFAULT_MAX_POINTS points
@@ -78,8 +78,8 @@ def level_gate(n: int, m: int, q: int) -> None:
 
 def incidence_gate(n: int, m: int, q: int) -> None:
     """level_gate's refusals, then GeometryError past DEFAULT_MAX_POINTS
-    point incidences: the gate of a level's lists, Hypergraph.edge_points
-    and vertex_edges, which needs no field, space or mask."""
+    point incidences: the gate of Hypergraph.edge_points, the point lists
+    of the searches and the export, which needs no field, space or mask."""
     level_gate(n, m, q)
     incidences = count_subspaces(n, m, q) * theta(m, q)
     if incidences > DEFAULT_MAX_POINTS:
@@ -114,6 +114,25 @@ def mask_bits(mask: int) -> list:
         mask ^= 1 << top
     out.reverse()
     return out
+
+
+# per bit b, the byte v becomes b"1" when bit b of v is set, else b"0"
+_DIGITS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+
+
+def mask_columns(masks, num_points: int):
+    """Per point, in index order, the digits of the list masks, the last
+    first, b"1" where the mask holds the point (none when masks is empty):
+    int(digits, 2) has bit j set iff masks[j] does.  The masks are the rows
+    of a byte matrix, read by strided slices, and a translate per bit."""
+    width = (num_points + 7) // 8
+    matrix = bytearray()
+    for m in reversed(masks):
+        matrix += m.to_bytes(width, "little")
+    for c in range(width):
+        column = matrix[c::width]
+        for b in range(min(8, num_points - 8 * c)):
+            yield column.translate(_DIGITS[b])
 
 
 def all_ints(values) -> bool:
@@ -152,28 +171,16 @@ EMPTY_SUBSPACE = Subspace(-1, (), 0)
 
 class Hypergraph(collections.namedtuple("Hypergraph", "num_vertices edges params",
                                          defaults=(None,))):
-    """Vertices 0..num_vertices-1, edges as point-index bitmasks, and params
-    (n, k, q) when geometric.  No __slots__: the cached views below live in
-    the instance dict; hash and equality are those of the field tuple."""
+    """Vertices 0..num_vertices-1, edges as point-index bitmasks (its one
+    incidence structure), and params (n, k, q) when geometric.  `geometry` is
+    cached in the instance dict; hash and equality are the field tuple's."""
 
-    @functools.cached_property
-    def edge_points(self) -> tuple:
-        """Per edge, in edge order, the tuple of its vertices."""
+    def edge_points(self) -> list:
+        """Per edge, in edge order, its vertex list, built from the masks and
+        kept nowhere; a hypergraph with params asks incidence_gate first."""
         if self.params is not None:
             incidence_gate(*self.params)
-        return tuple(tuple(mask_bits(e)) for e in self.edges)
-
-    @functools.cached_property
-    def vertex_edges(self) -> tuple:
-        """Per vertex, the increasing indices of the edges through it.
-        Built from the masks, so it does not need edge_points."""
-        if self.params is not None:
-            incidence_gate(*self.params)
-        lists = [[] for _ in range(self.num_vertices)]
-        for ei, e in enumerate(self.edges):
-            for v in mask_bits(e):
-                lists[v].append(ei)
-        return tuple(map(tuple, lists))
+        return [mask_bits(e) for e in self.edges]
 
     @functools.cached_property
     def geometry(self) -> tuple | None:
@@ -200,7 +207,7 @@ class Hypergraph(collections.namedtuple("Hypergraph", "num_vertices edges params
         return self.params if same else None
 
     def to_json(self) -> dict:
-        data = {"edges": list(self.edge_points)}
+        data = {"edges": self.edge_points()}
         if self.params is not None:
             n, k, q = self.params
             data.update({"n": n, "k": k, "q": q})
@@ -251,10 +258,10 @@ _SPACES: dict[tuple, "ProjectiveSpace"] = {}
 
 
 class ProjectiveSpace:
-    """PG(n,q) with cached point, subspace and incidence enumerations.  The
-    constructor asks level_gate(n, n, q) and builds no point: the points
-    and point_index are built at their first use, by a level, a span or a
-    projection, and kept."""
+    """PG(n,q) with its points and levels cached, each level's masks its one
+    incidence structure.  The constructor asks level_gate(n, n, q) and
+    builds no point: the points and point_index are built at their first
+    use, by a level, a span or a projection, and kept."""
 
     def __init__(self, n: int, field: GF):
         level_gate(n, n, field.q)
@@ -280,10 +287,10 @@ class ProjectiveSpace:
     @classmethod
     def of_order(cls, n: int, q: int) -> "ProjectiveSpace":
         """PG(n,q), shared: every call with the same int n and q returns the
-        same space, so its point, subspace and incidence caches are built
-        once per process.  A space not yet kept meets factor_prime_power(q),
-        then level_gate(n, n, q), before its field is built, so any other n
-        or q, a bool too, gets their refusal and is never kept."""
+        same space, so its points and levels are built once per process.  A
+        space not yet kept meets factor_prime_power(q), then level_gate(n, n,
+        q), before its field is built, so any other n or q, a bool too, gets
+        their refusal and is never kept."""
         space = _SPACES.get((n, q)) if type(n) is int and type(q) is int else None
         if space is None:
             factor_prime_power(q)
@@ -445,12 +452,6 @@ class ProjectiveSpace:
         self._levels[m] = subs, Hypergraph(self.num_points, tuple(masks), (self.n, m, self.q))
         return self._levels[m]
 
-    def incidence(self, m: int):
-        """Point-index tuples of the m-spaces, in the order of subspaces(m),
-        refused by incidence_gate before any mask is built."""
-        incidence_gate(self.n, m, self.q)
-        return self._level(m)[1].edge_points
-
     def _enumerate_rref_bases(self, nrows: int):
         """All RREF matrices with nrows pivots over n+1 columns, as products
         over per-pivot row lists.  The list for pivot c holds the points
@@ -540,13 +541,10 @@ class ProjectiveSpace:
         a bit at or past num_points in either, or a mask without theta(k) or
         theta(k+1) points, gives False.  At k = n-1 that leaves each
         (k+1)-space all points, so the identity holds iff there is one.
-        Otherwise the byte matrix whose rows are the (k+1)-space masks, last
-        row first, filled by appends, is read one byte column at a time, by
-        a strided slice, and per bit b of the column a translate marks the
-        (k+1)-spaces through point 8c + b with '1' and the others with '0'.
-        At k = 0
-        the count of '1' is that point's number of lines, the check itself.
-        For k >= 1 a base-2 parse makes it the point's mask over the indices
+        Otherwise mask_columns marks, per point, the (k+1)-spaces through it
+        with '1' and the others with '0'.  At k = 0 the count of '1' is that
+        point's number of lines, the check itself.  For k >= 1 a base-2
+        parse makes it the point's mask over the indices
         of the (k+1)-spaces, and the AND of these masks over the points of a
         k-space marks the (k+1)-spaces that contain it; the k-space's mask
         is walked in place, clearing its top bit at each step, with no list
@@ -563,22 +561,9 @@ class ProjectiveSpace:
         del masks  # not kept through the transpose, the peak of the call
         if k == self.n - 1:
             return len(uppers) == 1
-        width = (num + 7) // 8
-        # the last space first: int(..., 2) reads its most significant
-        # digit first, so the (k+1)-space j lands on bit j.  No join: it
-        # would hold every row's bytes and the matrix at once
-        matrix = bytearray()
-        for U in reversed(uppers):
-            matrix += U.mask.to_bytes(width, "little")
-        # per bit b, the byte v becomes '1' when bit b of v is set, else '0'
-        digits = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
         # per point, its (k+1)-spaces: their count at k = 0, else their mask
-        through = []
-        for c in range(width):
-            column = matrix[c::width]
-            for b in range(min(8, num - 8 * c)):
-                bits = column.translate(digits[b])
-                through.append(bits.count(49) if k == 0 else int(bits, 2))
+        through = [bits.count(49) if k == 0 else int(bits, 2)
+                   for bits in mask_columns([U.mask for U in uppers], num)]
         if k == 0:
             # each 0-space was found to have one bit in its mask, its point
             return all(through[S.mask.bit_length() - 1] == target for S in lowers)

@@ -12,14 +12,14 @@ from fractions import Fraction
 from .blocking import construct_union, enumerate_t_mod_p_sets, mod_p_gate, plane_cosets
 from .coloring import is_proper, make_coloring, trivial_coloring
 from .fields import factor_prime_power
-from .geometry import MAX_N, Hypergraph, ProjectiveSpace, mask_bits, theta
+from .geometry import MAX_N, Hypergraph, ProjectiveSpace, mask_bits, mask_columns, theta
 
 OPTIMAL = "optimal"
 BOUND_ONLY = "bound_only"
 
 # the nodes a search visits before it answers `bound_only`; nodes, not seconds:
 # a tau_2 node took 8-12 us on PG(2,7), 0.8-1.5 ms on PG(2,97) (2 vCPUs).
-# Both searches read the incidence lists, so neither runs past incidence_gate
+# Both searches build Hypergraph.edge_points, so neither runs past incidence_gate
 NODE_LIMIT = 2 * 10**5
 
 
@@ -148,12 +148,12 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
     # crosses 0; a vertex out of the search is held len(edges) + 1 lower,
     # so that the largest count is the largest over the available vertices
     order = sorted(range(len(edges)), key=lambda ei: edges[ei].bit_count())
-    position = [0] * len(edges)
-    for pos, ei in enumerate(order):
-        position[ei] = pos
     by_size = [(pos, ei, edges[ei]) for pos, ei in enumerate(order)]
-    vertex_edges = [[position[ei] for ei in eis] for eis in H.vertex_edges]
-    edge_pts = [H.edge_points[ei] for ei in order]
+    edge_pts = list(map(H.edge_points().__getitem__, order))
+    vertex_edges = [[] for _ in range(V)]  # in any order: take only adds and subtracts
+    for pos, pts in enumerate(edge_pts):
+        for v in pts:
+            vertex_edges[v].append(pos)
     deficits = [t] * len(edges)
     is_open = [True] * len(edges)
     cover = [len(eis) for eis in vertex_edges]
@@ -322,7 +322,7 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
     seed_merges = max(len(transversal) - 1, 0)
     trivial_lb = V - seed_merges
 
-    edge_pts = H.edge_points
+    edge_pts = H.edge_points()
     best_merges = seed_merges
     best_assignment = list(seed_coloring.assignment)
     nodes = 0
@@ -335,7 +335,7 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
     # them
     root = list(range(V))
     cls = [1 << v for v in range(V)]
-    inc = [sum(1 << ei for ei in eis) for eis in H.vertex_edges]
+    inc = [int(bits or b"0", 2) for bits in mask_columns(H.edges, V)]
     apart = [0] * V
 
     def dfs(merges, rainbow):

@@ -123,7 +123,7 @@ def set_partitions(n):
 
 
 def brute_force_ucn(H):
-    edge_pts = H.edge_points
+    edge_pts = H.edge_points()
     best = 0
     for labels in set_partitions(H.num_vertices):
         if any(len({labels[v] for v in pts}) == len(pts) for pts in edge_pts):

@@ -141,6 +141,18 @@ def test_minimal_reduction_recovers_union():
     assert minimal_reduction(B, 2, 1).weights == B.weights
 
 
+def test_kspace_weights_take_a_pass_per_bit_not_per_distinct_weight():
+    # 5220 distinct weights on the planes of PG(3,17) are 13 bits: a pass
+    # over the masks per distinct weight took about 17 s there
+    space = ProjectiveSpace.of_order(3, 17)
+    space.subspaces(2)
+    B = WeightedPointSet(space, list(range(space.num_points)))
+    start = time.perf_counter()
+    sums = kspace_weights(B, 2)
+    assert time.perf_counter() - start < 2
+    assert sums == [sum(S.point_indices()) for S in space.subspaces(2)]
+
+
 def test_minimal_reduction_requires_blocking():
     space = ProjectiveSpace.of_order(2, 3)
     B = WeightedPointSet(space, [0] * space.num_points)

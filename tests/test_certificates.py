@@ -19,7 +19,7 @@ from pgworkbench.certificates import (CertificateError, blocking_set_certificate
                                       verify_payload, write_certificate)
 from pgworkbench.coloring import trivial_coloring
 from pgworkbench.fields import GF
-from pgworkbench.geometry import Hypergraph, ProjectiveSpace, incidence_gate, theta
+from pgworkbench.geometry import Hypergraph, ProjectiveSpace, incidence_gate, level_gate, theta
 from pgworkbench.solvers import bounds_report, exact_tau, exact_ucn, verify_tmodp_theorem
 
 
@@ -166,8 +166,9 @@ def test_recheck_blocking_set():
 
 
 def test_recheck_gates_each_blocking_claim_once(monkeypatch):
-    # recheck asked the list gate for every claim before it built the
-    # space, and judge_claim asked it again: eight calls for four claims
+    # recheck asked the gate for every claim before it built the space,
+    # and judge_claim asked it again: eight calls for four claims.  A claim
+    # reads the level's masks, so the gate is level_gate
     space = ProjectiveSpace.of_order(2, 5)
     B = WeightedPointSet(space, [1] * space.num_points)
     claims = [{"type": kind, "t": t, "k": 1, "verified": judge_claim(B, kind, t, 1, {})[0]}
@@ -179,9 +180,9 @@ def test_recheck_gates_each_blocking_claim_once(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        incidence_gate(*args)
+        level_gate(*args)
 
-    monkeypatch.setattr(blocking, "incidence_gate", counted)
+    monkeypatch.setattr(blocking, "level_gate", counted)
     assert recheck(cert) == (True, "all claims verified")
     assert calls == [(2, 1, 5)] * 4
 
@@ -370,7 +371,7 @@ def _fails_through_one_point(data):
     incidence has a nonzero kernel mod 2.  The point is the one whose first
     line comes latest in canonical order, so the scan meets the fault only
     that late; the set is the first line plus that point, of size 4."""
-    lines = ProjectiveSpace.of_order(2, 2).incidence(1)
+    lines = [S.point_indices() for S in ProjectiveSpace.of_order(2, 2).subspaces(1)]
     point = max(range(7), key=lambda i: next(j for j, pts in enumerate(lines) if i in pts))
     wt = [int(i in lines[0] or i == point) for i in range(7)]
     data.update(sets=[wt], num_found=1, verified=False, violations=[])
@@ -793,12 +794,11 @@ def test_recheck_bounds_refuses_parameters_out_of_range(n, k, q, needle):
     ("blocking_set", {"space": {"n": 2, "q": 997}, "weights": [1],
                       "claims": [{"type": "t_fold_blocking", "t": 1, "k": 1}]},
      "verification error: weight array length does not match the point count"),
-    # the 3-spaces of PG(7,2) pass the mask-bit limit, and their masks take
-    # about 1 s and 67 MiB to build; a claim reads the lists, which the list
-    # gate refuses by counts before any space is built
-    ("blocking_set", {"space": {"n": 7, "q": 2}, "weights": [1] * theta(7, 2),
-                      "claims": [{"type": "t_fold_blocking", "t": 1, "k": 3}]},
-     "the 3-spaces of PG(7,2) have 3011805 point incidences, more than the limit"),
+    # a claim reads the level's masks: those of the lines of PG(9,2) are
+    # refused by counts before any space is built
+    ("blocking_set", {"space": {"n": 9, "q": 2}, "weights": [1] * theta(9, 2),
+                      "claims": [{"type": "t_fold_blocking", "t": 1, "k": 1}]},
+     "the masks of the 1-spaces of PG(9,2) may need 178258773 bits, more than the limit"),
 ])
 def test_recheck_refuses_a_huge_space_before_any_build(kind, payload, needle):
     cert = make_certificate(kind, payload)
@@ -914,7 +914,7 @@ def test_recheck_reduces_byte_lanes_within_a_line():
     # c = 14 a line weighs up to 279, past one byte, so recheck must reduce
     # the lanes mod 17 part way along each line of 18 points
     space = ProjectiveSpace.of_order(2, 17)
-    lines = space.incidence(1)
+    lines = [S.point_indices() for S in space.subspaces(1)]
     sets = []
     for c, first in [(13, 0), (12, 0), (11, 0), (14, 306)]:
         wt, members = [c] * space.num_points, 0

@@ -678,10 +678,10 @@ def test_blocking_refuses_a_level_past_the_gate(tmp_path, capsys):
     # building PG(2,997) took 0.93 s and 175 MiB before its lines were refused
     (2, 997, 1, "the masks of the 1-spaces of PG(2,997) may need 990038930049 bits, "
                 "more than the limit 100000000"),
-    # the masks of the 3-spaces of PG(7,2) may be built, but a claim reads
-    # their lists, 3,011,805 point incidences
-    (7, 2, 3, "the 3-spaces of PG(7,2) have 3011805 point incidences, "
-              "more than the limit 1000000"),
+    # a claim reads the level's masks: the lines of PG(9,2) would need
+    # 174,251 masks of 1,023 bits
+    (9, 2, 1, "the masks of the 1-spaces of PG(9,2) may need 178258773 bits, "
+              "more than the limit 100000000"),
 ])
 def test_blocking_asks_the_gate_before_building_the_space(tmp_path, capsys, n, q, k, err):
     wpath = tmp_path / "weights.json"

@@ -125,10 +125,10 @@ def _reference(coloring, H):
     points have distinct colors, a color is trivial iff its class meets
     every edge at least twice."""
     a = coloring.assignment
-    rainbow = [e for e, pts in zip(H.edges, H.edge_points)
+    rainbow = [e for e, pts in zip(H.edges, H.edge_points())
                if len({a[i] for i in pts}) == len(pts)]
     trivial = [c for c in range(1, coloring.N + 1)
-               if all(sum(a[i] == c for i in pts) >= 2 for pts in H.edge_points)]
+               if all(sum(a[i] == c for i in pts) >= 2 for pts in H.edge_points())]
     return (rainbow or [None])[0], (trivial or [None])[0]
 
 

@@ -13,15 +13,18 @@ import weakref
 import pytest
 
 from pgworkbench import geometry
-from pgworkbench.blocking import (WeightedPointSet, is_t_fold_blocking, kspace_weights,
-                                  minimal_reduction)
-from pgworkbench.certificates import make_certificate, recheck
+from pgworkbench.blocking import (WeightedPointSet, construct_union, essential_points,
+                                  is_t_fold_blocking, is_t_mod_p_set, judge_claim,
+                                  kspace_weights, minimal_reduction)
+from pgworkbench.certificates import make_certificate, recheck, tmodp_certificate
+from pgworkbench.cli import build_parser, cmd_space
 from pgworkbench.fields import FieldError, field_for_order
 from pgworkbench.geometry import (EMPTY_SUBSPACE, GeometryError, Hypergraph,
                                   ProjectiveSpace, Subspace, count_subspaces,
                                   hypergraph_from_file, hypergraph_to_file,
-                                  incidence_gate, level_gate, mask_bits, theta, write_text)
-from pgworkbench.solvers import exact_tau, exact_ucn
+                                  incidence_gate, level_gate, mask_bits, mask_columns, theta,
+                                  write_text)
+from pgworkbench.solvers import exact_tau, exact_ucn, verify_tmodp_theorem
 
 
 def gate_refusal(n, m, q, gate=level_gate):
@@ -215,14 +218,42 @@ def test_the_span_of_two_points_is_their_line():
 
 
 def test_incidence_matches_subspace_masks():
+    # a level's point lists are built from its masks at each call and kept
+    # nowhere
     space = ProjectiveSpace.of_order(3, 2)
     assert ProjectiveSpace.of_order(3, 2) is space
-    for m in range(space.n + 1):
-        inc = space.incidence(m)
-        assert inc is space.incidence(m)
-        assert inc == tuple(tuple(i for i in range(space.num_points) if S.mask >> i & 1)
-                            for S in space.subspaces(m))
+    for k in (1, 2):
+        H = space.hypergraph(k)
+        inc = H.edge_points()
+        assert inc == H.edge_points() and inc is not H.edge_points()
+        assert inc == [[i for i in range(space.num_points) if S.mask >> i & 1]
+                       for S in space.subspaces(k)]
+        assert set(vars(H)) <= {"geometry"}
     assert mask_bits(0) == [] and mask_bits(0b101001) == [0, 3, 5]
+
+
+def test_vertex_edges_of_a_level_match_incidence():
+    # per point, the k-spaces through it, as mask_columns reads them from the
+    # level's edges, are those whose point lists hold it
+    space = ProjectiveSpace.of_order(3, 2)
+    for k in (1, 2):
+        columns = list(mask_columns(space.hypergraph(k).edges, space.num_points))
+        assert len(columns) == space.num_points
+        for i, digits in enumerate(columns):
+            assert mask_bits(int(digits, 2)) == [
+                si for si, S in enumerate(space.subspaces(k)) if i in S.point_indices()]
+
+
+@pytest.mark.parametrize("num_points", [1, 7, 8, 13, 31])
+def test_mask_columns_read_the_masks_per_point(num_points):
+    # digit j of point i's column, the last mask first, is bit i of masks[j];
+    # with no masks each point's column is empty
+    rng = random.Random(num_points)
+    for count in (0, 1, 5, 20):
+        masks = [rng.getrandbits(num_points) for _ in range(count)]
+        columns = list(mask_columns(masks, num_points))
+        assert columns == [bytes(48 + (m >> i & 1) for m in reversed(masks))
+                           for i in range(num_points)]
 
 
 def test_span_of_points_and_of_nothing():
@@ -394,6 +425,36 @@ def test_one_basis_builds_a_wrap_mask_per_nonzero_digit(n, q):
         assert space._wrap_masks == {}
 
 
+def test_a_level_keeps_its_masks_alone(tmp_path):
+    # every reader builds what it needs from a level's masks and drops it
+    # on return: after a searching tau_2, a UCN search, a four-claim
+    # recheck, a reduction, a t (mod p) recheck and an export, the space
+    # holds what it held before, and each level's hypergraph at most its
+    # checked geometry
+    geometry._SPACES.pop((2, 3), None)
+    space = ProjectiveSpace.of_order(2, 3)
+    H = space.hypergraph(1)
+    assert exact_tau(H, 2).nodes > 0 and exact_ucn(H).objective == 6
+    lines = space.subspaces(1)
+    B = construct_union(space, [(lines[0], 1), (lines[1], 1), (lines[5], 1)])
+    claims = [{"type": kind, "t": t, "k": 1, "verified": judge_claim(B, kind, t, 1, {})[0]}
+              for kind, t in (("t_fold_blocking", 1), ("t_mod_p", 3), ("minimal", 1),
+                              ("t_fold_blocking", 4))]
+    assert [claim["verified"] for claim in claims] == [True, True, False, False]
+    cert = make_certificate("blocking_set", {**B.to_json(), "claims": claims})
+    assert recheck(cert) == (True, "all claims verified")
+    assert minimal_reduction(B, 1, 1).size < B.size
+    report = tmodp_certificate(verify_tmodp_theorem(3, 1))
+    assert recheck(report) == (True, "report sets verified")
+    hypergraph_to_file(H, str(tmp_path / "lines.json"))
+    assert ProjectiveSpace.of_order(2, 3) is space
+    assert set(vars(space)) == {"n", "field", "num_points", "_place", "_levels",
+                                "_wrap_masks", "points", "point_index"}
+    assert list(space._levels) == [1]
+    for records, level in space._levels.values():
+        assert set(vars(level)) <= {"geometry"}
+
+
 @pytest.mark.parametrize("n,q", [(3, 3), (2, 4)])
 def test_a_cold_space_is_freed_without_the_cycle_collector(n, q):
     # no cache of a space may refer back to it: a cycle would keep every
@@ -407,8 +468,7 @@ def test_a_cold_space_is_freed_without_the_cycle_collector(n, q):
         assert all(space.verify_pencil_identity(k) for k in range(n))
         for k in range(1, n):
             H = space.hypergraph(k)
-            assert H.edge_points and H.vertex_edges and H.geometry == (n, k, q)
-            assert space.incidence(k) is H.edge_points
+            assert H.edge_points() and H.geometry == (n, k, q)
         assert space._wrap_masks
         ref = weakref.ref(space)
         del space, H
@@ -441,15 +501,6 @@ def test_levels_and_pencil_checks_peak_memory(n, q, peak_mib):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * peak_mib * 2**20, peak / 2**20
-
-
-def test_vertex_edges_of_a_level_match_incidence():
-    space = ProjectiveSpace.of_order(3, 2)
-    for k in (1, 2):
-        through = space.hypergraph(k).vertex_edges
-        for i in range(space.num_points):
-            assert through[i] == tuple(si for si, pts in enumerate(space.incidence(k))
-                                       if i in pts)
 
 
 def test_hypergraph_construction_and_roundtrip(tmp_path):
@@ -590,30 +641,28 @@ def test_levels_are_one_shared_structure():
     space = ProjectiveSpace.of_order(3, 2)
     for k in (1, 2):
         H = space.hypergraph(k)
-        assert space.hypergraph(k) is H
-        assert space.incidence(k) is H.edge_points
+        assert space.hypergraph(k) is H and space._levels[k][1] is H
         assert H.edges == tuple(S.mask for S in space.subspaces(k))
     # every level, the points and the whole space included, is one cached
-    # record that its records and its incidence view are read from
+    # record that its records and its masks are read from
     for m in range(space.n + 1):
         records = space.subspaces(m)
         assert space._levels[m][0] is records
         H = space._levels[m][1]
-        assert space.incidence(m) is H.edge_points
         assert H.edges == tuple(S.mask for S in records)
         assert H.params == (space.n, m, space.q)
 
 
-def test_vertex_edges_match_edge_points():
+def test_edge_points_are_read_from_the_masks():
     H = Hypergraph(5, (0b00111, 0b11100, 0b10001, 0))
-    assert H.edge_points == ((0, 1, 2), (2, 3, 4), (0, 4), ())
-    assert H.vertex_edges == ((0, 2), (0,), (0, 1), (1,), (1, 2))
+    assert H.edge_points() == [[0, 1, 2], [2, 3, 4], [0, 4], []]
+    assert vars(H) == {}
 
 
 @pytest.mark.parametrize("n, k, q", [(2, 1, 2), (2, 1, 3), (3, 2, 2)])
 def test_shuffled_geometric_file_solves_like_canonical(tmp_path, n, k, q):
     H = ProjectiveSpace.of_order(n, q).hypergraph(k)
-    edges = [list(e) for e in H.edge_points]
+    edges = [list(e) for e in H.edge_points()]
     rng = random.Random(5)
     rng.shuffle(edges)
     for e in edges:
@@ -782,25 +831,43 @@ def test_incidence_gate_refusals(n, m, q, reason):
         assert gate_refusal(n, m, q) is None
 
 
+SOLIDS_OF_PG72 = (7, 3, 2, r"the 3-spaces of PG\(7,2\) have 3011805 point incidences, "
+                            r"more than the limit 1000000")
+LINES_OF_PG2_101 = (2, 1, 101, r"the masks of the 1-spaces of PG\(2,101\) may need 106151809 "
+                               r"bits, more than the limit 100000000")
+
 LIST_CALLS = {
-    "kspace_weights": lambda space, B: kspace_weights(B, 3),
-    "incidence": lambda space, B: space.incidence(3),
-    "minimal_reduction": lambda space, B: minimal_reduction(B, 1, 3),
+    # a hypergraph that claims the level asks the gate before any list
+    "edge_points": (*SOLIDS_OF_PG72, lambda space, path:
+                    Hypergraph(space.num_points, (), (7, 3, 2)).edge_points()),
+    # an export asks it before the space builds the level's masks
+    "export": (*SOLIDS_OF_PG72, lambda space, path: cmd_space(build_parser().parse_args(
+        ["space", "--n", "7", "--q", "2", "--k", "3", "--export-hypergraph", path]))),
+    # a claim reads the masks, so it asks level_gate: the 3-spaces of PG(7,2)
+    # pass it, the lines of PG(2,101), with 1050906 point incidences, do not
+    "kspace_weights": (*LINES_OF_PG2_101, lambda space, path:
+                       kspace_weights(WeightedPointSet(space, [1] * space.num_points), 1)),
+    "minimal_reduction": (*LINES_OF_PG2_101, lambda space, path: minimal_reduction(
+        WeightedPointSet(space, [1] * space.num_points), 1, 1)),
 }
 
 
-@pytest.mark.parametrize("call", LIST_CALLS.values(), ids=list(LIST_CALLS))
-def test_a_level_past_the_incidence_limit_builds_no_mask(call):
-    # the masks of the 3-spaces of PG(7,2) pass level_gate and took about a
-    # second to build before their lists were refused
-    space = ProjectiveSpace(7, field_for_order(2))
-    B = WeightedPointSet(space, [0] * space.num_points)
+@pytest.mark.parametrize("n, k, q, message, call", LIST_CALLS.values(), ids=list(LIST_CALLS))
+def test_a_level_past_the_incidence_limit_builds_no_mask(n, k, q, message, call, tmp_path):
+    # the masks of the 3-spaces of PG(7,2) pass level_gate and take about a
+    # second to build; the lists that a search or an export reads are
+    # refused by counts.  A claim or minimal_reduction reads the masks and
+    # is refused by level_gate alone
+    assert count_subspaces(n, k, q) * theta(k, q) > 10**6
+    space = ProjectiveSpace(n, field_for_order(q))
+    geometry._SPACES.pop((n, q), None)
+    path = str(tmp_path / "solids.json")
     start = time.perf_counter()
-    with pytest.raises(GeometryError, match=r"the 3-spaces of PG\(7,2\) have 3011805 point "
-                                            r"incidences, more than the limit 1000000"):
-        call(space, B)
+    with pytest.raises(GeometryError, match=message):
+        call(space, path)
     assert time.perf_counter() - start < 0.1
-    assert 3 not in space._levels
+    assert not space._levels and (n, q) not in geometry._SPACES
+    assert not os.path.exists(path)
 
 
 def test_a_space_builds_its_points_at_its_first_level():
@@ -847,19 +914,19 @@ def test_no_bool_reaches_a_space_or_level_cache():
         space.hypergraph(True)
     with pytest.raises(GeometryError, match="not all integers"):
         ProjectiveSpace(2, field_for_order(3)).subspaces(True)
-    # once level 1's records were cached, incidence(True) made a hypergraph
-    # and cached it under True, with params (2, True, 3)
+    # once level 1's records were cached, a lookup by True made a
+    # hypergraph and cached it under True, with params (2, True, 3)
     cold = ProjectiveSpace(2, field_for_order(3))
     cold.subspaces(1)
     with pytest.raises(GeometryError, match="not all integers"):
-        cold.incidence(True)
+        is_t_mod_p_set(WeightedPointSet(cold, [1] * cold.num_points), 1, True)
     for S in (space, cold):
         assert {type(m) for m in S._levels} == {int}
 
 
 WARM_LEVEL_CALLS = {
-    "incidence(True)": (True, lambda space, B: space.incidence(True)),
-    "incidence(1.0)": (1.0, lambda space, B: space.incidence(1.0)),
+    "is_t_mod_p_set(B, 1, True)": (True, lambda space, B: is_t_mod_p_set(B, 1, True)),
+    "essential_points(B, 1, 1.0)": (1.0, lambda space, B: essential_points(B, 1, 1.0)),
     "minimal_reduction(B, 1, True)": (True, lambda space, B: minimal_reduction(B, 1, True)),
     "subspaces(1.0)": (1.0, lambda space, B: space.subspaces(1.0)),
     "kspace_weights(B, 1.0)": (1.0, lambda space, B: kspace_weights(B, 1.0)),
@@ -907,37 +974,36 @@ def test_level_builds_and_recheck_agree_with_the_gate(monkeypatch):
             else:
                 assert fault is None and count == count_subspaces(n, m, q)
                 level = space._levels[m][1]
-                for view, size in ((space.incidence, count),
-                                   (lambda m: level.vertex_edges, space.num_points)):
-                    if list_fault is None:
-                        assert len(view(m)) == size
-                        continue
+                if list_fault is None:
+                    assert len(level.edge_points()) == count
+                else:
                     with pytest.raises(GeometryError) as info:
-                        view(m)
+                        level.edge_points()
                     assert str(info.value) == list_fault
-                if list_fault is not None:
                     lists_only.append((n, m, q))
-                    assert not {"edge_points", "vertex_edges"} & set(space._levels[m][1].__dict__)
+                assert set(vars(level)) <= {"geometry"}
             if 1 <= m <= n - 1:
                 cert = make_certificate("transversal", {
                     "n": n, "k": m, "q": q, "t": 1, "points": list(range(theta(n, q)))})
                 assert recheck(cert) == ((True, "t-transversal verified") if fault is None
                                          else (False, fault))
-                # a claim reads the lists: refused by counts, with no space built
+                # a claim reads the masks: refused by level_gate's counts,
+                # with no level built, and answered past the list rule
                 cert = make_certificate("blocking_set", {
                     "space": {"n": n, "q": q}, "weights": [1] * theta(n, q),
                     "claims": [{"type": "t_fold_blocking", "t": 1, "k": m}]})
                 geometry._SPACES.clear()
-                assert recheck(cert) == ((True, "all claims verified") if list_fault is None
-                                         else (False, list_fault))
+                assert recheck(cert) == ((True, "all claims verified") if fault is None
+                                         else (False, fault))
                 # a space past the point rule is not kept, and a space kept
                 # when its level is refused has no point and no level built
-                if list_fault is not None and "exceeds the limits" in list_fault:
+                if fault is not None and "exceeds the limits" in fault:
                     assert geometry._SPACES == {}
-                elif list_fault is not None:
+                elif fault is not None:
                     kept = geometry._SPACES[n, q]
                     assert "points" not in vars(kept) and kept._levels == {}
     # the point, mask-bit and list rules each refused a level, and a level
-    # past the list rule alone had its masks built and a transversal rechecked
+    # past the list rule alone had its masks built, and a transversal and a
+    # claim rechecked
     assert refused == set(rules)
     assert (3, 1, 3) in lists_only

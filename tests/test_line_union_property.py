@@ -26,7 +26,7 @@ def line_multisets(draw):
 def test_a_union_of_lines_gives_back_its_multiset(case):
     p, chosen = case
     t = len(chosen)
-    lines = ProjectiveSpace.of_order(2, p).incidence(1)
+    lines = [S.point_indices() for S in ProjectiveSpace.of_order(2, p).subspaces(1)]
     w = [0] * (p * p + p + 1)
     for j in chosen:
         for i in lines[j]:

@@ -36,7 +36,7 @@ def reference_transversal(payload):
     pts = point_set(payload["points"], space.num_points)
     if "objective" in payload and payload["objective"] != len(pts):
         return False, "objective does not match the witness size"
-    for kspace in space.incidence(k):
+    for kspace in (S.point_indices() for S in space.subspaces(k)):
         hit = len(pts.intersection(kspace))
         if hit < t:
             return False, f"a {k}-space meets the set in only {hit} < {t} points"
@@ -79,7 +79,8 @@ def reference_line_unions(space, t, max_size, cap):
     with multiplicity, of size at most max_size and no point above cap,
     listed one multiset at a time."""
     weights = set()
-    for combo in itertools.combinations_with_replacement(space.incidence(1), t):
+    for combo in itertools.combinations_with_replacement(
+            [S.point_indices() for S in space.subspaces(1)], t):
         w = [0] * space.num_points
         for i in itertools.chain.from_iterable(combo):
             w[i] += 1
@@ -205,7 +206,7 @@ def forged_tmodp_case(rng):
     recheck adds before it reduces a byte lane mod p."""
     p, t = rng.choice([(5, 1), (5, 2), (7, 1), (7, 2), (17, 1), (17, 1)])
     data = json.loads(report(p, t))
-    lines = ProjectiveSpace.of_order(2, p).incidence(1)
+    lines = [S.point_indices() for S in ProjectiveSpace.of_order(2, p).subspaces(1)]
     sets = []
     for _ in range(rng.randint(1, 5)):
         w = [0] * theta(2, p)

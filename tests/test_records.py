@@ -56,7 +56,9 @@ def test_hypergraph_views_are_cached_on_the_instance():
     H = Hypergraph(level.num_vertices, tuple(reversed(level.edges)), (2, 1, 3))
     first = H.geometry
     assert first == (2, 1, 3) and vars(H)["geometry"] is first and H.geometry is first
-    assert H.edge_points is H.edge_points and H.vertex_edges is H.vertex_edges
+    # the point lists are rebuilt from the masks at each call, and kept nowhere
+    assert H.edge_points() == H.edge_points() and H.edge_points() is not H.edge_points()
+    assert list(vars(H)) == ["geometry"]
 
 
 def test_weighted_point_set_refusals():

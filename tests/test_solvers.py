@@ -15,7 +15,7 @@ from pgworkbench import blocking, solvers
 from pgworkbench.blocking import BlockingError, enumerate_t_mod_p_sets
 from pgworkbench.coloring import is_proper, make_coloring
 from pgworkbench.fields import GF, FieldError
-from pgworkbench.geometry import Hypergraph, ProjectiveSpace, theta
+from pgworkbench.geometry import Hypergraph, ProjectiveSpace, mask_bits, theta
 from pgworkbench.solvers import (BOUND_ONLY, OPTIMAL, SolverError, bounds_report,
                                  exact_tau, exact_ucn, tmodp_frame, verify_tmodp_theorem)
 
@@ -48,7 +48,7 @@ def set_partitions(n):
 
 
 def brute_force_ucn(H):
-    edge_pts = H.edge_points
+    edge_pts = H.edge_points()
     best = 0
     for labels in set_partitions(H.num_vertices):
         classes = max(labels) + 1
@@ -145,19 +145,22 @@ def reference_greedy(H, t):
     """The greedy t-transversal on its own counts: add the first vertex on
     the most open edges until none is open; gains[v] is the number of open
     edges through v, or -1 once v is chosen."""
+    edge_points = [mask_bits(e) for e in H.edges]
+    vertex_edges = [[ei for ei, pts in enumerate(edge_points) if v in pts]
+                    for v in range(H.num_vertices)]
     deficits = [t] * len(H.edges)
-    gains = [len(eis) for eis in H.vertex_edges]
+    gains = [len(eis) for eis in vertex_edges]
     num_open = len(H.edges)
     chosen = set()
     while num_open:
         v = gains.index(max(gains))
         chosen.add(v)
         gains[v] = -1
-        for ei in H.vertex_edges[v]:
+        for ei in vertex_edges[v]:
             deficits[ei] -= 1
             if deficits[ei] == 0:
                 num_open -= 1
-                for u in H.edge_points[ei]:
+                for u in edge_points[ei]:
                     if u not in chosen:
                         gains[u] -= 1
     return chosen
@@ -248,7 +251,7 @@ def test_no_proper_twelve_class_coloring_of_pg32_planes():
     # preserved under class merges, so UCN < 12 iff no 12-class partition
     # of the 15 points is proper
     H = ProjectiveSpace.of_order(3, 2).hypergraph(2)
-    edge_pts = H.edge_points
+    edge_pts = H.edge_points()
     n = H.num_vertices
     labels = [0] * n
     found = []
@@ -330,7 +333,7 @@ def test_exact_ucn_relabeling_invariance():
     for _ in range(5):
         perm = list(range(6))
         rng.shuffle(perm)
-        edges = tuple(sum(1 << perm[v] for v in pts) for pts in H.edge_points)
+        edges = tuple(sum(1 << perm[v] for v in pts) for pts in H.edge_points())
         assert exact_ucn(Hypergraph(6, edges)).objective == base
 
 

@@ -1,6 +1,8 @@
 """Checks on the library source and on what it loads, stdlib only."""
 
 import ast
+import builtins
+import itertools
 import json
 import os
 import subprocess
@@ -173,6 +175,16 @@ def test_every_private_definition_has_a_caller():
     assert dead == []
 
 
+# the attribute names of the builtin types and of json.JSONEncoder: a read
+# of one of these names in the library may be of that type's attribute
+SHARED_NAMES = frozenset(itertools.chain(
+    dir(json.JSONEncoder), *(dir(t) for t in vars(builtins).values() if isinstance(t, type))))
+
+# the library functions, as "file: function" or "file: Class.method", that
+# read a method with a shared name from outside its class; such a method is
+# read only through self.<name> in its class or by the functions named here
+SHARED_NAME_READERS = {}
+
 # definitions that no library line reads, kept for the reader outside the
 # library that each names; every other unread one is dead code
 OUTSIDE_READERS = {
@@ -182,28 +194,56 @@ OUTSIDE_READERS = {
 }
 
 
-def _unread_definitions(trees, exported):
+def _unread_definitions(trees, exported, shared=frozenset(), readers=None):
     """The module functions and methods of trees, as file: name, that no
     line of trees outside their own body reads, a function as a name or an
     attribute and a method as an attribute; dunder methods are read by
-    the interpreter, and a function named in exported is public API."""
+    the interpreter, and a function named in exported is public API.  A
+    method whose name is in shared is read only through self.<name> in
+    its own class, or by a function that readers names for it, as
+    "file: function" or "file: Class.method", keyed by "Class.method"; a
+    named function that reads no attribute of that name is listed as
+    "file: function (no read of Class.method)"."""
     def reads(node):
         return [(n.id, False) if isinstance(n, ast.Name) else (n.attr, True)
                 for n in ast.walk(node)
                 if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
 
+    def self_reads(node, name):
+        return sum(isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                   and n.attr == name and ast.unparse(n.value) == "self" for n in ast.walk(node))
+
+    functions = {}
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                functions[f"{file}: {node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                functions.update((f"{file}: {node.name}.{member.name}", member)
+                                 for member in node.body if hasattr(member, "name"))
     everywhere = [r for tree in trees.values() for r in reads(tree)]
     found = []
     for file, tree in trees.items():
-        defs = [("", node) for node in tree.body]
-        defs += [(f"{cls.name}.", node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+        defs = [(None, node) for node in tree.body]
+        defs += [(cls, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
                  for node in cls.body]
-        for owner, node in defs:
+        for cls, node in defs:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    or node.name.startswith("__") or not owner and node.name in exported:
+                    or node.name.startswith("__") or not cls and node.name in exported:
+                continue
+            owner = f"{cls.name}." if cls else ""
+            if cls and node.name in shared:
+                key = f"{cls.name}.{node.name}"
+                named = (readers or {}).get(key, ())
+                stale = [r for r in named if r not in functions
+                         or (node.name, True) not in reads(functions[r])]
+                found += [f"{r} (no read of {key})" for r in stale]
+                if self_reads(cls, node.name) == self_reads(node, node.name) \
+                        and len(stale) == len(named):
+                    found.append(f"{file}: {key}")
                 continue
 
-            def is_read(r, name=node.name, method=bool(owner)):
+            def is_read(r, name=node.name, method=bool(cls)):
                 return r[0] == name and (r[1] or not method)
 
             if sum(map(is_read, everywhere)) == sum(map(is_read, reads(node))):
@@ -217,7 +257,8 @@ def test_every_definition_has_a_reader():
     # code; the table names the reader of each one it keeps
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE_DIR.glob("*.py"))}
-    unread = _unread_definitions(trees, set(pgworkbench.__all__))
+    unread = _unread_definitions(trees, set(pgworkbench.__all__), SHARED_NAMES,
+                                 SHARED_NAME_READERS)
     assert sorted(name for name in unread if name.split(": ")[1] not in OUTSIDE_READERS) == []
     # each entry of the table is still defined and still unread
     assert sorted(name.split(": ")[1] for name in unread) == sorted(OUTSIDE_READERS)
@@ -244,6 +285,79 @@ def uses_prop(a): return a.prop
     assert _unread_definitions({"m.py": ast.parse(source)}, {"exported"}) == [
         "m.py: caller", "m.py: recursive", "m.py: shadowed", "m.py: uses_prop",
         "m.py: A.unread", "m.py: A.sub", "m.py: A.again"]
+
+
+# GF.encode as it stood before it was deleted, with no reader in the
+# library, and the library's reads of str.encode and JSONEncoder.encode
+_FIELDS_WITH_ENCODE = """
+class GF:
+    def __init__(self, p, h):
+        self.p, self.h = p, h
+        self.g = self.decode(1)
+
+    def decode(self, x):
+        return tuple(x // self.p**i % self.p for i in range(self.h))
+
+    def encode(self, coeffs):
+        x = 0
+        for c in reversed(list(coeffs)[: self.h] + [0] * (self.h - len(coeffs))):
+            x = x * self.p + c
+        return x
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def row_reduce(self, rows):
+        return [self.add(x, 1) for x in rows]
+
+    def count(self, a):
+        return a
+
+    def index(self, a):
+        return a
+"""
+_READERS_OF_ENCODE = """
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True)
+def canonical_json(payload): return _CANONICAL_ENCODER.encode(payload)
+def _digest(text): return sha256(text.encode()).hexdigest()
+def counted(field, items): return field.count(len(items)) + items.count(0)
+def indexed(field, items): return items[field.p] + items.index(0)
+def reduced(field, rows): return field.row_reduce(rows)
+"""
+
+
+def test_unread_definition_guard_sees_a_method_whose_name_a_builtin_shares():
+    trees = {"fields.py": ast.parse(_FIELDS_WITH_ENCODE),
+             "geometry.py": ast.parse(_READERS_OF_ENCODE)}
+    exported = {"canonical_json", "_digest", "counted", "indexed", "reduced"}
+    # by name alone, str.encode and JSONEncoder.encode read GF.encode, and
+    # list.count and list.index read GF.count and GF.index
+    assert _unread_definitions(trees, exported) == []
+    # GF.decode and GF.add are read through self, GF.count by the function
+    # named for it; GF.index's named reader reads list.index only, which
+    # the guard cannot tell apart, so it is listed as read
+    readers = {"GF.count": ("geometry.py: counted",), "GF.index": ("geometry.py: indexed",)}
+    assert _unread_definitions(trees, exported, SHARED_NAMES, readers) == [
+        "fields.py: GF.encode"]
+    # a method with no reader left, and a named reader that is gone or
+    # reads no attribute of the name, are listed
+    readers = {"GF.count": ("geometry.py: gone", "geometry.py: canonical_json"),
+               "GF.index": ("geometry.py: indexed",)}
+    assert _unread_definitions(trees, exported, SHARED_NAMES, readers) == [
+        "fields.py: GF.encode", "geometry.py: gone (no read of GF.count)",
+        "geometry.py: canonical_json (no read of GF.count)", "fields.py: GF.count"]
+    assert {"encode", "decode", "add", "count", "index"} <= SHARED_NAMES
+
+
+def test_a_hypergraph_caches_only_its_geometry():
+    # a level's masks are its one incidence structure: the point lists are
+    # built at each call, so a Hypergraph's one cached view is its check
+    tree = ast.parse((PACKAGE_DIR / "geometry.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "Hypergraph")
+    cached = [node.name for node in cls.body if isinstance(node, ast.FunctionDef)
+              and any(ast.unparse(d).endswith("cached_property") for d in node.decorator_list)]
+    assert cached == ["geometry"]
 
 
 def test_solvers_read_params_through_the_check():
