@@ -12,7 +12,8 @@ from fractions import Fraction
 from .blocking import construct_union, enumerate_t_mod_p_sets, mod_p_gate, plane_cosets
 from .coloring import is_proper, make_coloring, trivial_coloring
 from .fields import factor_prime_power
-from .geometry import MAX_N, Hypergraph, ProjectiveSpace, mask_bits, mask_columns, theta
+from .geometry import (MAX_N, Hypergraph, ProjectiveSpace, count_subspaces, mask_bits,
+                       mask_columns, theta)
 
 OPTIMAL = "optimal"
 BOUND_ONLY = "bound_only"
@@ -28,7 +29,7 @@ class SolverError(ValueError):
 
 
 class _Stop(Exception):
-    """Ends a search: past NODE_LIMIT nodes, or at the folklore bound."""
+    """Ends a search: past NODE_LIMIT nodes, or at the folklore or shape bound."""
 
 
 SolveResult = collections.namedtuple(
@@ -43,6 +44,24 @@ def _tau_facts(n: int, m: int, q: int, t: int) -> tuple:
     m-spaces of PG(n,q), None when t > q, and whether t disjoint
     (n-m)-spaces fit, whose union is then one: each meets every m-space."""
     return t * theta(n - m, q) if t <= q else None, t * (n - m + 1) <= n + 1
+
+
+def _shape_bound(n: int, m: int, q: int, tau2: int) -> int:
+    """UCN <= theta_n - D_min on the m-spaces of PG(n,q), from a lower bound
+    tau2 on their tau_2.  The c classes of two or more points of a proper
+    coloring, with D = sum(s_i - 1) merges, meet every m-space twice, so
+    D + c >= tau2, and hold a monochromatic pair of each; a pair lies on e_L
+    m-spaces (1 for lines), so sum(C(s_i, 2)) * e_L >= their number.  By
+    convexity (D - c + 2, 2, ..., 2) with the fewest classes, c = tau2 - D
+    <= D, holds the most pairs.  D_min is the least D <= tau2 - 2 that
+    passes, else tau2 - 1, the merges of the trivial coloring."""
+    e_L = 1 if m == 1 else count_subspaces(n - 2, m - 2, q)
+    edges = count_subspaces(n, m, q)
+    for D in range((tau2 + 1) // 2, tau2 - 1):
+        c = tau2 - D
+        if (math.comb(D - c + 2, 2) + c - 1) * e_L >= edges:
+            return theta(n, q) - D
+    return theta(n, q) - tau2 + 1
 
 
 def _seed_transversal(H: Hypergraph, t: int) -> set | None:
@@ -286,11 +305,14 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
     in its own, so that the masks stay symmetric.
     The incumbent is seeded by the trivial coloring on the witness of
     exact_tau(H, 2), minimum or, past the node ceiling, that search's
-    incumbent.  Past NODE_LIMIT nodes it stops as exact_tau does, by
-    `_Stop` at node NODE_LIMIT + 1, and answers `bound_only`: its
-    incumbent coloring as witness, its class count, at least the trivial
-    bound, as lower_bound, and no upper_bound.  A hypergraph with no
-    vertex has no coloring to witness, and raises SolverError.
+    incumbent.  On a validated H(n,k,q) it stops, by `_Stop`, at the first
+    incumbent that meets `_shape_bound` of that tau_2 (the objective, else
+    the lower bound), at 0 nodes when the seed does.  Past NODE_LIMIT nodes
+    it stops as exact_tau does, at node NODE_LIMIT + 1, and answers
+    `bound_only`: its incumbent coloring as witness, its class count, at
+    least the trivial bound, as lower_bound, and the shape bound (None off
+    a validated H(n,k,q)) as upper_bound.  A hypergraph with no vertex has
+    no coloring to witness, and raises SolverError.
 
     The rainbow edges are one mask over edge indices, and each class keeps
     the mask of the edges that meet it, so a merge of classes A and B
@@ -305,9 +327,9 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
     twice the number of rainbow edges.
     Packing: rainbow edges that meet pairwise disjoint sets of classes
     each need a merge of their own, so there must be fewer than r of them.
-    Nodes: H(2,1,3) 726, H(3,2,2) 57, H(3,1,2) 2000, H(4,3,2) 297.
-    H(2,1,4), UCN 12, needs 509758, past NODE_LIMIT: it answers
-    `bound_only` with lower_bound 11.
+    Nodes: H(2,1,3) 119, H(3,2,2) 9, H(3,1,2) 1536, H(4,3,2) 17.
+    H(2,1,4), UCN 12, first reaches its shape bound 12 at node 334677,
+    past NODE_LIMIT: it answers `bound_only` 11..12.
     """
     V = H.num_vertices
     if V == 0:
@@ -315,11 +337,13 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
     if any(e.bit_count() < 2 for e in H.edges):
         raise SolverError("infeasible: an edge with fewer than 2 vertices is always rainbow")
 
-    transversal = exact_tau(H, 2).witness
-    seed_coloring = trivial_coloring(transversal, H)
+    tau = exact_tau(H, 2)
+    upper = None if H.geometry is None else _shape_bound(
+        *H.geometry, tau.objective if tau.status == OPTIMAL else tau.lower_bound)
+    seed_coloring = trivial_coloring(tau.witness, H)
     # the seed merges the 2-transversal into one class; with no edges it
     # is empty and the seed is the all-distinct coloring
-    seed_merges = max(len(transversal) - 1, 0)
+    seed_merges = max(len(tau.witness) - 1, 0)
     trivial_lb = V - seed_merges
 
     edge_pts = H.edge_points()
@@ -347,6 +371,8 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
         if not rainbow:
             if merges < best_merges:
                 best_merges, best_assignment = merges, list(root)
+                if V - merges == upper:
+                    raise _Stop
             return
         # a rainbow edge needs a merge more, so a room of 1 prunes
         room = best_merges - merges
@@ -412,6 +438,8 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
 
     rainbow = (1 << len(H.edges)) - 1  # every class is one point
     try:
+        if trivial_lb == upper:
+            raise _Stop
         if H.geometry is None:
             dfs(0, rainbow)
         else:
@@ -441,9 +469,12 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
     if objective < trivial_lb:
         raise SolverError(f"internal error: UCN {objective} is below the trivial "
                           f"lower bound {trivial_lb}")
+    if upper is not None and objective > upper:
+        raise SolverError(f"internal error: UCN {objective} is above the shape "
+                          f"bound {upper}")
     if nodes > NODE_LIMIT:
         return SolveResult(objective=None, witness=witness, nodes=nodes,
-                           status=BOUND_ONLY, lower_bound=objective)
+                           status=BOUND_ONLY, lower_bound=objective, upper_bound=upper)
     return SolveResult(objective=objective, witness=witness, nodes=nodes,
                        status=OPTIMAL, lower_bound=trivial_lb, upper_bound=objective)
 

@@ -159,7 +159,8 @@ def test_rows_past_the_node_limit_show_both_bounds(tmp_path, monkeypatch):
     assert not ok
     tau_lb, tau_ub = rows[0].value.split("..")
     assert int(tau_lb) == 10 and int(tau_ub) >= 12 and rows[0].match == "no"
-    assert [(row.value, row.match) for row in rows[1:]] == [("10..?", "yes"), ("10..?", "no")]
+    # the UCN upper bound is the shape bound of the folklore tau_2 >= 10
+    assert [(row.value, row.match) for row in rows[1:]] == [("10..13", "yes"), ("10..13", "no")]
     certs = [load_json(str(tmp_path / f"{row.instance}.json")) for row in rows]
     assert "objective" not in certs[0]["payload"]
     assert len(certs[0]["payload"]["points"]) == int(tau_ub)

@@ -13,7 +13,7 @@ from test_geometry import gate_refusal
 
 from pgworkbench import blocking, solvers
 from pgworkbench.blocking import BlockingError, enumerate_t_mod_p_sets
-from pgworkbench.coloring import is_proper, make_coloring
+from pgworkbench.coloring import is_proper, make_coloring, trivial_coloring
 from pgworkbench.fields import GF, FieldError
 from pgworkbench.geometry import Hypergraph, ProjectiveSpace, mask_bits, theta
 from pgworkbench.solvers import (BOUND_ONLY, OPTIMAL, SolverError, bounds_report,
@@ -280,11 +280,12 @@ def test_exact_ucn_limits_and_errors(monkeypatch):
         exact_ucn(Hypergraph(3, (0b001, 0b110)))
     # the greedy 2-transversal of the Fano plane meets the folklore bound,
     # so the seed is the trivial 2-coloring; case A stops at its first
-    # node, and case B is not entered
+    # node, and case B is not entered.  The upper bound is the shape bound
+    # of tau_2 = 6
     monkeypatch.setattr(solvers, "NODE_LIMIT", 0)
     res = exact_ucn(FANO)
     assert res.status == BOUND_ONLY and res.objective is None and res.nodes == 1
-    assert (res.lower_bound, res.upper_bound) == (2, None)
+    assert (res.lower_bound, res.upper_bound) == (2, 3)
     assert is_proper(res.witness, FANO)[0] and res.witness.N == 2
 
 
@@ -421,11 +422,17 @@ def test_search_effort_pinned_on_a_mixed_size_corpus():
         "bf2430cd82b6489ce5933d1f6446879b400d7fa8c6abf75ebc201df6a84a791d"
 
 
+# exact_ucn stops at its first incumbent that meets the shape bound; the
+# full searches took 726, 57, 2000, 9, 1353 and 5769 nodes to the same
+# witnesses
 @pytest.mark.parametrize("n, k, q, nodes, objective, digest", [
-    (2, 1, 3, 726, 6, "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"),
-    (3, 2, 2, 57, 11, "293457e67e07e2c24c6063f0a22f750faf3b7bdb059d05895370f300e0b7909b"),
-    (3, 1, 2, 2000, 4, "da83a276cc2807790005fec7bb6fde011b53a5c8f22668a4d371bfcf6c915be6"),
-], ids=["2-1-3", "3-2-2", "3-1-2"])
+    (2, 1, 3, 119, 6, "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"),
+    (3, 2, 2, 9, 11, "293457e67e07e2c24c6063f0a22f750faf3b7bdb059d05895370f300e0b7909b"),
+    (3, 1, 2, 1536, 4, "da83a276cc2807790005fec7bb6fde011b53a5c8f22668a4d371bfcf6c915be6"),
+    (2, 1, 2, 5, 3, "d2d44fe81ba5232b40c1225592d891e247ca97aeac3c4cb3cfcee312544d8a9b"),
+    (5, 4, 2, 33, 59, "f4de761385bc9b09aee587c821f78239ce4d111b5da1ac6e1e274544b6d00522"),
+    (6, 5, 2, 65, 123, "b82a97e02331562d10da7d6ca3f4ddda15898306368b91fdb2caae1a394d081b"),
+], ids=["2-1-3", "3-2-2", "3-1-2", "2-1-2", "5-4-2", "6-5-2"])
 def test_exact_ucn_search_effort_pinned(n, k, q, nodes, objective, digest):
     res = exact_ucn(ProjectiveSpace.of_order(n, q).hypergraph(k))
     assert (res.nodes, res.objective) == (nodes, objective)
@@ -443,10 +450,10 @@ def test_exact_ucn_search_effort_pinned_without_params():
 
 
 def test_exact_ucn_solids_of_pg42_pinned():
-    # 31 points, solved at the default node ceiling
+    # 31 points: the shape bound 27 is met at node 17 (the full search took 297)
     H = ProjectiveSpace.of_order(4, 2).hypergraph(3)
     res = exact_ucn(H)
-    assert (res.nodes, res.objective, res.status) == (297, 27, OPTIMAL)
+    assert (res.nodes, res.objective, res.status) == (17, 27, OPTIMAL)
     assert _digest(res.witness.assignment) == \
         "e69f6504ea086b61d5448d2167ef76c3ae8c33148517a87a0d409df20ae1396d"
 
@@ -471,11 +478,12 @@ def _differential_corpus():
 
 
 def test_exact_solvers_match_brute_force_on_a_differential_corpus(monkeypatch):
-    # both counting bounds, the edge-index masks and the root fixes against
-    # plain enumeration; duplicate edges may occur and count twice.  At the
-    # default node ceiling every answer is optimal; at the lowered ones a
-    # search that stops must answer bound_only with a valid witness and
-    # bounds that hold the optimum
+    # both counting bounds, the edge-index masks, the root fixes and the
+    # shape stop against plain enumeration; duplicate edges may occur and
+    # count twice.  At the default node ceiling every answer is optimal; at
+    # the lowered ones a search that stops must answer bound_only with a
+    # valid witness and bounds that hold the optimum; a UCN upper bound is
+    # the shape bound, given only with valid params
     corpus = _differential_corpus()
     assert sum(H.geometry is not None for H in corpus) == 20
     assert sum(H.params is not None and H.geometry is None for H in corpus) > 0
@@ -490,10 +498,13 @@ def test_exact_solvers_match_brute_force_on_a_differential_corpus(monkeypatch):
             res = exact_ucn(H)
             assert is_proper(res.witness, H)[0]
             if res.status == OPTIMAL:
-                assert res.objective == ucn == res.witness.N and res.nodes <= limit
+                assert res.objective == ucn == res.witness.N == res.upper_bound
+                assert res.nodes <= limit
             else:
-                assert (res.status, res.objective, res.upper_bound) == (BOUND_ONLY, None, None)
+                assert (res.status, res.objective) == (BOUND_ONLY, None)
                 assert res.witness.N == res.lower_bound <= ucn and res.nodes == limit + 1
+                assert (res.upper_bound is None) == (H.geometry is None)
+                assert res.upper_bound is None or ucn <= res.upper_bound
                 stopped += 1
             for t, tau in taus:
                 res = exact_tau(H, t)
@@ -524,8 +535,9 @@ def test_cover_prefix_bound_skips_unavailable_vertices():
     assert not solvers._cover_falls_short([3, 3, 3, 3], 3, 7)
 
 
-@pytest.mark.parametrize("n, k, q", [(2, 1, 2), (2, 1, 3), (3, 2, 2), (3, 1, 2)])
+@pytest.mark.parametrize("n, k, q", [(2, 1, 2), (2, 1, 3), (3, 2, 2), (3, 1, 2), (4, 3, 2)])
 def test_exact_ucn_fixed_first_merge_keeps_the_objective(n, k, q):
+    # also the shape stop: with no params the search runs to its end
     H = ProjectiveSpace.of_order(n, q).hypergraph(k)
     plain = Hypergraph(H.num_vertices, H.edges)
     assert H.geometry == (n, k, q) and plain.geometry is None
@@ -612,6 +624,84 @@ def test_exact_ucn_self_check_raises(monkeypatch):
     monkeypatch.setattr(solvers, "is_proper", lambda coloring, H: (False, 0))
     with pytest.raises(SolverError, match="not a proper"):
         exact_ucn(FANO)
+
+
+def test_exact_ucn_refuses_an_optimum_above_the_shape_bound(monkeypatch):
+    # one merge more than the seed's is never an improvement, so a bound
+    # one below the trivial one is never met, and the search finds UCN 3
+    monkeypatch.setattr(solvers, "_shape_bound", lambda n, m, q, tau2: theta(n, q) - tau2)
+    with pytest.raises(SolverError, match="above the shape bound 1"):
+        exact_ucn(FANO)
+
+
+# Item 20 of the ROADMAP baseline: (n, m, q, tau_2 or, for H(2,1,7), the
+# lower bound 16 on it, the shape bound on the UCN of H(n,m,q))
+SHAPE_ROWS = [
+    (2, 1, 2, 6, 3), (2, 1, 3, 9, 6), (2, 1, 4, 12, 12), (2, 1, 5, 15, 20),
+    (3, 1, 2, 14, 4), (3, 2, 2, 6, 11), (3, 1, 3, 30, 17), (3, 2, 3, 8, 34),
+    (4, 1, 2, 30, 8), (4, 2, 2, 14, 21), (4, 3, 2, 6, 27), (5, 4, 2, 6, 59),
+    (6, 5, 2, 6, 123), (4, 3, 3, 8, 115), (3, 2, 4, 10, 78), (2, 1, 7, 16, 44),
+    (3, 2, 17, 36, 5190), (3, 2, 19, 40, 7207),
+]
+
+
+def test_shape_bound_on_the_baseline_rows():
+    for n, m, q, tau2, bound in SHAPE_ROWS:
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert solvers._shape_bound(n, m, q, tau2) == bound, (n, m, q)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 1e-3, (n, m, q)
+    # the folklore tau_2 >= 8 of H(2,1,3) leaves a shape of 6 merges (6, 2),
+    # which the exact tau_2 = 9 excludes: so exact_ucn reads its own tau_2
+    assert solvers._shape_bound(2, 1, 3, 8) == 7
+
+
+@pytest.mark.parametrize("n, m, q, ucn", [
+    (2, 1, 2, 3), (2, 1, 3, 6), (3, 1, 2, 4), (3, 2, 2, 11), (4, 3, 2, 27), (5, 4, 2, 59),
+    (6, 5, 2, 123),
+])
+def test_shape_bound_is_the_ucn_of_the_solved_rows(n, m, q, ucn):
+    # ucn: the optimum of the full search, which ran to its end before the
+    # shape stop; the nodes of the stop are pinned above
+    H = ProjectiveSpace.of_order(n, q).hypergraph(m)
+    res = exact_ucn(H)
+    assert res.status == OPTIMAL
+    assert res.objective == res.upper_bound == ucn == \
+        solvers._shape_bound(n, m, q, exact_tau(H, 2).objective)
+
+
+def test_exact_ucn_returns_a_seed_that_meets_the_shape_bound_at_0_nodes(monkeypatch):
+    # with a bound at the trivial one, the seed is optimal and no node runs
+    H = ProjectiveSpace.of_order(2, 3).hypergraph(1)
+    seed = trivial_coloring(exact_tau(H, 2).witness, H)
+    monkeypatch.setattr(solvers, "_shape_bound", lambda n, m, q, tau2: theta(n, q) - tau2 + 1)
+    res = exact_ucn(H)
+    assert (res.status, res.nodes, res.objective, res.upper_bound) == (OPTIMAL, 0, 5, 5)
+    assert res.witness == seed
+
+
+def test_exact_ucn_has_no_shape_bound_without_valid_params(monkeypatch):
+    # the lines of PG(2,3) with points 0 and 5 swapped are no longer the
+    # lines, so a claim of (2, 1, 3) is false: the search runs to its end
+    # as with no params, and past a lowered ceiling has no upper_bound,
+    # while the true lines carry the shape bound 6 there
+    H = ProjectiveSpace.of_order(2, 3).hypergraph(1)
+    swap = {0: 5, 5: 0}
+    edges = tuple(sum(1 << swap.get(v, v) for v in pts) for pts in H.edge_points())
+    plain, claimed = Hypergraph(13, edges), Hypergraph(13, edges, (2, 1, 3))
+    assert claimed.geometry is None
+    full = exact_ucn(plain)
+    assert exact_ucn(claimed) == full
+    assert (full.status, full.objective, full.upper_bound) == (OPTIMAL, 6, 6)
+    assert full.nodes > 119
+    monkeypatch.setattr(solvers, "NODE_LIMIT", 100)
+    for G in (plain, claimed):
+        res = exact_ucn(G)
+        assert (res.status, res.upper_bound) == (BOUND_ONLY, None)
+    res = exact_ucn(H)
+    assert (res.status, res.lower_bound, res.upper_bound) == (BOUND_ONLY, 5, 6)
 
 
 def test_verify_tmodp_theorem_p2():
