@@ -46,6 +46,34 @@ def _tau_facts(n: int, m: int, q: int, t: int) -> tuple:
     return t * theta(n - m, q) if t <= q else None, t * (n - m + 1) <= n + 1
 
 
+def _plane_tau2(q: int) -> int:
+    """A lower bound on tau_2 of the lines of PG(2,q): min(3q, b_0), where
+    b_0 bounds a 2-transversal B with no line, of b = |B| points.
+
+    B holds a line L: each other line meets L in a point of B and needs a
+    second point off L, so B - L blocks AG(2,q) = PG(2,q) - L and has at
+    least 2q - 1 points (Jamison, J. Combin. Theory Ser. A 1977;
+    Brouwer-Schrijver, J. Combin. Theory Ser. A 1978): b >= 3q.
+
+    B holds no line: each line meets B in i points, 2 <= i <= q, so
+    sum (i - 2)(q - i) >= 0 over the lines.  With sum 1 = q^2 + q + 1,
+    sum i = b(q + 1) and sum i(i - 1) = b(b - 1) this is
+    b^2 - (q^2 + 2q + 2)b + 2q(q^2 + q + 1) <= 0.  Its discriminant is
+    negative for q <= 3, where no such B exists; else b_0 is the least
+    integer at or above the smaller root.
+
+    The bound is tau_2 at q = 2, 3, 4 (6, 9, 12) and 2q + 3 from q = 5."""
+    lin, const = q * q + 2 * q + 2, 2 * q * (q * q + q + 1)
+    disc = lin * lin - 4 * const
+    if disc < 0:
+        return 3 * q
+    # (lin - isqrt(disc)) // 2 is at most one below the least integer root
+    b = (lin - math.isqrt(disc)) // 2
+    while b * b - lin * b + const > 0:
+        b += 1
+    return min(3 * q, b)
+
+
 def _shape_bound(n: int, m: int, q: int, tau2: int) -> int:
     """UCN <= theta_n - D_min on the m-spaces of PG(n,q), from a lower bound
     tau2 on their tau_2.  The c classes of two or more points of a proper
@@ -118,16 +146,19 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
 
     On a hypergraph that `Hypergraph.geometry` validates as H(n,m,q), with
     t <= q, the folklore bound t*theta(n-m) of `_tau_facts` lets the
-    search stop as soon as an incumbent meets it.  On any validated
-    H(n,m,q) the search also starts with the points of `_root_points`
-    chosen: some minimum t-transversal holds them all, by the lemmas (L1)
-    and (L2) stated there.  Claimed params that do not match the edges get
-    neither.  The first incumbent is `_seed_transversal`, else greedy on
-    the search state: the first vertex on the most open edges until none is
-    open.  One that meets the folklore bound, as the union does where t <= q,
-    is `optimal` at 0 nodes.  Past NODE_LIMIT nodes the search stops and
-    answers `bound_only`: the incumbent as witness and upper_bound, and the
-    folklore bound as lower_bound, None where it does not apply.
+    search stop as soon as an incumbent meets it; on a validated H(2,1,q)
+    with t = 2 that geometric bound is the larger `_plane_tau2(q)`.  On any
+    validated H(n,m,q) the search also starts with the points of
+    `_root_points` chosen: some minimum t-transversal holds them all, by
+    the lemmas (L1) and (L2) stated there.  Claimed params that do not
+    match the edges get neither.  The first incumbent is
+    `_seed_transversal`, else greedy on the search state: the first vertex
+    on the most open edges until none is open.  One that meets the
+    geometric bound, as the union does where t <= q and the greedy seed
+    does on PG(2,q), q <= 4, is `optimal` at 0 nodes.  Past NODE_LIMIT
+    nodes the search stops and answers `bound_only`: the incumbent as
+    witness and upper_bound, and the geometric bound as lower_bound, None
+    where it does not apply.
 
     A node with room r = incumbent - chosen is pruned at r <= 1, as an
     open edge needs a point more, or by the cover-prefix bound: a better
@@ -140,8 +171,8 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
     the deficits of the edges it has packed, each with candidates disjoint
     from those packed before, sum to r.  Past the pass, the node branches
     on the points of the edge with the fewest candidates, the lowest edge
-    index among those.  Nodes of tau_2: H(2,1,4) 385, H(2,1,5) 13391,
-    H(3,1,3) 167551.
+    index among those.  Nodes of tau_2: H(2,1,3) and H(2,1,4) 0,
+    H(2,1,5) 13391, H(3,1,3) 167551.
     """
     if type(t) is not int:
         raise SolverError(f"t must be an int, not {t!r}")
@@ -153,6 +184,9 @@ def exact_tau(H: Hypergraph, t: int) -> SolveResult:
         raise SolverError("infeasible: some hyperedge has fewer than t vertices")
 
     geometric_lb = None if H.geometry is None else _tau_facts(*H.geometry, t)[0]
+    if t == 2 and H.geometry is not None and H.geometry[:2] == (2, 1):
+        # t = 2 <= q in every plane, so the folklore bound is set
+        geometric_lb = max(geometric_lb, _plane_tau2(H.geometry[2]))
 
     # the union's answer reads the masks only: no list is built
     inc = _seed_transversal(H, t)

@@ -136,26 +136,28 @@ def test_solve_ucn_verb(tmp_path, capsys):
 
 def test_solve_prints_the_interval_of_a_search_past_the_node_limit(tmp_path, capsys,
                                                                    monkeypatch):
-    # the lines of PG(2,4): tau_2 = 12 in 385 nodes and UCN 12 in far more;
-    # at 100 nodes both stop, print lower_bound and upper_bound, and write
-    # the certificate of their witness, which claims no optimum: the
+    # tau_2 of PG(2,5) = 15 in 13,391 nodes and UCN of PG(2,4) = 12 in far
+    # more; at 100 nodes both stop, print lower_bound and upper_bound, and
+    # write the certificate of their witness, which claims no optimum: the
     # transversal's has no objective, and both recheck
-    hpath, cpath = tmp_path / "pg24.json", tmp_path / "cert.json"
-    hypergraph_to_file(ProjectiveSpace.of_order(2, 4).hypergraph(1), str(hpath))
+    hpath, cpath = tmp_path / "pg25.json", tmp_path / "cert.json"
+    hypergraph_to_file(ProjectiveSpace.of_order(2, 5).hypergraph(1), str(hpath))
     monkeypatch.setattr(solvers, "NODE_LIMIT", 100)
     code, out = run_cli(capsys, "solve", "tau", "--hypergraph", str(hpath), "--out", str(cpath))
     data = json.loads(out)
     assert code == 0
     assert (data["status"], data["objective"], data["nodes"]) == ("bound_only", None, 101)
-    assert data["lower_bound"] == 10 <= 12 <= data["upper_bound"] == len(data["witness"])
+    # the plane bound 2q + 3 = 13 and the greedy seed's 15 points
+    assert (data["lower_bound"], data["upper_bound"], len(data["witness"])) == (13, 15, 15)
     payload = json.loads(cpath.read_text())["payload"]
     assert payload["points"] == data["witness"] and "objective" not in payload
     assert run_cli(capsys, "recheck", str(cpath))[0] == 0
+    hypergraph_to_file(ProjectiveSpace.of_order(2, 4).hypergraph(1), str(hpath))
     code, out = run_cli(capsys, "solve", "ucn", "--hypergraph", str(hpath), "--out", str(cpath))
     data = json.loads(out)
     assert code == 0
-    # the shape bound of the folklore tau_2 >= 10, as the tau_2 search stopped too
-    assert (data["status"], data["objective"], data["upper_bound"]) == ("bound_only", None, 13)
+    # the shape bound of tau_2 = 12, which the plane bound proves at 0 nodes
+    assert (data["status"], data["objective"], data["upper_bound"]) == ("bound_only", None, 12)
     assert 10 <= data["lower_bound"] <= 12 and data["lower_bound"] == max(data["witness"])
     assert json.loads(cpath.read_text())["payload"]["assignment"] == data["witness"]
     assert run_cli(capsys, "recheck", str(cpath))[0] == 0

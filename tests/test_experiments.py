@@ -147,20 +147,21 @@ def test_tau_rows_at_t3_where_the_blocks_do_not_all_fit(tmp_path):
 
 
 def test_rows_past_the_node_limit_show_both_bounds(tmp_path, monkeypatch):
-    # the lines of PG(2,4): tau_2 = 12 and UCN 12, both past 100 nodes.  A
-    # row holds the interval; expected never matches it, and
+    # tau_2 of PG(2,5) = 15 and UCN of PG(2,4) = 12, both past 100 nodes.
+    # A row holds the interval; expected never matches it, and
     # expected_at_least matches when the lower bound, here the trivial 10,
     # reaches it.  The tau certificate claims no objective, and all recheck
     monkeypatch.setattr(solvers, "NODE_LIMIT", 100)
-    grid = [{"kind": "tau", "n": 2, "k": 1, "q": 4, "t": 2, "expected": 12},
+    grid = [{"kind": "tau", "n": 2, "k": 1, "q": 5, "t": 2, "expected": 15},
             {"kind": "ucn", "n": 2, "k": 1, "q": 4, "expected_at_least": 10},
             {"kind": "ucn", "n": 2, "k": 1, "q": 4, "expected_at_least": 11}]
     rows, ok = run_experiments(ExperimentConfig(grid=grid, outdir=str(tmp_path)))
     assert not ok
     tau_lb, tau_ub = rows[0].value.split("..")
-    assert int(tau_lb) == 10 and int(tau_ub) >= 12 and rows[0].match == "no"
-    # the UCN upper bound is the shape bound of the folklore tau_2 >= 10
-    assert [(row.value, row.match) for row in rows[1:]] == [("10..13", "yes"), ("10..13", "no")]
+    assert int(tau_lb) == 13 and int(tau_ub) >= 15 and rows[0].match == "no"
+    # the UCN upper bound is the shape bound of tau_2 = 12, which the plane
+    # bound proves at 0 nodes
+    assert [(row.value, row.match) for row in rows[1:]] == [("10..12", "yes"), ("10..12", "no")]
     certs = [load_json(str(tmp_path / f"{row.instance}.json")) for row in rows]
     assert "objective" not in certs[0]["payload"]
     assert len(certs[0]["payload"]["points"]) == int(tau_ub)

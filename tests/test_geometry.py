@@ -427,14 +427,15 @@ def test_one_basis_builds_a_wrap_mask_per_nonzero_digit(n, q):
 
 def test_a_level_keeps_its_masks_alone(tmp_path):
     # every reader builds what it needs from a level's masks and drops it
-    # on return: after a searching tau_2, a UCN search, a four-claim
-    # recheck, a reduction, a t (mod p) recheck and an export, the space
-    # holds what it held before, and each level's hypergraph at most its
-    # checked geometry
+    # on return: after a tau_2 on the search state, a UCN search, a
+    # four-claim recheck, a reduction, a t (mod p) recheck and an export,
+    # the space holds what it held before, and each level's hypergraph at
+    # most its checked geometry
     geometry._SPACES.pop((2, 3), None)
     space = ProjectiveSpace.of_order(2, 3)
     H = space.hypergraph(1)
-    assert exact_tau(H, 2).nodes > 0 and exact_ucn(H).objective == 6
+    ucn = exact_ucn(H)
+    assert exact_tau(H, 2).objective == 9 and ucn.nodes > 0 and ucn.objective == 6
     lines = space.subspaces(1)
     B = construct_union(space, [(lines[0], 1), (lines[1], 1), (lines[5], 1)])
     claims = [{"type": kind, "t": t, "k": 1, "verified": judge_claim(B, kind, t, 1, {})[0]}

@@ -14,7 +14,7 @@ from test_geometry import gate_refusal
 from pgworkbench import blocking, solvers
 from pgworkbench.blocking import BlockingError, enumerate_t_mod_p_sets
 from pgworkbench.coloring import is_proper, make_coloring, trivial_coloring
-from pgworkbench.fields import GF, FieldError
+from pgworkbench.fields import GF, FieldError, factor_prime_power
 from pgworkbench.geometry import Hypergraph, ProjectiveSpace, mask_bits, theta
 from pgworkbench.solvers import (BOUND_ONLY, OPTIMAL, SolverError, bounds_report,
                                  exact_tau, exact_ucn, tmodp_frame, verify_tmodp_theorem)
@@ -302,7 +302,7 @@ def test_exact_ucn_past_the_node_limit_is_bound_only(monkeypatch):
     assert (res.status, tau.status) == (BOUND_ONLY, BOUND_ONLY)
     assert res.nodes == 1001 == tau.nodes and res.objective is None
     assert res.lower_bound == 37
-    assert tau.upper_bound == len(tau.witness) and tau.lower_bound == 16
+    assert tau.upper_bound == len(tau.witness) and tau.lower_bound == 17
     assert is_proper(res.witness, H)[0]
     assert res.witness.N == res.lower_bound >= 58 - len(tau.witness)
 
@@ -349,7 +349,8 @@ def _digest(values):
 # witnesses are those the searches without any of them gave, and stay.
 def test_exact_tau_search_effort_pinned():
     res = exact_tau(ProjectiveSpace.of_order(2, 4).hypergraph(1), 2)
-    assert (res.nodes, res.objective) == (385, 12)
+    # the greedy seed meets _plane_tau2(4) = 12, so no node is searched
+    assert (res.nodes, res.objective) == (0, 12)
     assert _digest(res.witness) == \
         "25de17e2fea885085c7a167e7323c1d190f620478904b783ef487693fb114900"
 
@@ -702,6 +703,88 @@ def test_exact_ucn_has_no_shape_bound_without_valid_params(monkeypatch):
         assert (res.status, res.upper_bound) == (BOUND_ONLY, None)
     res = exact_ucn(H)
     assert (res.status, res.lower_bound, res.upper_bound) == (BOUND_ONLY, 5, 6)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_no_affine_blocking_set_below_2q_minus_1(q):
+    # Jamison, Brouwer-Schrijver: the affine lines of AG(2,q) = PG(2,q) - L
+    # meet no 2q - 2 points all, and some 2q - 1 points meet them all
+    L, *others = ProjectiveSpace.of_order(2, q).hypergraph(1).edges
+    affine = [e & ~L for e in others]
+    points = mask_bits(((1 << theta(2, q)) - 1) & ~L)
+
+    def blocking(size):
+        return any(all(e & sum(1 << v for v in combo) for e in affine)
+                   for combo in itertools.combinations(points, size))
+
+    assert not blocking(2 * q - 2) and blocking(2 * q - 1)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_every_2_transversal_of_a_small_plane_holds_a_line(q):
+    # the discriminant of the line-free count is negative for q <= 3
+    lines = ProjectiveSpace.of_order(2, q).hypergraph(1).edges
+    for B in range(1 << theta(2, q)):
+        if all((e & B).bit_count() >= 2 for e in lines):
+            assert any(e & B == e for e in lines), bin(B)
+
+
+def test_the_plane_bound_is_the_tau_2_found_by_search(monkeypatch):
+    # with the folklore bound alone the search runs (11 and 385 nodes at
+    # q = 3 and 4) and proves the plane bound optimal, with the same witness
+    stopped = {q: exact_tau(ProjectiveSpace.of_order(2, q).hypergraph(1), 2)
+               for q in (2, 3, 4)}
+    bounds = {q: solvers._plane_tau2(q) for q in stopped}
+    monkeypatch.setattr(solvers, "_plane_tau2", lambda q: 2 * (q + 1))
+    for q, res in stopped.items():
+        searched = exact_tau(ProjectiveSpace.of_order(2, q).hypergraph(1), 2)
+        assert (res.status, res.nodes, res.lower_bound) == (OPTIMAL, 0, bounds[q])
+        assert searched.objective == res.objective == bounds[q] == 3 * q
+        assert searched.witness == res.witness
+        assert searched.lower_bound == 2 * (q + 1)
+
+
+def test_the_plane_bound_is_the_least_size_the_count_allows():
+    for q in range(2, 98):
+        try:
+            factor_prime_power(q)
+        except FieldError:
+            continue
+        allowed = [b for b in range(3 * q)
+                   if b * b - (q * q + 2 * q + 2) * b + 2 * q * (q * q + q + 1) <= 0]
+        bound = solvers._plane_tau2(q)
+        assert 2 * (q + 1) <= bound <= 3 * q
+        assert bound == (allowed[0] if allowed else 3 * q), q
+        assert bound == (3 * q if q <= 4 else 2 * q + 3), q
+        # t = 2 <= q in every plane, so exact_tau always has a folklore bound
+        assert solvers._tau_facts(2, 1, q, 2)[0] == 2 * (q + 1)
+
+
+def test_the_plane_bound_needs_t_2_and_a_validated_plane():
+    H = ProjectiveSpace.of_order(2, 4).hypergraph(1)
+    res = exact_tau(H, 3)
+    assert (res.objective, res.lower_bound) == (15, 15)
+    # the lines of PG(2,4) with points 0 and 5 swapped are no lines, so a
+    # claim of (2, 1, 4) gets no bound, and the search runs
+    swap = {0: 5, 5: 0}
+    edges = tuple(sum(1 << swap.get(v, v) for v in pts) for pts in H.edge_points())
+    claimed = Hypergraph(21, edges, (2, 1, 4))
+    assert claimed.geometry is None
+    res = exact_tau(claimed, 2)
+    assert (res.objective, res.status, res.lower_bound) == (12, OPTIMAL, None)
+    assert res.nodes > 0
+    assert exact_tau(Hypergraph(21, edges), 2) == res
+
+
+def test_the_plane_bound_lifts_the_paper_rows_past_the_ceiling(monkeypatch):
+    # tau_2 of PG(2,7): the bound 2q + 3 = 17 against the folklore 16
+    res = exact_tau(ProjectiveSpace.of_order(2, 7).hypergraph(1), 2)
+    assert (res.status, res.lower_bound, res.upper_bound) == (BOUND_ONLY, 17, 21)
+    # UCN of PG(2,9): the shape bound of tau_2 >= 21 is 74, of the folklore 20 75
+    monkeypatch.setattr(solvers, "NODE_LIMIT", 100)
+    res = exact_ucn(ProjectiveSpace.of_order(2, 9).hypergraph(1))
+    assert (res.status, res.lower_bound, res.upper_bound) == (BOUND_ONLY, 65, 74)
+    assert solvers._shape_bound(2, 1, 9, 20) == 75
 
 
 def test_verify_tmodp_theorem_p2():
