@@ -282,7 +282,13 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int,
     The solutions form a coset of the kernel of the k-space/point
     incidence matrix over GF(p).  Every coset of that kernel is walked when
     there are at most COSET_LIMIT of them; past it none is, and the result
-    lists no sets with exhaustive=False.  For the lines of a plane the
+    lists no sets with exhaustive=False.  The walk holds a coset as one int,
+    a byte lane per point (point 0 the highest, so kept bytes sort as their
+    tuples), and adds the multiples c*v mod p of the kernel vectors v, so a
+    lane never passes (p - 1)(kernel_dim + 1), at most 72 under COSET_LIMIT;
+    a kernel whose lanes could pass 255 is refused with BlockingError before
+    any coset is built, and an empty kernel is its one coset, unpacked
+    (PG(1,257) has residues of 256).  For the lines of a plane the
     kernel dimension has a closed form (`plane_cosets`), so a plane
     past the limit is answered without building or eliminating the matrix.
     BlockingError, from `mod_p_gate(space.n, k, space.q, t, max_size)`,
@@ -304,17 +310,23 @@ def enumerate_t_mod_p_sets(space: ProjectiveSpace, k: int, t: int,
     total = p**kdim
     if total > COSET_LIMIT:
         return TModPEnumeration([], kdim, total, False)
-    found = []
+    if not kdim:
+        return TModPEnumeration([tuple(particular)] * (sum(particular) <= max_size), 0, 1, True)
+    if (p - 1) * (kdim + 1) > 255:
+        raise BlockingError(f"a kernel of dimension {kdim} over GF({p}) overflows a byte lane")
+    multiples = [[int.from_bytes(bytes(c * a % p for a in vec), "big") for c in range(p)]
+                 for vec in kernel]
+    last, mod, found = multiples.pop(), (bytes(range(p)) * 256)[:256], []
 
     def walk(j, w):
-        if j == kdim:
-            if sum(w) <= max_size:
-                found.append(tuple(w))
+        if j < kdim - 1:
+            for m in multiples[j]:
+                walk(j + 1, w + m)
             return
-        for c in range(p):
-            if c:
-                w = [(a + b) % p for a, b in zip(w, kernel[j])]
-            walk(j + 1, w)
+        for m in last:
+            leaf = (w + m).to_bytes(npts, "big").translate(mod)
+            if sum(leaf) <= max_size:
+                found.append(leaf)
 
-    walk(0, particular)
-    return TModPEnumeration(sorted(found), kdim, total, True)
+    walk(0, int.from_bytes(bytes(particular), "big"))
+    return TModPEnumeration(list(map(tuple, sorted(found))), kdim, total, True)

@@ -375,14 +375,63 @@ def test_enumerate_t_mod_p_sets_chunk_boundaries(monkeypatch, chunk, n, q, k, t,
     (251, 1, 0, 20),
     (257, 0, 1, 40),
     (257, 1, 1, 40),
+    (257, 0, 256, 40),  # residues past a byte, in the one coset of k = 0
+    (313, 0, 312, 40),
 ])
 def test_enumerate_t_mod_p_sets_large_primes(monkeypatch, q, k, t, coset_limit):
-    # k = 1 leaves a kernel of dimension q, past any small coset limit
+    # k = 1 leaves a kernel of dimension q, past any small coset limit; k = 0
+    # leaves an empty kernel, whose one coset is taken unpacked, as no byte
+    # lane holds a residue of 256
     monkeypatch.setattr(blocking, "COSET_LIMIT", coset_limit)
     space = ProjectiveSpace.of_order(1, q)
     for max_size in (q * (q + 1) // 2, 10**6):
         enum = assert_matches_reference(space, k, t, max_size)
         assert enum.exhaustive == (k == 0)
+
+
+def test_enumerate_t_mod_p_sets_refuses_a_kernel_past_the_byte_lanes(monkeypatch):
+    # PG(1,17) at k = 1 has a kernel of dimension 17: under a coset limit
+    # raised to 17^17 a lane could reach 16 * 18 = 288, past a byte, so the
+    # walk is refused before it reads a vector of the solve to build a coset
+    class Unread(list):
+        def __iter__(self):
+            raise AssertionError("a coset was built")
+
+    solve = blocking.solve_mod_p
+
+    def unread_solve(rows, rhs, p):
+        particular, kernel = solve(rows, rhs, p)
+        return Unread(particular), [Unread(vec) for vec in kernel]
+    monkeypatch.setattr(blocking, "solve_mod_p", unread_solve)
+    monkeypatch.setattr(blocking, "COSET_LIMIT", 17**17)
+    with pytest.raises(BlockingError,
+                       match=r"^a kernel of dimension 17 over GF\(17\) overflows a byte lane$"):
+        enumerate_t_mod_p_sets(ProjectiveSpace.of_order(1, 17), k=1, t=1, max_size=5)
+
+
+def vectors_of_sum(length, top, total):
+    """The vectors of {0..top}^length with the given sum, by stars and bars."""
+    out = []
+    for bars in itertools.combinations(range(total + length - 1), length - 1):
+        cuts = (-1,) + bars + (total + length - 1,)
+        parts = tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
+        if max(parts) <= top:
+            out.append(parts)
+    return out
+
+
+@pytest.mark.parametrize("t, max_size, count", [(3, 5, 120), (3, 10, 18608), (6, 10, 1716)])
+def test_enumerate_t_mod_p_sets_widest_shipped_lanes(t, max_size, count):
+    # PG(1,7) at k = 1: a kernel of dimension 7, whose 7^7 cosets are under
+    # the shipped COSET_LIMIT; at t = 6 its lanes reach 6 * 8 = 48, the
+    # widest of any walk that the shipped limit admits.  The t (mod 7) sets
+    # are the vectors of {0..6}^8 whose sum is t (mod 7), listed by their sums
+    enum = enumerate_t_mod_p_sets(ProjectiveSpace.of_order(1, 7), k=1, t=t,
+                                  max_size=max_size)
+    assert (enum.kernel_dim, enum.num_solution_classes, enum.exhaustive) == (7, 7**7, True)
+    assert blocking.COSET_LIMIT == 3**13
+    expected = sorted(w for s in range(t, max_size + 1, 7) for w in vectors_of_sum(8, 6, s))
+    assert len(expected) == count and enum.sets == expected
 
 
 @pytest.mark.parametrize("kwargs, message", [

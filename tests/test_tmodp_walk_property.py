@@ -14,16 +14,22 @@ from pgworkbench import blocking  # noqa: E402
 from pgworkbench.blocking import enumerate_t_mod_p_sets, solve_mod_p  # noqa: E402
 from pgworkbench.geometry import ProjectiveSpace  # noqa: E402
 
-# p = 127 and p = 131 walk only the one coset of k = 0
-SPACES = [(1, 2), (1, 3), (1, 5), (1, 7), (2, 2), (2, 3), (3, 2), (2, 5), (1, 127), (1, 131)]
+# p = 127, 131 and 257 walk only the one coset of k = 0; at p = 257 its
+# residues reach 256, which no byte lane holds
+SPACES = [(1, 2), (1, 3), (1, 5), (1, 7), (2, 2), (2, 3), (3, 2), (2, 5), (1, 127), (1, 131),
+          (1, 257)]
 
 
 @st.composite
 def walks(draw):
     n, q = draw(st.sampled_from(SPACES))
     space = ProjectiveSpace.of_order(n, q)
-    return dict(space=space, k=draw(st.integers(0, n)), t=draw(st.integers(0, 2 * q)),
-                max_size=draw(st.integers(0, space.num_points * (q - 1) + 2)))
+    # t = q - 1 and 2q - 1 give the residue p - 1, the widest lane, and
+    # max_size = top keeps every coset, the one of weight p - 1 everywhere too
+    top = space.num_points * (q - 1)
+    t = draw(st.integers(0, 2 * q) | st.sampled_from([q - 1, 2 * q - 1]))
+    return dict(space=space, k=draw(st.integers(0, n)), t=t,
+                max_size=draw(st.integers(0, top + 2) | st.just(top)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
