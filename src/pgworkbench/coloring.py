@@ -68,21 +68,24 @@ def judge_coloring(coloring: Coloring, H: Hypergraph):
     """(edge, color): the first rainbow edge of H in edge order, or None,
     and the least color whose class contains (so is) a 2-transversal of H,
     or None; ColoringError unless the coloring is strict.  Every coloring
-    test reads it.  Only classes of 2+ points are tested, and no class is
-    a 2-transversal, meeting every edge twice, when an edge is rainbow."""
+    test reads it.  Only classes of 2+ points are tested, and a class that
+    is a 2-transversal, meeting every edge twice, leaves no edge rainbow,
+    so the edges are scanned only when no class is one."""
     if not is_strict(coloring, H.num_vertices):
         raise ColoringError("coloring is not a strict coloring of the vertex set")
     masks = coloring.class_masks()
     multi = [m for m in masks if m & (m - 1)]
+    color = next((c for c, m in enumerate(masks, 1)
+                  if m & (m - 1) and is_2_transversal(m, H)), None)
+    if color is not None:
+        return None, color
     for e in H.edges:
         for m in multi:
             if (e & m).bit_count() > 1:
                 break
         else:
             return e, None
-    color = next((c for c, m in enumerate(masks, 1)
-                  if m & (m - 1) and is_2_transversal(m, H)), None)
-    return None, color
+    return None, None
 
 
 def is_proper(coloring: Coloring, H: Hypergraph):

@@ -74,22 +74,21 @@ def _plane_tau2(q: int) -> int:
     return min(3 * q, b)
 
 
-def _shape_bound(n: int, m: int, q: int, tau2: int) -> int:
-    """UCN <= theta_n - D_min on the m-spaces of PG(n,q), from a lower bound
-    tau2 on their tau_2.  The c classes of two or more points of a proper
-    coloring, with D = sum(s_i - 1) merges, meet every m-space twice, so
-    D + c >= tau2, and hold a monochromatic pair of each; a pair lies on e_L
-    m-spaces (1 for lines), so sum(C(s_i, 2)) * e_L >= their number.  By
-    convexity (D - c + 2, 2, ..., 2) with the fewest classes, c = tau2 - D
-    <= D, holds the most pairs.  D_min is the least D <= tau2 - 2 that
-    passes, else tau2 - 1, the merges of the trivial coloring."""
-    e_L = 1 if m == 1 else count_subspaces(n - 2, m - 2, q)
-    edges = count_subspaces(n, m, q)
+def _shape_bound(num_vertices: int, num_edges: int, pair_edges: int, tau2: int) -> int:
+    """UCN <= num_vertices - D_min on a hypergraph with num_edges edges,
+    whose vertex pairs each lie on at most pair_edges edges, from a lower
+    bound tau2 on its tau_2.  The c classes of two or more points of a
+    proper coloring, with D = sum(s_i - 1) merges, meet every edge twice,
+    so D + c >= tau2, and hold a monochromatic pair of each, so
+    sum(C(s_i, 2)) * pair_edges >= num_edges.  By convexity (D - c + 2, 2,
+    ..., 2) with the fewest classes, c = tau2 - D <= D, holds the most
+    pairs.  D_min is the least D <= tau2 - 2 that passes, else tau2 - 1,
+    the merges of the trivial coloring."""
     for D in range((tau2 + 1) // 2, tau2 - 1):
         c = tau2 - D
-        if (math.comb(D - c + 2, 2) + c - 1) * e_L >= edges:
-            return theta(n, q) - D
-    return theta(n, q) - tau2 + 1
+        if (math.comb(D - c + 2, 2) + c - 1) * pair_edges >= num_edges:
+            return num_vertices - D
+    return num_vertices - tau2 + 1
 
 
 def _seed_transversal(H: Hypergraph, t: int) -> set | None:
@@ -325,28 +324,20 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
     Each node branches on the merges of its first rainbow edge by Zykov's
     same-or-different rule: the later siblings of a merge keep its two
     classes apart, so a partition is not searched again for each merge
-    order.  On a hypergraph that `Hypergraph.geometry` validates as
-    H(n,k,q), the search starts from the merge of points 0 and 1: every
-    proper coloring has a monochromatic pair, and PGL(n+1,q) is
-    2-transitive on points.  It then searches two cases one after the
-    other, which share the incumbent and add their nodes:
-    Case A: the class of 0 and 1 also holds d, the first point off line 01
-    (index theta(1), the point e_(n-2)).  The pointwise stabilizer of two
-    points is transitive on the points off their line, so this covers
-    every class of 0 and 1 with a point off that line.
-    Case B: the class of 0 and 1 stays inside line 01.  The apart mask of
-    class 0 holds the points off the line, and each of them holds point 0
-    in its own, so that the masks stay symmetric.
-    The incumbent is seeded by the trivial coloring on the witness of
-    exact_tau(H, 2), minimum or, past the node ceiling, that search's
-    incumbent.  On a validated H(n,k,q) it stops, by `_Stop`, at the first
-    incumbent that meets `_shape_bound` of that tau_2 (the objective, else
-    the lower bound), at 0 nodes when the seed does.  Past NODE_LIMIT nodes
-    it stops as exact_tau does, at node NODE_LIMIT + 1, and answers
+    order.  The incumbent is seeded by the trivial coloring on the witness
+    of exact_tau(H, 2), minimum or, past the node ceiling, that search's
+    incumbent.  The search stops, by `_Stop`, at the first incumbent that
+    meets `_shape_bound` of that tau_2 (the objective, else the geometric
+    lower bound), at 0 nodes when the seed does.  The bound reads the most
+    edges through one vertex pair: e_L from the params of a hypergraph that
+    `Hypergraph.geometry` validates as H(n,k,q), else the largest count
+    over the pairs, taken only when tau_2 is optimal.  Past NODE_LIMIT
+    nodes it stops as exact_tau does, at node NODE_LIMIT + 1, and answers
     `bound_only`: its incumbent coloring as witness, its class count, at
-    least the trivial bound, as lower_bound, and the shape bound (None off
-    a validated H(n,k,q)) as upper_bound.  A hypergraph with no vertex has
-    no coloring to witness, and raises SolverError.
+    least the trivial bound, as lower_bound, and the shape bound (None
+    with neither valid params nor an optimal tau_2) as upper_bound.  A
+    hypergraph with no vertex has no coloring to witness, and raises
+    SolverError.
 
     The rainbow edges are one mask over edge indices, and each class keeps
     the mask of the edges that meet it, so a merge of classes A and B
@@ -361,8 +352,8 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
     twice the number of rainbow edges.
     Packing: rainbow edges that meet pairwise disjoint sets of classes
     each need a merge of their own, so there must be fewer than r of them.
-    Nodes: H(2,1,3) 119, H(3,2,2) 9, H(3,1,2) 1536, H(4,3,2) 17.
-    H(2,1,4), UCN 12, first reaches its shape bound 12 at node 334677,
+    Nodes: H(2,1,3) 121, H(3,2,2) 11, H(3,1,2) 1538, H(4,3,2) 19.
+    H(2,1,4), UCN 12, first reaches its shape bound 12 at node 334679,
     past NODE_LIMIT: it answers `bound_only` 11..12.
     """
     V = H.num_vertices
@@ -372,8 +363,7 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
         raise SolverError("infeasible: an edge with fewer than 2 vertices is always rainbow")
 
     tau = exact_tau(H, 2)
-    upper = None if H.geometry is None else _shape_bound(
-        *H.geometry, tau.objective if tau.status == OPTIMAL else tau.lower_bound)
+    tau2 = tau.objective if tau.status == OPTIMAL else tau.lower_bound
     seed_coloring = trivial_coloring(tau.witness, H)
     # the seed merges the 2-transversal into one class; with no edges it
     # is empty and the seed is the all-distinct coloring
@@ -395,6 +385,16 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
     cls = [1 << v for v in range(V)]
     inc = [int(bits or b"0", 2) for bits in mask_columns(H.edges, V)]
     apart = [0] * V
+
+    # the most edges through one vertex pair: e_L on the m-spaces of
+    # PG(n,q), else a count over the pairs, made only when tau2 is known
+    if H.geometry is not None:
+        n, m, q = H.geometry
+        pair_edges = 1 if m == 1 else count_subspaces(n - 2, m - 2, q)
+    elif tau2 is not None:
+        pair_edges = max(((a & b).bit_count() for a, b in itertools.combinations(inc, 2)),
+                         default=0)
+    upper = None if tau2 is None else _shape_bound(V, len(H.edges), pair_edges, tau2)
 
     def dfs(merges, rainbow):
         # rainbow: the mask of the indices of the rainbow edges
@@ -470,30 +470,11 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
         for r, mask in zip(roots, saved):
             apart[r] = mask
 
-    rainbow = (1 << len(H.edges)) - 1  # every class is one point
-    try:
-        if trivial_lb == upper:
-            raise _Stop
-        if H.geometry is None:
-            dfs(0, rainbow)
-        else:
-            # every proper coloring has a monochromatic pair, and PGL(n+1,q)
-            # is 2-transitive on points, so some optimal coloring puts points
-            # 0 and 1 in one class; line 01 is the points 0..d-1
-            d = theta(1, H.geometry[2])
-            pair, inc_d = inc[0] | inc[1], inc[d]
-            rainbow &= ~(inc[0] & inc[1])
-            root[1] = root[d] = 0
-            cls[0] = 0b11 | 1 << d
-            inc[0], inc[1], inc[d] = pair | inc_d, 0, 0
-            dfs(2, rainbow & ~(pair & inc_d))  # case A
-            root[d] = d
-            cls[0], inc[0], inc[d] = 0b11, pair, inc_d
-            apart[0] = (1 << V) - (1 << d)
-            apart[d:] = [1] * (V - d)
-            dfs(1, rainbow)  # case B
-    except _Stop:
-        pass
+    if trivial_lb != upper:
+        try:
+            dfs(0, (1 << len(H.edges)) - 1)  # every class is one point
+        except _Stop:
+            pass
     witness = make_coloring(best_assignment)
     objective = V - best_merges
     ok, _ = is_proper(witness, H)

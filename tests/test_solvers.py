@@ -15,7 +15,7 @@ from pgworkbench import blocking, solvers
 from pgworkbench.blocking import BlockingError, enumerate_t_mod_p_sets
 from pgworkbench.coloring import is_proper, make_coloring, trivial_coloring
 from pgworkbench.fields import GF, FieldError, factor_prime_power
-from pgworkbench.geometry import Hypergraph, ProjectiveSpace, mask_bits, theta
+from pgworkbench.geometry import Hypergraph, ProjectiveSpace, count_subspaces, mask_bits, theta
 from pgworkbench.solvers import (BOUND_ONLY, OPTIMAL, SolverError, bounds_report,
                                  exact_tau, exact_ucn, tmodp_frame, verify_tmodp_theorem)
 
@@ -279,9 +279,8 @@ def test_exact_ucn_limits_and_errors(monkeypatch):
     with pytest.raises(SolverError):
         exact_ucn(Hypergraph(3, (0b001, 0b110)))
     # the greedy 2-transversal of the Fano plane meets the folklore bound,
-    # so the seed is the trivial 2-coloring; case A stops at its first
-    # node, and case B is not entered.  The upper bound is the shape bound
-    # of tau_2 = 6
+    # so the seed is the trivial 2-coloring, and the search stops at its
+    # first node.  The upper bound is the shape bound of tau_2 = 6
     monkeypatch.setattr(solvers, "NODE_LIMIT", 0)
     res = exact_ucn(FANO)
     assert res.status == BOUND_ONLY and res.objective is None and res.nodes == 1
@@ -420,19 +419,19 @@ def test_search_effort_pinned_on_a_mixed_size_corpus():
         res = exact_ucn(H)
         rows.append([res.nodes, res.objective, list(res.witness.assignment)])
     assert _digest(rows) == \
-        "bf2430cd82b6489ce5933d1f6446879b400d7fa8c6abf75ebc201df6a84a791d"
+        "2881d85b96e65b0f577ea444632a7e07e73ae3d344c765fc72d43f7b4fd5e15b"
 
 
 # exact_ucn stops at its first incumbent that meets the shape bound; the
-# full searches took 726, 57, 2000, 9, 1353 and 5769 nodes to the same
-# witnesses
+# full searches with a fixed first merge took 726, 57, 2000, 9, 1353 and
+# 5769 nodes to the same witnesses
 @pytest.mark.parametrize("n, k, q, nodes, objective, digest", [
-    (2, 1, 3, 119, 6, "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"),
-    (3, 2, 2, 9, 11, "293457e67e07e2c24c6063f0a22f750faf3b7bdb059d05895370f300e0b7909b"),
-    (3, 1, 2, 1536, 4, "da83a276cc2807790005fec7bb6fde011b53a5c8f22668a4d371bfcf6c915be6"),
-    (2, 1, 2, 5, 3, "d2d44fe81ba5232b40c1225592d891e247ca97aeac3c4cb3cfcee312544d8a9b"),
-    (5, 4, 2, 33, 59, "f4de761385bc9b09aee587c821f78239ce4d111b5da1ac6e1e274544b6d00522"),
-    (6, 5, 2, 65, 123, "b82a97e02331562d10da7d6ca3f4ddda15898306368b91fdb2caae1a394d081b"),
+    (2, 1, 3, 121, 6, "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"),
+    (3, 2, 2, 11, 11, "293457e67e07e2c24c6063f0a22f750faf3b7bdb059d05895370f300e0b7909b"),
+    (3, 1, 2, 1538, 4, "da83a276cc2807790005fec7bb6fde011b53a5c8f22668a4d371bfcf6c915be6"),
+    (2, 1, 2, 7, 3, "d2d44fe81ba5232b40c1225592d891e247ca97aeac3c4cb3cfcee312544d8a9b"),
+    (5, 4, 2, 35, 59, "f4de761385bc9b09aee587c821f78239ce4d111b5da1ac6e1e274544b6d00522"),
+    (6, 5, 2, 67, 123, "b82a97e02331562d10da7d6ca3f4ddda15898306368b91fdb2caae1a394d081b"),
 ], ids=["2-1-3", "3-2-2", "3-1-2", "2-1-2", "5-4-2", "6-5-2"])
 def test_exact_ucn_search_effort_pinned(n, k, q, nodes, objective, digest):
     res = exact_ucn(ProjectiveSpace.of_order(n, q).hypergraph(k))
@@ -441,20 +440,22 @@ def test_exact_ucn_search_effort_pinned(n, k, q, nodes, objective, digest):
 
 
 def test_exact_ucn_search_effort_pinned_without_params():
-    # the same edges as H(2,1,3) with no params: the Zykov apart masks
-    # alone, with no fixed first merge
+    # the same edges as H(2,1,3) with no params: the optimal tau_2 and the
+    # largest pair degree give the same shape bound, so the search stops
+    # where it does with params (7740 nodes with no shape stop)
     H = ProjectiveSpace.of_order(2, 3).hypergraph(1)
     res = exact_ucn(Hypergraph(H.num_vertices, H.edges))
-    assert (res.nodes, res.objective) == (7740, 6)
+    assert (res.nodes, res.objective, res.upper_bound) == (121, 6, 6)
     assert _digest(res.witness.assignment) == \
         "232c5b95c3aac4081da890de590d09571c9874cb8ece222d4ee4934d64a870ba"
 
 
 def test_exact_ucn_solids_of_pg42_pinned():
-    # 31 points: the shape bound 27 is met at node 17 (the full search took 297)
+    # 31 points: the shape bound 27 is met at node 19 (the full search with
+    # a fixed first merge took 297)
     H = ProjectiveSpace.of_order(4, 2).hypergraph(3)
     res = exact_ucn(H)
-    assert (res.nodes, res.objective, res.status) == (17, 27, OPTIMAL)
+    assert (res.nodes, res.objective, res.status) == (19, 27, OPTIMAL)
     assert _digest(res.witness.assignment) == \
         "e69f6504ea086b61d5448d2167ef76c3ae8c33148517a87a0d409df20ae1396d"
 
@@ -484,7 +485,8 @@ def test_exact_solvers_match_brute_force_on_a_differential_corpus(monkeypatch):
     # count twice.  At the default node ceiling every answer is optimal; at
     # the lowered ones a search that stops must answer bound_only with a
     # valid witness and bounds that hold the optimum; a UCN upper bound is
-    # the shape bound, given only with valid params
+    # the shape bound, missing only when neither the params are valid nor
+    # the inner tau_2 is optimal
     corpus = _differential_corpus()
     assert sum(H.geometry is not None for H in corpus) == 20
     assert sum(H.params is not None and H.geometry is None for H in corpus) > 0
@@ -504,7 +506,8 @@ def test_exact_solvers_match_brute_force_on_a_differential_corpus(monkeypatch):
             else:
                 assert (res.status, res.objective) == (BOUND_ONLY, None)
                 assert res.witness.N == res.lower_bound <= ucn and res.nodes == limit + 1
-                assert (res.upper_bound is None) == (H.geometry is None)
+                assert (res.upper_bound is None) == \
+                    (H.geometry is None and exact_tau(H, 2).status != OPTIMAL)
                 assert res.upper_bound is None or ucn <= res.upper_bound
                 stopped += 1
             for t, tau in taus:
@@ -538,11 +541,15 @@ def test_cover_prefix_bound_skips_unavailable_vertices():
 
 @pytest.mark.parametrize("n, k, q", [(2, 1, 2), (2, 1, 3), (3, 2, 2), (3, 1, 2), (4, 3, 2)])
 def test_exact_ucn_fixed_first_merge_keeps_the_objective(n, k, q):
-    # also the shape stop: with no params the search runs to its end
+    # exact_ucn fixes no first merge, so the params only feed the inner
+    # tau_2 and the pair degree of the shape bound; the same edges with no
+    # params read the pair degree from the edges, and give the same search
     H = ProjectiveSpace.of_order(n, q).hypergraph(k)
     plain = Hypergraph(H.num_vertices, H.edges)
     assert H.geometry == (n, k, q) and plain.geometry is None
-    assert exact_ucn(H).objective == exact_ucn(plain).objective
+    res, bare = exact_ucn(H), exact_ucn(plain)
+    assert (res.objective, res.nodes, res.witness, res.upper_bound) == \
+        (bare.objective, bare.nodes, bare.witness, bare.upper_bound)
 
 
 @pytest.mark.parametrize("n, k, q", [(2, 1, 4), (3, 2, 3)])
@@ -630,7 +637,7 @@ def test_exact_ucn_self_check_raises(monkeypatch):
 def test_exact_ucn_refuses_an_optimum_above_the_shape_bound(monkeypatch):
     # one merge more than the seed's is never an improvement, so a bound
     # one below the trivial one is never met, and the search finds UCN 3
-    monkeypatch.setattr(solvers, "_shape_bound", lambda n, m, q, tau2: theta(n, q) - tau2)
+    monkeypatch.setattr(solvers, "_shape_bound", lambda V, E, pair_edges, tau2: V - tau2)
     with pytest.raises(SolverError, match="above the shape bound 1"):
         exact_ucn(FANO)
 
@@ -646,17 +653,24 @@ SHAPE_ROWS = [
 ]
 
 
+def _geometric_shape_bound(n, m, q, tau2):
+    """The shape bound on the m-spaces of PG(n,q): theta_n points,
+    count_subspaces(n, m, q) edges, and e_L of them through a point pair."""
+    pair_edges = 1 if m == 1 else count_subspaces(n - 2, m - 2, q)
+    return solvers._shape_bound(theta(n, q), count_subspaces(n, m, q), pair_edges, tau2)
+
+
 def test_shape_bound_on_the_baseline_rows():
     for n, m, q, tau2, bound in SHAPE_ROWS:
         times = []
         for _ in range(3):
             start = time.perf_counter()
-            assert solvers._shape_bound(n, m, q, tau2) == bound, (n, m, q)
+            assert _geometric_shape_bound(n, m, q, tau2) == bound, (n, m, q)
             times.append(time.perf_counter() - start)
         assert min(times) < 1e-3, (n, m, q)
     # the folklore tau_2 >= 8 of H(2,1,3) leaves a shape of 6 merges (6, 2),
     # which the exact tau_2 = 9 excludes: so exact_ucn reads its own tau_2
-    assert solvers._shape_bound(2, 1, 3, 8) == 7
+    assert _geometric_shape_bound(2, 1, 3, 8) == 7
 
 
 @pytest.mark.parametrize("n, m, q, ucn", [
@@ -670,14 +684,15 @@ def test_shape_bound_is_the_ucn_of_the_solved_rows(n, m, q, ucn):
     res = exact_ucn(H)
     assert res.status == OPTIMAL
     assert res.objective == res.upper_bound == ucn == \
-        solvers._shape_bound(n, m, q, exact_tau(H, 2).objective)
+        _geometric_shape_bound(n, m, q, exact_tau(H, 2).objective)
 
 
 def test_exact_ucn_returns_a_seed_that_meets_the_shape_bound_at_0_nodes(monkeypatch):
     # with a bound at the trivial one, the seed is optimal and no node runs
     H = ProjectiveSpace.of_order(2, 3).hypergraph(1)
     seed = trivial_coloring(exact_tau(H, 2).witness, H)
-    monkeypatch.setattr(solvers, "_shape_bound", lambda n, m, q, tau2: theta(n, q) - tau2 + 1)
+    monkeypatch.setattr(solvers, "_shape_bound",
+                        lambda V, E, pair_edges, tau2: V - tau2 + 1)
     res = exact_ucn(H)
     assert (res.status, res.nodes, res.objective, res.upper_bound) == (OPTIMAL, 0, 5, 5)
     assert res.witness == seed
@@ -685,9 +700,12 @@ def test_exact_ucn_returns_a_seed_that_meets_the_shape_bound_at_0_nodes(monkeypa
 
 def test_exact_ucn_has_no_shape_bound_without_valid_params(monkeypatch):
     # the lines of PG(2,3) with points 0 and 5 swapped are no longer the
-    # lines, so a claim of (2, 1, 3) is false: the search runs to its end
-    # as with no params, and past a lowered ceiling has no upper_bound,
-    # while the true lines carry the shape bound 6 there
+    # lines, so a claim of (2, 1, 3) is false and is read as no params.
+    # Each point pair still lies on one edge, so the optimal tau_2 = 9 of
+    # the inner search (205 nodes) gives the shape bound 6, met at node 8.
+    # Past a lowered ceiling that stops the inner search too there is no
+    # tau_2 and so no upper_bound, while the true lines carry the shape
+    # bound 6 from their params there
     H = ProjectiveSpace.of_order(2, 3).hypergraph(1)
     swap = {0: 5, 5: 0}
     edges = tuple(sum(1 << swap.get(v, v) for v in pts) for pts in H.edge_points())
@@ -695,8 +713,8 @@ def test_exact_ucn_has_no_shape_bound_without_valid_params(monkeypatch):
     assert claimed.geometry is None
     full = exact_ucn(plain)
     assert exact_ucn(claimed) == full
-    assert (full.status, full.objective, full.upper_bound) == (OPTIMAL, 6, 6)
-    assert full.nodes > 119
+    assert (full.status, full.objective, full.upper_bound, full.nodes) == (OPTIMAL, 6, 6, 8)
+    assert exact_tau(plain, 2).nodes == 205
     monkeypatch.setattr(solvers, "NODE_LIMIT", 100)
     for G in (plain, claimed):
         res = exact_ucn(G)
@@ -784,7 +802,7 @@ def test_the_plane_bound_lifts_the_paper_rows_past_the_ceiling(monkeypatch):
     monkeypatch.setattr(solvers, "NODE_LIMIT", 100)
     res = exact_ucn(ProjectiveSpace.of_order(2, 9).hypergraph(1))
     assert (res.status, res.lower_bound, res.upper_bound) == (BOUND_ONLY, 65, 74)
-    assert solvers._shape_bound(2, 1, 9, 20) == 75
+    assert _geometric_shape_bound(2, 1, 9, 20) == 75
 
 
 def test_verify_tmodp_theorem_p2():

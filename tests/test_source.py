@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import collections
 import itertools
 import json
 import os
@@ -483,6 +484,25 @@ def h(n, k): return 2 * k < n and not 1 <= k <= n - 1
     assert _tau_rule_sites(ast.parse(source)) == ["a", "b", "c", "d", "e", "f"]
 
 
+def _matching_nodes(tree, matches):
+    """Per function of tree, by name, nested ones as outer.inner, and
+    <module> for the module level: the number of nodes of its own body,
+    outside the functions nested in it, that `matches` accepts."""
+    found = collections.Counter()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path + [child.name])
+                continue
+            if matches(child):
+                found[".".join(path) or "<module>"] += 1
+            visit(child, path)
+
+    visit(tree, [])
+    return found
+
+
 def _cover_count_sites(tree):
     """The functions of tree, nested ones as outer.inner, that write a
     subscript of `deficits` or `cover` (a name or an attribute) or count
@@ -497,19 +517,7 @@ def _cover_count_sites(tree):
                 and any(ast.unparse(g.iter).endswith("vertex_edges") for g in node.generators)
         return False
 
-    sites = set()
-
-    def visit(node, path):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, path + [child.name])
-                continue
-            if keeps_counts(child):
-                sites.add(".".join(path) or "<module>")
-            visit(child, path)
-
-    visit(tree, [])
-    return sorted(sites)
+    return sorted(_matching_nodes(tree, keeps_counts))
 
 
 def test_one_copy_of_the_open_edge_counts():
@@ -538,6 +546,54 @@ def outer():
     return inner
 """
     assert _cover_count_sites(ast.parse(source)) == ["a", "b", "c", "d", "e", "h", "outer.inner"]
+
+
+def _counts_pairs(node):
+    """A count C(x, 2) of the pairs in x points: comb or math.comb with the
+    second argument 2, or a product halved, as x * (x - 1) // 2."""
+    if isinstance(node, ast.Call) and ast.unparse(node.func) in ("comb", "math.comb"):
+        return len(node.args) == 2 and ast.unparse(node.args[1]) == "2"
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv) \
+        and ast.unparse(node.right) == "2" \
+        and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
+
+
+def _calls_dfs(node):
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "dfs"
+
+
+def test_the_shape_bound_and_the_ucn_root_have_one_home():
+    # the pairs of the shape bound are counted by solvers._shape_bound
+    # alone, which exact_ucn reads; each search enters its dfs by one root
+    # call, so exact_ucn fixes no first merge and splits into no cases
+    path = PACKAGE_DIR / "solvers.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(_matching_nodes(tree, _counts_pairs)) == ["_shape_bound"]
+    assert _matching_nodes(tree, _calls_dfs) == \
+        {"exact_tau": 1, "exact_tau.dfs": 1, "exact_ucn": 1, "exact_ucn.dfs": 1}
+
+
+def test_shape_bound_guard_sees_each_copy():
+    source = """
+import math
+def a(s): return math.comb(s, 2)
+def b(s): return comb(s + 1, 2)
+def c(s): return s * (s - 1) // 2
+def d(p, t): return math.comb(p + t - 1, t)
+def e(s): return (s - 1) // 2
+def f(x, y): return comb(x, y)
+def g(H):
+    def dfs(m): return dfs(m + 1) if m else 0
+    dfs(0)
+    dfs(1)
+    return dfs
+def h():
+    def inner(): return comb(3, 2)
+    return inner
+"""
+    tree = ast.parse(source)
+    assert sorted(_matching_nodes(tree, _counts_pairs)) == ["a", "b", "c", "h.inner"]
+    assert _matching_nodes(tree, _calls_dfs) == {"g": 2, "g.dfs": 1}
 
 
 def _level_rule_copies(tree):
