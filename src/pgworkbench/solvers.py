@@ -12,15 +12,16 @@ from fractions import Fraction
 from .blocking import construct_union, enumerate_t_mod_p_sets, mod_p_gate, plane_cosets
 from .coloring import is_proper, make_coloring, trivial_coloring
 from .fields import factor_prime_power
-from .geometry import (MAX_N, Hypergraph, ProjectiveSpace, count_subspaces, mask_bits,
-                       mask_columns, theta)
+from .geometry import (MAX_N, Hypergraph, ProjectiveSpace, count_subspaces, incidence_gate,
+                       mask_bits, mask_columns, theta)
 
 OPTIMAL = "optimal"
 BOUND_ONLY = "bound_only"
 
 # the nodes a search visits before it answers `bound_only`; nodes, not seconds:
 # a tau_2 node took 8-12 us on PG(2,7), 0.8-1.5 ms on PG(2,97) (2 vCPUs).
-# Both searches build Hypergraph.edge_points, so neither runs past incidence_gate
+# exact_tau builds Hypergraph.edge_points, and exact_ucn, which reads masks
+# only, asks incidence_gate itself, so neither runs past the list gate
 NODE_LIMIT = 2 * 10**5
 
 
@@ -337,21 +338,20 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
     least the trivial bound, as lower_bound, and the shape bound (None
     with neither valid params nor an optimal tau_2) as upper_bound.  A
     hypergraph with no vertex has no coloring to witness, and raises
-    SolverError.
+    SolverError.  On a validated H(n,k,q) it asks incidence_gate before
+    any search, in place of a time budget, though it builds no point list.
 
-    The rainbow edges are one mask over edge indices, and each class keeps
-    the mask of the edges that meet it, so a merge of classes A and B
-    leaves rainbow the edges that do not meet both.  With room r =
+    The edge masks and their transpose are the search's one incidence
+    structure: the rainbow edges are one mask over edge indices, and each
+    class keeps the mask of the edges that meet it, so a merge of classes
+    A and B leaves rainbow the edges that do not meet both.  With room r =
     incumbent merges - merges, a better partition makes at most r - 1 more
-    merges, so r <= 1 prunes a node with a rainbow edge, and two bounds
-    prune, tested in this order as the first prunes most nodes:
-    Class degrees: r - 1 merges touch at most 2r - 2 classes, and a
+    merges, so r <= 1 prunes a node with a rainbow edge, and so do the
+    class degrees: r - 1 merges touch at most 2r - 2 classes, and a
     rainbow edge stops being rainbow only when two of the classes it meets
     are touched; it meets each class at most once, so the 2r - 2 largest
     numbers of rainbow edges that meet one class must sum to at least
     twice the number of rainbow edges.
-    Packing: rainbow edges that meet pairwise disjoint sets of classes
-    each need a merge of their own, so there must be fewer than r of them.
     Nodes: H(2,1,3) 121, H(3,2,2) 11, H(3,1,2) 1538, H(4,3,2) 19.
     H(2,1,4), UCN 12, first reaches its shape bound 12 at node 334679,
     past NODE_LIMIT: it answers `bound_only` 11..12.
@@ -361,6 +361,9 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
         raise SolverError("UCN needs at least one vertex; the hypergraph has 0 vertices")
     if any(e.bit_count() < 2 for e in H.edges):
         raise SolverError("infeasible: an edge with fewer than 2 vertices is always rainbow")
+    if H.geometry is not None:
+        # a node on the planes of PG(3,17) takes about 2 ms, 7 minutes to NODE_LIMIT
+        incidence_gate(*H.geometry)
 
     tau = exact_tau(H, 2)
     tau2 = tau.objective if tau.status == OPTIMAL else tau.lower_bound
@@ -370,7 +373,6 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
     seed_merges = max(len(tau.witness) - 1, 0)
     trivial_lb = V - seed_merges
 
-    edge_pts = H.edge_points()
     best_merges = seed_merges
     best_assignment = list(seed_coloring.assignment)
     nodes = 0
@@ -421,23 +423,13 @@ def exact_ucn(H: Hypergraph) -> SolveResult:
             degrees = sorted([(rainbow & mask).bit_count() for mask in inc])
             if sum(degrees[-touched:]) < 2 * rainbow.bit_count():
                 return
-        # packing: rainbow edges that meet pairwise disjoint sets of classes,
-        # each the lowest left once the edges meeting the classes of those
-        # before it are cleared
-        packed, left = 0, rainbow
-        while left:
-            packed += 1
-            if packed >= room:
-                return
-            for v in edge_pts[(left & -left).bit_length() - 1]:
-                left &= ~inc[root[v]]
         # the roots of a rainbow edge are distinct, so every pair is a new
         # merge; it keeps a rainbow edge rainbow unless the edge meets both.
         # Zykov's same-or-different branching: once the subtree that merges
         # a pair is done, the later siblings keep that pair apart, so no
         # partition is searched twice; an edge with no pair left to merge
         # yields no child
-        roots = [root[v] for v in edge_pts[(rainbow & -rainbow).bit_length() - 1]]
+        roots = [root[v] for v in mask_bits(H.edges[(rainbow & -rainbow).bit_length() - 1])]
         saved = [apart[r] for r in roots]
         for ra, rb in itertools.combinations(roots, 2):
             if ra < rb:

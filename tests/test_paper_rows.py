@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from pgworkbench import geometry
+from pgworkbench import geometry, solvers
 from pgworkbench.blocking import (WeightedPointSet, construct_union, is_t_fold_blocking,
                                   kspace_weights, minimal_reduction)
 from pgworkbench.certificates import (checksum, coloring_certificate, recheck,
@@ -17,12 +17,12 @@ from pgworkbench.certificates import (checksum, coloring_certificate, recheck,
 from pgworkbench.cli import main
 from pgworkbench.coloring import trivial_coloring
 from pgworkbench.experiments import ExperimentConfig, run_experiments
-from pgworkbench.geometry import GeometryError, ProjectiveSpace, theta
+from pgworkbench.geometry import GeometryError, Hypergraph, ProjectiveSpace, theta
 from pgworkbench.solvers import OPTIMAL, bounds_report, exact_tau, exact_ucn
 
 
 @pytest.mark.parametrize("q, tau, N", [(17, 36, 5185), (19, 40, 7201)])
-def test_the_trivial_bound_is_witnessed_on_the_planes_of_pg3(q, tau, N):
+def test_the_trivial_bound_is_witnessed_on_the_planes_of_pg3(monkeypatch, q, tau, N):
     report = bounds_report(3, 1, q, 2)
     assert report.flags["ucnthm"] and report.trivial_lower == N == theta(3, q) - tau + 1
     H = ProjectiveSpace.of_order(3, q).hypergraph(2)
@@ -32,12 +32,20 @@ def test_the_trivial_bound_is_witnessed_on_the_planes_of_pg3(q, tau, N):
     assert coloring.N == N
     certs = [transversal_certificate(H, 2, res), coloring_certificate(H, coloring)]
     assert certs[1]["payload"]["trivial"] is True
-    # the search reads point lists, which the list gate refuses by counts
+    # exact_ucn reads masks only, but asks the list gate, which refuses by
+    # counts, before it builds a list or runs its inner tau_2 search
     incidences = theta(3, q) * theta(2, q)
-    with pytest.raises(GeometryError, match=(
-            rf"^the 2-spaces of PG\(3,{q}\) have {incidences} point incidences, "
-            r"more than the limit 1000000$")):
-        exact_ucn(H)
+
+    def unreached(*args):
+        raise AssertionError("reached past the list gate")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "exact_tau", unreached)
+        patch.setattr(Hypergraph, "edge_points", unreached)
+        with pytest.raises(GeometryError, match=(
+                rf"^the 2-spaces of PG\(3,{q}\) have {incidences} point incidences, "
+                r"more than the limit 1000000$")):
+            exact_ucn(H)
     assert set(vars(H)) <= {"geometry"}
     # recheck reads the certificates as loaded from a file, on a space of
     # its own
@@ -96,7 +104,8 @@ def test_a_double_blocking_set_of_the_planes_of_pg3_17_is_checked(tmp_path, caps
     data["checksum"] = checksum(data["payload"])
     ok, detail = recheck(data)
     assert not ok and detail == f"violating 2-space with basis {plane.basis}"
-    # the searches read point lists, and refuse the planes by counts
+    # exact_tau past its 0-node answers reads point lists, and exact_ucn
+    # asks the list gate: both refuse the planes by counts
     H = space.hypergraph(2)
     for solve in (exact_ucn, lambda H: exact_tau(H, 3)):
         with pytest.raises(GeometryError, match=r"^the 2-spaces of PG\(3,17\) have 1602540 "

@@ -404,9 +404,11 @@ def _mixed_size_hypergraph(rng, V, num_edges, sizes):
 def test_search_effort_pinned_on_a_mixed_size_corpus():
     # one digest over (nodes, objective, witness) of exact_tau for t = 1..3
     # on 12 hypergraphs of 24 to 32 vertices, then of exact_ucn on 12 of 12
-    # to 16, about 6,100 and 21,400 nodes: the packing order by size, its
-    # tie-break in edge order and the tie-break of the branching edge all
-    # show in the nodes
+    # to 16, about 6,100 and 22,400 nodes: exact_tau's packing order by
+    # size, its tie-break in edge order and the tie-break of the branching
+    # edge all show in the nodes.  A second digest over (objective,
+    # witness) alone must hold when a sound prune is added or dropped,
+    # which moves only the nodes
     rng = random.Random(2027)
     rows = []
     for _ in range(12):
@@ -418,8 +420,10 @@ def test_search_effort_pinned_on_a_mixed_size_corpus():
         H = _mixed_size_hypergraph(rng, rng.randrange(12, 17), rng.randrange(12, 21), (3, 8))
         res = exact_ucn(H)
         rows.append([res.nodes, res.objective, list(res.witness.assignment)])
+    assert _digest(row[1:] for row in rows) == \
+        "6c134814b702119c2d74e0a133887df0a5836819dd63b1a688ce4d78295e6a46"
     assert _digest(rows) == \
-        "2881d85b96e65b0f577ea444632a7e07e73ae3d344c765fc72d43f7b4fd5e15b"
+        "00724d948226355894027fa4798ddc5fc44918763e8a1f052c882d344d723ab7"
 
 
 # exact_ucn stops at its first incumbent that meets the shape bound; the
@@ -458,6 +462,24 @@ def test_exact_ucn_solids_of_pg42_pinned():
     assert (res.nodes, res.objective, res.status) == (19, 27, OPTIMAL)
     assert _digest(res.witness.assignment) == \
         "e69f6504ea086b61d5448d2167ef76c3ae8c33148517a87a0d409df20ae1396d"
+
+
+@pytest.mark.parametrize("n, k, q, nodes, objective, digest", [
+    (3, 2, 2, 11, 11, "293457e67e07e2c24c6063f0a22f750faf3b7bdb059d05895370f300e0b7909b"),
+    (4, 3, 2, 19, 27, "e69f6504ea086b61d5448d2167ef76c3ae8c33148517a87a0d409df20ae1396d"),
+    (6, 5, 2, 67, 123, "b82a97e02331562d10da7d6ca3f4ddda15898306368b91fdb2caae1a394d081b"),
+], ids=["3-2-2", "4-3-2", "6-5-2"])
+def test_exact_ucn_builds_no_point_list(monkeypatch, n, k, q, nodes, objective, digest):
+    # the inner tau_2 ends at 0 nodes on the union seed, which reads the
+    # masks only, and exact_ucn reads the edge masks and their transpose:
+    # the same nodes and witnesses with the list builder gone
+    def refuse(self):
+        raise AssertionError("a point list was built")
+
+    monkeypatch.setattr(Hypergraph, "edge_points", refuse)
+    res = exact_ucn(ProjectiveSpace.of_order(n, q).hypergraph(k))
+    assert (res.nodes, res.objective, res.status) == (nodes, objective, OPTIMAL)
+    assert _digest(res.witness.assignment) == digest
 
 
 def _differential_corpus():

@@ -596,6 +596,37 @@ def h():
     assert _matching_nodes(tree, _calls_dfs) == {"g": 2, "g.dfs": 1}
 
 
+def _reads_edge_points(node):
+    """A read of a hypergraph's point lists: the attribute edge_points, or
+    its name as a string, as getattr(H, "edge_points") spells it."""
+    return isinstance(node, ast.Attribute) and node.attr == "edge_points" \
+        or isinstance(node, ast.Constant) and node.value == "edge_points"
+
+
+def test_only_exact_tau_reads_point_lists():
+    # exact_ucn reads the edge masks and their transpose alone, and asks
+    # incidence_gate itself; exact_tau's per-vertex edge lists are the one
+    # point-list reader of the solvers
+    path = PACKAGE_DIR / "solvers.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _matching_nodes(tree, _reads_edge_points) == {"exact_tau": 1}
+
+
+def test_point_list_guard_sees_each_read():
+    source = """
+def a(H): return H.edge_points()
+def b(H): pts = H.edge_points
+def c(H): return getattr(H, "edge_points")()
+def d(H):
+    def inner(ei): return H.edge_points()[ei]
+    return inner
+def e(H): return mask_bits(H.edges[0])
+def f(H): return "edge points"
+"""
+    assert _matching_nodes(ast.parse(source), _reads_edge_points) == \
+        {"a": 1, "b": 1, "c": 1, "d.inner": 1}
+
+
 def _level_rule_copies(tree):
     """The functions of tree, by name, that define space_fault or pass "n",
     "k" or "q" to _require_ints."""
